@@ -371,7 +371,7 @@ let generic_transfer sender_ops receiver_ops ~sender_addr ~bytes =
             done)
       end);
   let received = ref 0 and t0 = ref 0 and t1 = ref 0 in
-  let wall0 = Sys.time () in
+  let cpu0 = Sys.time () in
   let _ =
     Scheduler.run (fun () ->
         let conn =
@@ -385,9 +385,9 @@ let generic_transfer sender_ops receiver_ops ~sender_addr ~bytes =
         Packet.set_u32 request 4 bytes;
         receiver_ops.send conn request)
   in
-  let wall = Sys.time () -. wall0 in
+  let cpu_s = Sys.time () -. cpu0 in
   assert (!received >= bytes);
-  (!t1 - !t0, wall)
+  (!t1 - !t0, cpu_s)
 
 let ablation_control_structure () =
   section "Ablation A: control structure (quasi-synchronous vs direct calls)";
@@ -397,31 +397,31 @@ let ablation_control_structure () =
   let bytes = 4_000_000 in
   let fox =
     let _, a, b = Network.pair ~engine:Network.Fox ~netem:Fox_dev.Netem.gigabit () in
-    let virt, wall =
+    let virt, cpu_s =
       generic_transfer
         (Fox_ops.ops (Network.fox_tcp a))
         (Fox_ops.ops (Network.fox_tcp b))
         ~sender_addr:a.Network.addr ~bytes
     in
     Printf.printf "  %-28s %8.3f s CPU   (virtual: %8.1f ms)\n"
-      "structured (to_do queue)" wall
+      "structured (to_do queue)" cpu_s
       (float_of_int virt /. 1000.);
-    wall
+    cpu_s
   in
   let base =
     let _, a, b =
       Network.pair ~engine:Network.Baseline ~netem:Fox_dev.Netem.gigabit ()
     in
-    let virt, wall =
+    let virt, cpu_s =
       generic_transfer
         (Baseline_ops.ops (Network.baseline_tcp a))
         (Baseline_ops.ops (Network.baseline_tcp b))
         ~sender_addr:a.Network.addr ~bytes
     in
     Printf.printf "  %-28s %8.3f s CPU   (virtual: %8.1f ms)\n"
-      "monolithic (direct calls)" wall
+      "monolithic (direct calls)" cpu_s
       (float_of_int virt /. 1000.);
-    wall
+    cpu_s
   in
   Printf.printf
     "\n  structured/monolithic CPU ratio: %.2f (the engine-side price of the\n\
@@ -586,13 +586,11 @@ let ablation_priority () =
     (float_of_int elapsed /. 1e6)
 
 (* ------------------------------------------------------------------ *)
-(* Fast-path ablation: header prediction × fused checksum × buffer pool *)
+(* Fast-path ablation: header prediction on the fused datapath         *)
 (* ------------------------------------------------------------------ *)
 
 type fastpath_row = {
   fp_prediction : bool;
-  fp_fused : bool;
-  fp_pool : bool;
   fp_touch_per_byte : float;
       (** payload bytes traversed (copy + checksum + fused passes) per
           byte transferred — the "touch the data once" meter *)
@@ -600,109 +598,66 @@ type fastpath_row = {
   fp_segs : int;
 }
 
-let fp_label r =
-  Printf.sprintf "%s %s %s"
-    (if r.fp_prediction then "pred" else "----")
-    (if r.fp_fused then "fused" else "-----")
-    (if r.fp_pool then "pool" else "----")
-
-(* One 2 MB transfer on a gigabit wire under the given switch settings.
-   Data-touch passes are metered globally (Packet.bytes_copied,
-   Checksum.bytes_summed, Copy.bytes_fused), so the run brackets them;
-   segments are the sender instance's segs_out. *)
-let fastpath_config ~prediction ~fused ~pool =
+(* One 2 MB transfer on a gigabit wire, with or without header
+   prediction.  Data-touch passes are metered globally
+   (Packet.bytes_copied, Checksum.bytes_summed, Copy.bytes_fused), so the
+   run brackets them; segments are the sender instance's segs_out. *)
+let fastpath_config ~prediction =
   let bytes = 2_000_000 in
-  Packet.offload_enabled := fused;
-  Packet.pool_enabled := pool;
-  Packet.pool_reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Packet.offload_enabled := false;
-      Packet.pool_enabled := false;
-      Packet.pool_reset ())
-    (fun () ->
-      let c0 = !Packet.bytes_copied
-      and s0 = !Checksum.bytes_summed
-      and f0 = !Copy.bytes_fused in
-      let g0 = Gc.minor_words () in
-      let _, a, b =
-        Network.pair ~engine:Network.Bare ~netem:Fox_dev.Netem.gigabit ()
-      in
-      let segs =
-        if prediction then begin
-          let ta = Stack.Tcp.create a.Network.metered_ip
-          and tb = Stack.Tcp.create b.Network.metered_ip in
-          ignore
-            (generic_transfer (Fox_ops.ops ta) (Fox_ops.ops tb)
-               ~sender_addr:a.Network.addr ~bytes);
-          (Stack.Tcp.stats ta).Fox_tcp.Tcp.segs_out
-        end
-        else begin
-          let ta = Stack.Tcp_no_prediction.create a.Network.metered_ip
-          and tb = Stack.Tcp_no_prediction.create b.Network.metered_ip in
-          ignore
-            (generic_transfer (No_pred_ops.ops ta) (No_pred_ops.ops tb)
-               ~sender_addr:a.Network.addr ~bytes);
-          (Stack.Tcp_no_prediction.stats ta).Fox_tcp.Tcp.segs_out
-        end
-      in
-      let touched =
-        !Packet.bytes_copied - c0 + (!Checksum.bytes_summed - s0)
-        + (!Copy.bytes_fused - f0)
-      in
-      {
-        fp_prediction = prediction;
-        fp_fused = fused;
-        fp_pool = pool;
-        fp_touch_per_byte = float_of_int touched /. float_of_int bytes;
-        fp_minor_words_per_seg = (Gc.minor_words () -. g0) /. float_of_int segs;
-        fp_segs = segs;
-      })
+  let c0 = !Packet.bytes_copied
+  and s0 = !Checksum.bytes_summed
+  and f0 = !Copy.bytes_fused in
+  let g0 = Gc.minor_words () in
+  let _, a, b =
+    Network.pair ~engine:Network.Bare ~netem:Fox_dev.Netem.gigabit ()
+  in
+  let segs =
+    if prediction then begin
+      let ta = Stack.Tcp.create a.Network.metered_ip
+      and tb = Stack.Tcp.create b.Network.metered_ip in
+      ignore
+        (generic_transfer (Fox_ops.ops ta) (Fox_ops.ops tb)
+           ~sender_addr:a.Network.addr ~bytes);
+      (Stack.Tcp.stats ta).Fox_tcp.Tcp.segs_out
+    end
+    else begin
+      let ta = Stack.Tcp_no_prediction.create a.Network.metered_ip
+      and tb = Stack.Tcp_no_prediction.create b.Network.metered_ip in
+      ignore
+        (generic_transfer (No_pred_ops.ops ta) (No_pred_ops.ops tb)
+           ~sender_addr:a.Network.addr ~bytes);
+      (Stack.Tcp_no_prediction.stats ta).Fox_tcp.Tcp.segs_out
+    end
+  in
+  let touched =
+    !Packet.bytes_copied - c0 + (!Checksum.bytes_summed - s0)
+    + (!Copy.bytes_fused - f0)
+  in
+  {
+    fp_prediction = prediction;
+    fp_touch_per_byte = float_of_int touched /. float_of_int bytes;
+    fp_minor_words_per_seg = (Gc.minor_words () -. g0) /. float_of_int segs;
+    fp_segs = segs;
+  }
 
 let ablation_fastpath () =
-  section "Ablation E: zero-copy fast path (prediction x fusion x pooling)";
+  section "Ablation E: header prediction on the fused copy-and-checksum path";
   Printf.printf
     "2 MB transfer on a gigabit wire (no cost model).  touches/byte counts\n\
      every metered traversal of payload bytes (copies, checksum passes,\n\
      fused copy-and-checksum passes) per byte delivered; words/seg is minor\n\
      heap allocation per sender segment.\n\n";
   let rows =
-    List.concat_map
-      (fun prediction ->
-        List.concat_map
-          (fun fused ->
-            List.map
-              (fun pool -> fastpath_config ~prediction ~fused ~pool)
-              [ false; true ])
-          [ false; true ])
-      [ false; true ]
+    List.map (fun prediction -> fastpath_config ~prediction) [ false; true ]
   in
-  Printf.printf "  %-18s %14s %14s %8s\n" "configuration" "touches/byte"
+  Printf.printf "  %-18s %14s %14s %8s\n" "header prediction" "touches/byte"
     "words/seg" "segs";
   List.iter
     (fun r ->
-      Printf.printf "  %-18s %14.3f %14.1f %8d\n" (fp_label r)
+      Printf.printf "  %-18s %14.3f %14.1f %8d\n"
+        (if r.fp_prediction then "on" else "off")
         r.fp_touch_per_byte r.fp_minor_words_per_seg r.fp_segs)
     rows;
-  let find p f po =
-    List.find
-      (fun r -> r.fp_prediction = p && r.fp_fused = f && r.fp_pool = po)
-      rows
-  in
-  (* headline deltas: fusion's data-touch saving and pooling's allocation
-     saving, each measured with the other two switches on *)
-  let fusion_reduction =
-    let off = find true false true and on = find true true true in
-    100.0 *. (1.0 -. (on.fp_touch_per_byte /. off.fp_touch_per_byte))
-  in
-  let pool_alloc_reduction =
-    let off = find true true false and on = find true true true in
-    100.0 *. (1.0 -. (on.fp_minor_words_per_seg /. off.fp_minor_words_per_seg))
-  in
-  Printf.printf
-    "\n  fused copy-and-checksum: %.1f %% fewer payload-byte touches\n\
-    \  buffer pooling:          %.1f %% less minor allocation per segment\n"
-    fusion_reduction pool_alloc_reduction;
   let oc = open_out "BENCH_pr4.json" in
   Printf.fprintf oc
     "{\n  \"bench\": \"pr4_zero_copy_fastpath\",\n  \"bytes\": 2000000,\n\
@@ -710,17 +665,12 @@ let ablation_fastpath () =
   List.iteri
     (fun i r ->
       Printf.fprintf oc
-        "    {\"prediction\": %b, \"fused\": %b, \"pool\": %b, \
-         \"touches_per_byte\": %.4f, \"minor_words_per_segment\": %.1f, \
-         \"segments\": %d}%s\n"
-        r.fp_prediction r.fp_fused r.fp_pool r.fp_touch_per_byte
-        r.fp_minor_words_per_seg r.fp_segs
+        "    {\"prediction\": %b, \"touches_per_byte\": %.4f, \
+         \"minor_words_per_segment\": %.1f, \"segments\": %d}%s\n"
+        r.fp_prediction r.fp_touch_per_byte r.fp_minor_words_per_seg r.fp_segs
         (if i = List.length rows - 1 then "" else ","))
     rows;
-  Printf.fprintf oc
-    "  ],\n  \"fusion_touch_reduction_percent\": %.2f,\n\
-    \  \"pool_alloc_reduction_percent\": %.2f\n}\n"
-    fusion_reduction pool_alloc_reduction;
+  Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   print_endline "\nwrote BENCH_pr4.json"
 
@@ -730,32 +680,19 @@ let ablation_fastpath () =
 
 (* One comparable Mb/s number per PR: the paper's Table 1 transfer (1 MB,
    4096-byte window, 10 Mb/s Ethernet, DECstation cost model) next to a
-   modern transfer (1 GB on a gigabit wire, no cost model) with the
-   zero-copy fast path, the timing wheel and the buffer pool all on. *)
+   modern transfer (1 GB on a gigabit wire, no cost model). *)
 let modern_transfer ~bytes =
-  Packet.offload_enabled := true;
-  Packet.pool_enabled := true;
-  Packet.pool_reset ();
-  let saved_wheel = !Fox_sched.Timer.use_wheel in
-  Fox_sched.Timer.use_wheel := true;
-  Fun.protect
-    ~finally:(fun () ->
-      Packet.offload_enabled := false;
-      Packet.pool_enabled := false;
-      Packet.pool_reset ();
-      Fox_sched.Timer.use_wheel := saved_wheel)
-    (fun () ->
-      let _, a, b =
-        Network.pair ~engine:Network.Bare ~netem:Fox_dev.Netem.gigabit ()
-      in
-      let ta = Stack.Tcp.create a.Network.metered_ip
-      and tb = Stack.Tcp.create b.Network.metered_ip in
-      let virt_us, wall_s =
-        generic_transfer (Fox_ops.ops ta) (Fox_ops.ops tb)
-          ~sender_addr:a.Network.addr ~bytes
-      in
-      let st = Stack.Tcp.stats ta in
-      (virt_us, wall_s, st.Fox_tcp.Tcp.segs_out))
+  let _, a, b =
+    Network.pair ~engine:Network.Bare ~netem:Fox_dev.Netem.gigabit ()
+  in
+  let ta = Stack.Tcp.create a.Network.metered_ip
+  and tb = Stack.Tcp.create b.Network.metered_ip in
+  let virt_us, cpu_s =
+    generic_transfer (Fox_ops.ops ta) (Fox_ops.ops tb)
+      ~sender_addr:a.Network.addr ~bytes
+  in
+  let st = Stack.Tcp.stats ta in
+  (virt_us, cpu_s, st.Fox_tcp.Tcp.segs_out)
 
 let table1_headline () =
   section "Standing headline: paper Table 1 transfer + modern transfer";
@@ -769,16 +706,16 @@ let table1_headline () =
     (float_of_int fox_tp.elapsed_us /. 1e6)
     fox_tp.sender_segments fox_tp.retransmissions base_tp.throughput_mbps;
   let modern_bytes = 1_000_000_000 in
-  let virt_us, wall_s, segs = modern_transfer ~bytes:modern_bytes in
+  let virt_us, cpu_s, segs = modern_transfer ~bytes:modern_bytes in
   let modern_mbps =
     float_of_int modern_bytes *. 8.0 /. float_of_int virt_us
   in
   Printf.printf
-    "modern (1 GB, gigabit wire, fastpath+wheel+pool): %.1f Mb/s over\n\
-     %.3f s virtual (%d segments, %.1f s wall)\n"
+    "modern (1 GB, gigabit wire): %.1f Mb/s over %.3f s virtual\n\
+     (%d segments, %.1f s CPU)\n"
     modern_mbps
     (float_of_int virt_us /. 1e6)
-    segs wall_s;
+    segs cpu_s;
   let oc = open_out "BENCH_table1.json" in
   Printf.fprintf oc
     "{\n\
@@ -794,7 +731,7 @@ let table1_headline () =
     \    \"mbps\": %.1f,\n\
     \    \"elapsed_virtual_s\": %.3f,\n\
     \    \"segments\": %d,\n\
-    \    \"wall_s\": %.1f\n\
+    \    \"cpu_s\": %.1f\n\
     \  }\n\
      }\n"
     fox_tp.throughput_mbps
@@ -802,7 +739,7 @@ let table1_headline () =
     fox_tp.sender_segments fox_tp.retransmissions base_tp.throughput_mbps
     modern_mbps
     (float_of_int virt_us /. 1e6)
-    segs wall_s;
+    segs cpu_s;
   close_out oc;
   print_endline "\nwrote BENCH_table1.json"
 
@@ -811,51 +748,53 @@ let table1_headline () =
 (* ------------------------------------------------------------------ *)
 
 let time_cpu f =
-  let w0 = Sys.time () in
+  let cpu0 = Sys.time () in
   f ();
-  Sys.time () -. w0
+  Sys.time () -. cpu0
 
-(* One timer backend under the two loads a busy TCP puts on it: churn
-   (every segment restarts the retransmission timer: start + clear, with
-   a standing population of armed timers behind it) and mass expiry
+(* One timer implementation under the two loads a busy TCP puts on it:
+   churn (every segment restarts the retransmission timer: start + clear,
+   with a standing population of armed timers behind it) and mass expiry
    (every parked TIME-WAIT and delayed-ACK deadline actually firing).
-   Under the Figure 11 backend each armed timer is its own sleeping
-   thread, so even a cleared timer costs a wakeup at its deadline; the
-   wheel shares one sleeper across all of them. *)
-let timer_backend ~wheel ~live ~churn =
-  let saved = !Fox_sched.Timer.use_wheel in
-  Fox_sched.Timer.use_wheel := wheel;
-  Fun.protect
-    ~finally:(fun () -> Fox_sched.Timer.use_wheel := saved)
-    (fun () ->
-      let churn_s =
-        time_cpu (fun () ->
-            ignore
-              (Scheduler.run (fun () ->
-                   let standing =
-                     Array.init live (fun i ->
-                         Fox_sched.Timer.start ignore (10_000_000 + i))
-                   in
-                   for i = 0 to churn - 1 do
-                     Fox_sched.Timer.clear
-                       (Fox_sched.Timer.start ignore (100_000 + (i mod 997)))
-                   done;
-                   Array.iter Fox_sched.Timer.clear standing)))
-      in
-      let fire_s =
-        time_cpu (fun () ->
-            ignore
-              (Scheduler.run (fun () ->
-                   for i = 0 to live - 1 do
-                     ignore
-                       (Fox_sched.Timer.start ignore
-                          (1_000 + (i * 13 mod 50_000)))
-                   done)))
-      in
-      (churn_s, fire_s))
+   Under Figure 11 each armed timer is its own sleeping thread, so even a
+   cleared timer costs a wakeup at its deadline; the wheel behind
+   [Fox_sched.Timer] shares one sleeper across all of them. *)
+module Timer_load (T : sig
+  type t
+
+  val start : (unit -> unit) -> int -> t
+  val clear : t -> unit
+end) =
+struct
+  let run ~live ~churn =
+    let churn_s =
+      time_cpu (fun () ->
+          ignore
+            (Scheduler.run (fun () ->
+                 let standing =
+                   Array.init live (fun i -> T.start ignore (10_000_000 + i))
+                 in
+                 for i = 0 to churn - 1 do
+                   T.clear (T.start ignore (100_000 + (i mod 997)))
+                 done;
+                 Array.iter T.clear standing)))
+    in
+    let fire_s =
+      time_cpu (fun () ->
+          ignore
+            (Scheduler.run (fun () ->
+                 for i = 0 to live - 1 do
+                   ignore (T.start ignore (1_000 + (i * 13 mod 50_000)))
+                 done)))
+    in
+    (churn_s, fire_s)
+end
+
+module Fig11_load = Timer_load (Fig11)
+module Wheel_load = Timer_load (Fox_sched.Timer)
 
 let bench_soak () =
-  section "Overload survival: timer wheel vs heap, SYN-flood soak";
+  section "Overload survival: timer wheel vs Figure 11, SYN-flood soak";
   let module Soak = Fox_check.Soak in
   let live = 2000 and churn = 50_000 in
   Printf.printf
@@ -863,40 +802,36 @@ let bench_soak () =
      (TCP's per-segment retransmission-timer restart), fire lets all %d\n\
      deadlines expire (TIME-WAIT / delayed-ACK mass expiry).\n\n"
     live churn live;
-  let heap_churn, heap_fire = timer_backend ~wheel:false ~live ~churn in
-  let wheel_churn, wheel_fire = timer_backend ~wheel:true ~live ~churn in
+  let fig11_churn, fig11_fire = Fig11_load.run ~live ~churn in
+  let wheel_churn, wheel_fire = Wheel_load.run ~live ~churn in
   let per_op s n = s /. float_of_int n *. 1e9 in
   Printf.printf "  %-28s %14s %14s\n" "backend" "churn ns/op" "fire ns/timer";
-  Printf.printf "  %-28s %14.0f %14.0f\n" "heap (Figure 11 threads)"
-    (per_op heap_churn churn) (per_op heap_fire live);
+  Printf.printf "  %-28s %14.0f %14.0f\n" "Figure 11 (thread per timer)"
+    (per_op fig11_churn churn) (per_op fig11_fire live);
   Printf.printf "  %-28s %14.0f %14.0f\n" "hierarchical wheel"
     (per_op wheel_churn churn) (per_op wheel_fire live);
   Printf.printf
     "\nFlood soak (%d staggered connections x %d B + %d-SYN flood + %d \
-     forged ACKs,\nadverse wire), both timer backends:\n\n"
+     forged ACKs,\nadverse wire):\n\n"
     Soak.default_config.Soak.conns Soak.default_config.Soak.bytes_per_conn
     Soak.default_config.Soak.flood_syns
     Soak.default_config.Soak.flood_bad_acks;
-  let run_soak wheel =
-    let w0 = Sys.time () in
-    let r = Soak.run { Soak.default_config with Soak.wheel } in
-    (r, Sys.time () -. w0)
+  let soak =
+    let cpu0 = Sys.time () in
+    let r = Soak.run Soak.default_config in
+    (r, Sys.time () -. cpu0)
   in
-  let soak_row (label, (r, wall)) =
-    Printf.printf
-      "  %-8s %d/%d conns, %d flood segs -> %d extra accepts, %d RSTs, %d \
-       recycled, %.3f s virtual, %.2f s CPU\n"
-      label r.Soak.completed r.Soak.conns r.Soak.flood_sent
-      (max 0 (r.Soak.server_accepts - r.Soak.conns))
-      r.Soak.rsts_sent r.Soak.time_wait_recycled
-      (float_of_int r.Soak.end_time /. 1e6)
-      wall
-  in
-  let wheel_soak = run_soak true and heap_soak = run_soak false in
-  soak_row ("wheel", wheel_soak);
-  soak_row ("heap", heap_soak);
+  (let r, cpu_s = soak in
+   Printf.printf
+     "  %d/%d conns, %d flood segs -> %d extra accepts, %d RSTs, %d \
+      recycled, %.3f s virtual, %.2f s CPU\n"
+     r.Soak.completed r.Soak.conns r.Soak.flood_sent
+     (max 0 (r.Soak.server_accepts - r.Soak.conns))
+     r.Soak.rsts_sent r.Soak.time_wait_recycled
+     (float_of_int r.Soak.end_time /. 1e6)
+     cpu_s);
   let oc = open_out "BENCH_pr5.json" in
-  let soak_json (r, wall) =
+  let soak_json (r, cpu_s) =
     Printf.sprintf
       "{\"conns\": %d, \"completed\": %d, \"flood_segments\": %d, \
        \"flood_extra_accepts\": %d, \"flood_refused_fraction\": %.4f, \
@@ -913,7 +848,7 @@ let bench_soak () =
       r.Soak.rsts_sent r.Soak.backlog_refused r.Soak.syn_dropped
       r.Soak.time_wait_recycled r.Soak.wire_queue_drops r.Soak.leaked_packets
       (float_of_int r.Soak.end_time /. 1e6)
-      wall
+      cpu_s
   in
   Printf.fprintf oc
     "{\n\
@@ -921,17 +856,16 @@ let bench_soak () =
     \  \"timers\": {\n\
     \    \"standing\": %d,\n\
     \    \"churn_ops\": %d,\n\
-    \    \"heap_churn_ns_per_op\": %.0f,\n\
+    \    \"fig11_churn_ns_per_op\": %.0f,\n\
     \    \"wheel_churn_ns_per_op\": %.0f,\n\
-    \    \"heap_fire_ns_per_timer\": %.0f,\n\
+    \    \"fig11_fire_ns_per_timer\": %.0f,\n\
     \    \"wheel_fire_ns_per_timer\": %.0f\n\
     \  },\n\
-    \  \"soak_wheel\": %s,\n\
-    \  \"soak_heap\": %s\n\
+    \  \"soak\": %s\n\
      }\n"
-    live churn (per_op heap_churn churn) (per_op wheel_churn churn)
-    (per_op heap_fire live) (per_op wheel_fire live)
-    (soak_json wheel_soak) (soak_json heap_soak);
+    live churn (per_op fig11_churn churn) (per_op wheel_churn churn)
+    (per_op fig11_fire live) (per_op wheel_fire live)
+    (soak_json soak);
   close_out oc;
   print_endline "\nwrote BENCH_pr5.json"
 
@@ -963,9 +897,9 @@ let bench_serve () =
     }
   in
   let run app =
-    let w0 = Sys.time () in
+    let cpu0 = Sys.time () in
     let r = Load.run { base with Load.app } in
-    (r, Sys.time () -. w0)
+    (r, Sys.time () -. cpu0)
   in
   let rows = List.map run [ Load.Http_app; Load.Echo ] in
   Printf.printf "  %-8s %9s %9s %10s %9s %9s %9s\n" "app" "requests" "req/s"
@@ -981,7 +915,7 @@ let bench_serve () =
         (float_of_int r.Load.p99_us /. 1000.))
     rows;
   let oc = open_out "BENCH_pr8.json" in
-  let row_json ((r : Load.result), wall) =
+  let row_json ((r : Load.result), cpu_s) =
     Printf.sprintf
       "{\"app\": \"%s\", \"conns\": %d, \"requests_ok\": %d, \
        \"requests_attempted\": %d, \"conn_errors\": %d, \
@@ -993,7 +927,7 @@ let bench_serve () =
       r.Load.accepts r.Load.reqs_per_sec r.Load.p50_us r.Load.p95_us
       r.Load.p99_us r.Load.max_us
       (float_of_int r.Load.elapsed_us /. 1e6)
-      wall
+      cpu_s
   in
   (match rows with
   | [ http; echo ] ->

@@ -65,26 +65,16 @@ let transfer_cc cc bytes loss seed =
    two-host world on its own domain (per-shard netem seed), reporting
    per-shard and aggregate goodput.  The aggregate divides by the
    slowest shard's virtual elapsed — the shards run concurrently. *)
-let transfer_sharded bytes loss seed decstation offload pool shards =
-  let module Packet = Fox_basis.Packet in
+let transfer_sharded bytes loss seed decstation shards =
   let cost = if decstation then Some Cost_model.fox else None in
-  let saved_offload = !Packet.offload_enabled in
-  let saved_pool = !Packet.pool_enabled in
-  Packet.offload_enabled := offload;
-  Packet.pool_enabled := pool;
   let results =
-    Fun.protect
-      ~finally:(fun () ->
-        Packet.offload_enabled := saved_offload;
-        Packet.pool_enabled := saved_pool)
-      (fun () ->
-        Fox_shard.Shard.run ~shards (fun k ->
-            let _, sender, receiver =
-              Network.pair ~engine:Network.Fox ?cost
-                ~netem:(netem_of loss (seed + (k * 9176)))
-                ()
-            in
-            Experiments.Fox_run.transfer ~sender ~receiver ~bytes ()))
+    Fox_shard.Shard.run ~shards (fun k ->
+        let _, sender, receiver =
+          Network.pair ~engine:Network.Fox ?cost
+            ~netem:(netem_of loss (seed + (k * 9176)))
+            ()
+        in
+        Experiments.Fox_run.transfer ~sender ~receiver ~bytes ())
   in
   let open Experiments in
   Array.iteri
@@ -107,7 +97,7 @@ let transfer_sharded bytes loss seed decstation offload pool shards =
     (float_of_int slowest /. 1e6)
     (float_of_int (total * 8) /. float_of_int slowest)
 
-let transfer bytes loss seed decstation baseline offload pool cc shards =
+let transfer bytes loss seed decstation baseline cc shards =
   validate_cc cc;
   if cc <> "reno" && baseline then begin
     Printf.eprintf "--cc applies to the structured engine only\n";
@@ -122,7 +112,7 @@ let transfer bytes loss seed decstation baseline offload pool cc shards =
       Printf.eprintf "--shards transfer drives the standard Reno stack\n";
       exit 2
     end;
-    transfer_sharded bytes loss seed decstation offload pool shards
+    transfer_sharded bytes loss seed decstation shards
   end
   else if cc <> "reno" then transfer_cc cc bytes loss seed
   else begin
@@ -135,23 +125,11 @@ let transfer bytes loss seed decstation baseline offload pool cc shards =
   let _, sender, receiver =
     Network.pair ~engine ?cost ~netem:(netem_of loss seed) ()
   in
-  let module Packet = Fox_basis.Packet in
-  Packet.offload_enabled := offload;
-  Packet.pool_enabled := pool;
   let result =
-    Fun.protect
-      ~finally:(fun () ->
-        Packet.offload_enabled := false;
-        Packet.pool_enabled := false)
-      (fun () ->
-        if baseline then
-          Experiments.Baseline_run.transfer ~sender ~receiver ~bytes ()
-        else Experiments.Fox_run.transfer ~sender ~receiver ~bytes ())
+    if baseline then
+      Experiments.Baseline_run.transfer ~sender ~receiver ~bytes ()
+    else Experiments.Fox_run.transfer ~sender ~receiver ~bytes ()
   in
-  if pool then begin
-    print_endline (Packet.pool_stats ());
-    Packet.pool_reset ()
-  end;
   let open Experiments in
   Printf.printf "%d bytes in %.3f s (virtual) = %.3f Mb/s; %d segments, %d rtx\n"
     result.bytes
@@ -313,8 +291,8 @@ let fuzz seed iters verbose cc matrix mutate =
 
 (* ---------------- soak (deterministic overload survival) ---------------- *)
 
-let soak conns conn_bytes flood bad_acks seed loss heap verbose cc matrix
-    shards chaos =
+let soak conns conn_bytes flood bad_acks seed loss verbose cc matrix shards
+    chaos =
   validate_cc cc;
   let module Soak = Fox_check.Soak in
   let cfg =
@@ -326,7 +304,6 @@ let soak conns conn_bytes flood bad_acks seed loss heap verbose cc matrix
       flood_syns = flood;
       flood_bad_acks = bad_acks;
       loss;
-      wheel = not heap;
       cc;
       shards;
       chaos =
@@ -340,13 +317,10 @@ let soak conns conn_bytes flood bad_acks seed loss heap verbose cc matrix
   let run_one cfg =
     Printf.printf
       "soak: %d conns x %dB over %d shard%s, flood %d SYNs + %d forged \
-       ACKs, loss %.2f, seed %d, %s timers, cc %s%s (runs twice for \
-       determinism)\n%!"
+       ACKs, loss %.2f, seed %d, cc %s%s (runs twice for determinism)\n%!"
       conns conn_bytes shards
       (if shards = 1 then "" else "s")
-      flood bad_acks loss seed
-      (if heap then "heap" else "wheel")
-      cfg.Soak.cc
+      flood bad_acks loss seed cfg.Soak.cc
       (if cfg.Soak.chaos = [] then "" else ", chaos plan installed");
     let report, problems = Soak.check ~log cfg in
     print_endline (Soak.report_to_string report);
@@ -974,22 +948,6 @@ let count = Arg.(value & opt int 5 & info [ "count"; "c" ] ~doc:"Pings.")
 
 let size = Arg.(value & opt int 56 & info [ "size"; "s" ] ~doc:"Payload bytes.")
 
-let offload =
-  Arg.(
-    value & flag
-    & info [ "offload" ]
-        ~doc:
-          "Defer TCP checksums to the fused copy-and-checksum pass (the \
-           zero-copy fast path's transmit side).")
-
-let pool =
-  Arg.(
-    value & flag
-    & info [ "pool" ]
-        ~doc:
-          "Recycle packet buffers through the size-classed pool; prints \
-           pool statistics after the run.")
-
 let cc_arg =
   Arg.(
     value
@@ -1014,8 +972,8 @@ let transfer_cmd =
   Cmd.v
     (Cmd.info "transfer" ~doc:"One-way TCP throughput run")
     Term.(
-      const transfer $ bytes $ loss $ seed $ decstation $ baseline $ offload
-      $ pool $ cc_arg $ shards_arg)
+      const transfer $ bytes $ loss $ seed $ decstation $ baseline $ cc_arg
+      $ shards_arg)
 
 let ping_cmd =
   Cmd.v
@@ -1094,12 +1052,6 @@ let bad_acks =
 let soak_loss =
   Arg.(value & opt float 0.01 & info [ "loss" ] ~doc:"Wire loss rate.")
 
-let heap =
-  Arg.(
-    value & flag
-    & info [ "heap" ]
-        ~doc:"Drive timers through the binary heap instead of the wheel.")
-
 let chaos_flag =
   Arg.(
     value & flag
@@ -1120,7 +1072,7 @@ let soak_cmd =
           run replays bit-identically from its seed")
     Term.(
       const soak $ conns $ conn_bytes $ flood $ bad_acks $ seed $ soak_loss
-      $ heap $ verbose $ cc_arg $ matrix_flag $ shards_arg $ chaos_flag)
+      $ verbose $ cc_arg $ matrix_flag $ shards_arg $ chaos_flag)
 
 let mutate_flag =
   Arg.(

@@ -27,98 +27,23 @@ type t = {
   mutable refs : int;
 }
 
-let offload_enabled = ref false
-
-let pool_enabled = ref false
-
 let reallocation_count = ref 0
 
 let reallocations () = !reallocation_count
 
 let bytes_copied = ref 0
 
-(* ---- Size-classed buffer pool ------------------------------------- *)
-
-let classes = 12 (* 64 B .. 128 KiB *)
-
-let class_size c = 64 lsl c
-
-let max_pooled = class_size (classes - 1)
-
-let class_cap = 256 (* buffers kept per class *)
-
-(* The pool is domain-local: a buffer allocated on one shard is released
-   on the same shard (packets never migrate between shard worlds), so
-   free lists need no locks, and the leak accounting [live_packets]
-   brackets the calling domain's own traffic.  A pooled [Bytes.t] handed
-   between domains would also defeat minor-heap locality, so per-domain
-   pools are what we would want even if the lists were lock-free. *)
-type pool = {
-  free : Bytes.t list array;
-  free_count : int array;
-  mutable pool_hits : int;
-  mutable pool_misses : int;
-  mutable pool_recycled : int;
-  mutable pool_dropped : int;
-  mutable live_count : int;
-}
-
-let pool_key : pool Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        free = Array.make classes [];
-        free_count = Array.make classes 0;
-        pool_hits = 0;
-        pool_misses = 0;
-        pool_recycled = 0;
-        pool_dropped = 0;
-        live_count = 0;
-      })
-
-let class_for_total total =
-  if total > max_pooled then None
-  else begin
-    let c = ref 0 in
-    while class_size !c < total do
-      incr c
-    done;
-    Some !c
-  end
-
-(* Recycle only buffers whose size is exactly a class size, so buffers
-   that were reallocated (or restored to a foreign snapshot) simply fall
-   out of the pool instead of poisoning a class. *)
-let class_of_exact size =
-  match class_for_total size with
-  | Some c when class_size c = size -> Some c
-  | _ -> None
-
-let alloc_buf total =
-  if not !pool_enabled then Bytes.make total '\000'
-  else begin
-    let pl = Domain.DLS.get pool_key in
-    match class_for_total total with
-    | None ->
-      pl.pool_misses <- pl.pool_misses + 1;
-      Bytes.make total '\000'
-    | Some c -> (
-      match pl.free.(c) with
-      | b :: rest ->
-        pl.free.(c) <- rest;
-        pl.free_count.(c) <- pl.free_count.(c) - 1;
-        pl.pool_hits <- pl.pool_hits + 1;
-        (* preserve the [create]-zero-fills contract for reused buffers *)
-        Bytes.fill b 0 (Bytes.length b) '\000';
-        b
-      | [] ->
-        pl.pool_misses <- pl.pool_misses + 1;
-        Bytes.make (class_size c) '\000')
-  end
+(* ---- Leak census --------------------------------------------------- *)
 
 (* Packets alive right now on this domain: created (any constructor) and
-   not yet released to a zero count.  The overload soak brackets a run
-   with this to prove that every drop path gives its buffer back. *)
-let live_packets () = (Domain.DLS.get pool_key).live_count
+   not yet released to a zero count.  The count is domain-local, like a
+   scheduler run: packets never migrate between shard worlds, so it
+   brackets the calling domain's own traffic and needs no lock.  The soak
+   and chaos harnesses bracket a run with it to prove that every drop
+   path gives its buffer back. *)
+let live_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+
+let live_packets () = !(Domain.DLS.get live_key)
 
 let retain p = p.refs <- p.refs + 1
 
@@ -127,42 +52,16 @@ let release p =
      packet (e.g. from a differential shadow replay) is a no-op. *)
   if p.refs > 0 then begin
     p.refs <- p.refs - 1;
-    let pl = Domain.DLS.get pool_key in
-    if p.refs = 0 then pl.live_count <- pl.live_count - 1;
-    if p.refs = 0 && !pool_enabled then begin
-      match class_of_exact (Bytes.length p.buf) with
-      | Some c when pl.free_count.(c) < class_cap ->
-        pl.free.(c) <- p.buf :: pl.free.(c);
-        pl.free_count.(c) <- pl.free_count.(c) + 1;
-        pl.pool_recycled <- pl.pool_recycled + 1
-      | Some _ -> pl.pool_dropped <- pl.pool_dropped + 1
-      | None -> ()
-    end
+    if p.refs = 0 then decr (Domain.DLS.get live_key)
   end
-
-let pool_reset () =
-  let pl = Domain.DLS.get pool_key in
-  Array.fill pl.free 0 classes [];
-  Array.fill pl.free_count 0 classes 0;
-  pl.pool_hits <- 0;
-  pl.pool_misses <- 0;
-  pl.pool_recycled <- 0;
-  pl.pool_dropped <- 0
-
-let pool_stats () =
-  let pl = Domain.DLS.get pool_key in
-  Printf.sprintf "hits=%d misses=%d recycled=%d dropped=%d free=%d"
-    pl.pool_hits pl.pool_misses pl.pool_recycled pl.pool_dropped
-    (Array.fold_left ( + ) 0 pl.free_count)
 
 (* ---- Construction ------------------------------------------------- *)
 
 let create ?(headroom = 0) ?(tailroom = 0) len =
   if len < 0 || headroom < 0 || tailroom < 0 then invalid_arg "Packet.create";
-  let pl = Domain.DLS.get pool_key in
-  pl.live_count <- pl.live_count + 1;
+  incr (Domain.DLS.get live_key);
   {
-    buf = alloc_buf (headroom + len + tailroom);
+    buf = Bytes.make (headroom + len + tailroom) '\000';
     off = headroom;
     len;
     csum = No_csum;
@@ -244,9 +143,9 @@ let copy p = sub ~headroom:p.off p 0 p.len
 
 (* A window copy that also settles checksum-offload state: a deferred TX
    checksum is computed from the fused sum and patched into the copy (the
-   source keeps its defer — retransmissions re-encode); when offload is on,
-   the folded sum of the copied bytes is recorded on the copy so the
-   receiver's TCP decode can reuse it. *)
+   source keeps its defer — retransmissions re-encode), and the folded sum
+   of the copied bytes is recorded on the copy so the receiver's TCP
+   decode can reuse it. *)
 let copy_fused p =
   match p.csum with
   | Tx_defer { d_at; d_start; d_init } ->
@@ -265,7 +164,7 @@ let copy_fused p =
     (* the patched field replaced a zero word at even word offset, so the
        copy's sum is s1 + s2 + field; only record the memo when the second
        span starts at even stream parity *)
-    if !offload_enabled && len1 land 1 = 0 then
+    if len1 land 1 = 0 then
       q.csum <-
         Rx_sum
           {
@@ -275,13 +174,10 @@ let copy_fused p =
           };
     q
   | No_csum | Rx_sum _ ->
-    if !offload_enabled then begin
-      let q = create ~headroom:p.off p.len in
-      let s = Copy.blit_checksum p.buf p.off q.buf q.off p.len ~init:0 in
-      q.csum <- Rx_sum { m_start = q.off; m_len = p.len; m_sum = s };
-      q
-    end
-    else copy p
+    let q = create ~headroom:p.off p.len in
+    let s = Copy.blit_checksum p.buf p.off q.buf q.off p.len ~init:0 in
+    q.csum <- Rx_sum { m_start = q.off; m_len = p.len; m_sum = s };
+    q
 
 let request_tx_csum p ~at ~init =
   if at < 0 || at + 2 > p.len then invalid_arg "Packet.request_tx_csum";

@@ -61,24 +61,19 @@ val copy : t -> t
 
 (** {1 Checksum offload}
 
-    The fast datapath treats the link-layer copy as a NIC: the transport
+    The datapath treats the link-layer copy as a NIC: the transport
     encoder may {e defer} its checksum ([request_tx_csum]) and the copy
     that models the wire crossing computes it in the same pass that moves
     the bytes ([copy_fused]), patching the field in the copy — and, on the
     receive side, remembering the folded sum of the copied bytes so the
     transport decoder can validate without re-traversing the payload
-    ([cached_window_sum]).  All of it is gated on [offload_enabled]
-    (default off: every path behaves exactly as before). *)
-
-(** Master switch for deferred TX checksums and RX sum memos. *)
-val offload_enabled : bool ref
+    ([cached_window_sum]).  Each payload byte is copied and summed once. *)
 
 (** [copy_fused p] is [copy p] that additionally settles offload state: a
     deferred TX checksum is computed from the fused copy-and-sum and
     patched into the copy (the source keeps its defer, so a later
-    retransmission re-encodes and re-defers), and when [offload_enabled]
-    the folded sum of the copied range is recorded on the copy for the
-    receiver. *)
+    retransmission re-encodes and re-defers), and the folded sum of the
+    copied range is recorded on the copy for the receiver. *)
 val copy_fused : t -> t
 
 (** [request_tx_csum p ~at ~init] records that the 16-bit field at window
@@ -102,33 +97,22 @@ val finalize_tx_csum : t -> unit
     the memo. *)
 val cached_window_sum : t -> int option
 
-(** {1 Buffer pooling and reference counts}
+(** {1 Reference counts and the leak census}
 
-    Packets carry a reference count (1 at creation).  [release] returns
-    the underlying buffer to a size-classed free list when the count
-    reaches zero and [pool_enabled] is set; [create] then serves fresh
-    packets from the free list (zero-filled, same contract as a fresh
-    allocation).  With [pool_enabled] off (the default), [retain]/[release]
-    are pure bookkeeping and every [create] allocates. *)
-
-(** Master switch for the buffer pool (default off). *)
-val pool_enabled : bool ref
+    Packets carry a reference count (1 at creation).  The count buys no
+    recycling: buffers are left to the GC.  It is a census — a packet is
+    live from creation until [release] takes its count to zero, so a run
+    that brackets itself with {!live_packets} counts every buffer some
+    drop path forgot to give back. *)
 
 (** [retain p] adds a reference (e.g. a retransmission queue keeping the
     segment alive alongside the in-flight send action). *)
 val retain : t -> unit
 
-(** [release p] drops a reference; at zero the buffer is recycled (pool
-    on).  Releasing an already-released packet is a no-op, so defensive
-    releases (and differential-shadow replays) are safe. *)
+(** [release p] drops a reference.  Releasing an already-released packet
+    is a no-op, so defensive releases (and differential-shadow replays)
+    are safe. *)
 val release : t -> unit
-
-(** Drop all pooled buffers and zero the pool counters. *)
-val pool_reset : unit -> unit
-
-(** One-line pool counters (hits/misses/recycled/dropped/free), for the
-    observability bus. *)
-val pool_stats : unit -> string
 
 (** Packets currently alive: created by any constructor and not yet
     released down to a zero reference count.  The difference across a
@@ -192,9 +176,9 @@ val restore : t -> saved -> unit
     headroom — a measure of mis-sized allocations on the fast path. *)
 val reallocations : unit -> int
 
-(** Total bytes moved by packet copies ([sub]/[copy]/[append]/blits and
-    the plain path of [copy_fused]) since program start — the copy half of
-    the data-touching meter for the fast-path ablation. *)
+(** Total bytes moved by plain packet copies ([sub]/[copy]/[append] and
+    blits) since program start — the copy half of the data-touching meter
+    for the fast-path ablation ({!Copy.bytes_fused} counts [copy_fused]). *)
 val bytes_copied : int ref
 
 val pp : Format.formatter -> t -> unit

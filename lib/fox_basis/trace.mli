@@ -1,8 +1,9 @@
 (** Bounded in-memory event traces.
 
-    The paper's debugging relied on [do_prints] / [do_traces] functor
-    parameters; enabling them records protocol events that component tests
-    and post-mortems can inspect without any I/O on the fast path.  A trace
+    The paper's debugging relied on print and trace switches passed as
+    functor parameters; enabling them records protocol events that
+    component tests and post-mortems can inspect without any I/O on the
+    fast path.  A trace
     is a bounded ring: when full, the oldest events are dropped.
 
     Each trace carries an enabled flag and a minimum {!level}; recording

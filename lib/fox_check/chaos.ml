@@ -302,10 +302,9 @@ let payload_for scn ~bytes =
     (Rng.bytes (Rng.create (scn.netem.Netem.seed lxor 0xc4a05)) bytes)
 
 (* Shared cell scaffolding: invariants installed, flight recorder armed,
-   pool/offload switches saved and restored, leak census across the run.
-   [body] receives the wire and runs the world; it returns everything the
-   result needs except the faults/flight/leak fields, which the wrapper
-   owns. *)
+   leak census across the run.  [body] receives the wire and runs the
+   world; it returns everything the result needs except the
+   faults/flight/leak fields, which the wrapper owns. *)
 let with_cell ~make_link body =
   let faults = ref [] in
   Tcb_invariants.install
@@ -317,10 +316,6 @@ let with_cell ~make_link body =
                (Fox_tcp.Tcb.action_name info.Fox_tcp.Check_hook.action))
             msgs)
     ();
-  let saved_offload = !Packet.offload_enabled in
-  let saved_pool = !Packet.pool_enabled in
-  Packet.offload_enabled := true;
-  Packet.pool_enabled := true;
   let bus_was_live = !Bus.live in
   Bus.reset ();
   Bus.enable ();
@@ -328,9 +323,6 @@ let with_cell ~make_link body =
   let r =
     Fun.protect
       ~finally:(fun () ->
-        Packet.offload_enabled := saved_offload;
-        Packet.pool_enabled := saved_pool;
-        Packet.pool_reset ();
         flight := Bus.dump ();
         Bus.reset ();
         if not bus_was_live then Bus.disable ();

@@ -429,16 +429,11 @@ let run_engine (type t) (module E : ENGINE with type t = t) s ~engine_salt
       ();
   let server_t = E.create b.fip in
   let client_t = E.create a.fip in
-  (* The zero-copy machinery runs hot under fuzz: checksum offload and
-     buffer pooling are on for both engines, and every structured-engine
-     fast-path hit is shadowed by the general receive DAG and compared
-     field by field (the differential check of the header prediction). *)
-  let saved_offload = !Packet.offload_enabled in
-  let saved_pool = !Packet.pool_enabled in
+  (* Every structured-engine fast-path hit is shadowed by the general
+     receive DAG and compared field by field (the differential check of
+     the header prediction). *)
   let saved_diff = !Fox_tcp.Receive.differential in
   let saved_mismatch = !Fox_tcp.Receive.on_mismatch in
-  Packet.offload_enabled := true;
-  Packet.pool_enabled := true;
   if with_invariants then begin
     Fox_tcp.Receive.differential := true;
     Fox_tcp.Receive.on_mismatch :=
@@ -453,11 +448,8 @@ let run_engine (type t) (module E : ENGINE with type t = t) s ~engine_salt
   let stats =
     Fun.protect
       ~finally:(fun () ->
-        Packet.offload_enabled := saved_offload;
-        Packet.pool_enabled := saved_pool;
         Fox_tcp.Receive.differential := saved_diff;
         Fox_tcp.Receive.on_mismatch := saved_mismatch;
-        Packet.pool_reset ();
         flight := Bus.dump ();
         Bus.reset ();
         if not bus_was_live then Bus.disable ();

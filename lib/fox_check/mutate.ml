@@ -386,12 +386,8 @@ let run_one (module E : ENGINE) ~seed =
                  (Fox_tcp.Tcb.action_name info.Fox_tcp.Check_hook.action))
               msgs)
       ();
-  let saved_offload = !Packet.offload_enabled in
-  let saved_pool = !Packet.pool_enabled in
   let saved_diff = !Fox_tcp.Receive.differential in
   let saved_mismatch = !Fox_tcp.Receive.on_mismatch in
-  Packet.offload_enabled := true;
-  Packet.pool_enabled := true;
   if structured then begin
     Fox_tcp.Receive.differential := true;
     Fox_tcp.Receive.on_mismatch :=
@@ -403,11 +399,8 @@ let run_one (module E : ENGINE) ~seed =
   let flight = ref [] in
   Fun.protect
     ~finally:(fun () ->
-      Packet.offload_enabled := saved_offload;
-      Packet.pool_enabled := saved_pool;
       Fox_tcp.Receive.differential := saved_diff;
       Fox_tcp.Receive.on_mismatch := saved_mismatch;
-      Packet.pool_reset ();
       flight := Bus.dump ();
       Bus.reset ();
       if not bus_was_live then Bus.disable ();

@@ -312,10 +312,6 @@ struct
                  (Fox_tcp.Tcb.action_name info.Fox_tcp.Check_hook.action))
               msgs)
       ();
-    let saved_offload = !Packet.offload_enabled in
-    let saved_pool = !Packet.pool_enabled in
-    Packet.offload_enabled := true;
-    Packet.pool_enabled := true;
     (* as in the fuzz harness, the flight recorder runs for every cell so
        a failing verdict carries the ring; state restored on every exit *)
     let bus_was_live = !Bus.live in
@@ -333,9 +329,6 @@ struct
     let r =
     Fun.protect
       ~finally:(fun () ->
-        Packet.offload_enabled := saved_offload;
-        Packet.pool_enabled := saved_pool;
-        Packet.pool_reset ();
         flight := Bus.dump ();
         Bus.reset ();
         if not bus_was_live then Bus.disable ();

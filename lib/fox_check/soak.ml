@@ -27,7 +27,6 @@
 
 open Fox_basis
 module Scheduler = Fox_sched.Scheduler
-module Timer = Fox_sched.Timer
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
 module Device = Fox_dev.Device
@@ -85,7 +84,6 @@ type config = {
   flood_syns : int;
   flood_bad_acks : int;  (** forged-cookie bare ACKs *)
   loss : float;
-  wheel : bool;  (** drive timers through the timing wheel (vs the heap) *)
   cc : string;  (** congestion-control algorithm for both endpoints *)
   shards : int;
       (** engine shards: connection [i] soaks in shard [i mod shards],
@@ -108,7 +106,6 @@ let default_config =
     flood_syns = 64;
     flood_bad_acks = 16;
     loss = 0.01;
-    wheel = true;
     cc = "reno";
     shards = 1;
     chaos = [];
@@ -211,9 +208,8 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
      exactly the client connections in [indices] (original fleet
      indices, so payloads and staggers match the unsharded run).
      Everything it touches is domain-local; the caller owns the
-     invariant hook and the process-wide config switches.  Its report
-     has [shards = 1] and empty [invariant_faults] — the wrapper fills
-     those in. *)
+     invariant hook.  Its report has [shards = 1] and empty
+     [invariant_faults] — the wrapper fills those in. *)
   let run_world ?(log = fun _ -> ()) cfg ~shard ~indices =
     let netem =
       Netem.adverse ~loss:cfg.loss ~reorder:0.02 ~queue_frames:64
@@ -372,10 +368,9 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
           fingerprint;
         }
 
-  (* [run cfg] owns the process-wide pieces — the invariant hook and the
-     packet-pool/offload/wheel switches, written before any domain
-     spawns and restored after the join — then fans the fleet out over
-     [cfg.shards] worlds and merges.  One shard returns its world report
+  (* [run cfg] owns the process-wide invariant hook, installed before
+     any domain spawns and removed after the join, then fans the fleet
+     out over [cfg.shards] worlds and merges.  One shard returns its world report
      unchanged (the historical single-threaded run, fingerprint
      included); more shards sum the counters and fingerprint the ordered
      per-shard vector. *)
@@ -395,18 +390,7 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
         faults := !faults @ tagged;
         Mutex.unlock faults_lock)
       ();
-    let saved_offload = !Packet.offload_enabled in
-    let saved_pool = !Packet.pool_enabled in
-    let saved_wheel = !Timer.use_wheel in
-    Packet.offload_enabled := true;
-    Packet.pool_enabled := true;
-    Timer.use_wheel := cfg.wheel;
-    Fun.protect
-      ~finally:(fun () ->
-        Packet.offload_enabled := saved_offload;
-        Packet.pool_enabled := saved_pool;
-        Timer.use_wheel := saved_wheel;
-        Tcb_invariants.uninstall ())
+    Fun.protect ~finally:Tcb_invariants.uninstall
       (fun () ->
         let worlds =
           Fox_shard.Shard.run ~shards:cfg.shards (fun shard ->

@@ -4,7 +4,7 @@
     segments — SYNs from a sweep of source ports, bare ACKs carrying
     forged cookies, RSTs abandoning earlier handshakes — and fires them at
     a victim listener, then ignores whatever comes back (every reply is
-    released, so pool accounting stays clean).  Because it never completes
+    released, so the leak census stays clean).  Because it never completes
     a handshake, each of its SYNs pins whatever half-open state the victim
     engine is willing to allocate: a full TCB in legacy or baseline mode,
     a compact cache entry or nothing at all under the structured engine's

@@ -8,9 +8,10 @@
     per-connection {!Fox_basis.Trace} ring, so a post-mortem can replay
     either one connection's history or the interleaved whole.
 
-    The bus is the paper's [do_prints]/[do_traces] idea made first-class:
-    instead of each functor owning a private trace, every layer reports to
-    one recorder that tests, the fuzzer, and the [foxnet] CLI read back.
+    The bus is the paper's functor-parameter print and trace switches made
+    first-class: instead of each functor owning a private trace, every
+    layer reports to one recorder that tests, the fuzzer, and the [foxnet]
+    CLI read back.
 
     {b Cost discipline.}  Emission sites must be guarded by the caller:
 

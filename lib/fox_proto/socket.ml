@@ -230,7 +230,7 @@ end = struct
         | Data packet ->
           let s = Packet.to_string packet in
           (* the upcall transferred ownership; the bytes now live in the
-             receive buffer, so the packet goes back to the pool *)
+             receive buffer, so the packet is released *)
           Packet.release packet;
           t.rbuf <- s;
           t.rpos <- 0;
@@ -344,8 +344,8 @@ end = struct
       let p = P.allocate_send t.conn n in
       Packet.blit_from_string s !off p 0 n;
       (* the protocol consumes the packet on success; on failure (closed
-         or reset connection) ownership never transferred, so it must go
-         back to the pool here *)
+         or reset connection) ownership never transferred, so it must be
+         released here *)
       (match P.send t.conn p with
       | () -> ()
       | exception e ->
@@ -359,8 +359,8 @@ end = struct
   let close t = P.close t.conn
 
   let abort t =
-    (* an abort abandons the mailbox: return any undelivered segments to
-       the pool so a reset connection leaves no live buffers behind *)
+    (* an abort abandons the mailbox: release any undelivered segments so
+       a reset connection leaves no live buffers behind *)
     let rec drain () =
       match Fox_sched.Cond.try_wait t.mailbox with
       | Some (Data packet) ->

@@ -1,35 +1,15 @@
-(* The paper's Figure-11 timer interface, with two backends.
+(* The paper's Figure-11 timer interface, backed by the hierarchical
+   timing wheel.  Figure 11 forks one sleeping thread per timer and
+   clears it by setting a boolean; the wheel keeps the same
+   start/clear/cleared contract with O(1) arm and clear and one shared
+   alarm sleeper, at the price of firing up to one wheel grain (~1 ms
+   virtual) late.  The threaded original is kept as a paper exhibit next
+   to the benchmarks (bench/fig11.ml). *)
 
-   [Threaded] is a direct port of Figure 11: the timer is an updatable
-   boolean shared between the creator and the sleeping thread's closure.
-   Every armed timer is one scheduler sleeper, so it is exact to the
-   microsecond but costs a heap entry per timer — the ablation baseline.
+type t = Wheel.entry
 
-   [Wheeled] parks the timer in the hierarchical timing wheel instead:
-   O(1) arm/clear and a single shared alarm sleeper, at the price of
-   firing up to one wheel grain (~1 ms virtual) late.  Select it with
-   [use_wheel] before the stack starts arming timers. *)
+let start handler us = Wheel.schedule handler us
 
-type t = Threaded of bool ref | Wheeled of Wheel.entry
+let clear = Wheel.cancel
 
-let use_wheel = ref false
-
-let start handler us =
-  if !use_wheel then Wheeled (Wheel.schedule handler us)
-  else begin
-    let cleared = ref false in
-    let sleep () =
-      Scheduler.sleep us;
-      if !cleared then () else handler ()
-    in
-    Scheduler.fork sleep;
-    Threaded cleared
-  end
-
-let clear = function
-  | Threaded cleared -> cleared := true
-  | Wheeled e -> Wheel.cancel e
-
-let cleared = function
-  | Threaded cleared -> !cleared
-  | Wheeled e -> Wheel.cancelled e
+let cleared = Wheel.cancelled

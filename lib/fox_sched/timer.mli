@@ -1,31 +1,19 @@
-(** Timers, exactly as in Figure 11 of the paper — with a choice of
-    backend.
+(** Timers with the interface of Figure 11 of the paper.
 
-    The default backend is the paper's: [start] heap-allocates a fresh
-    boolean cell, creates a closure capturing it together with the
-    handler, and forks a thread that sleeps and then calls the handler
-    only if the cell is still unset.  [clear] works "by changing the
-    value of a variable".  TCP's retransmission, delayed-ACK, 2MSL and
-    user timers are all built on this.
-
-    Setting {!use_wheel} routes new timers through the hierarchical
-    timing wheel ({!Wheel}) instead: O(1) arm/clear and one shared
-    scheduler sleeper for any number of timers, at the price of firing
-    up to one wheel grain (≈1 ms virtual) after the requested deadline.
-    The flag is read at {!start} time, so both kinds may coexist; flip
-    it before the stack arms its first timer for a clean comparison. *)
+    In the paper, [start] forks a thread that sleeps and then calls the
+    handler only if an updatable boolean is still unset, and [clear]
+    works "by changing the value of a variable".  Here the same
+    interface is served by the hierarchical timing wheel ({!Wheel}):
+    O(1) arm/clear and one shared scheduler sleeper for any number of
+    timers, at the price of firing up to one wheel grain (≈1 ms virtual)
+    after the requested deadline, never before.  TCP's retransmission,
+    delayed-ACK, 2MSL and user timers are all built on this. *)
 
 type t
 
-(** When true, subsequently started timers use the timing-wheel backend;
-    when false (the default), each timer is its own sleeping thread as
-    in Figure 11. *)
-val use_wheel : bool ref
-
-(** [start handler us] arms a timer that calls [handler ()] after [us]
-    virtual microseconds (rounded up to the wheel grain under the wheel
-    backend) unless cleared first.  Must be called from inside a running
-    scheduler. *)
+(** [start handler us] arms a timer that calls [handler ()] [us] virtual
+    microseconds from now, rounded up to the wheel grain, unless cleared
+    first.  Must be called from inside a running scheduler. *)
 val start : (unit -> unit) -> int -> t
 
 (** [clear t] prevents the handler from firing (idempotent; harmless after

@@ -21,9 +21,10 @@
    thread ticking every granule would hold the scheduler hostage and
    inflate every run's end time.  Instead the wheel arms a single
    *alarm*: a scheduler sleeper aimed at the earliest deadline it knows
-   about.  Inserting an earlier timer arms a new alarm; stale alarms
-   wake, find nothing due, and exit.  When the last live entry fires or
-   is cancelled no new alarm is armed, so a run can still terminate.
+   about.  Inserting an earlier timer arms a new alarm; the superseded
+   alarm wakes, sees it is no longer the armed one, and exits.  When the
+   last live entry fires or is cancelled no new alarm is armed, so a run
+   can still terminate.
 
    Handlers may fire up to [granularity_us - 1] microseconds after their
    requested deadline (never before): deadlines are rounded up to the
@@ -67,7 +68,8 @@ type t = {
   resident : int array; (* entries (incl. dead ones) per level *)
   slot : entry list ref array array; (* level -> slot -> reversed entries *)
   mutable overdue : entry list; (* reversed; tick already passed *)
-  mutable armed_at : int; (* earliest pending alarm; max_int = none *)
+  mutable armed_at : int;
+      (* deadline of the armed alarm; max_int = none, min_int = advancing *)
   stats : stats;
 }
 
@@ -192,33 +194,38 @@ let advance w now =
     drain_overdue w
   done
 
-(* Earliest tick holding a live entry, across all levels.  O(levels ×
-   slots + resident entries); runs once per alarm wake-up, not per
-   insert.  [advance] is exact regardless of level, so the alarm can aim
-   straight at the entry's own tick even when cascades lie between. *)
+(* Earliest live tick in [entries], or [best] if none is earlier. *)
+let rec earliest best = function
+  | [] -> best
+  | (e : entry) :: rest ->
+    earliest (if (not (dead e)) && e.tick < best then e.tick else best) rest
+
+(* Earliest tick holding a live entry, across all levels.  O(occupied
+   levels × slots + resident entries); runs once per alarm wake-up, not
+   per insert, and skips levels with nothing resident.  [advance] is
+   exact regardless of level, so the alarm can aim straight at the
+   entry's own tick even when cascades lie between. *)
 let next_alarm w =
   if w.live = 0 then None
   else begin
-    let best = ref max_int in
-    Array.iter
-      (fun level ->
-        Array.iter
-          (fun cell ->
-            List.iter
-              (fun (e : entry) -> if (not (dead e)) && e.tick < !best then best := e.tick)
-              !cell)
-          level)
-      w.slot;
-    List.iter
-      (fun (e : entry) -> if (not (dead e)) && e.tick < !best then best := e.tick)
-      w.overdue;
+    let best = ref (earliest max_int w.overdue) in
+    for level = 0 to levels - 1 do
+      if w.resident.(level) > 0 then begin
+        let cells = w.slot.(level) in
+        for idx = 0 to slots - 1 do
+          best := earliest !best !(cells.(idx))
+        done
+      end
+    done;
     if !best = max_int then None else Some (!best lsl granularity_bits)
   end
 
 (* The alarm thread re-fetches the calling domain's wheel when it wakes:
    it always runs on the domain that armed it (forked threads stay on
    their scheduler's domain), so this is the same wheel it was armed
-   against. *)
+   against.  Only the armed alarm advances the wheel: one superseded by
+   an earlier insert exits without re-arming, or every superseded alarm
+   would go on re-arming a chain of its own and alarms would never die. *)
 let rec arm w deadline =
   if deadline < w.armed_at then begin
     w.armed_at <- deadline;
@@ -227,10 +234,10 @@ let rec arm w deadline =
     Scheduler.fork (fun () ->
         Scheduler.sleep (max 0 (deadline - Scheduler.now ()));
         let w = Domain.DLS.get wheel_key in
-        if w.epoch = epoch then begin
+        if w.epoch = epoch && w.armed_at = deadline then begin
           (* Handlers may start timers while we advance; claim the alarm
              slot so they don't fork alarms we are about to supersede. *)
-          w.armed_at <- 0;
+          w.armed_at <- min_int;
           advance w (Scheduler.now ());
           w.armed_at <- max_int;
           match next_alarm w with Some t -> arm w t | None -> ()

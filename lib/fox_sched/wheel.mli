@@ -1,4 +1,4 @@
-(** A hierarchical timing wheel: the scalable backend for {!Timer}.
+(** A hierarchical timing wheel: the backend of {!Timer}.
 
     Four wheels of 256 slots; level 0 has a grain of {!granularity_us}
     virtual microseconds, each higher level is 256× coarser.  Insert and
@@ -13,9 +13,9 @@
     [granularity_us - 1] µs late (deadlines round up to a tick
     boundary).
 
-    The wheel is process-global and epoch-tagged: entries inserted under
-    a previous {!Scheduler.run} are discarded when a new run first
-    touches it. *)
+    The wheel is domain-local and epoch-tagged: entries inserted under
+    a previous {!Scheduler.run} on the same domain are discarded when a
+    new run first touches it. *)
 
 type entry
 

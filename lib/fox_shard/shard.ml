@@ -1,20 +1,20 @@
 (* The sharded execution harness.
 
    A shard is one deterministic world: one scheduler run on one domain,
-   with its own timing wheel, packet pool and engines (all of which are
-   domain-local — see {!Fox_sched.Wheel}, {!Fox_basis.Packet}).  The
-   engine's determinism story survives sharding unchanged because it was
-   never about the process, it was about the executor: given the order of
-   its own [to_do] queue, each shard replays bit-for-bit, so a sharded
-   run's identity is the *vector* of per-shard fingerprints rather than
-   one scalar.  [shards = 1] does not spawn at all — the thunk runs
+   with its own timing wheel, live-packet census and engines (all of
+   which are domain-local — see {!Fox_sched.Wheel}, {!Fox_basis.Packet}).
+   The engine's determinism story survives sharding unchanged because it
+   was never about the process, it was about the executor: given the
+   order of its own [to_do] queue, each shard replays bit-for-bit, so a
+   sharded run's identity is the *vector* of per-shard fingerprints
+   rather than one scalar.  [shards = 1] does not spawn at all — the thunk runs
    inline on the calling domain, which is exactly the pre-sharding
    single-threaded execution, so single-shard digests reproduce the
    historical ones to the bit.
 
    Shared structures follow the coarse-then-measured rule: the flight
-   recorder is mutex-guarded ({!Fox_obs.Bus}), config switches stay plain
-   refs written before spawn, and everything hot is shard-local. *)
+   recorder is mutex-guarded ({!Fox_obs.Bus}), hooks stay plain refs
+   installed before spawn, and everything hot is shard-local. *)
 
 open Fox_basis
 

@@ -178,8 +178,8 @@ module Run (E : ENGINE) = struct
           | None -> ());
           let conn =
             E.connect tcp ~peer:sender.Network.addr ~port ~handler:(fun packet ->
-                (* data is discarded at the application level; give the
-                   buffer back to the pool *)
+                (* data is discarded at the application level; release
+                   the buffer *)
                 received := !received + Packet.length packet;
                 Packet.release packet;
                 if !received >= bytes then t1 := Scheduler.now ())

@@ -62,8 +62,6 @@ let multi chargers bytes = List.iter (fun f -> f bytes) chargers
     flight-recorder bus is live, so toggling the bus toggles the capture
     ([foxnet trace --pcap]).  Close it with {!close_pcap}. *)
 let create_host ~engine ?cost ?pcap link port_index ~mac ~addr ~route =
-  (* one process-wide stats provider for the packet buffer pool *)
-  Bus.register_stats ~id:"packet-pool" Packet.pool_stats;
   let counters = Counters.create ~update_overhead_us:15 () in
   let cpu = Cpu.create counters in
   let dev_hooks, ip_meter, transport_meter =

@@ -69,10 +69,6 @@ module type PARAMS = sig
       bytes are already queued, letting flow control pace the sender. *)
   val send_buffer_bytes : int
 
-  (** Record per-action events in an in-memory trace (the paper's
-      [do_traces]). *)
-  val do_traces : bool
-
   (** The paper's suggested scheduler refinement: execute wire-bound
       actions (segment and ACK transmissions) before everything else on
       the to_do queue. *)
@@ -210,7 +206,6 @@ module Default_params : PARAMS = struct
   let max_retransmits = 12
   let time_wait_us = 60_000_000
   let send_buffer_bytes = 65536
-  let do_traces = false
   let prioritize_latency = false
   let keepalive_us = 0
   let keepalive_probes = 5
@@ -334,9 +329,6 @@ module Make
 
   val stats : t -> stats
 
-  (** The event trace (empty unless [Params.do_traces]). *)
-  val trace : t -> Trace.t
-
   (** Connection identity, for logging. *)
   val endpoints : connection -> Aux.host * int * int
       (** peer, local port, remote port *)
@@ -456,7 +448,6 @@ end = struct
         (* (host, local port, remote port) *)
     listeners : (int, listener) Hashtbl.t;
     lower_conns : (string, Lower.connection) Hashtbl.t;
-    tracer : Trace.t;
     mutable iss_salt : int;
     isn_k0 : int;  (** RFC 6528 boot secret (per engine) *)
     isn_k1 : int;
@@ -501,19 +492,6 @@ end = struct
   let endpoints conn = (conn.host, conn.local_port, conn.remote_port)
 
   let state_of conn = Tcb.state_name conn.state
-
-  let trace t = t.tracer
-
-  let tracef conn fmt =
-    let t = conn.tcp in
-    if Params.do_traces then
-      Printf.ksprintf
-        (fun msg ->
-          Trace.add t.tracer ~time:(Fox_sched.Scheduler.now ())
-            (Printf.sprintf "%s:%d>%d %s" (Aux.to_string conn.host)
-               conn.local_port conn.remote_port msg))
-        fmt
-    else Printf.ksprintf ignore fmt
 
   let now_opt () =
     try Fox_sched.Scheduler.now () with Effect.Unhandled _ -> 0
@@ -579,7 +557,7 @@ end = struct
       else None
     in
     Action.externalize ~alg:Params.checksum_alg
-      ~defer:!Packet.offload_enabled ~pseudo_for ~hdr ~data:None
+      ~defer:true ~pseudo_for ~hdr ~data:None
       ~allocate:(fun len ->
         Packet.create
           ~headroom:(tcp_headroom + Lower.headroom lconn)
@@ -650,7 +628,7 @@ end = struct
     in
     try
       Action.externalize ~alg:Params.checksum_alg
-        ~defer:!Packet.offload_enabled ~pseudo_for ~hdr ~data:None
+        ~defer:true ~pseudo_for ~hdr ~data:None
         ~allocate:(fun len ->
           Packet.create
             ~headroom:(tcp_headroom + Lower.headroom lconn)
@@ -701,7 +679,7 @@ end = struct
     conn.tcp.segs_out <- conn.tcp.segs_out + 1;
     if ss.Tcb.out_rst then conn.tcp.rsts_sent <- conn.tcp.rsts_sent + 1;
     Action.externalize ~alg:Params.checksum_alg
-      ~defer:!Packet.offload_enabled ~pseudo_for:(pseudo_for conn) ~hdr
+      ~defer:true ~pseudo_for:(pseudo_for conn) ~hdr
       ~data:ss.Tcb.out_data ~allocate:(allocate_internal conn)
       ~send:conn.lower_send ()
 
@@ -719,7 +697,7 @@ end = struct
       }
     in
     Action.externalize ~alg:Params.checksum_alg
-      ~defer:!Packet.offload_enabled ~pseudo_for:(pseudo_for conn) ~hdr
+      ~defer:true ~pseudo_for:(pseudo_for conn) ~hdr
       ~data:None ~allocate:(allocate_internal conn) ~send:conn.lower_send ()
 
   (* ---------------- flight recorder ---------------- *)
@@ -822,7 +800,7 @@ end = struct
         t.blackhole_shrinks_dead + tcb.Tcb.blackhole_shrinks;
       t.blackhole_restores_dead <-
         t.blackhole_restores_dead + tcb.Tcb.blackhole_restores;
-      (* drop the TCB's own buffer references so pooled buffers recycle;
+      (* drop the TCB's own buffer references so the leak census balances;
          actions still pending on to_do hold their own references *)
       Deq.iter
         (fun e ->
@@ -887,7 +865,6 @@ end = struct
   and execute conn action =
     let tcb = conn.tcb in
     let now = Fox_sched.Scheduler.now () in
-    if Params.do_traces then tracef conn "%s" (Tcb.action_name action);
     match action with
     | Tcb.Process_data seg ->
       (* any segment from the peer is evidence of life *)
@@ -904,7 +881,7 @@ end = struct
         conn.state <- Receive.process runtime_params conn.state seg ~now;
       (* a segment with no text and no FIN is never stored anywhere (only
          data and FINs can sit on the out-of-order queue), so its receive
-         buffer can go back to the pool now *)
+         buffer is released now *)
       if
         Packet.length seg.Tcb.data = 0
         && not seg.Tcb.hdr.Tcp_header.fin
@@ -916,14 +893,12 @@ end = struct
        than letting it unwind the drain loop. *)
     | Tcb.Send_segment ss -> (
       try externalize conn ss
-      with Send_failed msg ->
-        conn.tcp.wire_send_failures <- conn.tcp.wire_send_failures + 1;
-        tracef conn "lower send failed: %s" msg)
+      with Send_failed _ ->
+        conn.tcp.wire_send_failures <- conn.tcp.wire_send_failures + 1)
     | Tcb.Send_ack -> (
       try send_pure_ack conn
-      with Send_failed msg ->
-        conn.tcp.wire_send_failures <- conn.tcp.wire_send_failures + 1;
-        tracef conn "lower send failed: %s" msg)
+      with Send_failed _ ->
+        conn.tcp.wire_send_failures <- conn.tcp.wire_send_failures + 1)
     | Tcb.Set_timer (kind, us) -> set_timer conn kind us
     | Tcb.Clear_timer kind -> clear_timer conn kind
     | Tcb.Timer_expired kind ->
@@ -951,10 +926,9 @@ end = struct
         conn.tcp.user_timeout_aborts <- conn.tcp.user_timeout_aborts + 1
       | "retransmission limit exceeded" ->
         conn.tcp.rtx_limit_aborts <- conn.tcp.rtx_limit_aborts + 1
-      | _ -> ());
-      tracef conn "error: %s" msg
+      | _ -> ())
     | Tcb.Delete_tcb -> delete_tcb conn
-    | Tcb.Log msg -> tracef conn "%s" msg
+    | Tcb.Log _ -> ()
 
   and drain conn =
     if not conn.draining then begin
@@ -1581,7 +1555,6 @@ end = struct
         conns = Hashtbl.create 64;
         listeners = Hashtbl.create 8;
         lower_conns = Hashtbl.create 8;
-        tracer = Trace.create 4096;
         iss_salt = 0;
         isn_k0;
         isn_k1;

@@ -650,7 +650,7 @@ let test_trace_levels () =
   Alcotest.(check int) "re-enabled at debug" 4 (Trace.size t)
 
 (* ------------------------------------------------------------------ *)
-(* Zero-copy fast path: fused copy-and-checksum, offload, pooling      *)
+(* Zero-copy fast path: fused copy-and-checksum, offload, census      *)
 (* ------------------------------------------------------------------ *)
 
 (* The algorithm-equivalence grid of the fast-path PR: both checksum
@@ -697,94 +697,66 @@ let blit_checksum_agree =
       in
       Bytes.equal d1 d2 && same_sum_class sum expect)
 
-let with_pool f =
-  Packet.pool_reset ();
-  Packet.pool_enabled := true;
-  Fun.protect
-    ~finally:(fun () ->
-      Packet.pool_enabled := false;
-      Packet.pool_reset ())
-    f
-
-let test_pool_recycle () =
-  with_pool (fun () ->
-      let p = Packet.create ~headroom:32 100 in
-      Packet.fill p 0xAB;
-      let buf = Packet.buffer p in
-      Packet.release p;
-      Packet.release p (* double release is a no-op *);
-      let q = Packet.create ~headroom:32 100 in
-      Alcotest.(check bool) "buffer recycled" true (Packet.buffer q == buf);
-      Alcotest.(check int) "length" 100 (Packet.length q);
-      Alcotest.(check int) "headroom" 32 (Packet.headroom q);
-      let all_zero = ref true in
-      for i = 0 to 99 do
-        if Packet.get_u8 q i <> 0 then all_zero := false
-      done;
-      Alcotest.(check bool) "recycled buffer is zero-filled" true !all_zero)
-
-let test_pool_refcount () =
-  with_pool (fun () ->
-      let p = Packet.create 64 in
-      let buf = Packet.buffer p in
-      Packet.retain p;
-      Packet.release p;
-      (* still referenced: a fresh create must not steal the buffer *)
-      let q = Packet.create 64 in
-      Alcotest.(check bool) "not stolen while referenced" false
-        (Packet.buffer q == buf);
-      Packet.release p;
-      let r = Packet.create 64 in
-      Alcotest.(check bool) "recycled after last release" true
-        (Packet.buffer r == buf))
-
-let with_offload f =
-  Packet.offload_enabled := true;
-  Fun.protect ~finally:(fun () -> Packet.offload_enabled := false) f
+(* The reference count is a census, not a recycler: a packet counts as
+   live until its last reference is released, and a second release of
+   a dead packet changes nothing. *)
+let test_refcount_census () =
+  let live0 = Packet.live_packets () in
+  let p = Packet.create 64 in
+  Alcotest.(check int) "created packet is live" (live0 + 1)
+    (Packet.live_packets ());
+  Packet.retain p;
+  Packet.release p;
+  Alcotest.(check int) "still referenced: still live" (live0 + 1)
+    (Packet.live_packets ());
+  Packet.release p;
+  Alcotest.(check int) "last release ends it" live0 (Packet.live_packets ());
+  Packet.release p;
+  Alcotest.(check int) "double release is a no-op" live0
+    (Packet.live_packets ())
 
 (* Model one wire crossing: a 20-byte header with a zero checksum field at
    offset 16 is deferred, [copy_fused] must patch the copy so the whole
    window (plus the pseudo-sum [init]) verifies, leave the source deferred,
    and leave the receive-side memo usable after the header is pulled. *)
 let test_offload_fused_roundtrip () =
-  with_offload (fun () ->
-      let payload = "the quick brown fox jumps over the lazy dog." in
-      let p = Packet.of_string ~headroom:24 payload in
-      Packet.push_header p 20;
-      for i = 0 to 19 do
-        Packet.set_u8 p i (i * 7 land 0xFF)
-      done;
-      Packet.set_u16 p 16 0;
-      let init = 0x1234 in
-      Packet.request_tx_csum p ~at:16 ~init;
-      let wire = Packet.copy_fused p in
-      Alcotest.(check int) "source field still deferred" 0 (Packet.get_u16 p 16);
-      Alcotest.(check bool) "copy field patched" true
-        (Packet.get_u16 wire 16 <> 0);
-      let whole =
-        Checksum.finish
-          (Checksum.add_bytes Checksum.zero (Packet.buffer wire)
-             (Packet.offset wire) (Packet.length wire))
-      in
-      Alcotest.(check int) "window + pseudo verifies" 0xFFFF
-        (Checksum.fold16 (init + whole));
-      (* receive side: pulling the (even-length) header leaves a memo that
-         sums exactly the remaining window *)
-      Packet.pull_header wire 20;
-      (match Packet.cached_window_sum wire with
-      | None -> Alcotest.fail "no RX memo after fused copy"
-      | Some cached ->
-        let direct =
-          Checksum.finish
-            (Checksum.add_bytes Checksum.zero (Packet.buffer wire)
-               (Packet.offset wire) (Packet.length wire))
-        in
-        Alcotest.(check bool) "memo = direct sum" true
-          (same_sum_class cached direct));
-      (* any in-window mutation kills the memo *)
-      Packet.set_u8 wire 3 0x55;
-      Alcotest.(check bool) "mutation invalidates memo" true
-        (Packet.cached_window_sum wire = None))
+  let payload = "the quick brown fox jumps over the lazy dog." in
+  let p = Packet.of_string ~headroom:24 payload in
+  Packet.push_header p 20;
+  for i = 0 to 19 do
+    Packet.set_u8 p i (i * 7 land 0xFF)
+  done;
+  Packet.set_u16 p 16 0;
+  let init = 0x1234 in
+  Packet.request_tx_csum p ~at:16 ~init;
+  let wire = Packet.copy_fused p in
+  Alcotest.(check int) "source field still deferred" 0 (Packet.get_u16 p 16);
+  Alcotest.(check bool) "copy field patched" true
+    (Packet.get_u16 wire 16 <> 0);
+  let whole =
+    Checksum.finish
+      (Checksum.add_bytes Checksum.zero (Packet.buffer wire)
+         (Packet.offset wire) (Packet.length wire))
+  in
+  Alcotest.(check int) "window + pseudo verifies" 0xFFFF
+    (Checksum.fold16 (init + whole));
+  (* receive side: pulling the (even-length) header leaves a memo that
+     sums exactly the remaining window *)
+  Packet.pull_header wire 20;
+  (match Packet.cached_window_sum wire with
+  | None -> Alcotest.fail "no RX memo after fused copy"
+  | Some cached ->
+    let direct =
+      Checksum.finish
+        (Checksum.add_bytes Checksum.zero (Packet.buffer wire)
+           (Packet.offset wire) (Packet.length wire))
+    in
+    Alcotest.(check bool) "memo = direct sum" true
+      (same_sum_class cached direct));
+  (* any in-window mutation kills the memo *)
+  Packet.set_u8 wire 3 0x55;
+  Alcotest.(check bool) "mutation invalidates memo" true
+    (Packet.cached_window_sum wire = None)
 
 (* Satellite guard: Seq.in_window around the 2^31 - 1 size ceiling. *)
 let test_seq_window_boundary () =
@@ -877,8 +849,7 @@ let () =
         :: List.map (fun (name, impl) -> copy_agree name impl) Copy.all );
       ( "fastpath",
         [
-          Alcotest.test_case "pool recycle" `Quick test_pool_recycle;
-          Alcotest.test_case "pool refcount" `Quick test_pool_refcount;
+          Alcotest.test_case "refcount census" `Quick test_refcount_census;
           Alcotest.test_case "offload fused roundtrip" `Quick
             test_offload_fused_roundtrip;
           Alcotest.test_case "seq window boundary" `Quick

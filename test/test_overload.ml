@@ -348,6 +348,45 @@ let test_soak_smoke () =
   Alcotest.(check int) "all conns complete" 25
     report.Fox_check.Soak.completed
 
+(* Teeth for the leak census the soak and chaos harnesses assert: one
+   transfer that releases every delivered buffer leaves the live count
+   where it found it, and the same transfer with one delivered buffer
+   kept back leaves exactly one packet live. *)
+let census_after ~keep_one =
+  let client_ip, server_ip, _atk_ip = three_hosts () in
+  let live0 = Packet.live_packets () in
+  let server = Tcp_tw.create server_ip in
+  let client = Tcp_tw.create client_ip in
+  let kept = ref None in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Tcp_tw.start_passive server { Tcp_tw.local_port = port }
+             (fun conn ->
+               ( (fun p ->
+                   if keep_one && !kept = None then kept := Some p
+                   else Packet.release p),
+                 function
+                 | Status.Remote_close -> Tcp_tw.close conn
+                 | _ -> () )));
+        let conn =
+          Tcp_tw.connect client
+            { Tcp_tw.peer = server_addr; port; local_port = None }
+            (fun _ -> (ignore, ignore))
+        in
+        for _ = 1 to 4 do
+          Tcp_tw.send conn (Tcp_tw.allocate_send conn 512)
+        done;
+        Tcp_tw.close conn)
+  in
+  Packet.live_packets () - live0
+
+let test_census_catches_a_leak () =
+  Alcotest.(check int) "every buffer released: no leak" 0
+    (census_after ~keep_one:false);
+  Alcotest.(check int) "one buffer kept: one leak" 1
+    (census_after ~keep_one:true)
+
 let () =
   Alcotest.run "fox_overload"
     [
@@ -373,5 +412,10 @@ let () =
           Alcotest.test_case "engine stats on the bus" `Quick
             test_engine_stats_on_bus;
         ] );
-      ( "soak", [ Alcotest.test_case "miniature run" `Quick test_soak_smoke ] );
+      ( "soak",
+        [
+          Alcotest.test_case "miniature run" `Quick test_soak_smoke;
+          Alcotest.test_case "census catches a leak" `Quick
+            test_census_catches_a_leak;
+        ] );
     ]

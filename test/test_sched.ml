@@ -1,4 +1,5 @@
-(* Tests for Fox_sched: the coroutine scheduler, timers, mailboxes and the
+(* Tests for Fox_sched: the coroutine scheduler, the Figure 11 timer
+   exhibit and the timing wheel behind Timer, mailboxes and the
    virtual-CPU cost model. *)
 
 open Fox_sched
@@ -219,14 +220,14 @@ let test_idle_hook_sees_time_to_next_timer () =
   | _ -> Alcotest.fail "idle hook did not see the pending timer"
 
 (* ------------------------------------------------------------------ *)
-(* Timer                                                              *)
+(* Figure 11 timers (the paper exhibit): exact to the microsecond     *)
 (* ------------------------------------------------------------------ *)
 
 let test_timer_fires () =
   let fired_at = ref (-1) in
   let _ =
     Scheduler.run (fun () ->
-        ignore (Timer.start (fun () -> fired_at := Scheduler.now ()) 250))
+        ignore (Fig11.start (fun () -> fired_at := Scheduler.now ()) 250))
   in
   Alcotest.(check int) "fired at 250us" 250 !fired_at
 
@@ -234,9 +235,9 @@ let test_timer_cleared () =
   let fired = ref false in
   let _ =
     Scheduler.run (fun () ->
-        let t = Timer.start (fun () -> fired := true) 250 in
+        let t = Fig11.start (fun () -> fired := true) 250 in
         Scheduler.sleep 100;
-        Timer.clear t;
+        Fig11.clear t;
         Scheduler.sleep 500)
   in
   Alcotest.(check bool) "cleared timer silent" false !fired
@@ -245,10 +246,10 @@ let test_timer_clear_after_expiry_harmless () =
   let fired = ref 0 in
   let _ =
     Scheduler.run (fun () ->
-        let t = Timer.start (fun () -> incr fired) 10 in
+        let t = Fig11.start (fun () -> incr fired) 10 in
         Scheduler.sleep 100;
-        Timer.clear t;
-        Timer.clear t)
+        Fig11.clear t;
+        Fig11.clear t)
   in
   Alcotest.(check int) "fired once" 1 !fired
 
@@ -258,9 +259,9 @@ let test_timer_clear_race_same_instant () =
   let fired = ref false in
   let _ =
     Scheduler.run (fun () ->
-        let t = Timer.start (fun () -> fired := true) 100 in
+        let t = Fig11.start (fun () -> fired := true) 100 in
         Scheduler.sleep 100;
-        Timer.clear t)
+        Fig11.clear t)
   in
   Alcotest.(check bool) "clear at expiry instant wins" false !fired
 
@@ -276,15 +277,144 @@ let timer_many =
         Scheduler.run (fun () ->
             let timers =
               List.map
-                (fun (us, _) -> Timer.start (fun () -> incr fired) (us + 1))
+                (fun (us, _) -> Fig11.start (fun () -> incr fired) (us + 1))
                 specs
             in
             List.iter2
-              (fun t (_, keep) -> if not keep then Timer.clear t)
+              (fun t (_, keep) -> if not keep then Fig11.clear t)
               timers specs;
             Scheduler.sleep 1000)
       in
       !fired = expected)
+
+(* ------------------------------------------------------------------ *)
+(* The timing wheel behind Timer                                      *)
+(* ------------------------------------------------------------------ *)
+
+let grain = Wheel.granularity_us
+
+let stat name = List.assoc name (Wheel.stats ())
+
+(* Fire times never precede the deadline and trail it by less than one
+   grain, whatever the delays and the clock's phase within a grain. *)
+let wheel_bounds =
+  qtest "wheel: never early, under a grain late"
+    QCheck2.Gen.(
+      pair (int_bound 5_000)
+        (list_size (int_range 1 40) (int_bound 3_000_000)))
+    (fun (phase, delays) ->
+      let ok = ref true and fired = ref 0 in
+      let _ =
+        Scheduler.run (fun () ->
+            Scheduler.sleep phase;
+            List.iter
+              (fun us ->
+                let deadline = Scheduler.now () + us in
+                ignore
+                  (Timer.start
+                     (fun () ->
+                       incr fired;
+                       let late = Scheduler.now () - deadline in
+                       if late < 0 || late > grain - 1 then ok := false)
+                     us))
+              delays)
+      in
+      !ok && !fired = List.length delays)
+
+let test_wheel_cancel () =
+  let before = ref false and after = ref 0 in
+  let _ =
+    Scheduler.run (fun () ->
+        let t = Timer.start (fun () -> before := true) 50_000 in
+        Scheduler.sleep 10_000;
+        Timer.clear t;
+        Alcotest.(check bool) "cleared" true (Timer.cleared t);
+        let u = Timer.start (fun () -> incr after) 10_000 in
+        Scheduler.sleep 100_000;
+        Timer.clear u;
+        Timer.clear u)
+  in
+  Alcotest.(check bool) "cancelled before its deadline: silent" false !before;
+  Alcotest.(check int) "cancelled after firing: fired once" 1 !after
+
+(* One timer per level: 2^8, 2^16 and 2^24 grains out sit on levels 1, 2
+   and 3, and must cascade down to level 0 to fire on time. *)
+let test_wheel_cascade () =
+  Wheel.reset_stats ();
+  let late = ref [] in
+  let _ =
+    Scheduler.run (fun () ->
+        List.iter
+          (fun ticks ->
+            let us = (ticks * grain) + 17 in
+            let deadline = Scheduler.now () + us in
+            ignore
+              (Timer.start
+                 (fun () -> late := (Scheduler.now () - deadline) :: !late)
+                 us))
+          [ 1 lsl 8; 1 lsl 16; 1 lsl 24 ])
+  in
+  Alcotest.(check int) "all three fired" 3 (List.length !late);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) "on time to the grain" true (l >= 0 && l < grain))
+    !late;
+  Alcotest.(check bool) "entries cascaded through the levels" true
+    (stat "cascaded" >= 3)
+
+let test_wheel_new_run_discards () =
+  let stale = ref false and fresh = ref false in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore (Timer.start (fun () -> stale := true) 1_000_000);
+        Scheduler.sleep 10_000;
+        ignore (Scheduler.stop ()))
+  in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore (Timer.start (fun () -> fresh := true) 2_000_000);
+        Alcotest.(check int) "only this run's entry is pending" 1
+          (Wheel.pending ()))
+  in
+  Alcotest.(check bool) "previous run's entry never fires" false !stale;
+  Alcotest.(check bool) "this run's entry fires" true !fresh
+
+let test_wheel_all_cancelled_terminates () =
+  let fired = ref 0 in
+  let stats =
+    Scheduler.run (fun () ->
+        let timers =
+          List.init 100 (fun i -> Timer.start (fun () -> incr fired) (i * 50_000))
+        in
+        List.iter Timer.clear timers)
+  in
+  Alcotest.(check int) "nothing fired" 0 !fired;
+  Alcotest.(check int) "nothing pending" 0 (Wheel.pending ());
+  Alcotest.(check bool) "the run ends by the first alarm" true
+    (stats.Scheduler.end_time < grain)
+
+(* Regression: an alarm superseded by an earlier insert used to advance
+   the wheel and re-arm when it woke, so every superseded alarm started
+   a chain of its own and alarms multiplied.  The load is TCP's: a timer
+   restarted every millisecond at a later deadline (the retransmission
+   timer), and every tenth millisecond a short one (a delayed ACK) that
+   supersedes the armed alarm. *)
+let test_wheel_no_alarm_storm () =
+  Wheel.reset_stats ();
+  let _ =
+    Scheduler.run (fun () ->
+        let rto = ref (Timer.start ignore 50_000) in
+        for i = 1 to 1_000 do
+          Timer.clear !rto;
+          rto := Timer.start ignore 50_000;
+          if i mod 10 = 0 then ignore (Timer.start ignore 5_000);
+          Scheduler.sleep 1_000
+        done)
+  in
+  let scheduled = stat "scheduled" and alarms = stat "alarms" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d alarms for %d timers" alarms scheduled)
+    true (alarms < scheduled / 2)
 
 (* ------------------------------------------------------------------ *)
 (* Cond                                                               *)
@@ -441,6 +571,19 @@ let () =
           Alcotest.test_case "clear at expiry instant" `Quick
             test_timer_clear_race_same_instant;
           timer_many;
+        ] );
+      ( "wheel",
+        [
+          wheel_bounds;
+          Alcotest.test_case "cancel before and after fire" `Quick
+            test_wheel_cancel;
+          Alcotest.test_case "cascade through levels 1-3" `Quick
+            test_wheel_cascade;
+          Alcotest.test_case "new run discards old entries" `Quick
+            test_wheel_new_run_discards;
+          Alcotest.test_case "all cancelled terminates" `Quick
+            test_wheel_all_cancelled_terminates;
+          Alcotest.test_case "no alarm storm" `Quick test_wheel_no_alarm_storm;
         ] );
       ( "cond",
         [

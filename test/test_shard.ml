@@ -188,9 +188,9 @@ let test_classify_broadcasts_non_tcp () =
    must leave the single-threaded execution bit-for-bit intact. *)
 let pinned_fuzz_digests =
   [
-    (0, "9ae8b65b0e7413bdc422bf967302c6ab");
-    (1, "f33b8230f96682c3d7488c7daa2dc46c");
-    (2, "32d4a298c2145b76aac8313bd6a78d7b");
+    (0, "f4a2d4f9dcea6cc8c5b679c1befefec0");
+    (1, "e4e8a6d405e5326bcad41a64f925174e");
+    (2, "a43d888836743c93975d93fd63e4848d");
   ]
 
 let test_shards1_pinned_digests () =
