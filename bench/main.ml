@@ -52,11 +52,15 @@ let copy_dst = Bytes.create 2048
 
 let copy_tests =
   Test.make_grouped ~name:"inline2-copy"
-    (List.map
-       (fun (name, impl) ->
-         Test.make ~name:(name ^ "-1KB")
-           (Staged.stage (fun () -> Copy.copy impl kb_buffer 0 copy_dst 0 1024)))
-       Copy.all)
+    (Test.make ~name:"fused-copy+checksum-1KB"
+       (Staged.stage (fun () ->
+            Copy.blit_checksum kb_buffer 0 copy_dst 0 1024 ~init:0))
+    :: List.map
+         (fun (name, impl) ->
+           Test.make ~name:(name ^ "-1KB")
+             (Staged.stage (fun () ->
+                  Copy.copy impl kb_buffer 0 copy_dst 0 1024)))
+         Copy.all)
 
 (* The paper's 30 us "create a thread, terminate the current thread, and
    switch to the new thread", amortised over 1000 operations in one

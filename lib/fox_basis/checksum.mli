@@ -4,11 +4,11 @@
 
     - [`Basic] — the straightforward algorithm the paper attributes to the
       x-kernel: load 16 bits at a time and fold the carry on every step.
-    - [`Optimized] — the paper's Figure 10: load 32 bits at a time and
-      accumulate up to 16 bits of carries in the top half of the
-      accumulator, renormalising only every 2{^16} 16-bit quantities, in a
-      tail-recursive loop ("using the techniques described by Braden,
-      Borman, and Partridge", RFC 1071).
+    - [`Optimized] — the paper's Figure 10 at the machine's word size
+      ("using the techniques described by Braden, Borman, and Partridge",
+      RFC 1071): load 8 bytes at a time, add both 32-bit halves into the
+      native int so carries pile up in its high bits (no renormalisation
+      below 4 GB), sum in native byte order and swap once at the end.
 
     A checksum over scattered ranges (pseudo-header, header, payload) is
     built by threading an accumulator through [add_*] calls; [finish] folds
@@ -28,6 +28,14 @@ val zero : acc
     code and incremental-update arithmetic can share the exact fold the
     accumulator uses. *)
 val fold16 : int -> int
+
+(** [finish_wide native b off len init] ends a word-wide pass: [native] is
+    the unfolded sum of 32-bit halves of 8-byte native-order loads; it is
+    folded, swapped to big-endian once, and continued with [init] and the
+    [len] (< 8) tail bytes at [b.[off]].  Returns the folded 16-bit sum.
+    Shared by [`Optimized] and {!Copy.blit_checksum}, which keep the
+    8-byte loop itself local so it is never a cross-module call. *)
+val finish_wide : int -> Bytes.t -> int -> int -> int -> int
 
 (** Total bytes pushed through [add_bytes] since program start — a
     data-touching meter for the fast-path ablation (how many payload bytes

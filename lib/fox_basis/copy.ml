@@ -1,5 +1,8 @@
 type impl = Byte | Unrolled | Word | Blit
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 let byte_copy src soff dst doff len =
   for i = 0 to len - 1 do
     Bytes.set dst (doff + i) (Bytes.get src (soff + i))
@@ -38,39 +41,29 @@ let blit src soff dst doff len = Bytes.blit src soff dst doff len
 let bytes_fused = ref 0
 
 (* Fused copy-and-checksum: one pass over the source copies it into the
-   destination while accumulating the one's-complement sum of the bytes,
-   interpreted as big-endian 16-bit words at even parity (the Figure-10
-   accumulation: 32-bit loads, high+low halves added, carries left to pile
-   up above bit 15).  A 63-bit accumulator absorbs ~2^45 bytes of carries,
-   far beyond any packet, so no mid-loop renormalisation is needed.
-   Returns the folded 16-bit sum continuing [init]. *)
+   destination 8 bytes at a time while accumulating both 32-bit halves of
+   each load in native byte order, as [Checksum]'s [`Optimized] loop does;
+   [Checksum.finish_wide] swaps the sum to big-endian once and adds
+   [init] and the 0..7 tail bytes.  Returns the folded 16-bit sum. *)
 let blit_checksum src soff dst doff len ~init =
   if len < 0 || soff < 0 || doff < 0
      || soff + len > Bytes.length src
      || doff + len > Bytes.length dst
   then invalid_arg "Copy.blit_checksum";
   bytes_fused := !bytes_fused + len;
-  let sum = ref init in
-  let i = ref 0 in
-  let stop = len - 3 in
+  let stop = len land lnot 7 in
+  let sum = ref 0 and i = ref 0 in
   while !i < stop do
-    let w = Wire.get_u32 src (soff + !i) in
-    Wire.set_u32 dst (doff + !i) w;
-    sum := !sum + (w lsr 16) + (w land 0xFFFF);
-    i := !i + 4
+    let w = get64u src (soff + !i) in
+    set64u dst (doff + !i) w;
+    sum :=
+      !sum
+      + Int64.to_int (Int64.shift_right_logical w 32)
+      + (Int64.to_int w land 0xFFFF_FFFF);
+    i := !i + 8
   done;
-  if len - !i >= 2 then begin
-    let w = Wire.get_u16 src (soff + !i) in
-    Wire.set_u16 dst (doff + !i) w;
-    sum := !sum + w;
-    i := !i + 2
-  end;
-  if !i < len then begin
-    let b = Wire.get_u8 src (soff + !i) in
-    Wire.set_u8 dst (doff + !i) b;
-    sum := !sum + (b lsl 8)
-  end;
-  Checksum.fold16 !sum
+  Bytes.blit src (soff + stop) dst (doff + stop) (len - stop);
+  Checksum.finish_wide !sum dst (doff + stop) (len - stop) init
 
 let copy = function
   | Byte -> byte_copy

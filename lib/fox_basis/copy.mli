@@ -29,11 +29,13 @@ val blit : Bytes.t -> int -> Bytes.t -> int -> int -> unit
 (** [blit_checksum src soff dst doff len ~init] copies [len] bytes and, in
     the same pass, accumulates their one's-complement sum (big-endian
     16-bit words at even parity, an odd final byte padded with a zero low
-    half) continuing the folded partial sum [init].  Returns the folded
-    16-bit result.  This is the paper's "touch the data once" fusion: a
-    segment that must be both copied across a buffer boundary and
-    checksummed pays one traversal instead of two.  Ranges must not
-    overlap. *)
+    half) continuing the partial sum [init].  Returns the folded 16-bit
+    result, bit-identical to [Checksum]'s.  This is the paper's "touch the
+    data once" fusion: a segment that must be both copied across a buffer
+    boundary and checksummed pays one traversal instead of two.  The loop
+    moves 8 bytes per load and store and sums them as the [`Optimized]
+    checksum does (native order, one byte swap at the end).  Ranges must
+    not overlap. *)
 val blit_checksum :
   Bytes.t -> int -> Bytes.t -> int -> int -> init:int -> int
 

@@ -79,7 +79,6 @@ type tcp_action =
   | Peer_reset  (** the peer reset the connection *)
   | User_error of string
   | Delete_tcb  (** remove the connection; free everything *)
-  | Log of string
 
 let action_name = function
   | Process_data _ -> "process-data"
@@ -95,7 +94,6 @@ let action_name = function
   | Peer_reset -> "peer-reset"
   | User_error _ -> "user-error"
   | Delete_tcb -> "delete-tcb"
-  | Log _ -> "log"
 
 (** One entry on the retransmission queue. *)
 type rtx_entry = {
@@ -476,7 +474,7 @@ let latency_critical = function
   | Send_segment _ | Send_ack -> true
   | Process_data _ | User_data _ | Set_timer _ | Clear_timer _
   | Timer_expired _ | Complete_open | Complete_close | Peer_close
-  | Peer_reset | User_error _ | Delete_tcb | Log _ ->
+  | Peer_reset | User_error _ | Delete_tcb ->
     false
 
 (** [add_to_do tcb action] appends an action to the connection's queue —

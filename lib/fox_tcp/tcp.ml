@@ -740,7 +740,7 @@ end = struct
     | Tcb.Peer_reset -> emit (Bus.Note "peer reset")
     | Tcb.User_error msg -> emit (Bus.Note ("error: " ^ msg))
     | Tcb.Process_data _ | Tcb.Complete_open | Tcb.Complete_close
-    | Tcb.Peer_close | Tcb.Delete_tcb | Tcb.Log _ ->
+    | Tcb.Peer_close | Tcb.Delete_tcb ->
       ());
     let before_name = Tcb.state_name before in
     let after_name = Tcb.state_name conn.state in
@@ -928,7 +928,6 @@ end = struct
         conn.tcp.rtx_limit_aborts <- conn.tcp.rtx_limit_aborts + 1
       | _ -> ())
     | Tcb.Delete_tcb -> delete_tcb conn
-    | Tcb.Log _ -> ()
 
   and drain conn =
     if not conn.draining then begin

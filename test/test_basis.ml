@@ -678,24 +678,63 @@ let checksum_alg_grid =
 let same_sum_class a b =
   a land 0xFFFF = a && b land 0xFFFF = b && (a - b) mod 0xFFFF = 0
 
-let blit_checksum_agree =
-  qtest "copy: blit_checksum = blit + add_bytes"
-    QCheck2.Gen.(
-      tup4 (string_size (int_range 0 200)) (int_bound 7) (int_bound 7)
-        (int_bound 0xFFFF))
-    (fun (s, soff, doff, init) ->
-      let src = Bytes.of_string s in
-      let n = Bytes.length src in
-      let soff = min soff n in
-      let len = n - soff in
-      let d1 = Bytes.make (n + 16) 'x' and d2 = Bytes.make (n + 16) 'x' in
-      let sum = Copy.blit_checksum src soff d1 doff len ~init in
-      Copy.blit src soff d2 doff len;
-      let expect =
-        Checksum.fold16
-          (init + Checksum.finish (Checksum.add_bytes Checksum.zero src soff len))
-      in
-      Bytes.equal d1 d2 && same_sum_class sum expect)
+(* [blit_checksum] and [add_bytes] run the same word-wide kernel, so a
+   shared bug would pass a test comparing one with the other: both are
+   checked against the per-byte oracle instead, with exact equality.  The
+   oracle complements its fold; undo that and continue [init].  Each
+   [init] comes with the accumulator holding it: 0, 0xFFFF, and the
+   unfolded 3 * 0xFFFF. *)
+let reference_sum ~init b off len =
+  Checksum.fold16 (init + (lnot (Checksum.reference b off len) land 0xFFFF))
+
+let inits =
+  let ones = Checksum.add_u16 Checksum.zero 0xFFFF in
+  [|
+    (0, Checksum.zero);
+    (0xFFFF, ones);
+    (0x2FFFD, Checksum.add_u16 (Checksum.add_u16 ones 0xFFFF) 0xFFFF);
+  |]
+
+let max_len = 3100
+
+(* One (source offset, length) cell: the fused copy must move exactly the
+   range, leave its neighbours alone, and return the oracle's sum; the
+   range sum must agree too.  The destination offset steps every 16
+   lengths, so each source offset meets every destination offset with
+   every tail length; the init cycles with the length. *)
+let kernel_agrees src soff len =
+  let dst = Bytes.make (max_len + 32) 'x' in
+  let doff = (len lsr 4) land 15 in
+  let init, acc = inits.((len + soff) mod 3) in
+  let expect = reference_sum ~init src soff len in
+  Copy.blit_checksum src soff dst doff len ~init = expect
+  && Checksum.finish (Checksum.add_bytes acc src soff len) = expect
+  && Bytes.sub dst doff len = Bytes.sub src soff len
+  && (doff = 0 || Bytes.get dst (doff - 1) = 'x')
+  && Bytes.get dst (doff + len) = 'x'
+
+(* Every length 0–3100 (past one frame) at every source offset 0–15 of a
+   random buffer; then the extremes: all-0xFF words carry on every
+   addition, and an all-zero range must keep the 0 / 0xFFFF representative
+   that [init] chose. *)
+let test_kernel_oracle () =
+  let st = Random.State.make [| max_len |] in
+  let random =
+    Bytes.init (max_len + 16) (fun _ -> Char.chr (Random.State.int st 256))
+  in
+  let check name src soffs =
+    List.iter
+      (fun soff ->
+        for len = 0 to max_len do
+          if not (kernel_agrees src soff len) then
+            Alcotest.failf "%s: soff %d len %d disagrees with reference" name
+              soff len
+        done)
+      soffs
+  in
+  check "random" random (List.init 16 Fun.id);
+  check "all 0xFF" (Bytes.make (max_len + 16) '\xff') [ 0; 3; 8; 13 ];
+  check "all zero" (Bytes.make (max_len + 16) '\000') [ 0; 5 ]
 
 (* The reference count is a census, not a recycler: a packet counts as
    live until its last reference is released, and a second release of
@@ -757,6 +796,49 @@ let test_offload_fused_roundtrip () =
   Packet.set_u8 wire 3 0x55;
   Alcotest.(check bool) "mutation invalidates memo" true
     (Packet.cached_window_sum wire = None)
+
+(* A full 1518-byte frame as the stack builds it: a 1460-byte payload, a
+   TCP header whose checksum is deferred over header and payload, then IP
+   and Ethernet headers and a 4-byte trailer pushed around it.  The fused
+   wire copy must be byte-for-byte what finalising the source in place
+   gives, and its RX memo must validate the segment. *)
+let test_full_frame_fused () =
+  let st = Random.State.make [| 1518 |] in
+  let payload =
+    String.init 1460 (fun _ -> Char.chr (Random.State.int st 256))
+  in
+  let p = Packet.of_string ~headroom:54 ~tailroom:4 payload in
+  Packet.push_header p 20;
+  for i = 0 to 19 do
+    Packet.set_u8 p i (Random.State.int st 256)
+  done;
+  Packet.set_u16 p 16 0;
+  let pseudo =
+    Checksum.pseudo_ipv4 ~src:0x0A000001 ~dst:0x0A000002 ~proto:6 ~len:1480
+  in
+  let init = Checksum.finish pseudo in
+  Packet.request_tx_csum p ~at:16 ~init;
+  Packet.push_header p 34;
+  Packet.push_trailer p 4;
+  for i = 0 to 33 do
+    Packet.set_u8 p i (Random.State.int st 256)
+  done;
+  Alcotest.(check int) "frame length" 1518 (Packet.length p);
+  let wire = Packet.copy_fused p in
+  Packet.finalize_tx_csum p;
+  Alcotest.(check string) "fused copy = finalize_tx_csum" (Packet.to_string p)
+    (Packet.to_string wire);
+  Packet.pull_header wire 34;
+  Packet.pull_trailer wire 4;
+  match Packet.cached_window_sum wire with
+  | None -> Alcotest.fail "no RX memo on the TCP segment"
+  | Some cached ->
+    Alcotest.(check int) "memo + pseudo validates" 0xFFFF
+      (Checksum.fold16 (init + cached));
+    Alcotest.(check bool) "segment verifies from scratch" true
+      (Checksum.valid
+         (Checksum.add_bytes pseudo (Packet.buffer wire) (Packet.offset wire)
+            (Packet.length wire)))
 
 (* Satellite guard: Seq.in_window around the 2^31 - 1 size ceiling. *)
 let test_seq_window_boundary () =
@@ -845,13 +927,15 @@ let () =
         ] );
       ( "copy",
         Alcotest.test_case "exact" `Quick test_copy_exact
-        :: blit_checksum_agree
+        :: Alcotest.test_case "kernel = reference" `Quick test_kernel_oracle
         :: List.map (fun (name, impl) -> copy_agree name impl) Copy.all );
       ( "fastpath",
         [
           Alcotest.test_case "refcount census" `Quick test_refcount_census;
           Alcotest.test_case "offload fused roundtrip" `Quick
             test_offload_fused_roundtrip;
+          Alcotest.test_case "full-frame fused copy" `Quick
+            test_full_frame_fused;
           Alcotest.test_case "seq window boundary" `Quick
             test_seq_window_boundary;
         ] );

@@ -278,9 +278,9 @@ let test_priority_queue_ordering () =
   let tcb = Tcb.create_tcb params ~iss:Seq.zero in
   Tcb.add_to_do tcb (Tcb.User_data (Packet.of_string "x"));
   Tcb.add_to_do tcb Tcb.Send_ack;
-  Tcb.add_to_do tcb (Tcb.Log "note");
+  Tcb.add_to_do tcb Tcb.Complete_close;
   Alcotest.(check (list string)) "wire-bound first"
-    [ "send-ack"; "user-data"; "log" ]
+    [ "send-ack"; "user-data"; "complete-close" ]
     (List.map Tcb.action_name (Tcb.pending_actions tcb));
   (* FIFO within bands *)
   let tcb2 = Tcb.create_tcb params ~iss:Seq.zero in
@@ -294,10 +294,11 @@ let test_priority_queue_ordering () =
 let test_priority_queue_disabled_is_fifo () =
   let open Fox_tcp in
   let tcb = Tcb.create_tcb Tcb.default_params ~iss:Seq.zero in
-  Tcb.add_to_do tcb (Tcb.Log "a");
+  Tcb.add_to_do tcb Tcb.Complete_close;
   Tcb.add_to_do tcb Tcb.Send_ack;
-  Tcb.add_to_do tcb (Tcb.Log "b");
-  Alcotest.(check (list string)) "plain fifo" [ "log"; "send-ack"; "log" ]
+  Tcb.add_to_do tcb Tcb.Complete_close;
+  Alcotest.(check (list string)) "plain fifo"
+    [ "complete-close"; "send-ack"; "complete-close" ]
     (List.map Tcb.action_name (Tcb.pending_actions tcb))
 
 let test_prioritized_tcp_end_to_end () =
