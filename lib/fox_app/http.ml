@@ -279,8 +279,11 @@ module Make (Sock : Fox_proto.Socket.S) = struct
       (the historical behaviour).  [stats] counts the degradation
       responses per server. *)
   let serve ?(max_line = default_max_line) ?(header_timeout_us = 0)
-      ?(min_byte_rate = 0) ?stats ?(log = fun _ -> ()) (site : Site.t) sock =
+      ?(min_byte_rate = 0) ?stats ?log (site : Site.t) sock =
     let count f = match stats with Some s -> f s | None -> () in
+    (* an access-log line is formatted only when there is a logger *)
+    let logging = Option.is_some log in
+    let log = Option.value log ~default:ignore in
     let arm_header () =
       if header_timeout_us > 0 then
         Sock.set_read_deadline sock (Some header_timeout_us)
@@ -323,7 +326,7 @@ module Make (Sock : Fox_proto.Socket.S) = struct
         | 408 -> count (fun s -> s.responses_408 <- s.responses_408 + 1)
         | 431 -> count (fun s -> s.responses_431 <- s.responses_431 + 1)
         | _ -> count (fun s -> s.bad_requests <- s.bad_requests + 1));
-        log (Printf.sprintf "%d %s" status detail);
+        if logging then log (Printf.sprintf "%d %s" status detail);
         write_response sock ~status ~content_type:"text/html"
           ~keep_alive:false
           (error_body status detail);
@@ -337,16 +340,18 @@ module Make (Sock : Fox_proto.Socket.S) = struct
         | "GET" | "HEAD" -> (
           match site req.target with
           | Some (content_type, body) ->
-            log (Printf.sprintf "200 %s %s" req.meth req.target);
+            if logging then
+              log (Printf.sprintf "200 %s %s" req.meth req.target);
             write_response sock ~status:200 ~content_type ~keep_alive ~head
               body
           | None ->
-            log (Printf.sprintf "404 %s %s" req.meth req.target);
+            if logging then
+              log (Printf.sprintf "404 %s %s" req.meth req.target);
             write_response sock ~status:404 ~content_type:"text/html"
               ~keep_alive
               (error_body 404 (String.escaped req.target)))
         | m ->
-          log (Printf.sprintf "405 %s %s" m req.target);
+          if logging then log (Printf.sprintf "405 %s %s" m req.target);
           write_response sock ~status:405 ~content_type:"text/html"
             ~keep_alive
             (error_body 405 (String.escaped m)));

@@ -16,19 +16,26 @@ let externalize ?alg ?defer ~pseudo_for ~hdr ~data ~allocate ~send () =
        send action owned one reference to the packet; it is consumed here
        (the retransmission queue, if any, holds its own). *)
     let saved = Packet.save packet in
-    Fun.protect
-      ~finally:(fun () ->
-        Packet.restore packet saved;
-        Packet.release packet)
-      (fun () ->
-        let pseudo = pseudo_for (hlen + Packet.length packet) in
-        Tcp_header.encode ?alg ?defer ~pseudo hdr packet;
-        send packet)
-  | None ->
+    (match
+       let pseudo = pseudo_for (hlen + Packet.length packet) in
+       Tcp_header.encode ?alg ?defer ~pseudo hdr packet;
+       send packet
+     with
+    | () ->
+      Packet.restore packet saved;
+      Packet.release packet
+    | exception e ->
+      Packet.restore packet saved;
+      Packet.release packet;
+      raise e)
+  | None -> (
     let packet = allocate 0 in
-    Fun.protect
-      ~finally:(fun () -> Packet.release packet)
-      (fun () ->
-        let pseudo = pseudo_for hlen in
-        Tcp_header.encode ?alg ?defer ~pseudo hdr packet;
-        send packet)
+    match
+      let pseudo = pseudo_for hlen in
+      Tcp_header.encode ?alg ?defer ~pseudo hdr packet;
+      send packet
+    with
+    | () -> Packet.release packet
+    | exception e ->
+      Packet.release packet;
+      raise e)

@@ -573,13 +573,18 @@ let differential = ref false
 let on_mismatch : (string -> unit) ref =
   ref (fun msg -> failwith ("Receive fast path diverged from process: " ^ msg))
 
-(* A shallow clone shares the persistent queues (Fifo/Deq/list) and the
+(* A shallow clone shares the persistent queues (Deq/list) and the
    segment packets; the general path replayed on it never reads payload
-   bytes, so sharing buffers with the already-run fast path is safe. *)
-(* The congestion instance is mutable private state: the shadow must get
-   its own deep copy, or replaying the hooks on the shadow would also
-   advance the real connection's algorithm. *)
-let clone_tcb (tcb : tcp_tcb) = { tcb with cc = Congestion.copy tcb.cc }
+   bytes, so sharing buffers with the already-run fast path is safe.  The
+   congestion instance and the two to_do bands are mutable: the shadow
+   gets its own copies, or replaying the segment on it would advance the
+   real connection's algorithm and queue actions on the real TCB. *)
+let clone_tcb (tcb : tcp_tcb) =
+  { tcb with
+    cc = Congestion.copy tcb.cc;
+    to_do = Queue.copy tcb.to_do;
+    to_do_urgent = Queue.copy tcb.to_do_urgent;
+  }
 
 (* Everything [process] may change on a fast-path-eligible segment, plus
    the queued actions ([fast_path_hits] is deliberately absent). *)

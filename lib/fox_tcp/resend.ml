@@ -2,13 +2,12 @@ open Fox_basis
 open Tcb
 module Bus = Fox_obs.Bus
 
-(* Flight-recorder note, guarded so a disabled bus costs one ref read. *)
+(* Flight-recorder note.  Every call site tests [!Bus.live] first, so a
+   disabled bus costs one ref read and formats nothing. *)
 let notef tcb fmt =
-  if !Bus.live then
-    Printf.ksprintf
-      (fun msg -> Bus.emit ~layer:"tcp.resend" ~conn:tcb.obs_id (Bus.Note msg))
-      fmt
-  else Printf.ikfprintf ignore () fmt
+  Printf.ksprintf
+    (fun msg -> Bus.emit ~layer:"tcp.resend" ~conn:tcb.obs_id (Bus.Note msg))
+    fmt
 
 let clamp lo hi v = if v < lo then lo else if v > hi then hi else v
 
@@ -30,8 +29,9 @@ let sample (params : params) tcb ~sample_us =
   tcb.rto_us <-
     clamp params.rto_min_us params.rto_max_us
       (tcb.srtt_us + max 1 (4 * tcb.rttvar_us));
-  notef tcb "rtt sample=%dus srtt=%dus rttvar=%dus rto=%dus" sample_us
-    tcb.srtt_us tcb.rttvar_us tcb.rto_us
+  if !Bus.live then
+    notef tcb "rtt sample=%dus srtt=%dus rttvar=%dus rto=%dus" sample_us
+      tcb.srtt_us tcb.rttvar_us tcb.rto_us
 
 let set_rtx_timer params tcb =
   if not tcb.rtx_timer_on then begin
@@ -161,8 +161,9 @@ let process_ack (params : params) tcb ~ack ~now =
       && params.blackhole_probe_after_us > 0
       && now - tcb.mss_clamped_at >= params.blackhole_probe_after_us
     then begin
-      notef tcb "blackhole probe up: mss %d -> %d" tcb.snd_mss
-        tcb.mss_before_clamp;
+      if !Bus.live then
+        notef tcb "blackhole probe up: mss %d -> %d" tcb.snd_mss
+          tcb.mss_before_clamp;
       tcb.snd_mss <- tcb.mss_before_clamp;
       tcb.mss_before_clamp <- 0;
       tcb.blackhole_restores <- tcb.blackhole_restores + 1
@@ -191,7 +192,8 @@ let duplicate_ack (params : params) tcb ~now =
       (* fast retransmit: resend the first unacknowledged segment —
          algorithm-independent loss repair (the window reaction above is
          the algorithm's business) *)
-      notef tcb "fast retransmit cwnd=%d ssthresh=%d" tcb.cwnd tcb.ssthresh;
+      if !Bus.live then
+        notef tcb "fast retransmit cwnd=%d ssthresh=%d" tcb.cwnd tcb.ssthresh;
       match Deq.peek_front tcb.rtx_q with
       | Some entry -> resend_entry tcb entry
       | None -> ()
@@ -261,8 +263,9 @@ let check_blackhole (params : params) tcb ~now entry =
       tcb.mss_clamped_at <- now;
       tcb.full_rto_streak <- 0;
       tcb.blackhole_shrinks <- tcb.blackhole_shrinks + 1;
-      notef tcb "blackhole suspected: mss %d -> %d, re-segmenting %d entries"
-        prev tcb.snd_mss (Deq.size tcb.rtx_q);
+      if !Bus.live then
+        notef tcb "blackhole suspected: mss %d -> %d, re-segmenting %d entries"
+          prev tcb.snd_mss (Deq.size tcb.rtx_q);
       resegment_rtx_q tcb
     end
   end
@@ -283,8 +286,9 @@ let retransmit (params : params) tcb ~now =
         apply_reaction tcb
           (Congestion.on_rto tcb.cc (cc_ctx params tcb ~now));
       tcb.backoff <- min (tcb.backoff + 1) 16;
-      notef tcb "rto expired backoff=%d cwnd=%d ssthresh=%d rto=%dus"
-        tcb.backoff tcb.cwnd tcb.ssthresh (rto params tcb);
+      if !Bus.live then
+        notef tcb "rto expired backoff=%d cwnd=%d ssthresh=%d rto=%dus"
+          tcb.backoff tcb.cwnd tcb.ssthresh (rto params tcb);
       resend_entry tcb entry;
       set_rtx_timer params tcb;
       true

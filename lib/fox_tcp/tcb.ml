@@ -256,9 +256,10 @@ type tcp_tcb = {
   mutable ooo_bytes : int;  (** text bytes held on [out_of_order] *)
   mutable ooo_trimmed : int;
       (** segments evicted by the [max_ooo_bytes] cap *)
-  (* --- the to_do queue (two bands when latency-prioritised) --- *)
-  mutable to_do : tcp_action Fifo.t;
-  mutable to_do_urgent : tcp_action Fifo.t;
+  (* --- the to_do queue (two bands when latency-prioritised); mutable
+     queues, so a copy of the TCB must copy them too --- *)
+  to_do : tcp_action Queue.t;
+  to_do_urgent : tcp_action Queue.t;
   mutable to_do_len : int;  (** actions queued across both bands *)
   mutable to_do_shed : int;
       (** segments refused at the queue door by the engine's [max_to_do] *)
@@ -412,8 +413,8 @@ let create_tcb (params : params) ~iss =
     out_of_order = [];
     ooo_bytes = 0;
     ooo_trimmed = 0;
-    to_do = Fifo.empty;
-    to_do_urgent = Fifo.empty;
+    to_do = Queue.create ();
+    to_do_urgent = Queue.create ();
     to_do_len = 0;
     to_do_shed = 0;
     prioritized = params.prioritize_latency;
@@ -484,28 +485,26 @@ let latency_critical = function
 let add_to_do tcb action =
   tcb.to_do_len <- tcb.to_do_len + 1;
   if tcb.prioritized && latency_critical action then
-    tcb.to_do_urgent <- Fifo.add action tcb.to_do_urgent
-  else tcb.to_do <- Fifo.add action tcb.to_do
+    Queue.add action tcb.to_do_urgent
+  else Queue.add action tcb.to_do
 
 (** [next_to_do tcb] pops the front action, urgent band first. *)
 let next_to_do tcb =
-  match Fifo.next tcb.to_do_urgent with
-  | Some (action, rest) ->
-    tcb.to_do_urgent <- rest;
+  let band =
+    if Queue.is_empty tcb.to_do_urgent then tcb.to_do else tcb.to_do_urgent
+  in
+  match Queue.take_opt band with
+  | None -> None
+  | some ->
     tcb.to_do_len <- tcb.to_do_len - 1;
-    Some action
-  | None -> (
-    match Fifo.next tcb.to_do with
-    | None -> None
-    | Some (action, rest) ->
-      tcb.to_do <- rest;
-      tcb.to_do_len <- tcb.to_do_len - 1;
-      Some action)
+    some
 
 (** [pending_actions tcb] lists the queue (urgent band first, as it would
     drain), without draining it — for the per-module tests, which compare
     produced actions against the standard's requirements. *)
-let pending_actions tcb = Fifo.to_list tcb.to_do_urgent @ Fifo.to_list tcb.to_do
+let pending_actions tcb =
+  List.of_seq (Queue.to_seq tcb.to_do_urgent)
+  @ List.of_seq (Queue.to_seq tcb.to_do)
 
 (** [flight_size tcb] is the sequence space sent and not yet
     acknowledged. *)

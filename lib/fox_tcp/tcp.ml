@@ -394,7 +394,7 @@ end = struct
      needs to build the real TCB, a few dozen bytes instead of a [Tcb]
      with its queues.  This is what a SYN flood pins. *)
   type syn_cache_entry = {
-    sc_host : string;  (** [Aux.to_string] of the peer *)
+    sc_host : Aux.host;
     sc_local_port : int;
     sc_remote_port : int;
     sc_iss : Seq.t;
@@ -404,6 +404,16 @@ end = struct
         (** virtual time of the latest SYN, for lazy expiry — refreshed on
             each retransmitted SYN so a live handshake never expires *)
   }
+
+  (* Demultiplexing keys on Figure 5's host identity, [Aux.hash] and
+     [Aux.equal], so TCP never formats an address to find a connection.
+     [Conns] is keyed on (host, local port, remote port). *)
+  module Hosts = Hashtbl.Make (struct include Aux type t = host end)
+  module Conns = Hashtbl.Make (struct
+    type t = Aux.host * int * int
+    let equal (h, l, r) (h', l', r') = l = l' && r = r' && Aux.equal h h'
+    let hash (h, l, r) = (((Aux.hash h * 31) + l) * 31) + r
+  end)
 
   type connection = {
     tcp : t;
@@ -444,10 +454,9 @@ end = struct
 
   and t = {
     lower_instance : Lower.t;
-    conns : (string * int * int, connection) Hashtbl.t;
-        (* (host, local port, remote port) *)
+    conns : connection Conns.t;
     listeners : (int, listener) Hashtbl.t;
-    lower_conns : (string, Lower.connection) Hashtbl.t;
+    lower_conns : Lower.connection Hosts.t;
     mutable iss_salt : int;
     isn_k0 : int;  (** RFC 6528 boot secret (per engine) *)
     isn_k1 : int;
@@ -486,9 +495,6 @@ end = struct
     mutable time_wait_count : int;
   }
 
-  let key host local_port remote_port =
-    (Aux.to_string host, local_port, remote_port)
-
   let endpoints conn = (conn.host, conn.local_port, conn.remote_port)
 
   let state_of conn = Tcb.state_name conn.state
@@ -501,7 +507,7 @@ end = struct
       ~state:(Tcb.state_name conn.state) ~now:(now_opt ()) conn.tcb
 
   let snapshots t =
-    Hashtbl.fold (fun _ c acc -> snapshot c :: acc) t.conns []
+    Conns.fold (fun _ c acc -> snapshot c :: acc) t.conns []
     |> List.sort (fun a b -> String.compare a.Stats.conn_id b.Stats.conn_id)
 
   (* Initial sequence number selection.  With [secure_isn] (the default)
@@ -786,8 +792,7 @@ end = struct
       end;
       List.iter (fun (_, timer) -> Fox_sched.Timer.clear timer) conn.timers;
       conn.timers <- [];
-      Hashtbl.remove conn.tcp.conns
-        (key conn.host conn.local_port conn.remote_port);
+      Conns.remove conn.tcp.conns (endpoints conn);
       Bus.unregister_stats ~id:conn.tcb.Tcb.obs_id;
       let t = conn.tcp and tcb = conn.tcb in
       t.chall_sent_dead <- t.chall_sent_dead + tcb.Tcb.challenge_acks_sent;
@@ -932,52 +937,53 @@ end = struct
   and drain conn =
     if not conn.draining then begin
       conn.draining <- true;
-      Fun.protect
-        ~finally:(fun () -> conn.draining <- false)
-        (fun () ->
-          let rec loop () =
-            match Tcb.next_to_do conn.tcb with
-            | None -> ()
-            | Some action ->
-              (* Both observers share the capture-execute-report seam; the
-                 common case (no hook, bus off) pays two ref reads. *)
-              let hook = !Check_hook.hook in
-              let observing = !Bus.live in
-              (match (hook, observing) with
-              | None, false -> execute conn action
-              | _ ->
-                let before = conn.state in
-                execute conn action;
-                if observing then observe conn before action;
-                (match hook with
-                | None -> ()
-                | Some check ->
-                  check
-                    {
-                      Check_hook.tcb = conn.tcb;
-                      before;
-                      after = conn.state;
-                      action;
-                      pending = Tcb.pending_actions conn.tcb;
-                      armed = List.map fst conn.timers;
-                      now = Fox_sched.Scheduler.now ();
-                      dead = conn.dead;
-                    }));
-              (* TIME-WAIT entry is detected here, at the same seam, so
-                 the bounded table sees every arrival exactly once *)
-              (match conn.state with
-              | Tcb.Time_wait _ when not (conn.in_time_wait || conn.dead) ->
-                enter_time_wait conn
-              | _ -> ());
-              (* wake senders blocked on the buffer bound *)
-              if
-                conn.tcb.Tcb.queued_bytes < Params.send_buffer_bytes
-                && Fox_sched.Cond.waiters conn.send_space > 0
-              then Fox_sched.Cond.broadcast conn.send_space ();
-              loop ()
-          in
-          loop ())
+      match run_to_do conn with
+      | () -> conn.draining <- false
+      | exception e ->
+        conn.draining <- false;
+        raise e
     end
+
+  and run_to_do conn =
+    match Tcb.next_to_do conn.tcb with
+    | None -> ()
+    | Some action ->
+      (* Both observers share the capture-execute-report seam; the
+         common case (no hook, bus off) pays two ref reads. *)
+      let hook = !Check_hook.hook in
+      let observing = !Bus.live in
+      (match (hook, observing) with
+      | None, false -> execute conn action
+      | _ ->
+        let before = conn.state in
+        execute conn action;
+        if observing then observe conn before action;
+        (match hook with
+        | None -> ()
+        | Some check ->
+          check
+            {
+              Check_hook.tcb = conn.tcb;
+              before;
+              after = conn.state;
+              action;
+              pending = Tcb.pending_actions conn.tcb;
+              armed = List.map fst conn.timers;
+              now = Fox_sched.Scheduler.now ();
+              dead = conn.dead;
+            }));
+      (* TIME-WAIT entry is detected here, at the same seam, so the
+         bounded table sees every arrival exactly once *)
+      (match conn.state with
+      | Tcb.Time_wait _ when not (conn.in_time_wait || conn.dead) ->
+        enter_time_wait conn
+      | _ -> ());
+      (* wake senders blocked on the buffer bound *)
+      if
+        conn.tcb.Tcb.queued_bytes < Params.send_buffer_bytes
+        && Fox_sched.Cond.waiters conn.send_space > 0
+      then Fox_sched.Cond.broadcast conn.send_space ();
+      run_to_do conn
 
   (* ---------------- connection creation ---------------- *)
 
@@ -1017,7 +1023,7 @@ end = struct
     (* every connection of this engine draws on the same engine-wide
        challenge-ACK cap (its private budget is already in the TCB) *)
     tcb.Tcb.chall_cap <- t.chall_cap;
-    Hashtbl.replace t.conns (key host local_port remote_port) conn;
+    Conns.replace t.conns (host, local_port, remote_port) conn;
     Bus.register_stats ~id:tcb.Tcb.obs_id (fun () ->
         Stats.to_string (snapshot conn));
     if !Bus.live then
@@ -1058,7 +1064,7 @@ end = struct
      segments) once [max_connections] TCBs are live. *)
   let under_conn_cap t =
     Params.max_connections = 0
-    || Hashtbl.length t.conns < Params.max_connections
+    || Conns.length t.conns < Params.max_connections
 
   (* Drop SYN-cache entries older than the TTL.  Lazy: runs whenever the
      cache is consulted, so an idle listener keeps stale entries but they
@@ -1071,12 +1077,11 @@ end = struct
           l.l_syn_cache
 
   let syn_cache_find l ~host ~local_port ~remote_port =
-    let host_key = Aux.to_string host in
     List.find_opt
       (fun e ->
         e.sc_local_port = local_port
         && e.sc_remote_port = remote_port
-        && String.equal e.sc_host host_key)
+        && Aux.equal e.sc_host host)
       l.l_syn_cache
 
   (* Complete a passive open whose half-open phase lived outside any TCB:
@@ -1191,7 +1196,7 @@ end = struct
             listener.l_syn_cache
             @ [
                 {
-                  sc_host = Aux.to_string host;
+                  sc_host = host;
                   sc_local_port = local_port;
                   sc_remote_port = remote_port;
                   sc_iss = iss;
@@ -1264,8 +1269,8 @@ end = struct
       let hdr = seg.Tcb.hdr in
       let host = Aux.source lconn in
       match
-        Hashtbl.find_opt t.conns
-          (key host hdr.Tcp_header.dst_port hdr.Tcp_header.src_port)
+        Conns.find_opt t.conns
+          (host, hdr.Tcp_header.dst_port, hdr.Tcp_header.src_port)
       with
       | Some conn when not conn.dead ->
         if
@@ -1317,8 +1322,7 @@ end = struct
   (* ---------------- lower-layer sessions ---------------- *)
 
   let lower_conn_for t host =
-    let k = Aux.to_string host in
-    match Hashtbl.find_opt t.lower_conns k with
+    match Hosts.find_opt t.lower_conns host with
     | Some lconn -> lconn
     | None ->
       let lconn =
@@ -1326,7 +1330,7 @@ end = struct
           (Aux.lower_address ~proto:proto_number host)
           (fun lconn -> ((fun packet -> receive t lconn packet), ignore))
       in
-      Hashtbl.replace t.lower_conns k lconn;
+      Hosts.replace t.lower_conns host lconn;
       lconn
 
   (* ---------------- PROTOCOL operations ---------------- *)
@@ -1337,7 +1341,7 @@ end = struct
       let port = 49152 + (t.next_ephemeral land 0x3FFF) in
       t.next_ephemeral <- t.next_ephemeral + 1;
       if
-        Hashtbl.mem t.conns (key host port remote_port)
+        Conns.mem t.conns (host, port, remote_port)
         || Hashtbl.mem t.listeners port
       then pick (attempts + 1)
       else port
@@ -1350,7 +1354,7 @@ end = struct
       | Some p -> p
       | None -> ephemeral t ~host:peer ~remote_port
     in
-    if Hashtbl.mem t.conns (key peer local_port remote_port) then
+    if Conns.mem t.conns (peer, local_port, remote_port) then
       raise
         (Connection_failed
            (Printf.sprintf "tcp: %s:%d from port %d already open"
@@ -1439,7 +1443,7 @@ end = struct
     if t.init_count = 0 then begin
       Hashtbl.iter (fun _ l -> l.l_active <- false) t.listeners;
       Hashtbl.reset t.listeners;
-      let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
+      let conns = Conns.fold (fun _ c acc -> c :: acc) t.conns [] in
       List.iter abort conns;
       ignore (Lower.finalize t.lower_instance)
     end;
@@ -1475,7 +1479,7 @@ end = struct
     }
 
   let stats t =
-    let live f = Hashtbl.fold (fun _ c a -> a + f c.tcb) t.conns 0 in
+    let live f = Conns.fold (fun _ c a -> a + f c.tcb) t.conns 0 in
     {
       segs_in = t.segs_in;
       segs_out = t.segs_out;
@@ -1483,7 +1487,7 @@ end = struct
       rsts_sent = t.rsts_sent;
       unknown_dropped = t.unknown_dropped;
       accepts = t.accepts;
-      active_conns = Hashtbl.length t.conns;
+      active_conns = Conns.length t.conns;
       wire_send_failures = t.wire_send_failures;
       syn_dropped = t.syn_dropped;
       backlog_refused = t.backlog_refused;
@@ -1551,9 +1555,9 @@ end = struct
     let t =
       {
         lower_instance = lower;
-        conns = Hashtbl.create 64;
+        conns = Conns.create 64;
         listeners = Hashtbl.create 8;
-        lower_conns = Hashtbl.create 8;
+        lower_conns = Hosts.create 8;
         iss_salt = 0;
         isn_k0;
         isn_k1;

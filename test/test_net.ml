@@ -910,6 +910,235 @@ let test_icmp_ping_timeout () =
   in
   Alcotest.(check bool) "timed out" true (!rtt = None)
 
+(* ------------------------------------------------------------------ *)
+(* TCP demultiplexing through Figure 5's hash and equal               *)
+(* ------------------------------------------------------------------ *)
+
+module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
+
+(* The SYN cache is on, so concurrent handshakes that differ only in the
+   peer host must also be told apart by the cache lookup. *)
+module Demux_params = struct
+  include Fox_tcp.Tcp.Default_params
+
+  let syn_cache = true
+  let time_wait_us = 1_000_000
+end
+
+module Tcp =
+  Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (Demux_params)
+
+(* An auxiliary structure whose [hash] sends every host to 0: only
+   [equal] can tell two peers apart, so a table that did not consult it
+   would hand both peers one TCB.  Unknown segments are dropped here, not
+   answered, to cover the other arm of [handle_unknown]. *)
+module Collide_aux = struct
+  include Ip_aux
+
+  let hash _ = 0
+end
+
+module Collide_tcp =
+  Fox_tcp.Tcp.Make (Ip) (Collide_aux) (Fox_tcp.Congestion.Reno)
+    (struct
+      include Demux_params
+
+      let abort_unknown_connections = false
+    end)
+
+(* What the demux scenario needs of an engine. *)
+module type TCP = sig
+  type t
+  type connection
+  type listener
+  type address = { peer : Ipv4_addr.t; port : int; local_port : int option }
+  type pattern = { local_port : int }
+  type handler =
+    connection -> (Packet.t -> unit) * (Fox_proto.Status.t -> unit)
+
+  val create : Ip.t -> t
+  val connect : t -> address -> handler -> connection
+  val start_passive : t -> pattern -> handler -> listener
+  val allocate_send : connection -> int -> Packet.t
+  val send : connection -> Packet.t -> unit
+  val endpoints : connection -> Ipv4_addr.t * int * int
+  val stats : t -> Fox_tcp.Tcp.stats
+end
+
+let tcp_host link i =
+  make_host link i
+    ~mac:(mac_of (Printf.sprintf "02:00:00:00:00:%02x" (i + 1)))
+    ~addr:(ip_of (Printf.sprintf "10.0.0.%d" (i + 1)))
+
+module Demux (T : TCP) = struct
+  let send_string conn s =
+    let p = T.allocate_send conn (String.length s) in
+    Packet.blit_from_string s 0 p 0 (String.length s);
+    T.send conn p
+
+  (* Server S (10.0.0.1) echoes every segment; client A (10.0.0.2) opens
+     two connections from ports 5000 and 5064, client B (10.0.0.3) one
+     from port 5000.  A:5000 and B:5000 differ only in the peer host,
+     A:5000 and A:5064 only in one port.  Then A, from port 5000, tries
+     port 144 of S: a 4-tuple one port away from a live connection.
+     Ports 64 apart share a bucket of the engine's initial 64-bucket
+     table, so the port comparisons of its [equal] are what separate
+     those keys. *)
+  let run ~answers_unknown () =
+    let link = Link.hub ~ports:3 Netem.ethernet_10mbps in
+    let s = T.create (tcp_host link 0).ip in
+    let a = T.create (tcp_host link 1).ip in
+    let b = T.create (tcp_host link 2).ip in
+    let at_server = Hashtbl.create 4 and at_client = Hashtbl.create 4 in
+    let append tbl k text =
+      let prev = Option.value (Hashtbl.find_opt tbl k) ~default:"" in
+      Hashtbl.replace tbl k (prev ^ text)
+    in
+    let unknown_refused = ref false in
+    let server conn =
+      let peer, _, remote_port = T.endpoints conn in
+      ( (fun p ->
+          let text = Packet.to_string p in
+          append at_server (Ipv4_addr.to_string peer, remote_port) text;
+          send_string conn ("echo:" ^ text)),
+        ignore )
+    in
+    let open_and_send tcp ~name ~local_port =
+      Scheduler.fork (fun () ->
+          let conn =
+            T.connect tcp
+              { T.peer = ip_of "10.0.0.1"; port = 80;
+                local_port = Some local_port }
+              (fun _ -> ((fun p -> append at_client name (Packet.to_string p)),
+                         ignore))
+          in
+          send_string conn name)
+    in
+    let _ =
+      Scheduler.run (fun () ->
+          ignore (T.start_passive s { T.local_port = 80 } server);
+          open_and_send a ~name:"a5000" ~local_port:5000;
+          open_and_send b ~name:"b5000" ~local_port:5000;
+          open_and_send a ~name:"a5064" ~local_port:5064;
+          Scheduler.sleep 500_000;
+          Scheduler.fork (fun () ->
+              match
+                T.connect a
+                  { T.peer = ip_of "10.0.0.1"; port = 144;
+                    local_port = Some 5000 }
+                  (fun _ -> (ignore, ignore))
+              with
+              | _ -> ()
+              | exception Fox_proto.Common.Connection_failed _ ->
+                unknown_refused := true);
+          Scheduler.sleep 500_000;
+          ignore (Scheduler.stop ()))
+    in
+    let server_got peer port =
+      Option.value (Hashtbl.find_opt at_server (peer, port)) ~default:"<none>"
+    in
+    List.iter
+      (fun (name, peer, port) ->
+        Alcotest.(check string) (name ^ " at server") name
+          (server_got peer port))
+      [ ("a5000", "10.0.0.2", 5000); ("b5000", "10.0.0.3", 5000);
+        ("a5064", "10.0.0.2", 5064) ];
+    List.iter
+      (fun name ->
+        Alcotest.(check string) (name ^ " echo") ("echo:" ^ name)
+          (Option.value (Hashtbl.find_opt at_client name) ~default:"<none>"))
+      [ "a5000"; "b5000"; "a5064" ];
+    let st = T.stats s in
+    Alcotest.(check int) "three TCBs" 3 st.Fox_tcp.Tcp.active_conns;
+    if answers_unknown then begin
+      Alcotest.(check bool) "unknown 4-tuple refused" true !unknown_refused;
+      Alcotest.(check int) "one RST" 1 st.Fox_tcp.Tcp.rsts_sent
+    end
+    else begin
+      Alcotest.(check int) "no RST" 0 st.Fox_tcp.Tcp.rsts_sent;
+      Alcotest.(check bool) "unknown SYNs dropped" true
+        (st.Fox_tcp.Tcp.unknown_dropped > 0)
+    end
+end
+
+let test_tcp_demux () =
+  let module D = Demux (Tcp) in
+  D.run ~answers_unknown:true ()
+
+let test_tcp_demux_colliding_hash () =
+  let module D = Demux (Collide_tcp) in
+  D.run ~answers_unknown:false ()
+
+(* ------------------------------------------------------------------ *)
+(* TCP executor: an upcall that raises                                 *)
+(* ------------------------------------------------------------------ *)
+
+exception Upcall_raised
+
+(* IP with TCP's receive upcall guarded: an exception that escapes TCP
+   stops at the IP boundary instead of ending the scheduler run, so the
+   connection's next segment can show whether the executor recovered. *)
+module Guarded_ip = struct
+  include Ip
+
+  let escaped = ref 0
+
+  let guard (h : Ip.handler) : Ip.handler =
+   fun conn ->
+    let data, status = h conn in
+    ((fun p -> try data p with Upcall_raised -> incr escaped), status)
+
+  let connect t a h = Ip.connect t a (guard h)
+  let start_passive t p h = Ip.start_passive t p (guard h)
+end
+
+module Guarded_tcp =
+  Fox_tcp.Tcp.Make (Guarded_ip) (Ip_aux) (Fox_tcp.Congestion.Reno)
+    (Demux_params)
+
+(* The server's [raise_in] upcall raises once; the client then sends a
+   second segment, which the server must still receive. *)
+let upcall_raises_once raise_in () =
+  Guarded_ip.escaped := 0;
+  let link = Link.point_to_point Netem.ethernet_10mbps in
+  let s = Guarded_tcp.create (tcp_host link 0).ip in
+  let c = Guarded_tcp.create (tcp_host link 1).ip in
+  let got = Buffer.create 16 and raised = ref false in
+  let raise_once () =
+    if not !raised then begin
+      raised := true;
+      raise Upcall_raised
+    end
+  in
+  let server _ =
+    ( (fun p ->
+        Buffer.add_string got (Packet.to_string p);
+        if raise_in = `Data then raise_once ()),
+      fun status ->
+        if raise_in = `Status && status = Fox_proto.Status.Connected then
+          raise_once () )
+  in
+  let module D = Demux (Guarded_tcp) in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Guarded_tcp.start_passive s { Guarded_tcp.local_port = 80 } server);
+        let conn =
+          Guarded_tcp.connect c
+            { Guarded_tcp.peer = ip_of "10.0.0.1"; port = 80;
+              local_port = None }
+            (fun _ -> (ignore, ignore))
+        in
+        D.send_string conn "one";
+        Scheduler.sleep 200_000;
+        D.send_string conn "two";
+        Scheduler.sleep 200_000;
+        ignore (Scheduler.stop ()))
+  in
+  Alcotest.(check int) "the upcall raised once" 1 !Guarded_ip.escaped;
+  Alcotest.(check string) "later segments still processed" "onetwo"
+    (Buffer.contents got)
+
 let () =
   Alcotest.run "fox_net"
     [
@@ -977,5 +1206,18 @@ let () =
         [
           Alcotest.test_case "ping" `Quick test_icmp_ping;
           Alcotest.test_case "ping timeout" `Quick test_icmp_ping_timeout;
+        ] );
+      ( "tcp-demux",
+        [
+          Alcotest.test_case "host and port both key" `Quick test_tcp_demux;
+          Alcotest.test_case "colliding hash uses equal" `Quick
+            test_tcp_demux_colliding_hash;
+        ] );
+      ( "tcp-executor",
+        [
+          Alcotest.test_case "data upcall raises once" `Quick
+            (upcall_raises_once `Data);
+          Alcotest.test_case "status upcall raises once" `Quick
+            (upcall_raises_once `Status);
         ] );
     ]

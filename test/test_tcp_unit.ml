@@ -1047,6 +1047,41 @@ let test_fast_path_differential () =
       ignore (drain_actions tcb);
       Alcotest.(check (list string)) "no divergence" [] !mismatches)
 
+(* The shadow that differential mode replays through the general DAG
+   must get its own to_do bands.  With actions already queued at entry
+   (in both bands under [prioritize_latency]), a hit with differential on
+   must leave exactly the actions the same hit leaves with it off — a
+   shadow sharing the real queues would queue its actions there too. *)
+let test_differential_shadow_isolated () =
+  let hit params ~differential =
+    let tcb = estab_tcb ~params () in
+    Tcb.add_to_do tcb Tcb.Send_ack;
+    Tcb.add_to_do tcb (Tcb.Set_timer (Tcb.Keepalive, 1));
+    let mismatches = ref [] in
+    Receive.differential := differential;
+    Receive.on_mismatch := (fun msg -> mismatches := msg :: !mismatches);
+    Fun.protect
+      ~finally:(fun () ->
+        Receive.differential := false;
+        Receive.on_mismatch := failwith)
+      (fun () ->
+        let seg = mk_segment ~seq:5001 ~ack:(Some 1001) ~data:"quick" () in
+        Alcotest.(check bool) "taken" true
+          (Receive.fast_path params tcb seg ~now:0));
+    Alcotest.(check (list string)) "no divergence" [] !mismatches;
+    let pending = List.map Tcb.action_name (Tcb.pending_actions tcb) in
+    Alcotest.(check int) "to_do_len counts the queue" (List.length pending)
+      tcb.Tcb.to_do_len;
+    pending
+  in
+  List.iter
+    (fun params ->
+      Alcotest.(check (list string)) "same actions as without the shadow"
+        (hit params ~differential:false)
+        (hit params ~differential:true))
+    [ params; { params with Tcb.prioritize_latency = true } ]
+
+
 (* ------------------------------------------------------------------ *)
 (* Delayed-ACK hygiene: leaving ESTABLISHED/CLOSE-WAIT must disarm it   *)
 (* ------------------------------------------------------------------ *)
@@ -1095,6 +1130,60 @@ let test_time_wait_entry_cancels_delayed_ack () =
   let state = Receive.process params state fin_ack ~now:0 in
   Alcotest.(check string) "time-wait" "TIME-WAIT" (Tcb.state_name state);
   check_delayed_ack_cleared tcb
+
+(* ------------------------------------------------------------------ *)
+(* Externalisation when the wire refuses                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [Action.externalize] consumes the send action's one reference to the
+   segment.  When [send] raises, the packet window must still be restored
+   (the segment may sit on the retransmission queue, and a header left
+   pushed would go out again as text) and exactly that one reference
+   released.  Each test keeps an extra reference of its own, so a double
+   release would show as the packet dying early. *)
+let externalize_refused ~data ~allocate =
+  match
+    Action.externalize
+      ~pseudo_for:(fun _ -> None)
+      ~hdr:(Tcp_header.basic ~src_port:1000 ~dst_port:2000)
+      ~data ~allocate
+      ~send:(fun _ -> raise (Fox_proto.Common.Send_failed "refused"))
+      ()
+  with
+  | () -> Alcotest.fail "send should have raised"
+  | exception Fox_proto.Common.Send_failed _ -> ()
+
+let test_externalize_refused_data () =
+  let p = Packet.of_string ~headroom:64 "segment text" in
+  Packet.retain p;
+  let saved = Packet.save p in
+  let live = Packet.live_packets () in
+  externalize_refused ~data:(Some p) ~allocate:(fun _ ->
+      Alcotest.fail "a data segment needs no allocation");
+  Alcotest.(check bool) "window restored" true (Packet.save p = saved);
+  Alcotest.(check string) "text intact" "segment text" (Packet.to_string p);
+  Alcotest.(check int) "one reference left" live (Packet.live_packets ());
+  Packet.release p;
+  Alcotest.(check int) "and only one" (live - 1) (Packet.live_packets ())
+
+let test_externalize_refused_pure_ack () =
+  let allocated = ref None in
+  let allocate n =
+    let p = Packet.create ~headroom:64 n in
+    Packet.retain p;
+    allocated := Some p;
+    p
+  in
+  let live = Packet.live_packets () in
+  externalize_refused ~data:None ~allocate;
+  match !allocated with
+  | None -> Alcotest.fail "no ACK packet allocated"
+  | Some p ->
+    Alcotest.(check int) "one reference left" (live + 1)
+      (Packet.live_packets ());
+    Packet.release p;
+    Alcotest.(check int) "and only one" live (Packet.live_packets ())
+
 
 (* ------------------------------------------------------------------ *)
 (* Random segment storm: the state machine must never raise            *)
@@ -1245,6 +1334,15 @@ let () =
           Alcotest.test_case "rejections" `Quick
             test_fast_path_rejects_odd_segments;
           Alcotest.test_case "differential" `Quick test_fast_path_differential;
+          Alcotest.test_case "differential shadow isolated" `Quick
+            test_differential_shadow_isolated;
+        ] );
+      ( "externalize",
+        [
+          Alcotest.test_case "refused data segment" `Quick
+            test_externalize_refused_data;
+          Alcotest.test_case "refused pure ack" `Quick
+            test_externalize_refused_pure_ack;
         ] );
       ( "delayed-ack",
         [
