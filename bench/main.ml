@@ -64,7 +64,9 @@ let copy_tests =
 
 (* The paper's 30 us "create a thread, terminate the current thread, and
    switch to the new thread", amortised over 1000 operations in one
-   scheduler run; and the 1.2 us empty call for scale. *)
+   scheduler run; timed work due 1 us ahead, as [fork_at] and as the
+   fork/now/sleep expansion it replaces; and the 1.2 us empty call for
+   scale. *)
 let sched_tests =
   Test.make_grouped ~name:"inline3-scheduler"
     [
@@ -74,6 +76,22 @@ let sched_tests =
                  for _ = 1 to 1000 do
                    Scheduler.fork (fun () -> ());
                    Scheduler.yield ()
+                 done)));
+      Test.make ~name:"1000x-fork_at+1us"
+        (Staged.stage (fun () ->
+             Scheduler.run (fun () ->
+                 let due = Scheduler.now () + 1 in
+                 for _ = 1 to 1000 do
+                   Scheduler.fork_at due ignore
+                 done)));
+      Test.make ~name:"1000x-fork+now+sleep+1us"
+        (Staged.stage (fun () ->
+             Scheduler.run (fun () ->
+                 let due = Scheduler.now () + 1 in
+                 for _ = 1 to 1000 do
+                   Scheduler.fork (fun () ->
+                       let w = due - Scheduler.now () in
+                       if w > 0 then Scheduler.sleep w)
                  done)));
       Test.make ~name:"1000x-timer-start+clear"
         (Staged.stage (fun () ->
@@ -132,9 +150,9 @@ let container_tests =
              | None -> assert false));
       Test.make ~name:"heap-add+pop-x16"
         (Staged.stage (fun () ->
-             let h = Heap.create ~cmp:Int.compare in
+             let h = Heap.create ~dummy:0 in
              for i = 15 downto 0 do
-               Heap.add h i
+               Heap.add h i i
              done;
              for _ = 0 to 15 do
                ignore (Heap.pop_min h)

@@ -105,10 +105,7 @@ let deliver t dst (frame : Packet.t) =
 
 (* Schedule one copy of [frame] to arrive at [dst] at virtual [arrival]. *)
 let schedule_delivery t dst frame arrival =
-  Fox_sched.Scheduler.fork (fun () ->
-      let wait = arrival - Fox_sched.Scheduler.now () in
-      if wait > 0 then Fox_sched.Scheduler.sleep wait;
-      deliver t dst frame)
+  Fox_sched.Scheduler.fork_at arrival (fun () -> deliver t dst frame)
 
 let corrupt_copy t frame =
   let copy = Packet.copy_fused frame in
@@ -173,10 +170,10 @@ and transmit_up t src frame ps len =
   if cap > 0 && start > now && t.queued.(medium) >= cap then
     ps.queue_drops <- ps.queue_drops + 1
   else begin
-  if start > now then begin
+  (* the census of waiting frames is read only by the finite queue *)
+  if cap > 0 && start > now then begin
     t.queued.(medium) <- t.queued.(medium) + 1;
-    Fox_sched.Scheduler.fork (fun () ->
-        Fox_sched.Scheduler.sleep (start - now);
+    Fox_sched.Scheduler.fork_at start (fun () ->
         t.queued.(medium) <- t.queued.(medium) - 1)
   end;
   let tx_time = Netem.tx_time_us t.netem len in

@@ -380,12 +380,10 @@ end = struct
       let gen = t.deadline_gen in
       let due = Fox_sched.Scheduler.now () + max 0 us in
       t.read_deadline <- Some due;
-      (* the watcher sleeps on the virtual clock and posts into the
-         mailbox like any other event, so expiry is serialised with data
-         arrival — no racing wakeups *)
-      Fox_sched.Scheduler.fork (fun () ->
-          let wait = due - Fox_sched.Scheduler.now () in
-          if wait > 0 then Fox_sched.Scheduler.sleep wait;
+      (* the watcher is a thread forked at [due] on the virtual clock
+         that posts into the mailbox like any other event, so expiry is
+         serialised with data arrival — no racing wakeups *)
+      Fox_sched.Scheduler.fork_at due (fun () ->
           if t.deadline_gen = gen then
             Fox_sched.Cond.signal t.mailbox (Expired gen))
 end

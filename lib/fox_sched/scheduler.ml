@@ -11,6 +11,7 @@ type stats = {
 
 type _ Effect.t +=
   | Fork : (unit -> unit) -> unit Effect.t
+  | Fork_at : int * (unit -> unit) -> unit Effect.t
   | Yield : unit Effect.t
   | Sleep : int -> unit Effect.t
   | Now : int Effect.t
@@ -21,6 +22,8 @@ type _ Effect.t +=
 exception Thread_exit
 
 let fork f = Effect.perform (Fork f)
+
+let fork_at due f = Effect.perform (Fork_at (due, f))
 
 let yield () = Effect.perform Yield
 
@@ -44,7 +47,7 @@ let stop () = Effect.perform Stop
 type state = {
   mutable clock : int;
   mutable runq : (unit -> unit) Fifo.t;
-  sleepq : (int * (unit -> unit)) Heap.t;
+  sleepq : (unit -> unit) Heap.t;
   mutable switches : int;
   mutable forks : int;
   mutable sleep_count : int;
@@ -74,7 +77,7 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
     {
       clock = start_time;
       runq = Fifo.empty;
-      sleepq = Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b);
+      sleepq = Heap.create ~dummy:ignore;
       switches = 0;
       forks = 0;
       sleep_count = 0;
@@ -84,62 +87,74 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
     }
   in
   let enqueue thunk = st.runq <- Fifo.add thunk st.runq in
-  let rec spawn f =
+  let finish () =
+    st.alive <- st.alive - 1;
+    st.completed <- st.completed + 1
+  in
+  let open Effect.Deep in
+  (* One handler for every thread of the run. *)
+  let rec handler : (unit, unit) handler =
+    {
+      retc = finish;
+      exnc = (function Thread_exit -> finish () | e -> raise e);
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Fork g ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                enqueue (fun () -> spawn g);
+                continue k ())
+          | Fork_at (due, g) ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                enqueue (fun () -> spawn_at due g);
+                continue k ())
+          | Yield ->
+            Some (fun (k : (a, unit) continuation) ->
+                enqueue (fun () -> continue k ()))
+          | Sleep us ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                st.sleep_count <- st.sleep_count + 1;
+                Heap.add st.sleepq (st.clock + max 0 us) (fun () -> continue k ()))
+          | Now -> Some (fun (k : (a, unit) continuation) -> continue k st.clock)
+          | Advance us ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                st.clock <- st.clock + max 0 us;
+                continue k ())
+          | Suspend f ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                f (fun v -> enqueue (fun () -> continue k v)))
+          | Stop ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                ignore k;
+                st.stopping <- true;
+                st.runq <- Fifo.empty;
+                Heap.clear st.sleepq;
+                (* The stopping thread never resumes; account for it. *)
+                finish ())
+          | _ -> None);
+    }
+  and start f = match_with f () handler
+  and spawn f =
     st.forks <- st.forks + 1;
     st.alive <- st.alive + 1;
-    let open Effect.Deep in
-    match_with f ()
-      {
-        retc =
-          (fun () ->
-            st.alive <- st.alive - 1;
-            st.completed <- st.completed + 1);
-        exnc =
-          (fun e ->
-            match e with
-            | Thread_exit ->
-              st.alive <- st.alive - 1;
-              st.completed <- st.completed + 1
-            | e -> raise e);
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Fork g ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  enqueue (fun () -> spawn g);
-                  continue k ())
-            | Yield ->
-              Some (fun (k : (a, unit) continuation) ->
-                  enqueue (fun () -> continue k ()))
-            | Sleep us ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  st.sleep_count <- st.sleep_count + 1;
-                  Heap.add st.sleepq
-                    (st.clock + max 0 us, fun () -> continue k ()))
-            | Now -> Some (fun (k : (a, unit) continuation) -> continue k st.clock)
-            | Advance us ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  st.clock <- st.clock + max 0 us;
-                  continue k ())
-            | Suspend f ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  f (fun v -> enqueue (fun () -> continue k v)))
-            | Stop ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  ignore k;
-                  st.stopping <- true;
-                  st.runq <- Fifo.empty;
-                  Heap.clear st.sleepq;
-                  (* The stopping thread never resumes; account for it. *)
-                  st.alive <- st.alive - 1;
-                  st.completed <- st.completed + 1)
-            | _ -> None);
-      }
+    start f
+  (* [fork_at]: counted as a fork (and, if [due] is still ahead, a
+     sleep) exactly when the expansion [fork (fun () -> sleep until due;
+     f ())] would be, but the thread itself is only created at [due]. *)
+  and spawn_at due f =
+    st.forks <- st.forks + 1;
+    st.alive <- st.alive + 1;
+    if due > st.clock then begin
+      st.sleep_count <- st.sleep_count + 1;
+      Heap.add st.sleepq due (fun () -> start f)
+    end
+    else start f
   in
   enqueue (fun () -> spawn main);
   let wall0 = if realtime then Unix.gettimeofday () else 0.0 in
@@ -149,16 +164,11 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
   (* in realtime mode the clock tracks the wall; due sleepers are released
      eagerly so timers interleave correctly with device I/O *)
   let release_due () =
-    let rec go () =
-      match Heap.peek_min st.sleepq with
-      | Some (due, _) when due <= st.clock ->
-        (match Heap.pop_min st.sleepq with
-        | Some (_, thunk) -> enqueue thunk
-        | None -> ());
-        go ()
-      | _ -> ()
-    in
-    go ()
+    while
+      (not (Heap.is_empty st.sleepq)) && Heap.min_key st.sleepq <= st.clock
+    do
+      enqueue (Heap.pop_min st.sleepq)
+    done
   in
   let rec loop () =
     if not st.stopping then begin
@@ -173,20 +183,20 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
         thunk ();
         loop ()
       | None -> (
-        let until =
-          match Heap.peek_min st.sleepq with
-          | Some (due, _) -> Some (max 0 (due - st.clock))
-          | None -> None
-        in
         match idle with
         | Some hook when st.alive > 0 ->
           (* external I/O gets a chance to make threads runnable; the hook
              may block up to [until] real microseconds *)
+          let until =
+            if Heap.is_empty st.sleepq then None
+            else Some (max 0 (Heap.min_key st.sleepq - st.clock))
+          in
           hook until;
           loop ()
-        | _ -> (
-          match Heap.pop_min st.sleepq with
-          | Some (due, thunk) ->
+        | _ ->
+          if not (Heap.is_empty st.sleepq) then begin
+            let due = Heap.min_key st.sleepq in
+            let thunk = Heap.pop_min st.sleepq in
             if realtime then begin
               let wait = due - st.clock in
               if wait > 0 then Unix.sleepf (float_of_int wait /. 1e6);
@@ -195,7 +205,7 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
             else st.clock <- max st.clock due;
             enqueue thunk;
             loop ()
-          | None -> ()))
+          end)
     end
   in
   loop ();

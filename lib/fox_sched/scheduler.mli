@@ -55,6 +55,17 @@ val run :
     the CPU; the new thread runs when the current one yields. *)
 val fork : (unit -> unit) -> unit
 
+(** [fork_at due f] runs [f] in a new thread at virtual time [due] (at
+    once, in fork order, if [due] has passed).  It is observably
+    identical to
+    [fork (fun () -> let w = due - now () in if w > 0 then sleep w; f ())]:
+    the same run-queue and sleep-queue order and the same {!stats} (one
+    fork, and one sleep when [due] is still ahead when the thread would
+    have started).  The thread itself is only created at [due], so timed
+    one-shot work — a frame in flight, a deadline watcher — costs no
+    parked continuation and no [now]/[sleep] round trip. *)
+val fork_at : int -> (unit -> unit) -> unit
+
 (** [yield ()] moves the current thread to the back of the run queue. *)
 val yield : unit -> unit
 

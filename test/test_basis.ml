@@ -114,49 +114,104 @@ let deq_size =
 (* Heap                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_heap_basic () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.add h) [ 5; 1; 4; 1; 3 ];
-  Alcotest.(check int) "size" 5 (Heap.size h);
-  let rec drain acc =
-    match Heap.pop_min h with None -> List.rev acc | Some x -> drain (x :: acc)
+(* Pop everything, returning (key, value) pairs in pop order. *)
+let heap_drain h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else
+      let k = Heap.min_key h in
+      let v = Heap.pop_min h in
+      go ((k, v) :: acc)
   in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] (drain [])
+  go []
+
+(* The reference order: by key, then by insertion index. *)
+let heap_model keys =
+  List.mapi (fun i k -> (k, i)) keys
+  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let test_heap_basic () =
+  let h = Heap.create ~dummy:0 in
+  List.iter (fun k -> Heap.add h k (10 * k)) [ 5; 1; 4; 1; 3 ];
+  Alcotest.(check int) "size" 5 (Heap.size h);
+  Alcotest.(check (list (pair int int)))
+    "sorted"
+    [ (1, 10); (1, 10); (3, 30); (4, 40); (5, 50) ]
+    (heap_drain h);
+  Alcotest.(check bool) "empty" true (Heap.is_empty h);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop_min: empty")
+    (fun () -> ignore (Heap.pop_min h));
+  Alcotest.check_raises "min_key empty" (Invalid_argument "Heap.min_key: empty")
+    (fun () -> ignore (Heap.min_key h))
 
 let test_heap_fifo_ties () =
   (* Equal keys must pop in insertion order (scheduler determinism). *)
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) in
-  List.iter (Heap.add h) [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
-  let labels = ref [] in
-  let rec drain () =
-    match Heap.pop_min h with
-    | None -> ()
-    | Some (_, l) ->
-      labels := l :: !labels;
-      drain ()
-  in
-  drain ();
+  let h = Heap.create ~dummy:"" in
+  List.iter (fun (k, l) -> Heap.add h k l) [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
   Alcotest.(check (list string)) "tie order" [ "z"; "a"; "b"; "c" ]
-    (List.rev !labels)
+    (List.map snd (heap_drain h))
+
+let test_heap_clear_reuse () =
+  let h = Heap.create ~dummy:(-1) in
+  List.iteri (fun i k -> Heap.add h k i) [ 9; 3; 7; 3; 1; 8; 2; 6; 4; 5 ];
+  ignore (Heap.pop_min h);
+  Heap.clear h;
+  Alcotest.(check int) "cleared" 0 (Heap.size h);
+  List.iteri (fun i k -> Heap.add h k i) [ 2; 0; 2; 1 ];
+  Alcotest.(check (list (pair int int)))
+    "reused in (key, insertion) order"
+    [ (0, 1); (1, 3); (2, 0); (2, 2) ]
+    (heap_drain h)
 
 let heap_sorts =
-  qtest "heap: drains sorted" QCheck2.Gen.(list int) (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.add h) xs;
-      let rec drain acc =
-        match Heap.pop_min h with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
+  qtest "heap: drains sorted"
+    QCheck2.Gen.(list (int_range (-20) 20))
+    (fun keys ->
+      let h = Heap.create ~dummy:(-1) in
+      List.iteri (fun i k -> Heap.add h k i) keys;
+      heap_drain h = heap_model keys)
 
 let heap_peek =
-  qtest "heap: peek = min" QCheck2.Gen.(list int) (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.add h) xs;
-      match Heap.peek_min h with
-      | None -> xs = []
-      | Some m -> m = List.fold_left min (List.hd xs) xs)
+  qtest "heap: peek = min" QCheck2.Gen.(list int) (fun keys ->
+      let h = Heap.create ~dummy:() in
+      List.iter (fun k -> Heap.add h k ()) keys;
+      match keys with
+      | [] -> Heap.is_empty h
+      | k :: _ -> Heap.min_key h = List.fold_left min k keys)
+
+(* Adds, pops and clears interleaved, against a list model kept in
+   (key, insertion index) order. *)
+let heap_ops =
+  qtest "heap: interleaved ops match model"
+    QCheck2.Gen.(
+      list
+        (frequency
+           [ (5, map (fun k -> `Add k) (int_range 0 10)); (3, pure `Pop); (1, pure `Clear) ]))
+    (fun ops ->
+      let h = Heap.create ~dummy:(-1) in
+      let model = ref [] and n = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | `Add k ->
+            Heap.add h k !n;
+            model :=
+              List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+                (!model @ [ (k, !n) ]);
+            incr n;
+            Heap.size h = List.length !model
+          | `Pop -> (
+            match !model with
+            | [] -> Heap.is_empty h
+            | (k, v) :: rest ->
+              model := rest;
+              Heap.min_key h = k && Heap.pop_min h = v)
+          | `Clear ->
+            Heap.clear h;
+            model := [];
+            Heap.is_empty h)
+        ops
+      && heap_drain h = !model)
 
 (* ------------------------------------------------------------------ *)
 (* Word                                                               *)
@@ -882,8 +937,10 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_heap_basic;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
+          Alcotest.test_case "clear then reuse" `Quick test_heap_clear_reuse;
           heap_sorts;
           heap_peek;
+          heap_ops;
         ] );
       ( "word",
         [

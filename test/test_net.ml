@@ -137,6 +137,66 @@ let test_hub_broadcast () =
   Alcotest.(check (list int)) "all but sender" [ 0; 1; 1; 1 ]
     (Array.to_list seen)
 
+(* A back-to-back burst on an unbounded link: every frame after the
+   first waits for the medium, but nothing reads the waiting census, so
+   the burst costs one delivery fork per frame and nothing else. *)
+let test_link_unbounded_burst_forks () =
+  let n = 8 in
+  let link = Link.point_to_point Netem.ethernet_10mbps in
+  let arrivals = ref [] in
+  let stats =
+    Scheduler.run (fun () ->
+        (Link.port link 1).Link.set_receive (fun p ->
+            arrivals := (Scheduler.now (), Packet.to_string p) :: !arrivals);
+        for i = 1 to n do
+          (* 125 B = 100 us of line time each *)
+          (Link.port link 0).Link.transmit
+            (Packet.of_string (String.make 125 (Char.chr (96 + i))))
+        done)
+  in
+  Alcotest.(check int) "one delivery fork per frame" n (stats.Scheduler.forks - 1);
+  Alcotest.(check (list (pair int string)))
+    "arrivals spaced by line rate"
+    (List.init n (fun i -> (150 + (100 * i), String.make 125 (Char.chr (97 + i)))))
+    (List.rev !arrivals)
+
+(* A finite egress queue of [k] frames.  A burst of [k + 3] frames sends
+   the first at once, queues [k] and tail-drops 2.  At 250 us two of the
+   queued frames have started serialising, so two of a 3-frame burst
+   fit and one is dropped.  Once the queue has drained, a [k + 3] burst
+   gives the first result again. *)
+let test_link_finite_queue_burst () =
+  let k = 4 in
+  let netem = Netem.adverse ~queue_frames:k ~seed:1 Netem.ethernet_10mbps in
+  let link = Link.point_to_point netem in
+  let arrivals = ref [] in
+  let burst tag n =
+    for i = 1 to n do
+      (* 125 B = 100 us of line time each *)
+      (Link.port link 0).Link.transmit
+        (Packet.of_string (Printf.sprintf "%c%d" tag i ^ String.make 123 'q'))
+    done
+  in
+  let _ =
+    Scheduler.run (fun () ->
+        (Link.port link 1).Link.set_receive (fun p ->
+            arrivals := (Scheduler.now (), String.sub (Packet.to_string p) 0 2) :: !arrivals);
+        burst 'a' (k + 3);
+        Scheduler.sleep 250;
+        burst 'b' 3;
+        Scheduler.sleep 10_000;
+        burst 'c' (k + 3))
+  in
+  Alcotest.(check int) "queue drops" 5 (Link.stats link 0).Link.queue_drops;
+  Alcotest.(check (list (pair int string)))
+    "arrivals"
+    [
+      (150, "a1"); (250, "a2"); (350, "a3"); (450, "a4"); (550, "a5");
+      (650, "b1"); (750, "b2");
+      (10_400, "c1"); (10_500, "c2"); (10_600, "c3"); (10_700, "c4"); (10_800, "c5");
+    ]
+    (List.rev !arrivals)
+
 let test_device_counts_and_down () =
   let link = Link.point_to_point Netem.perfect in
   let dev0 = Device.create ~mtu:100 (Link.port link 0) in
@@ -1149,6 +1209,10 @@ let () =
           Alcotest.test_case "deterministic loss" `Quick test_link_loss_deterministic;
           Alcotest.test_case "corruption" `Quick test_link_corrupt_changes_bits;
           Alcotest.test_case "hub broadcast" `Quick test_hub_broadcast;
+          Alcotest.test_case "unbounded burst forks" `Quick
+            test_link_unbounded_burst_forks;
+          Alcotest.test_case "finite queue burst" `Quick
+            test_link_finite_queue_burst;
           Alcotest.test_case "device" `Quick test_device_counts_and_down;
           Alcotest.test_case "pcap capture" `Quick test_pcap_capture;
           Alcotest.test_case "pcap of tcp handshake" `Quick

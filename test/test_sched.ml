@@ -220,6 +220,162 @@ let test_idle_hook_sees_time_to_next_timer () =
   | _ -> Alcotest.fail "idle hook did not see the pending timer"
 
 (* ------------------------------------------------------------------ *)
+(* fork_at: observably the fork/now/sleep expansion                   *)
+(* ------------------------------------------------------------------ *)
+
+(* What [fork_at] must be indistinguishable from. *)
+let expanded_fork_at due f =
+  Scheduler.fork (fun () ->
+      let w = due - Scheduler.now () in
+      if w > 0 then Scheduler.sleep w;
+      f ())
+
+(* A random thread program.  [Fork_at] dues are relative to the clock at
+   the call and drawn from a small set, so dues in the past, now, the
+   future and equal dues (and ties with sleepers) all occur;
+   [Advance] moves the clock between a fork_at and its thread's start. *)
+type op =
+  | Fork of op list
+  | Fork_at of int * op list
+  | Sleep of int
+  | Yield
+  | Advance of int
+
+let gen_program =
+  let open QCheck2.Gen in
+  sized_size (int_bound 3)
+  @@ fix (fun self depth ->
+         let leaf =
+           frequency
+             [
+               (3, map (fun d -> Sleep d) (oneofl [ 0; 1; 3; 5 ]));
+               (2, pure Yield);
+               (1, map (fun d -> Advance d) (oneofl [ 1; 3 ]));
+             ]
+         in
+         let op =
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 (1, map (fun p -> Fork p) (self (depth - 1)));
+                 ( 3,
+                   map2
+                     (fun d p -> Fork_at (d, p))
+                     (oneofl [ -5; -1; 0; 0; 1; 3; 3; 5; 10 ])
+                     (self (depth - 1)) );
+               ]
+         in
+         list_size (int_range 0 6) op)
+
+(* Run [prog] as the main thread, logging (thread, step, time) at every
+   step, with [fork_at] standing for [Scheduler.fork_at] or its
+   expansion. *)
+let run_program fork_at prog =
+  let log = ref [] in
+  let rec exec name prog =
+    List.iteri
+      (fun i op ->
+        log := (name, i, Scheduler.now ()) :: !log;
+        let child = Printf.sprintf "%s.%d" name i in
+        match op with
+        | Fork p -> Scheduler.fork (fun () -> exec child p)
+        | Fork_at (d, p) -> fork_at (Scheduler.now () + d) (fun () -> exec child p)
+        | Sleep us -> Scheduler.sleep us
+        | Yield -> Scheduler.yield ()
+        | Advance us -> Scheduler.advance us)
+      prog;
+    log := (name, -1, Scheduler.now ()) :: !log
+  in
+  let stats = Scheduler.run (fun () -> exec "main" prog) in
+  (List.rev !log, stats)
+
+let fork_at_matches_expansion =
+  qtest ~count:500 "fork_at: same log and stats as the expansion" gen_program
+    (fun prog ->
+      run_program Scheduler.fork_at prog = run_program expanded_fork_at prog)
+
+(* [stop] after [stop_after] µs, or at once (before the forked thread
+   has started) when [None]. *)
+let test_fork_at_stop_while_parked () =
+  let run stop_after fork_at =
+    let ran = ref false in
+    let stats =
+      Scheduler.run (fun () ->
+          fork_at (Scheduler.now () + 1_000) (fun () -> ran := true);
+          match stop_after with
+          | None -> ignore (Scheduler.stop ())
+          | Some us ->
+            Scheduler.fork (fun () ->
+                Scheduler.sleep us;
+                ignore (Scheduler.stop ())))
+    in
+    (!ran, stats)
+  in
+  List.iter
+    (fun (stop_after, forks, blocked) ->
+      let ran, s = run stop_after Scheduler.fork_at
+      and ran', e = run stop_after expanded_fork_at in
+      Alcotest.(check bool) "parked body never ran" false ran;
+      Alcotest.(check bool) "expansion's body never ran" false ran';
+      Alcotest.(check int) "forks" e.Scheduler.forks s.Scheduler.forks;
+      Alcotest.(check int) "blocked" e.Scheduler.blocked s.Scheduler.blocked;
+      Alcotest.(check int) "forks pinned" forks s.Scheduler.forks;
+      Alcotest.(check int) "blocked pinned" blocked s.Scheduler.blocked;
+      Alcotest.(check bool) "stats equal" true (s = e))
+    [ (Some 10, 3, 1); (None, 1, 0) ]
+
+(* The TAP path runs in realtime with an idle hook that waits for the
+   device; a parked [fork_at] is a live thread, so the hook must still be
+   consulted (alive > 0) and told when it is due. *)
+let test_fork_at_idle_hook_while_parked () =
+  let run fork_at =
+    let calls = ref 0 and seen = ref None and fired = ref false in
+    let _ =
+      Scheduler.run ~realtime:true
+        ~idle:(fun until ->
+          incr calls;
+          (* a thread counted alive that can never run would spin here *)
+          if !calls > 1_000 then failwith "idle hook spinning";
+          if !seen = None then seen := Some until;
+          match until with
+          | Some us -> Unix.sleepf (float_of_int us /. 1e6)
+          | None -> ())
+        (fun () ->
+          fork_at (Scheduler.now () + 2_000) (fun () -> fired := true))
+    in
+    (!calls, !seen, !fired)
+  in
+  List.iter
+    (fun (label, fork_at) ->
+      let calls, seen, fired = run fork_at in
+      Alcotest.(check bool) (label ^ ": hook ran") true (calls >= 1);
+      (match seen with
+      | Some (Some us) ->
+        Alcotest.(check bool) (label ^ ": until is the due time") true (us <= 2_000)
+      | _ -> Alcotest.fail (label ^ ": hook did not see the parked thread"));
+      Alcotest.(check bool) (label ^ ": body ran") true fired)
+    [ ("fork_at", Scheduler.fork_at); ("expansion", expanded_fork_at) ]
+
+let test_fork_at_exit_thread () =
+  let run fork_at =
+    let after_exit = ref false in
+    let stats =
+      Scheduler.run (fun () ->
+          fork_at (Scheduler.now () + 5) (fun () ->
+              ignore (Scheduler.exit_thread ());
+              after_exit := true))
+    in
+    (!after_exit, stats)
+  in
+  let after, s = run Scheduler.fork_at and _, e = run expanded_fork_at in
+  Alcotest.(check bool) "code after exit unreached" false after;
+  Alcotest.(check int) "completed" 2 s.Scheduler.completed;
+  Alcotest.(check int) "blocked" 0 s.Scheduler.blocked;
+  Alcotest.(check bool) "stats equal" true (s = e)
+
+(* ------------------------------------------------------------------ *)
 (* Figure 11 timers (the paper exhibit): exact to the microsecond     *)
 (* ------------------------------------------------------------------ *)
 
@@ -561,6 +717,15 @@ let () =
           Alcotest.test_case "idle hook injects" `Quick test_idle_hook_injects_work;
           Alcotest.test_case "idle hook timeout arg" `Quick
             test_idle_hook_sees_time_to_next_timer;
+        ] );
+      ( "fork_at",
+        [
+          fork_at_matches_expansion;
+          Alcotest.test_case "stop while parked" `Quick
+            test_fork_at_stop_while_parked;
+          Alcotest.test_case "idle hook while parked" `Quick
+            test_fork_at_idle_hook_while_parked;
+          Alcotest.test_case "exit_thread in body" `Quick test_fork_at_exit_thread;
         ] );
       ( "timer",
         [
