@@ -29,6 +29,13 @@ let validate_cc cc =
     exit 2
   end
 
+(* [--cc] on the matrix subcommands: one validated algorithm, or all *)
+let ccs_of = function
+  | None -> Fox_tcp.Congestion.names
+  | Some c ->
+    validate_cc c;
+    [ c ]
+
 (* ---------------- transfer ---------------- *)
 
 (* Non-Reno transfers run through the scenario harness: the standard
@@ -271,22 +278,22 @@ let fuzz seed iters verbose cc matrix mutate =
         (List.length fs) iters;
       false
   in
-  let ok =
+  let oks =
     if matrix then
-      List.for_all
+      (* every algorithm runs and prints its verdict, even after a failure *)
+      List.map
         (fun (cc, engine) -> run_one (cc ^ ": ") (Some engine))
         Fuzz.fox_engines
-    else
-      match Fuzz.fox_engine_of_cc cc with
-      | None ->
-        Printf.eprintf "unknown congestion control %s\n" cc;
-        exit 2
-      | Some engine ->
+    else begin
+      validate_cc cc;
+      [
         run_one
           (if cc = "reno" then "" else cc ^ ": ")
-          (Some engine)
+          (Some (List.assoc cc Fuzz.fox_engines));
+      ]
+    end
   in
-  if not ok then exit 1
+  if not (List.for_all Fun.id oks) then exit 1
   end
 
 (* ---------------- soak (deterministic overload survival) ---------------- *)
@@ -332,27 +339,19 @@ let soak conns conn_bytes flood bad_acks seed loss verbose cc matrix shards
       List.iter (fun p -> print_endline ("soak: FAIL: " ^ p)) ps;
       false
   in
-  let ok =
+  let oks =
     if matrix then
-      List.for_all
-        (fun cc -> run_one { cfg with Soak.cc })
-        Soak.engine_names
-    else run_one cfg
+      (* every algorithm runs and prints its verdict, even after a failure *)
+      List.map (fun cc -> run_one { cfg with Soak.cc }) Fox_tcp.Congestion.names
+    else [ run_one cfg ]
   in
-  if not ok then exit 1
+  if not (List.for_all Fun.id oks) then exit 1
 
 (* ---------------- scenarios (adverse-network CC matrix) ---------------- *)
 
 let scenarios cc scenario quick markdown =
   let module Scenarios = Fox_check.Scenarios in
-  let ccs =
-    match cc with
-    | None -> Scenarios.cc_names
-    | Some c when List.mem c Scenarios.cc_names -> [ c ]
-    | Some c ->
-      Printf.eprintf "unknown congestion control %s\n" c;
-      exit 2
-  in
+  let ccs = ccs_of cc in
   let scns =
     match scenario with
     | None -> Scenarios.all
@@ -477,14 +476,7 @@ let trace bytes loss seed last pcap =
 
 let chaos cc family quick markdown verbose =
   let module Chaos = Fox_check.Chaos in
-  let ccs =
-    match cc with
-    | None -> Chaos.cc_names
-    | Some c when List.mem c Chaos.cc_names -> [ c ]
-    | Some c ->
-      Printf.eprintf "unknown congestion control %s\n" c;
-      exit 2
-  in
+  let ccs = ccs_of cc in
   let families =
     match family with
     | None -> Chaos.family_names

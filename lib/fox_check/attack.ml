@@ -34,7 +34,6 @@ open Fox_basis
 module Scheduler = Fox_sched.Scheduler
 module Tcp_header = Fox_tcp.Tcp_header
 module Seq = Fox_tcp.Seq
-module Action = Fox_tcp.Action
 
 type kind = Blind_rst | Blind_syn | Blind_data
 
@@ -72,49 +71,23 @@ module Make
               and type lower_pattern = Lower.address_pattern
               and type lower_connection = Lower.connection) =
 struct
-  let proto_number = 6
+  (* the raw-segment station the SYN flood uses *)
+  module Station = Synflood.Make (Lower) (Aux)
 
-  type t = {
-    lconn : Lower.connection;
-    lower_send : Packet.t -> unit;
-    rng : Rng.t;
-    model : seq_model;
-    mutable sent : int;  (** probes actually put on the wire *)
-  }
+  type t = { station : Station.t; rng : Rng.t; model : seq_model }
 
   (** [create lower ~target ~seed] opens the attacker's lower-layer
       session toward [target].  [lower] should be an IP instance whose
       local address is the connection's legitimate peer — that is the
       spoof. *)
   let create ?(model = Random) lower ~target ~seed =
-    let lconn =
-      Lower.connect lower
-        (Aux.lower_address ~proto:proto_number target)
-        (fun _lconn -> ((fun packet -> Packet.release packet), ignore))
-    in
-    {
-      lconn;
-      lower_send = Lower.prepare_send lconn;
-      rng = Rng.create (seed lxor 0xb11d);
-      model;
-      sent = 0;
-    }
+    let station = Station.create lower ~target in
+    { station; rng = Rng.create (seed lxor 0xb11d); model }
 
-  let sent t = t.sent
+  (** probes actually put on the wire *)
+  let sent t = Station.sent t.station
 
-  let transmit t ?(data = None) hdr =
-    let pseudo_for len = Some (Aux.pseudo t.lconn ~proto:proto_number ~len) in
-    match
-      Action.externalize ~alg:`Basic ~pseudo_for ~hdr ~data
-        ~allocate:(fun len ->
-          Packet.create
-            ~headroom:(24 + Lower.headroom t.lconn)
-            ~tailroom:(Lower.tailroom t.lconn)
-            len)
-        ~send:t.lower_send ()
-    with
-    | () -> t.sent <- t.sent + 1
-    | exception Fox_proto.Common.Send_failed _ -> ()
+  let transmit t ?data hdr = Station.transmit t.station ?data hdr
 
   let rand_seq t = Seq.of_int (Rng.bits64 t.rng land 0xFFFFFFFF)
 
@@ -142,10 +115,11 @@ struct
           mss = Some 1460;
         }
     | Blind_data ->
+      let lconn = t.station.Station.lconn in
       let p =
         Packet.create
-          ~headroom:(44 + Lower.headroom t.lconn)
-          ~tailroom:(Lower.tailroom t.lconn)
+          ~headroom:(44 + Lower.headroom lconn)
+          ~tailroom:(Lower.tailroom lconn)
           data_len
       in
       Packet.blit_from_string (String.make data_len marker) 0 p 0 data_len;

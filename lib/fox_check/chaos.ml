@@ -36,18 +36,9 @@
     despite it. *)
 
 open Fox_basis
-module Bus = Fox_obs.Bus
 module Scheduler = Fox_sched.Scheduler
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
-module Device = Fox_dev.Device
-module Mac = Fox_eth.Mac
-module Ipv4_addr = Fox_ip.Ipv4_addr
-module Route = Fox_ip.Route
-
-module Eth = Fox_eth.Eth.Standard
-module Ip = Fox_ip.Ip.Make (Eth) (Fox_ip.Ip.Default_params)
-module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
 
 (* ------------------------------------------------------------------ *)
 (* Plans                                                              *)
@@ -279,76 +270,13 @@ let fingerprint r =
 
 let port = 7777
 
-let mac_of addr =
-  Mac.of_string
-    (Printf.sprintf "02:00:00:00:03:%02x" (Ipv4_addr.to_int addr land 0xff))
+let client_addr = World.addr ~subnet:3 1
 
-let make_host link index ~addr =
-  let dev = Device.create (Link.port link index) in
-  let eth = Eth.create dev ~mac:(mac_of addr) in
-  Ip.create eth
-    {
-      Ip.local_ip = addr;
-      route = Route.local ~network:(Ipv4_addr.of_string "10.3.0.0") ~prefix:24;
-      lower_address =
-        (fun next_hop ->
-          { Fox_eth.Eth.dest = mac_of next_hop;
-            proto = Fox_eth.Frame.ethertype_ipv4 });
-      lower_pattern = { Fox_eth.Eth.match_proto = Fox_eth.Frame.ethertype_ipv4 };
-    }
+let server_addr = World.addr ~subnet:3 2
 
 let payload_for scn ~bytes =
   Bytes.to_string
     (Rng.bytes (Rng.create (scn.netem.Netem.seed lxor 0xc4a05)) bytes)
-
-(* Shared cell scaffolding: invariants installed, flight recorder armed,
-   leak census across the run.  [body] receives the wire and runs the
-   world; it returns everything the result needs except the
-   faults/flight/leak fields, which the wrapper owns. *)
-let with_cell ~make_link body =
-  let faults = ref [] in
-  Tcb_invariants.install
-    ~on_violation:(fun info msgs ->
-      faults :=
-        !faults
-        @ List.map
-            (Printf.sprintf "t=%d after %s: %s" info.Fox_tcp.Check_hook.now
-               (Fox_tcp.Tcb.action_name info.Fox_tcp.Check_hook.action))
-            msgs)
-    ();
-  let bus_was_live = !Bus.live in
-  Bus.reset ();
-  Bus.enable ();
-  let flight = ref [] in
-  let r =
-    Fun.protect
-      ~finally:(fun () ->
-        flight := Bus.dump ();
-        Bus.reset ();
-        if not bus_was_live then Bus.disable ();
-        Tcb_invariants.uninstall ())
-      (fun () ->
-        let link = make_link () in
-        let live_before = Packet.live_packets () in
-        let r = body link in
-        {
-          r with
-          chaos = Link.chaos_stats link;
-          leaked_packets = Packet.live_packets () - live_before;
-        })
-  in
-  let r = { r with invariant_faults = !faults } in
-  if r.complete && r.invariant_faults = [] && r.leaked_packets = 0 then r
-  else { r with flight = !flight }
-
-let no_chaos =
-  {
-    Link.chaos_dropped = 0;
-    chaos_held = 0;
-    chaos_replayed = 0;
-    chaos_duplicated = 0;
-    chaos_corrupted = 0;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* The cells                                                          *)
@@ -356,15 +284,30 @@ let no_chaos =
 
 module Make_engine_p (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) =
 struct
-  module Tcp = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Cc) (P)
+  include World.Stack (Cc) (P)
 
-  module Sock = Fox_proto.Socket.Make (struct
-    include Tcp
-
-    type address_pattern = pattern
-  end)
-
-  module Http = Fox_app.Http.Make (Sock)
+  (* Shared cell scaffolding: the check battery with invariants, flight
+     recorder and leak census around a client and a server engine on a
+     fresh wire.  [body] runs the world and returns everything the
+     result needs except the faults/flight/leak fields, which the wrapper
+     owns; the ring is kept only when the cell failed. *)
+  let with_cell ~make_link body =
+    let run =
+      World.checked ~invariants:true ~flight:true ~census:true (fun () ->
+          let link = make_link () in
+          let client_ip = World.host ~subnet:3 link 0 ~addr:client_addr in
+          let server_ip = World.host ~subnet:3 link 1 ~addr:server_addr in
+          let server_t = Tcp.create server_ip in
+          body link ~client_t:(Tcp.create client_ip) ~server_t)
+    in
+    let r =
+      { run.World.value with
+        invariant_faults = run.World.faults;
+        leaked_packets = run.World.leaked;
+      }
+    in
+    if r.complete && r.invariant_faults = [] && r.leaked_packets = 0 then r
+    else { r with flight = run.World.ring }
 
   let guarded = P.blackhole_detect
 
@@ -375,49 +318,19 @@ struct
     let bytes = if quick then scn.quick_bytes else scn.bytes in
     with_cell
       ~make_link:(fun () -> Link.point_to_point scn.netem)
-      (fun link ->
-        let client_ip =
-          make_host link 0 ~addr:(Ipv4_addr.of_string "10.3.0.1")
-        in
-        let server_ip =
-          make_host link 1 ~addr:(Ipv4_addr.of_string "10.3.0.2")
-        in
-        let server_addr = Ipv4_addr.of_string "10.3.0.2" in
-        let server_t = Tcp.create server_ip in
-        let client_t = Tcp.create client_ip in
+      (fun link ~client_t ~server_t ->
         let payload = payload_for scn ~bytes in
         let buf = Buffer.create bytes in
         let client_conn = ref None in
         let stats =
           Scheduler.run (fun () ->
               install ~log scn.plan link;
-              ignore
-                (Tcp.start_passive server_t { Tcp.local_port = port }
-                   (fun conn ->
-                     ( (fun packet ->
-                         Buffer.add_string buf (Packet.to_string packet);
-                         Packet.release packet),
-                       function
-                       | Fox_proto.Status.Remote_close -> Tcp.close conn
-                       | _ -> () )));
+              sink server_t ~port ~stream:(fun () -> (buf, ignore));
               Scheduler.fork (fun () ->
-                  match
-                    Tcp.connect client_t
-                      { Tcp.peer = server_addr; port; local_port = None }
-                      (fun _conn -> (ignore, ignore))
-                  with
-                  | exception Fox_proto.Common.Connection_failed msg ->
-                    log (Printf.sprintf "connect failed: %s" msg)
-                  | conn ->
-                    client_conn := Some conn;
-                    let p = Tcp.allocate_send conn (String.length payload) in
-                    Packet.blit_from_string payload 0 p 0
-                      (String.length payload);
-                    (match Tcp.send conn p with
-                    | () -> ()
-                    | exception Fox_proto.Common.Send_failed msg ->
-                      log (Printf.sprintf "send failed: %s" msg));
-                    Tcp.close conn))
+                  push client_t ~peer:server_addr ~port payload
+                    ~on_open:(fun conn -> client_conn := Some conn)
+                    ~connect_failed:(fun msg -> log ("connect failed: " ^ msg))
+                    ~send_failed:(fun msg -> log ("send failed: " ^ msg))))
         in
         let delivered = Buffer.contents buf in
         let cs = Tcp.stats client_t in
@@ -446,7 +359,7 @@ struct
           persist_aborts =
             cs.Fox_tcp.Tcp.persist_aborts + ss.Fox_tcp.Tcp.persist_aborts;
           responses_408 = 0;
-          chaos = no_chaos;
+          chaos = Link.chaos_stats link;
           invariant_faults = [];
           leaked_packets = 0;
           flight = [];
@@ -466,16 +379,7 @@ struct
     let netem = { Netem.gigabit with Netem.seed = 0x510e_115 } in
     with_cell
       ~make_link:(fun () -> Link.hub ~ports:2 netem)
-      (fun link ->
-        let client_ip =
-          make_host link 0 ~addr:(Ipv4_addr.of_string "10.3.0.1")
-        in
-        let server_ip =
-          make_host link 1 ~addr:(Ipv4_addr.of_string "10.3.0.2")
-        in
-        let server_addr = Ipv4_addr.of_string "10.3.0.2" in
-        let server_t = Tcp.create server_ip in
-        let client_t = Tcp.create client_ip in
+      (fun link ~client_t ~server_t ->
         let addr = { Tcp.peer = server_addr; port; local_port = None } in
         let index_body = "<html><body><h1>foxnet</h1></body></html>\n" in
         let site =
@@ -535,7 +439,6 @@ struct
                       log (Printf.sprintf "legit %d failed after %d tries" i n))
               done)
         in
-        ignore client_t;
         let ss = Tcp.stats server_t in
         {
           scenario = "slowloris";
@@ -552,43 +455,34 @@ struct
           user_timeout_aborts = ss.Fox_tcp.Tcp.user_timeout_aborts;
           persist_aborts = ss.Fox_tcp.Tcp.persist_aborts;
           responses_408 = hstats.Fox_app.Http.responses_408;
-          chaos = no_chaos;
+          chaos = Link.chaos_stats link;
           invariant_faults = [];
           leaked_packets = 0;
           flight = [];
         })
 end
 
-module Make_engine (Cc : Fox_tcp.Congestion.S) = Make_engine_p (Cc) (Chaos_params)
+(* One guarded engine per algorithm, built once. *)
+let engines =
+  World.per_cc (fun (module Cc : Fox_tcp.Congestion.S) ->
+      let module E = Make_engine_p (Cc) (Chaos_params) in
+      (E.run_transfer, E.run_slowloris))
 
-module Reno_engine = Make_engine (Fox_tcp.Congestion.Reno)
-module Newreno_engine = Make_engine (Fox_tcp.Congestion.Newreno)
-module Cubic_engine = Make_engine (Fox_tcp.Congestion.Cubic)
-module Bbr_engine = Make_engine (Fox_tcp.Congestion.Bbr_lite)
 module Unguarded_reno = Make_engine_p (Fox_tcp.Congestion.Reno) (Unguarded_params)
 
-let cc_names = [ "reno"; "newreno"; "cubic"; "bbr" ]
-
 let run_cell ?quick ?log ~cc family =
-  let transfer run_t run_s =
-    match family with
-    | "slowloris" -> run_s ?quick ?log ~deadlines:true ()
-    | name -> (
-      match find_transfer name with
-      | Some scn -> run_t ?quick ?log scn
-      | None -> invalid_arg ("Chaos.run_cell: unknown family " ^ name))
-  in
-  match cc with
-  | "reno" -> transfer Reno_engine.run_transfer Reno_engine.run_slowloris
-  | "newreno" ->
-    transfer Newreno_engine.run_transfer Newreno_engine.run_slowloris
-  | "cubic" -> transfer Cubic_engine.run_transfer Cubic_engine.run_slowloris
-  | "bbr" -> transfer Bbr_engine.run_transfer Bbr_engine.run_slowloris
-  | other -> invalid_arg ("Chaos.run_cell: unknown congestion control " ^ other)
+  let run_t, run_s = World.by_cc ~who:"Chaos.run_cell" engines cc in
+  match family with
+  | "slowloris" -> run_s ?quick ?log ~deadlines:true ()
+  | name -> (
+    match find_transfer name with
+    | Some scn -> run_t ?quick ?log scn
+    | None -> invalid_arg ("Chaos.run_cell: unknown family " ^ name))
 
 (** [run_matrix ()] runs every chaos family under every algorithm,
     family-major. *)
-let run_matrix ?quick ?log ?(families = family_names) ?(ccs = cc_names) () =
+let run_matrix ?quick ?log ?(families = family_names)
+    ?(ccs = Fox_tcp.Congestion.names) () =
   List.concat_map
     (fun family -> List.map (fun cc -> run_cell ?quick ?log ~cc family) ccs)
     families
@@ -609,7 +503,8 @@ let run_teeth_blackhole ?quick ?log () =
     until their owners give up, and legitimate clients exhaust their
     retries.  Must NOT serve every legitimate client. *)
 let run_teeth_slowloris ?quick ?log () =
-  Reno_engine.run_slowloris ?quick ?log ~deadlines:false ()
+  let _, run_s = List.assoc "reno" engines in
+  run_s ?quick ?log ~deadlines:false ()
 
 (* ------------------------------------------------------------------ *)
 (* The verdict                                                        *)

@@ -20,18 +20,14 @@ open Fox_basis
 module Scheduler = Fox_sched.Scheduler
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
-module Device = Fox_dev.Device
-module Mac = Fox_eth.Mac
 module Ipv4_addr = Fox_ip.Ipv4_addr
-module Route = Fox_ip.Route
 module Status = Fox_proto.Status
-module Bus = Fox_obs.Bus
 
 (* ------------------------------------------------------------------ *)
 (* The faulty stack: Tcp(Faulty(Ip(Faulty(Eth))))                     *)
 (* ------------------------------------------------------------------ *)
 
-module Eth = Fox_eth.Eth.Standard
+module Eth = World.Eth
 module Feth = Faulty.Make (Eth)
 module Ip = Fox_ip.Ip.Make (Feth) (Fox_ip.Ip.Default_params)
 module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
@@ -74,7 +70,7 @@ module Baseline_params : Fox_baseline.Tcp_monolithic.PARAMS = struct
   let listen_backlog = 4
 end
 
-module Baseline = Fox_baseline.Tcp_monolithic.Make (Fip) (Faux) (Baseline_params)
+module Engines = World.Engines (Fip) (Faux)
 module Flood = Synflood.Make (Fip) (Faux)
 
 (* ------------------------------------------------------------------ *)
@@ -163,72 +159,43 @@ type fuzz_host = { addr : Ipv4_addr.t; fip : Fip.t }
    the same medium the real transfer uses. *)
 let n_ports = 3
 
-let mac_of addr =
-  Mac.of_string
-    (Printf.sprintf "02:00:00:00:00:%02x" (Ipv4_addr.to_int addr land 0xff))
+module Ip_config = World.Ip_config (Ip)
 
 (* No ARP in this stack: IP next hops map to MACs statically, so the
    [Faulty] layer under IP sits directly on Ethernet. *)
-let make_host link index ~addr ~eth_cfg ~ip_cfg =
-  let dev = Device.create (Link.port link index) in
-  let eth = Eth.create dev ~mac:(mac_of addr) in
-  let feth = Feth.create eth eth_cfg in
-  let ip =
-    Ip.create feth
-      {
-        Ip.local_ip = addr;
-        route = Route.local ~network:(Ipv4_addr.of_string "10.0.0.0") ~prefix:24;
-        lower_address =
-          (fun next_hop ->
-            { Fox_eth.Eth.dest = mac_of next_hop;
-              proto = Fox_eth.Frame.ethertype_ipv4 });
-        lower_pattern = { Fox_eth.Eth.match_proto = Fox_eth.Frame.ethertype_ipv4 };
-      }
-  in
-  { addr; fip = Fip.create ip ip_cfg }
-
 let hosts_for s ~engine_salt =
   let link = Link.hub ~ports:n_ports (netem_of s) in
+  let host n ~eth_cfg ~ip_cfg =
+    let addr = World.addr ~subnet:0 n in
+    let dev = Fox_dev.Device.create (Link.port link (n - 1)) in
+    let eth = Eth.create dev ~mac:(World.mac ~subnet:0 addr) in
+    let ip = Ip.create (Feth.create eth eth_cfg) (Ip_config.make ~subnet:0 addr) in
+    { addr; fip = Fip.create ip ip_cfg }
+  in
   let cfg seed' ~connect_fail ~allow_fail =
-    {
-      Faulty.rng = Rng.create seed';
-      allocate_fail = 0.0;
+    { Faulty.passthrough with
+      rng = Rng.create seed';
       send_fail = (if allow_fail then s.ip_fail else 0.0);
       send_drop = (if allow_fail then s.ip_drop else s.eth_drop);
       connect_fail;
-      finalize_abort = false;
     }
   in
   let salt = (s.seed * 31) + engine_salt in
   let a =
-    make_host link 0
-      ~addr:(Ipv4_addr.of_string "10.0.0.1")
+    host 1
       ~eth_cfg:(cfg (salt lxor 0xe1) ~connect_fail:0 ~allow_fail:false)
       ~ip_cfg:(cfg (salt lxor 0x1a) ~connect_fail:s.connect_fail ~allow_fail:true)
   in
   let b =
-    make_host link 1
-      ~addr:(Ipv4_addr.of_string "10.0.0.2")
+    host 2
       ~eth_cfg:(cfg (salt lxor 0xe2) ~connect_fail:0 ~allow_fail:false)
       ~ip_cfg:(cfg (salt lxor 0x1b) ~connect_fail:0 ~allow_fail:true)
   in
   (* the attacker's own layers are fault-free: its frames face only the
      shared medium's adversity, so the flood's shape is schedule-driven *)
-  let clean seed' =
-    {
-      Faulty.rng = Rng.create seed';
-      allocate_fail = 0.0;
-      send_fail = 0.0;
-      send_drop = 0.0;
-      connect_fail = 0;
-      finalize_abort = false;
-    }
-  in
+  let clean seed' = { Faulty.passthrough with rng = Rng.create seed' } in
   let atk =
-    make_host link 2
-      ~addr:(Ipv4_addr.of_string "10.0.0.3")
-      ~eth_cfg:(clean (salt lxor 0xe3))
-      ~ip_cfg:(clean (salt lxor 0x1c))
+    host 3 ~eth_cfg:(clean (salt lxor 0xe3)) ~ip_cfg:(clean (salt lxor 0x1c))
   in
   (a, b, atk)
 
@@ -236,130 +203,17 @@ let hosts_for s ~engine_salt =
 (* Engines                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The two TCPs behind one face, like [Experiments.ENGINE] but over the
-   faulty stack. *)
-module type ENGINE = sig
-  type t
-
-  type connection
-
-  val name : string
-
-  val create : Fip.t -> t
-
-  val listen :
-    t ->
-    port:int ->
-    on_data:(Packet.t -> unit) ->
-    on_status:(Status.t -> unit) ->
-    unit
-
-  val connect :
-    t -> peer:Ipv4_addr.t -> port:int -> on_status:(Status.t -> unit) ->
-    connection
-
-  val send_string : connection -> string -> unit
-
-  val close : connection -> unit
-
-  val abort : connection -> unit
-
-  val stats_line : t -> string
-end
-
 (* The structured engine is built per congestion-control algorithm: the
    differential oracle (delivery, prefix-on-abort, connect agreement) is
    algorithm-independent, so the same schedules can fuzz Reno against the
    baseline and then re-run under NewReno/CUBIC/BBR with only the
    invariants and the oracle — the baseline always runs its own fixed
-   congestion control. *)
-module Make_fox (Cc : Fox_tcp.Congestion.S) : ENGINE = struct
-  module Tcp = Fox_tcp.Tcp.Make (Fip) (Faux) (Cc) (Tcp_params)
+   congestion control.  The fuzz and the per-algorithm schedule matrix
+   share these instances. *)
+let fox_engines = Engines.fox_table (module Tcp_params)
 
-  type t = Tcp.t
-
-  type connection = Tcp.connection
-
-  let name = "fox+" ^ Cc.name
-
-  let create = Tcp.create
-
-  let listen t ~port ~on_data ~on_status =
-    ignore
-      (Tcp.start_passive t { Tcp.local_port = port } (fun _conn ->
-           (on_data, on_status)))
-
-  let connect t ~peer ~port ~on_status =
-    Tcp.connect t
-      { Tcp.peer; port; local_port = None }
-      (fun _conn -> (ignore, on_status))
-
-  let send_string conn str =
-    let p = Tcp.allocate_send conn (String.length str) in
-    Packet.blit_from_string str 0 p 0 (String.length str);
-    Tcp.send conn p
-
-  let close = Tcp.close
-
-  let abort = Tcp.abort
-
-  let stats_line t =
-    let s = Tcp.stats t in
-    Printf.sprintf "segs_in=%d segs_out=%d rsts=%d send_failures=%d conns=%d"
-      s.Fox_tcp.Tcp.segs_in s.Fox_tcp.Tcp.segs_out s.Fox_tcp.Tcp.rsts_sent
-      s.Fox_tcp.Tcp.wire_send_failures s.Fox_tcp.Tcp.active_conns
-end
-
-module Fox_engine = Make_fox (Fox_tcp.Congestion.Reno)
-
-(* One structured engine per algorithm, instantiated once — the fuzz and
-   the per-algorithm schedule matrix share them. *)
-let fox_engines : (string * (module ENGINE)) list =
-  [
-    ("reno", (module Fox_engine));
-    ("newreno", (module Make_fox (Fox_tcp.Congestion.Newreno)));
-    ("cubic", (module Make_fox (Fox_tcp.Congestion.Cubic)));
-    ("bbr", (module Make_fox (Fox_tcp.Congestion.Bbr_lite)));
-  ]
-
-let fox_engine_of_cc cc = List.assoc_opt cc fox_engines
-
-module Baseline_engine : ENGINE with type t = Baseline.t = struct
-  type t = Baseline.t
-
-  type connection = Baseline.connection
-
-  let name = "baseline"
-
-  let create = Baseline.create
-
-  let listen t ~port ~on_data ~on_status =
-    ignore
-      (Baseline.start_passive t { Baseline.local_port = port } (fun _conn ->
-           (on_data, on_status)))
-
-  let connect t ~peer ~port ~on_status =
-    Baseline.connect t
-      { Baseline.peer; port; local_port = None }
-      (fun _conn -> (ignore, on_status))
-
-  let send_string conn str =
-    let p = Baseline.allocate_send conn (String.length str) in
-    Packet.blit_from_string str 0 p 0 (String.length str);
-    Baseline.send conn p
-
-  let close = Baseline.close
-
-  let abort = Baseline.abort
-
-  let stats_line t =
-    let s = Baseline.stats t in
-    Printf.sprintf "segs_in=%d segs_out=%d rsts=%d rtx=%d"
-      s.Fox_baseline.Tcp_monolithic.segs_in
-      s.Fox_baseline.Tcp_monolithic.segs_out
-      s.Fox_baseline.Tcp_monolithic.rsts_sent
-      s.Fox_baseline.Tcp_monolithic.retransmissions
-end
+module Fox_engine = (val List.assoc "reno" fox_engines)
+module Baseline_engine = Engines.Baseline (Baseline_params)
 
 (* ------------------------------------------------------------------ *)
 (* One run                                                            *)
@@ -377,33 +231,7 @@ type run_result = {
 
 let port = 7777
 
-(* The scripted flood: half-open SYNs (optionally abandoned with RSTs, the
-   path that clears a SYN-cache entry early) and forged-cookie bare ACKs,
-   paced so the whole barrage lands while the real transfer is in
-   flight. *)
-let run_flood s atk ~target ~event =
-  if s.syn_flood > 0 || s.bad_acks > 0 then
-    Scheduler.fork (fun () ->
-        let flood = Flood.create atk.fip ~target in
-        let ports = ref [] in
-        for _ = 1 to s.syn_flood do
-          ports := Flood.syn flood ~dst_port:port :: !ports;
-          Scheduler.sleep 700
-        done;
-        for _ = 1 to s.bad_acks do
-          Flood.bare_ack flood ~dst_port:port;
-          Scheduler.sleep 700
-        done;
-        if s.flood_rst then
-          List.iter
-            (fun src_port ->
-              Flood.rst flood ~src_port ~dst_port:port;
-              Scheduler.sleep 300)
-            (List.rev !ports);
-        event (Printf.sprintf "flood done (%d segments)" (Flood.sent flood)))
-
-let run_engine (type t) (module E : ENGINE with type t = t) s ~engine_salt
-    ~with_invariants =
+let run_engine (module E : Engines.S) s ~engine_salt ~with_invariants =
   let payload = payload_of s in
   let a, b, atk = hosts_for s ~engine_salt in
   let delivered = Buffer.create (String.length payload) in
@@ -415,107 +243,83 @@ let run_engine (type t) (module E : ENGINE with type t = t) s ~engine_salt
       fmt
   in
   let connect_failed = ref false in
-  let faults = ref [] in
-  if with_invariants then
-    Tcb_invariants.install
-      ~on_violation:(fun info msgs ->
-        faults :=
-          !faults
-          @ List.map
-              (Printf.sprintf "t=%d after %s: %s"
-                 info.Fox_tcp.Check_hook.now
-                 (Fox_tcp.Tcb.action_name info.Fox_tcp.Check_hook.action))
-              msgs)
-      ();
-  let server_t = E.create b.fip in
-  let client_t = E.create a.fip in
-  (* Every structured-engine fast-path hit is shadowed by the general
-     receive DAG and compared field by field (the differential check of
-     the header prediction). *)
-  let saved_diff = !Fox_tcp.Receive.differential in
-  let saved_mismatch = !Fox_tcp.Receive.on_mismatch in
-  if with_invariants then begin
-    Fox_tcp.Receive.differential := true;
-    Fox_tcp.Receive.on_mismatch :=
-      (fun msg -> faults := !faults @ [ "fast-path divergence: " ^ msg ])
-  end;
-  (* The flight recorder runs for every engine run, so a failing verdict
-     can dump each engine's ring; state is restored on every exit path. *)
-  let bus_was_live = !Bus.live in
-  Bus.reset ();
-  Bus.enable ();
-  let flight = ref [] in
-  let stats =
-    Fun.protect
-      ~finally:(fun () ->
-        Fox_tcp.Receive.differential := saved_diff;
-        Fox_tcp.Receive.on_mismatch := saved_mismatch;
-        flight := Bus.dump ();
-        Bus.reset ();
-        if not bus_was_live then Bus.disable ();
-        if with_invariants then Tcb_invariants.uninstall ())
-      (fun () ->
-        Scheduler.run (fun () ->
-            E.listen server_t ~port
-              ~on_data:(fun packet ->
-                Buffer.add_string delivered (Packet.to_string packet);
-                Packet.release packet)
-              ~on_status:(fun status ->
-                event "server status %s" (Status.to_string status));
-            let conn =
-              let attempt () =
-                E.connect client_t ~peer:b.addr ~port ~on_status:(fun status ->
-                    event "client status %s" (Status.to_string status))
-              in
-              match attempt () with
-              | conn -> Some conn
-              | exception Fox_proto.Common.Connection_failed msg ->
-                event "connect failed (%s), retrying" msg;
-                (* the injected failure is transient: one retry *)
-                Scheduler.sleep 10_000;
-                (match attempt () with
+  (* The structured engine runs under the invariants and the differential
+     shadow of the header prediction; the flight recorder runs for every
+     engine, so a failing verdict can dump each engine's ring. *)
+  let run =
+    World.checked ~invariants:with_invariants ~shadow:with_invariants
+      ~flight:true (fun () ->
+        let server_t = E.create b.fip in
+        let client_t = E.create a.fip in
+        let stats =
+          Scheduler.run (fun () ->
+              E.listen server_t ~port
+                ~on_data:(fun packet ->
+                  Buffer.add_string delivered (Packet.to_string packet);
+                  Packet.release packet)
+                ~on_status:(fun status ->
+                  event "server status %s" (Status.to_string status));
+              let conn =
+                let attempt () =
+                  E.connect client_t ~peer:b.addr ~port ~on_status:(fun status ->
+                      event "client status %s" (Status.to_string status))
+                in
+                match attempt () with
                 | conn -> Some conn
                 | exception Fox_proto.Common.Connection_failed msg ->
-                  event "connect failed again (%s)" msg;
-                  connect_failed := true;
-                  None)
-            in
-            match conn with
-            | None -> ()
-            | Some conn ->
-              (* the flood starts once the real connection is up, so the
-                 oracle checks established transfers survive it; refusal
-                 during connect is the soak harness's territory *)
-              run_flood s atk ~target:b.addr ~event:(fun msg ->
-                  event "%s" msg);
-              let offset = ref 0 in
-              List.iteri
-                (fun i size ->
-                  Scheduler.sleep s.delay_us;
-                  let chunk = String.sub payload !offset size in
-                  offset := !offset + size;
-                  match E.send_string conn chunk with
-                  | () -> event "sent chunk %d (%dB)" i size
-                  | exception Fox_proto.Common.Send_failed msg ->
-                    event "send of chunk %d failed (%s)" i msg)
-                s.chunks;
-              Scheduler.sleep s.delay_us;
-              (match s.finale with
-              | Close ->
-                event "user close";
-                E.close conn
-              | Abort ->
-                event "user abort";
-                E.abort conn);
-              event "client finale issued"))
+                  event "connect failed (%s), retrying" msg;
+                  (* the injected failure is transient: one retry *)
+                  Scheduler.sleep 10_000;
+                  (match attempt () with
+                  | conn -> Some conn
+                  | exception Fox_proto.Common.Connection_failed msg ->
+                    event "connect failed again (%s)" msg;
+                    connect_failed := true;
+                    None)
+              in
+              match conn with
+              | None -> ()
+              | Some conn ->
+                (* the flood starts once the real connection is up, so the
+                   oracle checks established transfers survive it; refusal
+                   during connect is the soak harness's territory.  Its
+                   half-open SYNs are optionally abandoned with RSTs, the
+                   path that clears a SYN-cache entry early. *)
+                Flood.script atk.fip ~target:b.addr ~dst_port:port
+                  ~syns:s.syn_flood ~bad_acks:s.bad_acks ~gap_us:700
+                  ~abandon:(fun _ -> s.flood_rst)
+                  ~rst_gap_us:300
+                  ~on_done:(event "flood done (%d segments)");
+                let offset = ref 0 in
+                List.iteri
+                  (fun i size ->
+                    Scheduler.sleep s.delay_us;
+                    let chunk = String.sub payload !offset size in
+                    offset := !offset + size;
+                    match E.send_string conn chunk with
+                    | () -> event "sent chunk %d (%dB)" i size
+                    | exception Fox_proto.Common.Send_failed msg ->
+                      event "send of chunk %d failed (%s)" i msg)
+                  s.chunks;
+                Scheduler.sleep s.delay_us;
+                (match s.finale with
+                | Close ->
+                  event "user close";
+                  E.close conn
+                | Abort ->
+                  event "user abort";
+                  E.abort conn);
+                event "client finale issued")
+        in
+        (stats.Scheduler.end_time, client_t, server_t))
   in
-  let end_time = stats.Scheduler.end_time in
+  let end_time, client_t, server_t = run.World.value in
   {
     delivered = Buffer.contents delivered;
     connect_failed = !connect_failed;
     end_time;
-    invariant_faults = !faults;
-    flight = !flight;
+    invariant_faults = run.World.faults;
+    flight = run.World.ring;
     events =
       List.rev
         (Printf.sprintf "t=%d quiescent; client %s; server %s" end_time
@@ -540,8 +344,8 @@ let is_prefix p whole =
 (** [check_schedule ?engine s] runs [s] through the structured engine
     ([engine], default Reno) and the baseline, returning the differential
     verdict plus the combined event trace. *)
-let check_schedule ?(engine = (module Fox_engine : ENGINE)) s =
-  let (module Fox : ENGINE) = engine in
+let check_schedule ?(engine = (module Fox_engine : Engines.S)) s =
+  let (module Fox : Engines.S) = engine in
   let fox = run_engine (module Fox) s ~engine_salt:1 ~with_invariants:true in
   let base =
     run_engine (module Baseline_engine) s ~engine_salt:2 ~with_invariants:false
@@ -580,16 +384,10 @@ let check_schedule ?(engine = (module Fox_engine : ENGINE)) s =
   (* On failure the report carries both engines' flight-recorder rings
      (capped per engine; the oldest events are elided, not the newest). *)
   let flight_dump label lines =
-    let cap = 120 in
-    let n = List.length lines in
-    let shown =
-      if n <= cap then lines
-      else
-        Printf.sprintf "... %d earlier events elided ..." (n - cap)
-        :: List.filteri (fun i _ -> i >= n - cap) lines
-    in
-    Printf.sprintf "[%s-flight] %d events:" label n
-    :: List.map (fun l -> Printf.sprintf "[%s-flight] %s" label l) shown
+    Printf.sprintf "[%s-flight] %d events:" label (List.length lines)
+    :: List.map
+         (fun l -> Printf.sprintf "[%s-flight] %s" label l)
+         (World.tail ~cap:120 lines)
   in
   let flights =
     if problems = [] then []

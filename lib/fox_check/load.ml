@@ -17,21 +17,13 @@
 
 open Fox_basis
 module Scheduler = Fox_sched.Scheduler
-module Timer = Fox_sched.Timer
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
-module Device = Fox_dev.Device
-module Mac = Fox_eth.Mac
 module Ipv4_addr = Fox_ip.Ipv4_addr
-module Route = Fox_ip.Route
 
 (* ------------------------------------------------------------------ *)
 (* The stack under load                                               *)
 (* ------------------------------------------------------------------ *)
-
-module Eth = Fox_eth.Eth.Standard
-module Ip = Fox_ip.Ip.Make (Eth) (Fox_ip.Ip.Default_params)
-module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
 
 (* Serving posture: room for a thousand concurrent handshakes (SYN
    cache on, backlog above the fleet size), short TIME-WAIT and RTO
@@ -58,16 +50,7 @@ module Serve_params : Fox_tcp.Tcp.PARAMS = struct
   let isn_secret = Some (0x10ad_5ec4_e7a1, 0x0bad_cafe_f00d)
 end
 
-module Tcp = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno)
-    (Serve_params)
-
-module Sock = Fox_proto.Socket.Make (struct
-  include Tcp
-
-  type address_pattern = pattern
-end)
-
-module Http = Fox_app.Http.Make (Sock)
+include World.Stack (Fox_tcp.Congestion.Reno) (Serve_params)
 module Classic = Fox_app.Classic.Make (Sock)
 
 (* ------------------------------------------------------------------ *)
@@ -167,23 +150,10 @@ let result_to_string r = Format.asprintf "%a" pp_result r
 
 let http_port = 8080
 
-let mac_of addr =
-  Mac.of_string
-    (Printf.sprintf "02:00:00:00:02:%02x" (Ipv4_addr.to_int addr land 0xff))
+(* The serving world shares subnet 10.2.0.0/24 with the scenario matrix. *)
+let mac_of = World.mac ~subnet:2
 
-let make_host link index ~addr =
-  let dev = Device.create (Link.port link index) in
-  let eth = Eth.create dev ~mac:(mac_of addr) in
-  Ip.create eth
-    {
-      Ip.local_ip = addr;
-      route = Route.local ~network:(Ipv4_addr.of_string "10.2.0.0") ~prefix:24;
-      lower_address =
-        (fun next_hop ->
-          { Fox_eth.Eth.dest = mac_of next_hop;
-            proto = Fox_eth.Frame.ethertype_ipv4 });
-      lower_pattern = { Fox_eth.Eth.match_proto = Fox_eth.Frame.ethertype_ipv4 };
-    }
+let make_host = World.host ~subnet:2
 
 (* The echo payload for exchange [r] of connection [i]: a pure function
    of the seed, so the client can verify the echo byte-for-byte. *)

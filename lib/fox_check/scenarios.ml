@@ -15,18 +15,9 @@
     CI. *)
 
 open Fox_basis
-module Bus = Fox_obs.Bus
 module Scheduler = Fox_sched.Scheduler
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
-module Device = Fox_dev.Device
-module Mac = Fox_eth.Mac
-module Ipv4_addr = Fox_ip.Ipv4_addr
-module Route = Fox_ip.Route
-
-module Eth = Fox_eth.Eth.Standard
-module Ip = Fox_ip.Ip.Make (Eth) (Fox_ip.Ip.Default_params)
-module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
 
 (* Modest RTO floors keep loss-scenario virtual spans small without
    hiding the recovery machinery.  The advertised window is raised far
@@ -233,29 +224,11 @@ let jain = function
 
 let port = 7777
 
-let mac_of addr =
-  Mac.of_string
-    (Printf.sprintf "02:00:00:00:02:%02x" (Ipv4_addr.to_int addr land 0xff))
-
-let make_host link index ~addr =
-  let dev = Device.create (Link.port link index) in
-  let eth = Eth.create dev ~mac:(mac_of addr) in
-  Ip.create eth
-    {
-      Ip.local_ip = addr;
-      route = Route.local ~network:(Ipv4_addr.of_string "10.2.0.0") ~prefix:24;
-      lower_address =
-        (fun next_hop ->
-          { Fox_eth.Eth.dest = mac_of next_hop;
-            proto = Fox_eth.Frame.ethertype_ipv4 });
-      lower_pattern = { Fox_eth.Eth.match_proto = Fox_eth.Frame.ethertype_ipv4 };
-    }
-
 let payload_for scn ~bytes i =
   Bytes.to_string
     (Rng.bytes (Rng.create (scn.netem.Netem.seed lxor (i * 7919))) bytes)
 
-module Atk = Attack.Make (Ip) (Ip_aux)
+module Atk = Attack.Make (World.Ip) (World.Ip_aux)
 
 (* Count delivered bytes that are not the legitimate payload: mismatches
    within the common prefix plus any surplus beyond the expected length.
@@ -274,7 +247,7 @@ let injected_in delivered expected =
    {!Unguarded_params}). *)
 module Make_engine_p (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) =
 struct
-  module Tcp = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Cc) (P)
+  include World.Stack (Cc) (P)
 
   let run ?(quick = false) scn =
     let bytes = if quick then scn.quick_bytes else scn.bytes in
@@ -286,9 +259,10 @@ struct
       | None -> Link.point_to_point scn.netem
       | Some _ -> Link.hub ~ports:3 scn.netem
     in
-    let client_ip = make_host link 0 ~addr:(Ipv4_addr.of_string "10.2.0.1") in
-    let server_ip = make_host link 1 ~addr:(Ipv4_addr.of_string "10.2.0.2") in
-    let server_addr = Ipv4_addr.of_string "10.2.0.2" in
+    let client_addr = World.addr ~subnet:2 1 in
+    let server_addr = World.addr ~subnet:2 2 in
+    let client_ip = World.host ~subnet:2 link 0 ~addr:client_addr in
+    let server_ip = World.host ~subnet:2 link 1 ~addr:server_addr in
     (* the adversary spoofs the client: its IP instance claims the
        client's address, so every probe is stamped and checksummed as if
        the legitimate peer had sent it (see {!Attack}) *)
@@ -296,60 +270,34 @@ struct
       match scn.attack with
       | None -> None
       | Some cfg ->
-        let atk_ip = make_host link 2 ~addr:(Ipv4_addr.of_string "10.2.0.1") in
+        let atk_ip = World.host ~subnet:2 link 2 ~addr:client_addr in
         Some
           ( cfg,
             Atk.create ~model:cfg.model atk_ip ~target:server_addr
               ~seed:scn.netem.Netem.seed )
     in
-    let faults = ref [] in
-    Tcb_invariants.install
-      ~on_violation:(fun info msgs ->
-        faults :=
-          !faults
-          @ List.map
-              (Printf.sprintf "t=%d after %s: %s" info.Fox_tcp.Check_hook.now
-                 (Fox_tcp.Tcb.action_name info.Fox_tcp.Check_hook.action))
-              msgs)
-      ();
     (* as in the fuzz harness, the flight recorder runs for every cell so
-       a failing verdict carries the ring; state restored on every exit *)
-    let bus_was_live = !Bus.live in
-    Bus.reset ();
-    Bus.enable ();
-    let flight = ref [] in
-    let server_t = Tcp.create server_ip in
-    let client_t = Tcp.create client_ip in
-    (* accept order = flow order for scoring; all flows carry the same
-       number of bytes, so identity does not affect the fairness index *)
-    let streams : (Buffer.t * int ref) list ref = ref [] in
-    (* client-side connections survive closure as records, so their final
-       TCB counters can be read after quiescence *)
-    let client_conns : Tcp.connection list ref = ref [] in
-    let r =
-    Fun.protect
-      ~finally:(fun () ->
-        flight := Bus.dump ();
-        Bus.reset ();
-        if not bus_was_live then Bus.disable ();
-        Tcb_invariants.uninstall ())
-      (fun () ->
+       a failing verdict carries the ring *)
+    let run =
+      World.checked ~invariants:true ~flight:true (fun () ->
+        let server_t = Tcp.create server_ip in
+        let client_t = Tcp.create client_ip in
+        (* accept order = flow order for scoring; all flows carry the same
+           number of bytes, so identity does not affect the fairness index *)
+        let streams : (Buffer.t * int ref) list ref = ref [] in
+        (* client-side connections survive closure as records, so their
+           final TCB counters can be read after quiescence *)
+        let client_conns : Tcp.connection list ref = ref [] in
         let stats =
           Scheduler.run (fun () ->
-              ignore
-                (Tcp.start_passive server_t { Tcp.local_port = port }
-                   (fun conn ->
-                     let buf = Buffer.create bytes in
-                     let finished = ref 0 in
-                     streams := (buf, finished) :: !streams;
-                     ( (fun packet ->
-                         Buffer.add_string buf (Packet.to_string packet);
-                         Packet.release packet;
-                         if Buffer.length buf >= bytes && !finished = 0 then
-                           finished := Scheduler.now ()),
-                       function
-                       | Fox_proto.Status.Remote_close -> Tcp.close conn
-                       | _ -> () )));
+              sink server_t ~port ~stream:(fun () ->
+                  let buf = Buffer.create bytes in
+                  let finished = ref 0 in
+                  streams := (buf, finished) :: !streams;
+                  ( buf,
+                    fun () ->
+                      if Buffer.length buf >= bytes && !finished = 0 then
+                        finished := Scheduler.now () ));
               (match attacker with
               | None -> ()
               | Some (cfg, atk) ->
@@ -366,22 +314,9 @@ struct
                        colliding on the half-open path; the flows still
                        overlap for >99% of the transfer *)
                     Scheduler.sleep (i * 500);
-                    match
-                      Tcp.connect client_t
-                        { Tcp.peer = server_addr; port; local_port = None }
-                        (fun _conn -> (ignore, ignore))
-                    with
-                    | exception Fox_proto.Common.Connection_failed _ -> ()
-                    | conn ->
-                      client_conns := conn :: !client_conns;
-                      let payload = payload_for scn ~bytes i in
-                      let p = Tcp.allocate_send conn (String.length payload) in
-                      Packet.blit_from_string payload 0 p 0
-                        (String.length payload);
-                      (match Tcp.send conn p with
-                      | () -> ()
-                      | exception Fox_proto.Common.Send_failed _ -> ());
-                      Tcp.close conn)
+                    push client_t ~peer:server_addr ~port
+                      ~on_open:(fun conn -> client_conns := conn :: !client_conns)
+                      (payload_for scn ~bytes i))
               done)
         in
         let end_time = stats.Scheduler.end_time in
@@ -446,7 +381,7 @@ struct
           retransmissions;
           wire_drops = drops 0 + drops 1;
           end_time;
-          invariant_faults = !faults;
+          invariant_faults = [];
           complete =
             (List.length flow_results = scn.flows
             && List.for_all (fun f -> f.delivered = bytes) flow_results);
@@ -458,11 +393,10 @@ struct
           flight = [];
         })
     in
+    let r = { run.World.value with invariant_faults = run.World.faults } in
     if r.complete && r.invariant_faults = [] && r.injected_bytes = 0 then r
-    else { r with flight = !flight }
+    else { r with flight = run.World.ring }
 end
-
-module Make_engine (Cc : Fox_tcp.Congestion.S) = Make_engine_p (Cc) (Scn_params)
 
 (* RFC 5961 switched off: RFC 793's original acceptance rules.  The
    blind cells run demonstrably worse here — the teeth-check that the
@@ -501,25 +435,19 @@ module Secure_unguarded_reno =
     RFC 5961 defenses disabled but RFC 6528 secure ISNs enabled. *)
 let run_cell_unguarded_secure ?quick scn = Secure_unguarded_reno.run ?quick scn
 
-module Reno_engine = Make_engine (Fox_tcp.Congestion.Reno)
-module Newreno_engine = Make_engine (Fox_tcp.Congestion.Newreno)
-module Cubic_engine = Make_engine (Fox_tcp.Congestion.Cubic)
-module Bbr_engine = Make_engine (Fox_tcp.Congestion.Bbr_lite)
-
-let cc_names = [ "reno"; "newreno"; "cubic"; "bbr" ]
+(* One guarded engine per algorithm, built once. *)
+let engines =
+  World.per_cc (fun (module Cc : Fox_tcp.Congestion.S) ->
+      let module E = Make_engine_p (Cc) (Scn_params) in
+      E.run)
 
 let run_cell ?quick ~cc scn =
-  match cc with
-  | "reno" -> Reno_engine.run ?quick scn
-  | "newreno" -> Newreno_engine.run ?quick scn
-  | "cubic" -> Cubic_engine.run ?quick scn
-  | "bbr" -> Bbr_engine.run ?quick scn
-  | other -> invalid_arg ("Scenarios.run_cell: unknown congestion control " ^ other)
+  World.by_cc ~who:"Scenarios.run_cell" engines cc ?quick scn
 
 (** [run_matrix ()] runs every scenario under every algorithm (or the
     given subsets) and returns the cells in scenario-major order. *)
 let run_matrix ?(log = fun _ -> ()) ?quick ?(scenarios = all)
-    ?(ccs = cc_names) () =
+    ?(ccs = Fox_tcp.Congestion.names) () =
   List.concat_map
     (fun scn ->
       List.map

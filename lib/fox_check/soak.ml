@@ -29,18 +29,10 @@ open Fox_basis
 module Scheduler = Fox_sched.Scheduler
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
-module Device = Fox_dev.Device
-module Mac = Fox_eth.Mac
-module Ipv4_addr = Fox_ip.Ipv4_addr
-module Route = Fox_ip.Route
 
 (* ------------------------------------------------------------------ *)
 (* The stack under soak: plain layers, adversity comes from the wire  *)
 (* ------------------------------------------------------------------ *)
-
-module Eth = Fox_eth.Eth.Standard
-module Ip = Fox_ip.Ip.Make (Eth) (Fox_ip.Ip.Default_params)
-module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
 
 (* Every overload knob is live, sized so a few hundred connections push
    each one past its limit: a small backlog the flood saturates in its
@@ -69,7 +61,7 @@ module Soak_params : Fox_tcp.Tcp.PARAMS = struct
   let isn_secret = Some (0x5eed_0f0c_5ed1, 0x1234_5678_9abc)
 end
 
-module Flood = Synflood.Make (Ip) (Ip_aux)
+module Flood = Synflood.Make (World.Ip) (World.Ip_aux)
 
 (* ------------------------------------------------------------------ *)
 (* Configuration and report                                           *)
@@ -167,24 +159,6 @@ let report_to_string r = Format.asprintf "%a" pp_report r
 
 let port = 7777
 
-let mac_of addr =
-  Mac.of_string
-    (Printf.sprintf "02:00:00:00:01:%02x" (Ipv4_addr.to_int addr land 0xff))
-
-let make_host link index ~addr =
-  let dev = Device.create (Link.port link index) in
-  let eth = Eth.create dev ~mac:(mac_of addr) in
-  Ip.create eth
-    {
-      Ip.local_ip = addr;
-      route = Route.local ~network:(Ipv4_addr.of_string "10.1.0.0") ~prefix:24;
-      lower_address =
-        (fun next_hop ->
-          { Fox_eth.Eth.dest = mac_of next_hop;
-            proto = Fox_eth.Frame.ethertype_ipv4 });
-      lower_pattern = { Fox_eth.Eth.match_proto = Fox_eth.Frame.ethertype_ipv4 };
-    }
-
 (* The payload of connection [i] is a pure function of the seed, so the
    server can match delivered streams against expectations by digest. *)
 let payload_for cfg i =
@@ -201,15 +175,15 @@ let payload_for cfg i =
    invariants, no leaks, determinism) must hold whichever algorithm
    drives the windows, so the same harness runs once per instance. *)
 module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
-  module Tcp = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Cc) (Soak_params)
+  include World.Stack (Cc) (Soak_params)
 
   (* [run_world cfg ~shard ~indices] soaks one complete three-host world
      — own hub, hosts, engines, scheduler, and its own flood — serving
      exactly the client connections in [indices] (original fleet
      indices, so payloads and staggers match the unsharded run).
-     Everything it touches is domain-local; the caller owns the
-     invariant hook.  Its report has [shards = 1] and empty
-     [invariant_faults] — the wrapper fills those in. *)
+     Everything it touches is domain-local, the leak census included;
+     the caller owns the invariant hook.  Its report has [shards = 1]
+     and empty [invariant_faults] — the wrapper fills those in. *)
   let run_world ?(log = fun _ -> ()) cfg ~shard ~indices =
     let netem =
       Netem.adverse ~loss:cfg.loss ~reorder:0.02 ~queue_frames:64
@@ -217,287 +191,217 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
         Netem.ethernet_10mbps
     in
     let link = Link.hub ~ports:3 netem in
-    let client_ip = make_host link 0 ~addr:(Ipv4_addr.of_string "10.1.0.1") in
-    let server_ip = make_host link 1 ~addr:(Ipv4_addr.of_string "10.1.0.2") in
-    let atk_ip = make_host link 2 ~addr:(Ipv4_addr.of_string "10.1.0.3") in
-    let server_addr = Ipv4_addr.of_string "10.1.0.2" in
-    let live_before = Packet.live_packets () in
+    let host n = World.host ~subnet:1 link (n - 1) ~addr:(World.addr ~subnet:1 n) in
+    let client_ip = host 1 in
+    let server_ip = host 2 in
+    let atk_ip = host 3 in
+    let server_addr = World.addr ~subnet:1 2 in
     let server_t = Tcp.create server_ip in
     let client_t = Tcp.create client_ip in
     let streams = ref [] in
     let connect_failures = ref 0 in
     let flood_sent = ref 0 in
-    let stats =
+    let run =
+      World.checked ~census:true (fun () ->
           Scheduler.run (fun () ->
               if cfg.chaos <> [] then Chaos.install ~log cfg.chaos link;
-              ignore
-                (Tcp.start_passive server_t { Tcp.local_port = port }
-                   (fun conn ->
-                     let buf = Buffer.create cfg.bytes_per_conn in
-                     streams := buf :: !streams;
-                     ( (fun packet ->
-                         Buffer.add_string buf (Packet.to_string packet);
-                         Packet.release packet),
-                       (* close our half when the peer closes theirs, so the
-                          passive side tears down and the client (the active
-                          closer) carries the TIME-WAIT load *)
-                       function
-                       | Fox_proto.Status.Remote_close -> Tcp.close conn
-                       | _ -> () )));
+              sink server_t ~port ~stream:(fun () ->
+                  let buf = Buffer.create cfg.bytes_per_conn in
+                  streams := buf :: !streams;
+                  (buf, ignore));
               (* the flood: scripted, mid-run, while early connections are
-                 still transferring and later ones are still arriving *)
-              if cfg.flood_syns > 0 || cfg.flood_bad_acks > 0 then
-                Scheduler.fork (fun () ->
-                    Scheduler.sleep cfg.flood_at_us;
-                    let flood = Flood.create atk_ip ~target:server_addr in
-                    let ports = ref [] in
-                    for _ = 1 to cfg.flood_syns do
-                      ports := Flood.syn flood ~dst_port:port :: !ports;
-                      Scheduler.sleep 200
-                    done;
-                    for _ = 1 to cfg.flood_bad_acks do
-                      Flood.bare_ack flood ~dst_port:port;
-                      Scheduler.sleep 200
-                    done;
-                    (* a third of the flood handshakes are later abandoned,
-                       covering the RST-clears-cache-entry path *)
-                    List.iteri
-                      (fun i src_port ->
-                        if i mod 3 = 0 then begin
-                          Flood.rst flood ~src_port ~dst_port:port;
-                          Scheduler.sleep 200
-                        end)
-                      (List.rev !ports);
-                    flood_sent := Flood.sent flood;
-                    log
-                      (Printf.sprintf "t=%d flood done: %d segments"
-                         (Scheduler.now ()) !flood_sent));
+                 still transferring and later ones are still arriving; a
+                 third of its handshakes are later abandoned, covering the
+                 RST-clears-cache-entry path *)
+              Flood.script ~wait_us:cfg.flood_at_us atk_ip ~target:server_addr
+                ~dst_port:port ~syns:cfg.flood_syns ~bad_acks:cfg.flood_bad_acks
+                ~gap_us:200
+                ~abandon:(fun i -> i mod 3 = 0)
+                ~rst_gap_us:200
+                ~on_done:(fun sent ->
+                  flood_sent := sent;
+                  log
+                    (Printf.sprintf "t=%d flood done: %d segments"
+                       (Scheduler.now ()) sent));
               (* the client fleet: this shard's slice, keeping each
                  connection's original stagger slot *)
-              List.iter (fun i ->
-                Scheduler.fork (fun () ->
-                    Scheduler.sleep (i * cfg.spacing_us);
-                    match
-                      Tcp.connect client_t
-                        { Tcp.peer = server_addr; port; local_port = None }
-                        (fun _conn -> (ignore, ignore))
-                    with
-                    | exception Fox_proto.Common.Connection_failed msg ->
-                      incr connect_failures;
-                      log (Printf.sprintf "conn %d failed to open: %s" i msg)
-                    | conn ->
-                      let payload = payload_for cfg i in
-                      let p = Tcp.allocate_send conn (String.length payload) in
-                      Packet.blit_from_string payload 0 p 0
-                        (String.length payload);
-                      (match Tcp.send conn p with
-                      | () -> ()
-                      | exception Fox_proto.Common.Send_failed msg ->
-                        log (Printf.sprintf "conn %d send failed: %s" i msg));
-                      Tcp.close conn)
-              ) indices)
-        in
-        let end_time = stats.Scheduler.end_time in
-        (* score the delivered streams against this shard's expected
-           multiset *)
-        let expected =
-          List.map (fun i -> Digest.string (payload_for cfg i)) indices
-          |> List.sort compare
-        in
-        let got =
-          List.map (fun b -> Digest.string (Buffer.contents b)) !streams
-          |> List.sort compare
-        in
-        let rec matches exp got =
-          match (exp, got) with
-          | [], _ | _, [] -> 0
-          | e :: erest, g :: grest ->
-            if String.equal e g then 1 + matches erest grest
-            else if e < g then matches erest got
-            else matches exp grest
-        in
-        let completed = matches expected got in
-        let delivery_mismatches = List.length got - completed in
-        let s = Tcp.stats server_t in
-        let c = Tcp.stats client_t in
-        let wire_queue_drops =
-          List.fold_left
-            (fun acc i -> acc + (Link.stats link i).Link.queue_drops)
-            0 [ 0; 1; 2 ]
-        in
-        let leaked_packets = Packet.live_packets () - live_before in
-        let fingerprint =
-          Digest.to_hex
-            (Digest.string
-               (String.concat "|"
-                  (got
-                  @ [
-                      string_of_int end_time;
-                      string_of_int completed;
-                      string_of_int !connect_failures;
-                      string_of_int leaked_packets;
-                      string_of_int s.Fox_tcp.Tcp.accepts;
-                      string_of_int s.Fox_tcp.Tcp.backlog_refused;
-                      string_of_int s.Fox_tcp.Tcp.syn_dropped;
-                      string_of_int s.Fox_tcp.Tcp.rsts_sent;
-                      string_of_int c.Fox_tcp.Tcp.time_wait_recycled;
-                      string_of_int
-                        (s.Fox_tcp.Tcp.to_do_shed + c.Fox_tcp.Tcp.to_do_shed);
-                      string_of_int wire_queue_drops;
-                    ])))
-        in
-        {
-          conns = List.length indices;
-          shards = 1;
-          completed;
-          connect_failures = !connect_failures;
-          delivery_mismatches;
-          invariant_faults = [];
-          leaked_packets;
-          end_time;
-          flood_sent = !flood_sent;
-          server_accepts = s.Fox_tcp.Tcp.accepts;
-          backlog_refused = s.Fox_tcp.Tcp.backlog_refused;
-          syn_dropped = s.Fox_tcp.Tcp.syn_dropped;
-          time_wait_recycled =
-            s.Fox_tcp.Tcp.time_wait_recycled + c.Fox_tcp.Tcp.time_wait_recycled;
-          to_do_shed = s.Fox_tcp.Tcp.to_do_shed + c.Fox_tcp.Tcp.to_do_shed;
-          rsts_sent = s.Fox_tcp.Tcp.rsts_sent;
-          wire_queue_drops;
-          shard_fingerprints = [ fingerprint ];
-          fingerprint;
-        }
-
-  (* [run cfg] owns the process-wide invariant hook, installed before
-     any domain spawns and removed after the join, then fans the fleet
-     out over [cfg.shards] worlds and merges.  One shard returns its world report
-     unchanged (the historical single-threaded run, fingerprint
-     included); more shards sum the counters and fingerprint the ordered
-     per-shard vector. *)
-  let run ?log (cfg : config) =
-    if cfg.shards < 1 then invalid_arg "Soak.run: shards must be >= 1";
-    let faults = ref [] in
-    let faults_lock = Mutex.create () in
-    Tcb_invariants.install
-      ~on_violation:(fun info msgs ->
-        let tagged =
-          List.map
-            (Printf.sprintf "t=%d after %s: %s" info.Fox_tcp.Check_hook.now
-               (Fox_tcp.Tcb.action_name info.Fox_tcp.Check_hook.action))
-            msgs
-        in
-        Mutex.lock faults_lock;
-        faults := !faults @ tagged;
-        Mutex.unlock faults_lock)
-      ();
-    Fun.protect ~finally:Tcb_invariants.uninstall
-      (fun () ->
-        let worlds =
-          Fox_shard.Shard.run ~shards:cfg.shards (fun shard ->
-              run_world ?log cfg ~shard
-                ~indices:
-                  (Fox_shard.Shard.split ~total:cfg.conns ~shards:cfg.shards
-                     ~shard))
-        in
-        let invariant_faults = !faults in
-        match worlds with
-        | [| w |] -> { w with invariant_faults }
-        | _ ->
-          let sum f = Array.fold_left (fun acc w -> acc + f w) 0 worlds in
-          let shard_fingerprints =
-            Array.to_list (Array.map (fun w -> w.fingerprint) worlds)
-          in
-          {
-            conns = cfg.conns;
-            shards = cfg.shards;
-            completed = sum (fun w -> w.completed);
-            connect_failures = sum (fun w -> w.connect_failures);
-            delivery_mismatches = sum (fun w -> w.delivery_mismatches);
-            invariant_faults;
-            leaked_packets = sum (fun w -> w.leaked_packets);
-            end_time =
-              Array.fold_left (fun acc w -> max acc w.end_time) 0 worlds;
-            flood_sent = sum (fun w -> w.flood_sent);
-            server_accepts = sum (fun w -> w.server_accepts);
-            backlog_refused = sum (fun w -> w.backlog_refused);
-            syn_dropped = sum (fun w -> w.syn_dropped);
-            time_wait_recycled = sum (fun w -> w.time_wait_recycled);
-            to_do_shed = sum (fun w -> w.to_do_shed);
-            rsts_sent = sum (fun w -> w.rsts_sent);
-            wire_queue_drops = sum (fun w -> w.wire_queue_drops);
-            shard_fingerprints;
-            fingerprint =
-              Digest.to_hex
-                (Digest.string (String.concat "|" shard_fingerprints));
-          })
-
-  (* ------------------------------------------------------------------ *)
-  (* The verdict                                                        *)
-  (* ------------------------------------------------------------------ *)
-
-  (** [check cfg] runs the soak twice and returns the first run's report
-      plus the problems found (empty = pass): non-determinism between the
-      two runs, incomplete connections, a flood handshake that slipped
-      through, invariant violations, or leaked buffers. *)
-  let check ?log cfg =
-    let r1 = run ?log cfg in
-    let r2 = run ?log cfg in
-    let problems = ref [] in
-    let problem fmt =
-      Printf.ksprintf (fun msg -> problems := msg :: !problems) fmt
+              List.iter
+                (fun i ->
+                  Scheduler.fork (fun () ->
+                      Scheduler.sleep (i * cfg.spacing_us);
+                      push client_t ~peer:server_addr ~port (payload_for cfg i)
+                        ~connect_failed:(fun msg ->
+                          incr connect_failures;
+                          log (Printf.sprintf "conn %d failed to open: %s" i msg))
+                        ~send_failed:(fun msg ->
+                          log (Printf.sprintf "conn %d send failed: %s" i msg))))
+                indices))
     in
-    if not (String.equal r1.fingerprint r2.fingerprint) then
-      problem "non-deterministic: fingerprints %s vs %s differ" r1.fingerprint
-        r2.fingerprint;
-    if r1.completed <> cfg.conns then
-      problem "%d of %d connections did not deliver their payload"
-        (cfg.conns - r1.completed) cfg.conns;
-    if r1.connect_failures > 0 then
-      problem "%d connects failed outright" r1.connect_failures;
-    if r1.delivery_mismatches > 0 then
-      problem "%d streams delivered wrong bytes" r1.delivery_mismatches;
-    List.iter (fun f -> problem "invariant violation: %s" f) r1.invariant_faults;
-    if r1.leaked_packets <> 0 then
-      problem "%d packet buffers leaked" r1.leaked_packets;
-    if r1.server_accepts > cfg.conns then
-      problem "flood completed %d handshakes (accepts %d > %d legit conns)"
-        (r1.server_accepts - cfg.conns)
-        r1.server_accepts cfg.conns;
-    if
-      cfg.flood_syns + cfg.flood_bad_acks > 0
-      && r1.rsts_sent + r1.backlog_refused + r1.syn_dropped = 0
-    then problem "flood ran but left no trace on the defenses (inert?)";
-    (r1, List.rev !problems)
+    let stats = run.World.value in
+    let end_time = stats.Scheduler.end_time in
+    (* score the delivered streams against this shard's expected
+       multiset *)
+    let expected =
+      List.map (fun i -> Digest.string (payload_for cfg i)) indices
+      |> List.sort compare
+    in
+    let got =
+      List.map (fun b -> Digest.string (Buffer.contents b)) !streams
+      |> List.sort compare
+    in
+    let rec matches exp got =
+      match (exp, got) with
+      | [], _ | _, [] -> 0
+      | e :: erest, g :: grest ->
+        if String.equal e g then 1 + matches erest grest
+        else if e < g then matches erest got
+        else matches exp grest
+    in
+    let completed = matches expected got in
+    let delivery_mismatches = List.length got - completed in
+    let s = Tcp.stats server_t in
+    let c = Tcp.stats client_t in
+    let wire_queue_drops =
+      List.fold_left
+        (fun acc i -> acc + (Link.stats link i).Link.queue_drops)
+        0 [ 0; 1; 2 ]
+    in
+    let leaked_packets = run.World.leaked in
+    let fingerprint =
+      Digest.to_hex
+        (Digest.string
+           (String.concat "|"
+              (got
+              @ [
+                  string_of_int end_time;
+                  string_of_int completed;
+                  string_of_int !connect_failures;
+                  string_of_int leaked_packets;
+                  string_of_int s.Fox_tcp.Tcp.accepts;
+                  string_of_int s.Fox_tcp.Tcp.backlog_refused;
+                  string_of_int s.Fox_tcp.Tcp.syn_dropped;
+                  string_of_int s.Fox_tcp.Tcp.rsts_sent;
+                  string_of_int c.Fox_tcp.Tcp.time_wait_recycled;
+                  string_of_int
+                    (s.Fox_tcp.Tcp.to_do_shed + c.Fox_tcp.Tcp.to_do_shed);
+                  string_of_int wire_queue_drops;
+                ])))
+    in
+    {
+      conns = List.length indices;
+      shards = 1;
+      completed;
+      connect_failures = !connect_failures;
+      delivery_mismatches;
+      invariant_faults = [];
+      leaked_packets;
+      end_time;
+      flood_sent = !flood_sent;
+      server_accepts = s.Fox_tcp.Tcp.accepts;
+      backlog_refused = s.Fox_tcp.Tcp.backlog_refused;
+      syn_dropped = s.Fox_tcp.Tcp.syn_dropped;
+      time_wait_recycled =
+        s.Fox_tcp.Tcp.time_wait_recycled + c.Fox_tcp.Tcp.time_wait_recycled;
+      to_do_shed = s.Fox_tcp.Tcp.to_do_shed + c.Fox_tcp.Tcp.to_do_shed;
+      rsts_sent = s.Fox_tcp.Tcp.rsts_sent;
+      wire_queue_drops;
+      shard_fingerprints = [ fingerprint ];
+      fingerprint;
+    }
+
 end
 
+(* One world builder per algorithm, built once. *)
+let worlds =
+  World.per_cc (fun (module Cc : Fox_tcp.Congestion.S) ->
+      let module E = Make_engine (Cc) in
+      E.run_world)
+
+(** [run cfg] dispatches on [cfg.cc] (unknown names raise
+    [Invalid_argument]).  It owns the process-wide invariant hook,
+    installed before any domain spawns and removed after the join, and
+    fans the fleet out over [cfg.shards] worlds and merges.  One shard
+    returns its world report unchanged (the historical single-threaded
+    run, fingerprint included); more shards sum the counters and
+    fingerprint the ordered per-shard vector. *)
+let run ?log (cfg : config) =
+  let run_world = World.by_cc ~who:"Soak.run" worlds cfg.cc in
+  if cfg.shards < 1 then invalid_arg "Soak.run: shards must be >= 1";
+  let run =
+    World.checked ~invariants:true (fun () ->
+        Fox_shard.Shard.run ~shards:cfg.shards (fun shard ->
+            run_world ?log cfg ~shard
+              ~indices:
+                (Fox_shard.Shard.split ~total:cfg.conns ~shards:cfg.shards
+                   ~shard)))
+  in
+  let worlds = run.World.value and invariant_faults = run.World.faults in
+  match worlds with
+  | [| w |] -> { w with invariant_faults }
+  | _ ->
+    let sum f = Array.fold_left (fun acc w -> acc + f w) 0 worlds in
+    let shard_fingerprints =
+      Array.to_list (Array.map (fun w -> w.fingerprint) worlds)
+    in
+    {
+      conns = cfg.conns;
+      shards = cfg.shards;
+      completed = sum (fun w -> w.completed);
+      connect_failures = sum (fun w -> w.connect_failures);
+      delivery_mismatches = sum (fun w -> w.delivery_mismatches);
+      invariant_faults;
+      leaked_packets = sum (fun w -> w.leaked_packets);
+      end_time = Array.fold_left (fun acc w -> max acc w.end_time) 0 worlds;
+      flood_sent = sum (fun w -> w.flood_sent);
+      server_accepts = sum (fun w -> w.server_accepts);
+      backlog_refused = sum (fun w -> w.backlog_refused);
+      syn_dropped = sum (fun w -> w.syn_dropped);
+      time_wait_recycled = sum (fun w -> w.time_wait_recycled);
+      to_do_shed = sum (fun w -> w.to_do_shed);
+      rsts_sent = sum (fun w -> w.rsts_sent);
+      wire_queue_drops = sum (fun w -> w.wire_queue_drops);
+      shard_fingerprints;
+      fingerprint =
+        Digest.to_hex (Digest.string (String.concat "|" shard_fingerprints));
+    }
+
 (* ------------------------------------------------------------------ *)
-(* Per-algorithm dispatch                                             *)
+(* The verdict                                                        *)
 (* ------------------------------------------------------------------ *)
 
-module Reno_engine = Make_engine (Fox_tcp.Congestion.Reno)
-module Newreno_engine = Make_engine (Fox_tcp.Congestion.Newreno)
-module Cubic_engine = Make_engine (Fox_tcp.Congestion.Cubic)
-module Bbr_engine = Make_engine (Fox_tcp.Congestion.Bbr_lite)
-
-let engine_names = [ "reno"; "newreno"; "cubic"; "bbr" ]
-
-(** [run cfg] / [check cfg] dispatch on [cfg.cc]; unknown names raise
-    [Invalid_argument]. *)
-let run ?log cfg =
-  match cfg.cc with
-  | "reno" -> Reno_engine.run ?log cfg
-  | "newreno" -> Newreno_engine.run ?log cfg
-  | "cubic" -> Cubic_engine.run ?log cfg
-  | "bbr" -> Bbr_engine.run ?log cfg
-  | other -> invalid_arg ("Soak.run: unknown congestion control " ^ other)
-
+(** [check cfg] runs the soak twice and returns the first run's report
+    plus the problems found (empty = pass): non-determinism between the
+    two runs, incomplete connections, a flood handshake that slipped
+    through, invariant violations, or leaked buffers. *)
 let check ?log cfg =
-  match cfg.cc with
-  | "reno" -> Reno_engine.check ?log cfg
-  | "newreno" -> Newreno_engine.check ?log cfg
-  | "cubic" -> Cubic_engine.check ?log cfg
-  | "bbr" -> Bbr_engine.check ?log cfg
-  | other -> invalid_arg ("Soak.check: unknown congestion control " ^ other)
+  let r1 = run ?log cfg in
+  let r2 = run ?log cfg in
+  let problems = ref [] in
+  let problem fmt =
+    Printf.ksprintf (fun msg -> problems := msg :: !problems) fmt
+  in
+  if not (String.equal r1.fingerprint r2.fingerprint) then
+    problem "non-deterministic: fingerprints %s vs %s differ" r1.fingerprint
+      r2.fingerprint;
+  if r1.completed <> cfg.conns then
+    problem "%d of %d connections did not deliver their payload"
+      (cfg.conns - r1.completed) cfg.conns;
+  if r1.connect_failures > 0 then
+    problem "%d connects failed outright" r1.connect_failures;
+  if r1.delivery_mismatches > 0 then
+    problem "%d streams delivered wrong bytes" r1.delivery_mismatches;
+  List.iter (fun f -> problem "invariant violation: %s" f) r1.invariant_faults;
+  if r1.leaked_packets <> 0 then
+    problem "%d packet buffers leaked" r1.leaked_packets;
+  if r1.server_accepts > cfg.conns then
+    problem "flood completed %d handshakes (accepts %d > %d legit conns)"
+      (r1.server_accepts - cfg.conns)
+      r1.server_accepts cfg.conns;
+  if
+    cfg.flood_syns + cfg.flood_bad_acks > 0
+    && r1.rsts_sent + r1.backlog_refused + r1.syn_dropped = 0
+  then problem "flood ran but left no trace on the defenses (inert?)";
+  (r1, List.rev !problems)
 
 (** [check_matrix cfg] runs the soak contract once per congestion-control
     algorithm, returning [(cc, report, problems)] rows. *)
@@ -506,4 +410,4 @@ let check_matrix ?log cfg =
     (fun cc ->
       let r, problems = check ?log { cfg with cc } in
       (cc, r, problems))
-    engine_names
+    Fox_tcp.Congestion.names

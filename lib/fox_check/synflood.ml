@@ -48,10 +48,12 @@ struct
 
   let sent t = t.sent
 
-  let transmit t hdr =
+  (** [transmit t ?data hdr] puts one raw segment on the wire, counting
+      it unless the lower layer refuses it. *)
+  let transmit t ?(data = None) hdr =
     let pseudo_for len = Some (Aux.pseudo t.lconn ~proto:proto_number ~len) in
     match
-      Action.externalize ~alg:`Basic ~pseudo_for ~hdr ~data:None
+      Action.externalize ~alg:`Basic ~pseudo_for ~hdr ~data
         ~allocate:(fun len ->
           Packet.create
             ~headroom:(24 + Lower.headroom t.lconn)
@@ -106,4 +108,34 @@ struct
         ack = Seq.of_int 0x1234567;
         window = 4096;
       }
+
+  (** [script lower ~target ~dst_port ~syns ~bad_acks ~gap_us] forks the
+      scripted flood when there is one to fire: after [wait_us] (if
+      given), [syns] half-open SYNs then [bad_acks] forged-cookie ACKs,
+      [gap_us] apart, then an RST abandoning each handshake [abandon]
+      picks (by SYN index), [rst_gap_us] apart.  [on_done] gets the
+      count of segments put on the wire. *)
+  let script ?wait_us lower ~target ~dst_port ~syns ~bad_acks ~gap_us
+      ~abandon ~rst_gap_us ~on_done =
+    if syns > 0 || bad_acks > 0 then
+      Fox_sched.Scheduler.fork (fun () ->
+          Option.iter Fox_sched.Scheduler.sleep wait_us;
+          let t = create lower ~target in
+          let ports = ref [] in
+          for _ = 1 to syns do
+            ports := syn t ~dst_port :: !ports;
+            Fox_sched.Scheduler.sleep gap_us
+          done;
+          for _ = 1 to bad_acks do
+            bare_ack t ~dst_port;
+            Fox_sched.Scheduler.sleep gap_us
+          done;
+          List.iteri
+            (fun i src_port ->
+              if abandon i then begin
+                rst t ~src_port ~dst_port;
+                Fox_sched.Scheduler.sleep rst_gap_us
+              end)
+            (List.rev !ports);
+          on_done (sent t))
 end

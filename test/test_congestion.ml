@@ -210,7 +210,7 @@ let test_scenario_matrix_quick () =
      (cwnd/ssthresh floors, recovery-exit monotonicity) run inside *)
   let results = Scenarios.run_matrix ~quick:true () in
   Alcotest.(check int) "full matrix ran"
-    (List.length Scenarios.all * List.length Scenarios.cc_names)
+    (List.length Scenarios.all * List.length Congestion.names)
     (List.length results);
   List.iter
     (fun (r : Scenarios.result) ->

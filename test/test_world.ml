@@ -11,6 +11,12 @@ module Chaos = Fox_check.Chaos
 module Scenarios = Fox_check.Scenarios
 module Mutate = Fox_check.Mutate
 module Load = Fox_check.Load
+module World = Fox_check.World
+module Packet = Fox_basis.Packet
+module Bus = Fox_obs.Bus
+module Check_hook = Fox_tcp.Check_hook
+module Receive = Fox_tcp.Receive
+module Tcb = Fox_tcp.Tcb
 
 (* ------------------------------------------------------------------ *)
 (* Soak                                                               *)
@@ -236,6 +242,78 @@ let test_load_echo () =
             loss = 0.01;
           }))
 
+(* ------------------------------------------------------------------ *)
+(* The check battery's restore contract                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Earlier values the battery must put back, each different from what
+   it installs: no hook, the shadow off with a recognisable mismatch
+   handler, the bus not live. *)
+let arm () =
+  let sentinel (_ : string) = () in
+  Check_hook.uninstall ();
+  Receive.differential := false;
+  Receive.on_mismatch := sentinel;
+  Bus.disable ();
+  sentinel
+
+let all_checks body =
+  World.checked ~invariants:true ~shadow:true ~flight:true ~census:true body
+
+let check_restored sentinel =
+  Alcotest.(check bool) "invariant hook uninstalled" true
+    (Option.is_none !Check_hook.hook);
+  Alcotest.(check bool) "differential flag restored" false !Receive.differential;
+  Alcotest.(check bool) "mismatch handler restored" true
+    (!Receive.on_mismatch == sentinel);
+  Alcotest.(check bool) "bus back to not live" false !Bus.live
+
+let test_restore_on_raise () =
+  let sentinel = arm () in
+  (match all_checks (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "the body's exception must propagate"
+  | exception Failure msg -> Alcotest.(check string) "its own exception" "boom" msg);
+  check_restored sentinel
+
+let test_restore_and_census_on_leak () =
+  let sentinel = arm () in
+  let kept = ref None in
+  let r = all_checks (fun () -> kept := Some (Packet.create 64)) in
+  check_restored sentinel;
+  Alcotest.(check int) "the census counts the retained buffer" 1 r.World.leaked;
+  Option.iter Packet.release !kept
+
+let test_faults_are_tagged () =
+  let tcb =
+    Tcb.create_tcb_with_mss Tcb.default_params ~iss:(Fox_tcp.Seq.of_int 1000)
+      ~mss:1000
+  in
+  (* snd_una ahead of snd_nxt: a sequence-space violation *)
+  tcb.Tcb.snd_una <- Fox_tcp.Seq.of_int 2000;
+  tcb.Tcb.snd_nxt <- Fox_tcp.Seq.of_int 1001;
+  let info =
+    {
+      Check_hook.tcb;
+      before = Tcb.Estab tcb;
+      after = Tcb.Estab tcb;
+      action = Tcb.Send_ack;
+      pending = [];
+      armed = [];
+      now = 1234;
+      dead = false;
+    }
+  in
+  let r =
+    World.checked ~invariants:true ~shadow:true (fun () ->
+        Option.iter (fun hook -> hook info) !Check_hook.hook;
+        !Receive.on_mismatch "diverged")
+  in
+  let prefix = "t=1234 after " ^ Tcb.action_name Tcb.Send_ack ^ ": " in
+  Alcotest.(check bool) "a tagged violation reached the faults" true
+    (List.exists (String.starts_with ~prefix) r.World.faults);
+  Alcotest.(check bool) "the shadow's divergence follows it" true
+    (List.mem "fast-path divergence: diverged" r.World.faults)
+
 let () =
   Alcotest.run "world"
     [
@@ -252,5 +330,14 @@ let () =
           Alcotest.test_case "mutate seeds 0..9" `Quick test_mutate_outcomes;
           Alcotest.test_case "serve http smoke" `Quick test_load_http;
           Alcotest.test_case "serve echo smoke" `Quick test_load_echo;
+        ] );
+      ( "battery",
+        [
+          Alcotest.test_case "restores after a raising body" `Quick
+            test_restore_on_raise;
+          Alcotest.test_case "restores and counts a retained buffer" `Quick
+            test_restore_and_census_on_leak;
+          Alcotest.test_case "violations carry their tag" `Quick
+            test_faults_are_tagged;
         ] );
     ]
