@@ -46,9 +46,11 @@ type t = {
   (* virtual time at which each transmit direction is free; a hub has a
      single shared medium, a point-to-point link one per direction *)
   mutable medium_free_at : int array;
-  (* frames currently waiting (not yet serialising) per medium, for the
-     finite egress queue *)
-  queued : int array;
+  (* per medium, the departure (start-of-serialisation) times of the
+     frames queued behind it, oldest first; those still after [now] are
+     the frames waiting for the finite egress queue.  Kept only when the
+     queue is finite *)
+  departures : int Ring.t array;
   (* remaining frames of a loss burst still to drop (loss_burst > 1) *)
   mutable burst_left : int;
   (* virtual time the live burst expires: a burst is an episode (a fade,
@@ -132,6 +134,17 @@ let chaos_corrupt_copy t frame =
    a real NIC ring; overflow vanishes into [chaos_dropped]. *)
 let held_cap = 64
 
+(* Frames still waiting for [medium] at [now]: departures are pushed in
+   start order, so those that have begun serialising ([start <= now], the
+   rule [transmit] uses to decide that a new frame waits) are at the
+   front. *)
+let queued t medium now =
+  let d = t.departures.(medium) in
+  while (not (Ring.is_empty d)) && Ring.peek d <= now do
+    ignore (Ring.pop d)
+  done;
+  Ring.length d
+
 let rec transmit t src frame =
   let ps = t.ports.(src) in
   let len = Packet.length frame in
@@ -167,15 +180,11 @@ and transmit_up t src frame ps len =
      congestion loss an unbounded simulation never produces.  The caller
      still owns its packet (we have not copied it), so nothing leaks. *)
   let cap = t.netem.Netem.queue_frames in
-  if cap > 0 && start > now && t.queued.(medium) >= cap then
+  let waiting = cap > 0 && start > now in
+  if waiting && queued t medium now >= cap then
     ps.queue_drops <- ps.queue_drops + 1
   else begin
-  (* the census of waiting frames is read only by the finite queue *)
-  if cap > 0 && start > now then begin
-    t.queued.(medium) <- t.queued.(medium) + 1;
-    Fox_sched.Scheduler.fork_at start (fun () ->
-        t.queued.(medium) <- t.queued.(medium) - 1)
-  end;
+  if waiting then Ring.push t.departures.(medium) start;
   let tx_time = Netem.tx_time_us t.netem len in
   t.medium_free_at.(medium) <- start + tx_time;
   (* asymmetric-RTT modelling: the reverse direction of a point-to-point
@@ -256,7 +265,7 @@ let make ~ports ~shared netem =
     ports = Array.init ports (fun _ -> new_port_state ());
     shared_medium = shared;
     medium_free_at = Array.make mediums 0;
-    queued = Array.make mediums 0;
+    departures = Array.init mediums (fun _ -> Ring.create ~dummy:0);
     burst_left = 0;
     burst_until = 0;
     up = true;

@@ -29,7 +29,9 @@ type stats = {
   unclaimed : int;  (** frames delivered with no receive handler set *)
   queue_drops : int;
       (** frames tail-dropped because [queue_frames] others were already
-          waiting for the medium (finite egress queue) *)
+          waiting for the medium (finite egress queue).  A frame waits
+          from its transmit until it starts serialising: at that
+          microsecond it no longer counts *)
 }
 
 type t

@@ -9,44 +9,21 @@ type stats = {
   end_time : int;
 }
 
+(* Only the operations that give up the CPU are effects: each captures
+   the running thread's continuation.  The clock, [fork], [fork_at] and
+   [advance] need no continuation, so they read or write the running
+   scheduler's state directly (see [running] below). *)
 type _ Effect.t +=
-  | Fork : (unit -> unit) -> unit Effect.t
-  | Fork_at : int * (unit -> unit) -> unit Effect.t
   | Yield : unit Effect.t
   | Sleep : int -> unit Effect.t
-  | Now : int Effect.t
-  | Advance : int -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | Stop : 'a Effect.t
 
 exception Thread_exit
 
-let fork f = Effect.perform (Fork f)
-
-let fork_at due f = Effect.perform (Fork_at (due, f))
-
-let yield () = Effect.perform Yield
-
-let sleep us = Effect.perform (Sleep us)
-
-let now () = Effect.perform Now
-
-(* [advance us] jumps the virtual clock forward by [us] without yielding:
-   every sleeper whose due time falls inside the jump becomes due at once
-   (released in due order when the run queue next empties).  This is the
-   chaos harness's clock-jump fault — the suspend/resume a real host
-   experiences — not a scheduling primitive for ordinary code. *)
-let advance us = Effect.perform (Advance us)
-
-let suspend f = Effect.perform (Suspend f)
-
-let exit_thread () = raise Thread_exit
-
-let stop () = Effect.perform Stop
-
 type state = {
   mutable clock : int;
-  mutable runq : (unit -> unit) Fifo.t;
+  runq : (unit -> unit) Ring.t;
   sleepq : (unit -> unit) Heap.t;
   mutable switches : int;
   mutable forks : int;
@@ -54,29 +31,92 @@ type state = {
   mutable completed : int;
   mutable alive : int;
   mutable stopping : bool;
+  (* runs a thunk as a thread under this run's handler *)
+  mutable start : (unit -> unit) -> unit;
 }
+
+(* Per-domain scheduler state.  [epoch] is the identity of the run most
+   recently started on this domain: per-domain timer state (the timing
+   wheel) keys off it to detect that a previous run's entries are stale
+   and must be discarded, and a run on another domain must not perturb
+   it.  [current] is the run whose threads (or idle hook) are executing
+   now, if any: a nested [run] saves it and restores it on exit. *)
+type domain = { mutable epoch : int; mutable current : state option }
+
+let domain : domain Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { epoch = 0; current = None })
 
 (* Monotonic count of scheduler runs in this process — atomic, because
    each domain of a sharded engine runs its own scheduler and all of them
-   draw run identities from this counter.  The epoch *visible* to a
-   domain is the identity of the run most recently started on that
-   domain (kept in domain-local storage): per-domain timer state (the
-   timing wheel) keys off it to detect that a previous run's entries are
-   stale and must be discarded, and a run on another domain must not
-   perturb it. *)
+   draw run identities from this counter. *)
 let runs = Atomic.make 0
 
-let domain_epoch : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref 0)
+let epoch () = (Domain.DLS.get domain).epoch
 
-let epoch () = !(Domain.DLS.get domain_epoch)
+(* Outside a run there is no clock to read and no queue to fork onto.
+   Fail as the effect-performing operations do, which is what callers
+   probing for a run ([try now () with Effect.Unhandled _ -> ...]) rely
+   on; [No_run] is never performed, it only names what is missing. *)
+type _ Effect.t += No_run : unit Effect.t
+
+let running () =
+  match (Domain.DLS.get domain).current with
+  | Some st -> st
+  | None -> raise (Effect.Unhandled No_run)
+
+let spawn st f =
+  st.forks <- st.forks + 1;
+  st.alive <- st.alive + 1;
+  st.start f
+
+(* [fork_at]: counted as a fork (and, if [due] is still ahead, a sleep)
+   exactly when the expansion [fork (fun () -> sleep until due; f ())]
+   would be, but the thread itself is only created at [due]. *)
+let spawn_at st due f =
+  st.forks <- st.forks + 1;
+  st.alive <- st.alive + 1;
+  if due > st.clock then begin
+    st.sleep_count <- st.sleep_count + 1;
+    Heap.add st.sleepq due (fun () -> st.start f)
+  end
+  else st.start f
+
+let fork f =
+  let st = running () in
+  Ring.push st.runq (fun () -> spawn st f)
+
+let fork_at due f =
+  let st = running () in
+  Ring.push st.runq (fun () -> spawn_at st due f)
+
+let yield () = Effect.perform Yield
+
+let sleep us = Effect.perform (Sleep us)
+
+let now () = (running ()).clock
+
+(* [advance us] jumps the virtual clock forward by [us] without yielding:
+   every sleeper whose due time falls inside the jump becomes due at once
+   (released in due order when the run queue next empties).  This is the
+   chaos harness's clock-jump fault — the suspend/resume a real host
+   experiences — not a scheduling primitive for ordinary code. *)
+let advance us =
+  let st = running () in
+  st.clock <- st.clock + max 0 us
+
+let suspend f = Effect.perform (Suspend f)
+
+let exit_thread () = raise Thread_exit
+
+let stop () = Effect.perform Stop
 
 let run ?(start_time = 0) ?(realtime = false) ?idle main =
-  Domain.DLS.get domain_epoch := 1 + Atomic.fetch_and_add runs 1;
+  let dom = Domain.DLS.get domain in
+  dom.epoch <- 1 + Atomic.fetch_and_add runs 1;
   let st =
     {
       clock = start_time;
-      runq = Fifo.empty;
+      runq = Ring.create ~dummy:ignore;
       sleepq = Heap.create ~dummy:ignore;
       switches = 0;
       forks = 0;
@@ -84,79 +124,48 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
       completed = 0;
       alive = 0;
       stopping = false;
+      start = ignore;
     }
   in
-  let enqueue thunk = st.runq <- Fifo.add thunk st.runq in
   let finish () =
     st.alive <- st.alive - 1;
     st.completed <- st.completed + 1
   in
   let open Effect.Deep in
   (* One handler for every thread of the run. *)
-  let rec handler : (unit, unit) handler =
+  let handler : (unit, unit) handler =
     {
       retc = finish;
       exnc = (function Thread_exit -> finish () | e -> raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Fork g ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                enqueue (fun () -> spawn g);
-                continue k ())
-          | Fork_at (due, g) ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                enqueue (fun () -> spawn_at due g);
-                continue k ())
           | Yield ->
             Some (fun (k : (a, unit) continuation) ->
-                enqueue (fun () -> continue k ()))
+                Ring.push st.runq (fun () -> continue k ()))
           | Sleep us ->
             Some
               (fun (k : (a, unit) continuation) ->
                 st.sleep_count <- st.sleep_count + 1;
                 Heap.add st.sleepq (st.clock + max 0 us) (fun () -> continue k ()))
-          | Now -> Some (fun (k : (a, unit) continuation) -> continue k st.clock)
-          | Advance us ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                st.clock <- st.clock + max 0 us;
-                continue k ())
           | Suspend f ->
             Some
               (fun (k : (a, unit) continuation) ->
-                f (fun v -> enqueue (fun () -> continue k v)))
+                f (fun v -> Ring.push st.runq (fun () -> continue k v)))
           | Stop ->
             Some
               (fun (k : (a, unit) continuation) ->
                 ignore k;
                 st.stopping <- true;
-                st.runq <- Fifo.empty;
+                Ring.clear st.runq;
                 Heap.clear st.sleepq;
                 (* The stopping thread never resumes; account for it. *)
                 finish ())
           | _ -> None);
     }
-  and start f = match_with f () handler
-  and spawn f =
-    st.forks <- st.forks + 1;
-    st.alive <- st.alive + 1;
-    start f
-  (* [fork_at]: counted as a fork (and, if [due] is still ahead, a
-     sleep) exactly when the expansion [fork (fun () -> sleep until due;
-     f ())] would be, but the thread itself is only created at [due]. *)
-  and spawn_at due f =
-    st.forks <- st.forks + 1;
-    st.alive <- st.alive + 1;
-    if due > st.clock then begin
-      st.sleep_count <- st.sleep_count + 1;
-      Heap.add st.sleepq due (fun () -> start f)
-    end
-    else start f
   in
-  enqueue (fun () -> spawn main);
+  st.start <- (fun f -> match_with f () handler);
+  Ring.push st.runq (fun () -> spawn st main);
   let wall0 = if realtime then Unix.gettimeofday () else 0.0 in
   let real_now () =
     start_time + int_of_float ((Unix.gettimeofday () -. wall0) *. 1e6)
@@ -167,7 +176,7 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
     while
       (not (Heap.is_empty st.sleepq)) && Heap.min_key st.sleepq <= st.clock
     do
-      enqueue (Heap.pop_min st.sleepq)
+      Ring.push st.runq (Heap.pop_min st.sleepq)
     done
   in
   let rec loop () =
@@ -176,13 +185,13 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
         st.clock <- max st.clock (real_now ());
         release_due ()
       end;
-      match Fifo.next st.runq with
-      | Some (thunk, rest) ->
-        st.runq <- rest;
+      if not (Ring.is_empty st.runq) then begin
+        let thunk = Ring.pop st.runq in
         st.switches <- st.switches + 1;
         thunk ();
         loop ()
-      | None -> (
+      end
+      else
         match idle with
         | Some hook when st.alive > 0 ->
           (* external I/O gets a chance to make threads runnable; the hook
@@ -203,12 +212,14 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
               st.clock <- max due (real_now ())
             end
             else st.clock <- max st.clock due;
-            enqueue thunk;
+            Ring.push st.runq thunk;
             loop ()
-          end)
+          end
     end
   in
-  loop ();
+  let outer = dom.current in
+  dom.current <- Some st;
+  Fun.protect ~finally:(fun () -> dom.current <- outer) loop;
   {
     switches = st.switches;
     forks = st.forks;

@@ -12,8 +12,20 @@
     quasi-synchronous control structure is designed around — and lets the
     benchmark harness measure protocol dynamics independently of host speed.
 
-    All operations except {!run} must be called from inside a thread of a
-    running scheduler; calling them elsewhere raises [Effect.Unhandled]. *)
+    Only the operations that give up the CPU capture the calling thread's
+    continuation: {!yield}, {!sleep}, {!suspend} and {!stop} are effects
+    handled by the running scheduler.  {!now} is a read of the running
+    scheduler's state, and {!fork}, {!fork_at} and {!advance} are writes
+    to it (a push onto the run queue, a bump of the clock); none of them
+    performs an effect or switches threads.  The running scheduler is
+    domain-local, so one scheduler per domain (a sharded engine) sees
+    only its own clock and queues, and a {!run} nested inside a thread
+    has its own, until it returns or raises.
+
+    All operations except {!run}, {!exit_thread}, {!pp_stats} and
+    {!epoch} must be called inside a running scheduler: from one of its
+    threads or, for the read and write operations, from its [idle] hook.
+    Called elsewhere they raise [Effect.Unhandled]. *)
 
 (** Statistics returned by {!run}. *)
 type stats = {
@@ -43,7 +55,13 @@ type stats = {
     from {!suspend} — this is how external I/O enters the scheduler.  When
     an [idle] hook is present the run only terminates via {!stop} or when
     the hook leaves the scheduler with neither runnable nor sleeping
-    threads and returns without enqueuing work twice in a row. *)
+    threads and returns without enqueuing work twice in a row.
+
+    The hook runs inside the run: {!now} called from it returns the
+    run's clock, and {!fork} or {!fork_at} from it adds a thread to the
+    run.  (When the clock was an effect, these raised [Effect.Unhandled]
+    there.)  The hook cannot {!yield}, {!sleep}, {!suspend} or {!stop}:
+    it is not a thread. *)
 val run :
   ?start_time:int ->
   ?realtime:bool ->
@@ -74,7 +92,8 @@ val yield : unit -> unit
     sleep queue. *)
 val sleep : int -> unit
 
-(** [now ()] is the current virtual time in microseconds. *)
+(** [now ()] is the current virtual time in microseconds: a read of
+    the running scheduler's clock, which allocates nothing. *)
 val now : unit -> int
 
 (** [advance us] jumps the virtual clock forward by [us] microseconds

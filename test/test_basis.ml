@@ -214,6 +214,57 @@ let heap_ops =
       && heap_drain h = !model)
 
 (* ------------------------------------------------------------------ *)
+(* Ring                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let test_ring_basic () =
+  let q = Ring.create ~dummy:0 in
+  Alcotest.check_raises "pop empty" (Invalid_argument "Ring.pop: empty")
+    (fun () -> ignore (Ring.pop q));
+  Alcotest.check_raises "peek empty" (Invalid_argument "Ring.peek: empty")
+    (fun () -> ignore (Ring.peek q));
+  (* wrap the head past the end, then grow while wrapped *)
+  for i = 1 to 12 do Ring.push q i done;
+  for i = 1 to 10 do Alcotest.(check int) "pop" i (Ring.pop q) done;
+  for i = 13 to 40 do Ring.push q i done;
+  Alcotest.(check int) "length" 30 (Ring.length q);
+  Alcotest.(check int) "peek" 11 (Ring.peek q);
+  Alcotest.(check (list int)) "fifo across growth" (List.init 30 (fun i -> i + 11))
+    (List.init 30 (fun _ -> Ring.pop q));
+  Ring.push q 7;
+  Ring.clear q;
+  Alcotest.(check bool) "cleared" true (Ring.is_empty q);
+  Ring.push q 8;
+  Alcotest.(check int) "reused" 8 (Ring.pop q)
+
+(* Pushes, pops and clears interleaved, against [Stdlib.Queue]. *)
+let ring_ops =
+  qtest "ring: interleaved ops match Queue"
+    QCheck2.Gen.(
+      list
+        (frequency
+           [ (5, map (fun v -> `Push v) nat); (3, pure `Pop); (1, pure `Clear) ]))
+    (fun ops ->
+      let q = Ring.create ~dummy:(-1) and model = Queue.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Push v ->
+            Ring.push q v;
+            Queue.push v model;
+            true
+          | `Pop -> (
+            match Queue.take_opt model with
+            | None -> Ring.is_empty q
+            | Some v -> Ring.peek q = v && Ring.pop q = v)
+          | `Clear ->
+            Ring.clear q;
+            Queue.clear model;
+            true)
+          && Ring.length q = Queue.length model)
+        ops)
+
+(* ------------------------------------------------------------------ *)
 (* Word                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -942,6 +993,8 @@ let () =
           heap_peek;
           heap_ops;
         ] );
+      ( "ring",
+        [ Alcotest.test_case "basic" `Quick test_ring_basic; ring_ops ] );
       ( "word",
         [
           Alcotest.test_case "basic" `Quick test_word_basic;
