@@ -236,17 +236,17 @@ module Make (Sock : Fox_proto.Socket.S) = struct
 
   let write_response sock ?(status = 200) ?(content_type = "text/plain")
       ?(keep_alive = true) ?(head = false) body =
-    let b = Buffer.create (String.length body + 160) in
-    Printf.bprintf b "HTTP/1.1 %d %s\r\n" status (reason_of_status status);
-    Printf.bprintf b "Server: foxnet\r\n";
-    Printf.bprintf b "Content-Type: %s\r\n" content_type;
-    Printf.bprintf b "Content-Length: %d\r\n" (String.length body);
-    Printf.bprintf b "Connection: %s\r\n"
-      (if keep_alive then "keep-alive" else "close");
-    if status = 405 then Printf.bprintf b "Allow: GET, HEAD\r\n";
-    Buffer.add_string b "\r\n";
-    if not head then Buffer.add_string b body;
-    Sock.write_all sock (Buffer.contents b)
+    (* one string, head and body, built by a single concatenation *)
+    Sock.write_all sock
+      (String.concat ""
+         [
+           "HTTP/1.1 "; string_of_int status; " "; reason_of_status status;
+           "\r\nServer: foxnet\r\nContent-Type: "; content_type;
+           "\r\nContent-Length: "; string_of_int (String.length body);
+           "\r\nConnection: "; (if keep_alive then "keep-alive" else "close");
+           (if status = 405 then "\r\nAllow: GET, HEAD" else "");
+           "\r\n\r\n"; (if head then "" else body);
+         ])
 
   let error_body status detail =
     Printf.sprintf "<html><body><h1>%d %s</h1><p>%s</p></body></html>\n"
@@ -366,14 +366,15 @@ module Make (Sock : Fox_proto.Socket.S) = struct
 
   let write_request sock ?(meth = "GET") ?(headers = []) ?(body = "") target
       =
-    let b = Buffer.create 128 in
-    Printf.bprintf b "%s %s HTTP/1.1\r\n" meth target;
-    List.iter (fun (n, v) -> Printf.bprintf b "%s: %s\r\n" n v) headers;
-    if body <> "" then
-      Printf.bprintf b "Content-Length: %d\r\n" (String.length body);
-    Buffer.add_string b "\r\n";
-    Buffer.add_string b body;
-    Sock.write_all sock (Buffer.contents b)
+    let length =
+      if body = "" then []
+      else [ "Content-Length: "; string_of_int (String.length body); "\r\n" ]
+    in
+    Sock.write_all sock
+      (String.concat ""
+         ((meth :: " " :: target :: " HTTP/1.1\r\n"
+           :: List.concat_map (fun (n, v) -> [ n; ": "; v; "\r\n" ]) headers)
+         @ length @ [ "\r\n"; body ]))
 
   (** Read one response off the socket: [(status, headers, body)].
       [None] on a clean EOF before the status line. *)

@@ -178,9 +178,12 @@ module Make (Eth : Fox_eth.Eth.S) : S with type eth_instance = Eth.t = struct
     | None -> ()
 
   (* Handle an ARP frame arriving on [econn] (the Ethernet session to the
-     frame's source station). *)
+     frame's source station).  The frame is this layer's to give back:
+     everything it carries is decoded before it is released. *)
   let receive_arp t econn frame =
-    match decode_arp frame with
+    let message = decode_arp frame in
+    Packet.release frame;
+    match message with
     | None -> ()
     | Some { op; sha; spa; tpa } ->
       if op = op_request && Ipv4_addr.equal tpa t.local_ip then begin
@@ -191,7 +194,10 @@ module Make (Eth : Fox_eth.Eth.S) : S with type eth_instance = Eth.t = struct
             ~tha:sha ~tpa:spa
         in
         t.replies_sent <- t.replies_sent + 1;
-        Eth.send econn reply
+        (* a lower-layer send copies what it transmits; the caller keeps
+           its packet, so both messages this layer builds go back here *)
+        Fun.protect ~finally:(fun () -> Packet.release reply) (fun () ->
+            Eth.send econn reply)
       end
       else if op = op_reply && Ipv4_addr.equal tpa t.local_ip then
         learn t spa sha
@@ -216,7 +222,8 @@ module Make (Eth : Fox_eth.Eth.S) : S with type eth_instance = Eth.t = struct
         ~tha:(Mac.of_int 0) ~tpa:ip
     in
     t.requests_sent <- t.requests_sent + 1;
-    Eth.send (broadcast_conn t) request
+    Fun.protect ~finally:(fun () -> Packet.release request) (fun () ->
+        Eth.send (broadcast_conn t) request)
 
   let cache_lookup t ip =
     match Hashtbl.find_opt t.cache (Ipv4_addr.to_int ip) with

@@ -121,7 +121,7 @@ let violations (info : Check_hook.info) : string list =
           (seq tcb.Tcb.snd_nxt);
       (* retransmission queue: sorted, non-overlapping, inside
          (snd_una, snd_nxt] by segment end *)
-      let entries = Deq.to_list tcb.Tcb.rtx_q in
+      let entries = Ring.to_list tcb.Tcb.rtx_q in
       List.iter
         (fun (e : Tcb.rtx_entry) ->
           let seg_end = Seq.add e.Tcb.rtx_seq e.Tcb.rtx_len in

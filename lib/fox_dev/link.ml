@@ -42,6 +42,9 @@ type t = {
   netem : Netem.t;
   rng : Rng.t;
   ports : port_state array;
+  (* per source port, the ports its frames reach: every other port on a
+     hub, the far end of a point-to-point link *)
+  destinations : int list array;
   shared_medium : bool;
   (* virtual time at which each transmit direction is free; a hub has a
      single shared medium, a point-to-point link one per direction *)
@@ -198,11 +201,6 @@ and transmit_up t src frame ps len =
     else t.netem.Netem.propagation_us
   in
   let base_arrival = start + tx_time + propagation in
-  let destinations =
-    if t.shared_medium then
-      List.filter (fun i -> i <> src) (List.init (Array.length t.ports) Fun.id)
-    else [ 1 - src ]
-  in
   List.iter
     (fun dst ->
       (* burst loss: once the rng decides a frame is lost, the following
@@ -254,7 +252,7 @@ and transmit_up t src frame ps len =
           schedule_delivery t dst (Packet.copy_fused frame) arrival
         end
       end)
-    destinations
+    t.destinations.(src)
   end
 
 let make ~ports ~shared netem =
@@ -263,6 +261,9 @@ let make ~ports ~shared netem =
     netem;
     rng = Rng.create netem.Netem.seed;
     ports = Array.init ports (fun _ -> new_port_state ());
+    destinations =
+      Array.init ports (fun src ->
+          List.filter (fun dst -> dst <> src) (List.init ports Fun.id));
     shared_medium = shared;
     medium_free_at = Array.make mediums 0;
     departures = Array.init mediums (fun _ -> Ring.create ~dummy:0);

@@ -16,9 +16,28 @@ type t
     first.  Must be called from inside a running scheduler. *)
 val start : (unit -> unit) -> int -> t
 
+(** [create handler] is a timer that is not running; each {!set} arms it
+    to call [handler ()] once.  For a timer restarted over and over — a
+    connection's retransmission or delayed-ACK timer — one [create] and
+    many [set]s replace a [start] per restart. *)
+val create : (unit -> unit) -> t
+
+(** [set t us] (re)arms [t] to fire [us] virtual microseconds from now,
+    rounded up to the wheel grain, replacing any deadline it had.  The
+    timer is re-armed in place: nothing is allocated.  Must be called
+    from inside a running scheduler; a timer armed in an earlier run may
+    be set again in a later one. *)
+val set : t -> int -> unit
+
 (** [clear t] prevents the handler from firing (idempotent; harmless after
-    expiry). *)
+    expiry).  The wheel lets go of the timer at once, so a cleared timer
+    the caller drops is garbage before its old deadline. *)
 val clear : t -> unit
 
-(** [cleared t] is true once [clear] has been called. *)
+(** [cleared t] is true once [clear] has been called since the timer was
+    last armed, before it fired. *)
 val cleared : t -> bool
+
+(** [armed t] is true while the timer is running: armed and neither
+    expired nor cleared since. *)
+val armed : t -> bool

@@ -260,7 +260,7 @@ let process_ack_common (params : params) tcb seg ~now =
            outstanding *)
         Seq.equal ack tcb.snd_una
         && Packet.length seg.data = 0
-        && (not (Deq.is_empty tcb.rtx_q))
+        && (not (Ring.is_empty tcb.rtx_q))
         && h.Tcp_header.window = tcb.snd_wnd
       then Resend.duplicate_ack params tcb ~now;
       (* window update (p. 72) *)
@@ -573,18 +573,52 @@ let differential = ref false
 let on_mismatch : (string -> unit) ref =
   ref (fun msg -> failwith ("Receive fast path diverged from process: " ^ msg))
 
-(* A shallow clone shares the persistent queues (Deq/list) and the
-   segment packets; the general path replayed on it never reads payload
-   bytes, so sharing buffers with the already-run fast path is safe.  The
-   congestion instance and the two to_do bands are mutable: the shadow
-   gets its own copies, or replaying the segment on it would advance the
-   real connection's algorithm and queue actions on the real TCB. *)
-let clone_tcb (tcb : tcp_tcb) =
+(* The shadow of the differential check: a clone of the pre-state that
+   the general DAG replays the segment on.  Its replay retains, releases
+   and splits packets just as the real path does, so it must not share a
+   single packet with the real connection — with recycled buffers, a
+   release meant for the shadow would recycle a buffer the connection
+   still holds.  [own] makes the shadow's private copy of each packet it
+   can reach (queues, to_do actions); retransmission entries are copied
+   too, since a resend mutates them.  The congestion instance and the
+   to_do bands are mutable and copied as before. *)
+let clone_tcb ~own (tcb : tcp_tcb) =
+  let own_seg s = { s with data = own s.data } in
+  let own_action = function
+    | Process_data s -> Process_data (own_seg s)
+    | User_data p -> User_data (own p)
+    | Send_segment ss ->
+      Send_segment { ss with out_data = Option.map own ss.out_data }
+    | a -> a
+  in
+  let own_queue q = Queue.of_seq (Stdlib.Seq.map own_action (Queue.to_seq q)) in
+  let queued = Ring.create ~dummy:Packet.placeholder in
+  Ring.iter (fun p -> Ring.push queued (own p)) tcb.queued;
+  let rtx_q = Ring.create ~dummy:rtx_placeholder in
+  Ring.iter
+    (fun e -> Ring.push rtx_q { e with rtx_data = Option.map own e.rtx_data })
+    tcb.rtx_q;
   { tcb with
+    queued;
+    rtx_q;
+    out_of_order = List.map own_seg tcb.out_of_order;
     cc = Congestion.copy tcb.cc;
-    to_do = Queue.copy tcb.to_do;
-    to_do_urgent = Queue.copy tcb.to_do_urgent;
+    to_do = own_queue tcb.to_do;
+    to_do_urgent = own_queue tcb.to_do_urgent;
   }
+
+(* Drop the shadow: every packet it may still reference — its own copies
+   and whatever its replay created — gives back all its references. *)
+let discard_shadow shadow copies =
+  List.iter Packet.discard copies;
+  iter_packets Packet.discard shadow;
+  List.iter
+    (function
+      | Process_data s -> Packet.discard s.data
+      | User_data p -> Packet.discard p
+      | Send_segment { out_data = Some p; _ } -> Packet.discard p
+      | _ -> ())
+    (pending_actions shadow)
 
 (* Everything [process] may change on a fast-path-eligible segment, plus
    the queued actions ([fast_path_hits] is deliberately absent). *)
@@ -601,10 +635,10 @@ let fingerprint tcb =
     ("rcv_wnd", string_of_int tcb.rcv_wnd);
     ("snd_mss", string_of_int tcb.snd_mss);
     ("queued_bytes", string_of_int tcb.queued_bytes);
-    ("queued_segments", string_of_int (Deq.size tcb.queued));
+    ("queued_segments", string_of_int (Ring.length tcb.queued));
     ( "fin_pending/sent/acked",
       Printf.sprintf "%b/%b/%b" tcb.fin_pending tcb.fin_sent tcb.fin_acked );
-    ("rtx_q", string_of_int (Deq.size tcb.rtx_q));
+    ("rtx_q", string_of_int (Ring.length tcb.rtx_q));
     ("rtx_timer_on", string_of_bool tcb.rtx_timer_on);
     ("out_of_order", string_of_int (List.length tcb.out_of_order));
     ("ooo_bytes", string_of_int tcb.ooo_bytes);
@@ -646,9 +680,16 @@ let fingerprint tcb =
 let run_checked (params : params) tcb seg ~now body =
   if not !differential then body ()
   else begin
-    let shadow = clone_tcb tcb in
+    let copies = ref [] in
+    let own p =
+      let c = Packet.copy p in
+      copies := c :: !copies;
+      c
+    in
+    let shadow = clone_tcb ~own tcb in
+    let shadow_seg = { seg with data = own seg.data } in
     body ();
-    (match process params (Estab shadow) seg ~now with
+    (match process params (Estab shadow) shadow_seg ~now with
     | Estab _ -> ()
     | s ->
       !on_mismatch
@@ -660,6 +701,7 @@ let run_checked (params : params) tcb seg ~now body =
           else Some (Printf.sprintf "%s: fast=%s general=%s" name fast general))
         (List.combine (fingerprint tcb) (fingerprint shadow))
     in
+    discard_shadow shadow !copies;
     if diffs <> [] then !on_mismatch (String.concat "; " diffs)
   end
 

@@ -49,8 +49,8 @@ let track (params : params) tcb entry ~now =
   entry.first_sent_at <- now;
   (* the stall clock starts when the queue goes from empty to non-empty:
      from here, only ACK progress (process_ack) refreshes it *)
-  if Deq.is_empty tcb.rtx_q then tcb.stalled_since <- now;
-  tcb.rtx_q <- Deq.push_back entry tcb.rtx_q;
+  if Ring.is_empty tcb.rtx_q then tcb.stalled_since <- now;
+  Ring.push tcb.rtx_q entry;
   (* Karn: time one segment at a time, never a retransmission, and never
      while a recovery episode is still in progress ([karn_until]): a
      fresh segment sent behind an unrepaired hole is only covered by the
@@ -114,10 +114,8 @@ let resend_entry tcb entry =
 let apply_reaction tcb (r : Congestion.reaction) =
   tcb.cwnd <- max tcb.snd_mss r.Congestion.next_cwnd;
   tcb.ssthresh <- max (2 * tcb.snd_mss) r.Congestion.next_ssthresh;
-  if r.Congestion.retransmit_front then
-    match Deq.peek_front tcb.rtx_q with
-    | Some entry -> resend_entry tcb entry
-    | None -> ()
+  if r.Congestion.retransmit_front && not (Ring.is_empty tcb.rtx_q) then
+    resend_entry tcb (Ring.peek tcb.rtx_q)
 
 let process_ack (params : params) tcb ~ack ~now =
   if Seq.le ack tcb.snd_una then false
@@ -127,20 +125,18 @@ let process_ack (params : params) tcb ~ack ~now =
     tcb.dup_acks <- 0;
     (* drop fully covered entries; the front entry may be partially
        covered (can only happen for data segments) *)
-    let rec drop q =
-      match Deq.pop_front q with
-      | None -> q
-      | Some (e, rest) ->
-        let seg_end = Seq.add e.rtx_seq e.rtx_len in
-        if Seq.le seg_end ack then begin
-          if e.rtx_fin then tcb.fin_acked <- true;
-          (* fully acknowledged: the queue's reference to the text dies *)
-          (match e.rtx_data with Some d -> Packet.release d | None -> ());
-          drop rest
-        end
-        else q
-    in
-    tcb.rtx_q <- drop tcb.rtx_q;
+    let q = tcb.rtx_q in
+    while
+      (not (Ring.is_empty q))
+      &&
+      let e = Ring.peek q in
+      Seq.le (Seq.add e.rtx_seq e.rtx_len) ack
+    do
+      let e = Ring.pop q in
+      if e.rtx_fin then tcb.fin_acked <- true;
+      (* fully acknowledged: the queue's reference to the text dies *)
+      match e.rtx_data with Some d -> Packet.release d | None -> ()
+    done;
     (* RTT sample if the timed octet is now acknowledged *)
     (match tcb.timing with
     | Some (timed_end, sent_at) when Seq.le timed_end ack ->
@@ -151,7 +147,7 @@ let process_ack (params : params) tcb ~ack ~now =
     tcb.full_rto_streak <- 0;
     (* forward progress: either the stall is over (queue drained) or the
        stall clock restarts from this ACK *)
-    tcb.stalled_since <- (if Deq.is_empty tcb.rtx_q then -1 else now);
+    tcb.stalled_since <- (if Ring.is_empty tcb.rtx_q then -1 else now);
     (* blackhole probe-up: after enough confirmed progress at the clamped
        MSS, try the pre-clamp size again; if the blackhole is still there
        detection simply re-clamps after the next RTO streak. *)
@@ -172,7 +168,7 @@ let process_ack (params : params) tcb ~ack ~now =
       let r = Congestion.on_ack tcb.cc (cc_ctx params tcb ~now) ~acked in
       apply_reaction tcb r
     end;
-    if Deq.is_empty tcb.rtx_q then clear_rtx_timer tcb
+    if Ring.is_empty tcb.rtx_q then clear_rtx_timer tcb
     else begin
       (* restart the timer for the remaining data *)
       clear_rtx_timer tcb;
@@ -182,7 +178,7 @@ let process_ack (params : params) tcb ~ack ~now =
   end
 
 let duplicate_ack (params : params) tcb ~now =
-  if params.fast_retransmit && not (Deq.is_empty tcb.rtx_q) then begin
+  if params.fast_retransmit && not (Ring.is_empty tcb.rtx_q) then begin
     tcb.dup_acks <- tcb.dup_acks + 1;
     if params.congestion_control then
       apply_reaction tcb
@@ -194,9 +190,7 @@ let duplicate_ack (params : params) tcb ~now =
          the algorithm's business) *)
       if !Bus.live then
         notef tcb "fast retransmit cwnd=%d ssthresh=%d" tcb.cwnd tcb.ssthresh;
-      match Deq.peek_front tcb.rtx_q with
-      | Some entry -> resend_entry tcb entry
-      | None -> ()
+      resend_entry tcb (Ring.peek tcb.rtx_q)
     end
   end
 
@@ -237,7 +231,9 @@ let resegment_rtx_q tcb =
       cs
     | _ -> [ e ]
   in
-  tcb.rtx_q <- Deq.of_list (List.concat_map split (Deq.to_list tcb.rtx_q))
+  let entries = List.concat_map split (Ring.to_list tcb.rtx_q) in
+  Ring.clear tcb.rtx_q;
+  List.iter (Ring.push tcb.rtx_q) entries
 
 (* RFC 4821-style blackhole detection: a path that silently eats large
    frames shows up as repeated RTOs of full-MSS segments with no ICMP and
@@ -265,23 +261,21 @@ let check_blackhole (params : params) tcb ~now entry =
       tcb.blackhole_shrinks <- tcb.blackhole_shrinks + 1;
       if !Bus.live then
         notef tcb "blackhole suspected: mss %d -> %d, re-segmenting %d entries"
-          prev tcb.snd_mss (Deq.size tcb.rtx_q);
+          prev tcb.snd_mss (Ring.length tcb.rtx_q);
       resegment_rtx_q tcb
     end
   end
 
 let retransmit (params : params) tcb ~now =
   tcb.rtx_timer_on <- false;
-  match Deq.peek_front tcb.rtx_q with
-  | None -> true (* spurious: nothing outstanding *)
-  | Some entry ->
+  if Ring.is_empty tcb.rtx_q then true (* spurious: nothing outstanding *)
+  else begin
+    let entry = Ring.peek tcb.rtx_q in
     if entry.sent_count > params.max_retransmits then false
     else begin
       if params.blackhole_detect then check_blackhole params tcb ~now entry;
       (* re-segmentation may have replaced the front entry *)
-      let entry =
-        match Deq.peek_front tcb.rtx_q with Some e -> e | None -> entry
-      in
+      let entry = Ring.peek tcb.rtx_q in
       if params.congestion_control then
         apply_reaction tcb
           (Congestion.on_rto tcb.cc (cc_ctx params tcb ~now));
@@ -293,3 +287,4 @@ let retransmit (params : params) tcb ~now =
       set_rtx_timer params tcb;
       true
     end
+  end

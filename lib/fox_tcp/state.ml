@@ -252,7 +252,7 @@ let timer_expired (params : params) state kind ~now =
           state
         end
       else if
-        (not (Fox_basis.Deq.is_empty tcb.rtx_q)) || tcb.queued_bytes > 0
+        (not (Fox_basis.Ring.is_empty tcb.rtx_q)) || tcb.queued_bytes > 0
       then give_up tcb ~reason:"user timeout"
       else begin
         arm_user_timer params tcb;

@@ -74,7 +74,7 @@ let of_tcb ~conn_id ~state ~now (tcb : Tcb.tcp_tcb) =
     dup_segments = tcb.Tcb.dup_segments;
     ooo_segments = tcb.Tcb.ooo_segments;
     queued_bytes = tcb.Tcb.queued_bytes;
-    rtx_queue_len = Fox_basis.Deq.size tcb.Tcb.rtx_q;
+    rtx_queue_len = Fox_basis.Ring.length tcb.Tcb.rtx_q;
     flight = Tcb.flight_size tcb;
     ooo_bytes = tcb.Tcb.ooo_bytes;
     ooo_trimmed = tcb.Tcb.ooo_trimmed;

@@ -26,6 +26,22 @@ type timer_kind =
   | Keepalive  (** RFC 1122 §4.2.3.6 idle-connection probing *)
   | Pacing  (** inter-segment gap requested by the congestion module *)
 
+(** Every timer kind, in {!timer_index} order. *)
+let timer_kinds =
+  [ Retransmit; Delayed_ack; Time_wait; User_timeout; Window_probe; Keepalive;
+    Pacing ]
+
+(** [timer_index k] is [k]'s position in {!timer_kinds}: an engine keeps
+    one timer per kind in an array indexed by it. *)
+let timer_index = function
+  | Retransmit -> 0
+  | Delayed_ack -> 1
+  | Time_wait -> 2
+  | User_timeout -> 3
+  | Window_probe -> 4
+  | Keepalive -> 5
+  | Pacing -> 6
+
 let timer_kind_name = function
   | Retransmit -> "retransmit"
   | Delayed_ack -> "delayed-ack"
@@ -107,6 +123,20 @@ type rtx_entry = {
   mutable first_sent_at : int;
   mutable sent_count : int;
 }
+
+(** Fills the empty cells of a retransmission ring; never queued. *)
+let rtx_placeholder =
+  {
+    rtx_seq = Seq.zero;
+    rtx_len = 0;
+    rtx_syn = false;
+    rtx_fin = false;
+    rtx_ack = false;
+    rtx_data = None;
+    rtx_mss = None;
+    first_sent_at = 0;
+    sent_count = 0;
+  }
 
 (** Runtime protocol parameters.  In the paper these are functor
     parameters of [Tcp] (Figure 4); the {!Tcp.Make} functor builds this
@@ -242,14 +272,15 @@ type tcp_tcb = {
   mutable rcv_wnd : int;
   mutable snd_mss : int;  (** segment ceiling (peer's MSS ∧ path) *)
   adv_mss : int;  (** the MSS we announce on SYNs *)
-  (* --- send buffering: user data not yet segmentised --- *)
-  mutable queued : Packet.t Deq.t;
+  (* --- send buffering: user data not yet segmentised.  This and
+     [rtx_q] are mutable rings, so a copy of the TCB must copy them --- *)
+  queued : Packet.t Ring.t;
   mutable queued_bytes : int;
   mutable fin_pending : bool;
   mutable fin_sent : bool;
   mutable fin_acked : bool;
   (* --- retransmission --- *)
-  mutable rtx_q : rtx_entry Deq.t;
+  rtx_q : rtx_entry Ring.t;
   mutable rtx_timer_on : bool;
   (* --- out-of-order queue (Figure 6's [out_of_order]) --- *)
   mutable out_of_order : segment list;  (** sorted by sequence number *)
@@ -387,9 +418,11 @@ let synchronized = function
   | Last_ack _ | Time_wait _ ->
     true
 
-(** [create_tcb params ~iss] is a fresh TCB with empty queues and the
-    estimator in its initial state. *)
-let create_tcb (params : params) ~iss =
+(** [create_tcb_with_mss params ~iss ~mss] is a fresh TCB with empty
+    queues and the estimator in its initial state, whose MSS fields (the
+    segment ceiling and the MSS we announce) are [mss] — connection setup
+    knows the path MTU from the auxiliary structure. *)
+let create_tcb_with_mss (params : params) ~iss ~mss =
   {
     iss;
     snd_una = iss;
@@ -401,14 +434,14 @@ let create_tcb (params : params) ~iss =
     irs = Seq.zero;
     rcv_nxt = Seq.zero;
     rcv_wnd = params.initial_window;
-    snd_mss = 536;
-    adv_mss = 536;
-    queued = Deq.empty;
+    snd_mss = mss;
+    adv_mss = mss;
+    queued = Ring.create ~dummy:Packet.placeholder;
     queued_bytes = 0;
     fin_pending = false;
     fin_sent = false;
     fin_acked = false;
-    rtx_q = Deq.empty;
+    rtx_q = Ring.create ~dummy:rtx_placeholder;
     rtx_timer_on = false;
     out_of_order = [];
     ooo_bytes = 0;
@@ -431,7 +464,7 @@ let create_tcb (params : params) ~iss =
     mss_clamped_at = 0;
     blackhole_shrinks = 0;
     blackhole_restores = 0;
-    cwnd = Congestion.initial_cwnd params.cc ~mss:536;
+    cwnd = Congestion.initial_cwnd params.cc ~mss;
     ssthresh = 65535;
     dup_acks = 0;
     cc = Congestion.make params.cc;
@@ -461,13 +494,19 @@ let create_tcb (params : params) ~iss =
     obs_id = "-";
   }
 
-(** [create_tcb_with_mss params ~iss ~mss] also fixes both MSS fields
-    (connection setup knows the path MTU from the auxiliary structure). *)
-let create_tcb_with_mss params ~iss ~mss =
-  let tcb = create_tcb params ~iss in
-  tcb.snd_mss <- mss;
-  tcb.cwnd <- Congestion.initial_cwnd params.cc ~mss;
-  { tcb with adv_mss = mss }
+(** [create_tcb params ~iss] is {!create_tcb_with_mss} at the RFC 1122
+    default MSS of 536. *)
+let create_tcb params ~iss = create_tcb_with_mss params ~iss ~mss:536
+
+(** [iter_packets f tcb] applies [f] to every packet the TCB itself holds
+    a reference to: queued send text, retransmission-queue text and
+    out-of-order segments (not the [to_do] actions, which own theirs). *)
+let iter_packets f tcb =
+  Ring.iter f tcb.queued;
+  Ring.iter
+    (fun e -> match e.rtx_data with Some d -> f d | None -> ())
+    tcb.rtx_q;
+  List.iter (fun s -> f s.data) tcb.out_of_order
 
 (** Actions that put a packet on the wire — the ones that "affect the
     packet latency" and jump the queue under [prioritize_latency]. *)
@@ -527,4 +566,4 @@ let pp fmt tcb =
   Format.fprintf fmt
     "una=%a nxt=%a wnd=%d cwnd=%d rcv_nxt=%a rcv_wnd=%d queued=%dB rtx=%d"
     Seq.pp tcb.snd_una Seq.pp tcb.snd_nxt tcb.snd_wnd tcb.cwnd Seq.pp
-    tcb.rcv_nxt tcb.rcv_wnd tcb.queued_bytes (Deq.size tcb.rtx_q)
+    tcb.rcv_nxt tcb.rcv_wnd tcb.queued_bytes (Ring.length tcb.rtx_q)

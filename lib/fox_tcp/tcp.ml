@@ -427,7 +427,9 @@ end = struct
     mutable data : data_handler;
     mutable status : status_handler;
     mutable draining : bool;
-    mutable timers : (Tcb.timer_kind * Fox_sched.Timer.t) list;
+    timers : Fox_sched.Timer.t option array;
+        (** one timer per {!Tcb.timer_index}, created on first use and
+            re-armed in place after that *)
     open_mb : (unit, string) result Fox_sched.Cond.t;
     close_mb : unit Fox_sched.Cond.t;
     send_space : unit Fox_sched.Cond.t;
@@ -756,29 +758,36 @@ end = struct
   (* ---------------- timers (Figure 11 timers per kind) ---------------- *)
 
   let clear_timer conn kind =
-    conn.timers <-
-      List.filter
-        (fun (k, timer) ->
-          if k = kind then begin
-            Fox_sched.Timer.clear timer;
-            false
-          end
-          else true)
-        conn.timers
+    match conn.timers.(Tcb.timer_index kind) with
+    | Some timer -> Fox_sched.Timer.clear timer
+    | None -> ()
+
+  let armed_timers conn =
+    List.filter
+      (fun kind ->
+        match conn.timers.(Tcb.timer_index kind) with
+        | Some timer -> Fox_sched.Timer.armed timer
+        | None -> false)
+      Tcb.timer_kinds
 
   let rec set_timer conn kind us =
-    clear_timer conn kind;
+    let i = Tcb.timer_index kind in
     let timer =
-      Fox_sched.Timer.start
-        (fun () ->
-          if not conn.dead then begin
-            conn.timers <- List.filter (fun (k, _) -> k <> kind) conn.timers;
-            Tcb.add_to_do conn.tcb (Tcb.Timer_expired kind);
-            drain conn
-          end)
-        us
+      match conn.timers.(i) with
+      | Some timer -> timer
+      | None ->
+        let expired = Tcb.Timer_expired kind in
+        let timer =
+          Fox_sched.Timer.create (fun () ->
+              if not conn.dead then begin
+                Tcb.add_to_do conn.tcb expired;
+                drain conn
+              end)
+        in
+        conn.timers.(i) <- Some timer;
+        timer
     in
-    conn.timers <- (kind, timer) :: conn.timers
+    Fox_sched.Timer.set timer us
 
   (* ---------------- teardown ---------------- *)
 
@@ -790,8 +799,7 @@ end = struct
         conn.in_time_wait <- false;
         conn.tcp.time_wait_count <- conn.tcp.time_wait_count - 1
       end;
-      List.iter (fun (_, timer) -> Fox_sched.Timer.clear timer) conn.timers;
-      conn.timers <- [];
+      Array.iter (Option.iter Fox_sched.Timer.clear) conn.timers;
       Conns.remove conn.tcp.conns (endpoints conn);
       Bus.unregister_stats ~id:conn.tcb.Tcb.obs_id;
       let t = conn.tcp and tcb = conn.tcb in
@@ -805,18 +813,15 @@ end = struct
         t.blackhole_shrinks_dead + tcb.Tcb.blackhole_shrinks;
       t.blackhole_restores_dead <-
         t.blackhole_restores_dead + tcb.Tcb.blackhole_restores;
-      (* drop the TCB's own buffer references so the leak census balances;
-         actions still pending on to_do hold their own references *)
-      Deq.iter
-        (fun e ->
-          match e.Tcb.rtx_data with
-          | Some d -> Packet.release d
-          | None -> ())
-        conn.tcb.Tcb.rtx_q;
-      Deq.iter Packet.release conn.tcb.Tcb.queued;
-      List.iter
-        (fun (s : Tcb.segment) -> Packet.release s.Tcb.data)
-        conn.tcb.Tcb.out_of_order;
+      (* drop the TCB's own buffer references so the leak census balances
+         (actions still pending on to_do hold their own references), and
+         empty the queues so nothing can reach a recycled buffer *)
+      Tcb.iter_packets Packet.release tcb;
+      Ring.clear tcb.Tcb.queued;
+      tcb.Tcb.queued_bytes <- 0;
+      Ring.clear tcb.Tcb.rtx_q;
+      tcb.Tcb.out_of_order <- [];
+      tcb.Tcb.ooo_bytes <- 0;
       let reason = Option.value conn.close_reason ~default:Status.Closed in
       if !Bus.live then
         Bus.emit ~layer:"tcp" ~conn:conn.tcb.Tcb.obs_id
@@ -968,7 +973,7 @@ end = struct
               after = conn.state;
               action;
               pending = Tcb.pending_actions conn.tcb;
-              armed = List.map fst conn.timers;
+              armed = armed_timers conn;
               now = Fox_sched.Scheduler.now ();
               dead = conn.dead;
             }));
@@ -1007,7 +1012,7 @@ end = struct
         data = ignore;
         status = ignore;
         draining = false;
-        timers = [];
+        timers = Array.make (List.length Tcb.timer_kinds) None;
         open_mb = Fox_sched.Cond.create ();
         close_mb = Fox_sched.Cond.create ();
         send_space = Fox_sched.Cond.create ();

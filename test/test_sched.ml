@@ -909,6 +909,73 @@ let test_wheel_all_cancelled_terminates () =
   Alcotest.(check bool) "the run ends by the first alarm" true
     (stats.Scheduler.end_time < grain)
 
+(* A cancelled entry leaves the wheel at once: its handler is garbage
+   long before the deadline it was armed for. *)
+let[@inline never] arm_and_cancel weak =
+  let hits = ref 0 in
+  let handler () = incr hits in
+  Weak.set weak 0 (Some handler);
+  Timer.clear (Timer.start handler 10_000_000)
+
+let test_wheel_cancel_frees_handler () =
+  let weak = Weak.create 1 in
+  let _ =
+    Scheduler.run (fun () ->
+        arm_and_cancel weak;
+        Gc.full_major ();
+        Alcotest.(check bool) "handler collected before its old deadline" false
+          (Weak.check weak 0);
+        Alcotest.(check int) "nothing pending" 0 (Wheel.pending ()))
+  in
+  ()
+
+(* A timer armed in a run that stopped early is dropped when the next run
+   arms again, and the same timer can be armed in that run: it fires once,
+   on the new deadline. *)
+let test_wheel_rearm_across_runs () =
+  let fired = ref [] in
+  let t = Timer.create (fun () -> fired := Scheduler.now () :: !fired) in
+  let _ =
+    Scheduler.run (fun () ->
+        Timer.set t 1_000_000;
+        Scheduler.sleep 10_000;
+        ignore (Scheduler.stop ()))
+  in
+  Alcotest.(check bool) "still armed when its run stopped" true (Timer.armed t);
+  let _ =
+    Scheduler.run (fun () ->
+        Timer.set t 5_000;
+        Alcotest.(check int) "one entry pending" 1 (Wheel.pending ()))
+  in
+  Alcotest.(check (list int)) "fired once, at the new deadline's tick"
+    [ 5 * grain ] !fired;
+  Alcotest.(check bool) "not armed after firing" false (Timer.armed t)
+
+(* Re-arming in place fires exactly like a fresh [start] per restart: the
+   last deadline set wins, a clear disarms, and firing order within a
+   tick is arming order. *)
+let test_wheel_set_replaces_deadline () =
+  let log = ref [] in
+  let note name () = log := (name, Scheduler.now ()) :: !log in
+  let a = Timer.create (note "a") and b = Timer.create (note "b") in
+  let c = Timer.create (note "c") in
+  let _ =
+    Scheduler.run (fun () ->
+        Timer.set a 50_000;
+        Timer.set b 3_000;
+        Timer.set c 3_000;
+        Timer.set a 2_500;
+        Timer.set b 2_900;
+        Timer.clear c;
+        Scheduler.sleep 10_000;
+        Timer.set c 1;
+        Timer.set c 100_000)
+  in
+  Alcotest.(check (list (pair string int)))
+    "a then b in the same tick, c only at its last deadline"
+    [ ("a", 3 * grain); ("b", 3 * grain); ("c", 108 * grain) ]
+    (List.rev !log)
+
 (* Regression: an alarm superseded by an earlier insert used to advance
    the wheel and re-arm when it woke, so every superseded alarm started
    a chain of its own and alarms multiplied.  The load is TCP's: a timer
@@ -1121,6 +1188,12 @@ let () =
           Alcotest.test_case "all cancelled terminates" `Quick
             test_wheel_all_cancelled_terminates;
           Alcotest.test_case "no alarm storm" `Quick test_wheel_no_alarm_storm;
+          Alcotest.test_case "cancel frees the handler" `Quick
+            test_wheel_cancel_frees_handler;
+          Alcotest.test_case "re-arm across runs" `Quick
+            test_wheel_rearm_across_runs;
+          Alcotest.test_case "set replaces the deadline" `Quick
+            test_wheel_set_replaces_deadline;
         ] );
       ( "cond",
         [

@@ -198,7 +198,7 @@ let test_active_open () =
     | _ ->
       Alcotest.failf "unexpected actions: %s"
         (String.concat "," (List.map Tcb.action_name actions)));
-    Alcotest.(check int) "rtx queue holds the SYN" 1 (Fox_basis.Deq.size tcb.Tcb.rtx_q)
+    Alcotest.(check int) "rtx queue holds the SYN" 1 (Fox_basis.Ring.length tcb.Tcb.rtx_q)
   | s -> Alcotest.failf "expected SYN-SENT, got %s" (Tcb.state_name s)
 
 let test_passive_open () =
@@ -591,9 +591,9 @@ let test_ack_clears_covered_entries () =
   tcb.Tcb.cwnd <- 1 lsl 20;
   Send.enqueue params tcb (Packet.of_string (String.make 3000 'x')) ~now:0;
   ignore (drain_actions tcb);
-  Alcotest.(check int) "three in queue" 3 (Fox_basis.Deq.size tcb.Tcb.rtx_q);
+  Alcotest.(check int) "three in queue" 3 (Fox_basis.Ring.length tcb.Tcb.rtx_q);
   ignore (Resend.process_ack params tcb ~ack:(Seq.of_int (1001 + 2000)) ~now:10);
-  Alcotest.(check int) "one left" 1 (Fox_basis.Deq.size tcb.Tcb.rtx_q);
+  Alcotest.(check int) "one left" 1 (Fox_basis.Ring.length tcb.Tcb.rtx_q);
   Alcotest.(check int) "snd_una moved" (1001 + 2000) (Seq.to_int tcb.Tcb.snd_una)
 
 let test_fast_retransmit_on_three_dups () =
@@ -1006,7 +1006,7 @@ let test_fast_path_pure_ack () =
   let ack = mk_segment ~seq:5001 ~ack:(Some 2001) ~window:8192 () in
   Alcotest.(check bool) "taken" true (Receive.fast_path params tcb ack ~now:10);
   Alcotest.(check int) "snd_una" 2001 (Seq.to_int tcb.Tcb.snd_una);
-  Alcotest.(check int) "rtx drained" 0 (Fox_basis.Deq.size tcb.Tcb.rtx_q)
+  Alcotest.(check int) "rtx drained" 0 (Fox_basis.Ring.length tcb.Tcb.rtx_q)
 
 let test_fast_path_rejects_odd_segments () =
   let tcb = estab_tcb () in
