@@ -308,108 +308,81 @@ let gc_experiment () =
 (* Ablations                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Every TCP variant produced by the functors matches this slice of the
-   protocol signature (record declarations match structurally), so one
-   adapter functor serves the whole ablation matrix. *)
-module type TCPISH = sig
-  type t
+(* The bench's one transfer loop, generic over the engine so Ablation A
+   runs the structured and the monolithic TCP through identical code.
+   The receiver asks for [bytes] with an 8-byte request; the sender
+   streams MSS-sized packets back, allocated but not filled, so the loop
+   measures the engines and not a payload generator.  Both ends release
+   every packet they are handed.  A slow application ([app_us] > 0)
+   charges that much receiver CPU inside each data upcall, i.e. inside
+   the drain loop. *)
+type run = { virt_us : int; cpu_s : float; sender_segs : int; receiver_segs : int }
 
-  type connection
-
-  type listener
-
-  type address = { peer : Ipv4_addr.t; port : int; local_port : int option }
-
-  type pattern = { local_port : int }
-
-  type data_handler = Packet.t -> unit
-
-  type status_handler = Fox_proto.Status.t -> unit
-
-  type handler = connection -> data_handler * status_handler
-
-  val start_passive : t -> pattern -> handler -> listener
-
-  val connect : t -> address -> handler -> connection
-
-  val allocate_send : connection -> int -> Packet.t
-
-  val send : connection -> Packet.t -> unit
-
-  val max_packet_size : connection -> int
-end
-
-type 'c ops = {
-  listen : port:int -> ('c -> Packet.t -> unit) -> unit;
-  connect : peer:Ipv4_addr.t -> port:int -> handler:(Packet.t -> unit) -> 'c;
-  allocate : 'c -> int -> Packet.t;
-  send : 'c -> Packet.t -> unit;
-  mss : 'c -> int;
-}
-
-module Ops (T : TCPISH) = struct
-  let ops (t : T.t) : T.connection ops =
+module Loop (E : Experiments.ENGINE) = struct
+  let transfer ?(app_us = 0) ~(sender : Network.host)
+      ~(receiver : Network.host) ~bytes () =
+    let port = 5001 in
+    let ts = E.instance sender and tr = E.instance receiver in
+    E.listen ts ~port (fun conn request ->
+        if Packet.length request >= 8 then begin
+          let wanted = Packet.get_u32 request 4 in
+          Packet.release request;
+          Scheduler.fork (fun () ->
+              let mss = E.mss conn in
+              let sent = ref 0 in
+              while !sent < wanted do
+                let n = min mss (wanted - !sent) in
+                E.send conn (E.allocate conn n);
+                sent := !sent + n
+              done)
+        end);
+    let received = ref 0 and t0 = ref 0 and t1 = ref 0 in
+    let cpu0 = Sys.time () in
+    let _ =
+      Scheduler.run (fun () ->
+          let conn =
+            E.connect tr ~peer:sender.Network.addr ~port ~handler:(fun packet ->
+                if app_us > 0 then
+                  Fox_sched.Cpu.charge receiver.Network.cpu "application" app_us;
+                received := !received + Packet.length packet;
+                Packet.release packet;
+                if !received >= bytes then t1 := Scheduler.now ())
+          in
+          t0 := Scheduler.now ();
+          let request = E.allocate conn 8 in
+          Packet.set_u32 request 0 0xF0C5F0C5;
+          Packet.set_u32 request 4 bytes;
+          E.send conn request)
+    in
+    let cpu_s = Sys.time () -. cpu0 in
+    assert (!received >= bytes);
     {
-      listen =
-        (fun ~port handler ->
-          ignore
-            (T.start_passive t { T.local_port = port } (fun conn ->
-                 (handler conn, ignore))));
-      connect =
-        (fun ~peer ~port ~handler ->
-          T.connect t { T.peer; port; local_port = None } (fun _ ->
-              (handler, ignore)));
-      allocate = T.allocate_send;
-      send = T.send;
-      mss = T.max_packet_size;
+      virt_us = !t1 - !t0;
+      cpu_s;
+      sender_segs = E.segments_sent ts;
+      receiver_segs = E.segments_sent tr;
     }
 end
 
-module Fox_ops = Ops (Stack.Tcp)
-module Baseline_ops = Ops (Stack.Baseline_tcp)
-module No_delack_ops = Ops (Stack.Tcp_no_delayed_ack)
-module Basic_ck_ops = Ops (Stack.Tcp_basic_checksum)
-module No_ck_ops = Ops (Stack.Tcp_no_checksums)
-module Prio_ops = Ops (Stack.Tcp_prioritized)
-module No_pred_ops = Ops (Stack.Tcp_no_prediction)
-module W1024_ops = Ops (Stack.Tcp_w1024)
-module W2048_ops = Ops (Stack.Tcp_w2048)
-module W8192_ops = Ops (Stack.Tcp_w8192)
-module W16384_ops = Ops (Stack.Tcp_w16384)
+let default = Fox_tcp.Tcb.default_params
 
-let generic_transfer sender_ops receiver_ops ~sender_addr ~bytes =
-  let port = 5001 in
-  sender_ops.listen ~port (fun conn request ->
-      if Packet.length request >= 8 then begin
-        let wanted = Packet.get_u32 request 4 in
-        Scheduler.fork (fun () ->
-            let mss = sender_ops.mss conn in
-            let sent = ref 0 in
-            while !sent < wanted do
-              let n = min mss (wanted - !sent) in
-              let p = sender_ops.allocate conn n in
-              sender_ops.send conn p;
-              sent := !sent + n
-            done)
-      end);
-  let received = ref 0 and t0 = ref 0 and t1 = ref 0 in
-  let cpu0 = Sys.time () in
-  let _ =
-    Scheduler.run (fun () ->
-        let conn =
-          receiver_ops.connect ~peer:sender_addr ~port ~handler:(fun packet ->
-              received := !received + Packet.length packet;
-              if !received >= bytes then t1 := Scheduler.now ())
-        in
-        t0 := Scheduler.now ();
-        let request = receiver_ops.allocate conn 8 in
-        Packet.set_u32 request 0 0xF0C5F0C5;
-        Packet.set_u32 request 4 bytes;
-        receiver_ops.send conn request)
+(* One structured TCP configuration: [params] applied as its own
+   [Tcp.Make] — each configuration is a functor application, as in
+   Figure 4 — on a fresh pair of bare hosts, then one transfer. *)
+let transfer_with ?app_us ?cost ?netem params ~bytes =
+  let module F = Experiments.Fox_engine_of (struct
+    let params = params
+  end) in
+  let _, a, b = Network.pair ~engine:Network.Bare ?cost ?netem () in
+  let ta = F.T.create a.Network.metered_ip
+  and tb = F.T.create b.Network.metered_ip in
+  let module L =
+    Loop
+      (F.On (struct
+        let instance h = if h == a then ta else tb
+      end))
   in
-  let cpu_s = Sys.time () -. cpu0 in
-  assert (!received >= bytes);
-  (!t1 - !t0, cpu_s)
+  L.transfer ?app_us ~sender:a ~receiver:b ~bytes ()
 
 let ablation_control_structure () =
   section "Ablation A: control structure (quasi-synchronous vs direct calls)";
@@ -417,33 +390,20 @@ let ablation_control_structure () =
     "Real CPU seconds this machine spends simulating a 4 MB transfer on a\n\
      gigabit wire (no cost model): measures the engines' own bookkeeping.\n\n";
   let bytes = 4_000_000 in
+  let row label engine (module E : Experiments.ENGINE) =
+    let module L = Loop (E) in
+    let _, a, b = Network.pair ~engine ~netem:Fox_dev.Netem.gigabit () in
+    let r = L.transfer ~sender:a ~receiver:b ~bytes () in
+    Printf.printf "  %-28s %8.3f s CPU   (virtual: %8.1f ms)\n" label r.cpu_s
+      (float_of_int r.virt_us /. 1000.);
+    r.cpu_s
+  in
   let fox =
-    let _, a, b = Network.pair ~engine:Network.Fox ~netem:Fox_dev.Netem.gigabit () in
-    let virt, cpu_s =
-      generic_transfer
-        (Fox_ops.ops (Network.fox_tcp a))
-        (Fox_ops.ops (Network.fox_tcp b))
-        ~sender_addr:a.Network.addr ~bytes
-    in
-    Printf.printf "  %-28s %8.3f s CPU   (virtual: %8.1f ms)\n"
-      "structured (to_do queue)" cpu_s
-      (float_of_int virt /. 1000.);
-    cpu_s
+    row "structured (to_do queue)" Network.Fox (module Experiments.Fox_engine)
   in
   let base =
-    let _, a, b =
-      Network.pair ~engine:Network.Baseline ~netem:Fox_dev.Netem.gigabit ()
-    in
-    let virt, cpu_s =
-      generic_transfer
-        (Baseline_ops.ops (Network.baseline_tcp a))
-        (Baseline_ops.ops (Network.baseline_tcp b))
-        ~sender_addr:a.Network.addr ~bytes
-    in
-    Printf.printf "  %-28s %8.3f s CPU   (virtual: %8.1f ms)\n"
-      "monolithic (direct calls)" cpu_s
-      (float_of_int virt /. 1000.);
-    cpu_s
+    row "monolithic (direct calls)" Network.Baseline
+      (module Experiments.Baseline_engine)
   in
   Printf.printf
     "\n  structured/monolithic CPU ratio: %.2f (the engine-side price of the\n\
@@ -455,130 +415,61 @@ let ablation_checksums () =
   Printf.printf
     "2 MB transfer on a gigabit wire; the checksum is the main data-touching\n\
      operation left once copies are minimised (cf. Figure 10).\n\n";
-  let bytes = 2_000_000 in
-  let fox_default () =
-    let _, a, b = Network.pair ~engine:Network.Fox ~netem:Fox_dev.Netem.gigabit () in
-    snd
-      (generic_transfer
-         (Fox_ops.ops (Network.fox_tcp a))
-         (Fox_ops.ops (Network.fox_tcp b))
-         ~sender_addr:a.Network.addr ~bytes)
-  in
-  let with_variant create ops =
-    let _, a, b = Network.pair ~engine:Network.Bare ~netem:Fox_dev.Netem.gigabit () in
-    let ta = create a.Network.metered_ip and tb = create b.Network.metered_ip in
-    snd (generic_transfer (ops ta) (ops tb) ~sender_addr:a.Network.addr ~bytes)
-  in
-  Printf.printf "  %-38s %8.3f s CPU\n" "optimized checksum (Figure 10)"
-    (fox_default ());
-  Printf.printf "  %-38s %8.3f s CPU\n" "basic checksum (x-kernel loop)"
-    (with_variant Stack.Tcp_basic_checksum.create Basic_ck_ops.ops);
-  Printf.printf "  %-38s %8.3f s CPU\n" "checksums off (Special_Tcp, trust CRC)"
-    (with_variant Stack.Tcp_no_checksums.create No_ck_ops.ops)
+  List.iter
+    (fun (label, params) ->
+      let r =
+        transfer_with ~netem:Fox_dev.Netem.gigabit params ~bytes:2_000_000
+      in
+      Printf.printf "  %-38s %8.3f s CPU\n" label r.cpu_s)
+    [
+      ("optimized checksum (Figure 10)", default);
+      ("basic checksum (x-kernel loop)", { default with checksum_alg = `Basic });
+      ( "checksums off (Special_Tcp, trust CRC)",
+        { default with compute_checksums = false } );
+    ]
 
 let ablation_delayed_ack () =
   section "Ablation C: delayed acknowledgements";
   Printf.printf
     "1 MB transfer on the 10 Mb/s wire (no cost model): delayed ACKs halve\n\
      the reverse traffic at the price of occasional 200 ms holdoffs.\n\n";
-  let bytes = 1_000_000 in
-  (let _, a, b = Network.pair ~engine:Network.Fox () in
-   let elapsed, _ =
-     generic_transfer
-       (Fox_ops.ops (Network.fox_tcp a))
-       (Fox_ops.ops (Network.fox_tcp b))
-       ~sender_addr:a.Network.addr ~bytes
-   in
-   Printf.printf "  %-26s elapsed %8.1f ms   receiver segments %6d\n"
-     "delayed ACK (200 ms)"
-     (float_of_int elapsed /. 1000.)
-     (Stack.Tcp.stats (Network.fox_tcp b)).Fox_tcp.Tcp.segs_out);
-  let _, a, b = Network.pair ~engine:Network.Bare () in
-  let ta = Stack.Tcp_no_delayed_ack.create a.Network.metered_ip in
-  let tb = Stack.Tcp_no_delayed_ack.create b.Network.metered_ip in
-  let elapsed, _ =
-    generic_transfer (No_delack_ops.ops ta) (No_delack_ops.ops tb)
-      ~sender_addr:a.Network.addr ~bytes
-  in
-  Printf.printf "  %-26s elapsed %8.1f ms   receiver segments %6d\n"
-    "immediate ACK"
-    (float_of_int elapsed /. 1000.)
-    (Stack.Tcp_no_delayed_ack.stats tb).Fox_tcp.Tcp.segs_out
+  List.iter
+    (fun (label, params) ->
+      let r = transfer_with params ~bytes:1_000_000 in
+      Printf.printf "  %-26s elapsed %8.1f ms   receiver segments %6d\n" label
+        (float_of_int r.virt_us /. 1000.)
+        r.receiver_segs)
+    [
+      ("delayed ACK (200 ms)", default);
+      ("immediate ACK", { default with delayed_ack_us = 0 });
+    ]
 
-(* The window is a functor parameter (Figure 4), so the sweep is five
-   separate functor applications of the same TCP — a figure the paper
-   implies with its "window size used by many implementations" remark. *)
+(* The window is a functor parameter (Figure 4), so each point of the
+   sweep is a separate functor application of the same TCP — a figure
+   the paper implies with its "window size used by many implementations"
+   remark. *)
 let window_sweep () =
   section "Extension: throughput vs. window size (DECstation cost model)";
   Printf.printf
     "500 KB fox transfer; the window bounds data in flight, so throughput\n\
      climbs until processing, not the window, is the bottleneck.\n\n";
   let bytes = 500_000 in
-  let run_one window create ops =
-    let _, a, b =
-      Network.pair ~engine:Network.Bare ~cost:Cost_model.fox ()
-    in
-    let ta = create a.Network.metered_ip and tb = create b.Network.metered_ip in
-    let elapsed, _ =
-      generic_transfer (ops ta) (ops tb) ~sender_addr:a.Network.addr ~bytes
-    in
-    let mbps = float_of_int (bytes * 8) /. float_of_int elapsed in
-    Printf.printf "  window %6d B   %8.3f Mb/s   %s\n" window mbps
-      (String.make (int_of_float (mbps *. 40.)) '#')
-  in
-  run_one 1024 Stack.Tcp_w1024.create W1024_ops.ops;
-  run_one 2048 Stack.Tcp_w2048.create W2048_ops.ops;
-  (let _, a, b = Network.pair ~engine:Network.Fox ~cost:Cost_model.fox () in
-   let elapsed, _ =
-     generic_transfer
-       (Fox_ops.ops (Network.fox_tcp a))
-       (Fox_ops.ops (Network.fox_tcp b))
-       ~sender_addr:a.Network.addr ~bytes
-   in
-   let mbps = float_of_int (bytes * 8) /. float_of_int elapsed in
-   Printf.printf "  window %6d B   %8.3f Mb/s   %s   (paper's setting)\n" 4096
-     mbps
-     (String.make (int_of_float (mbps *. 40.)) '#'));
-  run_one 8192 Stack.Tcp_w8192.create W8192_ops.ops;
-  run_one 16384 Stack.Tcp_w16384.create W16384_ops.ops
+  List.iter
+    (fun window ->
+      let r =
+        transfer_with ~cost:Cost_model.fox
+          { default with initial_window = window }
+          ~bytes
+      in
+      let mbps = float_of_int (bytes * 8) /. float_of_int r.virt_us in
+      Printf.printf "  window %6d B   %8.3f Mb/s   %s%s\n" window mbps
+        (String.make (int_of_float (mbps *. 40.)) '#')
+        (if window = default.initial_window then "   (paper's setting)" else ""))
+    [ 1024; 2048; 4096; 8192; 16384 ]
 
-(* Like generic_transfer, but the receiving application is slow: each
-   delivery charges [app_us] of CPU inside the User_data upcall — i.e.
-   inside the drain loop.  With the FIFO queue the outgoing ACK (queued
-   after the User_data action) waits behind that processing; the priority
+(* With the FIFO queue the outgoing ACK (queued after the User_data
+   action) waits behind the slow application's processing; the priority
    queue sends it first, so the sender's window opens sooner. *)
-let transfer_with_slow_app sender_ops receiver_ops ~sender_addr
-    ~(receiver : Network.host) ~app_us ~bytes =
-  let port = 5002 in
-  sender_ops.listen ~port (fun conn request ->
-      if Packet.length request >= 8 then begin
-        let wanted = Packet.get_u32 request 4 in
-        Scheduler.fork (fun () ->
-            let mss = sender_ops.mss conn in
-            let sent = ref 0 in
-            while !sent < wanted do
-              let n = min mss (wanted - !sent) in
-              sender_ops.send conn (sender_ops.allocate conn n);
-              sent := !sent + n
-            done)
-      end);
-  let received = ref 0 and t0 = ref 0 and t1 = ref 0 in
-  let _ =
-    Scheduler.run (fun () ->
-        let conn =
-          receiver_ops.connect ~peer:sender_addr ~port ~handler:(fun packet ->
-              Fox_sched.Cpu.charge receiver.Network.cpu "application" app_us;
-              received := !received + Packet.length packet;
-              if !received >= bytes then t1 := Scheduler.now ())
-        in
-        t0 := Scheduler.now ();
-        let request = receiver_ops.allocate conn 8 in
-        Packet.set_u32 request 4 bytes;
-        receiver_ops.send conn request)
-  in
-  assert (!received >= bytes);
-  !t1 - !t0
-
 let ablation_priority () =
   section "Ablation D: priority to_do queue (the paper's suggested refinement)";
   Printf.printf
@@ -587,25 +478,15 @@ let ablation_priority () =
      be executed with higher priority.\"  500 KB to a slow application that\n\
      burns 4 ms of CPU per delivered segment, inside the upcall: with the\n\
      FIFO the ACK queued behind each User_data action waits for the app.\n\n";
-  let bytes = 500_000 and app_us = 4_000 in
-  (let _, a, b = Network.pair ~engine:Network.Fox () in
-   let elapsed =
-     transfer_with_slow_app
-       (Fox_ops.ops (Network.fox_tcp a))
-       (Fox_ops.ops (Network.fox_tcp b))
-       ~sender_addr:a.Network.addr ~receiver:b ~app_us ~bytes
-   in
-   Printf.printf "  %-26s elapsed %8.2f s (virtual)\n" "FIFO to_do queue"
-     (float_of_int elapsed /. 1e6));
-  let _, a, b = Network.pair ~engine:Network.Bare () in
-  let ta = Stack.Tcp_prioritized.create a.Network.metered_ip in
-  let tb = Stack.Tcp_prioritized.create b.Network.metered_ip in
-  let elapsed =
-    transfer_with_slow_app (Prio_ops.ops ta) (Prio_ops.ops tb)
-      ~sender_addr:a.Network.addr ~receiver:b ~app_us ~bytes
-  in
-  Printf.printf "  %-26s elapsed %8.2f s (virtual)\n" "priority to_do queue"
-    (float_of_int elapsed /. 1e6)
+  List.iter
+    (fun (label, params) ->
+      let r = transfer_with ~app_us:4_000 params ~bytes:500_000 in
+      Printf.printf "  %-26s elapsed %8.2f s (virtual)\n" label
+        (float_of_int r.virt_us /. 1e6))
+    [
+      ("FIFO to_do queue", default);
+      ("priority to_do queue", { default with prioritize_latency = true });
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Fast-path ablation: header prediction on the fused datapath         *)
@@ -630,26 +511,10 @@ let fastpath_config ~prediction =
   and s0 = !Checksum.bytes_summed
   and f0 = !Copy.bytes_fused in
   let g0 = Gc.minor_words () in
-  let _, a, b =
-    Network.pair ~engine:Network.Bare ~netem:Fox_dev.Netem.gigabit ()
-  in
-  let segs =
-    if prediction then begin
-      let ta = Stack.Tcp.create a.Network.metered_ip
-      and tb = Stack.Tcp.create b.Network.metered_ip in
-      ignore
-        (generic_transfer (Fox_ops.ops ta) (Fox_ops.ops tb)
-           ~sender_addr:a.Network.addr ~bytes);
-      (Stack.Tcp.stats ta).Fox_tcp.Tcp.segs_out
-    end
-    else begin
-      let ta = Stack.Tcp_no_prediction.create a.Network.metered_ip
-      and tb = Stack.Tcp_no_prediction.create b.Network.metered_ip in
-      ignore
-        (generic_transfer (No_pred_ops.ops ta) (No_pred_ops.ops tb)
-           ~sender_addr:a.Network.addr ~bytes);
-      (Stack.Tcp_no_prediction.stats ta).Fox_tcp.Tcp.segs_out
-    end
+  let r =
+    transfer_with ~netem:Fox_dev.Netem.gigabit
+      { default with header_prediction = prediction }
+      ~bytes
   in
   let touched =
     !Packet.bytes_copied - c0 + (!Checksum.bytes_summed - s0)
@@ -658,8 +523,9 @@ let fastpath_config ~prediction =
   {
     fp_prediction = prediction;
     fp_touch_per_byte = float_of_int touched /. float_of_int bytes;
-    fp_minor_words_per_seg = (Gc.minor_words () -. g0) /. float_of_int segs;
-    fp_segs = segs;
+    fp_minor_words_per_seg =
+      (Gc.minor_words () -. g0) /. float_of_int r.sender_segs;
+    fp_segs = r.sender_segs;
   }
 
 let ablation_fastpath () =
@@ -703,19 +569,6 @@ let ablation_fastpath () =
 (* One comparable Mb/s number per PR: the paper's Table 1 transfer (1 MB,
    4096-byte window, 10 Mb/s Ethernet, DECstation cost model) next to a
    modern transfer (1 GB on a gigabit wire, no cost model). *)
-let modern_transfer ~bytes =
-  let _, a, b =
-    Network.pair ~engine:Network.Bare ~netem:Fox_dev.Netem.gigabit ()
-  in
-  let ta = Stack.Tcp.create a.Network.metered_ip
-  and tb = Stack.Tcp.create b.Network.metered_ip in
-  let virt_us, cpu_s =
-    generic_transfer (Fox_ops.ops ta) (Fox_ops.ops tb)
-      ~sender_addr:a.Network.addr ~bytes
-  in
-  let st = Stack.Tcp.stats ta in
-  (virt_us, cpu_s, st.Fox_tcp.Tcp.segs_out)
-
 let table1_headline () =
   section "Standing headline: paper Table 1 transfer + modern transfer";
   let fox_tp, _, base_tp, _ = Experiments.table1 () in
@@ -728,7 +581,9 @@ let table1_headline () =
     (float_of_int fox_tp.elapsed_us /. 1e6)
     fox_tp.sender_segments fox_tp.retransmissions base_tp.throughput_mbps;
   let modern_bytes = 1_000_000_000 in
-  let virt_us, cpu_s, segs = modern_transfer ~bytes:modern_bytes in
+  let { virt_us; cpu_s; sender_segs = segs; _ } =
+    transfer_with ~netem:Fox_dev.Netem.gigabit default ~bytes:modern_bytes
+  in
   let modern_mbps =
     float_of_int modern_bytes *. 8.0 /. float_of_int virt_us
   in
@@ -1106,7 +961,7 @@ let bench_chaos () =
       "{\"scenario\": \"%s\", \"cc\": \"%s\", \"guarded\": %b, \
        \"complete\": %b, \"delivered\": %d, \"expected\": %d, \
        \"virtual_s\": %.3f, \"retransmissions\": %d, \
-       \"blackhole_shrinks\": %d, \"blackhole_restores\": %d, \
+       \"blackhole_shrinks\": %d, \
        \"rtx_limit_aborts\": %d, \"user_timeout_aborts\": %d, \
        \"persist_aborts\": %d, \"responses_408\": %d, \
        \"chaos_dropped\": %d, \"chaos_replayed\": %d, \
@@ -1116,8 +971,7 @@ let bench_chaos () =
       r.Chaos.scenario r.Chaos.cc r.Chaos.guarded r.Chaos.complete
       r.Chaos.delivered r.Chaos.expected
       (float_of_int r.Chaos.end_time /. 1e6)
-      r.Chaos.retransmissions r.Chaos.blackhole_shrinks
-      r.Chaos.blackhole_restores r.Chaos.rtx_limit_aborts
+      r.Chaos.retransmissions r.Chaos.blackhole_shrinks r.Chaos.rtx_limit_aborts
       r.Chaos.user_timeout_aborts r.Chaos.persist_aborts
       r.Chaos.responses_408 r.Chaos.chaos.Fox_dev.Link.chaos_dropped
       r.Chaos.chaos.Fox_dev.Link.chaos_replayed

@@ -111,45 +111,44 @@ let ambient_plan ~span_us =
 (* The stack under chaos                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Every graceful-degradation defense is live: blackhole detection with
-   a probe back up, a stalled-progress user timeout comfortably above
-   the injected outages, a bounded zero-window persist, and fast RST
-   refusal so clients refused at the connection cap fail fast instead of
-   retrying SYNs into a full table.  RTO floors and caps keep the
+(* Every graceful-degradation defense is live: blackhole detection, a
+   stalled-progress user timeout comfortably above the injected outages,
+   a bounded zero-window persist, and fast RST refusal so clients
+   refused at the connection cap fail fast instead of retrying SYNs into
+   a full table.  RTO floors and caps keep the
    blackhole detection span (three RTOs of backoff) and the teeth cell's
    retransmission death spiral small in virtual time. *)
 module Chaos_params : Fox_tcp.Tcp.PARAMS = struct
-  include Fox_tcp.Tcp.Default_params
-
-  let initial_window = 65_535
-  let time_wait_us = 500_000
-  let rto_min_us = 100_000
-  let rto_initial_us = 300_000
-  let rto_max_us = 5_000_000
-
-  let blackhole_detect = true
-  let blackhole_rtos = 3
-  let blackhole_min_mss = 536
-  let user_timeout_us = 5_000_000
-  let user_timeout_stalled = true
-  let persist_max_probes = 16
-
-  let max_connections = 8
-  let refuse_with_rst = true
-
-  (* pinned boot secret: chaos cells are replayable bit-for-bit *)
-  let isn_secret = Some (0xc4a0_5bad_f00d, 0x0dd5_eed0_1234)
+  let params =
+    {
+      Fox_tcp.Tcb.default_params with
+      initial_window = 65_535;
+      time_wait_us = 500_000;
+      rto_min_us = 100_000;
+      rto_initial_us = 300_000;
+      rto_max_us = 5_000_000;
+      blackhole_detect = true;
+      user_timeout_us = 5_000_000;
+      user_timeout_stalled = true;
+      persist_max_probes = 16;
+      max_connections = 8;
+      refuse_with_rst = true;
+      (* pinned boot secret: chaos cells are replayable bit-for-bit *)
+      isn_secret = Some (0xc4a0_5bad_f00d, 0x0dd5_eed0_1234);
+    }
 end
 
 (* The defenses off — the historical engine.  The blackhole teeth cell
    runs here: its head segment must retransmit itself to death. *)
 module Unguarded_params : Fox_tcp.Tcp.PARAMS = struct
-  include Chaos_params
-
-  let blackhole_detect = false
-  let user_timeout_us = 0
-  let user_timeout_stalled = false
-  let persist_max_probes = 0
+  let params =
+    {
+      Chaos_params.params with
+      blackhole_detect = false;
+      user_timeout_us = 0;
+      user_timeout_stalled = false;
+      persist_max_probes = 0;
+    }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -229,7 +228,6 @@ type result = {
   end_time : int;  (** virtual µs at quiescence *)
   retransmissions : int;
   blackhole_shrinks : int;  (** MSS halvings by the detector *)
-  blackhole_restores : int;  (** probe-ups back to full MSS *)
   rtx_limit_aborts : int;
   user_timeout_aborts : int;
   persist_aborts : int;
@@ -253,7 +251,6 @@ let fingerprint r =
             string_of_int r.end_time;
             string_of_int r.retransmissions;
             string_of_int r.blackhole_shrinks;
-            string_of_int r.blackhole_restores;
             string_of_int r.rtx_limit_aborts;
             string_of_int r.user_timeout_aborts;
             string_of_int r.responses_408;
@@ -309,7 +306,7 @@ struct
     if r.complete && r.invariant_faults = [] && r.leaked_packets = 0 then r
     else { r with flight = run.World.ring }
 
-  let guarded = P.blackhole_detect
+  let guarded = P.params.blackhole_detect
 
   (* One bulk transfer through the plan's faults: client pushes the
      payload, server accumulates, the cell scores the delivered bytes
@@ -350,7 +347,6 @@ struct
           end_time = stats.Scheduler.end_time;
           retransmissions;
           blackhole_shrinks = cs.Fox_tcp.Tcp.blackhole_shrinks;
-          blackhole_restores = cs.Fox_tcp.Tcp.blackhole_restores;
           rtx_limit_aborts =
             cs.Fox_tcp.Tcp.rtx_limit_aborts + ss.Fox_tcp.Tcp.rtx_limit_aborts;
           user_timeout_aborts =
@@ -450,7 +446,6 @@ struct
           end_time = stats.Scheduler.end_time;
           retransmissions = 0;
           blackhole_shrinks = 0;
-          blackhole_restores = 0;
           rtx_limit_aborts = ss.Fox_tcp.Tcp.rtx_limit_aborts;
           user_timeout_aborts = ss.Fox_tcp.Tcp.user_timeout_aborts;
           persist_aborts = ss.Fox_tcp.Tcp.persist_aborts;
@@ -569,12 +564,12 @@ let check ?quick ?log () =
 
 let pp_result fmt r =
   Format.fprintf fmt
-    "%-13s %-8s %s %7d/%-7d  rtx %4d  shrink %d/%d  aborts %d/%d/%d  408s \
+    "%-13s %-8s %s %7d/%-7d  rtx %4d  shrink %d  aborts %d/%d/%d  408s \
      %2d  chaos d%d r%d du%d c%d  leak %d  %.3fs%s%s"
     r.scenario r.cc
     (if r.guarded then "guarded  " else "UNGUARDED")
     r.delivered r.expected r.retransmissions r.blackhole_shrinks
-    r.blackhole_restores r.rtx_limit_aborts r.user_timeout_aborts
+    r.rtx_limit_aborts r.user_timeout_aborts
     r.persist_aborts r.responses_408 r.chaos.Link.chaos_dropped
     r.chaos.Link.chaos_replayed r.chaos.Link.chaos_duplicated
     r.chaos.Link.chaos_corrupted r.leaked_packets
@@ -590,7 +585,7 @@ let result_to_string r = Format.asprintf "%a" pp_result r
 let to_markdown results =
   let b = Buffer.create 1024 in
   Buffer.add_string b
-    "| scenario | cc | guarded | delivered | rtx | mss shrink/restore | \
+    "| scenario | cc | guarded | delivered | rtx | MSS shrink | \
      aborts (rtx/ut/persist) | 408s | chaos drop/replay/dup/corrupt | leaks \
      | faults | survived |\n";
   Buffer.add_string b "|---|---|---|---|---|---|---|---|---|---|---|---|\n";
@@ -598,12 +593,12 @@ let to_markdown results =
     (fun r ->
       Buffer.add_string b
         (Printf.sprintf
-           "| %s | %s | %s | %d/%d | %d | %d/%d | %d/%d/%d | %d | \
+           "| %s | %s | %s | %d/%d | %d | %d | %d/%d/%d | %d | \
             %d/%d/%d/%d | %d | %d | %s |\n"
            r.scenario r.cc
            (if r.guarded then "yes" else "no")
            r.delivered r.expected r.retransmissions r.blackhole_shrinks
-           r.blackhole_restores r.rtx_limit_aborts r.user_timeout_aborts
+           r.rtx_limit_aborts r.user_timeout_aborts
            r.persist_aborts r.responses_408 r.chaos.Link.chaos_dropped
            r.chaos.Link.chaos_replayed r.chaos.Link.chaos_duplicated
            r.chaos.Link.chaos_corrupted r.leaked_packets

@@ -42,23 +42,24 @@ module Faux = Fip.Lift_aux (Ip_aux)
    the scripted SYN floods below stress both engines' refusal paths while
    the differential oracle checks the real transfer still agrees. *)
 module Tcp_params : Fox_tcp.Tcp.PARAMS = struct
-  include Fox_tcp.Tcp.Default_params
-
-  let time_wait_us = 1_000_000
-  let rto_min_us = 50_000
-  let rto_initial_us = 200_000
-  let listen_backlog = 8
-  let syn_cache = true
-  let syn_cookies = true
-  let max_ooo_bytes = 32768
-  let max_to_do = 512
-
-  (* the fuzzer's pinned digests (and the differential against the
-     baseline engine, which keeps the clock+salt scheme) predate the
-     RFC 6528 / per-connection-budget fixes: run with the legacy ISNs
-     and the engine-wide budget only *)
-  let secure_isn = false
-  let challenge_ack_conn_limit = 0
+  let params =
+    {
+      Fox_tcp.Tcb.default_params with
+      time_wait_us = 1_000_000;
+      rto_min_us = 50_000;
+      rto_initial_us = 200_000;
+      listen_backlog = 8;
+      syn_cache = true;
+      syn_cookies = true;
+      max_ooo_bytes = 32768;
+      max_to_do = 512;
+      (* the fuzzer's pinned digests (and the differential against the
+         baseline engine, which keeps the clock+salt scheme) predate the
+         RFC 6528 / per-connection-budget fixes: run with the legacy ISNs
+         and the engine-wide budget only *)
+      secure_isn = false;
+      challenge_ack_conn_limit = 0;
+    }
 end
 
 module Baseline_params : Fox_baseline.Tcp_monolithic.PARAMS = struct

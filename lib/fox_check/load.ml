@@ -33,21 +33,21 @@ module Ipv4_addr = Fox_ip.Ipv4_addr
    delayed-ACK interlock would serialize the stream at the delayed-ACK
    clock.  Real servers set TCP_NODELAY for the same reason. *)
 module Serve_params : Fox_tcp.Tcp.PARAMS = struct
-  include Fox_tcp.Tcp.Default_params
-
-  let nagle = false
-
-  let time_wait_us = 1_000_000
-  let rto_min_us = 50_000
-  let rto_initial_us = 200_000
-  let rto_max_us = 10_000_000
-  let listen_backlog = 2048
-  let syn_cache = true
-  let max_connections = 8192
-
-  (* secure ISNs under a pinned secret: the serve benchmark measures the
-     RFC 6528 path and stays reproducible run to run *)
-  let isn_secret = Some (0x10ad_5ec4_e7a1, 0x0bad_cafe_f00d)
+  let params =
+    {
+      Fox_tcp.Tcb.default_params with
+      nagle = false;
+      time_wait_us = 1_000_000;
+      rto_min_us = 50_000;
+      rto_initial_us = 200_000;
+      rto_max_us = 10_000_000;
+      listen_backlog = 2048;
+      syn_cache = true;
+      max_connections = 8192;
+      (* secure ISNs under a pinned secret: the serve benchmark measures
+         the RFC 6528 path and stays reproducible run to run *)
+      isn_secret = Some (0x10ad_5ec4_e7a1, 0x0bad_cafe_f00d);
+    }
 end
 
 include World.Stack (Fox_tcp.Congestion.Reno) (Serve_params)

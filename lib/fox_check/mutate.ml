@@ -29,11 +29,13 @@ module Netem = Fox_dev.Netem
 module Device = Fox_dev.Device
 
 module Tcp_params : Fox_tcp.Tcp.PARAMS = struct
-  include Fox_tcp.Tcp.Default_params
-
-  let time_wait_us = 1_000_000
-  let rto_min_us = 50_000
-  let rto_initial_us = 200_000
+  let params =
+    {
+      Fox_tcp.Tcb.default_params with
+      time_wait_us = 1_000_000;
+      rto_min_us = 50_000;
+      rto_initial_us = 200_000;
+    }
 end
 
 module Baseline_params : Fox_baseline.Tcp_monolithic.PARAMS = struct

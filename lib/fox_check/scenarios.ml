@@ -26,21 +26,22 @@ module Netem = Fox_dev.Netem
    saturates the 8-segment receive window and the matrix cannot tell
    them apart. *)
 module Scn_params : Fox_tcp.Tcp.PARAMS = struct
-  include Fox_tcp.Tcp.Default_params
-
-  let initial_window = 65_535
-  let time_wait_us = 500_000
-  let rto_min_us = 100_000
-  let rto_initial_us = 300_000
-
-  (* the attack matrix models an attacker who predicts the legacy
-     clock+salt ISNs (the [Sweep] base/stride below assume them), so the
-     matrix runs with the pre-6528 scheme; the secure-ISN teeth cell is
-     built separately on [Secure_unguarded_params].  The per-connection
-     budget layer is likewise off so the cells' challenge accounting
-     keeps its pre-fix meaning. *)
-  let secure_isn = false
-  let challenge_ack_conn_limit = 0
+  let params =
+    {
+      Fox_tcp.Tcb.default_params with
+      initial_window = 65_535;
+      time_wait_us = 500_000;
+      rto_min_us = 100_000;
+      rto_initial_us = 300_000;
+      (* the attack matrix models an attacker who predicts the legacy
+         clock+salt ISNs (the [Sweep] base/stride below assume them), so
+         the matrix runs with the pre-6528 scheme; the secure-ISN teeth
+         cell is built separately on [Secure_unguarded_params].  The
+         per-connection budget layer is likewise off so the cells'
+         challenge accounting keeps its pre-fix meaning. *)
+      secure_isn = false;
+      challenge_ack_conn_limit = 0;
+    }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -402,9 +403,7 @@ end
    blind cells run demonstrably worse here — the teeth-check that the
    defenses, not luck, carry the guarded matrix. *)
 module Unguarded_params : Fox_tcp.Tcp.PARAMS = struct
-  include Scn_params
-
-  let rfc5961 = false
+  let params = { Scn_params.params with rfc5961 = false }
 end
 
 module Unguarded_reno = Make_engine_p (Fox_tcp.Congestion.Reno) (Unguarded_params)
@@ -421,11 +420,13 @@ let run_cell_unguarded ?quick scn = Unguarded_reno.run ?quick scn
    secret is pinned so the cell is deterministic (any secret that makes
    the sweep miss — i.e. virtually any — would do). *)
 module Secure_unguarded_params : Fox_tcp.Tcp.PARAMS = struct
-  include Scn_params
-
-  let rfc5961 = false
-  let secure_isn = true
-  let isn_secret = Some (0x6528_6528_6528, 0x0fed_cba9_8765)
+  let params =
+    {
+      Scn_params.params with
+      rfc5961 = false;
+      secure_isn = true;
+      isn_secret = Some (0x6528_6528_6528, 0x0fed_cba9_8765);
+    }
 end
 
 module Secure_unguarded_reno =

@@ -41,24 +41,25 @@ module Netem = Fox_dev.Netem
    floors keep the virtual span small; the machinery exercised is the
    same. *)
 module Soak_params : Fox_tcp.Tcp.PARAMS = struct
-  include Fox_tcp.Tcp.Default_params
-
-  let time_wait_us = 500_000
-  let rto_min_us = 50_000
-  let rto_initial_us = 200_000
-  let rto_max_us = 10_000_000
-  let listen_backlog = 16
-  let syn_cache = true
-  let syn_cookies = true
-  let max_ooo_bytes = 16384
-  let max_to_do = 256
-  let max_time_wait = 16
-  let max_connections = 4096
-
-  (* secure ISNs with a pinned boot secret: the soak exercises the
-     RFC 6528 path while its run-twice fingerprint check (and the
-     per-shard fingerprint vector) stays bit-for-bit reproducible *)
-  let isn_secret = Some (0x5eed_0f0c_5ed1, 0x1234_5678_9abc)
+  let params =
+    {
+      Fox_tcp.Tcb.default_params with
+      time_wait_us = 500_000;
+      rto_min_us = 50_000;
+      rto_initial_us = 200_000;
+      rto_max_us = 10_000_000;
+      listen_backlog = 16;
+      syn_cache = true;
+      syn_cookies = true;
+      max_ooo_bytes = 16384;
+      max_to_do = 256;
+      max_time_wait = 16;
+      max_connections = 4096;
+      (* secure ISNs with a pinned boot secret: the soak exercises the
+         RFC 6528 path while its run-twice fingerprint check (and the
+         per-shard fingerprint vector) stays bit-for-bit reproducible *)
+      isn_secret = Some (0x5eed_0f0c_5ed1, 0x1234_5678_9abc);
+    }
 end
 
 module Flood = Synflood.Make (World.Ip) (World.Ip_aux)

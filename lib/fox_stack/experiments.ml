@@ -74,34 +74,55 @@ module type ENGINE = sig
   val conn_retransmissions : connection -> int
 end
 
-module Fox_engine : ENGINE with type t = Stack.Tcp.t = struct
-  module T = Stack.Tcp
+(** [Fox_engine_of (P)] is the structured TCP under the settings [P]:
+    [T] is one more application of {!Fox_tcp.Tcp.Make} over the standard
+    stack's metered IP, and [On (I)] is [T] as an engine whose hosts'
+    instances [I.instance] finds. *)
+module Fox_engine_of (P : Fox_tcp.Tcp.PARAMS) = struct
+  module T =
+    Fox_tcp.Tcp.Make (Stack.Metered_ip) (Stack.Metered_ip_aux)
+      (Fox_tcp.Congestion.Reno)
+      (P)
 
-  type t = T.t
+  module On (I : sig
+    val instance : Network.host -> T.t
+  end) : ENGINE with type t = T.t = struct
+    type t = T.t
 
-  type connection = T.connection
+    type connection = T.connection
 
-  let instance = Network.fox_tcp
+    let instance = I.instance
 
-  let connect t ~peer ~port ~handler =
-    T.connect t { T.peer; port; local_port = None } (fun _ -> (handler, ignore))
+    let connect t ~peer ~port ~handler =
+      T.connect t { T.peer; port; local_port = None } (fun _ ->
+          (handler, ignore))
 
-  let listen t ~port handler =
-    ignore
-      (T.start_passive t { T.local_port = port } (fun conn ->
-           (handler conn, ignore)))
+    let listen t ~port handler =
+      ignore
+        (T.start_passive t { T.local_port = port } (fun conn ->
+             (handler conn, ignore)))
 
-  let allocate = T.allocate_send
+    let allocate = T.allocate_send
 
-  let send = T.send
+    let send = T.send
 
-  let mss = T.max_packet_size
+    let mss = T.max_packet_size
 
-  let segments_sent t = (T.stats t).Fox_tcp.Tcp.segs_out
+    let segments_sent t = (T.stats t).Fox_tcp.Tcp.segs_out
 
-  let conn_retransmissions conn =
-    (T.conn_stats conn).Fox_tcp.Tcp.retransmissions
+    let conn_retransmissions conn =
+      (T.conn_stats conn).Fox_tcp.Tcp.retransmissions
+  end
 end
+
+(* The same application as {!Stack.Tcp} (functors are applicative, so
+   [Default_fox.T.t] is [Stack.Tcp.t]): the engine of a [Network.Fox]
+   host. *)
+module Default_fox = Fox_engine_of (Fox_tcp.Tcp.Default_params)
+
+module Fox_engine : ENGINE with type t = Stack.Tcp.t = Default_fox.On (struct
+  let instance = Network.fox_tcp
+end)
 
 module Baseline_engine : ENGINE with type t = Stack.Baseline_tcp.t = struct
   module T = Stack.Baseline_tcp

@@ -50,25 +50,10 @@ module Udp =
 (** The structured TCP over the standard stack — the paper's
     [Standard_Tcp], with the benchmark's 4096-byte window (the library
     default) and the paper-era Reno congestion control.  The congestion
-    algorithm is a functor argument (DESIGN §12): swapping it is one more
-    application below. *)
+    algorithm and the settings record are functor arguments (DESIGN §12,
+    Figure 4): any other configuration is one more application, made where
+    it is used (the benchmark's ablations, the check harnesses, tests). *)
 module Tcp = Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno) (Fox_tcp.Tcp.Default_params)
-
-(** The same stack under the other congestion algorithms — the CONGESTION
-    argument is the only difference, so runs are directly comparable. *)
-
-module Tcp_newreno =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Newreno)
-    (Fox_tcp.Tcp.Default_params)
-
-module Tcp_cubic =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Cubic)
-    (Fox_tcp.Tcp.Default_params)
-
-module Tcp_bbr =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux)
-    (Fox_tcp.Congestion.Bbr_lite)
-    (Fox_tcp.Tcp.Default_params)
 
 (** The monolithic baseline over the very same lower layers. *)
 module Baseline_tcp =
@@ -82,108 +67,7 @@ module Eth_aux = Fox_eth.Eth_aux.Make (Eth_checked)
 module Special_tcp =
   Fox_tcp.Tcp.Make (Eth_checked) (Eth_aux) (Fox_tcp.Congestion.Reno)
     (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let compute_checksums = false
-    end)
-
-(** Ablation variants of the structured TCP (same stack, one knob each).
-    All share the metered IP below, so runs are directly comparable. *)
-
-module Tcp_no_delayed_ack =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno)
-    (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let delayed_ack_us = 0
-    end)
-
-module Tcp_no_nagle =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno)
-    (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let nagle = false
-    end)
-
-module Tcp_no_checksums =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno)
-    (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let compute_checksums = false
-    end)
-
-module Tcp_basic_checksum =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno)
-    (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let checksum_alg = `Basic
-    end)
-
-(** Without header prediction: every segment takes the full receive DAG —
-    the baseline for the fast-path ablation. *)
-module Tcp_no_prediction =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno)
-    (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let header_prediction = false
-    end)
-
-(** The paper's suggested scheduler refinement: a priority to_do queue
-    that lets wire-bound actions overtake local deliveries. *)
-module Tcp_prioritized =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno)
-    (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let prioritize_latency = true
-    end)
-
-(** With RFC 1122 keepalive probing every 30 s of idleness. *)
-module Tcp_keepalive =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno)
-    (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let keepalive_us = 30_000_000
-    end)
-
-(** Window-size sweep instantiations (the window is a functor parameter,
-    as in Figure 4, so each point of the sweep is its own application). *)
-
-module Tcp_w1024 =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno)
-    (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let initial_window = 1024
-    end)
-
-module Tcp_w2048 =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno)
-    (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let initial_window = 2048
-    end)
-
-module Tcp_w8192 =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno)
-    (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let initial_window = 8192
-    end)
-
-module Tcp_w16384 =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno)
-    (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let initial_window = 16384
+      let params = { Fox_tcp.Tcb.default_params with compute_checksums = false }
     end)
 
 (** Blocking socket-style interfaces over the transports (the pull-style

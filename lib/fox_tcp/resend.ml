@@ -148,26 +148,8 @@ let process_ack (params : params) tcb ~ack ~now =
     (* forward progress: either the stall is over (queue drained) or the
        stall clock restarts from this ACK *)
     tcb.stalled_since <- (if Ring.is_empty tcb.rtx_q then -1 else now);
-    (* blackhole probe-up: after enough confirmed progress at the clamped
-       MSS, try the pre-clamp size again; if the blackhole is still there
-       detection simply re-clamps after the next RTO streak. *)
-    if
-      params.blackhole_detect
-      && tcb.mss_before_clamp > 0
-      && params.blackhole_probe_after_us > 0
-      && now - tcb.mss_clamped_at >= params.blackhole_probe_after_us
-    then begin
-      if !Bus.live then
-        notef tcb "blackhole probe up: mss %d -> %d" tcb.snd_mss
-          tcb.mss_before_clamp;
-      tcb.snd_mss <- tcb.mss_before_clamp;
-      tcb.mss_before_clamp <- 0;
-      tcb.blackhole_restores <- tcb.blackhole_restores + 1
-    end;
-    if params.congestion_control then begin
-      let r = Congestion.on_ack tcb.cc (cc_ctx params tcb ~now) ~acked in
-      apply_reaction tcb r
-    end;
+    apply_reaction tcb
+      (Congestion.on_ack tcb.cc (cc_ctx params tcb ~now) ~acked);
     if Ring.is_empty tcb.rtx_q then clear_rtx_timer tcb
     else begin
       (* restart the timer for the remaining data *)
@@ -178,12 +160,11 @@ let process_ack (params : params) tcb ~ack ~now =
   end
 
 let duplicate_ack (params : params) tcb ~now =
-  if params.fast_retransmit && not (Ring.is_empty tcb.rtx_q) then begin
+  if not (Ring.is_empty tcb.rtx_q) then begin
     tcb.dup_acks <- tcb.dup_acks + 1;
-    if params.congestion_control then
-      apply_reaction tcb
-        (Congestion.on_dup_ack tcb.cc (cc_ctx params tcb ~now)
-           ~count:tcb.dup_acks);
+    apply_reaction tcb
+      (Congestion.on_dup_ack tcb.cc (cc_ctx params tcb ~now)
+         ~count:tcb.dup_acks);
     if tcb.dup_acks = 3 then begin
       (* fast retransmit: resend the first unacknowledged segment —
          algorithm-independent loss repair (the window reaction above is
@@ -240,7 +221,7 @@ let resegment_rtx_q tcb =
    no duplicate ACKs.  After [blackhole_rtos] such RTOs in a row, assume
    the path MTU shrank under us: halve the effective send MSS and
    re-segment the queue so the retransmissions actually fit through. *)
-let check_blackhole (params : params) tcb ~now entry =
+let check_blackhole (params : params) tcb entry =
   let full_mss =
     match entry.rtx_data with
     | Some d -> Packet.length d >= tcb.snd_mss
@@ -255,8 +236,6 @@ let check_blackhole (params : params) tcb ~now entry =
     then begin
       let prev = tcb.snd_mss in
       tcb.snd_mss <- max params.blackhole_min_mss (tcb.snd_mss / 2);
-      tcb.mss_before_clamp <- prev;
-      tcb.mss_clamped_at <- now;
       tcb.full_rto_streak <- 0;
       tcb.blackhole_shrinks <- tcb.blackhole_shrinks + 1;
       if !Bus.live then
@@ -273,12 +252,10 @@ let retransmit (params : params) tcb ~now =
     let entry = Ring.peek tcb.rtx_q in
     if entry.sent_count > params.max_retransmits then false
     else begin
-      if params.blackhole_detect then check_blackhole params tcb ~now entry;
+      if params.blackhole_detect then check_blackhole params tcb entry;
       (* re-segmentation may have replaced the front entry *)
       let entry = Ring.peek tcb.rtx_q in
-      if params.congestion_control then
-        apply_reaction tcb
-          (Congestion.on_rto tcb.cc (cc_ctx params tcb ~now));
+      apply_reaction tcb (Congestion.on_rto tcb.cc (cc_ctx params tcb ~now));
       tcb.backoff <- min (tcb.backoff + 1) 16;
       if !Bus.live then
         notef tcb "rto expired backoff=%d cwnd=%d ssthresh=%d rto=%dus"

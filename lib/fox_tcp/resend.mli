@@ -2,11 +2,9 @@
 
     This is the paper's [Resend] module: it implements "the round-trip time
     computations developed by Karn and Jacobson" and removes acknowledged
-    segments from the retransmit queue.  It also carries the RFC 1122
-    congestion machinery (slow start, congestion avoidance, and optional
-    fast retransmit), each switchable through {!Tcb.params} so the
-    benchmark harness can ablate them.  Since the CONGESTION refactor the
-    window arithmetic itself lives behind {!Congestion.S} hooks — this
+    segments from the retransmit queue.  It also carries the congestion
+    machinery (slow start, congestion avoidance and fast retransmit),
+    whose window arithmetic lives behind {!Congestion.S} hooks — this
     module owns {e when} the hooks fire and applies their decisions.
 
     All functions operate on a {!Tcb.tcp_tcb} and communicate with the rest
@@ -41,8 +39,8 @@ val track : Tcb.params -> Tcb.tcp_tcb -> Tcb.rtx_entry -> now:int -> unit
 val process_ack : Tcb.params -> Tcb.tcp_tcb -> ack:Seq.t -> now:int -> bool
 
 (** [duplicate_ack params tcb ~now] counts a duplicate ACK and lets the
-    congestion algorithm react; on the third, when fast retransmit is
-    enabled, retransmits the first queue entry. *)
+    congestion algorithm react; on the third, retransmits the first queue
+    entry (fast retransmit). *)
 val duplicate_ack : Tcb.params -> Tcb.tcp_tcb -> now:int -> unit
 
 (** [retransmit params tcb ~now] handles a retransmission timeout: resends

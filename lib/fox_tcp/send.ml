@@ -1,11 +1,7 @@
 open Fox_basis
 open Tcb
 
-let usable_window (params : params) tcb =
-  let wnd =
-    if params.congestion_control then min tcb.snd_wnd tcb.cwnd else tcb.snd_wnd
-  in
-  max 0 (wnd - flight_size tcb)
+let usable_window tcb = max 0 (min tcb.snd_wnd tcb.cwnd - flight_size tcb)
 
 (* Take up to [budget] bytes off the front of the send queue.  When a
    whole user packet fits it is used as segment text directly (the
@@ -68,7 +64,7 @@ let emit_segment (params : params) tcb ~now ~data ~fin =
   tcb.last_emit_at <- now;
   (* a pacing algorithm may space the next emission; window-only
      algorithms return None and this segment costs nothing extra *)
-  if params.congestion_control && len > 0 then
+  if len > 0 then
     match
       Congestion.pacing_gap_us tcb.cc
         (Resend.cc_ctx params tcb ~now)
@@ -79,9 +75,8 @@ let emit_segment (params : params) tcb ~now ~data ~fin =
 
 (* When the congestion module asked for an inter-segment gap, hold
    segmentation and arm the [Pacing] timer for the residual wait. *)
-let paced_out (params : params) tcb ~now =
-  params.congestion_control
-  && tcb.pacing_until > now
+let paced_out tcb ~now =
+  tcb.pacing_until > now
   &&
   (if not tcb.pacing_timer_on then begin
      tcb.pacing_timer_on <- true;
@@ -93,7 +88,7 @@ let may_send_fin tcb =
   tcb.fin_pending && (not tcb.fin_sent) && tcb.queued_bytes = 0
 
 let rec segmentize (params : params) tcb ~now =
-  let usable = usable_window params tcb in
+  let usable = usable_window tcb in
   if tcb.queued_bytes > 0 then begin
     let size = min (min tcb.queued_bytes tcb.snd_mss) usable in
     if size = 0 then begin
@@ -106,7 +101,7 @@ let rec segmentize (params : params) tcb ~now =
       (* Nagle: while data is in flight, hold sub-MSS segments back *)
       params.nagle && size < tcb.snd_mss && flight_size tcb > 0
     then ()
-    else if paced_out params tcb ~now then ()
+    else if paced_out tcb ~now then ()
     else begin
       match take_bytes tcb size with
       | None -> ()
@@ -128,7 +123,7 @@ let enqueue params tcb packet ~now =
      idle period (nothing in flight, nothing queued).  Reno keeps the
      pre-refactor behaviour: no reaction. *)
   if
-    params.congestion_control && tcb.queued_bytes = 0
+    tcb.queued_bytes = 0
     && Ring.is_empty tcb.rtx_q && tcb.last_emit_at > 0
     && now > tcb.last_emit_at
   then

@@ -20,10 +20,10 @@ val enqueue_fin : Tcb.params -> Tcb.tcp_tcb -> now:int -> unit
     (ACKs, window updates) as well as after [enqueue]. *)
 val segmentize : Tcb.params -> Tcb.tcp_tcb -> now:int -> unit
 
-(** [usable_window params tcb] is how much new sequence space may be sent:
+(** [usable_window tcb] is how much new sequence space may be sent:
     min(peer window, congestion window) minus what is in flight, floored
     at 0. *)
-val usable_window : Tcb.params -> Tcb.tcp_tcb -> int
+val usable_window : Tcb.tcp_tcb -> int
 
 (** [probe params tcb ~now] sends a one-byte zero-window probe if the
     window is still closed and data is waiting (invoked from the

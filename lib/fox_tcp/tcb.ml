@@ -138,22 +138,35 @@ let rtx_placeholder =
     sent_count = 0;
   }
 
-(** Runtime protocol parameters.  In the paper these are functor
-    parameters of [Tcp] (Figure 4); the {!Tcp.Make} functor builds this
-    record from its [PARAMS] argument, and keeping it a plain record lets
-    the pure state-machine modules be exercised directly in unit tests. *)
+(** TCP's settings: the functor parameters of [Tcp] in the paper
+    (Figure 4).  This record is the one declaration and the one default of
+    every setting — {!Tcp.Make} takes it as its [PARAMS] argument, each
+    configuration being its own functor application, and keeping it a
+    plain record lets the pure state-machine modules be exercised
+    directly in unit tests.  DESIGN §4 lists which harness or test sets
+    each field away from its default. *)
 type params = {
   initial_window : int;  (** receive window we advertise *)
+  compute_checksums : bool;
+      (** compute and verify the TCP checksum (Figure 3's
+          [do_checksums]) *)
+  checksum_alg : Fox_basis.Checksum.alg;
+      (** which checksum algorithm: the Figure 10 optimised one, or the
+          basic one the paper attributes to the x-kernel *)
+  abort_unknown_connections : bool;
+      (** answer segments for unknown connections with RST.  The paper
+          sets this false to coexist with a host OS's own TCP; the
+          simulator sets it true *)
   nagle : bool;  (** coalesce small segments while data is in flight *)
-  congestion_control : bool;  (** slow start / congestion avoidance *)
-  fast_retransmit : bool;  (** retransmit on 3 duplicate ACKs *)
   delayed_ack_us : int;  (** 0 = acknowledge immediately *)
   rto_initial_us : int;
   rto_min_us : int;
   rto_max_us : int;
   max_retransmits : int;  (** give up (Timed_out) after this many *)
   time_wait_us : int;  (** 2·MSL *)
-  user_timeout_us : int;  (** 0 = no user timeout *)
+  user_timeout_us : int;
+      (** the paper's [user_timeout]: µs before hung operations fail;
+          0 = no user timeout *)
   prioritize_latency : bool;
       (** the paper's suggested extension: "by replacing the current FIFO
           with a priority queue, we could specify that particular actions,
@@ -165,11 +178,45 @@ type params = {
   header_prediction : bool;
       (** Van Jacobson header prediction: a guarded fast path for in-order,
           no-flags segments in ESTABLISHED that bypasses the general
-          receive DAG (falls back to it on any mismatch) *)
+          receive DAG (falls back to it on any mismatch).  Off, every
+          segment takes the full DAG — the ablation baseline *)
+  (* --- overload policy: what the engine does when offered more
+     connection attempts, reassembly data or work than it can hold.  Every
+     refusal is counted (and reported on the observability bus) --- *)
+  listen_backlog : int;
+      (** maximum half-open (SYN-RECEIVED) connections per listener;
+          0 = unbounded *)
+  syn_cache : bool;
+      (** hold half-open connections as compact cache records instead of
+          full TCBs; the TCB is only built when the handshake ACK arrives,
+          so a SYN flood pins a few dozen bytes per forged source *)
+  syn_cookies : bool;
+      (** when the SYN cache is full, fall back to stateless SYN cookies:
+          the SYN-ACK's sequence number encodes a keyed hash of the
+          endpoints (and the peer's MSS class), so a legitimate handshake
+          ACK is promoted with no state held during the flood.  Requires
+          [syn_cache] *)
+  refuse_with_rst : bool;
+      (** refuse surplus SYNs with an RST (fast client failure) instead of
+          dropping them silently (the client retries while the flood
+          clears) *)
   max_ooo_bytes : int;
       (** cap on buffered out-of-order text per connection; when an
           insertion would exceed it, the entries furthest from [rcv_nxt]
           are trimmed (and re-earned by retransmission).  0 = unbounded *)
+  max_to_do : int;
+      (** per-connection cap on the [to_do] queue: segments arriving when
+          this many actions are already queued are shed at the door.
+          0 = off *)
+  max_connections : int;
+      (** global cap on simultaneously live TCBs accepted passively;
+          active opens are the user's own choice and are not gated.
+          0 = unbounded *)
+  max_time_wait : int;
+      (** bound on TCBs parked in TIME-WAIT; beyond it the oldest is
+          recycled early (its 2·MSL cut short), RFC 793 purity traded for
+          survival.  0 = unbounded *)
+  (* --- hostile-wire policy --- *)
   rfc5961 : bool;
       (** blind-attack defenses on synchronized connections (RFC 5961):
           tear down only on an exact-[rcv_nxt] RST, answer merely-in-window
@@ -187,19 +234,28 @@ type params = {
           of every other connection — the CVE-2016-5696 lesson: a shared
           exhaustible counter is itself an off-path side channel.
           0 = unlimited *)
+  secure_isn : bool;
+      (** RFC 6528 initial sequence numbers: ISN = M + F(4-tuple, secret)
+          where M is the RFC 793 4 µs clock and F a keyed PRF, so observing
+          one connection's ISN predicts nothing about another's.  Off
+          restores the legacy clock+salt scheme (predictable from a single
+          observed ISN) for harnesses with digests pinned against it *)
+  isn_secret : (int * int) option;
+      (** the PRF key for [secure_isn].  [None] draws a boot secret from
+          the OS entropy pool per engine; deterministic harnesses pin a
+          constant so runs reproduce bit-for-bit *)
+  (* --- hostile-path policy: graceful degradation when the path itself
+     misbehaves.  All off by default — the historical engine
+     behaviour --- *)
   blackhole_detect : bool;
       (** RFC 4821-style packetization-layer blackhole detection: after
           [blackhole_rtos] consecutive RTOs of a full-MSS segment, halve
           the effective send MSS (never below [blackhole_min_mss]) and
           re-segment the retransmission queue — recovering from paths
-          that silently eat large frames (PMTUD failure).  Off by
-          default: the historical engine behaviour. *)
+          that silently eat large frames (PMTUD failure) *)
   blackhole_rtos : int;
       (** consecutive full-MSS RTOs before the MSS is halved *)
   blackhole_min_mss : int;  (** floor for the clamped MSS *)
-  blackhole_probe_after_us : int;
-      (** once clamped, probe back up to the pre-clamp MSS after this
-          much ACK-confirmed progress time; 0 = never probe up *)
   persist_max_probes : int;
       (** bound on the zero-window persist lifetime: abort the
           connection after this many unanswered window probes.
@@ -213,15 +269,17 @@ type params = {
           historical semantics. *)
   cc : (module Congestion.S);
       (** the congestion-control algorithm; every cwnd/ssthresh decision
-          is delegated to it (see {!Congestion} and DESIGN §12) *)
+          is delegated to it (see {!Congestion} and DESIGN §12).
+          {!Tcp.Make} overrides it with its [Cc] argument *)
 }
 
 let default_params =
   {
     initial_window = 4096;
+    compute_checksums = true;
+    checksum_alg = `Optimized;
+    abort_unknown_connections = true;
     nagle = true;
-    congestion_control = true;
-    fast_retransmit = true;
     delayed_ack_us = 200_000;
     rto_initial_us = 1_000_000;
     rto_min_us = 200_000;
@@ -233,14 +291,22 @@ let default_params =
     keepalive_us = 0;
     keepalive_probes = 5;
     header_prediction = true;
+    listen_backlog = 128;
+    syn_cache = false;
+    syn_cookies = false;
+    refuse_with_rst = false;
     max_ooo_bytes = 65536;
+    max_to_do = 1024;
+    max_connections = 0;
+    max_time_wait = 0;
     rfc5961 = true;
     challenge_ack_limit = 100;
     challenge_ack_conn_limit = 10;
+    secure_isn = true;
+    isn_secret = None;
     blackhole_detect = false;
     blackhole_rtos = 3;
     blackhole_min_mss = 536;
-    blackhole_probe_after_us = 0;
     persist_max_probes = 0;
     user_timeout_stalled = false;
     cc = (module Congestion.Reno);
@@ -317,12 +383,7 @@ type tcp_tcb = {
   mutable full_rto_streak : int;
       (** consecutive RTOs whose front segment was full-MSS — the
           blackhole-detection trigger *)
-  mutable mss_before_clamp : int;
-      (** [snd_mss] before the most recent blackhole halving; 0 = not
-          clamped *)
-  mutable mss_clamped_at : int;  (** virtual time of the halving *)
   mutable blackhole_shrinks : int;
-  mutable blackhole_restores : int;
   (* --- congestion control --- *)
   mutable cwnd : int;
   mutable ssthresh : int;
@@ -460,10 +521,7 @@ let create_tcb_with_mss (params : params) ~iss ~mss =
     stalled_since = -1;
     persist_probes = 0;
     full_rto_streak = 0;
-    mss_before_clamp = 0;
-    mss_clamped_at = 0;
     blackhole_shrinks = 0;
-    blackhole_restores = 0;
     cwnd = Congestion.initial_cwnd params.cc ~mss;
     ssthresh = 65535;
     dup_acks = 0;

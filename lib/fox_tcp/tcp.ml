@@ -1,16 +1,17 @@
 (** The TCP protocol: the functor of Figure 4 and the [Main] module.
 
-    [Make (Lower) (Aux) (Params)] assembles the pure state-machine modules
-    ({!Tcb}, {!State}, {!Receive}, {!Send}, {!Resend}, {!Action}) into a
-    protocol satisfying the generic signature:
+    [Make (Lower) (Aux) (Cc) (Params)] assembles the pure state-machine
+    modules ({!Tcb}, {!State}, {!Receive}, {!Send}, {!Resend}, {!Action})
+    into a protocol satisfying the generic signature:
 
     {[
       module Standard_tcp =
-        Tcp.Make (Ip) (Ip_aux) (Tcp.Default_params)
+        Tcp.Make (Ip) (Ip_aux) (Congestion.Reno) (Tcp.Default_params)
       module Special_tcp =                     (* Figure 3's second stack *)
-        Tcp.Make (Eth) (Eth_aux)
-          (struct include Tcp.Default_params
-                  let compute_checksums = false end)
+        Tcp.Make (Eth) (Eth_aux) (Congestion.Reno)
+          (struct
+            let params = { Tcb.default_params with compute_checksums = false }
+          end)
     ]}
 
     The control structure is the paper's {e quasi-synchronous} one
@@ -28,207 +29,17 @@ module Protocol = Fox_proto.Protocol
 module Status = Fox_proto.Status
 module Bus = Fox_obs.Bus
 
-(** Static configuration — the functor parameters of Figure 4, plus the
-    RFC 1122-era knobs the benchmark harness ablates. *)
+(** Static configuration — the functor parameters of Figure 4, as one
+    {!Tcb.params} record: every setting is declared and defaulted there,
+    once.  Each configuration is its own functor application.  {!Make}'s
+    [Cc] argument chooses the congestion-control algorithm: it overrides
+    the record's [cc] field. *)
 module type PARAMS = sig
-  (** Advertised receive window, e.g. the benchmark's 4096. *)
-  val initial_window : int
-
-  (** Compute/verify the TCP checksum (Figure 3's [do_checksums]). *)
-  val compute_checksums : bool
-
-  (** Which checksum algorithm (the Figure 10 optimised one, or the basic
-      one the paper attributes to the x-kernel). *)
-  val checksum_alg : Fox_basis.Checksum.alg
-
-  (** Answer segments for unknown connections with RST.  The paper sets
-      this false to coexist with a host OS's own TCP; set it true on the
-      simulator. *)
-  val abort_unknown_connections : bool
-
-  (** The paper's [user_timeout]: µs before hung operations fail
-      (0 disables). *)
-  val user_timeout_us : int
-
-  val nagle : bool
-  val congestion_control : bool
-  val fast_retransmit : bool
-
-  (** Delayed-ACK holdoff (0 = acknowledge immediately). *)
-  val delayed_ack_us : int
-
-  val rto_initial_us : int
-  val rto_min_us : int
-  val rto_max_us : int
-  val max_retransmits : int
-
-  (** The 2·MSL TIME-WAIT hold. *)
-  val time_wait_us : int
-
-  (** Send-buffer bound: [send] blocks (cooperatively) while this many
-      bytes are already queued, letting flow control pace the sender. *)
-  val send_buffer_bytes : int
-
-  (** The paper's suggested scheduler refinement: execute wire-bound
-      actions (segment and ACK transmissions) before everything else on
-      the to_do queue. *)
-  val prioritize_latency : bool
-
-  (** RFC 1122 keepalive: probe connections idle this long (0 = off). *)
-  val keepalive_us : int
-
-  (** Unanswered keepalive probes tolerated before [Timed_out]. *)
-  val keepalive_probes : int
-
-  (** Try the header-prediction fast path before the general receive DAG
-      on established connections (Section 4's "defer to the full code for
-      the less common cases").  Off, every segment takes the full DAG —
-      the ablation baseline. *)
-  val header_prediction : bool
-
-  (** {2 Overload policy}
-
-      The graceful-degradation knobs: what the engine does when offered
-      more connection attempts, reassembly data, or work than it can hold.
-      Every refusal is counted (and reported on the observability bus), so
-      overload is visible rather than silent. *)
-
-  (** Maximum half-open (SYN-RECEIVED) connections per listener — the
-      listen backlog.  0 = unbounded (the pre-overload behaviour). *)
-  val listen_backlog : int
-
-  (** Hold half-open connections as compact cache records instead of full
-      TCBs; the TCB is only built when the handshake ACK arrives.  A SYN
-      flood then pins a few dozen bytes per forged source, not a TCB. *)
-  val syn_cache : bool
-
-  (** When the SYN cache is full, fall back to stateless SYN cookies: the
-      SYN-ACK's sequence number encodes a keyed hash of the endpoints (and
-      the peer's MSS class), so a legitimate handshake ACK can be promoted
-      with {e zero} state held during the flood.  Requires [syn_cache]. *)
-  val syn_cookies : bool
-
-  (** Refuse surplus SYNs with an RST (fast client failure) instead of
-      dropping them silently (client retries while the flood clears). *)
-  val refuse_with_rst : bool
-
-  (** Per-connection cap on buffered out-of-order text (0 = unbounded). *)
-  val max_ooo_bytes : int
-
-  (** {2 Hostile-wire policy}
-
-      RFC 5961 blind-attack defenses for synchronized connections: an RST
-      tears the connection down only at exactly [rcv_nxt]; merely-in-window
-      RSTs and SYNs, and ACKs outside [snd_una - max_snd_wnd, snd_nxt],
-      earn a rate-limited challenge ACK and are dropped.  Off restores the
-      RFC 793 rules the paper implemented. *)
-  val rfc5961 : bool
-
-  (** Engine-wide challenge-ACK cap per virtual second (RFC 5961 §10);
-      challenges over it are counted but not sent.  0 = unlimited. *)
-  val challenge_ack_limit : int
-
-  (** Per-connection challenge-ACK budget per virtual second, checked
-      before the engine cap so one hostile flow cannot drain the shared
-      counter and silence a victim's challenges (the CVE-2016-5696
-      side channel).  0 = unlimited. *)
-  val challenge_ack_conn_limit : int
-
-  (** RFC 6528 initial sequence numbers: ISN = M + F(4-tuple, secret)
-      where M is the RFC 793 4 µs clock and F a keyed PRF, so observing
-      one connection's ISN predicts nothing about another's.  Off
-      restores the legacy clock+salt scheme (predictable from a single
-      observed ISN) for harnesses with digests pinned against it. *)
-  val secure_isn : bool
-
-  (** The PRF key for [secure_isn].  [None] (the default) draws a boot
-      secret from the OS entropy pool per engine; deterministic
-      harnesses pin a constant so runs reproduce bit-for-bit. *)
-  val isn_secret : (int * int) option
-
-  (** Per-connection cap on the [to_do] queue: segments arriving when this
-      many actions are already queued are shed at the door (0 = off). *)
-  val max_to_do : int
-
-  (** Global cap on simultaneously live TCBs accepted passively
-      (0 = unbounded).  Active opens are the user's own choice and are
-      not gated. *)
-  val max_connections : int
-
-  (** Bound on TCBs parked in TIME-WAIT; beyond it the oldest is recycled
-      early (its 2·MSL cut short), RFC 793 purity traded for survival.
-      0 = unbounded. *)
-  val max_time_wait : int
-
-  (** {2 Hostile-path policy}
-
-      Graceful degradation when the path itself misbehaves: links that
-      silently eat large frames (PMTUD blackholes), peers that never
-      reopen a zero window, and transfers that stop making progress.
-      All off by default — the historical engine behaviour. *)
-
-  (** RFC 4821-style packetization-layer blackhole detection: after
-      [blackhole_rtos] consecutive RTOs of a full-MSS segment, halve the
-      effective send MSS (never below [blackhole_min_mss]) and
-      re-segment the retransmission queue. *)
-  val blackhole_detect : bool
-
-  val blackhole_rtos : int
-  val blackhole_min_mss : int
-
-  (** Once clamped, probe back up to the pre-clamp MSS after this much
-      ACK-confirmed progress (0 = never probe up). *)
-  val blackhole_probe_after_us : int
-
-  (** Abort a zero-window connection after this many unanswered persist
-      probes (0 = unbounded persist, the historical behaviour). *)
-  val persist_max_probes : int
-
-  (** RFC 5482-shaped user timeout: abort only when retransmission has
-      made no forward progress for a full [user_timeout_us], instead of
-      whenever data is merely outstanding at expiry. *)
-  val user_timeout_stalled : bool
+  val params : Tcb.params
 end
 
 module Default_params : PARAMS = struct
-  let initial_window = 4096
-  let compute_checksums = true
-  let checksum_alg = `Optimized
-  let abort_unknown_connections = true
-  let user_timeout_us = 0
-  let nagle = true
-  let congestion_control = true
-  let fast_retransmit = true
-  let delayed_ack_us = 200_000
-  let rto_initial_us = 1_000_000
-  let rto_min_us = 200_000
-  let rto_max_us = 64_000_000
-  let max_retransmits = 12
-  let time_wait_us = 60_000_000
-  let send_buffer_bytes = 65536
-  let prioritize_latency = false
-  let keepalive_us = 0
-  let keepalive_probes = 5
-  let header_prediction = true
-  let listen_backlog = 128
-  let syn_cache = false
-  let syn_cookies = false
-  let refuse_with_rst = false
-  let max_ooo_bytes = 65536
-  let max_to_do = 1024
-  let max_connections = 0
-  let max_time_wait = 0
-  let rfc5961 = true
-  let challenge_ack_limit = 100
-  let challenge_ack_conn_limit = 10
-  let secure_isn = true
-  let isn_secret = None
-  let blackhole_detect = false
-  let blackhole_rtos = 3
-  let blackhole_min_mss = 536
-  let blackhole_probe_after_us = 0
-  let persist_max_probes = 0
-  let user_timeout_stalled = false
+  let params = Tcb.default_params
 end
 
 (** Instance-wide statistics. *)
@@ -260,7 +71,6 @@ type stats = {
   ack_challenges : int;  (** ACKs outside the 5961 acceptance window *)
   blackhole_shrinks : int;
       (** MSS halvings by blackhole detection (live + dead conns) *)
-  blackhole_restores : int;  (** successful probe-ups back to full MSS *)
   persist_aborts : int;
       (** connections aborted by the bounded zero-window persist *)
   user_timeout_aborts : int;  (** connections aborted by the user timeout *)
@@ -337,35 +147,7 @@ end = struct
 
   let proto_number = 6
 
-  let runtime_params : Tcb.params =
-    {
-      Tcb.initial_window = Params.initial_window;
-      nagle = Params.nagle;
-      congestion_control = Params.congestion_control;
-      fast_retransmit = Params.fast_retransmit;
-      delayed_ack_us = Params.delayed_ack_us;
-      rto_initial_us = Params.rto_initial_us;
-      rto_min_us = Params.rto_min_us;
-      rto_max_us = Params.rto_max_us;
-      max_retransmits = Params.max_retransmits;
-      time_wait_us = Params.time_wait_us;
-      user_timeout_us = Params.user_timeout_us;
-      prioritize_latency = Params.prioritize_latency;
-      keepalive_us = Params.keepalive_us;
-      keepalive_probes = Params.keepalive_probes;
-      header_prediction = Params.header_prediction;
-      max_ooo_bytes = Params.max_ooo_bytes;
-      rfc5961 = Params.rfc5961;
-      challenge_ack_limit = Params.challenge_ack_limit;
-      challenge_ack_conn_limit = Params.challenge_ack_conn_limit;
-      blackhole_detect = Params.blackhole_detect;
-      blackhole_rtos = Params.blackhole_rtos;
-      blackhole_min_mss = Params.blackhole_min_mss;
-      blackhole_probe_after_us = Params.blackhole_probe_after_us;
-      persist_max_probes = Params.persist_max_probes;
-      user_timeout_stalled = Params.user_timeout_stalled;
-      cc = (module Cc);
-    }
+  let runtime_params = { Params.params with cc = (module Cc : Congestion.S) }
 
   type address = { peer : Aux.host; port : int; local_port : int option }
 
@@ -378,6 +160,10 @@ end = struct
   type data_handler = incoming_message -> unit
 
   type status_handler = Status.t -> unit
+
+  (* Send-buffer bound: [send] blocks (cooperatively) while this many
+     bytes are already queued, letting flow control pace the sender. *)
+  let send_buffer_bytes = 65536
 
   (* TCP header (up to 24 bytes with the MSS option) plus slack so user
      buffers never reallocate on the fast path. *)
@@ -449,7 +235,7 @@ end = struct
     mutable l_active : bool;
     mutable l_half_open : int;  (** legacy mode: SYN-RECEIVED TCBs held *)
     mutable l_syn_cache : syn_cache_entry list;
-        (** oldest first; never longer than [Params.listen_backlog] *)
+        (** oldest first; never longer than [listen_backlog] *)
   }
 
   and handler = connection -> data_handler * status_handler
@@ -486,7 +272,6 @@ end = struct
     mutable chall_ack_dead : int;
     (* blackhole counters of deleted connections, same fold *)
     mutable blackhole_shrinks_dead : int;
-    mutable blackhole_restores_dead : int;
     (* abort counters by kind (the connection is gone by definition) *)
     mutable persist_aborts : int;
     mutable user_timeout_aborts : int;
@@ -528,7 +313,7 @@ end = struct
   let fresh_iss t ~host ~local_port ~remote_port =
     t.iss_salt <- t.iss_salt + 1;
     let m = Fox_sched.Scheduler.now () / 4 in
-    if Params.secure_isn then
+    if runtime_params.secure_isn then
       let f =
         Siphash.hash ~k0:t.isn_k0 ~k1:t.isn_k1
           (Printf.sprintf "%s|%d|%d" (Aux.to_string host) local_port
@@ -538,7 +323,7 @@ end = struct
     else Seq.of_int (m + (t.iss_salt * 64021))
 
   let pseudo_for conn len =
-    if Params.compute_checksums then
+    if runtime_params.compute_checksums then
       Some (Aux.pseudo conn.lower ~proto:proto_number ~len)
     else None
 
@@ -560,11 +345,11 @@ end = struct
       }
     in
     let pseudo_for len =
-      if Params.compute_checksums then
+      if runtime_params.compute_checksums then
         Some (Aux.pseudo lconn ~proto:proto_number ~len)
       else None
     in
-    Action.externalize ~alg:Params.checksum_alg
+    Action.externalize ~alg:runtime_params.checksum_alg
       ~defer:true ~pseudo_for ~hdr ~data:None
       ~allocate:(fun len ->
         Packet.create
@@ -578,7 +363,7 @@ end = struct
      than any retransmission gap its engine would use (the largest is
      [rto_max_us], at full backoff) — so a handshake still being retried
      keeps its entry, while a flooder that went quiet loses it. *)
-  let syn_cache_ttl_us = 2 * Params.rto_max_us
+  let syn_cache_ttl_us = 2 * runtime_params.rto_max_us
 
   (* SYN cookies: the SYN-ACK's sequence number is a keyed hash of the
      endpoints and the client's ISN, with the low two bits encoding the
@@ -625,17 +410,17 @@ end = struct
         syn = true;
         ack_flag = true;
         ack = Seq.add irs 1;
-        window = Params.initial_window;
+        window = runtime_params.initial_window;
         mss = Some adv_mss;
       }
     in
     let pseudo_for len =
-      if Params.compute_checksums then
+      if runtime_params.compute_checksums then
         Some (Aux.pseudo lconn ~proto:proto_number ~len)
       else None
     in
     try
-      Action.externalize ~alg:Params.checksum_alg
+      Action.externalize ~alg:runtime_params.checksum_alg
         ~defer:true ~pseudo_for ~hdr ~data:None
         ~allocate:(fun len ->
           Packet.create
@@ -651,7 +436,7 @@ end = struct
     t.backlog_refused <- t.backlog_refused + 1;
     if !Bus.live then
       Bus.emit ~layer:"tcp" (Bus.Note ("syn refused: " ^ reason));
-    if Params.refuse_with_rst then begin
+    if runtime_params.refuse_with_rst then begin
       t.rsts_sent <- t.rsts_sent + 1;
       let lower_send = Lower.prepare_send lconn in
       try
@@ -686,7 +471,7 @@ end = struct
     tcb.Tcb.segs_out <- tcb.Tcb.segs_out + 1;
     conn.tcp.segs_out <- conn.tcp.segs_out + 1;
     if ss.Tcb.out_rst then conn.tcp.rsts_sent <- conn.tcp.rsts_sent + 1;
-    Action.externalize ~alg:Params.checksum_alg
+    Action.externalize ~alg:runtime_params.checksum_alg
       ~defer:true ~pseudo_for:(pseudo_for conn) ~hdr
       ~data:ss.Tcb.out_data ~allocate:(allocate_internal conn)
       ~send:conn.lower_send ()
@@ -704,7 +489,7 @@ end = struct
         window = tcb.Tcb.rcv_wnd;
       }
     in
-    Action.externalize ~alg:Params.checksum_alg
+    Action.externalize ~alg:runtime_params.checksum_alg
       ~defer:true ~pseudo_for:(pseudo_for conn) ~hdr
       ~data:None ~allocate:(allocate_internal conn) ~send:conn.lower_send ()
 
@@ -811,8 +596,6 @@ end = struct
       t.chall_ack_dead <- t.chall_ack_dead + tcb.Tcb.ack_challenges;
       t.blackhole_shrinks_dead <-
         t.blackhole_shrinks_dead + tcb.Tcb.blackhole_shrinks;
-      t.blackhole_restores_dead <-
-        t.blackhole_restores_dead + tcb.Tcb.blackhole_restores;
       (* drop the TCB's own buffer references so the leak census balances
          (actions still pending on to_do hold their own references), and
          empty the queues so nothing can reach a recycled buffer *)
@@ -852,8 +635,8 @@ end = struct
     conn.in_time_wait <- true;
     Queue.push conn t.time_wait_q;
     t.time_wait_count <- t.time_wait_count + 1;
-    if Params.max_time_wait > 0 then
-      while t.time_wait_count > Params.max_time_wait do
+    if runtime_params.max_time_wait > 0 then
+      while t.time_wait_count > runtime_params.max_time_wait do
         match Queue.pop t.time_wait_q with
         | exception Queue.Empty ->
           (* unreachable: count > 0 implies a live entry is queued *)
@@ -881,7 +664,7 @@ end = struct
       tcb.Tcb.last_activity <- now;
       tcb.Tcb.probes_sent <- 0;
       let handled =
-        Params.header_prediction
+        runtime_params.header_prediction
         &&
         match conn.state with
         | Tcb.Estab _ -> Receive.fast_path runtime_params tcb seg ~now
@@ -917,9 +700,9 @@ end = struct
       leave_half_open conn;
       if not conn.open_done then begin
         conn.open_done <- true;
-        if Params.keepalive_us > 0 then begin
+        if runtime_params.keepalive_us > 0 then begin
           tcb.Tcb.last_activity <- now;
-          set_timer conn Tcb.Keepalive Params.keepalive_us
+          set_timer conn Tcb.Keepalive runtime_params.keepalive_us
         end;
         Fox_sched.Cond.signal conn.open_mb (Ok ());
         conn.status Status.Connected
@@ -985,7 +768,7 @@ end = struct
       | _ -> ());
       (* wake senders blocked on the buffer bound *)
       if
-        conn.tcb.Tcb.queued_bytes < Params.send_buffer_bytes
+        conn.tcb.Tcb.queued_bytes < send_buffer_bytes
         && Fox_sched.Cond.waiters conn.send_space > 0
       then Fox_sched.Cond.broadcast conn.send_space ();
       run_to_do conn
@@ -1042,7 +825,7 @@ end = struct
   (* ---------------- demultiplexing ---------------- *)
 
   let handle_unknown t lconn (hdr : Tcp_header.t) seg_text_len =
-    if Params.abort_unknown_connections && not hdr.Tcp_header.rst then begin
+    if runtime_params.abort_unknown_connections && not hdr.Tcp_header.rst then begin
       t.rsts_sent <- t.rsts_sent + 1;
       let lower_send = Lower.prepare_send lconn in
       try
@@ -1068,8 +851,8 @@ end = struct
   (* Global admission check: the engine refuses new connections (not new
      segments) once [max_connections] TCBs are live. *)
   let under_conn_cap t =
-    Params.max_connections = 0
-    || Conns.length t.conns < Params.max_connections
+    runtime_params.max_connections = 0
+    || Conns.length t.conns < runtime_params.max_connections
 
   (* Drop SYN-cache entries older than the TTL.  Lazy: runs whenever the
      cache is consulted, so an idle listener keeps stale entries but they
@@ -1144,7 +927,7 @@ end = struct
         Packet.release seg.Tcb.data
       end
     | None ->
-      if Params.syn_cookies then begin
+      if runtime_params.syn_cookies then begin
         let irs = Seq.add hdr.Tcp_header.seq (-1) in
         match
           cookie_check host ~local_port ~remote_port ~irs
@@ -1177,7 +960,7 @@ end = struct
     let local_port = hdr.Tcp_header.dst_port
     and remote_port = hdr.Tcp_header.src_port in
     let now = Fox_sched.Scheduler.now () in
-    if Params.syn_cache then begin
+    if runtime_params.syn_cache then begin
       purge_syn_cache listener ~now;
       let lower_send = Lower.prepare_send lconn in
       match syn_cache_find listener ~host ~local_port ~remote_port with
@@ -1192,8 +975,8 @@ end = struct
       | None ->
         let adv_mss = max 64 (Aux.mtu lconn - tcp_fixed_header) in
         if
-          (Params.listen_backlog = 0
-          || List.length listener.l_syn_cache < Params.listen_backlog)
+          (runtime_params.listen_backlog = 0
+          || List.length listener.l_syn_cache < runtime_params.listen_backlog)
           && under_conn_cap t
         then begin
           let iss = fresh_iss t ~host ~local_port ~remote_port in
@@ -1214,7 +997,7 @@ end = struct
             ~dst_port:remote_port ~iss ~irs:hdr.Tcp_header.seq ~adv_mss;
           Packet.release seg.Tcb.data
         end
-        else if Params.syn_cookies && under_conn_cap t then begin
+        else if runtime_params.syn_cookies && under_conn_cap t then begin
           let peer_mss =
             match hdr.Tcp_header.mss with Some m -> m | None -> adv_mss
           in
@@ -1232,8 +1015,8 @@ end = struct
         end
     end
     else if
-      (Params.listen_backlog > 0
-      && listener.l_half_open >= Params.listen_backlog)
+      (runtime_params.listen_backlog > 0
+      && listener.l_half_open >= runtime_params.listen_backlog)
       || not (under_conn_cap t)
     then begin
       refuse_syn t lconn hdr ~reason:"backlog full";
@@ -1261,11 +1044,11 @@ end = struct
   let receive t lconn packet =
     let now = Fox_sched.Scheduler.now () in
     let pseudo =
-      if Params.compute_checksums then
+      if runtime_params.compute_checksums then
         Some (Aux.pseudo lconn ~proto:proto_number ~len:(Packet.length packet))
       else None
     in
-    match Action.internalize ~alg:Params.checksum_alg ~pseudo packet ~now with
+    match Action.internalize ~alg:runtime_params.checksum_alg ~pseudo packet ~now with
     | Error _ ->
       t.bad_segments <- t.bad_segments + 1;
       Packet.release packet
@@ -1279,8 +1062,8 @@ end = struct
       with
       | Some conn when not conn.dead ->
         if
-          Params.max_to_do > 0
-          && conn.tcb.Tcb.to_do_len >= Params.max_to_do
+          runtime_params.max_to_do > 0
+          && conn.tcb.Tcb.to_do_len >= runtime_params.max_to_do
         then begin
           (* load shedding: the connection's work queue is saturated, so
              this segment is treated as lost on the wire — the peer's
@@ -1305,11 +1088,11 @@ end = struct
                && not hdr.Tcp_header.rst ->
           accept t lconn seg l
         | Some l
-          when l.l_active && Params.syn_cache && hdr.Tcp_header.ack_flag
+          when l.l_active && runtime_params.syn_cache && hdr.Tcp_header.ack_flag
                && (not hdr.Tcp_header.syn)
                && not hdr.Tcp_header.rst ->
           handshake_ack t lconn seg l
-        | Some l when l.l_active && Params.syn_cache && hdr.Tcp_header.rst ->
+        | Some l when l.l_active && runtime_params.syn_cache && hdr.Tcp_header.rst ->
           (* peer aborted a half-open handshake: forget its cache entry *)
           (match
              syn_cache_find l ~host ~local_port:hdr.Tcp_header.dst_port
@@ -1409,7 +1192,7 @@ end = struct
     (* flow-control the caller against the send buffer bound *)
     while
       (not conn.dead)
-      && conn.tcb.Tcb.queued_bytes >= Params.send_buffer_bytes
+      && conn.tcb.Tcb.queued_bytes >= send_buffer_bytes
     do
       Fox_sched.Cond.wait conn.send_space
     done;
@@ -1510,8 +1293,6 @@ end = struct
         t.chall_ack_dead + live (fun tcb -> tcb.Tcb.ack_challenges);
       blackhole_shrinks =
         t.blackhole_shrinks_dead + live (fun tcb -> tcb.Tcb.blackhole_shrinks);
-      blackhole_restores =
-        t.blackhole_restores_dead + live (fun tcb -> tcb.Tcb.blackhole_restores);
       persist_aborts = t.persist_aborts;
       user_timeout_aborts = t.user_timeout_aborts;
       rtx_limit_aborts = t.rtx_limit_aborts;
@@ -1553,7 +1334,7 @@ end = struct
 
   let create lower =
     let isn_k0, isn_k1 =
-      match Params.isn_secret with
+      match runtime_params.isn_secret with
       | Some (k0, k1) -> (k0, k1)
       | None -> entropy_secret ()
     in
@@ -1586,7 +1367,6 @@ end = struct
         chall_syn_dead = 0;
         chall_ack_dead = 0;
         blackhole_shrinks_dead = 0;
-        blackhole_restores_dead = 0;
         persist_aborts = 0;
         user_timeout_aborts = 0;
         rtx_limit_aborts = 0;

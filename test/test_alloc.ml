@@ -135,11 +135,11 @@ let tcb_words ~established =
   | None -> Alcotest.fail "no quiescent connection in the wanted state"
 
 let test_tcb_established () =
-  check_bound "ESTABLISHED TCB reachable words" ~measured:174. ~bound:180.
+  check_bound "ESTABLISHED TCB reachable words" ~measured:171. ~bound:177.
     (tcb_words ~established:true)
 
 let test_tcb_time_wait () =
-  check_bound "TIME-WAIT TCB reachable words" ~measured:174. ~bound:180.
+  check_bound "TIME-WAIT TCB reachable words" ~measured:171. ~bound:177.
     (tcb_words ~established:false)
 
 let () =

@@ -172,6 +172,37 @@ let test_instances_registered () =
       | None -> Alcotest.failf "%s not registered" name)
     Congestion.names
 
+(* [Tcp.Make]'s [Cc] argument chooses the algorithm; the [cc] field of
+   the settings record it is given is overridden, so a record built for
+   another algorithm cannot silently switch it. *)
+let test_functor_cc_overrides_record () =
+  let module T =
+    Fox_tcp.Tcp.Make (Fox_stack.Stack.Metered_ip)
+      (Fox_stack.Stack.Metered_ip_aux)
+      (Congestion.Reno)
+      (struct
+        let params =
+          { Fox_tcp.Tcb.default_params with cc = (module Congestion.Cubic) }
+      end)
+  in
+  let module Network = Fox_stack.Network in
+  let _, a, b = Network.pair ~engine:Network.Bare () in
+  let ta = T.create a.Network.metered_ip and tb = T.create b.Network.metered_ip in
+  let cc_name = ref "" in
+  let _ =
+    Fox_sched.Scheduler.run (fun () ->
+        ignore
+          (T.start_passive tb { T.local_port = 80 } (fun _ -> (ignore, ignore)));
+        let conn =
+          T.connect ta
+            { T.peer = b.Network.addr; port = 80; local_port = None }
+            (fun _ -> (ignore, ignore))
+        in
+        cc_name := (T.conn_stats conn).Fox_tcp.Tcp.cc_name;
+        T.close conn)
+  in
+  Alcotest.(check string) "the Cc argument wins" "reno" !cc_name
+
 (* ------------------------------------------------------------------ *)
 (* Safety net: every instance through fuzz, soak and the scenarios    *)
 (* ------------------------------------------------------------------ *)
@@ -248,6 +279,8 @@ let () =
           Alcotest.test_case "bbr pacing" `Quick
             test_bbr_pacing_tracks_delivery_rate;
           Alcotest.test_case "registry" `Quick test_instances_registered;
+          Alcotest.test_case "Cc argument overrides the record" `Quick
+            test_functor_cc_overrides_record;
         ] );
       ( "matrix",
         [

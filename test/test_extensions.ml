@@ -301,33 +301,42 @@ let test_priority_queue_disabled_is_fifo () =
     [ "complete-close"; "send-ack"; "complete-close" ]
     (List.map Tcb.action_name (Tcb.pending_actions tcb))
 
+(* The paper's suggested scheduler refinement as its own engine: a
+   priority to_do queue that lets wire-bound actions overtake local
+   deliveries. *)
+module Tcp_prioritized =
+  Fox_tcp.Tcp.Make (Stack.Metered_ip) (Stack.Metered_ip_aux) (Fox_tcp.Congestion.Reno)
+    (struct
+      let params = { Fox_tcp.Tcb.default_params with prioritize_latency = true }
+    end)
+
 let test_prioritized_tcp_end_to_end () =
   (* the prioritized engine must still deliver correct streams *)
   let _, a, b = Network.pair ~engine:Network.Bare () in
-  let ta = Stack.Tcp_prioritized.create a.Network.metered_ip in
-  let tb = Stack.Tcp_prioritized.create b.Network.metered_ip in
+  let ta = Tcp_prioritized.create a.Network.metered_ip in
+  let tb = Tcp_prioritized.create b.Network.metered_ip in
   let payload = String.init 50_000 (fun i -> Char.chr (i * 3 land 0xff)) in
   let got = Buffer.create 1024 in
   let _ =
     Scheduler.run (fun () ->
         ignore
-          (Stack.Tcp_prioritized.start_passive tb
-             { Stack.Tcp_prioritized.local_port = 80 }
+          (Tcp_prioritized.start_passive tb
+             { Tcp_prioritized.local_port = 80 }
              (fun _ ->
                ((fun p -> Buffer.add_string got (Packet.to_string p)), ignore)));
         let conn =
-          Stack.Tcp_prioritized.connect ta
-            { Stack.Tcp_prioritized.peer = b.Network.addr; port = 80;
+          Tcp_prioritized.connect ta
+            { Tcp_prioritized.peer = b.Network.addr; port = 80;
               local_port = None }
             (fun _ -> (ignore, ignore))
         in
-        let mss = Stack.Tcp_prioritized.max_packet_size conn in
+        let mss = Tcp_prioritized.max_packet_size conn in
         let off = ref 0 in
         while !off < String.length payload do
           let n = min mss (String.length payload - !off) in
-          let p = Stack.Tcp_prioritized.allocate_send conn n in
+          let p = Tcp_prioritized.allocate_send conn n in
           Packet.blit_from_string payload !off p 0 n;
-          Stack.Tcp_prioritized.send conn p;
+          Tcp_prioritized.send conn p;
           off := !off + n
         done;
         Scheduler.sleep 2_000_000)
@@ -342,10 +351,12 @@ let test_prioritized_tcp_end_to_end () =
 module Tcp_ka =
   Fox_tcp.Tcp.Make (Stack.Metered_ip) (Stack.Metered_ip_aux) (Fox_tcp.Congestion.Reno)
     (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let keepalive_us = 500_000
-      let keepalive_probes = 3
+      let params =
+        {
+          Fox_tcp.Tcb.default_params with
+          keepalive_us = 500_000;
+          keepalive_probes = 3;
+        }
     end)
 
 let test_keepalive_probe_unit () =
@@ -457,22 +468,29 @@ let test_keepalive_counts_unanswered_probes () =
   Alcotest.(check int) "answered probe restarts the budget" 0
     tcb2.Tcb.probes_sent
 
-(* The stock [Stack.Tcp_keepalive] instantiation (30 s probes, default
-   budget of 5) end-to-end: a silently-vanished peer is detected. *)
+(* RFC 1122 keepalive probing every 30 s of idleness, with the default
+   budget of 5 probes, end-to-end: a silently-vanished peer is
+   detected. *)
+module Tcp_keepalive =
+  Fox_tcp.Tcp.Make (Stack.Metered_ip) (Stack.Metered_ip_aux) (Fox_tcp.Congestion.Reno)
+    (struct
+      let params = { Fox_tcp.Tcb.default_params with keepalive_us = 30_000_000 }
+    end)
+
 let test_stack_keepalive_detects_dead_peer () =
   let _, a, b = Network.pair ~engine:Network.Bare () in
-  let ta = Stack.Tcp_keepalive.create a.Network.metered_ip in
-  let tb = Stack.Tcp_keepalive.create b.Network.metered_ip in
+  let ta = Tcp_keepalive.create a.Network.metered_ip in
+  let tb = Tcp_keepalive.create b.Network.metered_ip in
   let client_status = ref [] in
   let _ =
     Scheduler.run (fun () ->
         ignore
-          (Stack.Tcp_keepalive.start_passive tb
-             { Stack.Tcp_keepalive.local_port = 80 } (fun _ ->
+          (Tcp_keepalive.start_passive tb
+             { Tcp_keepalive.local_port = 80 } (fun _ ->
                (ignore, ignore)));
         ignore
-          (Stack.Tcp_keepalive.connect ta
-             { Stack.Tcp_keepalive.peer = b.Network.addr;
+          (Tcp_keepalive.connect ta
+             { Tcp_keepalive.peer = b.Network.addr;
                port = 80;
                local_port = None }
              (fun _ -> (ignore, fun s -> client_status := s :: !client_status)));
@@ -514,39 +532,47 @@ let test_keepalive_live_peer_survives () =
 (* Window-size instantiations                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The window is a functor parameter (Figure 4): a 1 KB window is its
+   own application. *)
+module Tcp_w1024 =
+  Fox_tcp.Tcp.Make (Stack.Metered_ip) (Stack.Metered_ip_aux) (Fox_tcp.Congestion.Reno)
+    (struct
+      let params = { Fox_tcp.Tcb.default_params with initial_window = 1024 }
+    end)
+
 let test_small_window_works_and_paces () =
   let _, a, b = Network.pair ~engine:Network.Bare () in
-  let ta = Stack.Tcp_w1024.create a.Network.metered_ip in
-  let tb = Stack.Tcp_w1024.create b.Network.metered_ip in
+  let ta = Tcp_w1024.create a.Network.metered_ip in
+  let tb = Tcp_w1024.create b.Network.metered_ip in
   let payload = String.make 20_000 'w' in
   let got = Buffer.create 1024 in
   let max_flight = ref 0 in
   let _ =
     Scheduler.run (fun () ->
         ignore
-          (Stack.Tcp_w1024.start_passive tb { Stack.Tcp_w1024.local_port = 80 }
+          (Tcp_w1024.start_passive tb { Tcp_w1024.local_port = 80 }
              (fun _ ->
                ((fun p -> Buffer.add_string got (Packet.to_string p)), ignore)));
         let conn =
-          Stack.Tcp_w1024.connect ta
-            { Stack.Tcp_w1024.peer = b.Network.addr; port = 80;
+          Tcp_w1024.connect ta
+            { Tcp_w1024.peer = b.Network.addr; port = 80;
               local_port = None }
             (fun _ -> (ignore, ignore))
         in
         Scheduler.fork (fun () ->
             (* sample the sender's window occupancy while transferring *)
             for _ = 1 to 200 do
-              let s = Stack.Tcp_w1024.conn_stats conn in
+              let s = Tcp_w1024.conn_stats conn in
               max_flight := max !max_flight s.Fox_tcp.Tcp.snd_wnd;
               Scheduler.sleep 1_000
             done);
-        let mss = Stack.Tcp_w1024.max_packet_size conn in
+        let mss = Tcp_w1024.max_packet_size conn in
         let off = ref 0 in
         while !off < String.length payload do
           let n = min mss (String.length payload - !off) in
-          let p = Stack.Tcp_w1024.allocate_send conn n in
+          let p = Tcp_w1024.allocate_send conn n in
           Packet.blit_from_string payload !off p 0 n;
-          Stack.Tcp_w1024.send conn p;
+          Tcp_w1024.send conn p;
           off := !off + n
         done;
         Scheduler.sleep 2_000_000)

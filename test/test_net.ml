@@ -1021,10 +1021,12 @@ module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
 (* The SYN cache is on, so concurrent handshakes that differ only in the
    peer host must also be told apart by the cache lookup. *)
 module Demux_params = struct
-  include Fox_tcp.Tcp.Default_params
-
-  let syn_cache = true
-  let time_wait_us = 1_000_000
+  let params =
+    {
+      Fox_tcp.Tcb.default_params with
+      syn_cache = true;
+      time_wait_us = 1_000_000;
+    }
 end
 
 module Tcp =
@@ -1043,9 +1045,8 @@ end
 module Collide_tcp =
   Fox_tcp.Tcp.Make (Ip) (Collide_aux) (Fox_tcp.Congestion.Reno)
     (struct
-      include Demux_params
-
-      let abort_unknown_connections = false
+      let params =
+        { Demux_params.params with abort_unknown_connections = false }
     end)
 
 (* What the demux scenario needs of an engine. *)

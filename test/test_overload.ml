@@ -56,13 +56,15 @@ let three_hosts () =
 (* Short timers so half-open state converges fast under virtual time.
    rto_max also sets the SYN-cache TTL (2 x rto_max). *)
 module Base_params = struct
-  include Fox_tcp.Tcp.Default_params
-
-  let rto_initial_us = 200_000
-  let rto_min_us = 100_000
-  let rto_max_us = 1_000_000
-  let max_retransmits = 3
-  let time_wait_us = 1_000_000
+  let params =
+    {
+      Fox_tcp.Tcb.default_params with
+      rto_initial_us = 200_000;
+      rto_min_us = 100_000;
+      rto_max_us = 1_000_000;
+      max_retransmits = 3;
+      time_wait_us = 1_000_000;
+    }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -70,10 +72,8 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Rst_params = struct
-  include Base_params
-
-  let listen_backlog = 2
-  let refuse_with_rst = true
+  let params =
+    { Base_params.params with listen_backlog = 2; refuse_with_rst = true }
 end
 
 module Tcp_rst = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (Rst_params)
@@ -100,10 +100,8 @@ let test_backlog_refusal_rst () =
   Alcotest.(check int) "no silent drops" 0 s.T.syn_dropped
 
 module Drop_params = struct
-  include Base_params
-
-  let listen_backlog = 2
-  let refuse_with_rst = false
+  let params =
+    { Base_params.params with listen_backlog = 2; refuse_with_rst = false }
 end
 
 module Tcp_drop = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (Drop_params)
@@ -133,11 +131,13 @@ let test_backlog_refusal_silent () =
 (* ------------------------------------------------------------------ *)
 
 module Cache_params = struct
-  include Base_params
-
-  let listen_backlog = 3
-  let syn_cache = true
-  let refuse_with_rst = true
+  let params =
+    {
+      Base_params.params with
+      listen_backlog = 3;
+      syn_cache = true;
+      refuse_with_rst = true;
+    }
 end
 
 module Tcp_cache = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (Cache_params)
@@ -203,11 +203,13 @@ let test_syn_cache_promotion_and_expiry () =
 (* ------------------------------------------------------------------ *)
 
 module Cookie_params = struct
-  include Base_params
-
-  let listen_backlog = 1
-  let syn_cache = true
-  let syn_cookies = true
+  let params =
+    {
+      Base_params.params with
+      listen_backlog = 1;
+      syn_cache = true;
+      syn_cookies = true;
+    }
 end
 
 module Tcp_cookie = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (Cookie_params)
@@ -263,11 +265,13 @@ let test_syn_cookie_round_trip () =
 (* ------------------------------------------------------------------ *)
 
 module Tw_params = struct
-  include Base_params
-
-  (* long 2MSL, tiny table: only recycling can free a parked port *)
-  let time_wait_us = 60_000_000
-  let max_time_wait = 2
+  let params =
+    {
+      Base_params.params with
+      (* long 2MSL, tiny table: only recycling can free a parked port *)
+      time_wait_us = 60_000_000;
+      max_time_wait = 2;
+    }
 end
 
 module Tcp_tw = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (Tw_params)

@@ -21,11 +21,13 @@ module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
 (* Test-friendly parameters: immediate ACKs off is the default behaviour we
    want to exercise, short TIME-WAIT to keep virtual clocks small. *)
 module Tcp_params : Fox_tcp.Tcp.PARAMS = struct
-  include Fox_tcp.Tcp.Default_params
-
-  let time_wait_us = 1_000_000
-  let rto_min_us = 50_000
-  let rto_initial_us = 200_000
+  let params =
+    {
+      Fox_tcp.Tcb.default_params with
+      time_wait_us = 1_000_000;
+      rto_min_us = 50_000;
+      rto_initial_us = 200_000;
+    }
 end
 
 module Tcp = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (Tcp_params)
@@ -449,13 +451,15 @@ module EthC = Fox_eth.Eth.Checked
 module Eth_aux = Fox_eth.Eth_aux.Make (EthC)
 
 module Special_tcp_params : Fox_tcp.Tcp.PARAMS = struct
-  include Fox_tcp.Tcp.Default_params
-
-  (* rely on the (correctly implemented!) Ethernet CRC instead *)
-  let compute_checksums = false
-  let rto_min_us = 50_000
-  let rto_initial_us = 200_000
-  let time_wait_us = 1_000_000
+  let params =
+    {
+      Fox_tcp.Tcb.default_params with
+      (* rely on the (correctly implemented!) Ethernet CRC instead *)
+      compute_checksums = false;
+      rto_min_us = 50_000;
+      rto_initial_us = 200_000;
+      time_wait_us = 1_000_000;
+    }
 end
 
 module Special_tcp = Fox_tcp.Tcp.Make (EthC) (Eth_aux) (Fox_tcp.Congestion.Reno) (Special_tcp_params)

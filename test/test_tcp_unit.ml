@@ -349,15 +349,15 @@ let test_segmentation_respects_window () =
   Alcotest.(check int) "rest still queued" 2500 tcb.Tcb.queued_bytes
 
 let test_slow_start_limits_initial_burst () =
-  let p = { params with congestion_control = true } in
-  let tcb = estab_tcb ~params:p () in
+  let tcb = estab_tcb () in
   tcb.Tcb.cwnd <- 2000 (* two segments *);
-  Send.enqueue p tcb (Packet.of_string (String.make 8000 'x')) ~now:0;
+  Send.enqueue params tcb (Packet.of_string (String.make 8000 'x')) ~now:0;
   Alcotest.(check int) "only cwnd worth sent" 2
     (List.length (sent_segments tcb));
   (* an ACK for the first segment opens cwnd and releases more *)
-  ignore (Resend.process_ack p tcb ~ack:(Seq.of_int (1001 + 1000)) ~now:1000);
-  Send.segmentize p tcb ~now:1000;
+  ignore
+    (Resend.process_ack params tcb ~ack:(Seq.of_int (1001 + 1000)) ~now:1000);
+  Send.segmentize params tcb ~now:1000;
   Alcotest.(check bool) "ack released more" true (sent_segments tcb <> [])
 
 let test_nagle_holds_small_segment () =
@@ -485,14 +485,13 @@ let test_window_opens_while_probe_in_flight () =
    three duplicates that trigger fast retransmit (the counter only fires
    on exactly three). *)
 let test_window_update_resets_dup_ack_episode () =
-  let p = { params with congestion_control = false } in
-  let tcb = estab_tcb ~params:p () in
+  let tcb = estab_tcb () in
   tcb.Tcb.cwnd <- 1 lsl 20;
-  Send.enqueue p tcb (Packet.of_string (String.make 4000 'x')) ~now:0;
+  Send.enqueue params tcb (Packet.of_string (String.make 4000 'x')) ~now:0;
   ignore (drain_actions tcb);
   let dup_ack ~ack ~window =
     let seg = mk_segment ~seq:5001 ~ack:(Some ack) ~window () in
-    ignore (Receive.process p (Tcb.Estab tcb) seg ~now:0)
+    ignore (Receive.process params (Tcb.Estab tcb) seg ~now:0)
   in
   (* episode one: three duplicates trigger fast retransmit *)
   dup_ack ~ack:1001 ~window:8192;
@@ -597,15 +596,14 @@ let test_ack_clears_covered_entries () =
   Alcotest.(check int) "snd_una moved" (1001 + 2000) (Seq.to_int tcb.Tcb.snd_una)
 
 let test_fast_retransmit_on_three_dups () =
-  let p = { params with fast_retransmit = true; congestion_control = true } in
-  let tcb = estab_tcb ~params:p () in
+  let tcb = estab_tcb () in
   tcb.Tcb.cwnd <- 1 lsl 20;
-  Send.enqueue p tcb (Packet.of_string (String.make 2000 'y')) ~now:0;
+  Send.enqueue params tcb (Packet.of_string (String.make 2000 'y')) ~now:0;
   ignore (drain_actions tcb);
-  Resend.duplicate_ack p tcb ~now:1;
-  Resend.duplicate_ack p tcb ~now:2;
+  Resend.duplicate_ack params tcb ~now:1;
+  Resend.duplicate_ack params tcb ~now:2;
   Alcotest.(check (list string)) "quiet on first two" [] (action_names tcb);
-  Resend.duplicate_ack p tcb ~now:3;
+  Resend.duplicate_ack params tcb ~now:3;
   (match drain_actions tcb with
   | [ Tcb.Send_segment ss ] ->
     Alcotest.(check bool) "retransmission" true ss.Tcb.out_is_rtx;
@@ -929,35 +927,23 @@ let test_user_timeout_kills_stuck_connection () =
   let names = action_names tcb in
   Alcotest.(check bool) "reports the error" true (List.mem "user-error" names)
 
-let test_dup_ack_ignored_without_fast_retransmit () =
-  let p = { params with fast_retransmit = false } in
-  let tcb = estab_tcb ~params:p () in
-  tcb.Tcb.cwnd <- 1 lsl 20;
-  Send.enqueue p tcb (Packet.of_string (String.make 2000 'z')) ~now:0;
-  ignore (drain_actions tcb);
-  for _ = 1 to 5 do
-    Resend.duplicate_ack p tcb ~now:1
-  done;
-  Alcotest.(check (list string)) "no retransmission" [] (action_names tcb)
-
 let test_congestion_avoidance_growth_slower_than_slow_start () =
-  let p = { params with congestion_control = true } in
-  let tcb = estab_tcb ~params:p () in
+  let tcb = estab_tcb () in
   tcb.Tcb.snd_wnd <- 1 lsl 20;
   (* slow start: below ssthresh, cwnd grows by mss per mss acked *)
   tcb.Tcb.cwnd <- 2000;
   tcb.Tcb.ssthresh <- 100_000;
-  Send.enqueue p tcb (Packet.of_string (String.make 2000 'a')) ~now:0;
+  Send.enqueue params tcb (Packet.of_string (String.make 2000 'a')) ~now:0;
   ignore (drain_actions tcb);
-  ignore (Resend.process_ack p tcb ~ack:tcb.Tcb.snd_nxt ~now:10);
+  ignore (Resend.process_ack params tcb ~ack:tcb.Tcb.snd_nxt ~now:10);
   let after_ss = tcb.Tcb.cwnd in
   Alcotest.(check bool) "slow start doubled-ish" true (after_ss >= 3000);
   (* congestion avoidance: above ssthresh, growth is ~mss^2/cwnd *)
   tcb.Tcb.ssthresh <- 1000;
   let before = tcb.Tcb.cwnd in
-  Send.enqueue p tcb (Packet.of_string (String.make 1000 'b')) ~now:20;
+  Send.enqueue params tcb (Packet.of_string (String.make 1000 'b')) ~now:20;
   ignore (drain_actions tcb);
-  ignore (Resend.process_ack p tcb ~ack:tcb.Tcb.snd_nxt ~now:30);
+  ignore (Resend.process_ack params tcb ~ack:tcb.Tcb.snd_nxt ~now:30);
   let growth = tcb.Tcb.cwnd - before in
   Alcotest.(check bool) "linear-phase growth small" true
     (growth > 0 && growth < 1000)
@@ -1320,8 +1306,6 @@ let () =
         ] );
       ( "resend-extra",
         [
-          Alcotest.test_case "dup-ack without fast-rtx" `Quick
-            test_dup_ack_ignored_without_fast_retransmit;
           Alcotest.test_case "cwnd growth phases" `Quick
             test_congestion_avoidance_growth_slower_than_slow_start;
           Alcotest.test_case "rto clamping" `Quick test_rto_clamped_to_bounds;
