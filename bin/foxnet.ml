@@ -763,14 +763,13 @@ let serve_tun app port duration check shards =
               lower_pattern = ();
             }
         in
-        let pip =
-          Stack.Probed_ip.create ip
-            ~name:
+        let mip =
+          Stack.Metered_ip.create
+            ~probe:
               (if shards = 1 then "ip.tap"
                else Printf.sprintf "ip.tap.%d" k)
-            ()
+            ip Fox_proto.Meter.silent
         in
-        let mip = Stack.Metered_ip.create pip Fox_proto.Meter.silent in
         let tcp = Stack.Tcp.create mip in
         Scheduler.run ~realtime:true ~idle:(idle_for k) (fun () ->
             if k = 0 then Tun.start tap

@@ -89,8 +89,9 @@ let () =
         lower_pattern = ();
       }
   in
-  let pip = Stack.Probed_ip.create ip ~name:"ip.tap" () in
-  let mip = Stack.Metered_ip.create pip Fox_proto.Meter.silent in
+  let mip =
+    Stack.Metered_ip.create ~probe:"ip.tap" ip Fox_proto.Meter.silent
+  in
   let icmp = Stack.Icmp.create ip in
   let tcp = Stack.Tcp.create mip in
 

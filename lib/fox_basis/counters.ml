@@ -1,57 +1,21 @@
-type cell = {
-  mutable total : int;
-  mutable updates : int;
-  (* nesting bookkeeping for [time]: outermost span only charges once *)
-  mutable depth : int;
-  mutable span_start : int;
-}
+type cell = { mutable total : int; mutable updates : int }
 
-type t = { cells : (string, cell) Hashtbl.t; update_overhead_us : int }
+type t = (string, cell) Hashtbl.t
 
-let create ?(update_overhead_us = 0) () =
-  { cells = Hashtbl.create 16; update_overhead_us }
-
-let cell t name =
-  match Hashtbl.find_opt t.cells name with
-  | Some c -> c
-  | None ->
-    let c = { total = 0; updates = 0; depth = 0; span_start = 0 } in
-    Hashtbl.add t.cells name c;
-    c
+let create () = Hashtbl.create 16
 
 let add t name us =
-  let c = cell t name in
-  c.total <- c.total + us;
-  c.updates <- c.updates + 1
-
-(* Nested [time] calls on the same counter must not double-charge the
-   elapsed span: the inner call's interval is already inside the outer
-   one, so only the outermost pair records wall time.  Every call still
-   counts one update — each start/stop reads the hardware counter and
-   pays the per-pair overhead, which is exactly what [overhead_estimate]
-   models (the paper's 15 µs). *)
-let time t name clock f =
-  let c = cell t name in
-  if c.depth = 0 then c.span_start <- clock ();
-  c.depth <- c.depth + 1;
-  Fun.protect f ~finally:(fun () ->
-      c.depth <- c.depth - 1;
-      c.updates <- c.updates + 1;
-      if c.depth = 0 then c.total <- c.total + (clock () - c.span_start))
+  match Hashtbl.find_opt t name with
+  | Some c ->
+    c.total <- c.total + us;
+    c.updates <- c.updates + 1
+  | None -> Hashtbl.add t name { total = us; updates = 1 }
 
 let total t name =
-  match Hashtbl.find_opt t.cells name with Some c -> c.total | None -> 0
+  match Hashtbl.find_opt t name with Some c -> c.total | None -> 0
 
-let updates t name =
-  match Hashtbl.find_opt t.cells name with Some c -> c.updates | None -> 0
-
-let grand_total t = Hashtbl.fold (fun _ c acc -> acc + c.total) t.cells 0
-
-let overhead_estimate t =
-  t.update_overhead_us * Hashtbl.fold (fun _ c acc -> acc + c.updates) t.cells 0
+let grand_total t = Hashtbl.fold (fun _ c acc -> acc + c.total) t 0
 
 let dump t =
-  Hashtbl.fold (fun name c acc -> (name, c.total, c.updates) :: acc) t.cells []
+  Hashtbl.fold (fun name c acc -> (name, c.total, c.updates) :: acc) t []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-let reset t = Hashtbl.reset t.cells

@@ -1,47 +1,28 @@
 (** Profiling counters.
 
     The paper could not use the SML/NJ sampling profiler under Mach, so it
-    mapped free-running hardware counters into the address space and charged
-    ~15 µs per start/stop pair, estimating that overhead back out as the
-    "counters (est.)" row of Table 2.  This module reproduces the mechanism:
-    a set of named accumulators, each recording total time and number of
-    updates, with a configurable per-update overhead for the estimate. *)
+    mapped free-running hardware counters into the address space and
+    charged each profiled region to a named counter; Table 2 is those
+    counters as percentages.  This module is that set of named
+    accumulators, each recording total time and number of updates.  (The
+    paper's ~15 µs per start/stop pair is charged by the cost model as
+    its own "counters (est.)" row.) *)
 
 type t
 
-(** [create ?update_overhead_us ()] is a fresh counter set.  The overhead
-    models the cost of one start/stop pair (default 0; the Table 2 harness
-    uses 15 µs to match the paper). *)
-val create : ?update_overhead_us:int -> unit -> t
+(** [create ()] is an empty counter set. *)
+val create : unit -> t
 
 (** [add t name us] charges [us] microseconds to counter [name] and records
     one update. *)
 val add : t -> string -> int -> unit
 
-(** [time t name clock f] runs [f ()], charging the elapsed clock span to
-    [name].  Nested calls on the same counter are self-consistent: only
-    the outermost span charges elapsed time (an inner interval already
-    lies inside the outer one), while {e every} call records one update —
-    each start/stop pair reads the counter and pays the per-pair overhead
-    that {!overhead_estimate} models. *)
-val time : t -> string -> (unit -> int) -> (unit -> 'a) -> 'a
-
 (** [total t name] is the accumulated microseconds for [name] (0 if the
     counter was never touched). *)
 val total : t -> string -> int
 
-(** [updates t name] is the number of updates recorded for [name]. *)
-val updates : t -> string -> int
-
 (** [grand_total t] sums every counter. *)
 val grand_total : t -> int
 
-(** [overhead_estimate t] is total updates × per-update overhead, the
-    paper's "counters (est.)" figure. *)
-val overhead_estimate : t -> int
-
 (** [dump t] lists [(name, total_us, updates)] sorted by name. *)
 val dump : t -> (string * int * int) list
-
-(** [reset t] zeroes every counter. *)
-val reset : t -> unit

@@ -1,5 +1,3 @@
-open Fox_basis
-
 type timer_event = Set of int | Cleared | Expired
 
 type kind =
@@ -29,12 +27,10 @@ let enabled () = !live
    *outside* the lock (they may re-enter the bus). *)
 let lock = Mutex.create ()
 
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let locked f = Mutex.protect lock f
 
 (* ------------------------------------------------------------------ *)
-(* Rings                                                               *)
+(* Rings: the global one and one per connection, all of typed events   *)
 (* ------------------------------------------------------------------ *)
 
 let sentinel = { time = 0; layer = ""; conn = ""; kind = Note "" }
@@ -46,16 +42,8 @@ type ring = {
   mutable dropped : int;
 }
 
-let global_capacity = ref 4096
-
-let per_conn_capacity = ref 512
-
-let global : ring =
-  { items = Array.make !global_capacity sentinel; head = 0; len = 0; dropped = 0 }
-
-let conn_rings : (string, Trace.t) Hashtbl.t = Hashtbl.create 16
-
-let emitted_count = ref 0
+let ring capacity =
+  { items = Array.make capacity sentinel; head = 0; len = 0; dropped = 0 }
 
 let ring_add r ev =
   let cap = Array.length r.items in
@@ -65,6 +53,17 @@ let ring_add r ev =
     r.head <- (r.head + 1) mod cap;
     r.dropped <- r.dropped + 1
   end
+
+let ring_events r =
+  List.init r.len (fun i -> r.items.((r.head + i) mod Array.length r.items))
+
+let global = ring 4096
+
+let per_conn_capacity = ref 512
+
+let conn_rings : (string, ring) Hashtbl.t = Hashtbl.create 16
+
+let emitted_count = ref 0
 
 (* ------------------------------------------------------------------ *)
 (* Subscribers and toggle listeners                                    *)
@@ -111,43 +110,33 @@ let render_kind = function
     Printf.sprintf "span %s %dus %dB" name dur_us bytes
   | Note msg -> msg
 
-let render ev =
-  Printf.sprintf "[%8d us] %-12s %-24s %s" ev.time ev.layer ev.conn
-    (render_kind ev.kind)
-
 (* ------------------------------------------------------------------ *)
 (* Emission                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Emission happens inside scheduler runs; stamping falls back to 0 when
    called from plain code (e.g. a unit test exercising the bus alone). *)
-let now_opt () =
-  try Fox_sched.Scheduler.now () with Effect.Unhandled _ -> 0
-
-let conn_ring conn =
-  match Hashtbl.find_opt conn_rings conn with
-  | Some t -> t
-  | None ->
-    let t = Trace.create !per_conn_capacity in
-    Hashtbl.add conn_rings conn t;
-    t
+let now () = try Fox_sched.Scheduler.now () with Effect.Unhandled _ -> 0
 
 let emit ?time ?(conn = "-") ~layer kind =
   if !live then begin
-    let time = match time with Some t -> t | None -> now_opt () in
+    let time = match time with Some t -> t | None -> now () in
     let ev = { time; layer; conn; kind } in
     let subs =
       locked (fun () ->
           incr emitted_count;
           ring_add global ev;
-          if conn <> "-" then
-            Trace.add (conn_ring conn) ~time
-              (Printf.sprintf "%s %s" layer (render_kind ev.kind));
+          if conn <> "-" then begin
+            match Hashtbl.find_opt conn_rings conn with
+            | Some r -> ring_add r ev
+            | None ->
+              let r = ring !per_conn_capacity in
+              Hashtbl.add conn_rings conn r;
+              ring_add r ev
+          end;
           !subscribers)
     in
-    match subs with
-    | [] -> ()
-    | subs -> List.iter (fun (_, f) -> f ev) subs
+    List.iter (fun (_, f) -> f ev) subs
   end
 
 (* ------------------------------------------------------------------ *)
@@ -197,6 +186,12 @@ let reset () =
          for the life of the process *)
       Hashtbl.reset stats_providers)
 
+(* Flip the switch; the listeners of an actual edge run outside the lock. *)
+let toggle on =
+  let was = !live in
+  live := on;
+  if was = on then [] else !toggle_listeners
+
 let enable ?capacity ?per_conn () =
   let listeners =
     locked (fun () ->
@@ -209,29 +204,19 @@ let enable ?capacity ?per_conn () =
         (match per_conn with
         | Some c when c > 0 -> per_conn_capacity := c
         | _ -> ());
-        let was = !live in
-        live := true;
-        if was then [] else !toggle_listeners)
+        toggle true)
   in
   List.iter (fun f -> f true) listeners
 
 let disable () =
-  let listeners =
-    locked (fun () ->
-        let was = !live in
-        live := false;
-        if was then !toggle_listeners else [])
-  in
+  let listeners = locked (fun () -> toggle false) in
   List.iter (fun f -> f false) listeners
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let events () =
-  locked (fun () ->
-      List.init global.len (fun i ->
-          global.items.((global.head + i) mod Array.length global.items)))
+let events () = locked (fun () -> ring_events global)
 
 let dropped () = locked (fun () -> global.dropped)
 
@@ -241,14 +226,15 @@ let conn_ids () =
   locked (fun () -> Hashtbl.fold (fun id _ acc -> id :: acc) conn_rings [])
   |> List.sort String.compare
 
-let conn_trace id = locked (fun () -> Hashtbl.find_opt conn_rings id)
-
-let dump () = List.map render (events ())
+let dump () =
+  List.map
+    (fun ev ->
+      Printf.sprintf "[%8d us] %-12s %-24s %s" ev.time ev.layer ev.conn
+        (render_kind ev.kind))
+    (events ())
 
 let dump_conn id =
-  match conn_trace id with
-  | None -> []
-  | Some t ->
-    List.map
-      (fun (time, msg) -> Printf.sprintf "[%8d us] %s" time msg)
-      (Trace.events t)
+  locked (fun () -> Option.map ring_events (Hashtbl.find_opt conn_rings id))
+  |> Option.value ~default:[]
+  |> List.map (fun ev ->
+         Printf.sprintf "[%8d us] %s %s" ev.time ev.layer (render_kind ev.kind))

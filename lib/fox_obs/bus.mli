@@ -2,11 +2,12 @@
 
     A single, process-wide structured event stream for the whole stack:
     any layer may {!emit} a typed event — send, delivery, timer activity,
-    state transition, retransmission, probe span — stamped with virtual
+    state transition, retransmission, meter span — stamped with virtual
     time, the emitting layer, and (when connection-scoped) a connection
-    id.  Events land in a bounded global ring {e and} in a bounded
-    per-connection {!Fox_basis.Trace} ring, so a post-mortem can replay
-    either one connection's history or the interleaved whole.
+    id.  Each event lands in a bounded global ring {e and}, when it names
+    a connection, in that connection's bounded ring of the same type, so a
+    post-mortem can replay either one connection's history or the
+    interleaved whole.  Nothing is formatted until a ring is read.
 
     The bus is the paper's functor-parameter print and trace switches made
     first-class: instead of each functor owning a private trace, every
@@ -32,7 +33,7 @@ type kind =
   | Retransmit of { seq : int; len : int; backoff : int }
   | Timer of { timer : string; what : timer_event }
   | State of { from_ : string; to_ : string }  (** connection state *)
-  | Span of { name : string; dur_us : int; bytes : int }  (** probe span *)
+  | Span of { name : string; dur_us : int; bytes : int }  (** meter span *)
   | Note of string  (** anything else, pre-rendered *)
 
 type event = {
@@ -64,9 +65,11 @@ val disable : unit -> unit
     changing the on/off state. *)
 val reset : unit -> unit
 
+(** [now ()] is the scheduler's virtual time, 0 outside a run. *)
+val now : unit -> int
+
 (** [emit ?time ?conn ~layer kind] records one event (no-op while the bus
-    is off).  [time] defaults to the scheduler's current virtual time (0
-    outside a run). *)
+    is off).  [time] defaults to {!now}. *)
 val emit : ?time:int -> ?conn:string -> layer:string -> kind -> unit
 
 (** {2 Reading the recorder} *)
@@ -83,14 +86,11 @@ val emitted : unit -> int
 (** Connections with a per-connection ring, sorted. *)
 val conn_ids : unit -> string list
 
-val conn_trace : string -> Fox_basis.Trace.t option
-
-val render : event -> string
-
 (** [dump ()] renders the global ring, one line per event. *)
 val dump : unit -> string list
 
-(** [dump_conn id] renders one connection's ring. *)
+(** [dump_conn id] renders one connection's ring, oldest first, as
+    ["[%8d us] <layer> <kind>"] lines ([[]] for an unknown id). *)
 val dump_conn : string -> string list
 
 (** {2 Subscribers}

@@ -1,7 +1,8 @@
 (** Power-of-two bucketed histograms.
 
-    The {!Probe} virtual protocol feeds one of these per direction (bytes
-    per send/delivery, span latency in µs).  Buckets are powers of two, so
+    A meter created with a probe name ([Fox_proto.Meter.create ~probe])
+    feeds three of these: bytes per send, bytes per delivery, and the
+    send span's latency in µs.  Buckets are powers of two, so
     [add] is O(word size), allocation-free, and deterministic — safe to
     leave armed on the fast path while the bus is enabled. *)
 

@@ -1,4 +1,4 @@
-(** A virtual protocol: metering/cost-charging shim.
+(** A virtual protocol: the metering and flight-recorder shim.
 
     The x-kernel calls a protocol that adds behaviour without adding a
     header a {e virtual protocol}; the paper lists them among the x-kernel
@@ -11,6 +11,16 @@
     into Table 1's timings and Table 2's profile without touching any
     protocol code.
 
+    A meter created with [~probe:name] also reports to the process-wide
+    {!Fox_obs.Bus}: a [Deliver] event per delivered packet (before
+    [on_receive]), and after [on_send] a [Send] event plus a [Span]
+    measuring how long the layer below took in virtual time.  It feeds
+    three {!Fox_obs.Histogram}s registered on the bus as
+    ["<name>.send_bytes"], ["<name>.recv_bytes"] and
+    ["<name>.send_span_us"].  Every emission is guarded by the bus's one
+    flag, so while the bus is off a named meter costs a reference read
+    and a branch per packet; an unnamed meter stays silent.
+
     Composition works because the functor preserves the address types:
 
     {[
@@ -19,6 +29,8 @@
     ]} *)
 
 open Fox_basis
+module Bus = Fox_obs.Bus
+module Histogram = Fox_obs.Histogram
 
 type config = {
   on_send : int -> unit;  (** called with the packet length, before *)
@@ -38,7 +50,10 @@ module Make
        and type incoming_message = Packet.t
        and type outgoing_message = Packet.t
 
-  val create : P.t -> config -> t
+  (** [create ?probe inner config] wraps [inner].  [probe] is the bus
+      layer tag; with it, three fresh histograms are registered with the
+      bus. *)
+  val create : ?probe:string -> P.t -> config -> t
 
   (** The wrapped connection, for auxiliary structures. *)
   val inner : connection -> P.connection
@@ -70,7 +85,15 @@ end = struct
 
   type status_handler = Status.t -> unit
 
-  type t = { inner_instance : P.t; config : config }
+  (* A named meter's bus layer tag and histograms. *)
+  type probe = {
+    name : string;
+    send_hist : Histogram.t;
+    recv_hist : Histogram.t;
+    span_hist : Histogram.t;
+  }
+
+  type t = { inner_instance : P.t; config : config; probe : probe option }
 
   type connection = { meter : t; pconn : P.connection }
 
@@ -80,13 +103,48 @@ end = struct
 
   let inner conn = conn.pconn
 
-  let create inner_instance config = { inner_instance; config }
+  let histogram name =
+    let h = Histogram.create ~name () in
+    Bus.register_histogram name h;
+    h
+
+  let create ?probe inner_instance config =
+    let probe =
+      Option.map
+        (fun name ->
+          let send_hist = histogram (name ^ ".send_bytes") in
+          let recv_hist = histogram (name ^ ".recv_bytes") in
+          let span_hist = histogram (name ^ ".send_span_us") in
+          { name; send_hist; recv_hist; span_hist })
+        probe
+    in
+    { inner_instance; config; probe }
+
+  let observe_receive p packet =
+    let bytes = Packet.length packet in
+    Histogram.add p.recv_hist bytes;
+    Bus.emit ~layer:p.name (Bus.Deliver { bytes })
+
+  (* The late send stage shared by [send] and [prepare_send]: emit, time
+     the layer below, emit the span. *)
+  let observed_send p inner_send packet =
+    let bytes = Packet.length packet in
+    Histogram.add p.send_hist bytes;
+    Bus.emit ~layer:p.name (Bus.Send { bytes; flags = "" });
+    let t0 = Bus.now () in
+    inner_send packet;
+    let dur = Bus.now () - t0 in
+    Histogram.add p.span_hist dur;
+    Bus.emit ~layer:p.name (Bus.Span { name = "send"; dur_us = dur; bytes })
 
   let wrap_handler t (handler : handler) =
     fun pconn ->
     let conn = { meter = t; pconn } in
     let data, status = handler conn in
     ( (fun packet ->
+        (match t.probe with
+        | Some p when !Bus.live -> observe_receive p packet
+        | _ -> ());
         t.config.on_receive (Packet.length packet);
         data packet),
       status )
@@ -101,15 +159,25 @@ end = struct
   let stop_passive l = P.stop_passive l
 
   let send conn packet =
-    conn.meter.config.on_send (Packet.length packet);
-    P.send conn.pconn packet
+    let t = conn.meter in
+    t.config.on_send (Packet.length packet);
+    match t.probe with
+    | Some p when !Bus.live -> observed_send p (P.send conn.pconn) packet
+    | _ -> P.send conn.pconn packet
 
   let prepare_send conn =
     let inner_send = P.prepare_send conn.pconn in
     let on_send = conn.meter.config.on_send in
-    fun packet ->
-      on_send (Packet.length packet);
-      inner_send packet
+    match conn.meter.probe with
+    | None ->
+      fun packet ->
+        on_send (Packet.length packet);
+        inner_send packet
+    | Some p ->
+      fun packet ->
+        on_send (Packet.length packet);
+        if !Bus.live then observed_send p inner_send packet
+        else inner_send packet
 
   let close conn = P.close conn.pconn
 

@@ -24,7 +24,3 @@ let charge_async t name cost_us =
   let cost = scaled t cost_us in
   Fox_basis.Counters.add t.counters name cost;
   ignore (occupy t cost)
-
-let counters t = t.counters
-
-let busy_until t = t.free_at

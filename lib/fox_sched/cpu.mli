@@ -26,9 +26,3 @@ val charge : t -> string -> int -> unit
     CPU but does not block the caller (used for costs that overlap with the
     caller, e.g. device DMA). *)
 val charge_async : t -> string -> int -> unit
-
-(** [counters cpu] is the underlying counter set. *)
-val counters : t -> Fox_basis.Counters.t
-
-(** [busy_until cpu] is the virtual time at which queued work drains. *)
-val busy_until : t -> int

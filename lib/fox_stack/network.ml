@@ -30,7 +30,6 @@ type host = {
   eth : Stack.Eth.t;
   arp : Stack.Arp.t;
   ip : Stack.Ip.t;
-  probed_ip : Stack.Probed_ip.t;
   metered_ip : Stack.Metered_ip.t;
   udp : Stack.Udp.t;
   icmp : Stack.Icmp.t;
@@ -62,7 +61,7 @@ let multi chargers bytes = List.iter (fun f -> f bytes) chargers
     flight-recorder bus is live, so toggling the bus toggles the capture
     ([foxnet trace --pcap]).  Close it with {!close_pcap}. *)
 let create_host ~engine ?cost ?pcap link port_index ~mac ~addr ~route =
-  let counters = Counters.create ~update_overhead_us:15 () in
+  let counters = Counters.create () in
   let cpu = Cpu.create counters in
   let dev_hooks, ip_meter, transport_meter =
     match cost with
@@ -125,10 +124,11 @@ let create_host ~engine ?cost ?pcap link port_index ~mac ~addr ~route =
       { Stack.Ip.local_ip = addr; route; lower_address = Fun.id;
         lower_pattern = () }
   in
-  let probed_ip =
-    Stack.Probed_ip.create ip ~name:(Printf.sprintf "ip%d" port_index) ()
+  let metered_ip =
+    Stack.Metered_ip.create
+      ~probe:(Printf.sprintf "ip%d" port_index)
+      ip transport_meter
   in
-  let metered_ip = Stack.Metered_ip.create probed_ip transport_meter in
   let udp = Stack.Udp.create ip in
   let icmp = Stack.Icmp.create ip in
   let tcp, baseline =
@@ -145,7 +145,6 @@ let create_host ~engine ?cost ?pcap link port_index ~mac ~addr ~route =
     eth;
     arp;
     ip;
-    probed_ip;
     metered_ip;
     udp;
     icmp;

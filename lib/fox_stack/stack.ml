@@ -28,18 +28,15 @@ module Ip = Fox_ip.Ip.Make (Metered_arp) (Fox_ip.Ip.Default_params)
 module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
 module Icmp = Fox_ip.Icmp.Make (Ip)
 
-(** Flight-recorder probe at the IP/transport boundary: every packet
-    crossing it reports to {!Fox_obs.Bus} (send/deliver events, size and
-    latency histograms) — silent but for one flag check while the bus is
-    off.  It sits {e under} the meter so probe spans measure IP and below,
-    not the metering shim itself. *)
-module Probed_ip = Fox_proto.Probe.Make (Ip)
-
 (** Metering shim between IP and the transports: charges the "TCP",
-    "checksum" and "copy" rows. *)
-module Metered_ip = Fox_proto.Meter.Make (Probed_ip)
+    "checksum" and "copy" rows.  Created with [~probe], it is also the
+    flight recorder's IP/transport boundary: every packet crossing it
+    reports to {!Fox_obs.Bus} (send/deliver events, size and latency
+    histograms), silent but for one flag check while the bus is off.  Its
+    spans time IP and below, after the meter's own charge. *)
+module Metered_ip = Fox_proto.Meter.Make (Ip)
 
-module Metered_ip_aux = Metered_ip.Lift_aux (Probed_ip.Lift_aux (Ip_aux))
+module Metered_ip_aux = Metered_ip.Lift_aux (Ip_aux)
 
 module Udp =
   Fox_udp.Udp.Make (Ip) (Ip_aux)

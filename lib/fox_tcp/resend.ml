@@ -219,9 +219,14 @@ let resegment_rtx_q tcb =
 (* RFC 4821-style blackhole detection: a path that silently eats large
    frames shows up as repeated RTOs of full-MSS segments with no ICMP and
    no duplicate ACKs.  After [blackhole_rtos] such RTOs in a row, assume
-   the path MTU shrank under us: halve the effective send MSS and
-   re-segment the queue so the retransmissions actually fit through. *)
-let check_blackhole (params : params) tcb entry =
+   the path MTU shrank under us: halve the effective send MSS (never below
+   [blackhole_min_mss], the RFC 879 default MSS) and re-segment the queue
+   so the retransmissions actually fit through. *)
+let blackhole_rtos = 3
+
+let blackhole_min_mss = 536
+
+let check_blackhole tcb entry =
   let full_mss =
     match entry.rtx_data with
     | Some d -> Packet.length d >= tcb.snd_mss
@@ -231,11 +236,11 @@ let check_blackhole (params : params) tcb entry =
   else begin
     tcb.full_rto_streak <- tcb.full_rto_streak + 1;
     if
-      tcb.full_rto_streak >= params.blackhole_rtos
-      && tcb.snd_mss > params.blackhole_min_mss
+      tcb.full_rto_streak >= blackhole_rtos
+      && tcb.snd_mss > blackhole_min_mss
     then begin
       let prev = tcb.snd_mss in
-      tcb.snd_mss <- max params.blackhole_min_mss (tcb.snd_mss / 2);
+      tcb.snd_mss <- max blackhole_min_mss (tcb.snd_mss / 2);
       tcb.full_rto_streak <- 0;
       tcb.blackhole_shrinks <- tcb.blackhole_shrinks + 1;
       if !Bus.live then
@@ -252,7 +257,7 @@ let retransmit (params : params) tcb ~now =
     let entry = Ring.peek tcb.rtx_q in
     if entry.sent_count > params.max_retransmits then false
     else begin
-      if params.blackhole_detect then check_blackhole params tcb entry;
+      if params.blackhole_detect then check_blackhole tcb entry;
       (* re-segmentation may have replaced the front entry *)
       let entry = Ring.peek tcb.rtx_q in
       apply_reaction tcb (Congestion.on_rto tcb.cc (cc_ctx params tcb ~now));

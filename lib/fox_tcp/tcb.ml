@@ -249,13 +249,10 @@ type params = {
      behaviour --- *)
   blackhole_detect : bool;
       (** RFC 4821-style packetization-layer blackhole detection: after
-          [blackhole_rtos] consecutive RTOs of a full-MSS segment, halve
-          the effective send MSS (never below [blackhole_min_mss]) and
-          re-segment the retransmission queue — recovering from paths
-          that silently eat large frames (PMTUD failure) *)
-  blackhole_rtos : int;
-      (** consecutive full-MSS RTOs before the MSS is halved *)
-  blackhole_min_mss : int;  (** floor for the clamped MSS *)
+          3 consecutive RTOs of a full-MSS segment, halve the effective
+          send MSS (never below 536) and re-segment the retransmission
+          queue — recovering from paths that silently eat large frames
+          (PMTUD failure); see {!Resend} *)
   persist_max_probes : int;
       (** bound on the zero-window persist lifetime: abort the
           connection after this many unanswered window probes.
@@ -305,8 +302,6 @@ let default_params =
     secure_isn = true;
     isn_secret = None;
     blackhole_detect = false;
-    blackhole_rtos = 3;
-    blackhole_min_mss = 536;
     persist_max_probes = 0;
     user_timeout_stalled = false;
     cc = (module Congestion.Reno);

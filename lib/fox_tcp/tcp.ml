@@ -286,12 +286,9 @@ end = struct
 
   let state_of conn = Tcb.state_name conn.state
 
-  let now_opt () =
-    try Fox_sched.Scheduler.now () with Effect.Unhandled _ -> 0
-
   let snapshot conn =
     Stats.of_tcb ~conn_id:conn.tcb.Tcb.obs_id
-      ~state:(Tcb.state_name conn.state) ~now:(now_opt ()) conn.tcb
+      ~state:(Tcb.state_name conn.state) ~now:(Bus.now ()) conn.tcb
 
   let snapshots t =
     Conns.fold (fun _ c acc -> snapshot c :: acc) t.conns []

@@ -1,5 +1,5 @@
 (* Flight-recorder tests: the Bus rings and registries, the Histogram,
-   the Probe virtual protocol in a live composition, and the
+   a named Meter in a live composition, and the
    observability smoke — bus on, 1 MB over the simulated wire, event
    counts checked against what the transfer actually did.
 
@@ -54,17 +54,23 @@ let test_bus_ring_wraparound () =
       Alcotest.(check int) "reset clears dropped" 0 (Bus.dropped ()))
 
 let test_bus_conn_rings () =
-  with_bus (fun () ->
-      Bus.emit ~layer:"t" ~conn:"b" (Bus.Note "1");
-      Bus.emit ~layer:"t" ~conn:"a" (Bus.Note "2");
-      Bus.emit ~layer:"t" (Bus.Note "global only");
+  with_bus ~capacity:16 ~per_conn:2 (fun () ->
+      Bus.emit ~time:1 ~layer:"t" ~conn:"b" (Bus.Note "1");
+      Bus.emit ~time:2 ~layer:"t" ~conn:"a" (Bus.Note "2");
+      Bus.emit ~time:3 ~layer:"t" (Bus.Note "global only");
+      Bus.emit ~time:4 ~layer:"tcp" ~conn:"a"
+        (Bus.Send { bytes = 512; flags = "A" });
+      Bus.emit ~time:5 ~layer:"ip0" ~conn:"a" (Bus.Deliver { bytes = 40 });
       Alcotest.(check (list string)) "conn ids sorted" [ "a"; "b" ]
         (Bus.conn_ids ());
-      Alcotest.(check int) "a's ring has its event" 1
-        (List.length (Bus.dump_conn "a"));
-      Alcotest.(check bool) "unknown conn has no ring" true
-        (Bus.conn_trace "zz" = None);
-      Alcotest.(check int) "global ring saw everything" 3
+      Alcotest.(check (list string)) "a keeps the newest two, oldest first"
+        [ "[       4 us] tcp send 512B [A]"; "[       5 us] ip0 deliver 40B" ]
+        (Bus.dump_conn "a");
+      Alcotest.(check int) "b's ring has its event" 1
+        (List.length (Bus.dump_conn "b"));
+      Alcotest.(check (list string)) "unknown conn has no ring" []
+        (Bus.dump_conn "zz");
+      Alcotest.(check int) "global ring saw everything" 5
         (List.length (Bus.events ())))
 
 let test_bus_subscribers () =
@@ -132,7 +138,7 @@ let test_histogram () =
   Alcotest.(check int) "cleared" 0 (Histogram.count h)
 
 (* ------------------------------------------------------------------ *)
-(* Probe + bus in a live composition                                  *)
+(* A named meter + bus in a live composition                          *)
 (* ------------------------------------------------------------------ *)
 
 (* The paper's determinism claim, applied to the recorder: given the
@@ -141,7 +147,7 @@ let test_histogram () =
    through a subscriber, then check that each connection's sequence of
    send/deliver events is exactly the sequence of send/deliver actions
    the executor drained — same events, same order. *)
-let test_probe_event_order_matches_executor () =
+let test_event_order_matches_executor () =
   let bus_seq = ref [] (* (conn, 'S'|'D') newest first *) in
   let exec_seq = ref [] in
   with_bus (fun () ->
@@ -209,10 +215,18 @@ let test_observability_smoke () =
             Some
               (Experiments.Fox_run.transfer ~sender ~receiver ~bytes:1_000_000 ());
           Alcotest.(check bool) "bus recorded the run" true (Bus.emitted () > 0);
-          Alcotest.(check bool) "probe histograms fed" true
+          Alcotest.(check bool) "meter histograms fed" true
             (match List.assoc_opt "ip0.send_bytes" (Bus.histograms ()) with
             | Some h -> Histogram.count h > 0
-            | None -> false)));
+            | None -> false);
+          (* only the two named IP meters register; the ARP meters pass
+             no name and stay silent *)
+          Alcotest.(check (list string)) "registry: the six ip histograms"
+            [
+              "ip0.recv_bytes"; "ip0.send_bytes"; "ip0.send_span_us";
+              "ip1.recv_bytes"; "ip1.send_bytes"; "ip1.send_span_us";
+            ]
+            (List.map fst (Bus.histograms ()))));
   let r = Option.get !result in
   Alcotest.(check int) "payload + 8-byte request delivered" 1_000_008 !delivered;
   let segments =
@@ -241,7 +255,7 @@ let () =
       ( "stack",
         [
           Alcotest.test_case "event order = executor order" `Quick
-            test_probe_event_order_matches_executor;
+            test_event_order_matches_executor;
           Alcotest.test_case "1 MB smoke" `Quick test_observability_smoke;
         ] );
     ]

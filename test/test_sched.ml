@@ -1091,8 +1091,10 @@ let test_cpu_serialises () =
   in
   Alcotest.(check (list int)) "serialised" [ 100; 200; 300 ] (List.rev !done_at);
   Alcotest.(check int) "end" 300 stats.end_time;
-  Alcotest.(check int) "counter total" 300 (Counters.total counters "work");
-  Alcotest.(check int) "counter updates" 3 (Counters.updates counters "work")
+  Alcotest.(check (list (triple string int int)))
+    "one counter: 300 us, 3 updates"
+    [ ("work", 300, 3) ]
+    (Counters.dump counters)
 
 let test_cpu_scale () =
   let open Fox_basis in
@@ -1100,7 +1102,8 @@ let test_cpu_scale () =
   let cpu = Cpu.create ~scale:2.0 counters in
   let stats = Scheduler.run (fun () -> Cpu.charge cpu "w" 50) in
   Alcotest.(check int) "scaled time" 100 stats.end_time;
-  Alcotest.(check int) "scaled counter" 100 (Counters.total counters "w")
+  Alcotest.(check (list (triple string int int))) "scaled counter"
+    [ ("w", 100, 1) ] (Counters.dump counters)
 
 let test_cpu_async_overlaps () =
   let open Fox_basis in

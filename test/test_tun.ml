@@ -48,8 +48,9 @@ let build_stack () =
         lower_pattern = ();
       }
   in
-  let pip = Stack.Probed_ip.create ip ~name:"ip.tun" () in
-  let mip = Stack.Metered_ip.create pip Fox_proto.Meter.silent in
+  let mip =
+    Stack.Metered_ip.create ~probe:"ip.tun" ip Fox_proto.Meter.silent
+  in
   let icmp = Stack.Icmp.create ip in
   let tcp = Stack.Tcp.create mip in
   { tap; arp; icmp; tcp }
