@@ -46,40 +46,39 @@ let ack_data (params : params) tcb =
    sequential deterministic runs do not see each other's spend. *)
 let challenge_window_us = 1_000_000
 
+(* [new_window ~now start]: a budget window that began at [start] is
+   over. *)
+let new_window ~now start =
+  now < start || now - start >= challenge_window_us
+
+(* The engine's share of the budget, checked after the connection's. *)
+let engine_budget_ok (params : params) cap ~now =
+  params.challenge_ack_limit <= 0
+  || begin
+       if new_window ~now cap.cap_window_start then begin
+         cap.cap_window_start <- now;
+         cap.cap_sent <- 0
+       end;
+       cap.cap_sent < params.challenge_ack_limit
+     end
+
 let challenge_budget_ok (params : params) tcb ~now =
   let conn_ok =
     params.challenge_ack_conn_limit <= 0
     || begin
-         if
-           now < tcb.chall_window_start
-           || now - tcb.chall_window_start >= challenge_window_us
-         then begin
+         if new_window ~now tcb.chall_window_start then begin
            tcb.chall_window_start <- now;
            tcb.chall_sent <- 0
          end;
          tcb.chall_sent < params.challenge_ack_conn_limit
        end
   in
-  let cap_ok =
-    conn_ok
-    && (params.challenge_ack_limit <= 0
-       || begin
-            let cap = tcb.chall_cap in
-            if
-              now < cap.cap_window_start
-              || now - cap.cap_window_start >= challenge_window_us
-            then begin
-              cap.cap_window_start <- now;
-              cap.cap_sent <- 0
-            end;
-            cap.cap_sent < params.challenge_ack_limit
-          end)
-  in
-  if cap_ok then begin
+  let ok = conn_ok && engine_budget_ok params tcb.chall_cap ~now in
+  if ok then begin
     tcb.chall_sent <- tcb.chall_sent + 1;
     tcb.chall_cap.cap_sent <- tcb.chall_cap.cap_sent + 1
   end;
-  cap_ok
+  ok
 
 (* A challenge ACK is an ordinary pure ACK at the current snd_nxt/rcv_nxt:
    a legitimate peer that really lost sync answers it with an exact-match
@@ -99,17 +98,16 @@ let challenge_ack (params : params) tcb ~now ~kind =
 (* Segment acceptability (RFC 793 p. 69, the four-case table)          *)
 (* ------------------------------------------------------------------ *)
 
-let acceptable tcb seg =
+let acceptable ~rcv_nxt ~rcv_wnd seg =
   let len = seg_len seg in
   let seq = seg.hdr.Tcp_header.seq in
-  match (len, tcb.rcv_wnd) with
-  | 0, 0 -> Seq.equal seq tcb.rcv_nxt
-  | 0, _ -> Seq.in_window ~base:tcb.rcv_nxt ~size:tcb.rcv_wnd seq
+  match (len, rcv_wnd) with
+  | 0, 0 -> Seq.equal seq rcv_nxt
+  | 0, _ -> Seq.in_window ~base:rcv_nxt ~size:rcv_wnd seq
   | _, 0 -> false
   | _, _ ->
-    Seq.in_window ~base:tcb.rcv_nxt ~size:tcb.rcv_wnd seq
-    || Seq.in_window ~base:tcb.rcv_nxt ~size:tcb.rcv_wnd
-         (Seq.add seq (len - 1))
+    Seq.in_window ~base:rcv_nxt ~size:rcv_wnd seq
+    || Seq.in_window ~base:rcv_nxt ~size:rcv_wnd (Seq.add seq (len - 1))
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-order queue                                                 *)
@@ -304,12 +302,9 @@ let process_fin (params : params) state tcb =
   | Fin_wait_2 _ ->
     add_to_do tcb (Set_timer (Time_wait, params.time_wait_us));
     Time_wait tcb
-  | Close_wait _ | Closing _ | Last_ack _ -> state
-  | Time_wait _ ->
-    (* restart the 2MSL timer *)
-    add_to_do tcb (Set_timer (Time_wait, params.time_wait_us));
+  | Close_wait _ | Closing _ | Last_ack _ | Time_wait _ | Closed | Listen
+  | Syn_sent _ | Syn_active _ | Syn_passive _ ->
     state
-  | Closed | Listen | Syn_sent _ | Syn_active _ | Syn_passive _ -> state
 
 (* SYN-SENT (RFC 793 p. 66). *)
 let process_syn_sent (params : params) tcb seg ~now =
@@ -391,23 +386,15 @@ let process_syn_sent (params : params) tcb seg ~now =
   else Syn_sent tcb
 
 (* The synchronised-state steps (pp. 69–76), shared from SYN-RECEIVED
-   through TIME-WAIT. *)
+   through LAST-ACK; TIME-WAIT has its own, {!time_wait}, on the
+   tombstone. *)
 let process_synchronized (params : params) state tcb seg ~now =
   let h = seg.hdr in
   (* first: sequence-number acceptability *)
-  if not (acceptable tcb seg) then begin
+  if not (acceptable ~rcv_nxt:tcb.rcv_nxt ~rcv_wnd:tcb.rcv_wnd seg) then begin
     tcb.dup_segments <- tcb.dup_segments + 1;
     Packet.release seg.data;
-    if not h.Tcp_header.rst then begin
-      ack_now tcb;
-      (* RFC 793 p.73: in TIME-WAIT "the only thing that can arrive … is a
-         retransmission of the remote FIN.  Acknowledge it, and restart
-         the 2 MSL timeout." *)
-      match state with
-      | Time_wait _ when h.Tcp_header.fin ->
-        add_to_do tcb (Set_timer (Time_wait, params.time_wait_us))
-      | _ -> ()
-    end;
+    if not h.Tcp_header.rst then ack_now tcb;
     state
   end
   else if h.Tcp_header.rst then begin
@@ -501,13 +488,6 @@ let process_synchronized (params : params) state tcb seg ~now =
             add_to_do tcb Complete_close;
             add_to_do tcb Delete_tcb;
             Closed
-          | Time_wait _ ->
-            (* retransmitted FIN: ack it, restart 2MSL *)
-            if h.Tcp_header.fin then begin
-              ack_now tcb;
-              add_to_do tcb (Set_timer (Time_wait, params.time_wait_us))
-            end;
-            state
           | s -> s
         in
         if Closed = state then Closed
@@ -549,11 +529,110 @@ let process (params : params) state seg ~now =
   match state with
   | Syn_sent tcb -> process_syn_sent params tcb seg ~now
   | Syn_active tcb | Syn_passive tcb | Estab tcb | Fin_wait_1 tcb
-  | Fin_wait_2 tcb | Close_wait tcb | Closing tcb | Last_ack tcb
-  | Time_wait tcb ->
+  | Fin_wait_2 tcb | Close_wait tcb | Closing tcb | Last_ack tcb ->
     process_synchronized params state tcb seg ~now
-  | Closed | Listen ->
-    invalid_arg "Receive.process: CLOSED/LISTEN are handled by the engine"
+  | Closed | Listen | Time_wait _ ->
+    invalid_arg
+      "Receive.process: CLOSED/LISTEN are handled by the engine, TIME-WAIT \
+       by Receive.time_wait"
+
+(* ------------------------------------------------------------------ *)
+(* TIME-WAIT, on the tombstone                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The branches of [process_synchronized] a TIME-WAIT connection can
+   still take, on its tombstone.  Everything we sent, FIN included, is
+   acknowledged, so the ACK step never moves [snd_una] and nothing is
+   retransmitted; nothing more is delivered, so the text step only drops
+   text.  What remains is RFC 793 p. 73 — "the only thing that can
+   arrive in this state is a retransmission of the remote FIN.
+   Acknowledge it, and restart the 2 MSL timeout" — the RFC 5961
+   challenges, and the peer's window history those need.  The result is
+   the actions the full DAG would have queued, in its order. *)
+let time_wait (params : params) ~cap ~tally tw seg ~now =
+  let h = seg.hdr in
+  (* a tombstone keeps no text *)
+  Packet.release seg.data;
+  let ack_fin = [ Send_ack; Set_timer (Time_wait, params.time_wait_us) ] in
+  let challenge kind =
+    (match kind with
+    | `Rst -> tally.tally_rst <- tally.tally_rst + 1
+    | `Syn -> tally.tally_syn <- tally.tally_syn + 1
+    | `Ack -> tally.tally_ack <- tally.tally_ack + 1);
+    (* the per-connection half of [challenge_budget_ok], on the
+       tombstone's copy of the connection's budget *)
+    let conn_ok =
+      params.challenge_ack_conn_limit <= 0
+      || begin
+           if new_window ~now tw.tw_chall_window_start then begin
+             tw.tw_chall_window_start <- now;
+             tw.tw_chall_sent <- 0
+           end;
+           tw.tw_chall_sent < params.challenge_ack_conn_limit
+         end
+    in
+    if conn_ok && engine_budget_ok params cap ~now then begin
+      tw.tw_chall_sent <- tw.tw_chall_sent + 1;
+      cap.cap_sent <- cap.cap_sent + 1;
+      tally.tally_sent <- tally.tally_sent + 1;
+      [ Send_ack ]
+    end
+    else begin
+      tally.tally_limited <- tally.tally_limited + 1;
+      []
+    end
+  in
+  let reset = [ Peer_reset; Delete_tcb ] in
+  if
+    not
+      (acceptable ~rcv_nxt:tw.tw_rcv_nxt ~rcv_wnd:params.initial_window seg)
+  then
+    if h.Tcp_header.rst then []
+    else if h.Tcp_header.fin then ack_fin
+    else [ Send_ack ]
+  else if h.Tcp_header.rst then
+    if (not params.rfc5961) || Seq.equal h.Tcp_header.seq tw.tw_rcv_nxt then
+      reset
+    else challenge `Rst
+  else if h.Tcp_header.syn && Seq.ge h.Tcp_header.seq tw.tw_rcv_nxt then
+    if params.rfc5961 then challenge `Syn
+    else
+      Send_segment
+        {
+          out_seq = tw.tw_snd_nxt;
+          out_syn = false;
+          out_fin = false;
+          out_rst = true;
+          out_psh = false;
+          out_ack = false;
+          out_data = None;
+          out_mss = None;
+          out_is_rtx = false;
+        }
+      :: reset
+  else if not h.Tcp_header.ack_flag then []
+  else begin
+    let ack = h.Tcp_header.ack in
+    if Seq.gt ack tw.tw_snd_nxt then
+      if params.rfc5961 then challenge `Ack else [ Send_ack ]
+    else if
+      params.rfc5961
+      && Seq.lt ack (Seq.add tw.tw_snd_nxt (-tw.tw_max_snd_wnd))
+    then challenge `Ack
+    else begin
+      (* the p. 72 window update, of the part the 5961 test reads *)
+      if
+        Seq.lt tw.tw_snd_wl1 h.Tcp_header.seq
+        || Seq.equal tw.tw_snd_wl1 h.Tcp_header.seq
+           && Seq.le tw.tw_snd_wl2 ack
+      then begin
+        tw.tw_max_snd_wnd <- max tw.tw_max_snd_wnd h.Tcp_header.window;
+        tw.tw_snd_wl1 <- h.Tcp_header.seq;
+        tw.tw_snd_wl2 <- ack
+      end;
+      if h.Tcp_header.fin then ack_fin else []
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The fast path ("handle the normal cases quickly")                  *)

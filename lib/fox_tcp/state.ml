@@ -122,6 +122,8 @@ let close (params : params) state ~now =
 let abort (_params : params) state =
   match state with
   | Closed | Listen -> Closed
+  | Time_wait _ ->
+    invalid_arg "State.abort: a TIME-WAIT connection is the engine's tombstone"
   | Syn_sent tcb ->
     cancel_delayed_ack tcb;
     add_to_do tcb Delete_tcb;
@@ -132,10 +134,6 @@ let abort (_params : params) state =
        fire an ACK on it (or on a later connection reusing the port) *)
     cancel_delayed_ack tcb;
     queue_rst tcb ~seq:tcb.snd_nxt ~with_ack:true;
-    add_to_do tcb Delete_tcb;
-    Closed
-  | Time_wait tcb ->
-    cancel_delayed_ack tcb;
     add_to_do tcb Delete_tcb;
     Closed
 
@@ -163,14 +161,8 @@ let timer_expired (params : params) state kind ~now =
         add_to_do tcb Send_ack
       end;
       state
-    | Time_wait -> (
-      match state with
-      | Time_wait tcb ->
-        cancel_delayed_ack tcb;
-        add_to_do tcb Complete_close;
-        add_to_do tcb Delete_tcb;
-        Closed
-      | _ -> state)
+    | Time_wait ->
+      invalid_arg "State.timer_expired: 2·MSL runs on the engine's tombstone"
     | Window_probe ->
       if tcb.snd_wnd = 0 then begin
         tcb.persist_probes <- tcb.persist_probes + 1;

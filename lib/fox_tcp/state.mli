@@ -36,12 +36,14 @@ val promote_passive :
 val close : Tcb.params -> Tcb.tcp_state -> now:int -> Tcb.tcp_state
 
 (** [abort params state] resets the connection: an RST is queued when the
-    peer could have state, and the TCB is deleted. *)
+    peer could have state, and the TCB is deleted.  A TIME-WAIT
+    connection has no TCB left to abort: the engine drops its
+    tombstone. *)
 val abort : Tcb.params -> Tcb.tcp_state -> Tcb.tcp_state
 
 (** [timer_expired params state kind ~now] reacts to a timer: retransmit
     with backoff (giving up after the configured budget), flush a delayed
-    ACK, finish TIME-WAIT, probe a zero window, or enforce the user
-    timeout. *)
+    ACK, probe a zero window, or enforce the user timeout.  The 2·MSL
+    timer is not a TCB's: the engine runs it on the tombstone. *)
 val timer_expired :
   Tcb.params -> Tcb.tcp_state -> Tcb.timer_kind -> now:int -> Tcb.tcp_state

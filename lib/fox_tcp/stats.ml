@@ -85,6 +85,49 @@ let of_tcb ~conn_id ~state ~now (tcb : Tcb.tcp_tcb) =
     syn_challenges = tcb.Tcb.syn_challenges;
     ack_challenges = tcb.Tcb.ack_challenges;
   }
+(* A tombstone keeps the sequence numbers and little else: its windows,
+   counters and estimators read zero. *)
+let of_time_wait ~conn_id ~now ~rcv_wnd ~cc_name (tw : _ Tcb.time_wait) =
+  let seq = Seq.to_int in
+  {
+    conn_id;
+    state = "TIME-WAIT";
+    snapshot_at = now;
+    snd_una = seq tw.Tcb.tw_snd_nxt;
+    snd_nxt = seq tw.Tcb.tw_snd_nxt;
+    snd_wnd = 0;
+    rcv_nxt = seq tw.Tcb.tw_rcv_nxt;
+    rcv_wnd;
+    cwnd = 0;
+    ssthresh = 0;
+    dup_acks = 0;
+    cc_name;
+    cc_state = [];
+    in_recovery = false;
+    srtt_us = 0;
+    rttvar_us = 0;
+    rto_us = 0;
+    backoff = 0;
+    segs_out = 0;
+    segs_in = 0;
+    bytes_out = 0;
+    bytes_in = 0;
+    retransmissions = 0;
+    fast_path_hits = 0;
+    dup_segments = 0;
+    ooo_segments = 0;
+    queued_bytes = 0;
+    rtx_queue_len = 0;
+    flight = 0;
+    ooo_bytes = 0;
+    ooo_trimmed = 0;
+    to_do_shed = 0;
+    challenge_acks_sent = 0;
+    challenge_acks_limited = 0;
+    rst_challenges = 0;
+    syn_challenges = 0;
+    ack_challenges = 0;
+  }
 
 let to_string s =
   let cc =
