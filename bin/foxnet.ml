@@ -1,12 +1,8 @@
-(* foxnet — drive the simulated Fox Net stack from the command line.
-
-     foxnet transfer [--bytes N] [--loss P] [--decstation] [--baseline]
-     foxnet ping     [--count N] [--size N] [--loss P]
-     foxnet rtt      [--decstation] [--baseline]
-     foxnet table1 / foxnet table2
-     foxnet fuzz     [--seed N] [--iters K] [--verbose]
-     foxnet stat     [--bytes N] [--loss P] [--interval MS]
-     foxnet trace    [--bytes N] [--loss P] [--last N] [--pcap]
+(* foxnet — drive the simulated Fox Net stack from the command line:
+   the paper's measurements (transfer, ping, rtt, table1, table2), the
+   flight recorder (stat, trace), the test harnesses (fuzz, soak,
+   scenarios, chaos) and the applications (serve, dig).  [foxnet --help]
+   lists the subcommands and [foxnet CMD --help] their options.
 
    Everything runs in-process on the simulated Ethernet under virtual
    time; see examples/ for narrated versions of the same scenarios. *)

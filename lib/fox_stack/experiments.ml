@@ -181,9 +181,11 @@ module Run (E : ENGINE) = struct
   (* [?during] forks an observer thread inside the run, handing it a
      "transfer finished?" predicate — the [foxnet stat] sampler loops on
      [Scheduler.sleep] until the predicate holds, photographing the live
-     TCBs in virtual time. *)
-  let transfer ?during ~(sender : Network.host) ~(receiver : Network.host)
-      ~bytes () =
+     TCBs in virtual time.  [?app_us] makes the receiving application
+     slow: each data upcall charges that much receiver CPU before it
+     returns, i.e. inside the engine's drain loop. *)
+  let transfer ?during ?(app_us = 0) ~(sender : Network.host)
+      ~(receiver : Network.host) ~bytes () =
     let port = 5001 in
     let server_conn = ref None in
     install_sender sender ~port ~server_conn;
@@ -199,6 +201,8 @@ module Run (E : ENGINE) = struct
           | None -> ());
           let conn =
             E.connect tcp ~peer:sender.Network.addr ~port ~handler:(fun packet ->
+                if app_us > 0 then
+                  Fox_sched.Cpu.charge receiver.Network.cpu "application" app_us;
                 (* data is discarded at the application level; release
                    the buffer *)
                 received := !received + Packet.length packet;
