@@ -158,6 +158,11 @@ end = struct
     mutable e_sends : int;
   }
 
+  (* fills the unacked ring's empty cells; never read *)
+  let no_entry =
+    { e_seq = Seq.zero; e_len = 0; e_syn = false; e_fin = false;
+      e_data = None; e_sends = 0 }
+
   type connection = {
     t : t;
     host : Aux.host;
@@ -176,8 +181,8 @@ end = struct
     mutable irs : Seq.t;
     mutable rcv_nxt : Seq.t;
     mutable mss : int;
-    mutable unacked : entry Deq.t;
-    mutable pending : Packet.t Deq.t; (* user data not yet sent *)
+    unacked : entry Ring.t;
+    pending : Packet.t Ring.t; (* user data not yet sent *)
     mutable pending_bytes : int;
     mutable fin_wanted : bool;
     mutable fin_sent : bool;
@@ -349,9 +354,8 @@ end = struct
   and on_rtx_timeout conn =
     if conn.st <> DEAD then begin
       conn.rtx_timer <- None;
-      match Deq.peek_front conn.unacked with
-      | None -> ()
-      | Some e ->
+      if not (Ring.is_empty conn.unacked) then begin
+        let e = Ring.peek conn.unacked in
         if e.e_sends > Params.max_retransmits then begin
           conn.close_reason <- Some Status.Timed_out;
           teardown conn Status.Timed_out
@@ -373,6 +377,7 @@ end = struct
             ~mss_opt:(if e.e_syn then Some conn.mss else None);
           start_rtx_timer conn
         end
+      end
     end
 
   (* push out whatever the peer's window allows, straight off the pending
@@ -384,46 +389,44 @@ end = struct
        the stream, never a window-shaped sliver *)
     let budget = min conn.mss conn.pending_bytes in
     if conn.pending_bytes > 0 && budget > 0 && budget <= usable then begin
-      match Deq.pop_front conn.pending with
-      | None -> ()
-      | Some (packet, rest) ->
-        let len = Packet.length packet in
-        let data, rest =
-          if len <= budget then begin
-            conn.pending_bytes <- conn.pending_bytes - len;
-            (packet, rest)
-          end
-          else begin
-            let head = Packet.sub ~headroom:128 packet 0 budget in
-            let tail = Packet.sub ~headroom:128 packet budget (len - budget) in
-            conn.pending_bytes <- conn.pending_bytes - budget;
-            (head, Deq.push_front tail rest)
-          end
-        in
-        conn.pending <- rest;
-        let fin =
-          conn.fin_wanted && (not conn.fin_sent) && Deq.is_empty rest
-          && 1 + Packet.length data <= usable
-        in
-        if fin then conn.fin_sent <- true;
-        let e =
-          {
-            e_seq = conn.snd_nxt;
-            e_len = Packet.length data + (if fin then 1 else 0);
-            e_syn = false;
-            e_fin = fin;
-            e_data = Some data;
-            e_sends = 1;
-          }
-        in
-        conn.snd_nxt <- Seq.add conn.snd_nxt e.e_len;
-        conn.unacked <- Deq.push_back e conn.unacked;
-        if conn.timing = None then
-          conn.timing <- Some (Seq.add e.e_seq e.e_len, now ());
-        transmit conn ~seq:e.e_seq ~syn:false ~fin ~rst:false ~ack:true
-          ~data:(Some data) ~mss_opt:None;
-        if conn.rtx_timer = None then start_rtx_timer conn;
-        push_output conn
+      let packet = Ring.pop conn.pending in
+      let len = Packet.length packet in
+      let data =
+        if len <= budget then begin
+          conn.pending_bytes <- conn.pending_bytes - len;
+          packet
+        end
+        else begin
+          let head = Packet.sub ~headroom:128 packet 0 budget in
+          let tail = Packet.sub ~headroom:128 packet budget (len - budget) in
+          conn.pending_bytes <- conn.pending_bytes - budget;
+          Ring.push_front conn.pending tail;
+          head
+        end
+      in
+      let fin =
+        conn.fin_wanted && (not conn.fin_sent) && Ring.is_empty conn.pending
+        && 1 + Packet.length data <= usable
+      in
+      if fin then conn.fin_sent <- true;
+      let e =
+        {
+          e_seq = conn.snd_nxt;
+          e_len = Packet.length data + (if fin then 1 else 0);
+          e_syn = false;
+          e_fin = fin;
+          e_data = Some data;
+          e_sends = 1;
+        }
+      in
+      conn.snd_nxt <- Seq.add conn.snd_nxt e.e_len;
+      Ring.push conn.unacked e;
+      if conn.timing = None then
+        conn.timing <- Some (Seq.add e.e_seq e.e_len, now ());
+      transmit conn ~seq:e.e_seq ~syn:false ~fin ~rst:false ~ack:true
+        ~data:(Some data) ~mss_opt:None;
+      if conn.rtx_timer = None then start_rtx_timer conn;
+      push_output conn
     end
     else if
       conn.fin_wanted && (not conn.fin_sent) && conn.pending_bytes = 0
@@ -435,7 +438,7 @@ end = struct
           e_data = None; e_sends = 1 }
       in
       conn.snd_nxt <- Seq.add conn.snd_nxt 1;
-      conn.unacked <- Deq.push_back e conn.unacked;
+      Ring.push conn.unacked e;
       transmit conn ~seq:e.e_seq ~syn:false ~fin:true ~rst:false ~ack:true
         ~data:None ~mss_opt:None;
       if conn.rtx_timer = None then start_rtx_timer conn
@@ -479,20 +482,20 @@ end = struct
       if Seq.gt ack conn.snd_una && Seq.le ack conn.snd_nxt then begin
         conn.snd_una <- ack;
         conn.backoff <- 0;
-        let rec drop q =
-          match Deq.pop_front q with
-          | Some (e, rest) when Seq.le (Seq.add e.e_seq e.e_len) ack ->
-            if e.e_fin then conn.fin_acked <- true;
-            drop rest
-          | _ -> q
-        in
-        conn.unacked <- drop conn.unacked;
+        while
+          (not (Ring.is_empty conn.unacked))
+          &&
+          let e = Ring.peek conn.unacked in
+          Seq.le (Seq.add e.e_seq e.e_len) ack
+        do
+          if (Ring.pop conn.unacked).e_fin then conn.fin_acked <- true
+        done;
         (match conn.timing with
         | Some (timed_end, sent_at) when Seq.le timed_end ack ->
           conn.timing <- None;
           sample_rtt conn (now () - sent_at)
         | _ -> ());
-        if Deq.is_empty conn.unacked then stop_rtx_timer conn
+        if Ring.is_empty conn.unacked then stop_rtx_timer conn
         else start_rtx_timer conn;
         Fox_sched.Cond.broadcast conn.send_space ()
       end;
@@ -576,7 +579,7 @@ end = struct
         (match hdr.Tcp_header.mss with
         | Some m -> conn.mss <- min conn.mss m
         | None -> ());
-        conn.unacked <- Deq.empty;
+        Ring.clear conn.unacked;
         stop_rtx_timer conn;
         conn.st <- ESTAB;
         ack_now conn;
@@ -698,8 +701,8 @@ end = struct
       irs = Seq.zero;
       rcv_nxt = Seq.zero;
       mss = 536;
-      unacked = Deq.empty;
-      pending = Deq.empty;
+      unacked = Ring.create ~dummy:no_entry;
+      pending = Ring.create ~dummy:Packet.placeholder;
       pending_bytes = 0;
       fin_wanted = false;
       fin_sent = false;
@@ -751,7 +754,7 @@ end = struct
         e_data = None; e_sends = 1 }
     in
     conn.snd_nxt <- Seq.add conn.iss 1;
-    conn.unacked <- Deq.push_back e conn.unacked;
+    Ring.push conn.unacked e;
     transmit conn ~seq:conn.iss ~syn:true ~fin:false ~rst:false ~ack:true
       ~data:None ~mss_opt:(Some conn.mss);
     start_rtx_timer conn
@@ -867,7 +870,7 @@ end = struct
         e_data = None; e_sends = 1 }
     in
     conn.snd_nxt <- Seq.add conn.iss 1;
-    conn.unacked <- Deq.push_back e conn.unacked;
+    Ring.push conn.unacked e;
     transmit conn ~seq:conn.iss ~syn:true ~fin:false ~rst:false ~ack:false
       ~data:None ~mss_opt:(Some conn.mss);
     start_rtx_timer conn;
@@ -900,7 +903,7 @@ end = struct
       Fox_sched.Cond.wait conn.send_space
     done;
     if conn.st = DEAD then raise (Send_failed "baseline tcp: closed");
-    conn.pending <- Deq.push_back packet conn.pending;
+    Ring.push conn.pending packet;
     conn.pending_bytes <- conn.pending_bytes + Packet.length packet;
     push_output conn
 

@@ -1,8 +1,10 @@
 (** Mutable first-in first-out queues in a growable power-of-two ring.
 
-    The scheduler's run queue, the link's per-medium departure times, a
-    TCP connection's send and retransmission queues and
-    {!Fox_sched.Cond} mailboxes live here.  Elements sit in one array
+    The repository's one queue type.  The scheduler's run queue, the
+    link's per-medium departure times, a TCP connection's send and
+    retransmission queues, the monolithic baseline's unacked and pending
+    queues, {!Fox_sched.Cond} mailboxes and {!Fox_sched.Channel}'s blocked
+    senders and receivers live here.  Elements sit in one array
     indexed modulo its length, so {!push}, {!peek} and {!pop} allocate
     nothing (beyond doubling the array when it fills): no list cell, no
     option, no tuple. *)

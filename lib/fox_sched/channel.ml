@@ -11,54 +11,45 @@
     Built entirely on {!Scheduler.suspend}, like everything else in the
     threading layer. *)
 
+open Fox_basis
+
 type 'a t = {
-  mutable senders : ('a * (unit -> unit)) Fox_basis.Fifo.t;
-      (** value + resumer of the blocked sender *)
-  mutable receivers : ('a -> unit) Fox_basis.Fifo.t;
-      (** resumers of blocked receivers *)
+  senders : (unit -> 'a) Ring.t;
+      (** blocked senders' offers: each resumes its sender and returns the
+          value *)
+  receivers : ('a -> unit) Ring.t;  (** resumers of blocked receivers *)
 }
 
 let create () =
-  { senders = Fox_basis.Fifo.empty; receivers = Fox_basis.Fifo.empty }
+  {
+    senders = Ring.create ~dummy:(fun () -> invalid_arg "Channel: no sender");
+    receivers = Ring.create ~dummy:ignore;
+  }
 
 (** [send ch v] blocks until a receiver takes [v]. *)
 let send ch v =
-  match Fox_basis.Fifo.next ch.receivers with
-  | Some (resume_rx, rest) ->
-    ch.receivers <- rest;
-    resume_rx v
-  | None ->
+  if Ring.is_empty ch.receivers then
     Scheduler.suspend (fun resume_tx ->
-        ch.senders <-
-          Fox_basis.Fifo.add (v, fun () -> resume_tx ()) ch.senders)
+        Ring.push ch.senders (fun () -> resume_tx (); v))
+  else (Ring.pop ch.receivers) v
 
 (** [recv ch] blocks until a sender offers a value. *)
 let recv ch =
-  match Fox_basis.Fifo.next ch.senders with
-  | Some ((v, resume_tx), rest) ->
-    ch.senders <- rest;
-    resume_tx ();
-    v
-  | None ->
-    Scheduler.suspend (fun resume_rx -> ch.receivers <- Fox_basis.Fifo.add resume_rx ch.receivers)
+  if Ring.is_empty ch.senders then
+    Scheduler.suspend (fun resume_rx -> Ring.push ch.receivers resume_rx)
+  else (Ring.pop ch.senders) ()
 
 (** [try_send ch v] succeeds only if a receiver is already waiting. *)
 let try_send ch v =
-  match Fox_basis.Fifo.next ch.receivers with
-  | Some (resume_rx, rest) ->
-    ch.receivers <- rest;
-    resume_rx v;
+  if Ring.is_empty ch.receivers then false
+  else begin
+    (Ring.pop ch.receivers) v;
     true
-  | None -> false
+  end
 
 (** [try_recv ch] succeeds only if a sender is already waiting. *)
 let try_recv ch =
-  match Fox_basis.Fifo.next ch.senders with
-  | Some ((v, resume_tx), rest) ->
-    ch.senders <- rest;
-    resume_tx ();
-    Some v
-  | None -> None
+  if Ring.is_empty ch.senders then None else Some ((Ring.pop ch.senders) ())
 
 (** [select chans] blocks until any of [chans] has a sender, returning the
     channel index and the value.  A ready channel (sender already waiting)
@@ -80,22 +71,19 @@ let select chans =
         let taken = ref false in
         List.iteri
           (fun i ch ->
-            ch.receivers <-
-              Fox_basis.Fifo.add
-                (fun v ->
-                  if !taken then
-                    (* already resolved: put the value back for the next
-                       receiver (re-offer as a ready sender) *)
-                    ch.senders <- Fox_basis.Fifo.add (v, fun () -> ()) ch.senders
-                  else begin
-                    taken := true;
-                    resume (i, v)
-                  end)
-                ch.receivers)
+            Ring.push ch.receivers (fun v ->
+                if !taken then
+                  (* already resolved: put the value back for the next
+                     receiver (re-offer as a ready sender) *)
+                  Ring.push ch.senders (fun () -> v)
+                else begin
+                  taken := true;
+                  resume (i, v)
+                end))
           chans)
 
 (** Number of blocked senders / receivers (tests, introspection). *)
 
-let waiting_senders ch = Fox_basis.Fifo.size ch.senders
+let waiting_senders ch = Ring.length ch.senders
 
-let waiting_receivers ch = Fox_basis.Fifo.size ch.receivers
+let waiting_receivers ch = Ring.length ch.receivers

@@ -6,7 +6,13 @@
     corresponding open returns to the caller".  A ['a Cond.t] is the
     primitive used for those cases: [wait] blocks until a value is
     available; [signal] delivers a value to the longest-waiting thread or
-    buffers it if nobody is waiting. *)
+    buffers it if nobody is waiting.
+
+    A TCP connection has exactly one, a [unit Cond.t] that [connect],
+    [send] and [close_sync] all wait on.  It is broadcast when the open
+    or the close completes, when the connection goes down and when send
+    buffer space frees up; each waiter loops, re-checking its own
+    condition, so a wake-up meant for another waiter costs one switch. *)
 
 type 'a t
 

@@ -219,9 +219,11 @@ end = struct
     timers : Fox_sched.Timer.t option array;
         (** one timer per {!Tcb.timer_index}, created on first use and
             re-armed in place after that *)
-    open_mb : (unit, string) result Fox_sched.Cond.t;
-    close_mb : unit Fox_sched.Cond.t;
-    send_space : unit Fox_sched.Cond.t;
+    wake : unit Fox_sched.Cond.t;
+        (** the one wait point of [connect], [send] and [close_sync]:
+            broadcast when the open completes, the close completes, the
+            connection goes down, or send-buffer space frees up; each
+            waiter re-checks its own condition *)
     mutable open_done : bool;
     mutable close_reason : Status.t option;
     mutable dead : bool;
@@ -796,10 +798,7 @@ end = struct
   (* The connection is down: wake whoever waits on it, then the final
      status upcall. *)
   and finish conn reason =
-    if not conn.open_done then
-      Fox_sched.Cond.signal conn.open_mb (Error (Status.to_string reason));
-    Fox_sched.Cond.broadcast conn.close_mb ();
-    Fox_sched.Cond.broadcast conn.send_space ();
+    Fox_sched.Cond.broadcast conn.wake ();
     conn.status reason
 
   (* A (legacy-mode) half-open connection stops occupying its listener's
@@ -816,22 +815,17 @@ end = struct
      engine retires the connection.  What is left on [to_do] still runs
      (the ACK of the peer's FIN; the 2·MSL [Set_timer], which arms the
      tombstone's timer).  The tombstone's upcall is the application's
-     status handler alone unless a thread waits on the connection; then
-     it wakes that thread too, as [finish] does. *)
+     status handler alone: a thread waiting on the connection is woken at
+     this seam (the send buffer is now empty), and only [close_sync] waits
+     on past it, pointing the upcall at [finish]. *)
   and park conn =
     let t = conn.tcp in
-    let waiting =
-      Fox_sched.Cond.waiters conn.open_mb
-      + Fox_sched.Cond.waiters conn.close_mb
-      + Fox_sched.Cond.waiters conn.send_space
-      > 0
-    in
     t.tomb_arrivals <- t.tomb_arrivals + 1;
     let tw =
       Tcb.time_wait_of conn.tcb ~host:conn.host ~local_port:conn.local_port
         ~remote_port:conn.remote_port ~arrival:t.tomb_arrivals
         ~timer:no_timer
-        ~upcall:(if waiting then finish conn else conn.status)
+        ~upcall:conn.status
     in
     tw.timer <- Fox_sched.Timer.create (fun () -> expire t tw);
     conn.tomb <- Some tw;
@@ -903,10 +897,10 @@ end = struct
           tcb.Tcb.last_activity <- now;
           set_timer conn Tcb.Keepalive runtime_params.keepalive_us
         end;
-        Fox_sched.Cond.signal conn.open_mb (Ok ());
+        Fox_sched.Cond.broadcast conn.wake ();
         conn.status Status.Connected
       end
-    | Tcb.Complete_close -> Fox_sched.Cond.broadcast conn.close_mb ()
+    | Tcb.Complete_close -> Fox_sched.Cond.broadcast conn.wake ()
     | Tcb.Peer_close -> conn.status Status.Remote_close
     | Tcb.Peer_reset -> conn.close_reason <- Some Status.Reset
     | Tcb.User_error msg ->
@@ -967,8 +961,8 @@ end = struct
       (* wake senders blocked on the buffer bound *)
       if
         conn.tcb.Tcb.queued_bytes < send_buffer_bytes
-        && Fox_sched.Cond.waiters conn.send_space > 0
-      then Fox_sched.Cond.broadcast conn.send_space ();
+        && Fox_sched.Cond.waiters conn.wake > 0
+      then Fox_sched.Cond.broadcast conn.wake ();
       run_to_do conn
 
   (* ---------------- connection creation ---------------- *)
@@ -994,9 +988,7 @@ end = struct
         status = ignore;
         draining = false;
         timers = Array.make (List.length Tcb.timer_kinds) None;
-        open_mb = Fox_sched.Cond.create ();
-        close_mb = Fox_sched.Cond.create ();
-        send_space = Fox_sched.Cond.create ();
+        wake = Fox_sched.Cond.create ();
         open_done = false;
         close_reason = None;
         dead = false;
@@ -1370,10 +1362,16 @@ end = struct
         ~state handler
     in
     drain conn;
-    match Fox_sched.Cond.wait conn.open_mb with
-    | Ok () -> conn
-    | Error msg ->
-      raise (Connection_failed ("tcp open failed: " ^ msg))
+    while not (conn.open_done || conn.dead) do
+      Fox_sched.Cond.wait conn.wake
+    done;
+    if not conn.open_done then
+      raise
+        (Connection_failed
+           ("tcp open failed: "
+           ^ Status.to_string
+               (Option.value conn.close_reason ~default:Status.Closed)));
+    conn
 
   let start_passive t ({ local_port } : pattern) handler =
     if Hashtbl.mem t.listeners local_port then
@@ -1404,7 +1402,7 @@ end = struct
       (not conn.dead)
       && conn.tcb.Tcb.queued_bytes >= send_buffer_bytes
     do
-      Fox_sched.Cond.wait conn.send_space
+      Fox_sched.Cond.wait conn.wake
     done;
     if conn.dead then raise (Send_failed "tcp connection closed");
     Send.enqueue runtime_params conn.tcb packet
@@ -1420,14 +1418,25 @@ end = struct
       drain conn
     end
 
+  (* Returns once the connection is deleted, or once its tombstone is no
+     longer parked: a connection that enters TIME-WAIT while we wait is
+     dead but not yet closed. *)
   let close_sync conn =
     close conn;
-    match conn.tomb with
-    | Some tw when parked conn.tcp tw ->
-      (* the tombstone's upcall must wake us at 2·MSL *)
-      tw.upcall <- finish conn;
-      Fox_sched.Cond.wait conn.close_mb
-    | _ -> if not conn.dead then Fox_sched.Cond.wait conn.close_mb
+    let rec await () =
+      match conn.tomb with
+      | Some tw when parked conn.tcp tw ->
+        (* the tombstone's upcall must wake us at 2·MSL *)
+        tw.upcall <- finish conn;
+        Fox_sched.Cond.wait conn.wake;
+        await ()
+      | _ ->
+        if not conn.dead then begin
+          Fox_sched.Cond.wait conn.wake;
+          await ()
+        end
+    in
+    await ()
 
   let abort conn =
     match conn.tomb with

@@ -6,111 +6,6 @@ let qtest ?(count = 300) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 (* ------------------------------------------------------------------ *)
-(* Fifo                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_fifo_basic () =
-  let q = Fifo.empty in
-  Alcotest.(check bool) "empty" true (Fifo.is_empty q);
-  let q = Fifo.add 1 (Fifo.add 2 (Fifo.add 3 Fifo.empty)) in
-  Alcotest.(check int) "size" 3 (Fifo.size q);
-  Alcotest.(check (option int)) "peek" (Some 3) (Fifo.peek q);
-  match Fifo.next q with
-  | Some (3, q') ->
-    Alcotest.(check (list int)) "rest" [ 2; 1 ] (Fifo.to_list q')
-  | _ -> Alcotest.fail "expected 3 at front"
-
-let test_fifo_filter () =
-  let q = Fifo.of_list [ 1; 2; 3; 4; 5 ] in
-  let evens = Fifo.filter (fun x -> x mod 2 = 0) q in
-  Alcotest.(check (list int)) "filter" [ 2; 4 ] (Fifo.to_list evens);
-  Alcotest.(check bool) "exists" true (Fifo.exists (fun x -> x = 5) q);
-  Alcotest.(check bool) "not exists" false (Fifo.exists (fun x -> x = 9) q)
-
-let fifo_order =
-  qtest "fifo: to_list (of_list xs) = xs" QCheck2.Gen.(list int) (fun xs ->
-      Fifo.to_list (Fifo.of_list xs) = xs)
-
-let fifo_size =
-  qtest "fifo: size = length" QCheck2.Gen.(list int) (fun xs ->
-      Fifo.size (Fifo.of_list xs) = List.length xs)
-
-let fifo_fold =
-  qtest "fifo: fold = List.fold_left" QCheck2.Gen.(list int) (fun xs ->
-      Fifo.fold (fun acc x -> x :: acc) [] (Fifo.of_list xs)
-      = List.fold_left (fun acc x -> x :: acc) [] xs)
-
-(* Model-based: a random sequence of add/next matches a list model. *)
-let fifo_model =
-  qtest "fifo: model" QCheck2.Gen.(list (pair bool int)) (fun ops ->
-      let q = ref Fifo.empty and model = ref [] in
-      List.for_all
-        (fun (is_add, x) ->
-          if is_add then begin
-            q := Fifo.add x !q;
-            model := !model @ [ x ];
-            true
-          end
-          else
-            match (Fifo.next !q, !model) with
-            | None, [] -> true
-            | Some (y, q'), m :: rest ->
-              q := q';
-              model := rest;
-              y = m
-            | _ -> false)
-        ops)
-
-(* ------------------------------------------------------------------ *)
-(* Deq                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_deq_basic () =
-  let d = Deq.of_list [ 1; 2; 3 ] in
-  Alcotest.(check (option int)) "front" (Some 1) (Deq.peek_front d);
-  Alcotest.(check (option int)) "back" (Some 3) (Deq.peek_back d);
-  let d = Deq.push_front 0 d in
-  let d = Deq.push_back 4 d in
-  Alcotest.(check (list int)) "order" [ 0; 1; 2; 3; 4 ] (Deq.to_list d)
-
-(* Model-based deque: ops 0=push_front 1=push_back 2=pop_front 3=pop_back *)
-let deq_model =
-  qtest "deq: model" QCheck2.Gen.(list (pair (int_bound 3) int)) (fun ops ->
-      let d = ref Deq.empty and model = ref [] in
-      List.for_all
-        (fun (op, x) ->
-          match op with
-          | 0 ->
-            d := Deq.push_front x !d;
-            model := x :: !model;
-            true
-          | 1 ->
-            d := Deq.push_back x !d;
-            model := !model @ [ x ];
-            true
-          | 2 -> (
-            match (Deq.pop_front !d, !model) with
-            | None, [] -> true
-            | Some (y, d'), m :: rest ->
-              d := d';
-              model := rest;
-              y = m
-            | _ -> false)
-          | _ -> (
-            match (Deq.pop_back !d, List.rev !model) with
-            | None, [] -> true
-            | Some (y, d'), m :: rest ->
-              d := d';
-              model := List.rev rest;
-              y = m
-            | _ -> false))
-        ops)
-
-let deq_size =
-  qtest "deq: size" QCheck2.Gen.(list int) (fun xs ->
-      Deq.size (Deq.of_list xs) = List.length xs)
-
-(* ------------------------------------------------------------------ *)
 (* Heap                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -922,18 +817,6 @@ let test_seq_window_boundary () =
 let () =
   Alcotest.run "fox_basis"
     [
-      ( "fifo",
-        [
-          Alcotest.test_case "basic" `Quick test_fifo_basic;
-          Alcotest.test_case "filter/exists" `Quick test_fifo_filter;
-          fifo_order;
-          fifo_size;
-          fifo_fold;
-          fifo_model;
-        ] );
-      ( "deq",
-        [ Alcotest.test_case "basic" `Quick test_deq_basic; deq_model; deq_size ]
-      );
       ( "heap",
         [
           Alcotest.test_case "basic" `Quick test_heap_basic;

@@ -278,6 +278,92 @@ let test_close_sync_roundtrip () =
   in
   Alcotest.(check bool) "close_sync returned" true !reached_closed
 
+(* One thread streams [total] bytes in 8 KB sends; past the 64 KB
+   send-buffer bound each send blocks on the connection's wait point. *)
+let stream_payload total = String.init total (fun i -> Char.chr (i mod 251))
+
+let send_all conn payload ~in_send =
+  let chunk = 8192 in
+  let rec go off =
+    if off < String.length payload then begin
+      let n = min chunk (String.length payload - off) in
+      in_send := true;
+      send_string conn (String.sub payload off n);
+      in_send := false;
+      go (off + n)
+    end
+  in
+  go 0
+
+(* The sender blocks on the send buffer, then [close_sync]s: every byte
+   arrives, and [close_sync] returns only once the connection is down
+   (past TIME-WAIT), not at the first send-space wake-up. *)
+let test_close_sync_after_blocked_send () =
+  let _, a, b = two_hosts () in
+  let payload = stream_payload 200_000 in
+  let buf = Buffer.create 200_000 in
+  (* the peer's upcalls run while the sender is parked inside a send *)
+  let in_send = ref false and blocked = ref false in
+  let state_at_return = ref "" in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Tcp.start_passive b.tcp { Tcp.local_port = 80 } (fun conn ->
+               ( (fun p ->
+                   if !in_send then blocked := true;
+                   Buffer.add_string buf (Packet.to_string p)),
+                 fun status -> if status = Status.Remote_close then Tcp.close conn )));
+        let conn =
+          Tcp.connect a.tcp
+            { Tcp.peer = ip_of "10.0.0.2"; port = 80; local_port = None }
+            (fun _ -> (ignore, ignore))
+        in
+        send_all conn payload ~in_send;
+        Tcp.close_sync conn;
+        state_at_return := Tcp.state_of conn)
+  in
+  Alcotest.(check bool) "the sender blocked on the send buffer" true !blocked;
+  Alcotest.(check int) "every byte arrived" (String.length payload)
+    (Buffer.length buf);
+  Alcotest.(check bool) "bytes intact" true (Buffer.contents buf = payload);
+  Alcotest.(check string) "close_sync returned with the connection down"
+    "CLOSED" !state_at_return
+
+(* A sender blocked on the send buffer when the peer resets gets
+   [Send_failed]. *)
+let test_blocked_sender_sees_reset () =
+  let _, a, b = two_hosts () in
+  let payload = stream_payload 200_000 in
+  let received = ref 0 and aborted = ref false in
+  let blocked_at_reset = ref false and outcome = ref "" in
+  let in_send = ref false in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Tcp.start_passive b.tcp { Tcp.local_port = 80 } (fun conn ->
+               ( (fun p ->
+                   received := !received + Packet.length p;
+                   if !received >= 32_768 && not !aborted then begin
+                     aborted := true;
+                     blocked_at_reset := !in_send;
+                     Scheduler.fork (fun () -> Tcp.abort conn)
+                   end),
+                 ignore )));
+        let conn =
+          Tcp.connect a.tcp
+            { Tcp.peer = ip_of "10.0.0.2"; port = 80; local_port = None }
+            (fun _ -> (ignore, ignore))
+        in
+        outcome :=
+          match send_all conn payload ~in_send with
+          | () -> "sent everything"
+          | exception Fox_proto.Common.Send_failed _ -> "Send_failed")
+  in
+  Alcotest.(check bool) "the peer reset" true !aborted;
+  Alcotest.(check bool) "the sender was blocked at the reset" true
+    !blocked_at_reset;
+  Alcotest.(check string) "the blocked sender" "Send_failed" !outcome
+
 let test_abort_resets_peer () =
   let _, a, b = two_hosts () in
   let statuses = ref [] in
@@ -640,6 +726,10 @@ let () =
             test_connect_to_closed_port_refused;
           Alcotest.test_case "dead host times out" `Quick
             test_connect_to_dead_host_times_out;
+          Alcotest.test_case "close_sync after a blocked send" `Quick
+            test_close_sync_after_blocked_send;
+          Alcotest.test_case "blocked sender sees the reset" `Quick
+            test_blocked_sender_sees_reset;
         ] );
       ( "adverse",
         [
