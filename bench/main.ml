@@ -12,16 +12,15 @@
    - The GC section reproduces the "runs of over 5 MB" observation.
    - The ablation section quantifies the design choices DESIGN.md calls
      out: quasi-synchronous engine vs monolithic baseline (wall-clock CPU
-     of the real implementations), checksum configurations, delayed
-     acknowledgements, the priority to_do queue and header prediction
-     (BENCH_pr4.json).
+     of the real implementations), delayed acknowledgements, the
+     priority to_do queue and header prediction (BENCH_pr4.json).  The
+     checksum algorithm's cost is inline-1's rows.
 
    Every transfer is [Experiments.Run.transfer], the same Section 5 loop
    that [foxnet table1] and the tests run.  Usage: [main.exe] runs all of
-   the above; [main.exe table1] and [main.exe fastpath] run one section;
-   [main.exe chaos] runs the path-failure matrix and writes
-   BENCH_pr10.json.  Serving, overload and multicore numbers come from
-   [foxnet serve], [foxnet soak] and perfbench, not from here. *)
+   the above; [main.exe table1] and [main.exe fastpath] run one section.
+   Serving, overload, chaos and multicore numbers come from [foxnet
+   serve], [foxnet soak], [foxnet chaos] and perfbench, not from here. *)
 
 open Bechamel
 open Toolkit
@@ -139,57 +138,6 @@ let counter_tests =
         (Staged.stage (fun () -> Counters.add counter_set "bench" 10));
     ]
 
-let codec_packet = Packet.of_string ~headroom:64 (String.make 512 'p')
-
-let codec_tests =
-  let tcp_hdr =
-    {
-      (Fox_tcp.Tcp_header.basic ~src_port:1 ~dst_port:2) with
-      Fox_tcp.Tcp_header.seq = Fox_tcp.Seq.of_int 12345;
-      ack_flag = true;
-      window = 4096;
-    }
-  in
-  let pseudo =
-    Checksum.pseudo_ipv4 ~src:0x0A000001 ~dst:0x0A000002 ~proto:6 ~len:532
-  in
-  Test.make_grouped ~name:"codecs"
-    [
-      Test.make ~name:"tcp-header-encode+decode-512B"
-        (Staged.stage (fun () ->
-             Fox_tcp.Tcp_header.encode ~pseudo:(Some pseudo) tcp_hdr codec_packet;
-             match
-               Fox_tcp.Tcp_header.decode ~pseudo:(Some pseudo) codec_packet
-             with
-             | Ok _ -> ()
-             | Error _ -> assert false));
-      Test.make ~name:"crc32-1KB"
-        (Staged.stage (fun () -> ignore (Crc32.digest kb_buffer 0 1024)));
-    ]
-
-let container_tests =
-  Test.make_grouped ~name:"containers"
-    [
-      Test.make ~name:"ring-push+pop"
-        (let q = Ring.create ~dummy:0 in
-         Staged.stage (fun () ->
-             Ring.push q 1;
-             ignore (Ring.pop q)));
-      Test.make ~name:"heap-add+pop-x16"
-        (Staged.stage (fun () ->
-             let h = Heap.create ~dummy:0 in
-             for i = 15 downto 0 do
-               Heap.add h i i
-             done;
-             for _ = 0 to 15 do
-               ignore (Heap.pop_min h)
-             done));
-      Test.make ~name:"packet-push+pull-header"
-        (Staged.stage (fun () ->
-             Packet.push_header codec_packet 20;
-             Packet.pull_header codec_packet 20));
-    ]
-
 (* run one bechamel group and return (name, nanoseconds-per-run) rows *)
 let run_group test =
   let ols =
@@ -226,10 +174,7 @@ let microbenchmarks () =
     "\n[inline-3] scheduler and timers (divide x1000 rows by 1000 for per-op):\n";
   print_group sched_tests;
   Printf.printf "\n[inline-4] profiling counters:\n";
-  print_group counter_tests;
-  Printf.printf "\nheader codecs and containers (substrate costs):\n";
-  print_group codec_tests;
-  print_group container_tests
+  print_group counter_tests
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                            *)
@@ -404,25 +349,6 @@ let ablation_control_structure () =
      paper's deterministic quasi-synchronous design, on this machine)\n"
     (fox /. base)
 
-let ablation_checksums () =
-  section "Ablation B: checksum configuration (real CPU cost of the stack)";
-  Printf.printf
-    "2 MB transfer on a gigabit wire; the checksum is the main data-touching\n\
-     operation left once copies are minimised (cf. Figure 10).  The CPU\n\
-     includes the sender's block write of each payload, the same in every row.\n\n";
-  List.iter
-    (fun (label, params) ->
-      let cpu0 = Sys.time () in
-      ignore
-        (transfer_with ~netem:Fox_dev.Netem.gigabit params ~bytes:2_000_000);
-      Printf.printf "  %-38s %8.3f s CPU\n" label (Sys.time () -. cpu0))
-    [
-      ("optimized checksum (Figure 10)", default);
-      ("basic checksum (x-kernel loop)", { default with checksum_alg = `Basic });
-      ( "checksums off (Special_Tcp, trust CRC)",
-        { default with compute_checksums = false } );
-    ]
-
 let ablation_delayed_ack () =
   section "Ablation C: delayed acknowledgements";
   Printf.printf
@@ -545,83 +471,12 @@ let ablation_fastpath () =
   close_out oc;
   print_endline "\nwrote BENCH_pr4.json"
 
-let bench_chaos () =
-  section "Chaos survival: path-failure matrix with unguarded teeth";
-  let module Chaos = Fox_check.Chaos in
-  Printf.printf
-    "Deterministic fault plans against every congestion control: link\n\
-     flaps, a path-MTU blackhole, a duplicate/corruption storm, and a\n\
-     slow-loris siege.  The guarded matrix must survive; the same cells\n\
-     with the defenses off must fail.\n\n";
-  let w0 = Unix.gettimeofday () in
-  let cells, teeth, problems = Chaos.check () in
-  let wall = Unix.gettimeofday () -. w0 in
-  List.iter (fun r -> Printf.printf "  %s\n" (Chaos.result_to_string r)) cells;
-  List.iter
-    (fun r -> Printf.printf "  teeth: %s\n" (Chaos.result_to_string r))
-    teeth;
-  Printf.printf "\n  %d problems, %.2fs wall\n"
-    (List.length problems) wall;
-  List.iter (fun p -> Printf.printf "  PROBLEM: %s\n" p) problems;
-  let cell_json (r : Chaos.result) =
-    Printf.sprintf
-      "{\"scenario\": \"%s\", \"cc\": \"%s\", \"guarded\": %b, \
-       \"complete\": %b, \"delivered\": %d, \"expected\": %d, \
-       \"virtual_s\": %.3f, \"retransmissions\": %d, \
-       \"blackhole_shrinks\": %d, \
-       \"rtx_limit_aborts\": %d, \"user_timeout_aborts\": %d, \
-       \"persist_aborts\": %d, \"responses_408\": %d, \
-       \"chaos_dropped\": %d, \"chaos_replayed\": %d, \
-       \"chaos_duplicated\": %d, \"chaos_corrupted\": %d, \
-       \"invariant_faults\": %d, \"leaked_packets\": %d, \
-       \"fingerprint\": \"%s\"}"
-      r.Chaos.scenario r.Chaos.cc r.Chaos.guarded r.Chaos.complete
-      r.Chaos.delivered r.Chaos.expected
-      (float_of_int r.Chaos.end_time /. 1e6)
-      r.Chaos.retransmissions r.Chaos.blackhole_shrinks r.Chaos.rtx_limit_aborts
-      r.Chaos.user_timeout_aborts r.Chaos.persist_aborts
-      r.Chaos.responses_408 r.Chaos.chaos.Fox_dev.Link.chaos_dropped
-      r.Chaos.chaos.Fox_dev.Link.chaos_replayed
-      r.Chaos.chaos.Fox_dev.Link.chaos_duplicated
-      r.Chaos.chaos.Fox_dev.Link.chaos_corrupted
-      (List.length r.Chaos.invariant_faults)
-      r.Chaos.leaked_packets (Chaos.fingerprint r)
-  in
-  let oc = open_out "BENCH_pr10.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"pr10_chaos_survival\",\n\
-    \  \"matrix\": {\n\
-    \    \"workload\": \"link_flap|mtu_blackhole|dup_storm 256KB \
-     transfers, slowloris siege vs 16 legit clients; x \
-     reno/newreno/cubic/bbr\",\n\
-    \    \"contract\": \"complete, deterministic across two runs, 0 \
-     invariant faults, 0 leaked buffers; blackhole cells shrink MSS; \
-     slowloris cells count 408s\",\n\
-    \    \"rows\": [\n      %s\n    ]\n\
-    \  },\n\
-    \  \"teeth\": {\n\
-    \    \"contract\": \"same cells with the defenses off must NOT \
-     complete\",\n\
-    \    \"rows\": [\n      %s\n    ]\n\
-    \  },\n\
-    \  \"problems\": %d,\n\
-    \  \"wall_s\": %.3f\n\
-     }\n"
-    (String.concat ",\n      " (List.map cell_json cells))
-    (String.concat ",\n      " (List.map cell_json teeth))
-    (List.length problems) wall;
-  close_out oc;
-  print_endline "\nwrote BENCH_pr10.json";
-  if problems <> [] then exit 1
-
 (* ------------------------------------------------------------------ *)
 
 let () =
   match Sys.argv with
   | [| _; "fastpath" |] -> ablation_fastpath ()
   | [| _; "table1" |] -> table1 ()
-  | [| _; "chaos" |] -> bench_chaos ()
   | [| _ |] ->
     Printf.printf
       "Fox Net benchmark harness — reproduces the evaluation of\n\
@@ -632,11 +487,10 @@ let () =
     gc_experiment ();
     window_sweep ();
     ablation_control_structure ();
-    ablation_checksums ();
     ablation_delayed_ack ();
     ablation_priority ();
     ablation_fastpath ();
     Printf.printf "\n%s\ndone.\n" line
   | _ ->
-    prerr_endline "usage: main [fastpath|table1|chaos]";
+    prerr_endline "usage: main [fastpath|table1]";
     exit 2

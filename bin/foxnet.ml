@@ -367,21 +367,15 @@ let scenarios cc scenario quick markdown =
   in
   if markdown then print_string (Scenarios.to_markdown results);
   let bad =
-    List.filter
+    List.filter_map
       (fun r ->
-        (not r.Scenarios.complete) || r.Scenarios.invariant_faults <> [])
+        match Scenarios.problems r with [] -> None | ps -> Some (r, ps))
       results
   in
   if bad <> [] then begin
     List.iter
-      (fun r ->
-        Printf.eprintf "scenario %s/%s: %s\n" r.Scenarios.scenario
-          r.Scenarios.cc
-          (if not r.Scenarios.complete then "INCOMPLETE"
-           else "invariant faults");
-        List.iter
-          (fun f -> Printf.eprintf "  %s\n" f)
-          r.Scenarios.invariant_faults;
+      (fun (r, ps) ->
+        List.iter (Printf.eprintf "scenario %s\n") ps;
         (* the cell's flight-recorder ring, for post-mortem from the CI
            log without reproducing locally *)
         Printf.eprintf "  [flight] %d events:\n"
@@ -417,7 +411,13 @@ let stat bytes loss seed interval_ms =
     done
   in
   let result = Experiments.Fox_run.transfer ~during ~sender ~receiver ~bytes () in
-  print_endline "-- final (from the bus stats-provider registry):";
+  print_endline "-- final (connection snapshots, then the bus's engine lines):";
+  List.iter
+    (fun host ->
+      List.iter
+        (fun s -> print_endline (Stats.to_string s))
+        (Fox_stack.Stack.Tcp.snapshots (Network.fox_tcp host)))
+    [ sender; receiver ];
   List.iter (fun (_id, line) -> print_endline line) (Bus.stats_snapshots ());
   Printf.printf "%d bytes in %.3f s (virtual) = %.3f Mb/s; %d segments, %d rtx\n"
     result.Experiments.bytes
@@ -495,29 +495,7 @@ let chaos cc family quick markdown verbose =
             List.map (fun cc -> Chaos.run_cell ~quick ~log ~cc family) ccs)
           families
       in
-      let problems =
-        List.concat_map
-          (fun (r : Chaos.result) ->
-            (if r.Chaos.complete then []
-             else
-               [
-                 Printf.sprintf "%s/%s incomplete (%d of %d)" r.Chaos.scenario
-                   r.Chaos.cc r.Chaos.delivered r.Chaos.expected;
-               ])
-            @ List.map
-                (Printf.sprintf "%s/%s invariant: %s" r.Chaos.scenario
-                   r.Chaos.cc)
-                r.Chaos.invariant_faults
-            @
-            if r.Chaos.leaked_packets = 0 then []
-            else
-              [
-                Printf.sprintf "%s/%s leaked %d buffers" r.Chaos.scenario
-                  r.Chaos.cc r.Chaos.leaked_packets;
-              ])
-          rs
-      in
-      (rs, [], problems)
+      (rs, [], List.concat_map Chaos.problems rs)
   in
   if markdown then print_string (Chaos.to_markdown (results @ teeth))
   else begin

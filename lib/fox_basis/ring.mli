@@ -3,11 +3,10 @@
     The repository's one queue type.  The scheduler's run queue, the
     link's per-medium departure times, a TCP connection's send and
     retransmission queues, the monolithic baseline's unacked and pending
-    queues, {!Fox_sched.Cond} mailboxes and {!Fox_sched.Channel}'s blocked
-    senders and receivers live here.  Elements sit in one array
-    indexed modulo its length, so {!push}, {!peek} and {!pop} allocate
-    nothing (beyond doubling the array when it fills): no list cell, no
-    option, no tuple. *)
+    queues and the {!Fox_sched.Cond} mailboxes live here.  Elements sit
+    in one array indexed modulo its length, so {!push}, {!peek} and
+    {!pop} allocate nothing (beyond doubling the array when it fills): no
+    list cell, no option, no tuple. *)
 
 type 'a t
 

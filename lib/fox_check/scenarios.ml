@@ -210,6 +210,17 @@ type result = {
           only when the cell failed, for post-mortem without a re-run *)
 }
 
+(** [problems r] is the cell's verdict, empty when it passed: every flow
+    delivered its full payload, the invariants stayed silent, and the
+    stack accepted no forged byte. *)
+let problems r =
+  let cell = r.scenario ^ "/" ^ r.cc in
+  (if r.complete then [] else [ cell ^ ": INCOMPLETE" ])
+  @ List.map (fun f -> cell ^ ": invariant: " ^ f) r.invariant_faults
+  @
+  if r.injected_bytes = 0 then []
+  else [ Printf.sprintf "%s: %d bytes INJECTED" cell r.injected_bytes ]
+
 (* Jain's fairness index: (sum x)^2 / (n * sum x^2), 1/n..1. *)
 let jain = function
   | [] -> 1.0
@@ -395,8 +406,7 @@ struct
         })
     in
     let r = { run.World.value with invariant_faults = run.World.faults } in
-    if r.complete && r.invariant_faults = [] && r.injected_bytes = 0 then r
-    else { r with flight = run.World.ring }
+    if problems r = [] then r else { r with flight = run.World.ring }
 end
 
 (* RFC 5961 switched off: RFC 793's original acceptance rules.  The

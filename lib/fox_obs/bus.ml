@@ -140,7 +140,7 @@ let emit ?time ?(conn = "-") ~layer kind =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Stats providers (lazy: cost is one closure per registered conn)     *)
+(* Stats providers (lazy: cost is one closure per registered engine)   *)
 (* ------------------------------------------------------------------ *)
 
 let stats_providers : (string, unit -> string) Hashtbl.t = Hashtbl.create 16

@@ -110,8 +110,11 @@ val on_toggle : (bool -> unit) -> unit
 
 (** {2 Stats providers}
 
-    Layers register a lazy renderer per live connection; nothing runs
-    until someone asks.  [foxnet stat] reads these. *)
+    Each TCP engine registers one lazy renderer of its engine-wide
+    counters, under the id [tcp-engine-N]; nothing runs until someone
+    asks.  [foxnet stat] prints them after its connection snapshots, and
+    the repository benchmark reads their [segs=] field.  Connections are
+    not registered here: [Tcp.snapshots] photographs them on demand. *)
 
 val register_stats : id:string -> (unit -> string) -> unit
 

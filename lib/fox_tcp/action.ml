@@ -1,7 +1,7 @@
 open Fox_basis
 
-let internalize ?alg ~pseudo packet ~now =
-  match Tcp_header.decode ?alg ~pseudo packet with
+let internalize ~pseudo packet ~now =
+  match Tcp_header.decode ~pseudo packet with
   | Error e -> Error e
   | Ok hdr -> Ok { Tcb.hdr; data = packet; arrived_at = now }
 

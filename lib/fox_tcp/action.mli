@@ -17,10 +17,9 @@
       interface — then restore the buffer for a possible retransmission).
 *)
 
-(** [internalize ?alg ~pseudo packet ~now] decodes and verifies; the
-    packet window is left at the segment text. *)
+(** [internalize ~pseudo packet ~now] decodes and verifies with the
+    Figure 10 checksum; the packet window is left at the segment text. *)
 val internalize :
-  ?alg:Fox_basis.Checksum.alg ->
   pseudo:Fox_basis.Checksum.acc option ->
   Fox_basis.Packet.t ->
   now:int ->

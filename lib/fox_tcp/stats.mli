@@ -6,9 +6,10 @@
     field can change while the record is being built, because nothing
     happens to a connection except through the queue.
 
-    Snapshots feed [foxnet stat] and the {!Fox_obs.Bus} stats-provider
-    registry; they are also handy in tests as a one-line summary of where
-    a connection ended up. *)
+    Snapshots feed [foxnet stat] (through [Tcp.snapshots], which
+    photographs every connection of an engine on demand); they are also
+    handy in tests as a one-line summary of where a connection ended
+    up. *)
 
 type t = {
   conn_id : string;  (** ["host:lport>rport"], as in the engine's trace *)

@@ -150,9 +150,6 @@ type params = {
   compute_checksums : bool;
       (** compute and verify the TCP checksum (Figure 3's
           [do_checksums]) *)
-  checksum_alg : Fox_basis.Checksum.alg;
-      (** which checksum algorithm: the Figure 10 optimised one, or the
-          basic one the paper attributes to the x-kernel *)
   abort_unknown_connections : bool;
       (** answer segments for unknown connections with RST.  The paper
           sets this false to coexist with a host OS's own TCP; the
@@ -274,7 +271,6 @@ let default_params =
   {
     initial_window = 4096;
     compute_checksums = true;
-    checksum_alg = `Optimized;
     abort_unknown_connections = true;
     nagle = true;
     delayed_ack_us = 200_000;

@@ -442,8 +442,7 @@ end = struct
         Some (Aux.pseudo lconn ~proto:proto_number ~len)
       else None
     in
-    Action.externalize ~alg:runtime_params.checksum_alg
-      ~defer:true ~pseudo_for ~hdr ~data:None
+    Action.externalize ~defer:true ~pseudo_for ~hdr ~data:None
       ~allocate:(fun len ->
         Packet.create
           ~headroom:(tcp_headroom + Lower.headroom lconn)
@@ -558,8 +557,7 @@ end = struct
     tcb.Tcb.segs_out <- tcb.Tcb.segs_out + 1;
     conn.tcp.segs_out <- conn.tcp.segs_out + 1;
     if ss.Tcb.out_rst then conn.tcp.rsts_sent <- conn.tcp.rsts_sent + 1;
-    Action.externalize ~alg:runtime_params.checksum_alg
-      ~defer:true ~pseudo_for:(pseudo_for conn) ~hdr
+    Action.externalize ~defer:true ~pseudo_for:(pseudo_for conn) ~hdr
       ~data:ss.Tcb.out_data ~allocate:(allocate_internal conn)
       ~send:conn.lower_send ()
 
@@ -576,8 +574,7 @@ end = struct
         window = tcb.Tcb.rcv_wnd;
       }
     in
-    Action.externalize ~alg:runtime_params.checksum_alg
-      ~defer:true ~pseudo_for:(pseudo_for conn) ~hdr
+    Action.externalize ~defer:true ~pseudo_for:(pseudo_for conn) ~hdr
       ~data:None ~allocate:(allocate_internal conn) ~send:conn.lower_send ()
 
   (* ---------------- flight recorder ---------------- *)
@@ -756,17 +753,15 @@ end = struct
 
   (* ---------------- teardown ---------------- *)
 
-  (* The engine lets go of the connection: out of the table and the
-     registry, its timers cleared, its challenge counters folded into the
-     engine's, and its buffers released.  The application's handle keeps
-     the rest. *)
+  (* The engine lets go of the connection: out of the table, its timers
+     cleared, its challenge counters folded into the engine's, and its
+     buffers released.  The application's handle keeps the rest. *)
   and retire conn =
     let t = conn.tcp and tcb = conn.tcb in
     conn.dead <- true;
     leave_half_open conn;
     Array.iter (Option.iter Fox_sched.Timer.clear) conn.timers;
     Conns.remove t.conns (endpoints conn);
-    Bus.unregister_stats ~id:tcb.Tcb.obs_id;
     let d = t.dead_challenges in
     d.tally_sent <- d.tally_sent + tcb.Tcb.challenge_acks_sent;
     d.tally_limited <- d.tally_limited + tcb.Tcb.challenge_acks_limited;
@@ -1001,8 +996,6 @@ end = struct
        challenge-ACK cap (its private budget is already in the TCB) *)
     tcb.Tcb.chall_cap <- t.chall_cap;
     Conns.replace t.conns (host, local_port, remote_port) conn;
-    Bus.register_stats ~id:tcb.Tcb.obs_id (fun () ->
-        Stats.to_string (snapshot conn));
     if !Bus.live then
       Bus.emit ~layer:"tcp" ~conn:tcb.Tcb.obs_id
         (Bus.State { from_ = "CLOSED"; to_ = Tcb.state_name state });
@@ -1266,7 +1259,7 @@ end = struct
         Some (Aux.pseudo lconn ~proto:proto_number ~len:(Packet.length packet))
       else None
     in
-    match Action.internalize ~alg:runtime_params.checksum_alg ~pseudo packet ~now with
+    match Action.internalize ~pseudo packet ~now with
     | Error _ ->
       t.bad_segments <- t.bad_segments + 1;
       Packet.release packet
@@ -1601,8 +1594,8 @@ end = struct
       (Lower.start_passive lower
          (Aux.default_pattern ~proto:proto_number)
          (fun lconn -> ((fun packet -> receive t lconn packet), ignore)));
-    (* engine-level counters on the bus, alongside the per-connection
-       snapshots: this is where the overload policy's refusals show up
+    (* engine-level counters on the bus (per-connection rows come from
+       [snapshots]): this is where the overload policy's refusals show up
        even when the refused connection never existed *)
     Bus.register_stats
       ~id:

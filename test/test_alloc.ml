@@ -81,7 +81,7 @@ let test_bulk () =
   let segments =
     r.Experiments.sender_segments + r.Experiments.receiver_segments
   in
-  check_bound "words per segment" ~measured:379.9 ~bound:400.0
+  check_bound "words per segment" ~measured:375.9 ~bound:400.0
     (words /. float_of_int segments)
 
 (* The serve path: a fixed 50-connection HTTP load, words promoted per

@@ -275,6 +275,16 @@ let test_blind_data_injects_nothing () =
   Alcotest.(check (list string)) "no invariant faults" []
     r.Scenarios.invariant_faults
 
+(* The per-cell verdict [foxnet scenarios] exits on: a cell that
+   delivered the right number of bytes, some of them forged, fails. *)
+let test_verdict_counts_injection () =
+  let r = Scenarios.run_cell ~quick:true ~cc:"reno" (find_scn "blind_data") in
+  Alcotest.(check (list string)) "the real cell passes" []
+    (Scenarios.problems r);
+  Alcotest.(check (list string)) "forged bytes fail it"
+    [ "blind_data/reno: 3 bytes INJECTED" ]
+    (Scenarios.problems { r with Scenarios.injected_bytes = 3 })
+
 let () =
   Alcotest.run "attack"
     [
@@ -320,5 +330,7 @@ let () =
             test_blind_syn_guarded_survives;
           Alcotest.test_case "blind-data injects nothing" `Quick
             test_blind_data_injects_nothing;
+          Alcotest.test_case "verdict counts injection" `Quick
+            test_verdict_counts_injection;
         ] );
     ]

@@ -583,7 +583,7 @@ let rng_bool_bias =
    implementations against the naive reference over every offset 0–7 ×
    length 0–67 of a random buffer — all the alignment/parity shapes the
    optimised loop special-cases. *)
-let checksum_alg_grid =
+let checksum_grid =
   qtest ~count:60 "checksum: basic = optimized = reference on offset grid"
     QCheck2.Gen.(string_size (int_range 75 160))
     (fun s ->
@@ -870,7 +870,7 @@ let () =
           checksum_split;
           checksum_verify;
           checksum_adjust;
-          checksum_alg_grid;
+          checksum_grid;
         ] );
       ( "copy",
         Alcotest.test_case "exact" `Quick test_copy_exact

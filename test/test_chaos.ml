@@ -169,6 +169,16 @@ let test_cell_fingerprint_replays () =
   Alcotest.(check bool) "the storm actually duplicated frames" true
     (r1.Chaos.chaos.Link.chaos_duplicated > 0)
 
+(* The per-cell verdict [foxnet chaos] applies to whole and sliced runs:
+   a guarded blackhole cell whose detector never fired fails it even
+   though the transfer completed. *)
+let test_verdict_needs_a_shrink () =
+  let r = Chaos.run_cell ~quick:true ~cc:"reno" "mtu_blackhole" in
+  Alcotest.(check (list string)) "the real cell passes" [] (Chaos.problems r);
+  Alcotest.(check (list string)) "no shrink fails it"
+    [ "mtu_blackhole/reno: blackhole detection never fired" ]
+    (Chaos.problems { r with Chaos.blackhole_shrinks = 0 })
+
 (* ------------------------------------------------------------------ *)
 (* The socket read deadline                                           *)
 (* ------------------------------------------------------------------ *)
@@ -421,6 +431,8 @@ let () =
             test_slowloris_teeth_starve;
           Alcotest.test_case "cell fingerprint replays" `Quick
             test_cell_fingerprint_replays;
+          Alcotest.test_case "verdict needs a shrink" `Quick
+            test_verdict_needs_a_shrink;
         ] );
       ( "deadlines",
         [

@@ -1,126 +1,14 @@
-(* Tests for the extension features: CML-style channels, the blocking
-   socket veneer, the priority to_do queue, and the window-size functor
-   instantiations. *)
+(* Tests for the extension features: the blocking socket veneer, the
+   priority to_do queue, keep-alive, the window-size functor
+   instantiations, and the [Cond] mailbox under many threads. *)
 
 open Fox_basis
 module Scheduler = Fox_sched.Scheduler
-module Channel = Fox_sched.Channel
+module Cond = Fox_sched.Cond
 module Network = Fox_stack.Network
 module Stack = Fox_stack.Stack
 module Tcp_socket = Fox_stack.Stack.Tcp_socket
 module Socket = Fox_proto.Socket
-
-(* ------------------------------------------------------------------ *)
-(* Channels                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_channel_rendezvous () =
-  let got = ref 0 in
-  let sender_resumed_at = ref (-1) in
-  let _ =
-    Scheduler.run (fun () ->
-        let ch = Channel.create () in
-        Scheduler.fork (fun () ->
-            Channel.send ch 42;
-            sender_resumed_at := Scheduler.now ());
-        Scheduler.sleep 100;
-        got := Channel.recv ch)
-  in
-  Alcotest.(check int) "value" 42 !got;
-  Alcotest.(check int) "sender blocked until rendezvous" 100 !sender_resumed_at
-
-let test_channel_receiver_blocks () =
-  let order = ref [] in
-  let _ =
-    Scheduler.run (fun () ->
-        let ch = Channel.create () in
-        Scheduler.fork (fun () ->
-            order := `Recv_start :: !order;
-            let v = Channel.recv ch in
-            order := `Got v :: !order);
-        Scheduler.sleep 50;
-        order := `Send :: !order;
-        Channel.send ch 7)
-  in
-  Alcotest.(check bool) "sequence" true
-    (List.rev !order = [ `Recv_start; `Send; `Got 7 ])
-
-let test_channel_fifo_pairing () =
-  let got = ref [] in
-  let _ =
-    Scheduler.run (fun () ->
-        let ch = Channel.create () in
-        for i = 1 to 3 do
-          Scheduler.fork (fun () -> Channel.send ch i)
-        done;
-        Scheduler.sleep 10;
-        Alcotest.(check int) "three waiting" 3 (Channel.waiting_senders ch);
-        for _ = 1 to 3 do
-          got := Channel.recv ch :: !got
-        done)
-  in
-  Alcotest.(check (list int)) "fifo order" [ 1; 2; 3 ] (List.rev !got)
-
-let test_channel_try_ops () =
-  let _ =
-    Scheduler.run (fun () ->
-        let ch = Channel.create () in
-        Alcotest.(check bool) "try_send with no receiver" false
-          (Channel.try_send ch 1);
-        Alcotest.(check (option int)) "try_recv with no sender" None
-          (Channel.try_recv ch);
-        Scheduler.fork (fun () -> Channel.send ch 9);
-        Scheduler.sleep 10;
-        Alcotest.(check (option int)) "try_recv with sender" (Some 9)
-          (Channel.try_recv ch))
-  in
-  ()
-
-let test_channel_select () =
-  let winner = ref (-1, -1) in
-  let _ =
-    Scheduler.run (fun () ->
-        let a = Channel.create () and b = Channel.create () in
-        Scheduler.fork (fun () ->
-            Scheduler.sleep 100;
-            Channel.send b 55);
-        winner := Channel.select [ a; b ])
-  in
-  Alcotest.(check (pair int int)) "second channel won" (1, 55) !winner
-
-let test_channel_select_ready_first () =
-  let winner = ref (-1, -1) in
-  let _ =
-    Scheduler.run (fun () ->
-        let a = Channel.create () and b = Channel.create () in
-        Scheduler.fork (fun () -> Channel.send b 1);
-        Scheduler.fork (fun () -> Channel.send a 2);
-        Scheduler.sleep 10;
-        (* both ready: the earliest channel in the list wins *)
-        winner := Channel.select [ a; b ])
-  in
-  Alcotest.(check (pair int int)) "list order tie-break" (0, 2) !winner
-
-let test_channel_pipeline () =
-  (* a 3-stage pipeline: numbers -> squares -> sum *)
-  let total = ref 0 in
-  let _ =
-    Scheduler.run (fun () ->
-        let nums = Channel.create () and squares = Channel.create () in
-        Scheduler.fork (fun () ->
-            for i = 1 to 10 do
-              Channel.send nums i
-            done);
-        Scheduler.fork (fun () ->
-            for _ = 1 to 10 do
-              let n = Channel.recv nums in
-              Channel.send squares (n * n)
-            done);
-        for _ = 1 to 10 do
-          total := !total + Channel.recv squares
-        done)
-  in
-  Alcotest.(check int) "sum of squares" 385 !total
 
 (* ------------------------------------------------------------------ *)
 (* Sockets                                                            *)
@@ -624,10 +512,12 @@ let socket_stream_property =
          in
          !eof && Buffer.contents got = String.concat "" chunks))
 
-let channel_conservation =
+(* Every value signalled into a [Cond] is taken exactly once, whatever
+   the mix of producers and consumers and whoever blocks first. *)
+let cond_conservation =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:50
-       ~name:"channel: N producers M consumers conserve the multiset"
+       ~name:"cond: N producers M consumers conserve the multiset"
        QCheck2.Gen.(pair (int_range 1 5) (int_range 1 5))
        (fun (producers, consumers) ->
          let per_producer = 12 in
@@ -637,20 +527,21 @@ let channel_conservation =
          let received = ref [] in
          let _ =
            Scheduler.run (fun () ->
-               let ch = Channel.create () in
+               let c = Cond.create () in
                for p = 0 to producers - 1 do
                  Scheduler.fork (fun () ->
                      for i = 1 to per_producer do
-                       Channel.send ch ((p * 1000) + i)
+                       Cond.signal c ((p * 1000) + i);
+                       Scheduler.yield ()
                      done)
                done;
-               for c = 0 to consumers - 1 do
-                 let n = base + if c < extra then 1 else 0 in
+               for k = 0 to consumers - 1 do
+                 let n = base + if k < extra then 1 else 0 in
                  Scheduler.fork (fun () ->
                      for _ = 1 to n do
-                       (* bind before consing: [recv] blocks, and [!received]
-                          must be read after it returns *)
-                       let v = Channel.recv ch in
+                       (* bind before consing: [wait] blocks, and
+                          [!received] must be read after it returns *)
+                       let v = Cond.wait c in
                        received := v :: !received
                      done)
                done)
@@ -665,17 +556,6 @@ let channel_conservation =
 let () =
   Alcotest.run "fox_extensions"
     [
-      ( "channel",
-        [
-          Alcotest.test_case "rendezvous" `Quick test_channel_rendezvous;
-          Alcotest.test_case "receiver blocks" `Quick test_channel_receiver_blocks;
-          Alcotest.test_case "fifo pairing" `Quick test_channel_fifo_pairing;
-          Alcotest.test_case "try ops" `Quick test_channel_try_ops;
-          Alcotest.test_case "select" `Quick test_channel_select;
-          Alcotest.test_case "select ready-first" `Quick
-            test_channel_select_ready_first;
-          Alcotest.test_case "pipeline" `Quick test_channel_pipeline;
-        ] );
       ( "socket",
         [
           Alcotest.test_case "echo" `Quick test_socket_echo;
@@ -710,5 +590,5 @@ let () =
         [
           Alcotest.test_case "w=1024" `Quick test_small_window_works_and_paces;
         ] );
-      ("properties", [ socket_stream_property; channel_conservation ]);
+      ("properties", [ socket_stream_property; cond_conservation ]);
     ]

@@ -333,6 +333,41 @@ let test_engine_stats_on_bus () =
     (String.length line > 0
     && String.sub line 0 6 = "engine")
 
+(* Connections are photographed on demand by [snapshots]; the bus's
+   process-wide registry holds one provider per engine and nothing per
+   connection, however many are open. *)
+let test_bus_holds_only_engines () =
+  let client_ip, server_ip, _atk_ip = three_hosts () in
+  Bus.reset ();
+  let server = Tcp_tw.create server_ip in
+  let client = Tcp_tw.create client_ip in
+  let ids = ref [] and live = ref 0 in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Tcp_tw.start_passive server { Tcp_tw.local_port = port }
+             (fun _ -> (Packet.release, ignore)));
+        let conns =
+          List.init 3 (fun _ ->
+              Tcp_tw.connect client
+                { Tcp_tw.peer = server_addr; port; local_port = None }
+                (fun _ -> (Packet.release, ignore)))
+        in
+        Scheduler.sleep 10_000;
+        live :=
+          List.length (Tcp_tw.snapshots server)
+          + List.length (Tcp_tw.snapshots client);
+        ids := List.map fst (Bus.stats_snapshots ());
+        List.iter Tcp_tw.abort conns)
+  in
+  Alcotest.(check int) "six live connection ends" 6 !live;
+  Alcotest.(check int) "two providers" 2 (List.length !ids);
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " is an engine") true
+        (String.starts_with ~prefix:"tcp-engine-" id))
+    !ids
+
 (* ------------------------------------------------------------------ *)
 (* The soak harness, miniature                                        *)
 (* ------------------------------------------------------------------ *)
@@ -415,6 +450,8 @@ let () =
         [
           Alcotest.test_case "engine stats on the bus" `Quick
             test_engine_stats_on_bus;
+          Alcotest.test_case "bus holds only engines" `Quick
+            test_bus_holds_only_engines;
         ] );
       ( "soak",
         [
