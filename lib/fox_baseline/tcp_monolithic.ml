@@ -35,41 +35,38 @@ module Seq = Fox_tcp.Seq
 module Tcp_header = Fox_tcp.Tcp_header
 module Bus = Fox_obs.Bus
 
+(** The settings the harnesses move: the fuzzers and [test_time_wait]
+    shorten the timers and the backlog. *)
 module type PARAMS = sig
-  val initial_window : int
-  val compute_checksums : bool
   val rto_initial_us : int
   val rto_min_us : int
-  val rto_max_us : int
-  val max_retransmits : int
   val time_wait_us : int
-  val send_buffer_bytes : int
 
   (** Half-open (SYN-RECEIVED) connections a listener may hold; further
       SYNs are silently dropped.  0 = unbounded. *)
   val listen_backlog : int
-
-  (** RFC 5961 blind-attack defenses: exact-match RST acceptance, SYN
-      challenge instead of reset, ACK-range validation.  Off restores the
-      literal RFC 793 rules (and the blind-forgery weaknesses that come
-      with them).  Unlike the structured engine, the baseline sends its
-      challenge ACKs unthrottled — straight-line code has nowhere natural
-      to hang a global budget, which is itself part of the comparison. *)
-  val rfc5961 : bool
 end
 
 module Default_params : PARAMS = struct
-  let initial_window = 4096
-  let compute_checksums = true
   let rto_initial_us = 1_000_000
   let rto_min_us = 200_000
-  let rto_max_us = 64_000_000
-  let max_retransmits = 12
   let time_wait_us = 60_000_000
-  let send_buffer_bytes = 65536
   let listen_backlog = 128
-  let rfc5961 = true
 end
+
+(* The fixed rest of the configuration.  Checksums are always computed,
+   and the RFC 5961 blind-attack defenses (exact-match RST acceptance,
+   SYN challenge instead of reset, ACK-range validation) are always on.
+   Unlike the structured engine, the baseline sends its challenge ACKs
+   unthrottled — straight-line code has nowhere natural to hang a global
+   budget, which is itself part of the comparison. *)
+let initial_window = 4096
+
+let rto_max_us = 64_000_000
+
+let max_retransmits = 12
+
+let send_buffer_bytes = 65536
 
 type stats = {
   segs_in : int;
@@ -265,7 +262,7 @@ end = struct
         rst;
         syn;
         fin;
-        window = Params.initial_window;
+        window = initial_window;
         urgent = 0;
         mss = mss_opt;
       }
@@ -286,9 +283,7 @@ end = struct
            })
     end;
     let pseudo_for len =
-      if Params.compute_checksums then
-        Some (Aux.pseudo conn.lower ~proto:proto_number ~len)
-      else None
+      Some (Aux.pseudo conn.lower ~proto:proto_number ~len)
     in
     (* x-kernel-style basic checksum.  A lower-layer refusal is treated
        like a lost packet: the retransmit timer recovers.  [externalize]
@@ -306,7 +301,7 @@ end = struct
     with Send_failed _ -> ()
 
   let current_rto conn =
-    clamp Params.rto_min_us Params.rto_max_us (conn.rto lsl conn.backoff)
+    clamp Params.rto_min_us rto_max_us (conn.rto lsl conn.backoff)
 
   let stop_rtx_timer conn =
     match conn.rtx_timer with
@@ -356,7 +351,7 @@ end = struct
       conn.rtx_timer <- None;
       if not (Ring.is_empty conn.unacked) then begin
         let e = Ring.peek conn.unacked in
-        if e.e_sends > Params.max_retransmits then begin
+        if e.e_sends > max_retransmits then begin
           conn.close_reason <- Some Status.Timed_out;
           teardown conn Status.Timed_out
         end
@@ -455,7 +450,7 @@ end = struct
       conn.rttvar <- conn.rttvar + ((abs err - conn.rttvar) / 4)
     end;
     conn.rto <-
-      clamp Params.rto_min_us Params.rto_max_us
+      clamp Params.rto_min_us rto_max_us
         (conn.srtt + max 1 (4 * conn.rttvar))
 
   let ack_now conn = transmit conn ~seq:conn.snd_nxt ~syn:false ~fin:false
@@ -464,16 +459,14 @@ end = struct
   (* [false] means RFC 5961 ack validation rejected the segment: a
      challenge ACK went out and the caller must drop the rest (text
      riding on an unacceptable ack is exactly the blind data-injection
-     vector).  Legacy mode accepts any ack value, as the original
-     straight-line code did. *)
+     vector). *)
   let process_ack conn (hdr : Tcp_header.t) =
     if not hdr.Tcp_header.ack_flag then true
     else begin
       let ack = hdr.Tcp_header.ack in
       if
-        Params.rfc5961
-        && (Seq.gt ack conn.snd_nxt
-           || Seq.lt ack (Seq.add conn.snd_una (-conn.max_snd_wnd)))
+        Seq.gt ack conn.snd_nxt
+        || Seq.lt ack (Seq.add conn.snd_una (-conn.max_snd_wnd))
       then begin
         ack_now conn;
         false
@@ -598,9 +591,9 @@ end = struct
       in
       let seq = hdr.Tcp_header.seq in
       let in_window =
-        Seq.in_window ~base:conn.rcv_nxt ~size:Params.initial_window seq
+        Seq.in_window ~base:conn.rcv_nxt ~size:initial_window seq
         || (seg_len > 0
-           && Seq.in_window ~base:conn.rcv_nxt ~size:Params.initial_window
+           && Seq.in_window ~base:conn.rcv_nxt ~size:initial_window
                 (Seq.add seq (seg_len - 1)))
         || (seg_len = 0 && Seq.equal seq conn.rcv_nxt)
       in
@@ -611,7 +604,7 @@ end = struct
         (* RFC 5961 §3: only an RST at exactly rcv_nxt tears the
            connection down; a merely in-window one draws a challenge ACK
            so a blind forger has to hit one sequence number in 2^32 *)
-        if (not Params.rfc5961) || Seq.equal seq conn.rcv_nxt then begin
+        if Seq.equal seq conn.rcv_nxt then begin
           conn.close_reason <- Some Status.Reset;
           teardown conn Status.Reset
         end
@@ -621,13 +614,7 @@ end = struct
         (* RFC 5961 §4: challenge instead of reset — the legitimate peer
            answers a challenge with a RST at the exact sequence number,
            a forger gets nothing *)
-        if Params.rfc5961 then ack_now conn
-        else begin
-          transmit conn ~seq:conn.snd_nxt ~syn:false ~fin:false ~rst:true
-            ~ack:false ~data:None ~mss_opt:None;
-          conn.close_reason <- Some Status.Reset;
-          teardown conn Status.Reset
-        end
+        ack_now conn
       end
       else begin
         (* SYN-RCVD completes on any acceptable ack *)
@@ -780,11 +767,7 @@ end = struct
               + if hdr.Tcp_header.fin then 1 else 0);
         }
     in
-    let pseudo_for len =
-      if Params.compute_checksums then
-        Some (Aux.pseudo lconn ~proto:proto_number ~len)
-      else None
-    in
+    let pseudo_for len = Some (Aux.pseudo lconn ~proto:proto_number ~len) in
     try
       Fox_tcp.Action.externalize ~alg:`Basic ~pseudo_for ~hdr:rst_hdr
         ~data:None
@@ -796,9 +779,7 @@ end = struct
 
   let receive t lconn packet =
     let pseudo =
-      if Params.compute_checksums then
-        Some (Aux.pseudo lconn ~proto:proto_number ~len:(Packet.length packet))
-      else None
+      Some (Aux.pseudo lconn ~proto:proto_number ~len:(Packet.length packet))
     in
     match Tcp_header.decode ~alg:`Basic ~pseudo packet with
     | Error _ -> t.bad_segments <- t.bad_segments + 1
@@ -899,7 +880,7 @@ end = struct
 
   let send conn packet =
     if conn.st = DEAD then raise (Send_failed "baseline tcp: closed");
-    while conn.st <> DEAD && conn.pending_bytes >= Params.send_buffer_bytes do
+    while conn.st <> DEAD && conn.pending_bytes >= send_buffer_bytes do
       Fox_sched.Cond.wait conn.send_space
     done;
     if conn.st = DEAD then raise (Send_failed "baseline tcp: closed");

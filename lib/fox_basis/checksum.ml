@@ -111,13 +111,6 @@ let pseudo_ipv4 ~src ~dst ~proto ~len =
   let acc = add_u16 acc (proto land 0xFF) in
   add_u16 acc (len land 0xFFFF)
 
-let adjust ~checksum ~old_u16 ~new_u16 =
-  (* RFC 1624: HC' = ~(~HC + ~m + m') using one's-complement arithmetic. *)
-  let s =
-    (lnot checksum land 0xFFFF) + (lnot old_u16 land 0xFFFF) + (new_u16 land 0xFFFF)
-  in
-  lnot (fold16 s) land 0xFFFF
-
 let reference b off len =
   let sum = ref 0 in
   for i = 0 to len - 1 do

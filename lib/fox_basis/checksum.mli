@@ -53,9 +53,6 @@ val add_string : ?alg:alg -> acc -> string -> acc
     even parity (raises [Invalid_argument] otherwise). *)
 val add_u16 : acc -> int -> acc
 
-(** [add_u32 acc v] accumulates a 32-bit word as two 16-bit words. *)
-val add_u32 : acc -> int -> acc
-
 (** [finish acc] folds the accumulator to the 16-bit one's-complement sum
     (not complemented). *)
 val finish : acc -> int
@@ -77,10 +74,6 @@ val valid : acc -> bool
     the TCP/UDP pseudo-header: source and destination 32-bit addresses, the
     protocol number and the transport-layer length. *)
 val pseudo_ipv4 : src:int -> dst:int -> proto:int -> len:int -> acc
-
-(** [adjust ~checksum ~old_u16 ~new_u16] is the RFC 1624 incremental update
-    of a checksum field after one 16-bit word of the covered data changed. *)
-val adjust : checksum:int -> old_u16:int -> new_u16:int -> int
 
 (** Slow, obviously-correct per-byte implementation, used as the oracle in
     property tests. *)

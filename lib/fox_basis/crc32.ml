@@ -21,4 +21,3 @@ let finish crc = crc lxor 0xFFFFFFFF
 
 let digest b off len = finish (update init b off len)
 
-let digest_string s = digest (Bytes.unsafe_of_string s) 0 (String.length s)

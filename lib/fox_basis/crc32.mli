@@ -10,9 +10,6 @@
 (** [digest b off len] is the CRC-32 of the range, as an unsigned int. *)
 val digest : Bytes.t -> int -> int -> int
 
-(** [digest_string s] is the CRC-32 of a whole string. *)
-val digest_string : string -> int
-
 (** Streaming interface: [update crc b off len] continues a digest started
     from [init]. [finish] applies the final complement. *)
 val init : int

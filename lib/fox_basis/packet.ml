@@ -140,12 +140,6 @@ let of_string ?headroom ?tailroom s =
   bytes_copied := !bytes_copied + String.length s;
   p
 
-let of_bytes ?headroom ?tailroom b =
-  let p = create ?headroom ?tailroom (Bytes.length b) in
-  Bytes.blit b 0 p.buf p.off (Bytes.length b);
-  bytes_copied := !bytes_copied + Bytes.length b;
-  p
-
 let length p = p.len
 
 let headroom p = p.off
@@ -351,13 +345,6 @@ let blit p poff dst doff len =
   bytes_copied := !bytes_copied + len
 
 let to_string p = Bytes.sub_string p.buf p.off p.len
-
-let append ?(headroom = 0) a b =
-  let q = create ~headroom (a.len + b.len) in
-  Bytes.blit a.buf a.off q.buf q.off a.len;
-  Bytes.blit b.buf b.off q.buf (q.off + a.len) b.len;
-  bytes_copied := !bytes_copied + a.len + b.len;
-  q
 
 type saved = { s_buf : Bytes.t; s_off : int; s_len : int }
 

@@ -19,9 +19,6 @@ val create : ?headroom:int -> ?tailroom:int -> int -> t
     of [s]. *)
 val of_string : ?headroom:int -> ?tailroom:int -> string -> t
 
-(** [of_bytes ?headroom ?tailroom b] copies [b] into a fresh packet. *)
-val of_bytes : ?headroom:int -> ?tailroom:int -> Bytes.t -> t
-
 (** [length p] is the current length of the visible window. *)
 val length : t -> int
 
@@ -168,10 +165,6 @@ val blit : t -> int -> Bytes.t -> int -> int -> unit
 (** [to_string p] is a copy of the window as a string. *)
 val to_string : t -> string
 
-(** [append a b] is a fresh packet holding [a]'s window followed by
-    [b]'s window. *)
-val append : ?headroom:int -> t -> t -> t
-
 (** Expose the underlying buffer for checksum/copy inner loops:
     [buffer p] with [offset p] is the start of the window.  Mutating
     functions must stay within [length p]. *)
@@ -203,7 +196,7 @@ val restore : t -> saved -> unit
     headroom — a measure of mis-sized allocations on the fast path. *)
 val reallocations : unit -> int
 
-(** Total bytes moved by plain packet copies ([sub]/[copy]/[append] and
+(** Total bytes moved by plain packet copies ([sub]/[copy] and
     blits) since program start — the copy half of the data-touching meter
     for the fast-path ablation ({!Copy.bytes_fused} counts [copy_fused]). *)
 val bytes_copied : int ref

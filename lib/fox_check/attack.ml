@@ -37,11 +37,6 @@ module Seq = Fox_tcp.Seq
 
 type kind = Blind_rst | Blind_syn | Blind_data
 
-let kind_name = function
-  | Blind_rst -> "blind-rst"
-  | Blind_syn -> "blind-syn"
-  | Blind_data -> "blind-data"
-
 (** How the attacker picks the SEQ of each probe.  [Random] is the pure
     blind model.  [Sweep] walks a band in [stride] steps (wrapping at
     [span]) — the classic ISN-prediction attack: the victim stack derives

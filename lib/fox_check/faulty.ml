@@ -1,4 +1,4 @@
-(** Deterministic fault injection as a virtual protocol.
+(** Deterministic fault injection as a {!Fox_proto.Virtual} protocol.
 
     [Make (P)] is a protocol identical to [P] — same addresses, same wire
     format, no header — that injects failures at the module boundary:
@@ -9,8 +9,8 @@
     {!Fox_basis.Rng}, so a failing composition replays exactly from its
     seed.
 
-    Because the functor preserves the address types (like
-    {!Fox_proto.Meter}), a faulty layer slots in anywhere in a stack:
+    Because the functor preserves the address types, a faulty layer
+    slots in anywhere in a stack:
 
     {[
       module Feth = Faulty.Make (Fox_eth.Eth.Standard)
@@ -60,188 +60,88 @@ module Make
            with type incoming_message = Packet.t
             and type outgoing_message = Packet.t) : sig
   include
-    Protocol.PROTOCOL
-      with type address = P.address
-       and type address_pattern = P.address_pattern
-       and type incoming_message = Packet.t
-       and type outgoing_message = Packet.t
+    Fox_proto.Virtual.S
+      with type lower_connection := P.connection
+       and type lower_address := P.address
+       and type lower_pattern := P.address_pattern
 
   val create : P.t -> config -> t
 
-  (** The wrapped connection, for auxiliary structures. *)
-  val inner : connection -> P.connection
-
   val stats : t -> stats
-
-  (** Lift an [IP_AUX] structure over [P] to one over the faulty
-      protocol. *)
-  module Lift_aux
-      (Aux : Protocol.IP_AUX
-               with type lower_connection = P.connection
-                and type lower_address = P.address
-                and type lower_pattern = P.address_pattern) :
-    Protocol.IP_AUX
-      with type host = Aux.host
-       and type lower_address = address
-       and type lower_pattern = address_pattern
-       and type lower_connection = connection
 end = struct
-  include Fox_proto.Common
-
-  type address = P.address
-
-  type address_pattern = P.address_pattern
-
-  type incoming_message = Packet.t
-
-  type outgoing_message = Packet.t
-
-  type data_handler = incoming_message -> unit
-
-  type status_handler = Fox_proto.Status.t -> unit
-
-  type t = {
-    inner_instance : P.t;
-    config : config;
-    mutable connects_to_fail : int;
-    mutable allocate_failures : int;
-    mutable send_failures : int;
-    mutable send_drops : int;
-    mutable connect_failures : int;
-  }
-
-  type connection = { faulty : t; pconn : P.connection }
-
-  type listener = P.listener
-
-  type handler = connection -> data_handler * status_handler
-
-  let inner conn = conn.pconn
-
-  let create inner_instance config =
-    {
-      inner_instance;
-      config;
-      connects_to_fail = config.connect_fail;
-      allocate_failures = 0;
-      send_failures = 0;
-      send_drops = 0;
-      connect_failures = 0;
+  module Hooks = struct
+    type state = {
+      config : config;
+      mutable connects_to_fail : int;
+      mutable allocate_failures : int;
+      mutable send_failures : int;
+      mutable send_drops : int;
+      mutable connect_failures : int;
     }
 
-  (* Draw from the stream only for enabled fault classes, so switching one
-     class off does not perturb the others' decisions for a given seed. *)
-  let roll t p = p > 0.0 && Rng.bool t.config.rng p
+    (* Draw from the stream only for enabled fault classes, so switching one
+       class off does not perturb the others' decisions for a given seed. *)
+    let roll t p = p > 0.0 && Rng.bool t.config.rng p
 
-  let wrap_handler t (handler : handler) =
-    fun pconn ->
-    let conn = { faulty = t; pconn } in
-    handler conn
-
-  let connect t address handler =
-    if t.connects_to_fail > 0 then begin
-      t.connects_to_fail <- t.connects_to_fail - 1;
-      t.connect_failures <- t.connect_failures + 1;
-      raise (Connection_failed "injected transient connect failure")
-    end;
-    let pconn = P.connect t.inner_instance address (wrap_handler t handler) in
-    { faulty = t; pconn }
-
-  let start_passive t pattern handler =
-    P.start_passive t.inner_instance pattern (wrap_handler t handler)
-
-  let stop_passive l = P.stop_passive l
-
-  let send conn packet =
-    let t = conn.faulty in
-    if roll t t.config.send_fail then begin
-      t.send_failures <- t.send_failures + 1;
-      raise (Send_failed "injected send failure")
-    end
-    else if roll t t.config.send_drop then
-      (* the layer accepts the packet and loses it, like a full device
-         queue: no error reaches the caller *)
-      t.send_drops <- t.send_drops + 1
-    else P.send conn.pconn packet
-
-  let prepare_send conn =
-    let inner_send = P.prepare_send conn.pconn in
-    let t = conn.faulty in
-    fun packet ->
+    let send_stage t inner_send packet =
       if roll t t.config.send_fail then begin
         t.send_failures <- t.send_failures + 1;
-        raise (Send_failed "injected send failure")
+        raise (Fox_proto.Common.Send_failed "injected send failure")
       end
       else if roll t t.config.send_drop then
+        (* the layer accepts the packet and loses it, like a full device
+           queue: no error reaches the caller *)
         t.send_drops <- t.send_drops + 1
       else inner_send packet
 
-  let allocate_send conn len =
-    let t = conn.faulty in
-    if roll t t.config.allocate_fail then begin
-      t.allocate_failures <- t.allocate_failures + 1;
-      raise (Send_failed "injected allocation failure")
-    end;
-    P.allocate_send conn.pconn len
+    let upcall _ data = data
 
-  let close conn = P.close conn.pconn
+    let check t = function
+      | Fox_proto.Virtual.Connect ->
+        if t.connects_to_fail > 0 then begin
+          t.connects_to_fail <- t.connects_to_fail - 1;
+          t.connect_failures <- t.connect_failures + 1;
+          raise
+            (Fox_proto.Common.Connection_failed
+               "injected transient connect failure")
+        end
+      | Allocate ->
+        if roll t t.config.allocate_fail then begin
+          t.allocate_failures <- t.allocate_failures + 1;
+          raise (Fox_proto.Common.Send_failed "injected allocation failure")
+        end
 
-  let abort conn = P.abort conn.pconn
+    let finalize t inner =
+      if t.config.finalize_abort then begin
+        (* drive the wrapped instance all the way down: its connections are
+           aborted no matter how many initializations are outstanding *)
+        while inner () > 0 do
+          ()
+        done;
+        0
+      end
+      else inner ()
+  end
 
-  let initialize t = P.initialize t.inner_instance
+  include Fox_proto.Virtual.Make (P) (Hooks)
 
-  let finalize t =
-    if t.config.finalize_abort then begin
-      (* drive the wrapped instance all the way down: its connections are
-         aborted no matter how many initializations are outstanding *)
-      while P.finalize t.inner_instance > 0 do
-        ()
-      done;
-      0
-    end
-    else P.finalize t.inner_instance
-
-  let max_packet_size conn = P.max_packet_size conn.pconn
-
-  let headroom conn = P.headroom conn.pconn
-
-  let tailroom conn = P.tailroom conn.pconn
-
-  let pp_address = P.pp_address
+  let create inner config =
+    make inner
+      {
+        Hooks.config;
+        connects_to_fail = config.connect_fail;
+        allocate_failures = 0;
+        send_failures = 0;
+        send_drops = 0;
+        connect_failures = 0;
+      }
 
   let stats t =
+    let s = state t in
     {
-      allocate_failures = t.allocate_failures;
-      send_failures = t.send_failures;
-      send_drops = t.send_drops;
-      connect_failures = t.connect_failures;
+      allocate_failures = s.allocate_failures;
+      send_failures = s.send_failures;
+      send_drops = s.send_drops;
+      connect_failures = s.connect_failures;
     }
-
-  module Lift_aux
-      (Aux : Protocol.IP_AUX with type lower_connection = P.connection) =
-  struct
-    type host = Aux.host
-
-    type lower_address = Aux.lower_address
-
-    type lower_pattern = Aux.lower_pattern
-
-    type lower_connection = connection
-
-    let hash = Aux.hash
-
-    let equal = Aux.equal
-
-    let to_string = Aux.to_string
-
-    let lower_address = Aux.lower_address
-
-    let default_pattern = Aux.default_pattern
-
-    let source conn = Aux.source conn.pconn
-
-    let pseudo conn ~proto ~len = Aux.pseudo conn.pconn ~proto ~len
-
-    let mtu conn = Aux.mtu conn.pconn
-  end
 end

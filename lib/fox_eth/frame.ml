@@ -47,6 +47,3 @@ let check_and_strip_fcs p =
     end
     else false
   end
-
-let pp_header fmt { dst; src; ethertype } =
-  Format.fprintf fmt "%a -> %a type 0x%04x" Mac.pp src Mac.pp dst ethertype

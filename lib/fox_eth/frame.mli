@@ -32,5 +32,3 @@ val append_fcs : Fox_basis.Packet.t -> unit
     it and returns [true], otherwise leaves the packet alone and returns
     [false]. *)
 val check_and_strip_fcs : Fox_basis.Packet.t -> bool
-
-val pp_header : Format.formatter -> header -> unit

@@ -4,10 +4,6 @@ let min_length = 20
 
 let proto_icmp = 1
 
-let proto_tcp = 6
-
-let proto_udp = 17
-
 type t = {
   tos : int;
   total_length : int;

@@ -9,8 +9,6 @@ val min_length : int
 (** IP protocol numbers used in this stack. *)
 
 val proto_icmp : int
-val proto_tcp : int
-val proto_udp : int
 
 type t = {
   tos : int;

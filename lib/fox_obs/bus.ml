@@ -17,14 +17,12 @@ type event = { time : int; layer : string; conn : string; kind : kind }
 
 let live = ref false
 
-let enabled () = !live
-
 (* One process-wide bus, touched by every shard: the registries and rings
    below are guarded by a single mutex.  The switch itself stays a plain
    ref — the hot path reads [!live] before paying for anything else, and
    a torn read there costs at worst one event recorded or skipped around
-   the toggle instant.  Subscriber and stats-provider closures are called
-   *outside* the lock (they may re-enter the bus). *)
+   the toggle instant.  Stats-provider closures are called *outside* the
+   lock (they may re-enter the bus). *)
 let lock = Mutex.create ()
 
 let locked f = Mutex.protect lock f
@@ -33,61 +31,29 @@ let locked f = Mutex.protect lock f
 (* Rings: the global one and one per connection, all of typed events   *)
 (* ------------------------------------------------------------------ *)
 
+(* A {!Fox_basis.Ring} holding at most [cap] events: recording into a
+   full one drops its oldest event.  The ring grows on demand, so a
+   connection's allocates on its first event. *)
+type log = { ring : event Fox_basis.Ring.t; cap : int; mutable dropped : int }
+
 let sentinel = { time = 0; layer = ""; conn = ""; kind = Note "" }
 
-type ring = {
-  mutable items : event array;
-  mutable head : int;
-  mutable len : int;
-  mutable dropped : int;
-}
+let log cap = { ring = Fox_basis.Ring.create ~dummy:sentinel; cap; dropped = 0 }
 
-let ring capacity =
-  { items = Array.make capacity sentinel; head = 0; len = 0; dropped = 0 }
+let record l ev =
+  if Fox_basis.Ring.length l.ring = l.cap then begin
+    ignore (Fox_basis.Ring.pop l.ring);
+    l.dropped <- l.dropped + 1
+  end;
+  Fox_basis.Ring.push l.ring ev
 
-let ring_add r ev =
-  let cap = Array.length r.items in
-  r.items.((r.head + r.len) mod cap) <- ev;
-  if r.len < cap then r.len <- r.len + 1
-  else begin
-    r.head <- (r.head + 1) mod cap;
-    r.dropped <- r.dropped + 1
-  end
-
-let ring_events r =
-  List.init r.len (fun i -> r.items.((r.head + i) mod Array.length r.items))
-
-let global = ring 4096
+let global = ref (log 4096)
 
 let per_conn_capacity = ref 512
 
-let conn_rings : (string, ring) Hashtbl.t = Hashtbl.create 16
+let conn_rings : (string, log) Hashtbl.t = Hashtbl.create 16
 
 let emitted_count = ref 0
-
-(* ------------------------------------------------------------------ *)
-(* Subscribers and toggle listeners                                    *)
-(* ------------------------------------------------------------------ *)
-
-type subscription = int
-
-let next_sub = ref 0
-
-let subscribers : (int * (event -> unit)) list ref = ref []
-
-let subscribe f =
-  locked (fun () ->
-      incr next_sub;
-      subscribers := (!next_sub, f) :: !subscribers;
-      !next_sub)
-
-let unsubscribe id =
-  locked (fun () ->
-      subscribers := List.filter (fun (i, _) -> i <> id) !subscribers)
-
-let toggle_listeners : (bool -> unit) list ref = ref []
-
-let on_toggle f = locked (fun () -> toggle_listeners := f :: !toggle_listeners)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -122,21 +88,17 @@ let emit ?time ?(conn = "-") ~layer kind =
   if !live then begin
     let time = match time with Some t -> t | None -> now () in
     let ev = { time; layer; conn; kind } in
-    let subs =
-      locked (fun () ->
-          incr emitted_count;
-          ring_add global ev;
-          if conn <> "-" then begin
-            match Hashtbl.find_opt conn_rings conn with
-            | Some r -> ring_add r ev
-            | None ->
-              let r = ring !per_conn_capacity in
-              Hashtbl.add conn_rings conn r;
-              ring_add r ev
-          end;
-          !subscribers)
-    in
-    List.iter (fun (_, f) -> f ev) subs
+    locked (fun () ->
+        incr emitted_count;
+        record !global ev;
+        if conn <> "-" then begin
+          match Hashtbl.find_opt conn_rings conn with
+          | Some l -> record l ev
+          | None ->
+            let l = log !per_conn_capacity in
+            Hashtbl.add conn_rings conn l;
+            record l ev
+        end)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -176,9 +138,7 @@ let histograms () =
 
 let reset () =
   locked (fun () ->
-      global.head <- 0;
-      global.len <- 0;
-      global.dropped <- 0;
+      global := log !global.cap;
       emitted_count := 0;
       Hashtbl.reset conn_rings;
       (* stats providers too: a reset marks a fresh experiment, and stale
@@ -186,39 +146,25 @@ let reset () =
          for the life of the process *)
       Hashtbl.reset stats_providers)
 
-(* Flip the switch; the listeners of an actual edge run outside the lock. *)
-let toggle on =
-  let was = !live in
-  live := on;
-  if was = on then [] else !toggle_listeners
-
 let enable ?capacity ?per_conn () =
-  let listeners =
-    locked (fun () ->
-        (match capacity with
-        | Some c when c > 0 && c <> Array.length global.items ->
-          global.items <- Array.make c sentinel;
-          global.head <- 0;
-          global.len <- 0
-        | _ -> ());
-        (match per_conn with
-        | Some c when c > 0 -> per_conn_capacity := c
-        | _ -> ());
-        toggle true)
-  in
-  List.iter (fun f -> f true) listeners
+  locked (fun () ->
+      (match capacity with
+      | Some c when c > 0 && c <> !global.cap -> global := log c
+      | _ -> ());
+      (match per_conn with
+      | Some c when c > 0 -> per_conn_capacity := c
+      | _ -> ());
+      live := true)
 
-let disable () =
-  let listeners = locked (fun () -> toggle false) in
-  List.iter (fun f -> f false) listeners
+let disable () = live := false
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let events () = locked (fun () -> ring_events global)
+let events () = locked (fun () -> Fox_basis.Ring.to_list !global.ring)
 
-let dropped () = locked (fun () -> global.dropped)
+let dropped () = locked (fun () -> !global.dropped)
 
 let emitted () = locked (fun () -> !emitted_count)
 
@@ -234,7 +180,10 @@ let dump () =
     (events ())
 
 let dump_conn id =
-  locked (fun () -> Option.map ring_events (Hashtbl.find_opt conn_rings id))
+  locked (fun () ->
+      Option.map
+        (fun l -> Fox_basis.Ring.to_list l.ring)
+        (Hashtbl.find_opt conn_rings id))
   |> Option.value ~default:[]
   |> List.map (fun ev ->
          Printf.sprintf "[%8d us] %s %s" ev.time ev.layer (render_kind ev.kind))

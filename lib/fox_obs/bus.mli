@@ -5,9 +5,16 @@
     state transition, retransmission, meter span — stamped with virtual
     time, the emitting layer, and (when connection-scoped) a connection
     id.  Each event lands in a bounded global ring {e and}, when it names
-    a connection, in that connection's bounded ring of the same type, so a
-    post-mortem can replay either one connection's history or the
-    interleaved whole.  Nothing is formatted until a ring is read.
+    a connection, in that connection's bounded ring, so a post-mortem can
+    replay either one connection's history or the interleaved whole.  Both
+    are a {!Fox_basis.Ring} with a cap and a drop count: a full ring drops
+    its oldest event, and a connection's ring allocates on its first
+    event.  Nothing is formatted until a ring is read.
+
+    The bus has no subscribers: its readers ([foxnet trace], the
+    harnesses' failure dumps, the tests) read the rings back, and the one
+    component that follows the switch, the network's pcap tap, reads
+    [!live] directly.
 
     The bus is the paper's functor-parameter print and trace switches made
     first-class: instead of each functor owning a private trace, every
@@ -47,18 +54,12 @@ type event = {
     every emission site. *)
 val live : bool ref
 
-(** [enabled ()] is [!live] behind a call, for code that prefers a
-    function. *)
-val enabled : unit -> bool
-
 (** [enable ?capacity ?per_conn ()] turns the bus on.  [capacity] resizes
     the global ring (discarding its contents); [per_conn] sets the ring
-    size used for connections first seen after the call.  Toggle
-    listeners observe the off→on edge. *)
+    size used for connections first seen after the call. *)
 val enable : ?capacity:int -> ?per_conn:int -> unit -> unit
 
-(** [disable ()] turns the bus off (rings are kept for inspection).
-    Toggle listeners observe the on→off edge. *)
+(** [disable ()] turns the bus off (rings are kept for inspection). *)
 val disable : unit -> unit
 
 (** [reset ()] clears both rings and the emission counter without
@@ -92,21 +93,6 @@ val dump : unit -> string list
 (** [dump_conn id] renders one connection's ring, oldest first, as
     ["[%8d us] <layer> <kind>"] lines ([[]] for an unknown id). *)
 val dump_conn : string -> string list
-
-(** {2 Subscribers}
-
-    Called synchronously on every emitted event while the bus is on —
-    e.g. a pcap writer that captures on demand. *)
-
-type subscription
-
-val subscribe : (event -> unit) -> subscription
-
-val unsubscribe : subscription -> unit
-
-(** [on_toggle f] calls [f true]/[f false] on every off→on / on→off edge
-    — the hook pcap-on-demand hangs from. *)
-val on_toggle : (bool -> unit) -> unit
 
 (** {2 Stats providers}
 

@@ -34,9 +34,6 @@ let run ~shards f =
     Array.init shards (fun k -> Domain.spawn (fun () -> f k))
     |> Array.map Domain.join
 
-(* [recommended ()] is a sane default shard count for this machine. *)
-let recommended () = max 1 (Domain.recommended_domain_count () - 1)
-
 (* ------------------------------------------------------------------ *)
 (* Frame classification (the demux handoff)                            *)
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,8 @@
 open Fox_basis
 open Tcb
 
+(* How much new sequence space may be sent: min(peer window, congestion
+   window) minus what is in flight, floored at 0. *)
 let usable_window tcb = max 0 (min tcb.snd_wnd tcb.cwnd - flight_size tcb)
 
 (* Take up to [budget] bytes off the front of the send queue.  When a

@@ -137,6 +137,12 @@ let abort (_params : params) state =
     add_to_do tcb Delete_tcb;
     Closed
 
+let rtx_limit_reason = "retransmission limit exceeded"
+
+let persist_reason = "persist timeout"
+
+let user_timeout_reason = "user timeout"
+
 let give_up tcb ~reason =
   if !Bus.live then
     Bus.emit ~layer:"tcp.state" ~conn:tcb.obs_id
@@ -153,7 +159,7 @@ let timer_expired (params : params) state kind ~now =
     match kind with
     | Retransmit ->
       if Resend.retransmit params tcb ~now then state
-      else give_up tcb ~reason:"retransmission limit exceeded"
+      else give_up tcb ~reason:rtx_limit_reason
     | Delayed_ack ->
       tcb.ack_timer_on <- false;
       if tcb.ack_pending then begin
@@ -173,7 +179,7 @@ let timer_expired (params : params) state kind ~now =
           (* bounded persist lifetime: the peer has advertised a zero
              window and ignored this many probes — stop holding memory
              for it *)
-          give_up tcb ~reason:"persist timeout"
+          give_up tcb ~reason:persist_reason
         else begin
           Send.probe params tcb ~now;
           state
@@ -233,19 +239,19 @@ let timer_expired (params : params) state kind ~now =
          expiry instant is not failure — abort only when retransmission
          has made no forward progress ([tcb.stalled_since]) for a full
          period. *)
-      if not (synchronized state) then give_up tcb ~reason:"user timeout"
+      if not (synchronized state) then give_up tcb ~reason:user_timeout_reason
       else if params.user_timeout_stalled then
         if
           tcb.stalled_since >= 0
           && now - tcb.stalled_since >= params.user_timeout_us
-        then give_up tcb ~reason:"user timeout"
+        then give_up tcb ~reason:user_timeout_reason
         else begin
           arm_user_timer params tcb;
           state
         end
       else if
         (not (Fox_basis.Ring.is_empty tcb.rtx_q)) || tcb.queued_bytes > 0
-      then give_up tcb ~reason:"user timeout"
+      then give_up tcb ~reason:user_timeout_reason
       else begin
         arm_user_timer params tcb;
         state

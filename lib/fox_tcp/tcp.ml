@@ -901,13 +901,13 @@ end = struct
     | Tcb.User_error msg ->
       if conn.close_reason = None then conn.close_reason <- Some Status.Timed_out;
       (* per-kind abort accounting, keyed on the [State.give_up] reason *)
-      (match msg with
-      | "persist timeout" -> conn.tcp.persist_aborts <- conn.tcp.persist_aborts + 1
-      | "user timeout" ->
-        conn.tcp.user_timeout_aborts <- conn.tcp.user_timeout_aborts + 1
-      | "retransmission limit exceeded" ->
-        conn.tcp.rtx_limit_aborts <- conn.tcp.rtx_limit_aborts + 1
-      | _ -> ())
+      let t = conn.tcp in
+      if msg = State.persist_reason then
+        t.persist_aborts <- t.persist_aborts + 1
+      else if msg = State.user_timeout_reason then
+        t.user_timeout_aborts <- t.user_timeout_aborts + 1
+      else if msg = State.rtx_limit_reason then
+        t.rtx_limit_aborts <- t.rtx_limit_aborts + 1
     | Tcb.Delete_tcb -> delete_tcb conn
 
   and drain conn =

@@ -199,44 +199,6 @@ let ring_deque_ops =
         ops)
 
 (* ------------------------------------------------------------------ *)
-(* Word                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_word_basic () =
-  Alcotest.(check int) "u16 max" 0xFFFF Word.U16.max_value;
-  Alcotest.(check int) "u32 wrap add" 0 Word.U32.(add max_value one);
-  Alcotest.(check int) "u32 wrap sub" Word.U32.max_value Word.U32.(sub zero one);
-  Alcotest.(check int) "u8 of_int" 0x34 (Word.U8.of_int 0x1234);
-  Alcotest.(check string) "hex" "0x0000beef" (Word.U32.to_hex 0xBEEF);
-  Alcotest.(check int) "shl overflow" 0 (Word.U16.shift_left 1 16);
-  Alcotest.(check int) "shr" 0x12 (Word.U16.shift_right 0x1234 8);
-  Alcotest.(check int) "lognot" 0xFFFF0000 (Word.U32.lognot 0xFFFF)
-
-let word_add_assoc =
-  qtest "u32: add wraps like mod 2^32"
-    QCheck2.Gen.(pair (int_bound 0x3FFFFFFF) (int_bound 0x3FFFFFFF))
-    (fun (a, b) ->
-      let open Word.U32 in
-      add (of_int a) (of_int b) = (a + b) land 0xFFFFFFFF)
-
-let word_logic_laws =
-  qtest "words: de morgan and shift laws"
-    QCheck2.Gen.(pair (int_bound 0xFFFF) (int_bound 0xFFFF))
-    (fun (a, b) ->
-      let open Word.U16 in
-      lognot (logand a b) = logor (lognot a) (lognot b)
-      && lognot (logor a b) = logand (lognot a) (lognot b)
-      && shift_left a 3 = of_int (a * 8)
-      && shift_right (shift_left a 4) 4 = logand a 0x0FFF)
-
-let word_sub_inverse =
-  qtest "u32: sub inverts add"
-    QCheck2.Gen.(pair nat nat)
-    (fun (a, b) ->
-      let open Word.U32 in
-      sub (add (of_int a) (of_int b)) (of_int b) = of_int a)
-
-(* ------------------------------------------------------------------ *)
 (* Wire                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -293,8 +255,10 @@ let test_packet_bounds () =
       Packet.trim p 5)
 
 let test_packet_append_sub () =
-  let a = Packet.of_string "abc" and b = Packet.of_string "defg" in
-  let c = Packet.append a b in
+  (* a window filled piece after piece, then a copy of its middle *)
+  let c = Packet.create 7 in
+  Packet.blit_from_string "abc" 0 c 0 3;
+  Packet.blit_from_string "defg" 0 c 3 4;
   Alcotest.(check string) "append" "abcdefg" (Packet.to_string c);
   Alcotest.(check string) "sub" "cde" (Packet.to_string (Packet.sub c 2 3))
 
@@ -418,44 +382,12 @@ let checksum_verify =
       (* For even lengths validity must hold exactly. *)
       n land 1 = 1 || Checksum.valid acc)
 
-let checksum_adjust =
-  qtest "checksum: RFC1624 incremental update"
-    QCheck2.Gen.(triple bytes_gen (int_bound 0xFFFF) nat)
-    (fun (s, neww, pos) ->
-      let b = Bytes.of_string s in
-      let n = Bytes.length b land lnot 1 in
-      n < 2
-      ||
-      let pos = pos mod (n / 2) * 2 in
-      let old_ck = Checksum.checksum b 0 n in
-      let old_u16 = Wire.get_u16 b pos in
-      Wire.set_u16 b pos neww;
-      let expect = Checksum.checksum b 0 n in
-      Checksum.adjust ~checksum:old_ck ~old_u16 ~new_u16:neww = expect)
-
 let test_checksum_odd_parity_add_u16 () =
   let b = Bytes.of_string "x" in
   let acc = Checksum.(add_bytes zero b 0 1) in
   Alcotest.check_raises "add_u16 at odd parity"
     (Invalid_argument "Checksum.add_u16: odd parity") (fun () ->
       ignore (Checksum.add_u16 acc 0x1234))
-
-let checksum_adjust_chain =
-  qtest "checksum: chained incremental updates"
-    QCheck2.Gen.(pair (string_size (int_range 2 64)) (list_size (int_range 1 8) (int_bound 0xFFFF)))
-    (fun (s, values) ->
-      let n = String.length s land lnot 1 in
-      n < 2
-      ||
-      let b = Bytes.of_string s in
-      let ck = ref (Checksum.checksum b 0 n) in
-      List.iter
-        (fun v ->
-          let old = Wire.get_u16 b 0 in
-          Wire.set_u16 b 0 v;
-          ck := Checksum.adjust ~checksum:!ck ~old_u16:old ~new_u16:v)
-        values;
-      !ck = Checksum.checksum b 0 n)
 
 let test_checksum_pseudo () =
   (* Pseudo-header accumulation matches summing the equivalent bytes. *)
@@ -498,9 +430,10 @@ let test_copy_exact () =
 (* ------------------------------------------------------------------ *)
 
 let test_crc32_vectors () =
-  Alcotest.(check int) "check value" 0xCBF43926 (Crc32.digest_string "123456789");
-  Alcotest.(check int) "empty" 0 (Crc32.digest_string "");
-  Alcotest.(check int) "a" 0xE8B7BE43 (Crc32.digest_string "a")
+  let digest s = Crc32.digest (Bytes.of_string s) 0 (String.length s) in
+  Alcotest.(check int) "check value" 0xCBF43926 (digest "123456789");
+  Alcotest.(check int) "empty" 0 (digest "");
+  Alcotest.(check int) "a" 0xE8B7BE43 (digest "a")
 
 let crc32_streaming =
   qtest "crc32: streaming = one-shot"
@@ -832,13 +765,6 @@ let () =
           ring_ops;
           ring_deque_ops;
         ] );
-      ( "word",
-        [
-          Alcotest.test_case "basic" `Quick test_word_basic;
-          word_add_assoc;
-          word_logic_laws;
-          word_sub_inverse;
-        ] );
       ( "wire",
         [
           Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
@@ -863,13 +789,11 @@ let () =
           Alcotest.test_case "pseudo header" `Quick test_checksum_pseudo;
           Alcotest.test_case "odd parity add_u16" `Quick
             test_checksum_odd_parity_add_u16;
-          checksum_adjust_chain;
           checksum_opt_eq_ref;
           checksum_basic_eq_ref;
           checksum_offset;
           checksum_split;
           checksum_verify;
-          checksum_adjust;
           checksum_grid;
         ] );
       ( "copy",

@@ -1,7 +1,8 @@
 (* Tests of the robustness layer (lib/fox_check): the [Faulty] fault
-   injection functor, the TCB invariant checker, and the differential
-   fuzz harness.  Everything here is deterministic — fault decisions,
-   payloads, and link randomness all derive from fixed seeds. *)
+   injection functor and its sibling virtual protocol [Meter], the TCB
+   invariant checker, and the differential fuzz harness.  Everything
+   here is deterministic — fault decisions, payloads, and link
+   randomness all derive from fixed seeds. *)
 
 open Fox_basis
 module Scheduler = Fox_sched.Scheduler
@@ -14,11 +15,12 @@ module Tcb = Fox_tcp.Tcb
 module Seq = Fox_tcp.Seq
 
 (* ------------------------------------------------------------------ *)
-(* A trivial in-memory protocol to wrap with [Faulty]                 *)
+(* A trivial in-memory protocol to wrap with [Faulty] and [Meter]     *)
 (* ------------------------------------------------------------------ *)
 
 (* Counts what reaches it, so the tests can tell an injected failure
-   (wrapped layer untouched) from a passthrough (wrapped layer hit). *)
+   (wrapped layer untouched) from a passthrough (wrapped layer hit);
+   [deliver] plays a packet arriving from below. *)
 module Loop = struct
   include Fox_proto.Common
 
@@ -34,7 +36,11 @@ module Loop = struct
 
   type status_handler = Status.t -> unit
 
-  type connection = { lt : t; mutable on_status : status_handler }
+  type connection = {
+    lt : t;
+    mutable on_data : data_handler;
+    mutable on_status : status_handler;
+  }
 
   and t = {
     mutable init_count : int;
@@ -69,8 +75,9 @@ module Loop = struct
 
   let connect t () handler =
     t.connects <- t.connects + 1;
-    let conn = { lt = t; on_status = ignore } in
-    let _, on_status = handler conn in
+    let conn = { lt = t; on_data = ignore; on_status = ignore } in
+    let on_data, on_status = handler conn in
+    conn.on_data <- on_data;
     conn.on_status <- on_status;
     t.conns <- conn :: t.conns;
     conn
@@ -96,6 +103,8 @@ module Loop = struct
   let tailroom _ = 0
 
   let pp_address fmt () = Format.fprintf fmt "loop"
+
+  let deliver conn packet = conn.on_data packet
 end
 
 module Floop = Faulty.Make (Loop)
@@ -202,6 +211,82 @@ let test_faulty_deterministic_decisions () =
   Alcotest.(check bool) "some of each outcome" true
     (let d = decisions 9 in
      List.mem true d && List.mem false d)
+
+(* ------------------------------------------------------------------ *)
+(* Meter: the crossings of the virtual-protocol functor                *)
+(* ------------------------------------------------------------------ *)
+
+module Bus = Fox_obs.Bus
+module Mloop = Fox_proto.Meter.Make (Loop)
+
+(* A named meter over [Loop]: the sizes its callbacks saw, newest first,
+   the packets its upcall passed up, and one connection. *)
+let metered () =
+  let sends = ref [] and receives = ref [] and delivered = ref 0 in
+  let config =
+    {
+      Fox_proto.Meter.on_send = (fun n -> sends := n :: !sends);
+      on_receive = (fun n -> receives := n :: !receives);
+    }
+  in
+  let lt = Loop.create () in
+  let mt = Mloop.create ~probe:"loop" lt config in
+  let conn =
+    Mloop.connect mt () (fun _ -> ((fun _ -> incr delivered), ignore))
+  in
+  (lt, conn, sends, receives, delivered)
+
+(* One packet through each crossing: unstaged [send] (10 bytes), the
+   staged late stage twice (20, 21) and an upcall (30). *)
+let cross lt conn =
+  Mloop.send conn (Mloop.allocate_send conn 10);
+  let staged = Mloop.prepare_send conn in
+  staged (Mloop.allocate_send conn 20);
+  staged (Mloop.allocate_send conn 21);
+  Loop.deliver (Mloop.inner conn) (Packet.create 30);
+  Alcotest.(check int) "every send reached the wrapped layer" 3 lt.Loop.sent
+
+let test_meter_callbacks () =
+  let lt, conn, sends, receives, delivered = metered () in
+  Bus.disable ();
+  Bus.reset ();
+  cross lt conn;
+  Alcotest.(check (list int)) "on_send once per packet, both paths"
+    [ 21; 20; 10 ] !sends;
+  Alcotest.(check (list int)) "on_receive once per packet" [ 30 ] !receives;
+  Alcotest.(check int) "the upcall reached the handler" 1 !delivered;
+  Alcotest.(check int) "an off bus records nothing" 0 (Bus.emitted ())
+
+let test_meter_bus_events () =
+  let lt, conn, _, _, _ = metered () in
+  Bus.reset ();
+  Bus.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Bus.disable ();
+      Bus.reset ())
+    (fun () ->
+      cross lt conn;
+      let event e =
+        Printf.sprintf "%s %s" e.Bus.layer
+          (match e.Bus.kind with
+          | Bus.Send { bytes; flags } ->
+            Printf.sprintf "send %d [%s]" bytes flags
+          | Bus.Span { name; dur_us; bytes } ->
+            Printf.sprintf "span %s %dus %d" name dur_us bytes
+          | Bus.Deliver { bytes } -> Printf.sprintf "deliver %d" bytes
+          | _ -> "other")
+      in
+      (* outside a scheduler run the clock reads 0, so every span is 0 us *)
+      Alcotest.(check (list string))
+        "Send and Span per send, Deliver per upcall"
+        [
+          "loop send 10 []"; "loop span send 0us 10";
+          "loop send 20 []"; "loop span send 0us 20";
+          "loop send 21 []"; "loop span send 0us 21";
+          "loop deliver 30";
+        ]
+        (List.map event (Bus.events ())))
 
 (* ------------------------------------------------------------------ *)
 (* Faulty composed under a real stack                                 *)
@@ -440,6 +525,11 @@ let () =
             test_faulty_finalize_aborts;
           Alcotest.test_case "deterministic" `Quick
             test_faulty_deterministic_decisions;
+        ] );
+      ( "meter",
+        [
+          Alcotest.test_case "callbacks per packet" `Quick test_meter_callbacks;
+          Alcotest.test_case "bus events" `Quick test_meter_bus_events;
         ] );
       ( "composition",
         [

@@ -44,7 +44,8 @@ let ip_of = Ipv4_addr.of_string
 
 let mac_of = Mac.of_string
 
-let make_host link index ~mac ~addr =
+(* Device -> Eth -> Arp -> Ip, without a transport. *)
+let make_ip link index ~mac ~addr =
   let dev = Device.create (Link.port link index) in
   let eth = Eth.create dev ~mac in
   let arp = Arp.create eth ~local_ip:addr () in
@@ -57,8 +58,11 @@ let make_host link index ~mac ~addr =
         lower_pattern = ();
       }
   in
-  let tcp = Tcp.create ip in
-  { dev; eth; arp; ip; tcp }
+  (dev, eth, arp, ip)
+
+let make_host link index ~mac ~addr =
+  let dev, eth, arp, ip = make_ip link index ~mac ~addr in
+  { dev; eth; arp; ip; tcp = Tcp.create ip }
 
 let two_hosts ?(netem = Netem.ethernet_10mbps) () =
   let link = Link.point_to_point netem in
@@ -703,6 +707,98 @@ let test_runs_are_deterministic () =
   let r1 = round () and r2 = round () in
   Alcotest.(check (triple int int int)) "identical runs" r1 r2
 
+(* ------------------------------------------------------------------ *)
+(* Aborts counted by kind                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Each abort kind bumps its own [Tcp.stats] counter, keyed on the
+   [State] reason that names it: one abort of each kind here reads
+   exactly 1 on its counter and 0 on the other two. *)
+
+module Tcp_with (P : Fox_tcp.Tcp.PARAMS) =
+  Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (P)
+
+let two_ips () =
+  let link = Link.point_to_point Netem.ethernet_10mbps in
+  let _, _, _, a =
+    make_ip link 0 ~mac:(mac_of "02:00:00:00:00:01") ~addr:(ip_of "10.0.0.1")
+  in
+  let _, _, _, b =
+    make_ip link 1 ~mac:(mac_of "02:00:00:00:00:02") ~addr:(ip_of "10.0.0.2")
+  in
+  (link, a, b)
+
+let aborts (s : Fox_tcp.Tcp.stats) =
+  Fox_tcp.Tcp.(s.rtx_limit_aborts, s.persist_aborts, s.user_timeout_aborts)
+
+(* A receiver whose window never opens: the sender's probes go
+   unanswered by any window, and the bounded persist gives up. *)
+module Persisting = Tcp_with (struct
+  let params = { Tcp_params.params with persist_max_probes = 2 }
+end)
+
+module Closed_window = Tcp_with (struct
+  let params = { Tcp_params.params with initial_window = 0 }
+end)
+
+let test_persist_abort_counted () =
+  let _, a, b = two_ips () in
+  let sender = Persisting.create a and receiver = Closed_window.create b in
+  let closed = ref None in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Closed_window.start_passive receiver
+             { Closed_window.local_port = 80 }
+             (fun _ -> (Packet.release, ignore)));
+        let conn =
+          Persisting.connect sender
+            { Persisting.peer = ip_of "10.0.0.2"; port = 80; local_port = None }
+            (fun _ -> (ignore, fun s -> closed := Some s))
+        in
+        Persisting.send conn (Persisting.allocate_send conn 100);
+        Scheduler.sleep 60_000_000)
+  in
+  Alcotest.(check bool) "connection timed out" true
+    (!closed = Some Status.Timed_out);
+  Alcotest.(check (triple int int int)) "(rtx limit, persist, user timeout)"
+    (0, 1, 0) (aborts (Persisting.stats sender))
+
+(* The RFC 5482-shaped user timeout: the link dies under outstanding
+   data, retransmission makes no progress, and the stalled period ends
+   the connection long before the retransmission limit would. *)
+module Stalling = Tcp_with (struct
+  let params =
+    {
+      Tcp_params.params with
+      user_timeout_us = 1_000_000;
+      user_timeout_stalled = true;
+    }
+end)
+
+let test_stalled_user_timeout_abort_counted () =
+  let link, a, b = two_ips () in
+  let sender = Stalling.create a and receiver = Tcp.create b in
+  let closed = ref None in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Tcp.start_passive receiver { Tcp.local_port = 80 } (fun _ ->
+               (Packet.release, ignore)));
+        let conn =
+          Stalling.connect sender
+            { Stalling.peer = ip_of "10.0.0.2"; port = 80; local_port = None }
+            (fun _ -> (ignore, fun s -> closed := Some s))
+        in
+        Link.take_down link ~policy:`Drop;
+        Stalling.send conn (Stalling.allocate_send conn 100);
+        Scheduler.sleep 60_000_000)
+  in
+  Alcotest.(check bool) "connection timed out" true
+    (!closed = Some Status.Timed_out);
+  Alcotest.(check (triple int int int)) "(rtx limit, persist, user timeout)"
+    (0, 0, 1) (aborts (Stalling.stats sender))
+
 let () =
   Alcotest.run "fox_tcp_integration"
     [
@@ -730,6 +826,13 @@ let () =
             test_close_sync_after_blocked_send;
           Alcotest.test_case "blocked sender sees the reset" `Quick
             test_blocked_sender_sees_reset;
+        ] );
+      ( "aborts",
+        [
+          Alcotest.test_case "persist timeout counted" `Quick
+            test_persist_abort_counted;
+          Alcotest.test_case "stalled user timeout counted" `Quick
+            test_stalled_user_timeout_abort_counted;
         ] );
       ( "adverse",
         [
