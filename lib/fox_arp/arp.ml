@@ -7,9 +7,15 @@
     connection to the right station, broadcasting requests and answering
     peers' requests for our own address along the way.
 
-    Resolution blocks the requesting thread (cooperatively) while the
-    request/retry exchange runs; receive upcalls never block, so data from
-    already-known stations keeps flowing during a resolution.
+    Opening a connection never blocks.  On a cache miss {!connect}
+    returns an unresolved connection and starts the request/retry
+    exchange; frames sent on it before the reply are held on the pending
+    entry and the reply's delivery sends them.  RFC 1122 §2.3.2.2 asks
+    for at least the latest; we keep the latest 64 KiB, so that the
+    fragments of one maximal datagram survive together.  So a receive
+    upcall that answers a station it has not resolved yet — a SYN-ACK
+    to a peer that reached us through a static entry — never waits.
+    Only {!resolve} blocks its (thread) caller.
 
     Passively accepted connections (frames from stations that spoke first)
     carry an unknown peer IP — IP does not care, it demultiplexes on its own
@@ -54,7 +60,9 @@ module type S = sig
   val create : eth_instance -> local_ip:Ipv4_addr.t -> ?config:config -> unit -> t
 
   (** [resolve t ip] is the station address for [ip], from cache or by a
-      blocking request exchange; [None] after all retries time out. *)
+      blocking request exchange; [None] after all retries time out.  It
+      suspends the calling thread, so it is not for receive upcalls:
+      {!connect} never waits. *)
   val resolve : t -> Ipv4_addr.t -> Mac.t option
 
   (** [lookup t ip] peeks at the cache without generating traffic. *)
@@ -72,6 +80,9 @@ let arp_length = 28
 let op_request = 1
 
 let op_reply = 2
+
+(* The most a pending entry holds; older frames are dropped first. *)
+let hold_bytes = 65_536
 
 module Make (Eth : Fox_eth.Eth.S) : S with type eth_instance = Eth.t = struct
   include Fox_proto.Common
@@ -92,12 +103,20 @@ module Make (Eth : Fox_eth.Eth.S) : S with type eth_instance = Eth.t = struct
 
   type cache_entry = { mac : Mac.t; expires_at : int option }
 
-  type resolution = { mailbox : Mac.t option Fox_sched.Cond.t }
+  (* A request exchange in flight.  [held] are the frames sent on the
+     connection to the station while it runs, oldest first (copies, this
+     layer's to release), [held_bytes] their length: the reply sends
+     them, a failed exchange drops them. *)
+  type resolution = {
+    mailbox : Mac.t option Fox_sched.Cond.t;
+    held : Packet.t Queue.t;
+    mutable held_bytes : int;
+  }
 
   type connection = {
     arp : t;
     peer_ip : Ipv4_addr.t option; (* None for passively accepted stations *)
-    eth_conn : Eth.connection;
+    mutable eth_conn : Eth.connection option; (* None until resolved *)
     mutable data : data_handler;
     mutable status : status_handler;
     mutable alive : bool;
@@ -164,17 +183,48 @@ module Make (Eth : Fox_eth.Eth.S) : S with type eth_instance = Eth.t = struct
           tpa = Ipv4_addr.read (Packet.buffer p) (Packet.offset p + 24);
         }
 
+  (* Bind an active connection to its peer's station.  The Ethernet
+     session may already exist (the peer spoke first); in that case its
+     handler — installed by our own IPv4 listener — already routes to the
+     same place. *)
+  let attach conn mac =
+    conn.eth_conn <-
+      Some
+        (Eth.connect conn.arp.eth
+           { dest = mac; proto = Frame.ethertype_ipv4 }
+           (fun _econn -> ((fun packet -> conn.data packet), ignore)))
+
+  (* End an exchange's hold: [f] each held frame, oldest first, then
+     release it. *)
+  let drain res f =
+    Queue.iter
+      (fun frame ->
+        f frame;
+        Packet.release frame)
+      res.held;
+    Queue.clear res.held;
+    res.held_bytes <- 0
+
   let learn t ip mac =
     let expires_at =
       if t.config.cache_timeout_us <= 0 then None
       else Some (Fox_sched.Scheduler.now () + t.config.cache_timeout_us)
     in
-    Hashtbl.replace t.cache (Ipv4_addr.to_int ip) { mac; expires_at };
-    match Hashtbl.find_opt t.pending (Ipv4_addr.to_int ip) with
-    | Some { mailbox } ->
-      Hashtbl.remove t.pending (Ipv4_addr.to_int ip);
+    let key = Ipv4_addr.to_int ip in
+    Hashtbl.replace t.cache key { mac; expires_at };
+    match Hashtbl.find_opt t.pending key with
+    | Some res ->
+      Hashtbl.remove t.pending key;
       t.replies_received <- t.replies_received + 1;
-      Fox_sched.Cond.broadcast mailbox (Some mac)
+      Fox_sched.Cond.broadcast res.mailbox (Some mac);
+      let econn =
+        match Hashtbl.find_opt t.conns key with
+        | Some conn ->
+          if Option.is_none conn.eth_conn then attach conn mac;
+          conn.eth_conn
+        | None -> None (* closed meanwhile: its frames are dropped *)
+      in
+      drain res (fun frame -> Option.iter (fun e -> Eth.send e frame) econn)
     | None -> ()
 
   (* Handle an ARP frame arriving on [econn] (the Ethernet session to the
@@ -236,40 +286,54 @@ module Make (Eth : Fox_eth.Eth.S) : S with type eth_instance = Eth.t = struct
       end
     | None -> None
 
-  let resolve t ip =
-    if Ipv4_addr.is_broadcast ip then Some Mac.broadcast
-    else if Ipv4_addr.equal ip t.local_ip then Some (Eth.local_mac t.eth)
+  (* The pending exchange for [ip], started (one request now, a retry
+     per timeout) if none is in flight. *)
+  let request t ip =
+    let key = Ipv4_addr.to_int ip in
+    match Hashtbl.find_opt t.pending key with
+    | Some res -> res (* somebody is already asking; join it *)
+    | None ->
+      let res =
+        { mailbox = Fox_sched.Cond.create (); held = Queue.create ();
+          held_bytes = 0 }
+      in
+      Hashtbl.add t.pending key res;
+      Fox_sched.Scheduler.fork (fun () ->
+          let rec attempt n =
+            if Hashtbl.mem t.pending key then begin
+              send_request t ip;
+              Fox_sched.Scheduler.sleep t.config.request_timeout_us;
+              if Hashtbl.mem t.pending key then
+                if n + 1 < t.config.retries then attempt (n + 1)
+                else begin
+                  Hashtbl.remove t.pending key;
+                  t.resolution_failures <- t.resolution_failures + 1;
+                  drain res ignore;
+                  Fox_sched.Cond.broadcast res.mailbox None
+                end
+            end
+          in
+          attempt 0);
+      res
+
+  (* The station for [ip] if it is known, counting the cache's hit or
+     miss; a miss starts the exchange that will learn it. *)
+  let station t ip =
+    if Ipv4_addr.is_broadcast ip then Ok Mac.broadcast
+    else if Ipv4_addr.equal ip t.local_ip then Ok (Eth.local_mac t.eth)
     else
       match cache_lookup t ip with
       | Some mac ->
         t.cache_hits <- t.cache_hits + 1;
-        Some mac
-      | None -> (
+        Ok mac
+      | None ->
         t.cache_misses <- t.cache_misses + 1;
-        let key = Ipv4_addr.to_int ip in
-        match Hashtbl.find_opt t.pending key with
-        | Some { mailbox } ->
-          (* somebody is already asking; join the wait *)
-          Fox_sched.Cond.wait mailbox
-        | None ->
-          let res = { mailbox = Fox_sched.Cond.create () } in
-          Hashtbl.add t.pending key res;
-          Fox_sched.Scheduler.fork (fun () ->
-              let rec attempt n =
-                if Hashtbl.mem t.pending key then begin
-                  send_request t ip;
-                  Fox_sched.Scheduler.sleep t.config.request_timeout_us;
-                  if Hashtbl.mem t.pending key then
-                    if n + 1 < t.config.retries then attempt (n + 1)
-                    else begin
-                      Hashtbl.remove t.pending key;
-                      t.resolution_failures <- t.resolution_failures + 1;
-                      Fox_sched.Cond.broadcast res.mailbox None
-                    end
-                end
-              in
-              attempt 0);
-          Fox_sched.Cond.wait res.mailbox)
+        Error (request t ip)
+
+  let resolve t ip =
+    match station t ip with
+    | Ok mac -> Some mac
+    | Error res -> Fox_sched.Cond.wait res.mailbox
 
   let lookup = cache_lookup
 
@@ -295,32 +359,12 @@ module Make (Eth : Fox_eth.Eth.S) : S with type eth_instance = Eth.t = struct
   let connect t ip handler =
     match Hashtbl.find_opt t.conns (Ipv4_addr.to_int ip) with
     | Some conn -> conn
-    | None -> (
-      match resolve t ip with
-      | None ->
-        raise
-          (Connection_failed
-             ("arp: cannot resolve " ^ Ipv4_addr.to_string ip))
-      | Some mac ->
-        (* The Ethernet session may already exist (the peer spoke first);
-           in that case its handler — installed by our own IPv4 listener —
-           already routes to the same place. *)
-        let fresh = ref false in
-        let conn_cell = ref None in
-        let econn =
-          Eth.connect t.eth
-            { dest = mac; proto = Frame.ethertype_ipv4 }
-            (fun _econn ->
-              fresh := true;
-              ( (fun packet ->
-                  match !conn_cell with
-                  | Some conn -> conn.data packet
-                  | None -> ()),
-                ignore ))
-        in
-        let conn = install_connection t ~peer_ip:(Some ip) ~econn handler in
-        conn_cell := Some conn;
-        conn)
+    | None ->
+      let conn = install_connection t ~peer_ip:(Some ip) ~econn:None handler in
+      (match station t ip with
+      | Ok mac -> attach conn mac
+      | Error _ -> ());
+      conn
 
   let start_passive t () handler =
     (match t.passive with
@@ -337,7 +381,7 @@ module Make (Eth : Fox_eth.Eth.S) : S with type eth_instance = Eth.t = struct
            let data packet =
              match !conn_cell with Some c -> c.data packet | None -> ()
            in
-           let conn = install_connection t ~peer_ip:None ~econn
+           let conn = install_connection t ~peer_ip:None ~econn:(Some econn)
                (fun conn -> if l.l_active then handler conn else (ignore, ignore))
            in
            conn_cell := Some conn;
@@ -371,23 +415,53 @@ module Make (Eth : Fox_eth.Eth.S) : S with type eth_instance = Eth.t = struct
     end;
     t.init_count
 
+  (* A send before the station is known: to the station if it has been
+     learned meanwhile, else held until the exchange ends. *)
+  let send_unresolved conn packet =
+    let t = conn.arp in
+    let ip = Option.get conn.peer_ip in
+    match station t ip with
+    | Ok mac ->
+      attach conn mac;
+      Eth.send (Option.get conn.eth_conn) packet
+    | Error res ->
+      Queue.push (Packet.copy_fused packet) res.held;
+      res.held_bytes <- res.held_bytes + Packet.length packet;
+      while res.held_bytes > hold_bytes do
+        let oldest = Queue.pop res.held in
+        res.held_bytes <- res.held_bytes - Packet.length oldest;
+        Packet.release oldest
+      done
+
   let send conn packet =
     if not conn.alive then raise (Send_failed "arp connection closed");
-    Eth.send conn.eth_conn packet
+    match conn.eth_conn with
+    | Some econn -> Eth.send econn packet
+    | None -> send_unresolved conn packet
 
-  let prepare_send conn = Eth.prepare_send conn.eth_conn
+  let prepare_send conn =
+    match conn.eth_conn with
+    | Some econn -> Eth.prepare_send econn
+    | None -> send conn
 
   let close conn = teardown Fox_proto.Status.Closed conn
 
   let abort conn = teardown Fox_proto.Status.Aborted conn
 
-  let allocate_send conn len = Eth.allocate_send conn.eth_conn len
+  (* Sizes are the device's: an unresolved connection asks the broadcast
+     session, which its request goes out on anyway. *)
+  let sized conn =
+    match conn.eth_conn with
+    | Some econn -> econn
+    | None -> broadcast_conn conn.arp
 
-  let max_packet_size conn = Eth.max_packet_size conn.eth_conn
+  let allocate_send conn len = Eth.allocate_send (sized conn) len
 
-  let headroom conn = Eth.headroom conn.eth_conn
+  let max_packet_size conn = Eth.max_packet_size (sized conn)
 
-  let tailroom conn = Eth.tailroom conn.eth_conn
+  let headroom conn = Eth.headroom (sized conn)
+
+  let tailroom conn = Eth.tailroom (sized conn)
 
   let stats t =
     {

@@ -15,6 +15,8 @@ type t = {
   port : Link.port;
   on_send : int -> unit;
   tap : Packet.t -> unit;
+  (* each arrival forks a thread, in which the upcall may block *)
+  mutable threaded : bool;
   mutable is_up : bool;
   mutable handler : (Packet.t -> unit) option;
   mutable tx_frames : int;
@@ -25,8 +27,8 @@ type t = {
   mutable rx_dropped : int;
 }
 
-let create ?(name = "dev0") ?(mtu = 1518) ?(on_send = ignore)
-    ?(on_receive = ignore) ?(tap = ignore) (port : Link.port) =
+let create ?(name = "dev0") ?(mtu = 1518) ?(on_send = ignore) ?on_receive
+    ?(tap = ignore) (port : Link.port) =
   let t =
     {
       name;
@@ -34,6 +36,7 @@ let create ?(name = "dev0") ?(mtu = 1518) ?(on_send = ignore)
       port;
       on_send;
       tap;
+      threaded = Option.is_some on_receive;
       is_up = true;
       handler = None;
       tx_frames = 0;
@@ -49,12 +52,22 @@ let create ?(name = "dev0") ?(mtu = 1518) ?(on_send = ignore)
       else
         match t.handler with
         | None -> t.rx_dropped <- t.rx_dropped + 1
-        | Some h ->
+        | Some h -> (
           t.rx_frames <- t.rx_frames + 1;
           t.rx_bytes <- t.rx_bytes + Packet.length frame;
-          on_receive (Packet.length frame);
-          tap frame;
-          h frame);
+          if not t.threaded then begin
+            tap frame;
+            h frame
+          end
+          else
+            (* the wire delivers from the scheduler loop; a metered
+               receive may sleep on the host's CPU, so it gets a thread *)
+            Fox_sched.Scheduler.fork (fun () ->
+                (match on_receive with
+                | Some charge -> charge (Packet.length frame)
+                | None -> ());
+                tap frame;
+                h frame)));
   t
 
 let send t frame =
@@ -69,6 +82,8 @@ let send t frame =
   end
 
 let set_receive t handler = t.handler <- Some handler
+
+let thread_receives t = t.threaded <- true
 
 let up t = t.is_up <- true
 

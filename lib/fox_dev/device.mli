@@ -23,7 +23,12 @@ type stats = {
     (default 1518, an Ethernet frame with FCS).  The optional hooks are
     called with the frame length before each transmit / before each
     delivery upcall; the benchmark harness charges the paper's "eth, Mach
-    interf.", "Mach send" and "packet wait" costs through them.  [tap]
+    interf.", "Mach send" and "packet wait" costs through them.  The
+    wire delivers frames from the scheduler loop, not from a thread; a
+    device with [on_receive] forks one thread per arrival, in which the
+    hook and the upcall run and may block (a charge sleeps while the
+    host's CPU is busy).  Without it the upcall runs at once and must
+    not block.  [tap]
     receives every frame in both directions — see {!Pcap} for writing them
     to a capture file. *)
 val create :
@@ -41,6 +46,12 @@ val send : t -> Fox_basis.Packet.t -> unit
 
 (** [set_receive dev handler] registers the frame upcall. *)
 val set_receive : t -> (Fox_basis.Packet.t -> unit) -> unit
+
+(** [thread_receives dev] makes [dev] fork a thread for each arrival, as
+    a device with [on_receive] does, for a receiver whose upcall blocks
+    without a receive hook (an application that charges the host's CPU
+    inside its data upcall). *)
+val thread_receives : t -> unit
 
 (** [up dev] / [down dev] set the administrative state (created up). *)
 val up : t -> unit

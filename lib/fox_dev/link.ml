@@ -110,7 +110,7 @@ let deliver t dst (frame : Packet.t) =
 
 (* Schedule one copy of [frame] to arrive at [dst] at virtual [arrival]. *)
 let schedule_delivery t dst frame arrival =
-  Fox_sched.Scheduler.fork_at arrival (fun () -> deliver t dst frame)
+  Fox_sched.Scheduler.call_at arrival (fun () -> deliver t dst frame)
 
 let corrupt_copy t frame =
   let copy = Packet.copy_fused frame in

@@ -4,10 +4,12 @@
     the other port(s) after the serialisation and propagation delays of the
     wire's {!Netem} configuration, possibly dropped, duplicated, jittered
     or bit-corrupted (all deterministically, from the configured seed).
-    Delivery happens on a freshly forked scheduler thread, so receive
-    upcalls never run inside the sender's stack frame — the same asynchrony
-    a real interrupt-driven device has, but with a total order imposed by
-    the virtual clock. *)
+    Delivery is a {!Fox_sched.Scheduler.call_at} at the arrival time, so
+    receive upcalls never run inside the sender's stack frame — the same
+    asynchrony a real interrupt-driven device has, but with a total order
+    imposed by the virtual clock.  The upcall runs from the scheduler
+    loop, not from a thread: it must not block (a {!Device} with a
+    metered receive forks a thread for that). *)
 
 type port = {
   transmit : Fox_basis.Packet.t -> unit;

@@ -10,9 +10,9 @@ type stats = {
 }
 
 (* Only the operations that give up the CPU are effects: each captures
-   the running thread's continuation.  The clock, [fork], [fork_at] and
-   [advance] need no continuation, so they read or write the running
-   scheduler's state directly (see [running] below). *)
+   the running thread's continuation.  The clock, [fork], [fork_at],
+   [call_at] and [advance] need no continuation, so they read or write
+   the running scheduler's state directly (see [running] below). *)
 type _ Effect.t +=
   | Yield : unit Effect.t
   | Sleep : int -> unit Effect.t
@@ -31,7 +31,8 @@ type state = {
   mutable completed : int;
   mutable alive : int;
   mutable stopping : bool;
-  (* runs a thunk as a thread under this run's handler *)
+  (* runs a thunk as a thread under this run's handler, counting the
+     switch to it *)
   mutable start : (unit -> unit) -> unit;
 }
 
@@ -71,11 +72,14 @@ let spawn st f =
 
 (* [fork_at]: counted as a fork (and, if [due] is still ahead, a sleep)
    exactly when the expansion [fork (fun () -> sleep until due; f ())]
-   would be, but the thread itself is only created at [due]. *)
+   would be, but the thread itself is only created at [due].  The
+   expansion's thread gets the CPU once before it sleeps: that switch is
+   counted here. *)
 let spawn_at st due f =
   st.forks <- st.forks + 1;
   st.alive <- st.alive + 1;
   if due > st.clock then begin
+    st.switches <- st.switches + 1;
     st.sleep_count <- st.sleep_count + 1;
     Heap.add st.sleepq due (fun () -> st.start f)
   end
@@ -88,6 +92,14 @@ let fork f =
 let fork_at due f =
   let st = running () in
   Ring.push st.runq (fun () -> spawn_at st due f)
+
+(* [call_at] takes the same path through the queues as [fork_at], so its
+   body starts where that thread would, but the body is the queue entry
+   itself: no thread, and nothing counted. *)
+let call_at due f =
+  let st = running () in
+  Ring.push st.runq (fun () ->
+      if due > st.clock then Heap.add st.sleepq due f else f ())
 
 let yield () = Effect.perform Yield
 
@@ -132,26 +144,39 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
     st.completed <- st.completed + 1
   in
   let open Effect.Deep in
+  (* A suspended thread's switch is counted when it gets the CPU back,
+     in the queue entry that resumes it; a new thread's in [start]. *)
+  let yielded : ((unit, unit) continuation -> unit) option =
+    Some
+      (fun k ->
+        Ring.push st.runq (fun () ->
+            st.switches <- st.switches + 1;
+            continue k ()))
+  in
   (* One handler for every thread of the run. *)
   let handler : (unit, unit) handler =
     {
       retc = finish;
       exnc = (function Thread_exit -> finish () | e -> raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
-          | Yield ->
-            Some (fun (k : (a, unit) continuation) ->
-                Ring.push st.runq (fun () -> continue k ()))
+          | Yield -> yielded
           | Sleep us ->
             Some
               (fun (k : (a, unit) continuation) ->
                 st.sleep_count <- st.sleep_count + 1;
-                Heap.add st.sleepq (st.clock + max 0 us) (fun () -> continue k ()))
+                Heap.add st.sleepq (st.clock + max 0 us) (fun () ->
+                    st.switches <- st.switches + 1;
+                    continue k ()))
           | Suspend f ->
             Some
               (fun (k : (a, unit) continuation) ->
-                f (fun v -> Ring.push st.runq (fun () -> continue k v)))
+                f (fun v ->
+                    Ring.push st.runq (fun () ->
+                        st.switches <- st.switches + 1;
+                        continue k v)))
           | Stop ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -164,7 +189,10 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
           | _ -> None);
     }
   in
-  st.start <- (fun f -> match_with f () handler);
+  st.start <-
+    (fun f ->
+      st.switches <- st.switches + 1;
+      match_with f () handler);
   Ring.push st.runq (fun () -> spawn st main);
   let wall0 = if realtime then Unix.gettimeofday () else 0.0 in
   let real_now () =
@@ -187,7 +215,6 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
       end;
       if not (Ring.is_empty st.runq) then begin
         let thunk = Ring.pop st.runq in
-        st.switches <- st.switches + 1;
         thunk ();
         loop ()
       end
@@ -217,9 +244,22 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
           end
     end
   in
+  (* The loop itself is no thread: an effect performed outside every
+     thread (in a [call_at] body or the idle hook) is unhandled, also
+     when this run is nested inside another run's thread. *)
+  let outside : (unit, unit) handler =
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          Some (fun (k : (a, unit) continuation) -> discontinue k (Effect.Unhandled eff)));
+    }
+  in
   let outer = dom.current in
   dom.current <- Some st;
-  Fun.protect ~finally:(fun () -> dom.current <- outer) loop;
+  Fun.protect ~finally:(fun () -> dom.current <- outer) (fun () ->
+      match_with loop () outside);
   {
     switches = st.switches;
     forks = st.forks;

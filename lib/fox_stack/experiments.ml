@@ -188,12 +188,14 @@ module Run (E : ENGINE) = struct
      [Scheduler.sleep] until the predicate holds, photographing the live
      TCBs in virtual time.  [?app_us] makes the receiving application
      slow: each data upcall charges that much receiver CPU before it
-     returns, i.e. inside the engine's drain loop. *)
+     returns, i.e. inside the engine's drain loop, which therefore runs
+     on a thread per arrival. *)
   let transfer ?during ?(app_us = 0) ~(sender : Network.host)
       ~(receiver : Network.host) ~bytes () =
     let port = 5001 in
     let server_conn = ref None in
     install_sender sender ~port ~server_conn;
+    if app_us > 0 then Fox_dev.Device.thread_receives receiver.Network.dev;
     let received = ref 0 in
     let t0 = ref 0 and t1 = ref 0 in
     (* an empty minor heap, so the count of minor collections does not

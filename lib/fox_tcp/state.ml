@@ -143,6 +143,8 @@ let persist_reason = "persist timeout"
 
 let user_timeout_reason = "user timeout"
 
+let keepalive_reason = "keepalive timeout"
+
 let give_up tcb ~reason =
   if !Bus.live then
     Bus.emit ~layer:"tcp.state" ~conn:tcb.obs_id
@@ -207,7 +209,7 @@ let timer_expired (params : params) state kind ~now =
         state
       end
       else if tcb.probes_sent >= params.keepalive_probes then
-        give_up tcb ~reason:"keepalive timeout"
+        give_up tcb ~reason:keepalive_reason
       else begin
         tcb.probes_sent <- tcb.probes_sent + 1;
         if !Bus.live then

@@ -41,15 +41,17 @@ val close : Tcb.params -> Tcb.tcp_state -> now:int -> Tcb.tcp_state
     tombstone. *)
 val abort : Tcb.params -> Tcb.tcp_state -> Tcb.tcp_state
 
-(** The [User_error] reasons of the three aborts the engine counts by
-    kind ([Tcp.stats]' [rtx_limit_aborts], [persist_aborts] and
-    [user_timeout_aborts]). *)
+(** The [User_error] reasons of the four aborts the engine counts by
+    kind ([Tcp.stats]' [rtx_limit_aborts], [persist_aborts],
+    [user_timeout_aborts] and [keepalive_aborts]). *)
 
 val rtx_limit_reason : string
 
 val persist_reason : string
 
 val user_timeout_reason : string
+
+val keepalive_reason : string
 
 (** [timer_expired params state kind ~now] reacts to a timer: retransmit
     with backoff (giving up after the configured budget), flush a delayed

@@ -77,6 +77,8 @@ type stats = {
   user_timeout_aborts : int;  (** connections aborted by the user timeout *)
   rtx_limit_aborts : int;
       (** connections aborted by the retransmission limit *)
+  keepalive_aborts : int;
+      (** connections aborted after unanswered keepalive probes *)
 }
 
 (** Per-connection statistics, mostly straight out of the TCB. *)
@@ -285,6 +287,7 @@ end = struct
     mutable persist_aborts : int;
     mutable user_timeout_aborts : int;
     mutable rtx_limit_aborts : int;
+    mutable keepalive_aborts : int;
     (* the tombstone table: chains in a power-of-two array, allocated by
        the first tombstone and dropped by the last *)
     mutable tombs : tombstone option array;
@@ -435,7 +438,9 @@ end = struct
   (* ---------------- externalisation ---------------- *)
 
   (* A segment without text, sent on [lconn] from outside any
-     connection: an RST, a stateless SYN-ACK, a tombstone's reply. *)
+     connection: an RST, a stateless SYN-ACK, a tombstone's reply.  One
+     segment is not worth a stage of its own: the unstaged [send] reuses
+     the one the lower connection keeps. *)
   let send_bare ~lconn hdr =
     let pseudo_for len =
       if runtime_params.compute_checksums then
@@ -447,7 +452,7 @@ end = struct
         Packet.create
           ~headroom:(tcp_headroom + Lower.headroom lconn)
           ~tailroom:(Lower.tailroom lconn) len)
-      ~send:(Lower.prepare_send lconn) ()
+      ~send:(Lower.send lconn) ()
 
   let send_rst_on ~lconn ~src_port ~dst_port ~seq ~ack_opt =
     send_bare ~lconn
@@ -908,6 +913,8 @@ end = struct
         t.user_timeout_aborts <- t.user_timeout_aborts + 1
       else if msg = State.rtx_limit_reason then
         t.rtx_limit_aborts <- t.rtx_limit_aborts + 1
+      else if msg = State.keepalive_reason then
+        t.keepalive_aborts <- t.keepalive_aborts + 1
     | Tcb.Delete_tcb -> delete_tcb conn
 
   and drain conn =
@@ -1515,6 +1522,7 @@ end = struct
       persist_aborts = t.persist_aborts;
       user_timeout_aborts = t.user_timeout_aborts;
       rtx_limit_aborts = t.rtx_limit_aborts;
+      keepalive_aborts = t.keepalive_aborts;
     }
 
   let pp_address fmt { peer; port; local_port } =
@@ -1585,6 +1593,7 @@ end = struct
         persist_aborts = 0;
         user_timeout_aborts = 0;
         rtx_limit_aborts = 0;
+        keepalive_aborts = 0;
         tombs = [||];
         tomb_count = 0;
         tomb_arrivals = 0;
@@ -1605,10 +1614,12 @@ end = struct
         Printf.sprintf
           "engine conns=%d accepts=%d refused=%d syn_dropped=%d \
            tw_recycled=%d shed=%d rsts=%d segs=%d/%d unknown=%d \
-           chall=%d/%d(r%d,s%d,a%d)"
+           chall=%d/%d(r%d,s%d,a%d) aborts=rtx%d,persist%d,ut%d,ka%d"
           s.active_conns s.accepts s.backlog_refused s.syn_dropped
           s.time_wait_recycled s.to_do_shed s.rsts_sent s.segs_in s.segs_out
           s.unknown_dropped s.challenge_acks_sent s.challenge_acks_limited
-          s.rst_challenges s.syn_challenges s.ack_challenges);
+          s.rst_challenges s.syn_challenges s.ack_challenges
+          s.rtx_limit_aborts s.persist_aborts s.user_timeout_aborts
+          s.keepalive_aborts);
     t
 end

@@ -16,6 +16,11 @@ module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
 module Ipv4_addr = Fox_ip.Ipv4_addr
 module Tcb = Fox_tcp.Tcb
+module Tcp_header = Fox_tcp.Tcp_header
+module Action = Fox_tcp.Action
+module Stack = Fox_stack.Stack
+module Route = Fox_ip.Route
+module Mac = Fox_eth.Mac
 module Check_hook = Fox_tcp.Check_hook
 
 let check_bound label ~measured ~bound actual =
@@ -36,7 +41,8 @@ let test_now () =
   check_bound "10 000 now calls" ~measured:0. ~bound:0. !words
 
 (* Two threads yielding to each other: a captured continuation and a
-   run-queue thunk per switch. *)
+   run-queue thunk per switch (the handler's answer to a yield is built
+   once per run). *)
 let test_ping_pong () =
   let player () =
     for _ = 1 to 10_000 do
@@ -50,7 +56,7 @@ let test_ping_pong () =
         player ())
   in
   let words = Gc.minor_words () -. w0 in
-  check_bound "words per switch" ~measured:12.0 ~bound:14.0
+  check_bound "words per switch" ~measured:7.0 ~bound:9.0
     (words /. float_of_int stats.Scheduler.switches)
 
 (* A timer restarted in place — a connection's retransmission timer on
@@ -81,8 +87,61 @@ let test_bulk () =
   let segments =
     r.Experiments.sender_segments + r.Experiments.receiver_segments
   in
-  check_bound "words per segment" ~measured:375.9 ~bound:400.0
+  check_bound "words per segment" ~measured:366.3 ~bound:390.0
     (words /. float_of_int segments)
+
+(* RSTs over [Metered_ip]: a host without TCP sends bare ACKs to a
+   closed port of a structured engine, which answers each with an RST
+   from outside any connection.  Words per RST of the whole exchange,
+   both hosts and the wire, after one warm-up exchange has resolved ARP
+   and built the peer's stages. *)
+let test_rst () =
+  let link = Link.point_to_point Netem.ethernet_10mbps in
+  let route = Route.local ~network:(Ipv4_addr.of_string "10.0.0.0") ~prefix:24 in
+  let host engine i =
+    Network.create_host ~engine link i
+      ~mac:(Mac.of_string (Printf.sprintf "02:00:00:00:00:0%d" (i + 1)))
+      ~addr:(Ipv4_addr.of_string (Printf.sprintf "10.0.0.%d" (i + 1)))
+      ~route
+  in
+  let peer = host Network.Bare 0 and engine = host Network.Fox 1 in
+  let n = 2_000 in
+  let words = ref nan in
+  ignore
+    (Scheduler.run (fun () ->
+         let lconn =
+           Stack.Ip.connect peer.Network.ip
+             (Stack.Ip_aux.lower_address ~proto:6 engine.Network.addr)
+             (fun _ -> (Fox_basis.Packet.release, ignore))
+         in
+         let send = Stack.Ip.prepare_send lconn in
+         let ack i =
+           Action.externalize
+             ~pseudo_for:(fun len ->
+               Some (Stack.Ip_aux.pseudo lconn ~proto:6 ~len))
+             ~hdr:
+               { (Tcp_header.basic ~src_port:4000 ~dst_port:81) with
+                 Tcp_header.ack_flag = true;
+                 ack = Fox_tcp.Seq.of_int i;
+               }
+             ~data:None
+             ~allocate:(fun len ->
+               Fox_basis.Packet.create
+                 ~headroom:(24 + Stack.Ip.headroom lconn)
+                 ~tailroom:(Stack.Ip.tailroom lconn) len)
+             ~send ();
+           Scheduler.sleep 1_000
+         in
+         ack 0;
+         let w0 = Gc.minor_words () in
+         for i = 1 to n do
+           ack i
+         done;
+         words := Gc.minor_words () -. w0));
+  Alcotest.(check int) "one RST per ACK" (n + 1)
+    (Stack.Tcp.stats (Network.fox_tcp engine)).Fox_tcp.Tcp.rsts_sent;
+  check_bound "words per RST" ~measured:487.0 ~bound:500.0
+    (!words /. float_of_int n)
 
 (* The serve path: a fixed 50-connection HTTP load, words promoted per
    request.  Promotion is only counted at minor collections, so the load
@@ -243,6 +302,7 @@ let () =
           Alcotest.test_case "bulk transfer per segment" `Quick test_bulk;
           Alcotest.test_case "timer re-arm allocates nothing" `Quick
             test_timer_rearm;
+          Alcotest.test_case "words per RST over Metered_ip" `Quick test_rst;
         ] );
       ( "serve",
         [

@@ -138,8 +138,9 @@ let test_hub_broadcast () =
     (Array.to_list seen)
 
 (* A back-to-back burst on an unbounded link: every frame after the
-   first waits for the medium, but nothing reads the waiting census, so
-   the burst costs one delivery fork per frame and nothing else. *)
+   first waits for the medium, but nothing reads the waiting census.  A
+   delivery is a [call_at], not a thread, so the burst forks nothing and
+   the only thread is main. *)
 let test_link_unbounded_burst_forks () =
   let n = 8 in
   let link = Link.point_to_point Netem.ethernet_10mbps in
@@ -154,9 +155,9 @@ let test_link_unbounded_burst_forks () =
             (Packet.of_string (String.make 125 (Char.chr (96 + i))))
         done)
   in
-  Alcotest.(check int) "one delivery fork per frame" n (stats.Scheduler.forks - 1);
+  Alcotest.(check int) "no delivery forks" 0 (stats.Scheduler.forks - 1);
   Alcotest.(check string) "stats"
-    "switches=17 forks=9 sleeps=8 completed=9 blocked=0 end_time=850us"
+    "switches=1 forks=1 sleeps=0 completed=1 blocked=0 end_time=850us"
     (Format.asprintf "%a" Scheduler.pp_stats stats);
   Alcotest.(check (list (pair int string)))
     "arrivals spaced by line rate"
@@ -191,11 +192,10 @@ let test_link_finite_queue_burst () =
         burst 'c' (k + 3))
   in
   Alcotest.(check int) "queue drops" 5 (Link.stats link 0).Link.queue_drops;
-  (* main plus one delivery fork per frame that arrived: counting the
-     frames that wait is arithmetic over their departure times and
-     forks nothing *)
+  (* main only: deliveries run from the scheduler loop, and counting
+     the frames that wait is arithmetic over their departure times *)
   Alcotest.(check string) "stats"
-    "switches=27 forks=13 sleeps=14 completed=13 blocked=0 end_time=10800us"
+    "switches=3 forks=1 sleeps=2 completed=1 blocked=0 end_time=10800us"
     (Format.asprintf "%a" Scheduler.pp_stats stats);
   Alcotest.(check (list (pair int string)))
     "arrivals"
@@ -560,6 +560,81 @@ let test_arp_static_entry () =
     | Some m -> Mac.to_string m = "02:00:00:00:00:77"
     | None -> false);
   Alcotest.(check int) "no request" 0 (Arp.stats a.arp).Fox_arp.Arp.requests_sent
+
+(* An unresolved connection: [Arp.connect] never waits.  A frame sent
+   before the reply is held and leaves when the reply is delivered. *)
+let test_arp_held_frame_leaves_with_reply () =
+  let link = Link.point_to_point Netem.ethernet_10mbps in
+  let wire = ref [] in
+  let a =
+    let tap frame =
+      let p = Packet.copy frame in
+      Packet.pull_header p 12;
+      let ethertype = Packet.get_u16 p 0 in
+      wire := (Scheduler.now (), ethertype, Packet.get_u16 p 8) :: !wire;
+      Packet.release p
+    in
+    let dev = Device.create ~tap (Link.port link 0) in
+    let eth = Eth.create dev ~mac:(mac_of "02:00:00:00:00:01") in
+    Arp.create eth ~local_ip:(ip_of "10.0.0.1") ()
+  in
+  let b = make_host link 1 ~mac:(mac_of "02:00:00:00:00:02") ~addr:(ip_of "10.0.0.2") in
+  let got = ref [] in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Ip.start_passive b.ip { Fox_ip.Ip.match_proto = 77 }
+             (fun _ -> ((fun p -> got := Scheduler.now () :: !got; Packet.release p), ignore)));
+        let conn = Arp.connect a (ip_of "10.0.0.2") (fun _ -> (ignore, ignore)) in
+        Alcotest.(check int) "connect returned at once" 0 (Scheduler.now ());
+        (* a whole IPv4 datagram, so that b's IP takes it *)
+        let p = Arp.allocate_send conn 24 in
+        Ipv4_header.encode ~checksum:true
+          { Ipv4_header.tos = 0; total_length = 24; id = 1; dont_fragment = false;
+            more_fragments = false; fragment_offset = 0; ttl = 64; proto = 77;
+            src = ip_of "10.0.0.1"; dst = ip_of "10.0.0.2" }
+          p;
+        Arp.send conn p;
+        Packet.release p)
+  in
+  (* (time, ethertype, the ARP opcode or what IPv4 has in its place) *)
+  match List.rev !wire with
+  | [ (0, 0x0806, 1); (t_reply, 0x0806, 2); (t_frame, 0x0800, _) ] ->
+    Alcotest.(check int) "frame leaves when the reply arrives" t_reply t_frame;
+    Alcotest.(check bool) "b got it once, after it left" true
+      (match !got with [ t ] -> t > t_frame | _ -> false)
+  | l ->
+    Alcotest.failf "wire at a: %s"
+      (String.concat "; "
+         (List.map (fun (t, e, o) -> Printf.sprintf "%d:%04x/%d" t e o) l))
+
+(* Two frames sent to a station that never answers: the exchange gives
+   up once, after its retries, and drops what it held. *)
+let unanswered_sends () =
+  let _, a, _ = two_hosts () in
+  let live0 = Packet.live_packets () in
+  let stats =
+    Scheduler.run (fun () ->
+        let conn = Arp.connect a.arp (ip_of "10.0.0.99") (fun _ -> (ignore, ignore)) in
+        for _ = 1 to 2 do
+          let p = Arp.allocate_send conn 100 in
+          Arp.send conn p;
+          Packet.release p
+        done)
+  in
+  (a, Packet.live_packets () - live0, stats)
+
+let test_arp_failure_releases_held () =
+  let _, leaked, stats = unanswered_sends () in
+  Alcotest.(check bool) "ran out the retries" true
+    (stats.Scheduler.end_time >= 300_000);
+  Alcotest.(check int) "held frames released" 0 leaked
+
+let test_arp_failure_counted_once () =
+  let a, _, _ = unanswered_sends () in
+  let s = Arp.stats a.arp in
+  Alcotest.(check int) "requests" 3 s.Fox_arp.Arp.requests_sent;
+  Alcotest.(check int) "one failure" 1 s.Fox_arp.Arp.resolution_failures
 
 (* ------------------------------------------------------------------ *)
 (* IPv4 header / route / frag                                         *)
@@ -938,6 +1013,12 @@ let test_ip_reassembly_timeout () =
             { Fox_ip.Ip.dest = ip_of "10.0.0.2"; proto = 201 }
             (fun _ -> (ignore, ignore))
         in
+        (* Sends do not wait for ARP: a burst before b is resolved joins
+           one exchange, and the loss can eat all of its tries.  Retry
+           the exchange until it succeeds, then send. *)
+        while Arp.resolve a.arp (ip_of "10.0.0.2") = None do
+          ()
+        done;
         for _ = 1 to 10 do
           (try Ip.send conn (Ip.allocate_send conn 4000) with _ -> ())
         done)
@@ -1280,6 +1361,12 @@ let () =
             test_arp_concurrent_waiters_share_one_exchange;
           Alcotest.test_case "static entry" `Quick test_arp_static_entry;
           Alcotest.test_case "cache expiry" `Quick test_arp_cache_expires;
+          Alcotest.test_case "held frame leaves with the reply" `Quick
+            test_arp_held_frame_leaves_with_reply;
+          Alcotest.test_case "failure releases held frames" `Quick
+            test_arp_failure_releases_held;
+          Alcotest.test_case "failure counted once" `Quick
+            test_arp_failure_counted_once;
         ] );
       ( "ip-codec",
         [

@@ -271,30 +271,104 @@ let gen_program =
 
 (* Run [prog] as the main thread, logging (thread, step, time) at every
    step, with [fork_at] standing for [Scheduler.fork_at] or its
-   expansion. *)
-let run_program fork_at prog =
+   expansion.  With [~effect_free], the bodies [fork_at] starts log
+   their [Sleep] and [Yield] steps without performing them, so that
+   [Scheduler.call_at] can stand for [fork_at]; a [Fork] inside one
+   still starts a whole thread. *)
+let run_program ?(effect_free = false) fork_at prog =
   let log = ref [] in
-  let rec exec name prog =
+  let rec exec ~timed name prog =
     List.iteri
       (fun i op ->
         log := (name, i, Scheduler.now ()) :: !log;
         let child = Printf.sprintf "%s.%d" name i in
         match op with
-        | Fork p -> Scheduler.fork (fun () -> exec child p)
-        | Fork_at (d, p) -> fork_at (Scheduler.now () + d) (fun () -> exec child p)
-        | Sleep us -> Scheduler.sleep us
-        | Yield -> Scheduler.yield ()
+        | Fork p -> Scheduler.fork (fun () -> exec ~timed:false child p)
+        | Fork_at (d, p) ->
+          fork_at (Scheduler.now () + d) (fun () ->
+              exec ~timed:effect_free child p)
+        | Sleep us -> if not timed then Scheduler.sleep us
+        | Yield -> if not timed then Scheduler.yield ()
         | Advance us -> Scheduler.advance us)
       prog;
     log := (name, -1, Scheduler.now ()) :: !log
   in
-  let stats = Scheduler.run (fun () -> exec "main" prog) in
+  let stats = Scheduler.run (fun () -> exec ~timed:false "main" prog) in
   (List.rev !log, stats)
 
 let fork_at_matches_expansion =
   qtest ~count:500 "fork_at: same log and stats as the expansion" gen_program
     (fun prog ->
       run_program Scheduler.fork_at prog = run_program expanded_fork_at prog)
+
+(* [call_at] starts its body where [fork_at] starts its thread: the same
+   log and the same clock, but no fork and no switch for the body. *)
+let call_at_matches_fork_at =
+  qtest ~count:500 "call_at: same log and clock as fork_at" gen_program
+    (fun prog ->
+      let l, s = run_program ~effect_free:true Scheduler.call_at prog
+      and l', s' = run_program ~effect_free:true Scheduler.fork_at prog in
+      l = l' && s.Scheduler.end_time = s'.Scheduler.end_time)
+
+(* A [call_at] body is no thread: every operation that gives up the CPU
+   raises [Effect.Unhandled] at its call, also in a run nested inside
+   another run's thread, whose handler must not catch it. *)
+let test_call_at_effects_unhandled () =
+  let blocking =
+    [
+      ("yield", Scheduler.yield);
+      ("sleep", fun () -> Scheduler.sleep 1);
+      ("suspend", fun () -> Scheduler.suspend (fun _ -> ()));
+      ("stop", fun () -> Scheduler.stop ());
+    ]
+  in
+  let raised = ref [] in
+  let body (label, op) () =
+    match op () with
+    | () -> ()
+    | exception Effect.Unhandled _ -> raised := label :: !raised
+  in
+  let top =
+    Scheduler.run (fun () ->
+        List.iter
+          (fun e -> Scheduler.call_at (Scheduler.now () + 5) (body e))
+          blocking)
+  in
+  Alcotest.(check (list string)) "each raised" (List.map fst blocking)
+    (List.rev !raised);
+  Alcotest.(check int) "the run went on" 5 top.Scheduler.end_time;
+  raised := [];
+  ignore
+    (Scheduler.run (fun () ->
+         ignore
+           (Scheduler.run (fun () ->
+                List.iter (fun e -> Scheduler.call_at 0 (body e)) blocking))));
+  Alcotest.(check (list string)) "each raised in a nested run"
+    (List.map fst blocking) (List.rev !raised);
+  match Scheduler.run (fun () -> Scheduler.call_at 1 Scheduler.yield) with
+  | _ -> Alcotest.fail "an uncaught effect in a body returned"
+  | exception Effect.Unhandled _ -> ()
+
+(* [stop] discards bodies still waiting, on the sleep queue (stopped
+   after 10 µs) or on the run queue (stopped at once). *)
+let test_call_at_stop_discards () =
+  List.iter
+    (fun (stop_after, forks) ->
+      let ran = ref false in
+      let stats =
+        Scheduler.run (fun () ->
+            Scheduler.call_at (Scheduler.now () + 1_000) (fun () -> ran := true);
+            match stop_after with
+            | None -> ignore (Scheduler.stop ())
+            | Some us ->
+              Scheduler.fork (fun () ->
+                  Scheduler.sleep us;
+                  ignore (Scheduler.stop ())))
+      in
+      Alcotest.(check bool) "body never ran" false !ran;
+      Alcotest.(check int) "forks" forks stats.Scheduler.forks;
+      Alcotest.(check int) "blocked" 0 stats.Scheduler.blocked)
+    [ (Some 10, 2); (None, 1) ]
 
 (* [stop] after [stop_after] µs, or at once (before the forked thread
    has started) when [None]. *)
@@ -1156,6 +1230,13 @@ let () =
           Alcotest.test_case "idle hook while parked" `Quick
             test_fork_at_idle_hook_while_parked;
           Alcotest.test_case "exit_thread in body" `Quick test_fork_at_exit_thread;
+        ] );
+      ( "call_at",
+        [
+          call_at_matches_fork_at;
+          Alcotest.test_case "effects unhandled" `Quick
+            test_call_at_effects_unhandled;
+          Alcotest.test_case "stop discards" `Quick test_call_at_stop_discards;
         ] );
       ( "read path",
         [

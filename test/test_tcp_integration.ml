@@ -111,6 +111,31 @@ let test_handshake_and_hello () =
   Alcotest.(check bool) "client connected" true
     (List.mem Status.Connected !client_statuses)
 
+(* A knows B's station from a static entry and so never asks for it: B
+   first hears of A in A's SYN and must resolve A while that SYN is
+   being delivered.  Deliveries run from the scheduler loop, so B's ARP
+   cannot wait there; it holds the SYN-ACK until A's reply. *)
+let test_hello_over_static_arp_entry () =
+  let _, a, b = two_hosts () in
+  Arp.add_static a.arp (ip_of "10.0.0.2") (mac_of "02:00:00:00:00:02");
+  let buf, _, handler = sink () in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore (Tcp.start_passive b.tcp { Tcp.local_port = 80 } handler);
+        let conn =
+          Tcp.connect a.tcp
+            { Tcp.peer = ip_of "10.0.0.2"; port = 80; local_port = None }
+            (fun _ -> (ignore, ignore))
+        in
+        send_string conn "hello";
+        Scheduler.sleep 500_000)
+  in
+  Alcotest.(check string) "payload" "hello" (Buffer.contents buf);
+  Alcotest.(check int) "a never asked" 0
+    (Arp.stats a.arp).Fox_arp.Arp.requests_sent;
+  Alcotest.(check int) "b asked once" 1
+    (Arp.stats b.arp).Fox_arp.Arp.requests_sent
+
 let test_large_transfer_clean () =
   let _, a, b = two_hosts () in
   let payload = String.init 200_000 (fun i -> Char.chr (i * 31 land 0xff)) in
@@ -728,8 +753,11 @@ let two_ips () =
   in
   (link, a, b)
 
+(* (rtx limit, persist, user timeout, keepalive) *)
 let aborts (s : Fox_tcp.Tcp.stats) =
-  Fox_tcp.Tcp.(s.rtx_limit_aborts, s.persist_aborts, s.user_timeout_aborts)
+  Fox_tcp.Tcp.
+    [ s.rtx_limit_aborts; s.persist_aborts; s.user_timeout_aborts;
+      s.keepalive_aborts ]
 
 (* A receiver whose window never opens: the sender's probes go
    unanswered by any window, and the bounded persist gives up. *)
@@ -761,8 +789,8 @@ let test_persist_abort_counted () =
   in
   Alcotest.(check bool) "connection timed out" true
     (!closed = Some Status.Timed_out);
-  Alcotest.(check (triple int int int)) "(rtx limit, persist, user timeout)"
-    (0, 1, 0) (aborts (Persisting.stats sender))
+  Alcotest.(check (list int)) "(rtx limit, persist, user timeout, keepalive)"
+    [ 0; 1; 0; 0 ] (aborts (Persisting.stats sender))
 
 (* The RFC 5482-shaped user timeout: the link dies under outstanding
    data, retransmission makes no progress, and the stalled period ends
@@ -796,8 +824,38 @@ let test_stalled_user_timeout_abort_counted () =
   in
   Alcotest.(check bool) "connection timed out" true
     (!closed = Some Status.Timed_out);
-  Alcotest.(check (triple int int int)) "(rtx limit, persist, user timeout)"
-    (0, 0, 1) (aborts (Stalling.stats sender))
+  Alcotest.(check (list int)) "(rtx limit, persist, user timeout, keepalive)"
+    [ 0; 0; 1; 0 ] (aborts (Stalling.stats sender))
+
+(* An idle connection whose link dies: nothing is outstanding, so no
+   retransmission runs; the keepalive probes go unanswered and the
+   engine gives up. *)
+module Keeping_alive = Tcp_with (struct
+  let params =
+    { Tcp_params.params with keepalive_us = 1_000_000; keepalive_probes = 2 }
+end)
+
+let test_keepalive_abort_counted () =
+  let link, a, b = two_ips () in
+  let sender = Keeping_alive.create a and receiver = Tcp.create b in
+  let closed = ref None in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Tcp.start_passive receiver { Tcp.local_port = 80 } (fun _ ->
+               (Packet.release, ignore)));
+        ignore
+          (Keeping_alive.connect sender
+             { Keeping_alive.peer = ip_of "10.0.0.2"; port = 80;
+               local_port = None }
+             (fun _ -> (ignore, fun s -> closed := Some s)));
+        Link.take_down link ~policy:`Drop;
+        Scheduler.sleep 60_000_000)
+  in
+  Alcotest.(check bool) "connection timed out" true
+    (!closed = Some Status.Timed_out);
+  Alcotest.(check (list int)) "(rtx limit, persist, user timeout, keepalive)"
+    [ 0; 0; 0; 1 ] (aborts (Keeping_alive.stats sender))
 
 let () =
   Alcotest.run "fox_tcp_integration"
@@ -805,6 +863,8 @@ let () =
       ( "basics",
         [
           Alcotest.test_case "handshake + hello" `Quick test_handshake_and_hello;
+          Alcotest.test_case "hello over a static ARP entry" `Quick
+            test_hello_over_static_arp_entry;
           Alcotest.test_case "200KB clean transfer" `Quick
             test_large_transfer_clean;
           Alcotest.test_case "clean link, no rtx" `Quick
@@ -833,6 +893,8 @@ let () =
             test_persist_abort_counted;
           Alcotest.test_case "stalled user timeout counted" `Quick
             test_stalled_user_timeout_abort_counted;
+          Alcotest.test_case "keepalive timeout counted" `Quick
+            test_keepalive_abort_counted;
         ] );
       ( "adverse",
         [
