@@ -92,9 +92,9 @@ let timer_expiry name start =
 
 (* The paper's 30 us "create a thread, terminate the current thread, and
    switch to the new thread", amortised over 1000 operations in one
-   scheduler run; timed work due 1 us ahead, as [fork_at] and as the
-   fork/now/sleep expansion it replaces; both timer implementations; and
-   the 1.2 us empty call for scale. *)
+   scheduler run; timed work due 1 us ahead, as a [call_at] body and as
+   a thread (fork, now, sleep); both timer implementations; and the
+   1.2 us empty call for scale. *)
 let sched_tests =
   Test.make_grouped ~name:"inline3-scheduler"
     [
@@ -105,12 +105,12 @@ let sched_tests =
                    Scheduler.fork (fun () -> ());
                    Scheduler.yield ()
                  done)));
-      Test.make ~name:"1000x-fork_at+1us"
+      Test.make ~name:"1000x-call_at+1us"
         (Staged.stage (fun () ->
              Scheduler.run (fun () ->
                  let due = Scheduler.now () + 1 in
                  for _ = 1 to 1000 do
-                   Scheduler.fork_at due ignore
+                   Scheduler.call_at due ignore
                  done)));
       Test.make ~name:"1000x-fork+now+sleep+1us"
         (Staged.stage (fun () ->

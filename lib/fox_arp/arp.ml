@@ -229,11 +229,15 @@ module Make (Eth : Fox_eth.Eth.S) : S with type eth_instance = Eth.t = struct
 
   (* Handle an ARP frame arriving on [econn] (the Ethernet session to the
      frame's source station).  The frame is this layer's to give back:
-     everything it carries is decoded before it is released. *)
+     everything it carries is decoded before it is released.  A message
+     whose sender hardware address is not the frame's source is dropped
+     unlearned and unanswered: the FCS is not checked, so a bit flipped
+     on the wire would otherwise poison the cache for a whole timeout. *)
   let receive_arp t econn frame =
     let message = decode_arp frame in
     Packet.release frame;
     match message with
+    | Some { sha; _ } when not (Mac.equal sha (Eth.peer econn)) -> ()
     | None -> ()
     | Some { op; sha; spa; tpa } ->
       if op = op_request && Ipv4_addr.equal tpa t.local_ip then begin

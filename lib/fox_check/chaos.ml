@@ -76,7 +76,8 @@ let apply link = function
   | Clock_jump us -> Scheduler.advance us
 
 (** [install plan link] forks the orchestrator thread: episodes fire at
-    their absolute virtual times, in order.  Call inside [Scheduler.run]. *)
+    their absolute virtual times, in order.  Call inside a running
+    scheduler. *)
 let install ?(log = fun _ -> ()) plan link =
   let plan = List.stable_sort (fun a b -> compare a.at_us b.at_us) plan in
   Scheduler.fork (fun () ->
@@ -262,49 +263,45 @@ let fingerprint r =
           ]))
 
 (* ------------------------------------------------------------------ *)
-(* Topology                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let port = 7777
-
-let client_addr = World.addr ~subnet:3 1
-
-let server_addr = World.addr ~subnet:3 2
-
-let payload_for scn ~bytes =
-  Bytes.to_string
-    (Rng.bytes (Rng.create (scn.netem.Netem.seed lxor 0xc4a05)) bytes)
-
-(* ------------------------------------------------------------------ *)
 (* The cells                                                          *)
 (* ------------------------------------------------------------------ *)
+
+let flag cond msg = if cond then [ msg ] else []
+
+(** [problems r] is the graceful-degradation contract of one guarded
+    cell, empty when it holds: the cell completed, its invariants stayed
+    silent, it leaked no buffer, a blackhole cell shrank its MSS and a
+    slowloris cell answered with 408s. *)
+let problems r =
+  List.map
+    (( ^ ) (r.scenario ^ "/" ^ r.cc ^ ": "))
+    (flag (not r.complete)
+       (Printf.sprintf "incomplete (%d of %d)" r.delivered r.expected)
+    @ List.map (( ^ ) "invariant: ") r.invariant_faults
+    @ flag (r.leaked_packets <> 0)
+        (Printf.sprintf "%d packet buffers leaked" r.leaked_packets)
+    @ flag
+        (r.scenario = "mtu_blackhole" && r.blackhole_shrinks = 0)
+        "blackhole detection never fired"
+    @ flag
+        (r.scenario = "slowloris" && r.responses_408 = 0)
+        "no 408s — the deadline defense was inert")
 
 module Make_engine_p (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) =
 struct
   include World.Stack (Cc) (P)
 
-  (* Shared cell scaffolding: the check battery with invariants, flight
-     recorder and leak census around a client and a server engine on a
-     fresh wire.  [body] runs the world and returns everything the
-     result needs except the faults/flight/leak fields, which the wrapper
-     owns; the ring is kept only when the cell failed. *)
-  let with_cell ~make_link body =
-    let run =
-      World.checked ~invariants:true ~flight:true ~census:true (fun () ->
-          let link = make_link () in
-          let client_ip = World.host ~subnet:3 link 0 ~addr:client_addr in
-          let server_ip = World.host ~subnet:3 link 1 ~addr:server_addr in
-          let server_t = Tcp.create server_ip in
-          body link ~client_t:(Tcp.create client_ip) ~server_t)
-    in
-    let r =
-      { run.World.value with
-        invariant_faults = run.World.faults;
-        leaked_packets = run.World.leaked;
-      }
-    in
-    if r.complete && r.invariant_faults = [] && r.leaked_packets = 0 then r
-    else { r with flight = run.World.ring }
+  (* Every cell runs under the check battery with the leak census. *)
+  let checked_cell body =
+    World.cell ~census:true
+      ~failed:(fun r -> problems r <> [])
+      (fun run ->
+        { run.World.value with
+          invariant_faults = run.World.faults;
+          leaked_packets = run.World.leaked;
+          flight = run.World.ring;
+        })
+      body
 
   let guarded = P.params.blackhole_detect
 
@@ -313,30 +310,21 @@ struct
      against the expected stream. *)
   let run_transfer ?(quick = false) ?(log = fun _ -> ()) scn =
     let bytes = if quick then scn.quick_bytes else scn.bytes in
-    with_cell
-      ~make_link:(fun () -> Link.point_to_point scn.netem)
-      (fun link ~client_t ~server_t ->
-        let payload = payload_for scn ~bytes in
-        let buf = Buffer.create bytes in
-        let client_conn = ref None in
-        let stats =
-          Scheduler.run (fun () ->
-              install ~log scn.plan link;
-              sink server_t ~port ~stream:(fun () -> (buf, ignore));
-              Scheduler.fork (fun () ->
-                  push client_t ~peer:server_addr ~port payload
-                    ~on_open:(fun conn -> client_conn := Some conn)
-                    ~connect_failed:(fun msg -> log ("connect failed: " ^ msg))
-                    ~send_failed:(fun msg -> log ("send failed: " ^ msg))))
+    let payload =
+      World.payload ~seed:(scn.netem.Netem.seed lxor 0xc4a05) bytes
+    in
+    checked_cell (fun () ->
+        let link = Link.point_to_point scn.netem in
+        let t =
+          transfer ~log
+            ~perturb:(fun () -> install ~log scn.plan link)
+            ~link ~subnet:3 ~bytes
+            ~payload:(fun _ -> payload)
+            [ 0 ] ()
         in
-        let delivered = Buffer.contents buf in
-        let cs = Tcp.stats client_t in
-        let ss = Tcp.stats server_t in
-        let retransmissions =
-          match !client_conn with
-          | Some conn -> (Tcp.conn_stats conn).Fox_tcp.Tcp.retransmissions
-          | None -> 0
-        in
+        let delivered = String.concat "" (List.map fst t.World.streams) in
+        let cs = Tcp.stats t.World.client in
+        let ss = Tcp.stats t.World.server in
         {
           scenario = scn.name;
           cc = Cc.name;
@@ -344,8 +332,12 @@ struct
           complete = String.equal delivered payload;
           delivered = String.length delivered;
           expected = bytes;
-          end_time = stats.Scheduler.end_time;
-          retransmissions;
+          end_time = t.World.end_time;
+          retransmissions =
+            List.fold_left
+              (fun a conn ->
+                a + (Tcp.conn_stats conn).Fox_tcp.Tcp.retransmissions)
+              0 t.World.opened;
           blackhole_shrinks = cs.Fox_tcp.Tcp.blackhole_shrinks;
           rtx_limit_aborts =
             cs.Fox_tcp.Tcp.rtx_limit_aborts + ss.Fox_tcp.Tcp.rtx_limit_aborts;
@@ -373,10 +365,15 @@ struct
     let loris_until = if quick then 6_000_000 else 12_000_000 in
     let header_timeout_us = if deadlines then 800_000 else 0 in
     let netem = { Netem.gigabit with Netem.seed = 0x510e_115 } in
-    with_cell
-      ~make_link:(fun () -> Link.hub ~ports:2 netem)
-      (fun link ~client_t ~server_t ->
-        let addr = { Tcp.peer = server_addr; port; local_port = None } in
+    checked_cell (fun () ->
+        let link = Link.hub ~ports:2 netem in
+        let addr =
+          {
+            Tcp.peer = World.addr ~subnet:3 2;
+            port = World.port;
+            local_port = None;
+          }
+        in
         let index_body = "<html><body><h1>foxnet</h1></body></html>\n" in
         let site =
           Fox_app.Http.Site.of_pages
@@ -388,16 +385,16 @@ struct
           Http.serve ~header_timeout_us ~min_byte_rate:1_000 ~stats:hstats
             site sock
         in
-        let stats =
-          Scheduler.run (fun () ->
-              ignore (Sock.listen server_t { Tcp.local_port = port } serve);
+        let _, server, end_time =
+          on ~link ~subnet:3 (fun ~client ~server ->
+              ignore (Sock.listen server { Tcp.local_port = World.port } serve);
               (* the siege: connect early, send a valid request line, then
                  trickle one header byte every 300 ms — forever, as far
                  as the server knows *)
               for i = 0 to loris - 1 do
                 Scheduler.fork (fun () ->
                     Scheduler.sleep (i * 5_000);
-                    match Sock.connect client_t addr with
+                    match Sock.connect client addr with
                     | exception Fox_proto.Common.Connection_failed _ ->
                       log (Printf.sprintf "loris %d refused" i)
                     | sock ->
@@ -424,7 +421,7 @@ struct
                     let rng = Rng.create (0x1e917 lxor (i * 31)) in
                     match
                       Http.get_retry
-                        ~connect:(fun () -> Sock.connect client_t addr)
+                        ~connect:(fun () -> Sock.connect client addr)
                         ~attempts:3 ~base_backoff_us:200_000 ~rng
                         "/index.html"
                     with
@@ -434,8 +431,9 @@ struct
                     | _, n ->
                       log (Printf.sprintf "legit %d failed after %d tries" i n))
               done)
+            ()
         in
-        let ss = Tcp.stats server_t in
+        let ss = Tcp.stats server in
         {
           scenario = "slowloris";
           cc = Cc.name;
@@ -443,7 +441,7 @@ struct
           complete = !legit_ok = legit;
           delivered = !legit_ok;
           expected = legit;
-          end_time = stats.Scheduler.end_time;
+          end_time;
           retransmissions = 0;
           blackhole_shrinks = 0;
           rtx_limit_aborts = ss.Fox_tcp.Tcp.rtx_limit_aborts;
@@ -504,27 +502,6 @@ let run_teeth_slowloris ?quick ?log () =
 (* ------------------------------------------------------------------ *)
 (* The verdict                                                        *)
 (* ------------------------------------------------------------------ *)
-
-(** [problems r] is the graceful-degradation contract of one guarded
-    cell, empty when it holds: the cell completed, its invariants stayed
-    silent, it leaked no buffer, a blackhole cell shrank its MSS and a
-    slowloris cell answered with 408s. *)
-let flag cond msg = if cond then [ msg ] else []
-
-let problems r =
-  List.map
-    (( ^ ) (r.scenario ^ "/" ^ r.cc ^ ": "))
-    (flag (not r.complete)
-       (Printf.sprintf "incomplete (%d of %d)" r.delivered r.expected)
-    @ List.map (( ^ ) "invariant: ") r.invariant_faults
-    @ flag (r.leaked_packets <> 0)
-        (Printf.sprintf "%d packet buffers leaked" r.leaked_packets)
-    @ flag
-        (r.scenario = "mtu_blackhole" && r.blackhole_shrinks = 0)
-        "blackhole detection never fired"
-    @ flag
-        (r.scenario = "slowloris" && r.responses_408 = 0)
-        "no 408s — the deadline defense was inert")
 
 (** [check ()] runs the guarded matrix twice (determinism), holds every
     cell to {!problems}, runs both teeth cells and asserts they fail.

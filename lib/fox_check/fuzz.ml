@@ -230,8 +230,6 @@ type run_result = {
       (** the engine's flight-recorder ring (rendered), oldest first *)
 }
 
-let port = 7777
-
 let run_engine (module E : Engines.S) s ~engine_salt ~with_invariants =
   let payload = payload_of s in
   let a, b, atk = hosts_for s ~engine_salt in
@@ -254,7 +252,7 @@ let run_engine (module E : Engines.S) s ~engine_salt ~with_invariants =
         let client_t = E.create a.fip in
         let stats =
           Scheduler.run (fun () ->
-              E.listen server_t ~port
+              E.listen server_t ~port:World.port
                 ~on_data:(fun packet ->
                   Buffer.add_string delivered (Packet.to_string packet);
                   Packet.release packet)
@@ -262,7 +260,8 @@ let run_engine (module E : Engines.S) s ~engine_salt ~with_invariants =
                   event "server status %s" (Status.to_string status));
               let conn =
                 let attempt () =
-                  E.connect client_t ~peer:b.addr ~port ~on_status:(fun status ->
+                  E.connect client_t ~peer:b.addr ~port:World.port
+                    ~on_status:(fun status ->
                       event "client status %s" (Status.to_string status))
                 in
                 match attempt () with
@@ -286,7 +285,7 @@ let run_engine (module E : Engines.S) s ~engine_salt ~with_invariants =
                    during connect is the soak harness's territory.  Its
                    half-open SYNs are optionally abandoned with RSTs, the
                    path that clears a SYN-cache entry early. *)
-                Flood.script atk.fip ~target:b.addr ~dst_port:port
+                Flood.script atk.fip ~target:b.addr ~dst_port:World.port
                   ~syns:s.syn_flood ~bad_acks:s.bad_acks ~gap_us:700
                   ~abandon:(fun _ -> s.flood_rst)
                   ~rst_gap_us:300

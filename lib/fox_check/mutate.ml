@@ -233,8 +233,6 @@ let install_gremlin link ~index ~seed ~rate =
 (* Hosts and engines                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let port = 7777
-
 (* Each seed runs against both engines, labelled as its outcome reports
    them. *)
 let engines : (string * (module Engines.S)) list =
@@ -285,12 +283,15 @@ let run_one (engine, (module E : Engines.S)) ~seed =
           Scheduler.run (fun () ->
               let server_t = E.create server_ip in
               let client_t = E.create client_ip in
-              E.listen server_t ~port
+              E.listen server_t ~port:World.port
                 ~on_data:(fun packet ->
                   Buffer.add_string delivered (Packet.to_string packet);
                   Packet.release packet)
                 ~on_status:ignore;
-              match E.connect client_t ~peer:server_addr ~port ~on_status:ignore with
+              match
+                E.connect client_t ~peer:server_addr ~port:World.port
+                  ~on_status:ignore
+              with
               | exception Fox_proto.Common.Connection_failed msg ->
                 problem "connect failed under mutation: %s" msg
               | conn ->

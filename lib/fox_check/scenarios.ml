@@ -14,7 +14,6 @@
     reproduces byte-for-byte; the quick variant trims the transfer for
     CI. *)
 
-open Fox_basis
 module Scheduler = Fox_sched.Scheduler
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
@@ -234,12 +233,6 @@ let jain = function
 (* One matrix cell                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let port = 7777
-
-let payload_for scn ~bytes i =
-  Bytes.to_string
-    (Rng.bytes (Rng.create (scn.netem.Netem.seed lxor (i * 7919))) bytes)
-
 module Atk = Attack.Make (World.Ip) (World.Ip_aux)
 
 (* Count delivered bytes that are not the legitimate payload: mismatches
@@ -263,6 +256,9 @@ struct
 
   let run ?(quick = false) scn =
     let bytes = if quick then scn.quick_bytes else scn.bytes in
+    let payload i =
+      World.payload ~seed:(scn.netem.Netem.seed lxor (i * 7919)) bytes
+    in
     (* flows share the same wire: the forward medium (and its finite
        queue) is the bottleneck they contend for.  An attack scenario
        gets a hub with a third port for the adversary's station. *)
@@ -271,91 +267,74 @@ struct
       | None -> Link.point_to_point scn.netem
       | Some _ -> Link.hub ~ports:3 scn.netem
     in
-    let client_addr = World.addr ~subnet:2 1 in
-    let server_addr = World.addr ~subnet:2 2 in
-    let client_ip = World.host ~subnet:2 link 0 ~addr:client_addr in
-    let server_ip = World.host ~subnet:2 link 1 ~addr:server_addr in
     (* the adversary spoofs the client: its IP instance claims the
        client's address, so every probe is stamped and checksummed as if
        the legitimate peer had sent it (see {!Attack}) *)
     let attacker =
-      match scn.attack with
-      | None -> None
-      | Some cfg ->
-        let atk_ip = World.host ~subnet:2 link 2 ~addr:client_addr in
-        Some
+      Option.map
+        (fun cfg ->
+          let atk_ip =
+            World.host ~subnet:2 link 2 ~addr:(World.addr ~subnet:2 1)
+          in
           ( cfg,
-            Atk.create ~model:cfg.model atk_ip ~target:server_addr
-              ~seed:scn.netem.Netem.seed )
+            Atk.create ~model:cfg.model atk_ip ~target:(World.addr ~subnet:2 2)
+              ~seed:scn.netem.Netem.seed ))
+        scn.attack
+    in
+    (* the probes target the established connection's four-tuple: the
+       stack's first ephemeral port, once the handshake has settled *)
+    let perturb () =
+      Option.iter
+        (fun (cfg, atk) ->
+          Scheduler.fork (fun () ->
+              Scheduler.sleep 10_000;
+              Atk.launch atk ~kind:cfg.kind ~src_port:49152 ~dst_port:World.port
+                ~pps:cfg.pps ~probes:cfg.probes))
+        attacker
+    in
+    (* a tiny stagger keeps simultaneous SYNs from colliding on the
+       half-open path; the flows still overlap for >99% of the transfer *)
+    let cell =
+      transfer ~perturb ~stagger_us:500 ~link ~subnet:2 ~bytes ~payload
+        (List.init scn.flows Fun.id)
     in
     (* as in the fuzz harness, the flight recorder runs for every cell so
        a failing verdict carries the ring *)
-    let run =
-      World.checked ~invariants:true ~flight:true (fun () ->
-        let server_t = Tcp.create server_ip in
-        let client_t = Tcp.create client_ip in
-        (* accept order = flow order for scoring; all flows carry the same
-           number of bytes, so identity does not affect the fairness index *)
-        let streams : (Buffer.t * int ref) list ref = ref [] in
-        (* client-side connections survive closure as records, so their
-           final TCB counters can be read after quiescence *)
-        let client_conns : Tcp.connection list ref = ref [] in
-        let stats =
-          Scheduler.run (fun () ->
-              sink server_t ~port ~stream:(fun () ->
-                  let buf = Buffer.create bytes in
-                  let finished = ref 0 in
-                  streams := (buf, finished) :: !streams;
-                  ( buf,
-                    fun () ->
-                      if Buffer.length buf >= bytes && !finished = 0 then
-                        finished := Scheduler.now () ));
-              (match attacker with
-              | None -> ()
-              | Some (cfg, atk) ->
-                Scheduler.fork (fun () ->
-                    (* the probes target the established connection's
-                       four-tuple: the stack's first ephemeral port,
-                       once the handshake has settled *)
-                    Scheduler.sleep 10_000;
-                    Atk.launch atk ~kind:cfg.kind ~src_port:49152
-                      ~dst_port:port ~pps:cfg.pps ~probes:cfg.probes));
-              for i = 0 to scn.flows - 1 do
-                Scheduler.fork (fun () ->
-                    (* a tiny stagger keeps simultaneous SYNs from
-                       colliding on the half-open path; the flows still
-                       overlap for >99% of the transfer *)
-                    Scheduler.sleep (i * 500);
-                    push client_t ~peer:server_addr ~port
-                      ~on_open:(fun conn -> client_conns := conn :: !client_conns)
-                      (payload_for scn ~bytes i))
-              done)
-        in
-        let end_time = stats.Scheduler.end_time in
+    World.cell
+      ~failed:(fun r -> problems r <> [])
+      (fun run ->
+        { run.World.value with
+          invariant_faults = run.World.faults;
+          flight = run.World.ring;
+        })
+      (fun () ->
+        let t = cell () in
+        let end_time = t.World.end_time in
         (* Streams that never carried a byte are not transfer flows: under
            a blind-SYN storm the listener legitimately accepts (and the
            real peer promptly resets) embryonic connections for forged
            SYNs once the tuple is free again — ordinary TCP, not a
            defense failure, and not a flow to score.  A legitimate flow
            that truly delivered nothing still fails the completeness
-           check below, since fewer than [scn.flows] streams remain. *)
-        let scored =
-          List.filter (fun (buf, _) -> Buffer.length buf > 0) !streams
-        in
+           check below, since fewer than [scn.flows] streams remain.
+           All flows carry the same number of bytes, so accept order
+           serves as flow order for the fairness index. *)
         let flow_results =
-          List.rev_map
-            (fun (buf, finished) ->
-              let delivered = Buffer.length buf in
-              let finished_at_us =
-                if !finished > 0 then !finished else end_time
-              in
-              let span = max 1 finished_at_us in
-              {
-                delivered;
-                finished_at_us;
-                goodput_mbps = float_of_int (delivered * 8) /. float_of_int span;
-              })
-            scored
+          List.filter_map
+            (fun (stream, full) ->
+              let delivered = String.length stream in
+              if delivered = 0 then None
+              else
+                let finished_at_us = if full > 0 then full else end_time in
+                let span = max 1 finished_at_us in
+                Some
+                  {
+                    delivered;
+                    finished_at_us;
+                    goodput_mbps =
+                      float_of_int (delivered * 8) /. float_of_int span;
+                  })
+            t.World.streams
         in
         let total_delivered =
           List.fold_left (fun a f -> a + f.delivered) 0 flow_results
@@ -367,7 +346,7 @@ struct
           List.fold_left
             (fun a conn ->
               a + (Tcp.conn_stats conn).Fox_tcp.Tcp.retransmissions)
-            0 !client_conns
+            0 t.World.opened
         in
         let drops i =
           let s = Link.stats link i in
@@ -377,11 +356,10 @@ struct
           match scn.attack with
           | None -> 0
           | Some _ ->
-            let expected = payload_for scn ~bytes 0 in
+            let expected = payload 0 in
             List.fold_left
-              (fun a (buf, _) ->
-                a + injected_in (Buffer.contents buf) expected)
-              0 !streams
+              (fun a (stream, _) -> a + injected_in stream expected)
+              0 t.World.streams
         in
         {
           scenario = scn.name;
@@ -404,9 +382,6 @@ struct
           injected_bytes;
           flight = [];
         })
-    in
-    let r = { run.World.value with invariant_faults = run.World.faults } in
-    if problems r = [] then r else { r with flight = run.World.ring }
 end
 
 (* RFC 5961 switched off: RFC 793's original acceptance rules.  The

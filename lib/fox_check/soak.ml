@@ -25,7 +25,6 @@
     little real time, so the soak doubles as a CI smoke test
     ([foxnet soak]). *)
 
-open Fox_basis
 module Scheduler = Fox_sched.Scheduler
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
@@ -154,18 +153,10 @@ let pp_report fmt r =
 
 let report_to_string r = Format.asprintf "%a" pp_report r
 
-(* ------------------------------------------------------------------ *)
-(* Topology                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let port = 7777
-
 (* The payload of connection [i] is a pure function of the seed, so the
    server can match delivered streams against expectations by digest. *)
 let payload_for cfg i =
-  Bytes.to_string
-    (Rng.bytes (Rng.create (cfg.seed lxor (i * 7919) lxor 0x5a5a))
-       cfg.bytes_per_conn)
+  World.payload ~seed:(cfg.seed lxor (i * 7919) lxor 0x5a5a) cfg.bytes_per_conn
 
 (* ------------------------------------------------------------------ *)
 (* The run                                                            *)
@@ -192,54 +183,34 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
         Netem.ethernet_10mbps
     in
     let link = Link.hub ~ports:3 netem in
-    let host n = World.host ~subnet:1 link (n - 1) ~addr:(World.addr ~subnet:1 n) in
-    let client_ip = host 1 in
-    let server_ip = host 2 in
-    let atk_ip = host 3 in
-    let server_addr = World.addr ~subnet:1 2 in
-    let server_t = Tcp.create server_ip in
-    let client_t = Tcp.create client_ip in
-    let streams = ref [] in
-    let connect_failures = ref 0 in
+    let atk_ip = World.host ~subnet:1 link 2 ~addr:(World.addr ~subnet:1 3) in
     let flood_sent = ref 0 in
-    let run =
-      World.checked ~census:true (fun () ->
-          Scheduler.run (fun () ->
-              if cfg.chaos <> [] then Chaos.install ~log cfg.chaos link;
-              sink server_t ~port ~stream:(fun () ->
-                  let buf = Buffer.create cfg.bytes_per_conn in
-                  streams := buf :: !streams;
-                  (buf, ignore));
-              (* the flood: scripted, mid-run, while early connections are
-                 still transferring and later ones are still arriving; a
-                 third of its handshakes are later abandoned, covering the
-                 RST-clears-cache-entry path *)
-              Flood.script ~wait_us:cfg.flood_at_us atk_ip ~target:server_addr
-                ~dst_port:port ~syns:cfg.flood_syns ~bad_acks:cfg.flood_bad_acks
-                ~gap_us:200
-                ~abandon:(fun i -> i mod 3 = 0)
-                ~rst_gap_us:200
-                ~on_done:(fun sent ->
-                  flood_sent := sent;
-                  log
-                    (Printf.sprintf "t=%d flood done: %d segments"
-                       (Scheduler.now ()) sent));
-              (* the client fleet: this shard's slice, keeping each
-                 connection's original stagger slot *)
-              List.iter
-                (fun i ->
-                  Scheduler.fork (fun () ->
-                      Scheduler.sleep (i * cfg.spacing_us);
-                      push client_t ~peer:server_addr ~port (payload_for cfg i)
-                        ~connect_failed:(fun msg ->
-                          incr connect_failures;
-                          log (Printf.sprintf "conn %d failed to open: %s" i msg))
-                        ~send_failed:(fun msg ->
-                          log (Printf.sprintf "conn %d send failed: %s" i msg))))
-                indices))
+    let perturb () =
+      if cfg.chaos <> [] then Chaos.install ~log cfg.chaos link;
+      (* the flood: scripted, mid-run, while early connections are still
+         transferring and later ones are still arriving; a third of its
+         handshakes are later abandoned, covering the RST-clears-cache-
+         entry path *)
+      Flood.script ~wait_us:cfg.flood_at_us atk_ip
+        ~target:(World.addr ~subnet:1 2) ~dst_port:World.port
+        ~syns:cfg.flood_syns ~bad_acks:cfg.flood_bad_acks ~gap_us:200
+        ~abandon:(fun i -> i mod 3 = 0)
+        ~rst_gap_us:200
+        ~on_done:(fun sent ->
+          flood_sent := sent;
+          log
+            (Printf.sprintf "t=%d flood done: %d segments" (Scheduler.now ())
+               sent))
     in
-    let stats = run.World.value in
-    let end_time = stats.Scheduler.end_time in
+    (* the client fleet: this shard's slice, keeping each connection's
+       original stagger slot *)
+    let run =
+      World.checked ~census:true
+        (transfer ~log ~perturb ~stagger_us:cfg.spacing_us ~link ~subnet:1
+           ~bytes:cfg.bytes_per_conn ~payload:(payload_for cfg) indices)
+    in
+    let t = run.World.value in
+    let end_time = t.World.end_time in
     (* score the delivered streams against this shard's expected
        multiset *)
     let expected =
@@ -247,7 +218,7 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
       |> List.sort compare
     in
     let got =
-      List.map (fun b -> Digest.string (Buffer.contents b)) !streams
+      List.map (fun (stream, _) -> Digest.string stream) t.World.streams
       |> List.sort compare
     in
     let rec matches exp got =
@@ -260,8 +231,8 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
     in
     let completed = matches expected got in
     let delivery_mismatches = List.length got - completed in
-    let s = Tcp.stats server_t in
-    let c = Tcp.stats client_t in
+    let s = Tcp.stats t.World.server in
+    let c = Tcp.stats t.World.client in
     let wire_queue_drops =
       List.fold_left
         (fun acc i -> acc + (Link.stats link i).Link.queue_drops)
@@ -276,7 +247,7 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
               @ [
                   string_of_int end_time;
                   string_of_int completed;
-                  string_of_int !connect_failures;
+                  string_of_int t.World.connect_failures;
                   string_of_int leaked_packets;
                   string_of_int s.Fox_tcp.Tcp.accepts;
                   string_of_int s.Fox_tcp.Tcp.backlog_refused;
@@ -292,7 +263,7 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
       conns = List.length indices;
       shards = 1;
       completed;
-      connect_failures = !connect_failures;
+      connect_failures = t.World.connect_failures;
       delivery_mismatches;
       invariant_faults = [];
       leaked_packets;

@@ -9,6 +9,7 @@ module Device = Fox_dev.Device
 module Ipv4_addr = Fox_ip.Ipv4_addr
 module Status = Fox_proto.Status
 module Bus = Fox_obs.Bus
+module Scheduler = Fox_sched.Scheduler
 
 (* ------------------------------------------------------------------ *)
 (* The address plan                                                   *)
@@ -47,6 +48,13 @@ struct
       lower_pattern = { Fox_eth.Eth.match_proto = ipv4 };
     }
 end
+
+(** The port every transfer cell's server listens on. *)
+let port = 7777
+
+(** [payload ~seed bytes] is [bytes] bytes of an rng seeded with [seed]:
+    a flow's payload, a pure function of its seed. *)
+let payload ~seed bytes = Bytes.to_string (Rng.bytes (Rng.create seed) bytes)
 
 let ip_config =
   let module C = Ip_config (Ip) in
@@ -182,8 +190,22 @@ struct
     per_cc (fun (module C : Fox_tcp.Congestion.S) -> (module Fox (C) (P) : S))
 end
 
-(** TCP, sockets and HTTP over the plain {!Ip}, with the bulk-transfer
-    server and client the transfer harnesses share. *)
+(** What a {!Stack.transfer} cell leaves behind. *)
+type ('t, 'conn) transfer = {
+  streams : (string * int) list;
+      (** the server's streams in accept order, each with the virtual
+          time it first held [bytes] (0: never) *)
+  opened : 'conn list;
+      (** the client connections that opened; a closed connection's
+          counters stay readable *)
+  connect_failures : int;
+  client : 't;
+  server : 't;
+  end_time : int;  (** virtual µs at quiescence *)
+}
+
+(** TCP, sockets and HTTP over the plain {!Ip}, with the transfer cell
+    the transfer harnesses share. *)
 module Stack (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) = struct
   module Tcp = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Cc) (P)
 
@@ -195,38 +217,81 @@ module Stack (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) = struct
 
   module Http = Fox_app.Http.Make (Sock)
 
-  (** [sink t ~port ~stream] accepts every connection on [port] and
-      appends its bytes to the buffer [stream ()] hands back, running the
-      returned hook after each segment; our half closes when the peer
-      closes theirs, so the client is the active closer. *)
-  let sink t ~port ~stream =
-    ignore
-      (Tcp.start_passive t { Tcp.local_port = port } (fun conn ->
-           let buf, on_data = stream () in
-           ( (fun packet ->
-               Buffer.add_string buf (Packet.to_string packet);
-               Packet.release packet;
-               on_data ()),
-             function Status.Remote_close -> Tcp.close conn | _ -> () )))
+  (** [on ~link ~subnet body] puts the client on port 0 of [link] (host 1
+      of 10.[subnet].0.0/24) and the server on port 1 (host 2), and
+      returns the thunk that creates their engines, server first, runs
+      [body ~client ~server] under [Scheduler.run] and returns the
+      engines and the end time. *)
+  let on ~link ~subnet body =
+    let client_ip = host ~subnet link 0 ~addr:(addr ~subnet 1) in
+    let server_ip = host ~subnet link 1 ~addr:(addr ~subnet 2) in
+    fun () ->
+      let server = Tcp.create server_ip in
+      let client = Tcp.create client_ip in
+      let stats = Scheduler.run (fun () -> body ~client ~server) in
+      (client, server, stats.Scheduler.end_time)
 
-  (** [push t ~peer ~port payload] connects, hands [payload] to TCP in
-      one send and closes.  [on_open] sees the connection before the
-      send; refused connects and sends go to their handlers. *)
-  let push ?(on_open = ignore) ?(connect_failed = ignore)
-      ?(send_failed = ignore) t ~peer ~port payload =
-    match
-      Tcp.connect t { Tcp.peer; port; local_port = None } (fun _conn ->
-          (ignore, ignore))
-    with
-    | exception Fox_proto.Common.Connection_failed msg -> connect_failed msg
-    | conn ->
-      on_open conn;
-      let p = Tcp.allocate_send conn (String.length payload) in
-      Packet.blit_from_string payload 0 p 0 (String.length payload);
-      (match Tcp.send conn p with
-      | () -> ()
-      | exception Fox_proto.Common.Send_failed msg -> send_failed msg);
-      Tcp.close conn
+  (** [transfer ~perturb ~link ~subnet ~bytes ~payload flows] is the
+      {!on} thunk of a bulk transfer: [perturb] runs first; the server accepts every
+      connection on {!port} and keeps its bytes (our half closes when the
+      peer closes theirs, so the client is the active closer); then one
+      thread per flow index [i] in [flows] sleeps [i * stagger_us] (only
+      when a stagger is given), connects, hands [payload i] to TCP in one
+      send and closes.  The thunk runs once. *)
+  let transfer ?(log = ignore) ?stagger_us ~perturb ~link ~subnet ~bytes
+      ~payload flows =
+    let streams = ref [] and opened = ref [] and failures = ref 0 in
+    let accept conn =
+      let buf = Buffer.create bytes and full = ref 0 in
+      streams := (buf, full) :: !streams;
+      ( (fun packet ->
+          Buffer.add_string buf (Packet.to_string packet);
+          Packet.release packet;
+          if Buffer.length buf >= bytes && !full = 0 then
+            full := Scheduler.now ()),
+        function Status.Remote_close -> Tcp.close conn | _ -> () )
+    in
+    let push client i =
+      let data = payload i in
+      match
+        Tcp.connect client
+          { Tcp.peer = addr ~subnet 2; port; local_port = None }
+          (fun _conn -> (ignore, ignore))
+      with
+      | exception Fox_proto.Common.Connection_failed msg ->
+        incr failures;
+        log (Printf.sprintf "conn %d failed to open: %s" i msg)
+      | conn ->
+        opened := conn :: !opened;
+        let p = Tcp.allocate_send conn (String.length data) in
+        Packet.blit_from_string data 0 p 0 (String.length data);
+        (try Tcp.send conn p
+         with Fox_proto.Common.Send_failed msg ->
+           log (Printf.sprintf "conn %d send failed: %s" i msg));
+        Tcp.close conn
+    in
+    let run =
+      on ~link ~subnet (fun ~client ~server ->
+          perturb ();
+          ignore (Tcp.start_passive server { Tcp.local_port = port } accept);
+          List.iter
+            (fun i ->
+              Scheduler.fork (fun () ->
+                  Option.iter (fun us -> Scheduler.sleep (i * us)) stagger_us;
+                  push client i))
+            flows)
+    in
+    fun () ->
+      let client, server, end_time = run () in
+      {
+        streams =
+          List.rev_map (fun (b, full) -> (Buffer.contents b, !full)) !streams;
+        opened = !opened;
+        connect_failures = !failures;
+        client;
+        server;
+        end_time;
+      }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -297,6 +362,15 @@ let checked ?(invariants = false) ?(shadow = false) ?(flight = false)
     ring = !ring;
     leaked = (if census then Packet.live_packets () - live_before else 0);
   }
+
+(** [cell ?census ~failed fold body] runs a matrix cell: [body] under
+    the invariants and the flight recorder (and the leak census, if
+    asked), its checks folded into the result by [fold], which sees the
+    ring only when [failed] says the cell failed. *)
+let cell ?census ~failed fold body =
+  let run = checked ~invariants:true ~flight:true ?census body in
+  let r = fold { run with ring = [] } in
+  if failed r then fold run else r
 
 (** [tail ~cap lines] keeps the newest [cap] lines, noting how many older
     ones were elided. *)

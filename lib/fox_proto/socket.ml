@@ -422,10 +422,10 @@ end = struct
       let gen = t.deadline_gen in
       let due = Fox_sched.Scheduler.now () + max 0 us in
       t.read_deadline <- Some due;
-      (* the watcher is a thread forked at [due] on the virtual clock
-         that posts into the mailbox like any other event, so expiry is
-         serialised with data arrival — no racing wakeups *)
-      Fox_sched.Scheduler.fork_at due (fun () ->
+      (* the watcher runs from the scheduler loop at [due] on the
+         virtual clock and posts into the mailbox like any other event,
+         so expiry is serialised with data arrival — no racing wakeups *)
+      Fox_sched.Scheduler.call_at due (fun () ->
           if t.deadline_gen = gen then
             Fox_sched.Cond.signal t.mailbox (Expired gen))
 end

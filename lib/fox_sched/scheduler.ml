@@ -10,9 +10,9 @@ type stats = {
 }
 
 (* Only the operations that give up the CPU are effects: each captures
-   the running thread's continuation.  The clock, [fork], [fork_at],
-   [call_at] and [advance] need no continuation, so they read or write
-   the running scheduler's state directly (see [running] below). *)
+   the running thread's continuation.  The clock, [fork], [call_at] and
+   [advance] need no continuation, so they read or write the running
+   scheduler's state directly (see [running] below). *)
 type _ Effect.t +=
   | Yield : unit Effect.t
   | Sleep : int -> unit Effect.t
@@ -70,32 +70,14 @@ let spawn st f =
   st.alive <- st.alive + 1;
   st.start f
 
-(* [fork_at]: counted as a fork (and, if [due] is still ahead, a sleep)
-   exactly when the expansion [fork (fun () -> sleep until due; f ())]
-   would be, but the thread itself is only created at [due].  The
-   expansion's thread gets the CPU once before it sleeps: that switch is
-   counted here. *)
-let spawn_at st due f =
-  st.forks <- st.forks + 1;
-  st.alive <- st.alive + 1;
-  if due > st.clock then begin
-    st.switches <- st.switches + 1;
-    st.sleep_count <- st.sleep_count + 1;
-    Heap.add st.sleepq due (fun () -> st.start f)
-  end
-  else st.start f
-
 let fork f =
   let st = running () in
   Ring.push st.runq (fun () -> spawn st f)
 
-let fork_at due f =
-  let st = running () in
-  Ring.push st.runq (fun () -> spawn_at st due f)
-
-(* [call_at] takes the same path through the queues as [fork_at], so its
-   body starts where that thread would, but the body is the queue entry
-   itself: no thread, and nothing counted. *)
+(* [call_at] takes the path through the queues of a thread forked now
+   that sleeps until [due], so its body starts where that thread would
+   wake, but the body is the queue entry itself: no thread, and nothing
+   counted. *)
 let call_at due f =
   let st = running () in
   Ring.push st.runq (fun () ->

@@ -15,9 +15,9 @@
     Only the operations that give up the CPU capture the calling thread's
     continuation: {!yield}, {!sleep}, {!suspend} and {!stop} are effects
     handled by the running scheduler.  {!now} is a read of the running
-    scheduler's state, and {!fork}, {!fork_at}, {!call_at} and {!advance}
-    are writes to it (a push onto the run queue, a bump of the clock);
-    none of them performs an effect or switches threads.  The running
+    scheduler's state, and {!fork}, {!call_at} and {!advance} are writes
+    to it (a push onto the run queue, a bump of the clock); none of them
+    performs an effect or switches threads.  The running
     scheduler is domain-local, so one scheduler per domain (a sharded
     engine) sees only its own clock and queues, and a {!run} nested
     inside a thread has its own, until it returns or raises.
@@ -58,7 +58,7 @@ type stats = {
     threads and returns without enqueuing work twice in a row.
 
     The hook runs inside the run: {!now} called from it returns the
-    run's clock, and {!fork}, {!fork_at} or {!call_at} from it adds work
+    run's clock, and {!fork} or {!call_at} from it adds work
     to the run.  (When the clock was an effect, these raised
     [Effect.Unhandled] there.)  The hook cannot {!yield}, {!sleep},
     {!suspend} or {!stop}: it is not a thread. *)
@@ -73,24 +73,15 @@ val run :
     the CPU; the new thread runs when the current one yields. *)
 val fork : (unit -> unit) -> unit
 
-(** [fork_at due f] runs [f] in a new thread at virtual time [due] (at
-    once, in fork order, if [due] has passed).  It is observably
-    identical to
-    [fork (fun () -> let w = due - now () in if w > 0 then sleep w; f ())]:
-    the same run-queue and sleep-queue order and the same {!stats} (one
-    fork, and one sleep when [due] is still ahead when the thread would
-    have started).  The thread itself is only created at [due], so timed
-    one-shot work that may block — a deadline watcher — costs no parked
-    continuation and no [now]/[sleep] round trip.  Work that never
-    blocks, such as a frame in flight, needs no thread: see {!call_at}. *)
-val fork_at : int -> (unit -> unit) -> unit
-
 (** [call_at due f] runs [f] from the scheduler loop at virtual time
-    [due]: it starts exactly where [fork_at due f] would start its
-    thread (on the sleep queue if [due] is ahead, in run-queue order
+    [due] (at once, in fork order, if [due] has passed): it starts
+    exactly where the body of
+    [fork (fun () -> let w = due - now () in if w > 0 then sleep w; f ())]
+    would (on the sleep queue if [due] is ahead, in run-queue order
     otherwise), but [f] is no thread: it counts in none of the {!stats}
     (no fork, switch or sleep), and {!stop} discards it if it has not
-    run.  [f] must not give up the CPU: a {!yield}, {!sleep}, {!suspend}
+    run.  Timed one-shot work — a frame in flight, a deadline watcher
+    that signals a {!Cond} — costs no parked continuation.  [f] must not give up the CPU: a {!yield}, {!sleep}, {!suspend}
     or {!stop} inside it raises [Effect.Unhandled] there.  Work that may
     block forks a thread of its own. *)
 val call_at : int -> (unit -> unit) -> unit

@@ -46,21 +46,22 @@ let ack_data (params : params) tcb =
    sequential deterministic runs do not see each other's spend. *)
 let challenge_window_us = 1_000_000
 
+(* The engine's cap per window: challenges beyond it are counted but not
+   sent. *)
+let challenge_ack_limit = 100
+
 (* [new_window ~now start]: a budget window that began at [start] is
    over. *)
 let new_window ~now start =
   now < start || now - start >= challenge_window_us
 
 (* The engine's share of the budget, checked after the connection's. *)
-let engine_budget_ok (params : params) cap ~now =
-  params.challenge_ack_limit <= 0
-  || begin
-       if new_window ~now cap.cap_window_start then begin
-         cap.cap_window_start <- now;
-         cap.cap_sent <- 0
-       end;
-       cap.cap_sent < params.challenge_ack_limit
-     end
+let engine_budget_ok cap ~now =
+  if new_window ~now cap.cap_window_start then begin
+    cap.cap_window_start <- now;
+    cap.cap_sent <- 0
+  end;
+  cap.cap_sent < challenge_ack_limit
 
 let challenge_budget_ok (params : params) tcb ~now =
   let conn_ok =
@@ -73,7 +74,7 @@ let challenge_budget_ok (params : params) tcb ~now =
          tcb.chall_sent < params.challenge_ack_conn_limit
        end
   in
-  let ok = conn_ok && engine_budget_ok params tcb.chall_cap ~now in
+  let ok = conn_ok && engine_budget_ok tcb.chall_cap ~now in
   if ok then begin
     tcb.chall_sent <- tcb.chall_sent + 1;
     tcb.chall_cap.cap_sent <- tcb.chall_cap.cap_sent + 1
@@ -571,7 +572,7 @@ let time_wait (params : params) ~cap ~tally tw seg ~now =
            tw.tw_chall_sent < params.challenge_ack_conn_limit
          end
     in
-    if conn_ok && engine_budget_ok params cap ~now then begin
+    if conn_ok && engine_budget_ok cap ~now then begin
       tw.tw_chall_sent <- tw.tw_chall_sent + 1;
       cap.cap_sent <- cap.cap_sent + 1;
       tally.tally_sent <- tally.tally_sent + 1;

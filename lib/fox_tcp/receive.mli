@@ -15,6 +15,11 @@
     Everything communicates by queuing {!Tcb.tcp_action}s; given the order
     in which segments are presented, the result is fully deterministic. *)
 
+(** The engine-wide cap on RFC 5961 challenge ACKs per virtual second
+    (100), on top of each connection's [challenge_ack_conn_limit]:
+    challenges beyond it are counted but not sent. *)
+val challenge_ack_limit : int
+
 (** [process params state segment ~now] runs the receive DAG and returns
     the successor state.  [state] must carry a TCB (the engine handles
     CLOSED and LISTEN itself, since they have none) and must not be

@@ -9,6 +9,9 @@ let notef tcb fmt =
     (fun msg -> Bus.emit ~layer:"tcp.resend" ~conn:tcb.obs_id (Bus.Note msg))
     fmt
 
+(* Retransmissions of one segment before the connection gives up. *)
+let max_retransmits = 12
+
 let clamp lo hi v = if v < lo then lo else if v > hi then hi else v
 
 let rto (params : params) tcb =
@@ -255,7 +258,7 @@ let retransmit (params : params) tcb ~now =
   if Ring.is_empty tcb.rtx_q then true (* spurious: nothing outstanding *)
   else begin
     let entry = Ring.peek tcb.rtx_q in
-    if entry.sent_count > params.max_retransmits then false
+    if entry.sent_count > max_retransmits then false
     else begin
       if params.blackhole_detect then check_blackhole tcb entry;
       (* re-segmentation may have replaced the front entry *)

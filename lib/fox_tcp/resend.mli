@@ -11,6 +11,10 @@
     of TCP exclusively by queuing {!Tcb.tcp_action}s — nothing here sends a
     packet or touches a real timer. *)
 
+(** Retransmissions of one segment (12) before {!retransmit} gives up on
+    the connection. *)
+val max_retransmits : int
+
 (** [cc_ctx params tcb ~now] is the read-only snapshot handed to every
     congestion hook. *)
 val cc_ctx : Tcb.params -> Tcb.tcp_tcb -> now:int -> Congestion.ctx
@@ -46,7 +50,7 @@ val duplicate_ack : Tcb.params -> Tcb.tcp_tcb -> now:int -> unit
 (** [retransmit params tcb ~now] handles a retransmission timeout: resends
     the first queue entry, doubles the backoff, collapses the congestion
     window, and re-arms the timer.  Returns [false] when the retry budget
-    ([params.max_retransmits]) is exhausted — the caller then gives up on
+    ({!max_retransmits}) is exhausted — the caller then gives up on
     the connection. *)
 val retransmit : Tcb.params -> Tcb.tcp_tcb -> now:int -> bool
 

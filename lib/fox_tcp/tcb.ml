@@ -159,7 +159,6 @@ type params = {
   rto_initial_us : int;
   rto_min_us : int;
   rto_max_us : int;
-  max_retransmits : int;  (** give up (Timed_out) after this many *)
   time_wait_us : int;  (** 2·MSL *)
   user_timeout_us : int;
       (** the paper's [user_timeout]: µs before hung operations fail;
@@ -220,10 +219,6 @@ type params = {
           RSTs and SYNs with a rate-limited challenge ACK, and drop ACKs
           outside [snd_una - max_snd_wnd, snd_nxt].  Off restores the
           RFC 793 rules the paper implemented. *)
-  challenge_ack_limit : int;
-      (** engine-wide challenge-ACK cap per virtual second, on top of the
-          per-connection budget; challenges beyond it are counted but not
-          sent.  0 = unlimited *)
   challenge_ack_conn_limit : int;
       (** per-connection challenge-ACK budget per virtual second.  The
           budget is checked per connection {e first} so that one hostile
@@ -277,7 +272,6 @@ let default_params =
     rto_initial_us = 1_000_000;
     rto_min_us = 200_000;
     rto_max_us = 64_000_000;
-    max_retransmits = 12;
     time_wait_us = 60_000_000;
     user_timeout_us = 0;
     prioritize_latency = false;
@@ -293,7 +287,6 @@ let default_params =
     max_connections = 0;
     max_time_wait = 0;
     rfc5961 = true;
-    challenge_ack_limit = 100;
     challenge_ack_conn_limit = 10;
     secure_isn = true;
     isn_secret = None;

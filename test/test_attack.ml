@@ -130,23 +130,39 @@ let test_future_ack_challenged () =
 (* ------------------------------------------------------------------ *)
 
 let test_challenge_budget_exhaustion () =
-  (* the engine cap binds here: the per-connection budget (default 10)
-     would allow all five, the cap of 3 stops the last two *)
-  let tight = { params with Tcb.challenge_ack_limit = 3 } in
-  let tcb = estab_tcb ~params:tight () in
-  for _ = 1 to 5 do
+  (* the engine cap binds here: connections sharing one engine each
+     spend their whole per-connection budget (default 10), until the
+     engine cap (100) runs out and the last connection's five in-window
+     RSTs draw no challenge at all *)
+  let per_conn = params.Tcb.challenge_ack_conn_limit in
+  let full = Receive.challenge_ack_limit / per_conn in
+  let conns = List.init (full + 1) (fun _ -> estab_tcb ()) in
+  let last = List.nth conns full in
+  let cap = last.Tcb.chall_cap in
+  List.iter (fun tcb -> tcb.Tcb.chall_cap <- cap) conns;
+  let rst tcb ~now =
     let seg = mk_segment ~rst:true ~seq:6000 () in
-    ignore (Receive.process tight (Tcb.Estab tcb) seg ~now:0);
+    ignore (Receive.process params (Tcb.Estab tcb) seg ~now);
     ignore (drain_actions tcb)
-  done;
-  Alcotest.(check int) "all five counted" 5 tcb.Tcb.rst_challenges;
-  Alcotest.(check int) "three sent" 3 tcb.Tcb.challenge_acks_sent;
-  Alcotest.(check int) "two suppressed" 2 tcb.Tcb.challenge_acks_limited;
+  in
+  List.iter
+    (fun tcb ->
+      for _ = 1 to (if tcb == last then 5 else per_conn) do
+        rst tcb ~now:0
+      done)
+    conns;
+  let sum f = List.fold_left (fun a tcb -> a + f tcb) 0 conns in
+  Alcotest.(check int) "all counted" ((full * per_conn) + 5)
+    (sum (fun t -> t.Tcb.rst_challenges));
+  Alcotest.(check int) "the cap sent" Receive.challenge_ack_limit
+    (sum (fun t -> t.Tcb.challenge_acks_sent));
+  Alcotest.(check int) "last connection: none sent" 0
+    last.Tcb.challenge_acks_sent;
+  Alcotest.(check int) "last connection: five suppressed" 5
+    last.Tcb.challenge_acks_limited;
   (* a fresh one-second window refills the budget *)
-  let seg = mk_segment ~rst:true ~seq:6000 () in
-  ignore (Receive.process tight (Tcb.Estab tcb) seg ~now:1_100_000);
-  ignore (drain_actions tcb);
-  Alcotest.(check int) "window refilled" 4 tcb.Tcb.challenge_acks_sent
+  rst last ~now:1_100_000;
+  Alcotest.(check int) "window refilled" 1 last.Tcb.challenge_acks_sent
 
 let test_conn_budget_binds_first () =
   (* the per-connection budget suppresses a single noisy flow even when
@@ -168,9 +184,7 @@ let test_hostile_flow_cannot_starve_victim () =
      second connection must still earn its challenge ACK — under the old
      process-wide counter it was starved, and that silence was the
      attacker's oracle. *)
-  let p =
-    { params with Tcb.challenge_ack_conn_limit = 5; challenge_ack_limit = 100 }
-  in
+  let p = { params with Tcb.challenge_ack_conn_limit = 5 } in
   let victim = estab_tcb ~params:p () in
   let hostile = estab_tcb ~params:p () in
   victim.Tcb.chall_cap <- hostile.Tcb.chall_cap;
@@ -191,13 +205,11 @@ let test_hostile_flow_cannot_starve_victim () =
     victim.Tcb.challenge_acks_limited;
   (* contrast: with no per-connection layer (the pre-fix shape, global
      budget only) the same spray starves the victim completely *)
-  let vuln =
-    { params with Tcb.challenge_ack_conn_limit = 0; challenge_ack_limit = 10 }
-  in
+  let vuln = { params with Tcb.challenge_ack_conn_limit = 0 } in
   let victim' = estab_tcb ~params:vuln () in
   let hostile' = estab_tcb ~params:vuln () in
   victim'.Tcb.chall_cap <- hostile'.Tcb.chall_cap;
-  for _ = 1 to 50 do
+  for _ = 1 to Receive.challenge_ack_limit do
     let seg = mk_segment ~rst:true ~seq:6000 () in
     ignore (Receive.process vuln (Tcb.Estab hostile') seg ~now:0);
     ignore (drain_actions hostile')

@@ -636,6 +636,49 @@ let test_arp_failure_counted_once () =
   Alcotest.(check int) "requests" 3 s.Fox_arp.Arp.requests_sent;
   Alcotest.(check int) "one failure" 1 s.Fox_arp.Arp.resolution_failures
 
+(* An ARP request whose sender hardware address is not the frame's
+   Ethernet source, as after a bit flipped on the wire: the target
+   neither learns it nor answers.  The same request with the true
+   address does both. *)
+let test_arp_forged_sender_ignored () =
+  let link = Link.point_to_point Netem.ethernet_10mbps in
+  let src = mac_of "02:00:00:00:00:01" in
+  let eth = Eth.create (Device.create (Link.port link 0)) ~mac:src in
+  let b = make_host link 1 ~mac:(mac_of "02:00:00:00:00:02") ~addr:(ip_of "10.0.0.2") in
+  let request sha =
+    let p = Packet.create ~headroom:(Frame.header_length + 4) 28 in
+    Packet.set_u16 p 0 1;
+    Packet.set_u16 p 2 Frame.ethertype_ipv4;
+    Packet.set_u8 p 4 6;
+    Packet.set_u8 p 5 4;
+    Packet.set_u16 p 6 1;
+    Mac.write sha (Packet.buffer p) (Packet.offset p + 8);
+    Ipv4_addr.write (ip_of "10.0.0.1") (Packet.buffer p) (Packet.offset p + 14);
+    Ipv4_addr.write (ip_of "10.0.0.2") (Packet.buffer p) (Packet.offset p + 24);
+    p
+  in
+  let ask sha =
+    let learned = ref None in
+    let _ =
+      Scheduler.run (fun () ->
+          let conn =
+            Eth.connect eth
+              { Fox_eth.Eth.dest = Mac.broadcast; proto = Frame.ethertype_arp }
+              (fun _ -> (Packet.release, ignore))
+          in
+          let p = request sha in
+          Eth.send conn p;
+          Packet.release p;
+          Scheduler.sleep 10_000;
+          learned := Arp.lookup b.arp (ip_of "10.0.0.1"))
+    in
+    (Option.map Mac.to_string !learned, (Arp.stats b.arp).Fox_arp.Arp.replies_sent)
+  in
+  Alcotest.(check (pair (option string) int)) "forged sender" (None, 0)
+    (ask (mac_of "02:00:01:00:00:01"));
+  Alcotest.(check (pair (option string) int)) "true sender"
+    (Some (Mac.to_string src), 1) (ask src)
+
 (* ------------------------------------------------------------------ *)
 (* IPv4 header / route / frag                                         *)
 (* ------------------------------------------------------------------ *)
@@ -1367,6 +1410,8 @@ let () =
             test_arp_failure_releases_held;
           Alcotest.test_case "failure counted once" `Quick
             test_arp_failure_counted_once;
+          Alcotest.test_case "forged sender address ignored" `Quick
+            test_arp_forged_sender_ignored;
         ] );
       ( "ip-codec",
         [

@@ -62,7 +62,6 @@ module Base_params = struct
       rto_initial_us = 200_000;
       rto_min_us = 100_000;
       rto_max_us = 1_000_000;
-      max_retransmits = 3;
       time_wait_us = 1_000_000;
     }
 end

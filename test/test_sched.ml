@@ -220,23 +220,24 @@ let test_idle_hook_sees_time_to_next_timer () =
   | _ -> Alcotest.fail "idle hook did not see the pending timer"
 
 (* ------------------------------------------------------------------ *)
-(* fork_at: observably the fork/now/sleep expansion                   *)
+(* call_at: where a thread sleeping until the due time would start    *)
 (* ------------------------------------------------------------------ *)
 
-(* What [fork_at] must be indistinguishable from. *)
-let expanded_fork_at due f =
+(* The fork/now/sleep expansion: a thread forked now that sleeps until
+   [due] and then runs [f], where a [call_at] body must start. *)
+let expanded_call_at due f =
   Scheduler.fork (fun () ->
       let w = due - Scheduler.now () in
       if w > 0 then Scheduler.sleep w;
       f ())
 
-(* A random thread program.  [Fork_at] dues are relative to the clock at
-   the call and drawn from a small set, so dues in the past, now, the
-   future and equal dues (and ties with sleepers) all occur;
-   [Advance] moves the clock between a fork_at and its thread's start. *)
+(* A random thread program.  [At] dues are relative to the clock at the
+   call and drawn from a small set, so dues in the past, now, the future
+   and equal dues (and ties with sleepers) all occur; [Advance] moves
+   the clock between an [At] and the start of its body. *)
 type op =
   | Fork of op list
-  | Fork_at of int * op list
+  | At of int * op list
   | Sleep of int
   | Yield
   | Advance of int
@@ -262,7 +263,7 @@ let gen_program =
                  (1, map (fun p -> Fork p) (self (depth - 1)));
                  ( 3,
                    map2
-                     (fun d p -> Fork_at (d, p))
+                     (fun d p -> At (d, p))
                      (oneofl [ -5; -1; 0; 0; 1; 3; 3; 5; 10 ])
                      (self (depth - 1)) );
                ]
@@ -270,12 +271,11 @@ let gen_program =
          list_size (int_range 0 6) op)
 
 (* Run [prog] as the main thread, logging (thread, step, time) at every
-   step, with [fork_at] standing for [Scheduler.fork_at] or its
-   expansion.  With [~effect_free], the bodies [fork_at] starts log
-   their [Sleep] and [Yield] steps without performing them, so that
-   [Scheduler.call_at] can stand for [fork_at]; a [Fork] inside one
-   still starts a whole thread. *)
-let run_program ?(effect_free = false) fork_at prog =
+   step, with [at] standing for [Scheduler.call_at] or the expansion.
+   With [~effect_free], the bodies [at] starts log their [Sleep] and
+   [Yield] steps without performing them, so that [Scheduler.call_at]
+   can run them; a [Fork] inside one still starts a whole thread. *)
+let run_program ?(effect_free = false) at prog =
   let log = ref [] in
   let rec exec ~timed name prog =
     List.iteri
@@ -284,8 +284,8 @@ let run_program ?(effect_free = false) fork_at prog =
         let child = Printf.sprintf "%s.%d" name i in
         match op with
         | Fork p -> Scheduler.fork (fun () -> exec ~timed:false child p)
-        | Fork_at (d, p) ->
-          fork_at (Scheduler.now () + d) (fun () ->
+        | At (d, p) ->
+          at (Scheduler.now () + d) (fun () ->
               exec ~timed:effect_free child p)
         | Sleep us -> if not timed then Scheduler.sleep us
         | Yield -> if not timed then Scheduler.yield ()
@@ -296,18 +296,14 @@ let run_program ?(effect_free = false) fork_at prog =
   let stats = Scheduler.run (fun () -> exec ~timed:false "main" prog) in
   (List.rev !log, stats)
 
-let fork_at_matches_expansion =
-  qtest ~count:500 "fork_at: same log and stats as the expansion" gen_program
-    (fun prog ->
-      run_program Scheduler.fork_at prog = run_program expanded_fork_at prog)
-
-(* [call_at] starts its body where [fork_at] starts its thread: the same
-   log and the same clock, but no fork and no switch for the body. *)
-let call_at_matches_fork_at =
-  qtest ~count:500 "call_at: same log and clock as fork_at" gen_program
+(* [call_at] starts its body where the expansion starts its thread's
+   body: the same log and the same clock, but no fork, no switch and no
+   sleep for the body. *)
+let call_at_matches_expansion =
+  qtest ~count:500 "call_at: same log and clock as expansion" gen_program
     (fun prog ->
       let l, s = run_program ~effect_free:true Scheduler.call_at prog
-      and l', s' = run_program ~effect_free:true Scheduler.fork_at prog in
+      and l', s' = run_program ~effect_free:true expanded_call_at prog in
       l = l' && s.Scheduler.end_time = s'.Scheduler.end_time)
 
 (* A [call_at] body is no thread: every operation that gives up the CPU
@@ -370,84 +366,35 @@ let test_call_at_stop_discards () =
       Alcotest.(check int) "blocked" 0 stats.Scheduler.blocked)
     [ (Some 10, 2); (None, 1) ]
 
-(* [stop] after [stop_after] µs, or at once (before the forked thread
-   has started) when [None]. *)
-let test_fork_at_stop_while_parked () =
-  let run stop_after fork_at =
-    let ran = ref false in
-    let stats =
-      Scheduler.run (fun () ->
-          fork_at (Scheduler.now () + 1_000) (fun () -> ran := true);
-          match stop_after with
-          | None -> ignore (Scheduler.stop ())
-          | Some us ->
-            Scheduler.fork (fun () ->
-                Scheduler.sleep us;
-                ignore (Scheduler.stop ())))
-    in
-    (!ran, stats)
-  in
-  List.iter
-    (fun (stop_after, forks, blocked) ->
-      let ran, s = run stop_after Scheduler.fork_at
-      and ran', e = run stop_after expanded_fork_at in
-      Alcotest.(check bool) "parked body never ran" false ran;
-      Alcotest.(check bool) "expansion's body never ran" false ran';
-      Alcotest.(check int) "forks" e.Scheduler.forks s.Scheduler.forks;
-      Alcotest.(check int) "blocked" e.Scheduler.blocked s.Scheduler.blocked;
-      Alcotest.(check int) "forks pinned" forks s.Scheduler.forks;
-      Alcotest.(check int) "blocked pinned" blocked s.Scheduler.blocked;
-      Alcotest.(check bool) "stats equal" true (s = e))
-    [ (Some 10, 3, 1); (None, 1, 0) ]
-
 (* The TAP path runs in realtime with an idle hook that waits for the
-   device; a parked [fork_at] is a live thread, so the hook must still be
-   consulted (alive > 0) and told when it is due. *)
-let test_fork_at_idle_hook_while_parked () =
-  let run fork_at =
-    let calls = ref 0 and seen = ref None and fired = ref false in
-    let _ =
-      Scheduler.run ~realtime:true
-        ~idle:(fun until ->
-          incr calls;
-          (* a thread counted alive that can never run would spin here *)
-          if !calls > 1_000 then failwith "idle hook spinning";
-          if !seen = None then seen := Some until;
-          match until with
-          | Some us -> Unix.sleepf (float_of_int us /. 1e6)
-          | None -> ())
-        (fun () ->
-          fork_at (Scheduler.now () + 2_000) (fun () -> fired := true))
-    in
-    (!calls, !seen, !fired)
+   device, and a socket's read deadline is a [call_at] body that signals
+   a reader blocked on a [Cond].  The body is no thread, but the hook
+   must still be told when it is due, and it must run. *)
+let test_call_at_idle_hook () =
+  let calls = ref 0 and seen = ref None and woke = ref false in
+  let _ =
+    Scheduler.run ~realtime:true
+      ~idle:(fun until ->
+        incr calls;
+        (* a due body the loop never runs would spin here *)
+        if !calls > 1_000 then failwith "idle hook spinning";
+        if !seen = None then seen := Some until;
+        match until with
+        | Some us -> Unix.sleepf (float_of_int us /. 1e6)
+        | None -> ())
+      (fun () ->
+        let c = Fox_sched.Cond.create () in
+        Scheduler.call_at (Scheduler.now () + 2_000) (fun () ->
+            Fox_sched.Cond.signal c ());
+        Fox_sched.Cond.wait c;
+        woke := true)
   in
-  List.iter
-    (fun (label, fork_at) ->
-      let calls, seen, fired = run fork_at in
-      Alcotest.(check bool) (label ^ ": hook ran") true (calls >= 1);
-      (match seen with
-      | Some (Some us) ->
-        Alcotest.(check bool) (label ^ ": until is the due time") true (us <= 2_000)
-      | _ -> Alcotest.fail (label ^ ": hook did not see the parked thread"));
-      Alcotest.(check bool) (label ^ ": body ran") true fired)
-    [ ("fork_at", Scheduler.fork_at); ("expansion", expanded_fork_at) ]
-
-let test_fork_at_exit_thread () =
-  let run fork_at =
-    let after_exit = ref false in
-    let stats =
-      Scheduler.run (fun () ->
-          fork_at (Scheduler.now () + 5) (fun () ->
-              ignore (Scheduler.exit_thread ());
-              after_exit := true))
-    in
-    (!after_exit, stats)
-  in
-  let after, s = run Scheduler.fork_at and _, e = run expanded_fork_at in
-  Alcotest.(check bool) "code after exit unreached" false after;
-  Alcotest.(check int) "completed" 2 s.Scheduler.completed;
-  Alcotest.(check int) "blocked" 0 s.Scheduler.blocked;
-  Alcotest.(check bool) "stats equal" true (s = e)
+  Alcotest.(check bool) "hook ran" true (!calls >= 1);
+  (match !seen with
+  | Some (Some us) ->
+    Alcotest.(check bool) "until is the due time" true (us <= 2_000)
+  | _ -> Alcotest.fail "hook did not see the pending body");
+  Alcotest.(check bool) "reader woke" true !woke
 
 (* ------------------------------------------------------------------ *)
 (* Golden runs: the literal log and stats of fixed programs           *)
@@ -676,7 +623,7 @@ let test_golden_programs () =
       let prog =
         QCheck2.Gen.generate1 ~rand:(Random.State.make [| seed |]) gen_program
       in
-      let l, s = run_program Scheduler.fork_at prog in
+      let l, s = run_program expanded_call_at prog in
       let label = Printf.sprintf "seed %d" seed in
       Alcotest.(check string) (label ^ " log") log (render_log l);
       Alcotest.(check string) (label ^ " stats") stats
@@ -684,7 +631,7 @@ let test_golden_programs () =
     golden_programs
 
 (* ------------------------------------------------------------------ *)
-(* The read path: clock, fork and fork_at without an effect           *)
+(* The read path: clock, fork and call_at without an effect           *)
 (* ------------------------------------------------------------------ *)
 
 let unhandled label f =
@@ -695,7 +642,7 @@ let unhandled label f =
 let test_outside_run_unhandled () =
   unhandled "now" (fun () -> ignore (Scheduler.now ()));
   unhandled "fork" (fun () -> Scheduler.fork ignore);
-  unhandled "fork_at" (fun () -> Scheduler.fork_at 5 ignore);
+  unhandled "call_at" (fun () -> Scheduler.call_at 5 ignore);
   unhandled "advance" (fun () -> Scheduler.advance 5);
   (* and again once a run has come and gone *)
   ignore (Scheduler.run ignore);
@@ -726,20 +673,20 @@ let test_nested_run_restores () =
         | _ -> Alcotest.fail "inner run did not raise"
         | exception Failure _ -> ());
         note "raised";
-        Scheduler.fork_at (Scheduler.now () + 10) (fun () ->
-            forked := "fork_at" :: !forked;
-            note "fork_at body");
+        Scheduler.call_at (Scheduler.now () + 10) (fun () ->
+            forked := "call_at" :: !forked;
+            note "call_at body");
         Scheduler.sleep 1;
         note "slept")
   in
   Alcotest.(check int) "inner clock" 7 !inner_clock;
   Alcotest.(check (list (pair string int)))
     "outer clock after each inner run"
-    [ ("returned", 1_005); ("raised", 1_005); ("slept", 1_006); ("fork_at body", 1_015) ]
+    [ ("returned", 1_005); ("raised", 1_005); ("slept", 1_006); ("call_at body", 1_015) ]
     (List.rev !after);
   Alcotest.(check (list string)) "forks ran in the outer run"
-    [ "fork"; "fork_at" ] (List.rev !forked);
-  Alcotest.(check int) "outer forks" 3 stats.Scheduler.forks;
+    [ "fork"; "call_at" ] (List.rev !forked);
+  Alcotest.(check int) "outer forks" 2 stats.Scheduler.forks;
   Alcotest.(check int) "outer end_time" 1_015 stats.Scheduler.end_time
 
 (* Two domains, each running its own scheduler at once: every clock read
@@ -1222,21 +1169,14 @@ let () =
           Alcotest.test_case "idle hook timeout arg" `Quick
             test_idle_hook_sees_time_to_next_timer;
         ] );
-      ( "fork_at",
-        [
-          fork_at_matches_expansion;
-          Alcotest.test_case "stop while parked" `Quick
-            test_fork_at_stop_while_parked;
-          Alcotest.test_case "idle hook while parked" `Quick
-            test_fork_at_idle_hook_while_parked;
-          Alcotest.test_case "exit_thread in body" `Quick test_fork_at_exit_thread;
-        ] );
       ( "call_at",
         [
-          call_at_matches_fork_at;
+          call_at_matches_expansion;
           Alcotest.test_case "effects unhandled" `Quick
             test_call_at_effects_unhandled;
           Alcotest.test_case "stop discards" `Quick test_call_at_stop_discards;
+          Alcotest.test_case "idle hook sees a pending body" `Quick
+            test_call_at_idle_hook;
         ] );
       ( "read path",
         [

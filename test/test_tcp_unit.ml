@@ -281,16 +281,23 @@ let test_abort_sends_rst () =
       (String.concat "," (List.map Tcb.action_name actions))
 
 let test_retransmit_limit_gives_up () =
-  let p = { params with max_retransmits = 2 } in
-  let tcb = estab_tcb ~params:p () in
-  Send.enqueue p tcb (Packet.of_string "data") ~now:0;
+  let tcb = estab_tcb () in
+  Send.enqueue params tcb (Packet.of_string "data") ~now:0;
   let _ = drain_actions tcb in
   let state = ref (Tcb.Estab tcb) in
-  (* two allowed retransmissions, then give up *)
-  for _ = 1 to 3 do
-    state := State.timer_expired p !state Tcb.Retransmit ~now:0;
+  let expire () =
+    state := State.timer_expired params !state Tcb.Retransmit ~now:0;
     ignore (drain_actions tcb)
+  in
+  (* [Resend.max_retransmits] allowed retransmissions, then give up *)
+  for _ = 1 to Resend.max_retransmits do
+    expire ()
   done;
+  Alcotest.(check string) "open at the limit" "ESTABLISHED"
+    (Tcb.state_name !state);
+  Alcotest.(check int) "retransmissions" Resend.max_retransmits
+    tcb.Tcb.retransmissions;
+  expire ();
   Alcotest.(check string) "gave up" "CLOSED" (Tcb.state_name !state)
 
 let test_delayed_ack_timer () =
