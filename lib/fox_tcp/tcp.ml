@@ -1,8 +1,9 @@
 (** The TCP protocol: the functor of Figure 4 and the [Main] module.
 
     [Make (Lower) (Aux) (Cc) (Params)] assembles the pure state-machine
-    modules ({!Tcb}, {!State}, {!Receive}, {!Send}, {!Resend}, {!Action})
-    into a protocol satisfying the generic signature:
+    modules ({!Tcb}, {!State}, {!Receive}, {!Send}, {!Resend}, {!Action},
+    and {!Listen} and {!Tomb} for passive opens and TIME-WAIT) into a
+    protocol satisfying the generic signature:
 
     {[
       module Standard_tcp =
@@ -181,25 +182,14 @@ end = struct
      MTU by 4 bytes. *)
   let tcp_fixed_header = Tcp_header.min_length
 
-  (* A half-open connection held compactly: everything the handshake ACK
-     needs to build the real TCB, a few dozen bytes instead of a [Tcb]
-     with its queues.  This is what a SYN flood pins. *)
-  type syn_cache_entry = {
-    sc_host : Aux.host;
-    sc_local_port : int;
-    sc_remote_port : int;
-    sc_iss : Seq.t;
-    sc_irs : Seq.t;
-    sc_peer_mss : int option;
-    mutable sc_created : int;
-        (** virtual time of the latest SYN, for lazy expiry — refreshed on
-            each retransmitted SYN so a live handshake never expires *)
-  }
-
   (* Demultiplexing keys on Figure 5's host identity, [Aux.hash] and
      [Aux.equal], so TCP never formats an address to find a connection.
-     [Conns] is keyed on (host, local port, remote port). *)
-  module Hosts = Hashtbl.Make (struct include Aux type t = host end)
+     [Conns] is keyed on (host, local port, remote port), and so are the
+     tombstone table and each listener's SYN cache. *)
+  module Host = struct include Aux type t = host end
+  module Hosts = Hashtbl.Make (Host)
+  module Tombs = Tomb.Make (Host)
+  module Passive = Listen.Make (Host)
   module Conns = Hashtbl.Make (struct
     type t = Aux.host * int * int
     let equal (h, l, r) (h', l', r') = l = l' && r = r' && Aux.equal h h'
@@ -233,7 +223,7 @@ end = struct
             as [tomb] *)
     mutable tomb : tombstone option;
         (** the tombstone that replaced the connection in TIME-WAIT *)
-    mutable half_open_of : listener option;
+    mutable half_open_of : Passive.t option;
         (** the listener whose backlog this (legacy-mode) half-open
             connection occupies, until established or deleted *)
   }
@@ -243,16 +233,14 @@ end = struct
     l_port : int;
     l_handler : handler;
     mutable l_active : bool;
-    mutable l_half_open : int;  (** legacy mode: SYN-RECEIVED TCBs held *)
-    mutable l_syn_cache : syn_cache_entry list;
-        (** oldest first; never longer than [listen_backlog] *)
+    l_passive : Passive.t;  (** its half-open handshakes *)
   }
 
   and handler = connection -> data_handler * status_handler
 
   (* A connection parked in TIME-WAIT: the 4-tuple, what its segments
      still need, the 2·MSL timer and the final status upcall. *)
-  and tombstone = Aux.host Tcb.time_wait
+  and tombstone = Tombs.tomb
 
   and t = {
     lower_instance : Lower.t;
@@ -288,11 +276,7 @@ end = struct
     mutable user_timeout_aborts : int;
     mutable rtx_limit_aborts : int;
     mutable keepalive_aborts : int;
-    (* the tombstone table: chains in a power-of-two array, allocated by
-       the first tombstone and dropped by the last *)
-    mutable tombs : tombstone option array;
-    mutable tomb_count : int;
-    mutable tomb_arrivals : int;  (** tombstones ever parked *)
+    tombs : Tombs.t;
   }
 
   let endpoints conn = (conn.host, conn.local_port, conn.remote_port)
@@ -301,84 +285,13 @@ end = struct
   let conn_id host local_port remote_port =
     Printf.sprintf "%s:%d>%d" (Aux.to_string host) local_port remote_port
 
-  (* ---------------- the tombstone table ---------------- *)
-
-  (* Chains in a power-of-two array of heads, threaded through the
-     tombstones' [chain] field, so an entry costs its tombstone one field
-     (and its slot a head).  The first tombstone allocates the array and
-     the last one drops it. *)
-  let tomb_slot t host local_port remote_port =
-    ((((Aux.hash host * 31) + local_port) * 31) + remote_port)
-    land (Array.length t.tombs - 1)
-
-  (* every tombstone in the table *)
-  let tombstones t =
-    let rec chain acc (tw : tombstone) =
-      if tw.chain == tw then tw :: acc else chain (tw :: acc) tw.chain
-    in
-    Array.fold_left
-      (fun acc head -> match head with Some tw -> chain acc tw | None -> acc)
-      [] t.tombs
-
-  let find_tomb t host local_port remote_port =
-    if t.tomb_count = 0 then None
-    else
-      match t.tombs.(tomb_slot t host local_port remote_port) with
-      | None -> None
-      | Some head ->
-        let rec walk (tw : tombstone) =
-          if
-            tw.local_port = local_port
-            && tw.remote_port = remote_port
-            && Aux.equal tw.host host
-          then Some tw
-          else if tw.chain == tw then None
-          else walk tw.chain
-        in
-        walk head
-
-  let parked t (tw : tombstone) =
-    match find_tomb t tw.host tw.local_port tw.remote_port with
-    | Some found -> found == tw
-    | None -> false
-
-  let push_tomb t (tw : tombstone) =
-    let i = tomb_slot t tw.host tw.local_port tw.remote_port in
-    tw.chain <- (match t.tombs.(i) with Some head -> head | None -> tw);
-    t.tombs.(i) <- Some tw
-
-  let add_tomb t tw =
-    if t.tomb_count >= 4 * Array.length t.tombs then begin
-      let all = tombstones t in
-      t.tombs <- Array.make (max 16 (2 * Array.length t.tombs)) None;
-      List.iter (push_tomb t) all
-    end;
-    push_tomb t tw;
-    t.tomb_count <- t.tomb_count + 1
-
-  let remove_tomb t (tw : tombstone) =
-    let i = tomb_slot t tw.host tw.local_port tw.remote_port in
-    let next = if tw.chain == tw then None else Some tw.chain in
-    (match t.tombs.(i) with
-    | Some head when head == tw -> t.tombs.(i) <- next
-    | Some head ->
-      let rec unlink (prev : tombstone) =
-        if prev.chain != tw then unlink prev.chain
-        else prev.chain <- Option.value next ~default:prev
-      in
-      unlink head
-    | None -> ());
-    tw.chain <- tw;
-    t.tomb_count <- t.tomb_count - 1;
-    if t.tomb_count = 0 then t.tombs <- [||]
-
   (* ---------------- connection and engine state ---------------- *)
 
   (* A handle the application kept reads TIME-WAIT while its tombstone is
      parked, and CLOSED once it is gone. *)
   let state_of conn =
     match conn.tomb with
-    | Some tw when not (parked conn.tcp tw) -> "CLOSED"
+    | Some tw when not (Tombs.parked conn.tcp.tombs tw) -> "CLOSED"
     | _ -> Tcb.state_name conn.state
 
   let snapshot conn =
@@ -394,7 +307,7 @@ end = struct
             ~conn_id:(conn_id tw.host tw.local_port tw.remote_port)
             ~now ~rcv_wnd:runtime_params.initial_window
             ~cc_name tw)
-        (tombstones t)
+        (Tombs.to_list t.tombs)
     in
     Conns.fold (fun _ c acc -> snapshot c :: acc) t.conns tomb_rows
     |> List.sort (fun a b -> String.compare a.Stats.conn_id b.Stats.conn_id)
@@ -424,120 +337,51 @@ end = struct
       Seq.of_int ((m + f) land 0xFFFFFFFF)
     else Seq.of_int (m + (t.iss_salt * 64021))
 
-  let pseudo_for conn len =
+  (* ---------------- externalisation ---------------- *)
+
+  (* The pseudo-header of a [len]-byte segment on [lconn], when checksums
+     are on. *)
+  let pseudo lconn len =
     if runtime_params.compute_checksums then
-      Some (Aux.pseudo conn.lower ~proto:proto_number ~len)
+      Some (Aux.pseudo lconn ~proto:proto_number ~len)
     else None
 
-  let allocate_internal conn len =
+  (* A [len]-byte packet with room for every header from TCP's down. *)
+  let allocate lconn len =
     Packet.create
-      ~headroom:(tcp_headroom + Lower.headroom conn.lower)
-      ~tailroom:(Lower.tailroom conn.lower)
+      ~headroom:(tcp_headroom + Lower.headroom lconn)
+      ~tailroom:(Lower.tailroom lconn)
       len
 
-  (* ---------------- externalisation ---------------- *)
+  (* The MSS we offer on [lconn]'s path. *)
+  let path_mss lconn = max 64 (Aux.mtu lconn - tcp_fixed_header)
+
+  (* Put one segment on [lconn] through [send].  The lower layer may
+     refuse it ([Send_failed]: an injected fault, a torn-down session):
+     the refusal is counted and is otherwise a loss on the wire — a TCB's
+     segment is on its retransmission queue, and an unsent reply from no
+     TCB is no worse than a lost one. *)
+  let put t lconn ~send hdr data =
+    try
+      Action.externalize ~defer:true ~pseudo_for:(pseudo lconn) ~hdr ~data
+        ~allocate:(allocate lconn) ~send ()
+    with Send_failed _ -> t.wire_send_failures <- t.wire_send_failures + 1
 
   (* A segment without text, sent on [lconn] from outside any
      connection: an RST, a stateless SYN-ACK, a tombstone's reply.  One
      segment is not worth a stage of its own: the unstaged [send] reuses
      the one the lower connection keeps. *)
-  let send_bare ~lconn hdr =
-    let pseudo_for len =
-      if runtime_params.compute_checksums then
-        Some (Aux.pseudo lconn ~proto:proto_number ~len)
-      else None
-    in
-    Action.externalize ~defer:true ~pseudo_for ~hdr ~data:None
-      ~allocate:(fun len ->
-        Packet.create
-          ~headroom:(tcp_headroom + Lower.headroom lconn)
-          ~tailroom:(Lower.tailroom lconn) len)
-      ~send:(Lower.send lconn) ()
+  let send_bare t lconn hdr = put t lconn ~send:(Lower.send lconn) hdr None
 
-  let send_rst_on ~lconn ~src_port ~dst_port ~seq ~ack_opt =
-    send_bare ~lconn
-      { (Tcp_header.basic ~src_port ~dst_port) with
+  (* An RST answering [hdr], which came from no connection. *)
+  let reset_for t lconn (hdr : Tcp_header.t) ~seq ~ack_opt =
+    send_bare t lconn
+      { (Tcp_header.basic ~src_port:hdr.dst_port ~dst_port:hdr.src_port) with
         Tcp_header.seq;
         rst = true;
         ack_flag = ack_opt <> None;
         ack = (match ack_opt with Some a -> a | None -> Seq.zero);
       }
-
-  (* ---------------- SYN-flood defense primitives ---------------- *)
-
-  (* Cache entries expire lazily once the peer has been silent for longer
-     than any retransmission gap its engine would use (the largest is
-     [rto_max_us], at full backoff) — so a handshake still being retried
-     keeps its entry, while a flooder that went quiet loses it. *)
-  let syn_cache_ttl_us = 2 * runtime_params.rto_max_us
-
-  (* SYN cookies: the SYN-ACK's sequence number is a keyed hash of the
-     endpoints and the client's ISN, with the low two bits encoding the
-     peer's MSS class.  The handshake ACK echoes it back (ack = iss + 1),
-     proving the peer saw our SYN-ACK — no state held in between. *)
-  let mss_classes = [| 536; 1220; 1460; 4096 |]
-
-  let mss_class_of mss =
-    let idx = ref 0 in
-    Array.iteri (fun i c -> if c <= mss then idx := i) mss_classes;
-    !idx
-
-  let cookie_hash host ~local_port ~remote_port ~irs =
-    let h = ref 0x5ca1ab1e in
-    let mix v = h := ((!h lxor v) * 0x01000193) land 0x3FFFFFFF in
-    String.iter (fun c -> mix (Char.code c)) (Aux.to_string host);
-    mix local_port;
-    mix remote_port;
-    mix (Seq.to_int irs);
-    (!h lxor (!h lsr 13)) land 0xFFFFFFFC
-
-  let cookie_iss host ~local_port ~remote_port ~irs ~peer_mss =
-    Seq.of_int
-      (cookie_hash host ~local_port ~remote_port ~irs
-      lor mss_class_of peer_mss)
-
-  (* [cookie_check] recovers the peer's MSS class iff [ack - 1] is the
-     cookie we would have minted for this handshake. *)
-  let cookie_check host ~local_port ~remote_port ~irs ~ack =
-    let c = Seq.to_int (Seq.add ack (-1)) in
-    if c land 0xFFFFFFFC = cookie_hash host ~local_port ~remote_port ~irs
-    then Some mss_classes.(c land 3)
-    else None
-
-  (* A stateless SYN-ACK, crafted like [send_rst_on] — no TCB behind it,
-     so no retransmission either: the client's SYN retransmit re-elicits
-     it. *)
-  let send_synack_on t ~lconn ~src_port ~dst_port ~iss ~irs ~adv_mss =
-    t.segs_out <- t.segs_out + 1;
-    try
-      send_bare ~lconn
-        { (Tcp_header.basic ~src_port ~dst_port) with
-          Tcp_header.seq = iss;
-          syn = true;
-          ack_flag = true;
-          ack = Seq.add irs 1;
-          window = runtime_params.initial_window;
-          mss = Some adv_mss;
-        }
-    with Send_failed _ -> t.wire_send_failures <- t.wire_send_failures + 1
-
-  (* Refuse a connection attempt per policy: an RST gives the client a
-     fast failure; a silent drop makes its SYN retransmission the retry
-     that may find room once the flood clears. *)
-  let refuse_syn t lconn (hdr : Tcp_header.t) ~reason =
-    t.backlog_refused <- t.backlog_refused + 1;
-    if !Bus.live then
-      Bus.emit ~layer:"tcp" (Bus.Note ("syn refused: " ^ reason));
-    if runtime_params.refuse_with_rst then begin
-      t.rsts_sent <- t.rsts_sent + 1;
-      try
-        send_rst_on ~lconn ~src_port:hdr.Tcp_header.dst_port
-          ~dst_port:hdr.Tcp_header.src_port ~seq:Seq.zero
-          ~ack_opt:(Some (Seq.add hdr.Tcp_header.seq 1))
-      with Send_failed _ ->
-        t.wire_send_failures <- t.wire_send_failures + 1
-    end
-    else t.syn_dropped <- t.syn_dropped + 1
 
   let externalize conn (ss : Tcb.send_segment) =
     let tcb = conn.tcb in
@@ -562,9 +406,7 @@ end = struct
     tcb.Tcb.segs_out <- tcb.Tcb.segs_out + 1;
     conn.tcp.segs_out <- conn.tcp.segs_out + 1;
     if ss.Tcb.out_rst then conn.tcp.rsts_sent <- conn.tcp.rsts_sent + 1;
-    Action.externalize ~defer:true ~pseudo_for:(pseudo_for conn) ~hdr
-      ~data:ss.Tcb.out_data ~allocate:(allocate_internal conn)
-      ~send:conn.lower_send ()
+    put conn.tcp conn.lower ~send:conn.lower_send hdr ss.Tcb.out_data
 
   let send_pure_ack conn =
     let tcb = conn.tcb in
@@ -579,8 +421,7 @@ end = struct
         window = tcb.Tcb.rcv_wnd;
       }
     in
-    Action.externalize ~defer:true ~pseudo_for:(pseudo_for conn) ~hdr
-      ~data:None ~allocate:(allocate_internal conn) ~send:conn.lower_send ()
+    put conn.tcp conn.lower ~send:conn.lower_send hdr None
 
   (* ---------------- flight recorder ---------------- *)
 
@@ -645,8 +486,8 @@ end = struct
      final status upcall delivered — the events a TCB's [Delete_tcb]
      produced. *)
   let bury t (tw : tombstone) reason =
-    if parked t tw then begin
-      remove_tomb t tw;
+    if Tombs.parked t.tombs tw then begin
+      Tombs.remove t.tombs tw;
       Fox_sched.Timer.clear tw.timer;
       if !Bus.live then
         tomb_emit tw (Bus.Note ("deleted: " ^ Status.to_string reason));
@@ -666,41 +507,33 @@ end = struct
 
   (* Over the [max_time_wait] bound, the oldest tombstone is recycled:
      its 2·MSL is cut short, the documented trade for surviving port
-     churn under load.  The table is then [max_time_wait + 1] long, so
-     finding the oldest is a short scan. *)
-  let recycle t =
-    if runtime_params.max_time_wait > 0 then
-      while t.tomb_count > runtime_params.max_time_wait do
-        let oldest =
-          match tombstones t with
-          | [] -> assert false (* the count is positive *)
-          | tw :: rest ->
-            List.fold_left
-              (fun (o : tombstone) (tw : tombstone) ->
-                if tw.arrival < o.arrival then tw else o)
-              tw rest
-        in
+     churn under load. *)
+  let rec recycle t =
+    if
+      runtime_params.max_time_wait > 0
+      && Tombs.count t.tombs > runtime_params.max_time_wait
+    then
+      match Tombs.oldest t.tombs with
+      | Some oldest ->
         t.time_wait_recycled <- t.time_wait_recycled + 1;
         if !Bus.live then tomb_emit oldest (Bus.Note "time-wait recycled");
-        bury t oldest Status.Closed
-      done
+        bury t oldest Status.Closed;
+        recycle t
+      | None -> ()
 
   (* A tombstone's reply, built as [send_pure_ack] and [externalize]
      build a TCB's: an ACK, or an RST without one, at [snd_nxt]. *)
   let tomb_send t (tw : tombstone) lconn ~rst =
     t.segs_out <- t.segs_out + 1;
     if rst then t.rsts_sent <- t.rsts_sent + 1;
-    try
-      send_bare ~lconn
-        { (Tcp_header.basic ~src_port:tw.local_port ~dst_port:tw.remote_port)
-          with
-          Tcp_header.seq = tw.tw_snd_nxt;
-          ack = (if rst then Seq.zero else tw.tw_rcv_nxt);
-          ack_flag = not rst;
-          rst;
-          window = runtime_params.initial_window;
-        }
-    with Send_failed _ -> t.wire_send_failures <- t.wire_send_failures + 1
+    send_bare t lconn
+      { (Tcp_header.basic ~src_port:tw.local_port ~dst_port:tw.remote_port) with
+        Tcp_header.seq = tw.tw_snd_nxt;
+        ack = (if rst then Seq.zero else tw.tw_rcv_nxt);
+        ack_flag = not rst;
+        rst;
+        window = runtime_params.initial_window;
+      }
 
   (* A segment for a parked 4-tuple: the actions {!Receive.time_wait}
      returns, run and reported as the executor runs a TCB's. *)
@@ -807,7 +640,7 @@ end = struct
     match conn.half_open_of with
     | Some l ->
       conn.half_open_of <- None;
-      l.l_half_open <- l.l_half_open - 1
+      Passive.leave l
     | None -> ()
 
   (* The connection just reached TIME-WAIT (detected at the post-execute
@@ -820,17 +653,16 @@ end = struct
      on past it, pointing the upcall at [finish]. *)
   and park conn =
     let t = conn.tcp in
-    t.tomb_arrivals <- t.tomb_arrivals + 1;
     let tw =
       Tcb.time_wait_of conn.tcb ~host:conn.host ~local_port:conn.local_port
-        ~remote_port:conn.remote_port ~arrival:t.tomb_arrivals
+        ~remote_port:conn.remote_port ~arrival:(Tombs.arrive t.tombs)
         ~timer:no_timer
         ~upcall:conn.status
     in
     tw.timer <- Fox_sched.Timer.create (fun () -> expire t tw);
     conn.tomb <- Some tw;
     retire conn;
-    add_tomb t tw;
+    Tombs.add t.tombs tw;
     recycle t
 
   (* ---------------- the quasi-synchronous executor ---------------- *)
@@ -843,7 +675,8 @@ end = struct
       (* queued behind the segment that ended in TIME-WAIT: the
          tombstone's, if it is still parked *)
       match conn.tomb with
-      | Some tw when parked conn.tcp tw -> tomb_receive conn.tcp tw conn.lower seg
+      | Some tw when Tombs.parked conn.tcp.tombs tw ->
+        tomb_receive conn.tcp tw conn.lower seg
       | _ -> Packet.release seg.Tcb.data)
     | Tcb.Process_data seg ->
       (* any segment from the peer is evidence of life *)
@@ -866,24 +699,14 @@ end = struct
         && not seg.Tcb.hdr.Tcp_header.fin
       then Packet.release seg.Tcb.data
     | Tcb.User_data packet -> conn.data packet
-    (* A lower layer may refuse the send ([Send_failed], e.g. an injected
-       fault or a torn-down session).  The segment is already on the
-       retransmit queue, so treat the refusal like a lost packet rather
-       than letting it unwind the drain loop. *)
-    | Tcb.Send_segment ss -> (
-      try externalize conn ss
-      with Send_failed _ ->
-        conn.tcp.wire_send_failures <- conn.tcp.wire_send_failures + 1)
-    | Tcb.Send_ack -> (
-      try send_pure_ack conn
-      with Send_failed _ ->
-        conn.tcp.wire_send_failures <- conn.tcp.wire_send_failures + 1)
+    | Tcb.Send_segment ss -> externalize conn ss
+    | Tcb.Send_ack -> send_pure_ack conn
     | Tcb.Set_timer (kind, us) -> (
       match conn.tomb with
       | None -> set_timer conn kind us
       | Some tw ->
         (* the 2·MSL that entering TIME-WAIT asks for is the tombstone's *)
-        if kind = Tcb.Time_wait && parked conn.tcp tw then
+        if kind = Tcb.Time_wait && Tombs.parked conn.tcp.tombs tw then
           Fox_sched.Timer.set tw.timer us)
     | Tcb.Clear_timer kind -> clear_timer conn kind
     | Tcb.Timer_expired _ when conn.dead -> ()
@@ -1013,259 +836,115 @@ end = struct
 
   (* ---------------- demultiplexing ---------------- *)
 
-  let handle_unknown t lconn (hdr : Tcp_header.t) seg_text_len =
-    if runtime_params.abort_unknown_connections && not hdr.Tcp_header.rst then begin
-      t.rsts_sent <- t.rsts_sent + 1;
-      try
-        if hdr.Tcp_header.ack_flag then
-        send_rst_on ~lconn ~src_port:hdr.Tcp_header.dst_port
-          ~dst_port:hdr.Tcp_header.src_port ~seq:hdr.Tcp_header.ack
-          ~ack_opt:None
-        else
-          send_rst_on ~lconn ~src_port:hdr.Tcp_header.dst_port
-            ~dst_port:hdr.Tcp_header.src_port ~seq:Seq.zero
-            ~ack_opt:
-              (Some
-                 (Seq.add hdr.Tcp_header.seq
-                    (seg_text_len
-                    + (if hdr.Tcp_header.syn then 1 else 0)
-                    + if hdr.Tcp_header.fin then 1 else 0)))
-      with Send_failed _ ->
-        (* an unanswerable RST is no worse than no RST *)
-        t.wire_send_failures <- t.wire_send_failures + 1
-    end
-    else t.unknown_dropped <- t.unknown_dropped + 1
+  (* A segment for no connection: answered with an RST per
+     [abort_unknown_connections] (RFC 793 p. 36), else counted; its buffer
+     is released either way. *)
+  let unknown t lconn (seg : Tcb.segment) =
+    let hdr = seg.Tcb.hdr in
+    (if runtime_params.abort_unknown_connections && not hdr.Tcp_header.rst
+     then begin
+       t.rsts_sent <- t.rsts_sent + 1;
+       if hdr.Tcp_header.ack_flag then
+         reset_for t lconn hdr ~seq:hdr.Tcp_header.ack ~ack_opt:None
+       else
+         reset_for t lconn hdr ~seq:Seq.zero
+           ~ack_opt:
+             (Some
+                (Seq.add hdr.Tcp_header.seq
+                   (Packet.length seg.Tcb.data
+                   + (if hdr.Tcp_header.syn then 1 else 0)
+                   + if hdr.Tcp_header.fin then 1 else 0)))
+     end
+     else t.unknown_dropped <- t.unknown_dropped + 1);
+    Packet.release seg.Tcb.data
 
   (* Global admission check: the engine refuses new connections (not new
      segments) once [max_connections] TCBs are live. *)
   let under_conn_cap t =
     runtime_params.max_connections = 0
-    || Conns.length t.conns + t.tomb_count < runtime_params.max_connections
+    || Conns.length t.conns + Tombs.count t.tombs
+       < runtime_params.max_connections
 
-  (* Drop SYN-cache entries older than the TTL.  Lazy: runs whenever the
-     cache is consulted, so an idle listener keeps stale entries but they
-     cost only a few words each. *)
-  let purge_syn_cache l ~now =
-    if l.l_syn_cache <> [] then
-      l.l_syn_cache <-
-        List.filter
-          (fun e -> now - e.sc_created <= syn_cache_ttl_us)
-          l.l_syn_cache
+  (* A passive open becomes a connection with the listener's handler. *)
+  let accept t lconn ~host (hdr : Tcp_header.t) listener state =
+    t.accepts <- t.accepts + 1;
+    install_connection t ~host
+      ~local_port:hdr.Tcp_header.dst_port ~remote_port:hdr.Tcp_header.src_port
+      ~lower:lconn ~state listener.l_handler
 
-  let syn_cache_find l ~host ~local_port ~remote_port =
-    List.find_opt
-      (fun e ->
-        e.sc_local_port = local_port
-        && e.sc_remote_port = remote_port
-        && Aux.equal e.sc_host host)
-      l.l_syn_cache
-
-  (* Complete a passive open whose half-open phase lived outside any TCB:
-     build the TCB directly in ESTABLISHED, then feed the promoting ACK
-     through the normal receive DAG so any text or FIN riding on it is
-     processed (and the segment buffer ownership follows the usual
-     path). *)
-  let promote t lconn (seg : Tcb.segment) listener ~iss ~irs ~peer_mss =
-    let host = Aux.source lconn in
+  (* A segment for a port we listen on and no connection we know: the
+     decision {!Listen} takes, carried out.  Its buffer is released unless
+     it goes on to a new TCB. *)
+  let passive t lconn ~host (seg : Tcb.segment) listener ~now =
     let hdr = seg.Tcb.hdr in
-    if not (under_conn_cap t) then begin
-      refuse_syn t lconn hdr ~reason:"connection cap (promotion)";
+    match
+      Passive.segment listener.l_passive host hdr ~now
+        ~room:(under_conn_cap t) ~mss:path_mss lconn
+    with
+    | Listen.Syn_ack { iss; irs } ->
+      (* no TCB behind it, so no retransmission either: the client's SYN
+         retransmit re-elicits it *)
+      t.segs_out <- t.segs_out + 1;
+      send_bare t lconn
+        { (Tcp_header.basic ~src_port:hdr.Tcp_header.dst_port
+             ~dst_port:hdr.Tcp_header.src_port)
+          with
+          Tcp_header.seq = iss;
+          syn = true;
+          ack_flag = true;
+          ack = Seq.add irs 1;
+          window = runtime_params.initial_window;
+          mss = Some (path_mss lconn);
+        };
       Packet.release seg.Tcb.data
-    end
-    else begin
-      let mss = max 64 (Aux.mtu lconn - tcp_fixed_header) in
-      let state =
-        State.promote_passive runtime_params ~iss ~irs ~mss ~peer_mss
-          ~wnd:hdr.Tcp_header.window
-      in
-      t.accepts <- t.accepts + 1;
-      let conn =
-        install_connection t ~host ~local_port:hdr.Tcp_header.dst_port
-          ~remote_port:hdr.Tcp_header.src_port ~lower:lconn ~state
-          listener.l_handler
-      in
-      conn.tcb.Tcb.segs_in <- conn.tcb.Tcb.segs_in + 1;
-      Tcb.add_to_do conn.tcb (Tcb.Process_data seg);
-      drain conn
-    end
-
-  (* A bare ACK for a port we listen on but no connection we know: in
-     SYN-cache/cookie mode this may be the third step of a handshake whose
-     half-open state is compact (cache entry) or absent (cookie). *)
-  let handshake_ack t lconn (seg : Tcb.segment) listener =
-    let host = Aux.source lconn in
-    let hdr = seg.Tcb.hdr in
-    let local_port = hdr.Tcp_header.dst_port
-    and remote_port = hdr.Tcp_header.src_port in
-    purge_syn_cache listener ~now:(Fox_sched.Scheduler.now ());
-    match syn_cache_find listener ~host ~local_port ~remote_port with
-    | Some e ->
-      if
-        Seq.equal hdr.Tcp_header.ack (Seq.add e.sc_iss 1)
-        && Seq.equal hdr.Tcp_header.seq (Seq.add e.sc_irs 1)
-      then begin
-        listener.l_syn_cache <-
-          List.filter (fun e' -> e' != e) listener.l_syn_cache;
-        promote t lconn seg listener ~iss:e.sc_iss ~irs:e.sc_irs
-          ~peer_mss:e.sc_peer_mss
-      end
-      else begin
-        (* wrong sequence numbers: not our handshake *)
-        handle_unknown t lconn hdr (Packet.length seg.Tcb.data);
-        Packet.release seg.Tcb.data
-      end
-    | None ->
-      if runtime_params.syn_cookies then begin
-        let irs = Seq.add hdr.Tcp_header.seq (-1) in
-        match
-          cookie_check host ~local_port ~remote_port ~irs
-            ~ack:hdr.Tcp_header.ack
-        with
-        | Some peer_mss ->
-          promote t lconn seg listener
-            ~iss:(Seq.add hdr.Tcp_header.ack (-1))
-            ~irs ~peer_mss:(Some peer_mss)
-        | None ->
-          (* a forged or stale cookie earns the standard RST *)
-          handle_unknown t lconn hdr (Packet.length seg.Tcb.data);
-          Packet.release seg.Tcb.data
-      end
-      else begin
-        handle_unknown t lconn hdr (Packet.length seg.Tcb.data);
-        Packet.release seg.Tcb.data
-      end
-
-  (* An incoming SYN on a listening port.  Three regimes:
-     - legacy ([syn_cache = false]): a full TCB is built per SYN, but the
-       number of half-open TCBs per listener is bounded by the backlog;
-     - SYN cache: half-open state is a compact record, promoted to a TCB
-       only by the handshake ACK;
-     - SYN cookies: when even the cache is full, the handshake state is
-       encoded in the SYN-ACK's sequence number and held by the client. *)
-  let accept t lconn (seg : Tcb.segment) listener =
-    let host = Aux.source lconn in
-    let hdr = seg.Tcb.hdr in
-    let local_port = hdr.Tcp_header.dst_port
-    and remote_port = hdr.Tcp_header.src_port in
-    let now = Fox_sched.Scheduler.now () in
-    if runtime_params.syn_cache then begin
-      purge_syn_cache listener ~now;
-      match syn_cache_find listener ~host ~local_port ~remote_port with
-      | Some e ->
-        (* retransmitted SYN: our SYN-ACK was lost; resend it statelessly
-           and keep the entry alive *)
-        e.sc_created <- now;
-        send_synack_on t ~lconn ~src_port:local_port
-          ~dst_port:remote_port ~iss:e.sc_iss ~irs:e.sc_irs
-          ~adv_mss:(max 64 (Aux.mtu lconn - tcp_fixed_header));
-        Packet.release seg.Tcb.data
-      | None ->
-        let adv_mss = max 64 (Aux.mtu lconn - tcp_fixed_header) in
-        if
-          (runtime_params.listen_backlog = 0
-          || List.length listener.l_syn_cache < runtime_params.listen_backlog)
-          && under_conn_cap t
-        then begin
-          let iss = fresh_iss t ~host ~local_port ~remote_port in
-          listener.l_syn_cache <-
-            listener.l_syn_cache
-            @ [
-                {
-                  sc_host = host;
-                  sc_local_port = local_port;
-                  sc_remote_port = remote_port;
-                  sc_iss = iss;
-                  sc_irs = hdr.Tcp_header.seq;
-                  sc_peer_mss = hdr.Tcp_header.mss;
-                  sc_created = now;
-                };
-              ];
-          send_synack_on t ~lconn ~src_port:local_port
-            ~dst_port:remote_port ~iss ~irs:hdr.Tcp_header.seq ~adv_mss;
-          Packet.release seg.Tcb.data
-        end
-        else if runtime_params.syn_cookies && under_conn_cap t then begin
-          let peer_mss =
-            match hdr.Tcp_header.mss with Some m -> m | None -> adv_mss
-          in
-          let iss =
-            cookie_iss host ~local_port ~remote_port ~irs:hdr.Tcp_header.seq
-              ~peer_mss
-          in
-          send_synack_on t ~lconn ~src_port:local_port
-            ~dst_port:remote_port ~iss ~irs:hdr.Tcp_header.seq ~adv_mss;
-          Packet.release seg.Tcb.data
-        end
-        else begin
-          refuse_syn t lconn hdr ~reason:"backlog full";
-          Packet.release seg.Tcb.data
-        end
-    end
-    else if
-      (runtime_params.listen_backlog > 0
-      && listener.l_half_open >= runtime_params.listen_backlog)
-      || not (under_conn_cap t)
-    then begin
-      refuse_syn t lconn hdr ~reason:"backlog full";
-      Packet.release seg.Tcb.data
-    end
-    else begin
-      let mss = max 64 (Aux.mtu lconn - tcp_fixed_header) in
+    | Listen.Open ->
       let state =
         State.passive_open runtime_params
-          ~iss:(fresh_iss t ~host ~local_port ~remote_port)
-          ~mss ~syn:seg ~now
+          ~iss:
+            (fresh_iss t ~host
+               ~local_port:hdr.Tcp_header.dst_port
+               ~remote_port:hdr.Tcp_header.src_port)
+          ~mss:(path_mss lconn) ~syn:seg ~now
       in
-      t.accepts <- t.accepts + 1;
-      let conn =
-        install_connection t ~host ~local_port ~remote_port ~lower:lconn
-          ~state listener.l_handler
-      in
-      conn.half_open_of <- Some listener;
-      listener.l_half_open <- listener.l_half_open + 1;
+      let conn = accept t lconn ~host hdr listener state in
+      conn.half_open_of <- Some listener.l_passive;
       (* the SYN's buffer is not kept (any text on a SYN is ignored) *)
       Packet.release seg.Tcb.data;
       drain conn
-    end
-
-  (* A segment for no connection and no tombstone: a listener's, or
-     unknown. *)
-  let no_connection t lconn (seg : Tcb.segment) =
-    let hdr = seg.Tcb.hdr in
-    match Hashtbl.find_opt t.listeners hdr.Tcp_header.dst_port with
-    | Some l
-      when l.l_active && hdr.Tcp_header.syn
-           && (not hdr.Tcp_header.ack_flag)
-           && not hdr.Tcp_header.rst ->
-      accept t lconn seg l
-    | Some l
-      when l.l_active && runtime_params.syn_cache && hdr.Tcp_header.ack_flag
-           && (not hdr.Tcp_header.syn)
-           && not hdr.Tcp_header.rst ->
-      handshake_ack t lconn seg l
-    | Some l when l.l_active && runtime_params.syn_cache && hdr.Tcp_header.rst ->
-      (* peer aborted a half-open handshake: forget its cache entry *)
-      (match
-         syn_cache_find l ~host:(Aux.source lconn)
-           ~local_port:hdr.Tcp_header.dst_port
-           ~remote_port:hdr.Tcp_header.src_port
-       with
-      | Some e ->
-        l.l_syn_cache <- List.filter (fun e' -> e' != e) l.l_syn_cache
-      | None -> ());
-      t.unknown_dropped <- t.unknown_dropped + 1;
+    | Listen.Promote { iss; irs; peer_mss } ->
+      (* the TCB starts in ESTABLISHED, and the promoting ACK goes through
+         the receive DAG, so any text or FIN riding on it is processed
+         (and its buffer's ownership follows the usual path) *)
+      let state =
+        State.promote_passive runtime_params ~iss ~irs ~mss:(path_mss lconn)
+          ~peer_mss ~wnd:hdr.Tcp_header.window
+      in
+      let conn = accept t lconn ~host hdr listener state in
+      conn.tcb.Tcb.segs_in <- conn.tcb.Tcb.segs_in + 1;
+      Tcb.add_to_do conn.tcb (Tcb.Process_data seg);
+      drain conn
+    | Listen.Refuse reason ->
+      (* an RST gives the client a fast failure; a silent drop makes its
+         SYN retransmission the retry that may find room once the flood
+         clears *)
+      t.backlog_refused <- t.backlog_refused + 1;
+      if !Bus.live then
+        Bus.emit ~layer:"tcp" (Bus.Note ("syn refused: " ^ reason));
+      if runtime_params.refuse_with_rst then begin
+        t.rsts_sent <- t.rsts_sent + 1;
+        reset_for t lconn hdr ~seq:Seq.zero
+          ~ack_opt:(Some (Seq.add hdr.Tcp_header.seq 1))
+      end
+      else t.syn_dropped <- t.syn_dropped + 1;
       Packet.release seg.Tcb.data
-    | _ ->
-      handle_unknown t lconn hdr (Packet.length seg.Tcb.data);
+    | Listen.Unknown -> unknown t lconn seg
+    | Listen.Drop ->
+      t.unknown_dropped <- t.unknown_dropped + 1;
       Packet.release seg.Tcb.data
 
   let receive t lconn packet =
     let now = Fox_sched.Scheduler.now () in
-    let pseudo =
-      if runtime_params.compute_checksums then
-        Some (Aux.pseudo lconn ~proto:proto_number ~len:(Packet.length packet))
-      else None
-    in
+    let pseudo = pseudo lconn (Packet.length packet) in
     match Action.internalize ~pseudo packet ~now with
     | Error _ ->
       t.bad_segments <- t.bad_segments + 1;
@@ -1299,11 +978,13 @@ end = struct
           drain conn
         end
       | _ -> (
-        match
-          find_tomb t host hdr.Tcp_header.dst_port hdr.Tcp_header.src_port
-        with
+        let local_port = hdr.Tcp_header.dst_port in
+        match Tombs.find t.tombs host local_port hdr.Tcp_header.src_port with
         | Some tw -> tomb_receive t tw lconn seg
-        | None -> no_connection t lconn seg))
+        | None -> (
+          match Hashtbl.find_opt t.listeners local_port with
+          | Some l when l.l_active -> passive t lconn ~host seg l ~now
+          | _ -> unknown t lconn seg)))
 
   (* ---------------- lower-layer sessions ---------------- *)
 
@@ -1328,7 +1009,7 @@ end = struct
       t.next_ephemeral <- t.next_ephemeral + 1;
       if
         Conns.mem t.conns (host, port, remote_port)
-        || find_tomb t host port remote_port <> None
+        || Tombs.find t.tombs host port remote_port <> None
         || Hashtbl.mem t.listeners port
       then pick (attempts + 1)
       else port
@@ -1343,14 +1024,14 @@ end = struct
     in
     if
       Conns.mem t.conns (peer, local_port, remote_port)
-      || find_tomb t peer local_port remote_port <> None
+      || Tombs.find t.tombs peer local_port remote_port <> None
     then
       raise
         (Connection_failed
            (Printf.sprintf "tcp: %s:%d from port %d already open"
               (Aux.to_string peer) remote_port local_port));
     let lconn = lower_conn_for t peer in
-    let mss = max 64 (Aux.mtu lconn - tcp_fixed_header) in
+    let mss = path_mss lconn in
     let now = Fox_sched.Scheduler.now () in
     let state =
       State.active_open runtime_params
@@ -1384,8 +1065,9 @@ end = struct
         l_port = local_port;
         l_handler = handler;
         l_active = true;
-        l_half_open = 0;
-        l_syn_cache = [];
+        l_passive =
+          Passive.create runtime_params ~secret:(t.isn_k0, t.isn_k1)
+            ~iss:(fresh_iss t);
       }
     in
     Hashtbl.replace t.listeners local_port l;
@@ -1425,7 +1107,7 @@ end = struct
     close conn;
     let rec await () =
       match conn.tomb with
-      | Some tw when parked conn.tcp tw ->
+      | Some tw when Tombs.parked conn.tcp.tombs tw ->
         (* the tombstone's upcall must wake us at 2·MSL *)
         tw.upcall <- finish conn;
         Fox_sched.Cond.wait conn.wake;
@@ -1460,7 +1142,7 @@ end = struct
       Hashtbl.reset t.listeners;
       let conns = Conns.fold (fun _ c acc -> c :: acc) t.conns [] in
       List.iter abort conns;
-      List.iter (fun tw -> bury t tw Status.Aborted) (tombstones t);
+      List.iter (fun tw -> bury t tw Status.Aborted) (Tombs.to_list t.tombs);
       ignore (Lower.finalize t.lower_instance)
     end;
     t.init_count
@@ -1471,8 +1153,7 @@ end = struct
 
   let tailroom conn = Lower.tailroom conn.lower
 
-  let allocate_send conn len =
-    Packet.create ~headroom:(headroom conn) ~tailroom:(tailroom conn) len
+  let allocate_send conn len = allocate conn.lower len
 
   let conn_stats conn =
     let tcb = conn.tcb in
@@ -1504,7 +1185,7 @@ end = struct
       rsts_sent = t.rsts_sent;
       unknown_dropped = t.unknown_dropped;
       accepts = t.accepts;
-      active_conns = Conns.length t.conns + t.tomb_count;
+      active_conns = Conns.length t.conns + Tombs.count t.tombs;
       wire_send_failures = t.wire_send_failures;
       syn_dropped = t.syn_dropped;
       backlog_refused = t.backlog_refused;
@@ -1594,9 +1275,7 @@ end = struct
         user_timeout_aborts = 0;
         rtx_limit_aborts = 0;
         keepalive_aborts = 0;
-        tombs = [||];
-        tomb_count = 0;
-        tomb_arrivals = 0;
+        tombs = Tombs.create ();
       }
     in
     ignore

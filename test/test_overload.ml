@@ -17,6 +17,9 @@ module Route = Fox_ip.Route
 module Status = Fox_proto.Status
 module Bus = Fox_obs.Bus
 module T = Fox_tcp.Tcp
+module Tcp_header = Fox_tcp.Tcp_header
+module Seq = Fox_tcp.Seq
+module Action = Fox_tcp.Action
 
 module Eth = Fox_eth.Eth.Standard
 module Ip = Fox_ip.Ip.Make (Eth) (Fox_ip.Ip.Default_params)
@@ -260,6 +263,185 @@ let test_syn_cookie_round_trip () =
     (Tcp_cookie.stats server).T.backlog_refused
 
 (* ------------------------------------------------------------------ *)
+(* Cookies are keyed and go stale; half-open RSTs must be exact       *)
+(* ------------------------------------------------------------------ *)
+
+(* A raw peer on [ip]: it sends crafted segments to the server and keeps
+   the headers of the server's replies, newest first. *)
+type peer = { lconn : Ip.connection; heard : Tcp_header.t list ref }
+
+let raw_peer ip =
+  let heard = ref [] in
+  let lconn =
+    Ip.connect ip (Ip_aux.lower_address ~proto:6 server_addr) (fun lconn ->
+        ( (fun packet ->
+            let pseudo =
+              Some (Ip_aux.pseudo lconn ~proto:6 ~len:(Packet.length packet))
+            in
+            (match
+               Action.internalize ~pseudo packet ~now:(Scheduler.now ())
+             with
+            | Ok seg -> heard := seg.Fox_tcp.Tcb.hdr :: !heard
+            | Error _ -> Alcotest.fail "peer: undecodable segment");
+            Packet.release packet),
+          ignore ))
+  in
+  { lconn; heard }
+
+let raw_send p hdr =
+  Action.externalize
+    ~pseudo_for:(fun len -> Some (Ip_aux.pseudo p.lconn ~proto:6 ~len))
+    ~hdr ~data:None
+    ~allocate:(fun len ->
+      Packet.create ~headroom:(24 + Ip.headroom p.lconn)
+        ~tailroom:(Ip.tailroom p.lconn) len)
+    ~send:(Ip.prepare_send p.lconn) ()
+
+(* the handshake ACK from [src_port] for the SYN-ACK whose sequence
+   number is [cookie], answering a SYN at [irs] *)
+let cookie_ack ~src_port ~irs ~cookie =
+  { (Tcp_header.basic ~src_port ~dst_port:port) with
+    Tcp_header.seq = Seq.of_int (irs + 1);
+    ack_flag = true;
+    ack = Seq.add cookie 1;
+    window = 4096;
+  }
+
+(* The cookie as it was minted before it was keyed: a multiply-xor over
+   the peer's address, the ports and its ISN, every input public. *)
+let unkeyed_cookie host ~local_port ~remote_port ~irs =
+  let h = ref 0x5ca1ab1e in
+  let mix v = h := ((!h lxor v) * 0x01000193) land 0x3FFFFFFF in
+  String.iter (fun c -> mix (Char.code c)) host;
+  mix local_port;
+  mix remote_port;
+  mix irs;
+  (!h lxor (!h lsr 13)) land 0xFFFFFFFC
+
+let test_unkeyed_cookie_refused () =
+  let client_ip, server_ip, _atk_ip = three_hosts () in
+  let server = Tcp_cookie.create server_ip in
+  let handled = ref 0 and heard = ref [] in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Tcp_cookie.start_passive server { Tcp_cookie.local_port = port }
+             (fun _ ->
+               incr handled;
+               (Packet.release, ignore)));
+        (* a peer that never sent a SYN computes the cookie itself *)
+        let p = raw_peer client_ip in
+        let src_port = 30000 and irs = 5000 in
+        let cookie =
+          unkeyed_cookie
+            (Ip_aux.to_string (ip_of "10.1.0.1"))
+            ~local_port:port ~remote_port:src_port ~irs
+          lor 2
+        in
+        raw_send p (cookie_ack ~src_port ~irs ~cookie:(Seq.of_int cookie));
+        Scheduler.sleep 100_000;
+        heard := !(p.heard))
+  in
+  Alcotest.(check int) "no connection" 0 (Tcp_cookie.stats server).T.accepts;
+  Alcotest.(check int) "no handler ran" 0 !handled;
+  Alcotest.(check bool) "answered with an RST" true
+    (List.exists (fun (h : Tcp_header.t) -> h.rst) !heard)
+
+let test_stale_cookie_refused () =
+  let client_ip, server_ip, atk_ip = three_hosts () in
+  let server = Tcp_cookie.create server_ip in
+  let fresh_accepted = ref 0 and replay_heard = ref [] in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Tcp_cookie.start_passive server { Tcp_cookie.local_port = port }
+             (fun _ -> (Packet.release, ignore)));
+        (* one parked SYN fills the single-entry cache: every SYN after it
+           is answered with a cookie *)
+        let fl = Flood.create atk_ip ~target:server_addr in
+        ignore (Flood.syn fl ~dst_port:port);
+        Scheduler.sleep 10_000;
+        let p = raw_peer client_ip in
+        let irs = 5000 in
+        let cookie_for src_port =
+          raw_send p
+            { (Tcp_header.basic ~src_port ~dst_port:port) with
+              Tcp_header.seq = Seq.of_int irs;
+              syn = true;
+              window = 4096;
+              mss = Some 1460;
+            };
+          Scheduler.sleep 10_000;
+          match !(p.heard) with
+          | h :: _ when h.syn && h.ack_flag && h.dst_port = src_port -> h.seq
+          | _ -> Alcotest.fail "no SYN-ACK"
+        in
+        let fresh = cookie_for 30001 in
+        let stale = cookie_for 30000 in
+        raw_send p (cookie_ack ~src_port:30001 ~irs ~cookie:fresh);
+        Scheduler.sleep 10_000;
+        fresh_accepted := (Tcp_cookie.stats server).T.accepts;
+        (* three ticks on, the other cookie is two ticks stale *)
+        Scheduler.sleep (3 * Fox_tcp.Listen.cookie_tick_us);
+        p.heard := [];
+        raw_send p (cookie_ack ~src_port:30000 ~irs ~cookie:stale);
+        Scheduler.sleep 10_000;
+        replay_heard := !(p.heard))
+  in
+  Alcotest.(check int) "a fresh cookie promotes" 1 !fresh_accepted;
+  Alcotest.(check int) "the stale one does not" 1
+    (Tcp_cookie.stats server).T.accepts;
+  Alcotest.(check bool) "the replay earns an RST" true
+    (match !replay_heard with
+    | [ h ] -> h.Tcp_header.rst && h.Tcp_header.dst_port = 30000
+    | _ -> false)
+
+(* An RST for a cached handshake must carry its [rcv_nxt] exactly, as a
+   SYN-RECEIVED TCB would demand; a blind guess frees nothing. *)
+let test_inexact_rst_keeps_entry () =
+  let client_ip, server_ip, atk_ip = three_hosts () in
+  let server = Tcp_cache.create server_ip in
+  let client = Tcp_cache.create client_ip in
+  let connects () =
+    match
+      Tcp_cache.connect client
+        { Tcp_cache.peer = server_addr; port; local_port = None }
+        (fun _ -> (ignore, ignore))
+    with
+    | conn ->
+      Tcp_cache.abort conn;
+      true
+    | exception Fox_proto.Common.Connection_failed _ -> false
+  in
+  let after_inexact = ref true and after_exact = ref false in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Tcp_cache.start_passive server { Tcp_cache.local_port = port }
+             (fun _ -> (ignore, ignore)));
+        (* the attacker parks 3 half-open handshakes: cache now full *)
+        let fl = Flood.create atk_ip ~target:server_addr in
+        let first = Flood.syn fl ~dst_port:port in
+        for _ = 2 to 3 do
+          Scheduler.sleep 1_000;
+          ignore (Flood.syn fl ~dst_port:port)
+        done;
+        Scheduler.sleep 10_000;
+        Flood.transmit fl
+          { (Tcp_header.basic ~src_port:first ~dst_port:port) with
+            Tcp_header.seq = Seq.add (Flood.isn ~src_port:first) (1 + 123_456);
+            rst = true;
+          };
+        Scheduler.sleep 10_000;
+        after_inexact := connects ();
+        Flood.rst fl ~src_port:first ~dst_port:port;
+        Scheduler.sleep 10_000;
+        after_exact := connects ())
+  in
+  Alcotest.(check bool) "an inexact RST frees no room" false !after_inexact;
+  Alcotest.(check bool) "the exact one does" true !after_exact
+
+(* ------------------------------------------------------------------ *)
 (* TIME-WAIT recycling under port reuse                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -439,6 +621,12 @@ let () =
             test_syn_cache_promotion_and_expiry;
           Alcotest.test_case "cookie round trip" `Quick
             test_syn_cookie_round_trip;
+          Alcotest.test_case "unkeyed cookie refused" `Quick
+            test_unkeyed_cookie_refused;
+          Alcotest.test_case "stale cookie refused" `Quick
+            test_stale_cookie_refused;
+          Alcotest.test_case "inexact rst keeps the entry" `Quick
+            test_inexact_rst_keeps_entry;
         ] );
       ( "time-wait",
         [

@@ -1302,6 +1302,294 @@ let receive_never_raises =
         segs;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Tomb: the TIME-WAIT table, with no engine                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Hosts are ints here: the table only hashes and compares them. *)
+module Int_host = struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+  let to_string = string_of_int
+end
+
+module Tombs = Tomb.Make (Int_host)
+
+let tomb table ~host ~local_port ~remote_port =
+  Tcb.time_wait_of
+    (Tcb.create_tcb params ~iss:Seq.zero)
+    ~host ~local_port ~remote_port ~arrival:(Tombs.arrive table)
+    ~timer:(Fox_sched.Timer.create ignore) ~upcall:ignore
+
+let found table (tw : int Tcb.time_wait) =
+  match Tombs.find table tw.host tw.local_port tw.remote_port with
+  | Some f -> f == tw
+  | None -> false
+
+let test_tomb_growth () =
+  let table = Tombs.create () in
+  let all =
+    List.init 100 (fun i ->
+        let tw =
+          tomb table ~host:(i mod 7) ~local_port:(1000 + i) ~remote_port:80
+        in
+        Tombs.add table tw;
+        tw)
+  in
+  Alcotest.(check int) "count" 100 (Tombs.count table);
+  (* 16 slots hold 64 at 4x load; the 65th doubles the array *)
+  Alcotest.(check int) "grown once" 32 (Tombs.slots table);
+  Alcotest.(check bool) "each found after the growth" true
+    (List.for_all (found table) all);
+  Alcotest.(check bool) "an absent 4-tuple" true
+    (Tombs.find table 3 999 80 = None);
+  Alcotest.(check int) "to_list holds them all" 100
+    (List.length (Tombs.to_list table))
+
+let test_tomb_remove () =
+  let table = Tombs.create () in
+  (* remote ports 16 apart share a slot of the 16: one chain, newest at
+     its head *)
+  let a = tomb table ~host:0 ~local_port:0 ~remote_port:0 in
+  let b = tomb table ~host:0 ~local_port:0 ~remote_port:16 in
+  let c = tomb table ~host:0 ~local_port:0 ~remote_port:32 in
+  List.iter (Tombs.add table) [ a; b; c ];
+  Alcotest.(check bool) "one chain" true (c.chain == b && b.chain == a);
+  Tombs.remove table c;
+  Alcotest.(check bool) "head gone" false (Tombs.parked table c);
+  Alcotest.(check bool) "rest found" true (found table a && found table b);
+  Tombs.add table c;
+  Tombs.remove table b;
+  Alcotest.(check bool) "middle gone" false (Tombs.parked table b);
+  Alcotest.(check bool) "ends found" true (found table a && found table c);
+  Alcotest.(check bool) "chain relinked" true (c.chain == a);
+  Alcotest.(check int) "count" 2 (Tombs.count table)
+
+let test_tomb_drops_array () =
+  let table = Tombs.create () in
+  Alcotest.(check int) "no array when empty" 0 (Tombs.slots table);
+  let a = tomb table ~host:1 ~local_port:1 ~remote_port:1 in
+  let b = tomb table ~host:2 ~local_port:2 ~remote_port:2 in
+  Tombs.add table a;
+  Tombs.add table b;
+  Alcotest.(check int) "first tombstone allocates" 16 (Tombs.slots table);
+  Tombs.remove table a;
+  Alcotest.(check int) "kept while one is parked" 16 (Tombs.slots table);
+  Tombs.remove table b;
+  Alcotest.(check int) "dropped at zero" 0 (Tombs.slots table);
+  Alcotest.(check bool) "nothing found" true (Tombs.find table 2 2 2 = None)
+
+let test_tomb_oldest_first () =
+  let table = Tombs.create () in
+  Alcotest.(check bool) "none when empty" true (Tombs.oldest table = None);
+  let tws =
+    List.init 5 (fun i -> tomb table ~host:i ~local_port:i ~remote_port:i)
+  in
+  (* parked out of arrival order *)
+  List.iter (fun i -> Tombs.add table (List.nth tws i)) [ 3; 0; 4; 1; 2 ];
+  let order =
+    List.init 5 (fun _ ->
+        match Tombs.oldest table with
+        | Some tw ->
+          Tombs.remove table tw;
+          tw.arrival
+        | None -> Alcotest.fail "table emptied early")
+  in
+  Alcotest.(check (list int)) "arrival order" [ 1; 2; 3; 4; 5 ] order
+
+(* ------------------------------------------------------------------ *)
+(* Listen: passive open, with no engine                               *)
+(* ------------------------------------------------------------------ *)
+
+module Passive = Listen.Make (Int_host)
+
+let listen_params =
+  {
+    params with
+    syn_cache = true;
+    syn_cookies = true;
+    listen_backlog = 1;
+    rto_max_us = 1_000_000;
+  }
+
+let ttl_us = 2 * listen_params.rto_max_us
+
+let lport = 80
+
+(* A listener whose cache entries get ISS 1000, 2000, ... *)
+let listener ?(params = listen_params) ?(secret = (11, 22)) () =
+  let minted = ref 0 in
+  Passive.create params ~secret
+    ~iss:(fun ~host:_ ~local_port:_ ~remote_port:_ ->
+      incr minted;
+      Seq.of_int (1000 * !minted))
+
+let decide ?(host = 7) ?(room = true) l hdr ~now =
+  Passive.segment l host hdr ~now ~room ~mss:(fun () -> 1460) ()
+
+let syn_from ?mss src_port ~seq =
+  {
+    (Tcp_header.basic ~src_port ~dst_port:lport) with
+    Tcp_header.seq = Seq.of_int seq;
+    syn = true;
+    mss;
+  }
+
+let ack_from src_port ~seq ~ack =
+  {
+    (Tcp_header.basic ~src_port ~dst_port:lport) with
+    Tcp_header.seq = seq;
+    ack_flag = true;
+    ack;
+  }
+
+(* the handshake ACK answering a SYN-ACK *)
+let ack_for src_port = function
+  | Listen.Syn_ack { iss; irs } ->
+    ack_from src_port ~seq:(Seq.add irs 1) ~ack:(Seq.add iss 1)
+  | _ -> Alcotest.fail "expected a SYN-ACK"
+
+let iss_of = function
+  | Listen.Syn_ack { iss; _ } -> Seq.to_int iss
+  | _ -> Alcotest.fail "expected a SYN-ACK"
+
+let is_unknown = function Listen.Unknown -> true | _ -> false
+
+let test_listen_cookie_classes () =
+  let l = listener () in
+  (* one entry fills the single-entry cache: every SYN after it gets a
+     cookie *)
+  ignore (decide l (syn_from 1 ~seq:500) ~now:0);
+  Array.iteri
+    (fun i mss ->
+      let port = 100 + i in
+      let synack = decide l (syn_from port ~mss ~seq:(7000 * i)) ~now:10 in
+      Alcotest.(check int) "class in the low bits" i (iss_of synack land 3);
+      match decide l (ack_for port synack) ~now:20 with
+      | Listen.Promote { peer_mss; iss; irs } ->
+        Alcotest.(check (option int)) "mss recovered" (Some mss) peer_mss;
+        Alcotest.(check int) "iss" (iss_of synack) (Seq.to_int iss);
+        Alcotest.(check int) "irs" (7000 * i) (Seq.to_int irs)
+      | _ -> Alcotest.fail "cookie not promoted")
+    Listen.mss_classes;
+  Alcotest.(check int) "no state held for cookies" 1 (Passive.held l)
+
+let test_listen_cookie_secret () =
+  let minter = listener ~secret:(11, 22) () in
+  let other = listener ~secret:(11, 23) () in
+  List.iter
+    (fun l -> ignore (decide l (syn_from 1 ~seq:500) ~now:0))
+    [ minter; other ];
+  let synack = decide minter (syn_from 2 ~mss:1460 ~seq:9000) ~now:10 in
+  Alcotest.(check bool) "rejected under another secret" true
+    (is_unknown (decide other (ack_for 2 synack) ~now:20));
+  Alcotest.(check bool) "another host's ACK rejected" true
+    (is_unknown (decide ~host:8 minter (ack_for 2 synack) ~now:20));
+  Alcotest.(check bool) "accepted under its own" true
+    (match decide minter (ack_for 2 synack) ~now:20 with
+    | Listen.Promote _ -> true
+    | _ -> false)
+
+let test_listen_cookie_ticks () =
+  let l = listener () in
+  let tick = Listen.cookie_tick_us in
+  ignore (decide l (syn_from 1 ~seq:500) ~now:(tick - 2));
+  let synack = decide l (syn_from 2 ~mss:1460 ~seq:9000) ~now:(tick - 1) in
+  let promoted now =
+    match decide l (ack_for 2 synack) ~now with
+    | Listen.Promote _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "the next tick" true (promoted ((2 * tick) - 1));
+  Alcotest.(check bool) "two ticks on" false (promoted (2 * tick))
+
+let test_listen_syn_retransmit () =
+  let l = listener () in
+  let first = decide l (syn_from 5 ~seq:300) ~now:0 in
+  let again = decide l (syn_from 5 ~seq:300) ~now:ttl_us in
+  Alcotest.(check int) "same iss" (iss_of first) (iss_of again);
+  Alcotest.(check int) "one entry" 1 (Passive.held l);
+  (* refreshed at [ttl_us], the entry outlives its first TTL *)
+  match decide l (ack_for 5 first) ~now:(2 * ttl_us) with
+  | Listen.Promote { iss; _ } ->
+    Alcotest.(check int) "promoted with it" (iss_of first) (Seq.to_int iss);
+    Alcotest.(check int) "entry gone" 0 (Passive.held l)
+  | _ -> Alcotest.fail "refreshed entry expired"
+
+let test_listen_ttl () =
+  let no_cookies = { listen_params with syn_cookies = false } in
+  let at_ttl = listener ~params:no_cookies () in
+  let past_ttl = listener ~params:no_cookies () in
+  let a = decide at_ttl (syn_from 5 ~seq:300) ~now:0 in
+  let b = decide past_ttl (syn_from 5 ~seq:300) ~now:0 in
+  Alcotest.(check bool) "alive at exactly 2 x rto_max" true
+    (match decide at_ttl (ack_for 5 a) ~now:ttl_us with
+    | Listen.Promote _ -> true
+    | _ -> false);
+  Alcotest.(check bool) "expired a microsecond later" true
+    (is_unknown (decide past_ttl (ack_for 5 b) ~now:(ttl_us + 1)));
+  Alcotest.(check int) "purged" 0 (Passive.held past_ttl)
+
+let test_listen_full_cache () =
+  let with_cookies = listener () in
+  let without =
+    listener ~params:{ listen_params with syn_cookies = false } ()
+  in
+  List.iter
+    (fun l -> ignore (decide l (syn_from 1 ~seq:500) ~now:0))
+    [ with_cookies; without ];
+  let cookie = decide with_cookies (syn_from 2 ~mss:1460 ~seq:900) ~now:5 in
+  Alcotest.(check bool) "a cookie, not a cache entry" true
+    (iss_of cookie <> 2000 && Passive.held with_cookies = 1);
+  Alcotest.(check bool) "refused without cookies" true
+    (match decide without (syn_from 2 ~seq:900) ~now:5 with
+    | Listen.Refuse _ -> true
+    | _ -> false);
+  Alcotest.(check bool) "refused at the connection cap" true
+    (match decide ~room:false with_cookies (syn_from 3 ~seq:900) ~now:5 with
+    | Listen.Refuse _ -> true
+    | _ -> false)
+
+let test_listen_rst () =
+  let l = listener () in
+  ignore (decide l (syn_from 5 ~seq:300) ~now:0);
+  let rst seq =
+    { (Tcp_header.basic ~src_port:5 ~dst_port:lport) with
+      Tcp_header.seq = Seq.of_int seq;
+      rst = true;
+    }
+  in
+  Alcotest.(check bool) "inexact RST dropped" true
+    (decide l (rst (301 + 123_456)) ~now:1 = Listen.Drop);
+  Alcotest.(check int) "entry kept" 1 (Passive.held l);
+  Alcotest.(check bool) "exact RST dropped" true
+    (decide l (rst 301) ~now:2 = Listen.Drop);
+  Alcotest.(check int) "entry forgotten" 0 (Passive.held l)
+
+let test_listen_legacy_backlog () =
+  let l =
+    listener
+      ~params:{ params with syn_cache = false; listen_backlog = 2 }
+      ()
+  in
+  let opened port =
+    match decide l (syn_from port ~seq:100) ~now:0 with
+    | Listen.Open -> true
+    | Listen.Refuse _ -> false
+    | _ -> Alcotest.fail "legacy SYN: Open or Refuse"
+  in
+  Alcotest.(check (list bool)) "two slots" [ true; true; false ]
+    (List.map opened [ 1; 2; 3 ]);
+  Alcotest.(check int) "half open" 2 (Passive.half_open l);
+  Passive.leave l;
+  Alcotest.(check int) "one left" 1 (Passive.half_open l);
+  Alcotest.(check bool) "slot reused" true (opened 4);
+  Alcotest.(check bool) "no ACK path without the cache" true
+    (is_unknown
+       (decide l (ack_from 4 ~seq:(Seq.of_int 101) ~ack:Seq.zero) ~now:1))
+
 let () =
   Alcotest.run "fox_tcp_unit"
     [
@@ -1442,5 +1730,32 @@ let () =
             test_abort_cancels_delayed_ack;
           Alcotest.test_case "time-wait entry disarms" `Quick
             test_time_wait_entry_cancels_delayed_ack;
+        ] );
+      ( "tomb",
+        [
+          Alcotest.test_case "add and find across a growth" `Quick
+            test_tomb_growth;
+          Alcotest.test_case "remove head and middle" `Quick test_tomb_remove;
+          Alcotest.test_case "array dropped at zero" `Quick
+            test_tomb_drops_array;
+          Alcotest.test_case "oldest first" `Quick test_tomb_oldest_first;
+        ] );
+      ( "listen",
+        [
+          Alcotest.test_case "cookie round trip per mss class" `Quick
+            test_listen_cookie_classes;
+          Alcotest.test_case "cookie keyed by the secret" `Quick
+            test_listen_cookie_secret;
+          Alcotest.test_case "cookie lives two ticks" `Quick
+            test_listen_cookie_ticks;
+          Alcotest.test_case "retransmitted syn keeps its iss" `Quick
+            test_listen_syn_retransmit;
+          Alcotest.test_case "cache ttl is 2 x rto_max" `Quick test_listen_ttl;
+          Alcotest.test_case "full cache: cookie or refusal" `Quick
+            test_listen_full_cache;
+          Alcotest.test_case "rst needs the exact sequence" `Quick
+            test_listen_rst;
+          Alcotest.test_case "legacy backlog count" `Quick
+            test_listen_legacy_backlog;
         ] );
     ]
