@@ -291,7 +291,7 @@ end = struct
        own, so retransmits still see the bytes. *)
     (match data with Some d -> Packet.retain d | None -> ());
     try
-      Fox_tcp.Action.externalize ~alg:`Basic ~pseudo_for ~hdr ~data
+      Fox_tcp.Action.externalize ~pseudo_for ~hdr ~data
         ~allocate:(fun len ->
           Packet.create
             ~headroom:(24 + Lower.headroom conn.lower)
@@ -769,7 +769,7 @@ end = struct
     in
     let pseudo_for len = Some (Aux.pseudo lconn ~proto:proto_number ~len) in
     try
-      Fox_tcp.Action.externalize ~alg:`Basic ~pseudo_for ~hdr:rst_hdr
+      Fox_tcp.Action.externalize ~pseudo_for ~hdr:rst_hdr
         ~data:None
         ~allocate:(fun len ->
           Packet.create ~headroom:(24 + Lower.headroom lconn)
@@ -781,7 +781,7 @@ end = struct
     let pseudo =
       Some (Aux.pseudo lconn ~proto:proto_number ~len:(Packet.length packet))
     in
-    match Tcp_header.decode ~alg:`Basic ~pseudo packet with
+    match Tcp_header.decode ~pseudo packet with
     | Error _ -> t.bad_segments <- t.bad_segments + 1
     | Ok hdr -> (
       t.segs_in <- t.segs_in + 1;

@@ -1,12 +1,20 @@
 type alg = [ `Basic | `Optimized ]
 
-(* [sum] is a partial one's-complement sum, possibly un-folded (carries
-   pending above bit 15).  [odd] records that an odd number of bytes has
-   been accumulated, so the next byte belongs to the low half of the
-   current 16-bit word. *)
-type acc = { sum : int; odd : bool }
+(* An accumulator is one immediate int: bit 0 records that an odd number
+   of bytes has been accumulated (so the next byte belongs to the low
+   half of the current 16-bit word), and the bits above it hold a partial
+   one's-complement sum, possibly un-folded (carries pending above bit
+   15).  Nothing is boxed, so threading it through [add_*] allocates
+   nothing. *)
+type acc = int
 
-let zero = { sum = 0; odd = false }
+let zero = 0
+
+let[@inline] sum_of acc = acc lsr 1
+
+let[@inline] is_odd acc = acc land 1 = 1
+
+let[@inline] make sum ~odd = (sum lsl 1) lor Bool.to_int odd
 
 let fold16 s =
   let rec go s = if s > 0xFFFF then go ((s land 0xFFFF) + (s lsr 16)) else s in
@@ -77,26 +85,22 @@ let add_bytes ?(alg = `Optimized) acc b off len =
     invalid_arg "Checksum.add_bytes";
   bytes_summed := !bytes_summed + len;
   if len = 0 then acc
-  else if not acc.odd then
-    { sum = sum_range alg b off len acc.sum; odd = len land 1 = 1 }
+  else if not (is_odd acc) then
+    make (sum_range alg b off len (sum_of acc)) ~odd:(len land 1 = 1)
   else
     (* First byte completes the pending word (low half); the remainder is
        summed at even parity. *)
-    let sum = fold16 acc.sum + Wire.get_u8 b off in
+    let sum = fold16 (sum_of acc) + Wire.get_u8 b off in
     let rest = sum_range alg b (off + 1) (len - 1) 0 in
-    { sum = fold16 sum + fold16 rest; odd = len land 1 = 0 }
+    make (fold16 sum + fold16 rest) ~odd:(len land 1 = 0)
 
 let add_string ?alg acc s = add_bytes ?alg acc (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let add_u16 acc v =
-  if acc.odd then invalid_arg "Checksum.add_u16: odd parity";
-  { acc with sum = acc.sum + (v land 0xFFFF) }
+  if is_odd acc then invalid_arg "Checksum.add_u16: odd parity";
+  acc + ((v land 0xFFFF) lsl 1)
 
-let add_u32 acc v =
-  let acc = add_u16 acc (v lsr 16 land 0xFFFF) in
-  add_u16 acc (v land 0xFFFF)
-
-let finish acc = fold16 acc.sum
+let finish acc = fold16 (sum_of acc)
 
 let checksum_of acc = lnot (finish acc) land 0xFFFF
 
@@ -105,11 +109,13 @@ let checksum ?(alg = `Optimized) b off len =
 
 let valid acc = finish acc = 0xFFFF
 
+(* The pseudo-header's six 16-bit words in one sum. *)
 let pseudo_ipv4 ~src ~dst ~proto ~len =
-  let acc = add_u32 zero src in
-  let acc = add_u32 acc dst in
-  let acc = add_u16 acc (proto land 0xFF) in
-  add_u16 acc (len land 0xFFFF)
+  make
+    ((src lsr 16 land 0xFFFF) + (src land 0xFFFF)
+    + (dst lsr 16 land 0xFFFF) + (dst land 0xFFFF)
+    + (proto land 0xFF) + (len land 0xFFFF))
+    ~odd:false
 
 let reference b off len =
   let sum = ref 0 in

@@ -21,7 +21,7 @@ let is_empty q = q.len = 0
 let grow q =
   let cap = Array.length q.cells in
   let cells = Array.make (if cap = 0 then 4 else cap * 2) q.dummy in
-  let first = min q.len (cap - q.head) in
+  let first = Int.min q.len (cap - q.head) in
   Array.blit q.cells q.head cells 0 first;
   Array.blit q.cells 0 cells first (q.len - first);
   q.cells <- cells;

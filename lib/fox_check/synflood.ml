@@ -53,7 +53,7 @@ struct
   let transmit t ?(data = None) hdr =
     let pseudo_for len = Some (Aux.pseudo t.lconn ~proto:proto_number ~len) in
     match
-      Action.externalize ~alg:`Basic ~pseudo_for ~hdr ~data
+      Action.externalize ~pseudo_for ~hdr ~data
         ~allocate:(fun len ->
           Packet.create
             ~headroom:(24 + Lower.headroom t.lconn)

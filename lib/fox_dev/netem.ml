@@ -40,7 +40,7 @@ let adverse ?(loss = 0.0) ?(loss_burst = 1) ?loss_burst_us ?(duplicate = 0.0)
   {
     base with
     loss;
-    loss_burst = max 1 loss_burst;
+    loss_burst = Int.max 1 loss_burst;
     loss_burst_us =
       (match loss_burst_us with Some us -> us | None -> base.loss_burst_us);
     duplicate;

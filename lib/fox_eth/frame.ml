@@ -17,15 +17,18 @@ let encode { dst; src; ethertype } p =
   Mac.write src b (off + 6);
   Wire.set_u16 b (off + 12) ethertype
 
+let dst p = Mac.read (Packet.buffer p) (Packet.offset p)
+
+let src p = Mac.read (Packet.buffer p) (Packet.offset p + 6)
+
+let ethertype p = Wire.get_u16 (Packet.buffer p) (Packet.offset p + 12)
+
 let decode p =
   if Packet.length p < header_length then None
   else begin
-    let b = Packet.buffer p and off = Packet.offset p in
-    let dst = Mac.read b off in
-    let src = Mac.read b (off + 6) in
-    let ethertype = Wire.get_u16 b (off + 12) in
+    let hdr = { dst = dst p; src = src p; ethertype = ethertype p } in
     Packet.pull_header p header_length;
-    Some { dst; src; ethertype }
+    Some hdr
   end
 
 let append_fcs p =

@@ -24,6 +24,16 @@ val encode : header -> Fox_basis.Packet.t -> unit
     Returns [None] if the frame is shorter than a header. *)
 val decode : Fox_basis.Packet.t -> header option
 
+(** [dst p], [src p] and [ethertype p] read one field of the header at
+    the front of [p]'s window, which must hold at least [header_length]
+    bytes, and strip nothing: the receive path reads what it needs and
+    pulls the header itself, with no header record or option built. *)
+val dst : Fox_basis.Packet.t -> Mac.t
+
+val src : Fox_basis.Packet.t -> Mac.t
+
+val ethertype : Fox_basis.Packet.t -> int
+
 (** [append_fcs p] computes the CRC-32 of the current window and appends it
     as a 4-byte trailer. *)
 val append_fcs : Fox_basis.Packet.t -> unit

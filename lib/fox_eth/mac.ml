@@ -40,6 +40,6 @@ let equal = Int.equal
 
 let compare = Int.compare
 
-let hash m = Hashtbl.hash m
+let hash = Hash.int
 
 let pp fmt m = Format.pp_print_string fmt (to_string m)

@@ -141,6 +141,9 @@ module Make
     mutable data : data_handler;
     mutable status : status_handler;
     mutable staged : (Packet.t -> unit) option;
+    mutable next_hop : Lower.connection option;
+        (** the lower connection the route picked, once resolved: the
+            headroom and size queries of every packet ask for it *)
     mutable alive : bool;
   }
 
@@ -156,9 +159,9 @@ module Make
   and t = {
     lower : Lower.t;
     config : config;
-    conns : (int * int, connection) Hashtbl.t; (* (peer, proto) *)
-    listeners : (int, listener) Hashtbl.t;
-    lower_conns : (int, Lower.connection) Hashtbl.t; (* next-hop ip *)
+    conns : connection Hash.Ints.t; (* [key peer proto] *)
+    listeners : listener Hash.Ints.t;
+    lower_conns : Lower.connection Hash.Ints.t; (* next-hop ip *)
     reass : Reass.t;
     mutable next_id : int;
     mutable init_count : int;
@@ -181,27 +184,30 @@ module Make
 
   (* ---------------- receive path ---------------- *)
 
+  (* A connection's demux key, (peer, protocol) in one int. *)
+  let key peer proto = (Ipv4_addr.to_int peer lsl 8) lor proto
+
   let install_connection t ~peer ~proto (handler : handler) =
     let conn =
       { ip = t; peer; proto; data = ignore; status = ignore; staged = None;
-        alive = true }
+        next_hop = None; alive = true }
     in
-    Hashtbl.replace t.conns (Ipv4_addr.to_int peer, proto) conn;
+    Hash.Ints.replace t.conns (key peer proto) conn;
     let data, status = handler conn in
     conn.data <- data;
     conn.status <- status;
     conn.status Fox_proto.Status.Connected;
     conn
 
-  let deliver t (hdr : Ipv4_header.t) packet =
-    match Hashtbl.find_opt t.conns (Ipv4_addr.to_int hdr.src, hdr.proto) with
-    | Some conn ->
+  let deliver t ~src ~proto packet =
+    match Hash.Ints.find t.conns (key src proto) with
+    | conn ->
       t.rx_delivered <- t.rx_delivered + 1;
       conn.data packet
-    | None -> (
-      match Hashtbl.find_opt t.listeners hdr.proto with
+    | exception Not_found -> (
+      match Hash.Ints.find_opt t.listeners proto with
       | Some l when l.l_active ->
-        let conn = install_connection t ~peer:hdr.src ~proto:hdr.proto l.l_handler in
+        let conn = install_connection t ~peer:src ~proto l.l_handler in
         t.rx_delivered <- t.rx_delivered + 1;
         conn.data packet
       | Some _ | None ->
@@ -210,32 +216,37 @@ module Make
         Packet.release packet)
 
   let receive t packet =
-    match Ipv4_header.decode ~checksum:Params.compute_checksums packet with
-    | Error _ ->
+    match Ipv4_header.verify ~checksum:Params.compute_checksums packet with
+    | Some _ ->
       t.rx_bad_header <- t.rx_bad_header + 1;
       Packet.release packet
-    | Ok hdr ->
+    | None ->
+      let dst = Ipv4_header.dst packet in
       if
         not
-          (Ipv4_addr.equal hdr.dst t.config.local_ip
-          || Ipv4_addr.is_broadcast hdr.dst)
+          (Ipv4_addr.equal dst t.config.local_ip
+          || Ipv4_addr.is_broadcast dst)
       then begin
         t.rx_not_mine <- t.rx_not_mine + 1;
         Packet.release packet
       end
-      else if hdr.more_fragments || hdr.fragment_offset > 0 then begin
-        t.rx_fragments <- t.rx_fragments + 1;
-        let key =
-          { Reass.src = hdr.src; dst = hdr.dst; proto = hdr.proto; id = hdr.id }
-        in
-        match
-          Reass.offer t.reass key ~offset:hdr.fragment_offset
-            ~more:hdr.more_fragments packet
-        with
-        | None -> ()
-        | Some whole -> deliver t hdr whole
+      else begin
+        let src = Ipv4_header.src packet and proto = Ipv4_header.proto packet in
+        let more = Ipv4_header.more_fragments packet
+        and offset = Ipv4_header.fragment_offset packet in
+        if more || offset > 0 then begin
+          t.rx_fragments <- t.rx_fragments + 1;
+          let key = { Reass.src; dst; proto; id = Ipv4_header.id packet } in
+          Ipv4_header.strip packet;
+          match Reass.offer t.reass key ~offset ~more packet with
+          | None -> ()
+          | Some whole -> deliver t ~src ~proto whole
+        end
+        else begin
+          Ipv4_header.strip packet;
+          deliver t ~src ~proto packet
+        end
       end
-      else deliver t hdr packet
 
   (* ---------------- send path ---------------- *)
 
@@ -248,7 +259,7 @@ module Make
      lower handler feeds received datagrams back into [receive]. *)
   let lower_conn_for t next_hop =
     let key = Ipv4_addr.to_int next_hop in
-    match Hashtbl.find_opt t.lower_conns key with
+    match Hash.Ints.find_opt t.lower_conns key with
     | Some lconn -> lconn
     | None ->
       let lconn =
@@ -256,16 +267,22 @@ module Make
           (t.config.lower_address next_hop)
           (fun _lconn -> ((fun packet -> receive t packet), ignore))
       in
-      Hashtbl.replace t.lower_conns key lconn;
+      Hash.Ints.replace t.lower_conns key lconn;
       lconn
 
   let resolve conn =
-    let t = conn.ip in
-    match Route.next_hop t.config.route conn.peer with
-    | None ->
-      raise
-        (Send_failed ("no route to " ^ Ipv4_addr.to_string conn.peer))
-    | Some next_hop -> lower_conn_for t next_hop
+    match conn.next_hop with
+    | Some lconn -> lconn
+    | None -> (
+      let t = conn.ip in
+      match Route.next_hop t.config.route conn.peer with
+      | None ->
+        raise
+          (Send_failed ("no route to " ^ Ipv4_addr.to_string conn.peer))
+      | Some next_hop ->
+        let lconn = lower_conn_for t next_hop in
+        conn.next_hop <- Some lconn;
+        lconn)
 
   let encode_and_send t ~lower_send conn ~id ~offset ~more packet =
     let hdr =
@@ -364,42 +381,42 @@ module Make
   let teardown reason conn =
     if conn.alive then begin
       conn.alive <- false;
-      Hashtbl.remove conn.ip.conns (Ipv4_addr.to_int conn.peer, conn.proto);
+      Hash.Ints.remove conn.ip.conns (key conn.peer conn.proto);
       conn.status reason
     end
 
   let finalize t =
     if t.init_count > 0 then t.init_count <- t.init_count - 1;
     if t.init_count = 0 then begin
-      Hashtbl.iter (fun _ l -> l.l_active <- false) t.listeners;
-      Hashtbl.reset t.listeners;
-      let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
+      Hash.Ints.iter (fun _ l -> l.l_active <- false) t.listeners;
+      Hash.Ints.reset t.listeners;
+      let conns = Hash.Ints.fold (fun _ c acc -> c :: acc) t.conns [] in
       List.iter (teardown Fox_proto.Status.Aborted) conns;
-      Hashtbl.iter (fun _ lconn -> Lower.close lconn) t.lower_conns;
-      Hashtbl.reset t.lower_conns;
+      Hash.Ints.iter (fun _ lconn -> Lower.close lconn) t.lower_conns;
+      Hash.Ints.reset t.lower_conns;
       ignore (Lower.finalize t.lower)
     end;
     t.init_count
 
   let connect t { dest; proto } handler =
-    match Hashtbl.find_opt t.conns (Ipv4_addr.to_int dest, proto) with
-    | Some conn -> conn (* session reuse, as in the x-kernel *)
-    | None -> install_connection t ~peer:dest ~proto handler
+    match Hash.Ints.find t.conns (key dest proto) with
+    | conn -> conn (* session reuse, as in the x-kernel *)
+    | exception Not_found -> install_connection t ~peer:dest ~proto handler
 
   let start_passive t { match_proto } handler =
-    if Hashtbl.mem t.listeners match_proto then
+    if Hash.Ints.mem t.listeners match_proto then
       raise
         (Connection_failed
            (Printf.sprintf "ip protocol %d already has a listener" match_proto));
     let l =
       { l_ip = t; l_proto = match_proto; l_handler = handler; l_active = true }
     in
-    Hashtbl.replace t.listeners match_proto l;
+    Hash.Ints.replace t.listeners match_proto l;
     l
 
   let stop_passive l =
     l.l_active <- false;
-    Hashtbl.remove l.l_ip.listeners l.l_proto
+    Hash.Ints.remove l.l_ip.listeners l.l_proto
 
   let send conn packet = staged_of conn packet
 
@@ -447,9 +464,9 @@ module Make
       {
         lower;
         config;
-        conns = Hashtbl.create 32;
-        listeners = Hashtbl.create 4;
-        lower_conns = Hashtbl.create 8;
+        conns = Hash.Ints.create 32;
+        listeners = Hash.Ints.create 4;
+        lower_conns = Hash.Ints.create 8;
         reass = Reass.create ~timeout_us:Params.reassembly_timeout_us ();
         next_id = 1;
         init_count = 0;

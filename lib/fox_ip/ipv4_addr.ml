@@ -44,6 +44,6 @@ let equal = Int.equal
 
 let compare = Int.compare
 
-let hash a = Hashtbl.hash a
+let hash = Hash.int
 
 let pp fmt a = Format.pp_print_string fmt (to_string a)

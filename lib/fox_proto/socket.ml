@@ -312,7 +312,7 @@ end = struct
         else begin
           let have = buffered t in
           if have > 0 then begin
-            let take = min have want in
+            let take = Int.min have want in
             Buffer.add_subbytes out t.rbuf t.rpos take;
             consume t take;
             go ()
@@ -380,7 +380,7 @@ end = struct
     let len = String.length s in
     let off = ref 0 in
     while !off < len do
-      let n = min write_chunk (len - !off) in
+      let n = Int.min write_chunk (len - !off) in
       let p = P.allocate_send t.conn n in
       Packet.blit_from_string s !off p 0 n;
       (* the protocol consumes the packet on success; on failure (closed
@@ -420,7 +420,7 @@ end = struct
     | None -> t.read_deadline <- None
     | Some us ->
       let gen = t.deadline_gen in
-      let due = Fox_sched.Scheduler.now () + max 0 us in
+      let due = Fox_sched.Scheduler.now () + Int.max 0 us in
       t.read_deadline <- Some due;
       (* the watcher runs from the scheduler loop at [due] on the
          virtual clock and posts into the mailbox like any other event,

@@ -10,7 +10,7 @@ let scaled t cost = int_of_float (Float.round (float_of_int cost *. t.scale))
 
 let occupy t cost =
   let now = Scheduler.now () in
-  let start = max now t.free_at in
+  let start = Int.max now t.free_at in
   t.free_at <- start + cost;
   t.free_at - now
 

@@ -34,6 +34,12 @@ type state = {
   (* runs a thunk as a thread under this run's handler, counting the
      switch to it *)
   mutable start : (unit -> unit) -> unit;
+  (* [call_at]'s queue entries, in run-queue order: each [hop] on [runq]
+     takes the front due time and body, so a [call_at] allocates no
+     entry of its own *)
+  hop_due : int Ring.t;
+  hop_f : (unit -> unit) Ring.t;
+  mutable hop : unit -> unit;
 }
 
 (* Per-domain scheduler state.  [epoch] is the identity of the run most
@@ -77,11 +83,12 @@ let fork f =
 (* [call_at] takes the path through the queues of a thread forked now
    that sleeps until [due], so its body starts where that thread would
    wake, but the body is the queue entry itself: no thread, and nothing
-   counted. *)
+   counted.  The run-queue entry is the run's [hop]. *)
 let call_at due f =
   let st = running () in
-  Ring.push st.runq (fun () ->
-      if due > st.clock then Heap.add st.sleepq due f else f ())
+  Ring.push st.hop_due due;
+  Ring.push st.hop_f f;
+  Ring.push st.runq st.hop
 
 let yield () = Effect.perform Yield
 
@@ -96,7 +103,7 @@ let now () = (running ()).clock
    experiences — not a scheduling primitive for ordinary code. *)
 let advance us =
   let st = running () in
-  st.clock <- st.clock + max 0 us
+  st.clock <- st.clock + Int.max 0 us
 
 let suspend f = Effect.perform (Suspend f)
 
@@ -119,8 +126,16 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
       alive = 0;
       stopping = false;
       start = ignore;
+      hop_due = Ring.create ~dummy:0;
+      hop_f = Ring.create ~dummy:ignore;
+      hop = ignore;
     }
   in
+  st.hop <-
+    (fun () ->
+      let due = Ring.pop st.hop_due in
+      let f = Ring.pop st.hop_f in
+      if due > st.clock then Heap.add st.sleepq due f else f ());
   let finish () =
     st.alive <- st.alive - 1;
     st.completed <- st.completed + 1
@@ -149,7 +164,7 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
             Some
               (fun (k : (a, unit) continuation) ->
                 st.sleep_count <- st.sleep_count + 1;
-                Heap.add st.sleepq (st.clock + max 0 us) (fun () ->
+                Heap.add st.sleepq (st.clock + Int.max 0 us) (fun () ->
                     st.switches <- st.switches + 1;
                     continue k ()))
           | Suspend f ->
@@ -165,6 +180,8 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
                 ignore k;
                 st.stopping <- true;
                 Ring.clear st.runq;
+                Ring.clear st.hop_due;
+                Ring.clear st.hop_f;
                 Heap.clear st.sleepq;
                 (* The stopping thread never resumes; account for it. *)
                 finish ())
@@ -192,7 +209,7 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
   let rec loop () =
     if not st.stopping then begin
       if realtime then begin
-        st.clock <- max st.clock (real_now ());
+        st.clock <- Int.max st.clock (real_now ());
         release_due ()
       end;
       if not (Ring.is_empty st.runq) then begin
@@ -207,7 +224,7 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
              may block up to [until] real microseconds *)
           let until =
             if Heap.is_empty st.sleepq then None
-            else Some (max 0 (Heap.min_key st.sleepq - st.clock))
+            else Some (Int.max 0 (Heap.min_key st.sleepq - st.clock))
           in
           hook until;
           loop ()
@@ -218,9 +235,9 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
             if realtime then begin
               let wait = due - st.clock in
               if wait > 0 then Unix.sleepf (float_of_int wait /. 1e6);
-              st.clock <- max due (real_now ())
+              st.clock <- Int.max due (real_now ())
             end
-            else st.clock <- max st.clock due;
+            else st.clock <- Int.max st.clock due;
             Ring.push st.runq thunk;
             loop ()
           end

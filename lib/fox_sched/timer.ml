@@ -16,6 +16,8 @@ let create = Wheel.create
 
 let set = Wheel.set
 
+let set_at = Wheel.set_at
+
 let clear = Wheel.cancel
 
 let cleared = Wheel.cancelled

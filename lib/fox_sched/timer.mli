@@ -29,6 +29,10 @@ val create : (unit -> unit) -> t
     be set again in a later one. *)
 val set : t -> int -> unit
 
+(** [set_at t ~now us] is [set t us] for a caller that has just read the
+    clock: [now] must be {!Scheduler.now}[ ()]. *)
+val set_at : t -> now:int -> int -> unit
+
 (** [clear t] prevents the handler from firing (idempotent; harmless after
     expiry).  The wheel lets go of the timer at once, so a cleared timer
     the caller drops is garbage before its old deadline. *)

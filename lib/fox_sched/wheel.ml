@@ -144,9 +144,9 @@ let reset_for w ~epoch ~now =
   clear_list w.overdue;
   w.armed_at <- max_int
 
-let ensure_epoch w =
+let ensure_epoch w ~now =
   let epoch = Scheduler.epoch () in
-  if epoch <> w.epoch then reset_for w ~epoch ~now:(Scheduler.now ())
+  if epoch <> w.epoch then reset_for w ~epoch ~now
 
 (* Level whose span covers [delta] ticks into the future. *)
 let level_of delta =
@@ -239,7 +239,7 @@ let advance w now =
       (* Nothing on level 0: jump straight to the next cascade boundary
          (or to the target if it comes first). *)
       let next_wrap = ((w.cur_tick lsr slot_bits) + 1) lsl slot_bits in
-      w.cur_tick <- min next_wrap target;
+      w.cur_tick <- Int.min next_wrap target;
       if w.cur_tick land slot_mask = 0 then cascade_from w 1
     end
     else begin
@@ -291,7 +291,7 @@ let rec arm w deadline =
     w.stats.alarms <- w.stats.alarms + 1;
     let epoch = w.epoch in
     Scheduler.fork (fun () ->
-        Scheduler.sleep (max 0 (deadline - Scheduler.now ()));
+        Scheduler.sleep (Int.max 0 (deadline - Scheduler.now ()));
         let w = Domain.DLS.get wheel_key in
         if w.epoch = epoch && w.armed_at = deadline then begin
           (* Handlers may start timers while we advance; claim the alarm
@@ -313,12 +313,14 @@ let cancel e =
     w.stats.cancels <- w.stats.cancels + 1
   end
 
-let set e us =
-  cancel e;
+let set_at e ~now us =
   let w = Domain.DLS.get wheel_key in
-  ensure_epoch w;
-  let now = Scheduler.now () in
-  let deadline = now + max 0 us in
+  if linked e then begin
+    remove w e;
+    w.stats.cancels <- w.stats.cancels + 1
+  end;
+  ensure_epoch w ~now;
+  let deadline = now + Int.max 0 us in
   e.tick <- (deadline + granularity_us - 1) asr granularity_bits;
   e.cancelled <- false;
   e.fired <- false;
@@ -328,6 +330,8 @@ let set e us =
   (* Alarm at the entry's slot boundary: the slot is processed when the
      wheel reaches [tick], i.e. at [tick * granularity_us] ≥ deadline. *)
   arm w (e.tick lsl granularity_bits)
+
+let set e us = set_at e ~now:(Scheduler.now ()) us
 
 let schedule handler us =
   let e = make_entry handler in

@@ -47,6 +47,10 @@ val create : (unit -> unit) -> entry
     scheduler. *)
 val set : entry -> int -> unit
 
+(** [set_at e ~now us] is [set e us] for a caller that has just read the
+    clock: [now] must be {!Scheduler.now}[ ()]. *)
+val set_at : entry -> now:int -> int -> unit
+
 (** [cancel e] prevents the handler from firing and unlinks the entry
     from the wheel (idempotent; harmless after the entry fired). *)
 val cancel : entry -> unit

@@ -5,7 +5,7 @@ let internalize ~pseudo packet ~now =
   | Error e -> Error e
   | Ok hdr -> Ok { Tcb.hdr; data = packet; arrived_at = now }
 
-let externalize ?alg ?defer ~pseudo_for ~hdr ~data ~allocate ~send () =
+let externalize ?defer ~pseudo_for ~hdr ~data ~allocate ~send () =
   let hlen = Tcp_header.header_length hdr in
   match data with
   | Some packet ->
@@ -18,7 +18,7 @@ let externalize ?alg ?defer ~pseudo_for ~hdr ~data ~allocate ~send () =
     let saved = Packet.save packet in
     (match
        let pseudo = pseudo_for (hlen + Packet.length packet) in
-       Tcp_header.encode ?alg ?defer ~pseudo hdr packet;
+       Tcp_header.encode ?defer ~pseudo hdr packet;
        send packet
      with
     | () ->
@@ -32,7 +32,7 @@ let externalize ?alg ?defer ~pseudo_for ~hdr ~data ~allocate ~send () =
     let packet = allocate 0 in
     match
       let pseudo = pseudo_for hlen in
-      Tcp_header.encode ?alg ?defer ~pseudo hdr packet;
+      Tcp_header.encode ?defer ~pseudo hdr packet;
       send packet
     with
     | () -> Packet.release packet

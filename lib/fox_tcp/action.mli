@@ -25,7 +25,7 @@ val internalize :
   now:int ->
   (Tcb.segment, Tcp_header.error) result
 
-(** [externalize ?alg ?defer ~pseudo_for ~hdr ~data ~allocate ~send]
+(** [externalize ?defer ~pseudo_for ~hdr ~data ~allocate ~send]
     encodes and transmits one segment.  [pseudo_for len] must give the
     pseudo-header accumulator for a [len]-byte segment; [allocate n] must
     return a packet with [n] bytes of window and full lower-stack headroom
@@ -36,7 +36,6 @@ val internalize :
     retransmission queue holds its own reference while the segment is
     unacknowledged). *)
 val externalize :
-  ?alg:Fox_basis.Checksum.alg ->
   ?defer:bool ->
   pseudo_for:(int -> Fox_basis.Checksum.acc option) ->
   hdr:Tcp_header.t ->

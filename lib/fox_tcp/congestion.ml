@@ -118,14 +118,14 @@ module Reno = struct
 
   let on_ack () c ~acked =
     let next_cwnd =
-      if c.cwnd < c.ssthresh then c.cwnd + min acked c.mss
-      else c.cwnd + max 1 (c.mss * c.mss / max c.cwnd 1)
+      if c.cwnd < c.ssthresh then c.cwnd + Int.min acked c.mss
+      else c.cwnd + Int.max 1 (c.mss * c.mss / Int.max c.cwnd 1)
     in
     { next_cwnd; next_ssthresh = c.ssthresh; retransmit_front = false }
 
   let on_dup_ack () c ~count =
     if count = 3 then begin
-      let ssthresh = max (c.flight / 2) (2 * c.mss) in
+      let ssthresh = Int.max (c.flight / 2) (2 * c.mss) in
       { next_cwnd = ssthresh; next_ssthresh = ssthresh;
         retransmit_front = false }
     end
@@ -133,7 +133,7 @@ module Reno = struct
 
   let on_rto () c =
     { next_cwnd = c.mss;
-      next_ssthresh = max (c.flight / 2) (2 * c.mss);
+      next_ssthresh = Int.max (c.flight / 2) (2 * c.mss);
       retransmit_front = false }
 
   let on_idle_restart () c ~idle_us:_ = keep c
@@ -172,7 +172,7 @@ module Newreno = struct
            hole — retransmit it, deflate by the amount acknowledged, and
            add back one MSS if at least one MSS was covered *)
         let next_cwnd =
-          max c.mss (c.cwnd - acked + if acked >= c.mss then c.mss else 0)
+          Int.max c.mss (c.cwnd - acked + if acked >= c.mss then c.mss else 0)
         in
         { next_cwnd; next_ssthresh = c.ssthresh; retransmit_front = true }
       end
@@ -183,7 +183,7 @@ module Newreno = struct
     if count = 3 then begin
       t.in_rec <- true;
       t.recover <- c.nxt;
-      let ssthresh = max (c.flight / 2) (2 * c.mss) in
+      let ssthresh = Int.max (c.flight / 2) (2 * c.mss) in
       (* inflate by the three segments known to have left the network *)
       { next_cwnd = ssthresh + (3 * c.mss); next_ssthresh = ssthresh;
         retransmit_front = false }
@@ -204,7 +204,7 @@ module Newreno = struct
     (* RFC 5681 §4.1: collapse to the restart window after an RTO of
        idleness *)
     if idle_us >= c.rto_us then
-      { next_cwnd = min c.cwnd (2 * c.mss); next_ssthresh = c.ssthresh;
+      { next_cwnd = Int.min c.cwnd (2 * c.mss); next_ssthresh = c.ssthresh;
         retransmit_front = false }
     else keep c
 
@@ -264,17 +264,17 @@ module Cubic = struct
       end
       else
         let next_cwnd =
-          max c.mss (c.cwnd - acked + if acked >= c.mss then c.mss else 0)
+          Int.max c.mss (c.cwnd - acked + if acked >= c.mss then c.mss else 0)
         in
         { next_cwnd; next_ssthresh = c.ssthresh; retransmit_front = true }
     end
     else if c.cwnd < c.ssthresh then
       (* slow start, as Reno *)
-      { next_cwnd = c.cwnd + min acked c.mss; next_ssthresh = c.ssthresh;
+      { next_cwnd = c.cwnd + Int.min acked c.mss; next_ssthresh = c.ssthresh;
         retransmit_front = false }
     else begin
       if t.epoch_start = 0 then begin
-        t.epoch_start <- max 1 c.now;
+        t.epoch_start <- Int.max 1 c.now;
         if t.w_max < float_of_int c.cwnd then t.w_max <- float_of_int c.cwnd
       end;
       let cwnd_f = float_of_int c.cwnd in
@@ -286,7 +286,7 @@ module Cubic = struct
           let inc =
             int_of_float (float_of_int c.mss *. (target -. cwnd_f) /. cwnd_f)
           in
-          c.cwnd + min c.mss (max 1 inc)
+          c.cwnd + Int.min c.mss (Int.max 1 inc)
         else c.cwnd
       in
       { next_cwnd; next_ssthresh = c.ssthresh; retransmit_front = false }
@@ -303,7 +303,7 @@ module Cubic = struct
       t.in_rec <- true;
       t.recover <- c.nxt;
       let ssthresh =
-        max (int_of_float (cwnd_f *. beta)) (2 * c.mss)
+        Int.max (int_of_float (cwnd_f *. beta)) (2 * c.mss)
       in
       { next_cwnd = ssthresh; next_ssthresh = ssthresh;
         retransmit_front = false }
@@ -316,14 +316,14 @@ module Cubic = struct
     t.in_rec <- false;
     t.recover <- c.nxt;
     { next_cwnd = c.mss;
-      next_ssthresh = max (int_of_float (float_of_int c.cwnd *. beta))
+      next_ssthresh = Int.max (int_of_float (float_of_int c.cwnd *. beta))
                         (2 * c.mss);
       retransmit_front = false }
 
   let on_idle_restart t c ~idle_us =
     if idle_us >= c.rto_us then begin
       t.epoch_start <- 0;
-      { next_cwnd = min c.cwnd (2 * c.mss); next_ssthresh = c.ssthresh;
+      { next_cwnd = Int.min c.cwnd (2 * c.mss); next_ssthresh = c.ssthresh;
         retransmit_front = false }
     end
     else keep c
@@ -454,7 +454,7 @@ module Bbr_lite = struct
            four segments — persistent drops mean the headroom itself is
            overflowing a shared bottleneck queue *)
         let floor_segs = if c.now < t.loss_until then 4 else 8 in
-        max (floor_segs * c.mss) (2 * bdp t)
+        Int.max (floor_segs * c.mss) (2 * bdp t)
     in
     { next_cwnd; next_ssthresh = c.ssthresh; retransmit_front = false }
 
@@ -513,7 +513,7 @@ module Bbr_lite = struct
          gap locks it in — delivery-rate samples can never exceed the
          rate the sender itself is pacing at, so the decayed filter
          would ratchet towards zero *)
-      Some (min gap 10_000)
+      Some (Int.min gap 10_000)
 
   let in_recovery _ = false
 

@@ -66,7 +66,7 @@ let passive_open (params : params) ~iss ~mss ~syn ~now =
   tcb.snd_wl1 <- h.Tcp_header.seq;
   tcb.snd_wl2 <- Seq.zero;
   (match h.Tcp_header.mss with
-  | Some peer_mss -> tcb.snd_mss <- min tcb.snd_mss peer_mss
+  | Some peer_mss -> tcb.snd_mss <- Int.min tcb.snd_mss peer_mss
   | None -> ());
   queue_syn params tcb ~with_ack:true ~now;
   arm_user_timer params tcb;
@@ -89,7 +89,7 @@ let promote_passive (params : params) ~iss ~irs ~mss ~peer_mss ~wnd =
   tcb.snd_wl1 <- Seq.add irs 1;
   tcb.snd_wl2 <- Seq.add iss 1;
   (match peer_mss with
-  | Some m -> tcb.snd_mss <- min tcb.snd_mss m
+  | Some m -> tcb.snd_mss <- Int.min tcb.snd_mss m
   | None -> ());
   tcb.cwnd <- Congestion.initial_cwnd params.cc ~mss:tcb.snd_mss;
   add_to_do tcb Complete_open;

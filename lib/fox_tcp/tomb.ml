@@ -38,22 +38,21 @@ module Make (H : HOST) = struct
       (fun acc head -> match head with Some tw -> chain acc tw | None -> acc)
       [] t.heads
 
+  let rec walk (tw : tomb) host local_port remote_port =
+    if
+      tw.local_port = local_port
+      && tw.remote_port = remote_port
+      && H.equal tw.host host
+    then Some tw
+    else if tw.chain == tw then None
+    else walk tw.chain host local_port remote_port
+
   let find t host local_port remote_port =
     if t.count = 0 then None
     else
       match t.heads.(slot t host local_port remote_port) with
       | None -> None
-      | Some head ->
-        let rec walk (tw : tomb) =
-          if
-            tw.local_port = local_port
-            && tw.remote_port = remote_port
-            && H.equal tw.host host
-          then Some tw
-          else if tw.chain == tw then None
-          else walk tw.chain
-        in
-        walk head
+      | Some head -> walk head host local_port remote_port
 
   let parked t (tw : tomb) =
     match find t tw.host tw.local_port tw.remote_port with

@@ -46,9 +46,7 @@ let estab_tcb ?(params = params) () =
 
 let drain_actions tcb =
   let rec go acc =
-    match Tcb.next_to_do tcb with
-    | None -> List.rev acc
-    | Some a -> go (a :: acc)
+    if Tcb.has_to_do tcb then go (Tcb.next_to_do tcb :: acc) else List.rev acc
   in
   go []
 

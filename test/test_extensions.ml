@@ -270,7 +270,7 @@ let test_keepalive_probe_unit () =
     Alcotest.failf "unexpected: %s"
       (String.concat "," (List.map Tcb.action_name actions)));
   (* drain, then exhaust the probe budget *)
-  let rec drain () = match Tcb.next_to_do tcb with Some _ -> drain () | None -> () in
+  let rec drain () = if Tcb.has_to_do tcb then (ignore (Tcb.next_to_do tcb); drain ()) in
   drain ();
   let state = State.timer_expired params state Tcb.Keepalive ~now:4000 in
   drain ();
@@ -324,7 +324,7 @@ let test_keepalive_counts_unanswered_probes () =
   tcb.Tcb.rcv_nxt <- Seq.of_int 501;
   tcb.Tcb.last_activity <- 0;
   let drain () =
-    let rec go () = match Tcb.next_to_do tcb with Some _ -> go () | None -> () in
+    let rec go () = if Tcb.has_to_do tcb then (ignore (Tcb.next_to_do tcb); go ()) in
     go ()
   in
   let state = ref (Tcb.Estab tcb) in
