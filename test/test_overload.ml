@@ -80,7 +80,8 @@ end
 
 module Tcp_rst = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (Rst_params)
 
-let test_backlog_refusal_rst () =
+(* Six SYNs at a backlog of two; the server's engine counters after. *)
+let refusal_with_rst () =
   let _client_ip, server_ip, atk_ip = three_hosts () in
   let server = Tcp_rst.create server_ip in
   let _ =
@@ -95,7 +96,10 @@ let test_backlog_refusal_rst () =
         done;
         Scheduler.sleep 500_000)
   in
-  let s = Tcp_rst.stats server in
+  Tcp_rst.stats server
+
+let test_backlog_refusal_rst () =
+  let s = refusal_with_rst () in
   (* backlog 2, 6 SYNs: exactly 4 surplus, each answered with an RST *)
   Alcotest.(check int) "refused" 4 s.T.backlog_refused;
   Alcotest.(check bool) "rsts sent" true (s.T.rsts_sent >= 4);
@@ -108,7 +112,7 @@ end
 
 module Tcp_drop = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (Drop_params)
 
-let test_backlog_refusal_silent () =
+let refusal_silent () =
   let _client_ip, server_ip, atk_ip = three_hosts () in
   let server = Tcp_drop.create server_ip in
   let _ =
@@ -123,10 +127,41 @@ let test_backlog_refusal_silent () =
         done;
         Scheduler.sleep 500_000)
   in
-  let s = Tcp_drop.stats server in
+  Tcp_drop.stats server
+
+let test_backlog_refusal_silent () =
+  let s = refusal_silent () in
   Alcotest.(check int) "refused" 4 s.T.backlog_refused;
   Alcotest.(check int) "dropped silently" 4 s.T.syn_dropped;
   Alcotest.(check int) "no rsts" 0 s.T.rsts_sent
+
+(* An RST refusing a connection is a segment the engine sends: the two
+   flavours send the same half-open SYN-ACKs, so the RST flavour's
+   [segs_out] is the silent one's plus its RSTs. *)
+let test_refusal_rst_counted () =
+  let r = refusal_with_rst () and d = refusal_silent () in
+  Alcotest.(check int) "one RST per refusal" r.T.backlog_refused r.T.rsts_sent;
+  Alcotest.(check int) "segs_out counts the RSTs" (d.T.segs_out + r.T.rsts_sent)
+    r.T.segs_out
+
+(* A segment for no connection on a port nobody listens on is answered
+   with an RST, counted in [segs_out] like any other segment sent. *)
+let test_unknown_rst_counted () =
+  let _client_ip, server_ip, atk_ip = three_hosts () in
+  let server = Tcp_rst.create server_ip in
+  let _ =
+    Scheduler.run (fun () ->
+        let fl = Flood.create atk_ip ~target:server_addr in
+        for _ = 1 to 3 do
+          ignore (Flood.syn fl ~dst_port:port);
+          Scheduler.sleep 1_000
+        done;
+        Scheduler.sleep 10_000)
+  in
+  let s = Tcp_rst.stats server in
+  Alcotest.(check int) "an RST per segment" 3 s.T.rsts_sent;
+  Alcotest.(check int) "segs_out counts them" 3 s.T.segs_out;
+  Alcotest.(check int) "segs_in" 3 s.T.segs_in
 
 (* ------------------------------------------------------------------ *)
 (* SYN cache: promotion and expiry                                    *)
@@ -614,6 +649,10 @@ let () =
         [
           Alcotest.test_case "refusal with RST" `Quick test_backlog_refusal_rst;
           Alcotest.test_case "silent drop" `Quick test_backlog_refusal_silent;
+          Alcotest.test_case "refusal RST in segs_out" `Quick
+            test_refusal_rst_counted;
+          Alcotest.test_case "unknown-segment RST in segs_out" `Quick
+            test_unknown_rst_counted;
         ] );
       ( "syn-cache",
         [

@@ -188,7 +188,7 @@ let test_classify_broadcasts_non_tcp () =
    must leave the single-threaded execution bit-for-bit intact. *)
 let pinned_fuzz_digests =
   [
-    (0, "f4a2d4f9dcea6cc8c5b679c1befefec0");
+    (0, "9e9e1facdcbe3cb4c1ae4230178cc771");
     (1, "e4e8a6d405e5326bcad41a64f925174e");
     (2, "a43d888836743c93975d93fd63e4848d");
   ]
