@@ -489,6 +489,28 @@ let test_rng_deterministic () =
   done;
   Alcotest.(check bool) "different seed differs" true !differs
 
+(* The splitmix64 stream itself, pinned: the first eight [bits64] of two
+   seeds, as the generator with a boxed [int64] state produced them.
+   Every seeded netem, fuzz and chaos run draws from this stream. *)
+let test_rng_stream_pinned () =
+  List.iter
+    (fun (seed, expected) ->
+      let r = Rng.create seed in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d" seed)
+        expected
+        (List.init 8 (fun _ -> Rng.bits64 r)))
+    [
+      ( 1,
+        [ 2612804094800205616; 3439311302766607129; 4477959822570722647;
+          2049245188455445058; 2048809309281742190; 3518229400716132512;
+          4046056672035966761; 2412221600017015133 ] );
+      ( 0x10ad,
+        [ 1858158177316075250; 2670214605089292684; 3156901777066371559;
+          3753938484083133840; 3639890009214190539; 4592229779143100931;
+          3938557613483980269; 1033671592630186834 ] );
+    ]
+
 let rng_float_range =
   qtest "rng: float in [0,1)" QCheck2.Gen.nat (fun seed ->
       let r = Rng.create seed in
@@ -822,6 +844,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
           rng_float_range;
           rng_bool_bias;
         ] );
