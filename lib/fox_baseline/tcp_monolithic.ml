@@ -283,9 +283,9 @@ end = struct
            })
     end;
     let pseudo_for len =
-      Some (Aux.pseudo conn.lower ~proto:proto_number ~len)
+      Aux.pseudo conn.lower ~proto:proto_number ~len
     in
-    (* x-kernel-style basic checksum.  A lower-layer refusal is treated
+    (* The shared codec's checksum.  A lower-layer refusal is treated
        like a lost packet: the retransmit timer recovers.  [externalize]
        consumes one reference to the text; the unacked queue keeps its
        own, so retransmits still see the bytes. *)
@@ -767,7 +767,7 @@ end = struct
               + if hdr.Tcp_header.fin then 1 else 0);
         }
     in
-    let pseudo_for len = Some (Aux.pseudo lconn ~proto:proto_number ~len) in
+    let pseudo_for len = Aux.pseudo lconn ~proto:proto_number ~len in
     try
       Fox_tcp.Action.externalize ~pseudo_for ~hdr:rst_hdr
         ~data:None
@@ -779,7 +779,7 @@ end = struct
 
   let receive t lconn packet =
     let pseudo =
-      Some (Aux.pseudo lconn ~proto:proto_number ~len:(Packet.length packet))
+      Aux.pseudo lconn ~proto:proto_number ~len:(Packet.length packet)
     in
     match Tcp_header.decode ~pseudo packet with
     | Error _ -> t.bad_segments <- t.bad_segments + 1

@@ -10,6 +10,10 @@ type acc = int
 
 let zero = 0
 
+let none = -1
+
+let[@inline] is_none acc = acc < 0
+
 let[@inline] sum_of acc = acc lsr 1
 
 let[@inline] is_odd acc = acc land 1 = 1

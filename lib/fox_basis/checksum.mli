@@ -23,6 +23,14 @@ type acc
 (** The empty accumulator (even parity, zero sum). *)
 val zero : acc
 
+(** No accumulator: what a codec is given when checksums are off.  Every
+    real accumulator is non-negative and this one is negative, so "no
+    checksum" is carried as an immediate value, not an option. *)
+val none : acc
+
+(** [is_none acc] is true iff [acc] is {!none}. *)
+val is_none : acc -> bool
+
 (** [fold16 s] folds an un-normalised one's-complement sum down to 16 bits
     by repeatedly adding the carry back in.  Exposed so fused copy/checksum
     code and incremental-update arithmetic can share the exact fold the

@@ -259,7 +259,7 @@ let cached_window_sum p =
   | Rx_sum { m_start; m_len; m_sum }
     when p.off >= m_start && p.off + p.len <= m_start + m_len ->
     let pre_len = p.off - m_start in
-    if pre_len land 1 <> 0 then None
+    if pre_len land 1 <> 0 then -1
     else begin
       let suf_start = p.off + p.len in
       let suf_len = m_start + m_len - suf_start in
@@ -283,11 +283,9 @@ let cached_window_sum p =
           else s
         end
       in
-      Some
-        (Checksum.fold16
-           (m_sum + (lnot pre land 0xFFFF) + (lnot suf land 0xFFFF)))
+      Checksum.fold16 (m_sum + (lnot pre land 0xFFFF) + (lnot suf land 0xFFFF))
     end
-  | _ -> None
+  | _ -> -1
 
 let check p i n =
   if i < 0 || i + n > p.len then

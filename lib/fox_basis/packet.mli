@@ -90,10 +90,10 @@ val finalize_tx_csum : t -> unit
 (** [cached_window_sum p] is the folded one's-complement sum of the current
     window if it can be derived from a recorded RX memo by subtracting the
     uncovered prefix/suffix (which are re-summed — they are the short
-    headers, not the payload); [None] when no memo covers the window or
-    parity does not allow subtraction.  Any in-window mutation invalidates
-    the memo. *)
-val cached_window_sum : t -> int option
+    headers, not the payload); [-1] when no memo covers the window or
+    parity does not allow subtraction (a folded sum is never negative).
+    Any in-window mutation invalidates the memo. *)
+val cached_window_sum : t -> int
 
 (** {1 Ownership, recycling and the leak census}
 

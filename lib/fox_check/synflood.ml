@@ -51,7 +51,7 @@ struct
   (** [transmit t ?data hdr] puts one raw segment on the wire, counting
       it unless the lower layer refuses it. *)
   let transmit t ?(data = None) hdr =
-    let pseudo_for len = Some (Aux.pseudo t.lconn ~proto:proto_number ~len) in
+    let pseudo_for len = Aux.pseudo t.lconn ~proto:proto_number ~len in
     match
       Action.externalize ~pseudo_for ~hdr ~data
         ~allocate:(fun len ->

@@ -20,14 +20,15 @@
 (** [internalize ~pseudo packet ~now] decodes and verifies with the
     Figure 10 checksum; the packet window is left at the segment text. *)
 val internalize :
-  pseudo:Fox_basis.Checksum.acc option ->
+  pseudo:Fox_basis.Checksum.acc ->
   Fox_basis.Packet.t ->
   now:int ->
   (Tcb.segment, Tcp_header.error) result
 
 (** [externalize ?defer ~pseudo_for ~hdr ~data ~allocate ~send]
     encodes and transmits one segment.  [pseudo_for len] must give the
-    pseudo-header accumulator for a [len]-byte segment; [allocate n] must
+    pseudo-header accumulator for a [len]-byte segment
+    ({!Fox_basis.Checksum.none} when checksums are off); [allocate n] must
     return a packet with [n] bytes of window and full lower-stack headroom
     (used when [data] is [None]).  [?defer] is passed to
     {!Tcp_header.encode} (TX checksum offload).  The send action's
@@ -37,7 +38,7 @@ val internalize :
     unacknowledged). *)
 val externalize :
   ?defer:bool ->
-  pseudo_for:(int -> Fox_basis.Checksum.acc option) ->
+  pseudo_for:(int -> Fox_basis.Checksum.acc) ->
   hdr:Tcp_header.t ->
   data:Fox_basis.Packet.t option ->
   allocate:(int -> Fox_basis.Packet.t) ->

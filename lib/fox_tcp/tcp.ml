@@ -375,11 +375,11 @@ end = struct
   (* ---------------- externalisation ---------------- *)
 
   (* The pseudo-header of a [len]-byte segment on [lconn], when checksums
-     are on. *)
+     are on; [Checksum.none] when they are off. *)
   let pseudo lconn len =
     if runtime_params.compute_checksums then
-      Some (Aux.pseudo lconn ~proto:proto_number ~len)
-    else None
+      Aux.pseudo lconn ~proto:proto_number ~len
+    else Checksum.none
 
   (* A [len]-byte packet with room for every header from TCP's down. *)
   let allocate lconn len =
@@ -1260,19 +1260,33 @@ end = struct
 
   (* OS entropy for the default ISN boot secret; /dev/urandom with a
      time/pid fallback for platforms without it.  Read lazily so
-     deterministic builds that pin [isn_secret] never touch the OS. *)
+     deterministic builds that pin [isn_secret] never touch the OS, and
+     unbuffered: exactly the 16 bytes used are read (a buffered channel
+     pulls a whole 64 KiB from the kernel per engine). *)
   let entropy_secret () =
     match
-      let ic = open_in_bin "/dev/urandom" in
+      let fd =
+        Unix.openfile "/dev/urandom" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+      in
       Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic 16)
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let bytes = Bytes.create 16 in
+          let rec fill off =
+            if off < 16 then
+              match Unix.read fd bytes off (16 - off) with
+              | 0 -> raise End_of_file
+              | n -> fill (off + n)
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
+          in
+          fill 0;
+          bytes)
     with
     | bytes ->
       let word i =
         let w = ref 0 in
         for j = 7 downto 0 do
-          w := (!w lsl 8) lor Char.code bytes.[i + j]
+          w := (!w lsl 8) lor Char.code (Bytes.get bytes (i + j))
         done;
         !w land max_int
       in

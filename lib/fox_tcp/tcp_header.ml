@@ -69,17 +69,15 @@ let encode ?(defer = false) ~pseudo hdr p =
     Wire.set_u8 b (off + 21) 4;
     Wire.set_u16 b (off + 22) mss
   | None -> ());
-  match pseudo with
-  | None -> ()
-  | Some acc ->
+  if not (Checksum.is_none pseudo) then
     if defer then
       (* TX checksum offload: leave the field zero and let the link-layer
          fused copy (or [Packet.finalize_tx_csum]) compute it while the
          bytes are being moved anyway. *)
-      Packet.request_tx_csum p ~at:16 ~init:(Checksum.finish acc)
+      Packet.request_tx_csum p ~at:16 ~init:(Checksum.finish pseudo)
     else
       let acc =
-        Checksum.add_bytes acc (Packet.buffer p) (Packet.offset p)
+        Checksum.add_bytes pseudo (Packet.buffer p) (Packet.offset p)
           (Packet.length p)
       in
       Packet.set_u16 p 16 (Checksum.checksum_of acc)
@@ -121,21 +119,21 @@ let decode ~pseudo p =
     if hlen < min_length || hlen > Packet.length p then Error Bad_offset
     else begin
       let checksum_ok =
-        match pseudo with
-        | None -> true
-        | Some acc -> (
+        Checksum.is_none pseudo
+        ||
           (* RX checksum offload: a fused link copy recorded the folded sum
              of the bytes it moved; derive the window sum from it instead of
              re-touching the payload.  [fold16 (p + s) = 0xFFFF] is exactly
              [valid] — the pseudo sum is never zero (proto and length are
              non-zero), so the 0 / 0xFFFF representative ambiguity of
              one's-complement arithmetic cannot arise. *)
-          match Packet.cached_window_sum p with
-          | Some cached -> Checksum.fold16 (Checksum.finish acc + cached) = 0xFFFF
-          | None ->
+          let cached = Packet.cached_window_sum p in
+          if cached >= 0 then
+            Checksum.fold16 (Checksum.finish pseudo + cached) = 0xFFFF
+          else
             Checksum.valid
-              (Checksum.add_bytes acc (Packet.buffer p) (Packet.offset p)
-                 (Packet.length p)))
+              (Checksum.add_bytes pseudo (Packet.buffer p) (Packet.offset p)
+                 (Packet.length p))
       in
       if not checksum_ok then Error Bad_checksum
       else begin

@@ -38,16 +38,17 @@ val basic : src_port:int -> dst_port:int -> t
 val header_length : t -> int
 
 (** [encode ~pseudo hdr p] pushes the header in front of [p]'s window.
-    When [pseudo] is given (pre-loaded with the pseudo-header for
+    When [pseudo] is an accumulator (pre-loaded with the pseudo-header for
     [header_length hdr + old length of p] bytes), the checksum field is
-    computed over pseudo-header + header + text; otherwise it is left
-    zero.  With [~defer:true] (and a pseudo), the field is left zero and
+    computed over pseudo-header + header + text; when it is
+    {!Fox_basis.Checksum.none}, the field is left zero.  With
+    [~defer:true] (and a pseudo), the field is left zero and
     a deferred-checksum request is recorded on the packet
     ({!Fox_basis.Packet.request_tx_csum}) for the link-layer fused copy
     to settle — software TX checksum offload. *)
 val encode :
   ?defer:bool ->
-  pseudo:Fox_basis.Checksum.acc option ->
+  pseudo:Fox_basis.Checksum.acc ->
   t ->
   Fox_basis.Packet.t ->
   unit
@@ -55,11 +56,13 @@ val encode :
 type error = Too_short | Bad_offset | Bad_checksum | Bad_options
 
 (** [decode ~pseudo p] reads, verifies and strips a header, leaving the
-    segment text in [p]'s window.  When the packet carries an RX sum memo
-    from a fused link copy ({!Fox_basis.Packet.cached_window_sum}), the
-    checksum is verified from the memo without re-reading the payload. *)
+    segment text in [p]'s window.  The checksum is not verified when
+    [pseudo] is {!Fox_basis.Checksum.none}.  When the packet carries an RX
+    sum memo from a fused link copy
+    ({!Fox_basis.Packet.cached_window_sum}), the checksum is verified from
+    the memo without re-reading the payload. *)
 val decode :
-  pseudo:Fox_basis.Checksum.acc option ->
+  pseudo:Fox_basis.Checksum.acc ->
   Fox_basis.Packet.t ->
   (t, error) result
 

@@ -689,8 +689,8 @@ let test_offload_fused_roundtrip () =
      sums exactly the remaining window *)
   Packet.pull_header wire 20;
   (match Packet.cached_window_sum wire with
-  | None -> Alcotest.fail "no RX memo after fused copy"
-  | Some cached ->
+  | -1 -> Alcotest.fail "no RX memo after fused copy"
+  | cached ->
     let direct =
       Checksum.finish
         (Checksum.add_bytes Checksum.zero (Packet.buffer wire)
@@ -701,7 +701,7 @@ let test_offload_fused_roundtrip () =
   (* any in-window mutation kills the memo *)
   Packet.set_u8 wire 3 0x55;
   Alcotest.(check bool) "mutation invalidates memo" true
-    (Packet.cached_window_sum wire = None)
+    (Packet.cached_window_sum wire = -1)
 
 (* A full 1518-byte frame as the stack builds it: a 1460-byte payload, a
    TCP header whose checksum is deferred over header and payload, then IP
@@ -737,8 +737,8 @@ let test_full_frame_fused () =
   Packet.pull_header wire 34;
   Packet.pull_trailer wire 4;
   match Packet.cached_window_sum wire with
-  | None -> Alcotest.fail "no RX memo on the TCP segment"
-  | Some cached ->
+  | -1 -> Alcotest.fail "no RX memo on the TCP segment"
+  | cached ->
     Alcotest.(check int) "memo + pseudo validates" 0xFFFF
       (Checksum.fold16 (init + cached));
     Alcotest.(check bool) "segment verifies from scratch" true

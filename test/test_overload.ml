@@ -311,7 +311,7 @@ let raw_peer ip =
     Ip.connect ip (Ip_aux.lower_address ~proto:6 server_addr) (fun lconn ->
         ( (fun packet ->
             let pseudo =
-              Some (Ip_aux.pseudo lconn ~proto:6 ~len:(Packet.length packet))
+              Ip_aux.pseudo lconn ~proto:6 ~len:(Packet.length packet)
             in
             (match
                Action.internalize ~pseudo packet ~now:(Scheduler.now ())
@@ -325,7 +325,7 @@ let raw_peer ip =
 
 let raw_send p hdr =
   Action.externalize
-    ~pseudo_for:(fun len -> Some (Ip_aux.pseudo p.lconn ~proto:6 ~len))
+    ~pseudo_for:(fun len -> Ip_aux.pseudo p.lconn ~proto:6 ~len)
     ~hdr ~data:None
     ~allocate:(fun len ->
       Packet.create ~headroom:(24 + Ip.headroom p.lconn)
@@ -352,6 +352,45 @@ let unkeyed_cookie host ~local_port ~remote_port ~irs =
   mix remote_port;
   mix irs;
   (!h lxor (!h lsr 13)) land 0xFFFFFFFC
+
+(* An engine that pins no [isn_secret] draws its ISN key from the OS,
+   one per engine.  Two such engines, each answering the same SYN on the
+   same 4-tuple at the same virtual time, must pick different ISSs: with
+   equal keys (or a constant fallback) they would agree. *)
+module Tcp_boot = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (Base_params)
+
+let boot_iss () =
+  let client_ip, server_ip, _atk_ip = three_hosts () in
+  let server = Tcp_boot.create server_ip in
+  let iss = ref (-1) and at = ref (-1) in
+  let _ =
+    Scheduler.run (fun () ->
+        ignore
+          (Tcp_boot.start_passive server { Tcp_boot.local_port = port }
+             (fun _ -> (Packet.release, ignore)));
+        let p = raw_peer client_ip in
+        raw_send p
+          { (Tcp_header.basic ~src_port:30000 ~dst_port:port) with
+            Tcp_header.seq = Seq.of_int 5000;
+            syn = true;
+            window = 4096;
+          };
+        Scheduler.sleep 10_000;
+        match !(p.heard) with
+        | h :: _ when h.syn && h.ack_flag ->
+          iss := Seq.to_int h.seq;
+          at := Scheduler.now ()
+        | _ -> Alcotest.fail "no SYN-ACK")
+  in
+  (!iss, !at)
+
+let test_unpinned_secret () =
+  Alcotest.(check bool) "the parameters pin no secret" true
+    (Base_params.params.isn_secret = None);
+  let iss1, at1 = boot_iss () in
+  let iss2, at2 = boot_iss () in
+  Alcotest.(check int) "same virtual clock" at1 at2;
+  Alcotest.(check bool) "different ISSs" true (iss1 <> iss2)
 
 let test_unkeyed_cookie_refused () =
   let client_ip, server_ip, _atk_ip = three_hosts () in
@@ -664,6 +703,8 @@ let () =
             test_unkeyed_cookie_refused;
           Alcotest.test_case "stale cookie refused" `Quick
             test_stale_cookie_refused;
+          Alcotest.test_case "unpinned secrets differ" `Quick
+            test_unpinned_secret;
           Alcotest.test_case "inexact rst keeps the entry" `Quick
             test_inexact_rst_keeps_entry;
         ] );

@@ -87,8 +87,8 @@ let header_roundtrip =
           ~len:(Tcp_header.header_length hdr + String.length payload)
       in
       let p = Packet.of_string ~headroom:32 payload in
-      Tcp_header.encode ~pseudo:(Some pseudo) hdr p;
-      match Tcp_header.decode ~pseudo:(Some pseudo) p with
+      Tcp_header.encode ~pseudo hdr p;
+      match Tcp_header.decode ~pseudo p with
       | Ok hdr' -> hdr' = hdr && Packet.to_string p = payload
       | Error _ -> false)
 
@@ -103,11 +103,11 @@ let header_detects_corruption =
         Checksum.pseudo_ipv4 ~src:1 ~dst:2 ~proto:6 ~len:total
       in
       let p = Packet.of_string ~headroom:32 payload in
-      Tcp_header.encode ~pseudo:(Some pseudo) hdr p;
+      Tcp_header.encode ~pseudo hdr p;
       (* flip one bit anywhere in the segment *)
       let pos = pos mod Packet.length p in
       Packet.set_u8 p pos (Packet.get_u8 p pos lxor (1 lsl bit));
-      match Tcp_header.decode ~pseudo:(Some pseudo) p with
+      match Tcp_header.decode ~pseudo p with
       | Error Tcp_header.Bad_checksum -> true
       | Error _ -> true (* mangled data offset is also a detection *)
       | Ok hdr' ->
@@ -125,20 +125,16 @@ let basic_algorithm_agrees =
       let _, _, _, _, _, _, _, payload = spec in
       let hdr = mk_header spec in
       let pseudo () =
-        Some
-          (Checksum.pseudo_ipv4 ~src:3 ~dst:4 ~proto:6
-             ~len:(Tcp_header.header_length hdr + String.length payload))
+        Checksum.pseudo_ipv4 ~src:3 ~dst:4 ~proto:6
+          ~len:(Tcp_header.header_length hdr + String.length payload)
       in
       let p = Packet.of_string ~headroom:32 payload in
       Tcp_header.encode ~pseudo:(pseudo ()) hdr p;
       (* the encoder's optimized sum verifies under the basic loop *)
       let basic_ok =
-        match pseudo () with
-        | Some acc ->
-          Checksum.valid
-            (Checksum.add_bytes ~alg:`Basic acc (Packet.buffer p)
-               (Packet.offset p) (Packet.length p))
-        | None -> false
+        Checksum.valid
+          (Checksum.add_bytes ~alg:`Basic (pseudo ()) (Packet.buffer p)
+             (Packet.offset p) (Packet.length p))
       in
       basic_ok
       &&
@@ -1240,7 +1236,7 @@ let test_time_wait_entry_cancels_delayed_ack () =
 let externalize_refused ~data ~allocate =
   match
     Action.externalize
-      ~pseudo_for:(fun _ -> None)
+      ~pseudo_for:(fun _ -> Checksum.none)
       ~hdr:(Tcp_header.basic ~src_port:1000 ~dst_port:2000)
       ~data ~allocate
       ~send:(fun _ -> raise (Fox_proto.Common.Send_failed "refused"))

@@ -131,7 +131,7 @@ let create_peer ip =
       (fun lconn ->
         ( (fun packet ->
             let pseudo =
-              Some (Ip_aux.pseudo lconn ~proto:6 ~len:(Packet.length packet))
+              Ip_aux.pseudo lconn ~proto:6 ~len:(Packet.length packet)
             in
             (match
                Action.internalize ~pseudo packet ~now:(Scheduler.now ())
@@ -156,7 +156,7 @@ let transmit p ?(text = "") hdr =
     end
   in
   Action.externalize
-    ~pseudo_for:(fun len -> Some (Ip_aux.pseudo p.lconn ~proto:6 ~len))
+    ~pseudo_for:(fun len -> Ip_aux.pseudo p.lconn ~proto:6 ~len)
     ~hdr ~data
     ~allocate:(fun len ->
       Packet.create ~headroom:(24 + Ip.headroom p.lconn)
