@@ -21,9 +21,6 @@ type impl = Byte | Unrolled | Word | Blit
 (** [copy impl src soff dst doff len] copies [len] bytes. *)
 val copy : impl -> Bytes.t -> int -> Bytes.t -> int -> int -> unit
 
-val byte_copy : Bytes.t -> int -> Bytes.t -> int -> int -> unit
-val unrolled_copy : Bytes.t -> int -> Bytes.t -> int -> int -> unit
-val word_copy : Bytes.t -> int -> Bytes.t -> int -> int -> unit
 val blit : Bytes.t -> int -> Bytes.t -> int -> int -> unit
 
 (** [blit_checksum src soff dst doff len ~init] copies [len] bytes and, in

@@ -363,6 +363,4 @@ let fill p v =
   invalidate_rx p;
   Bytes.fill p.buf p.off p.len (Char.chr (v land 0xff))
 
-let hexdump p = Wire.hexdump p.buf p.off p.len
-
 let pp fmt p = Format.fprintf fmt "<packet len=%d headroom=%d>" p.len p.off

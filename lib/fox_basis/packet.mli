@@ -175,9 +175,6 @@ val offset : t -> int
 (** [fill p v] sets every window byte to [v land 0xff]. *)
 val fill : t -> int -> unit
 
-(** [hexdump p] renders the window. *)
-val hexdump : t -> string
-
 (** A snapshot of a packet's window, for the retransmission discipline:
     TCP pushes headers into a queued segment's buffer, hands it to the
     wire (which copies it synchronously), then {!restore}s the window so

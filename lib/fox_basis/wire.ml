@@ -13,20 +13,3 @@ let[@inline] set_u16 b i v = Bytes.set_uint16_be b i v
 let[@inline] get_u32 b i = Int32.to_int (Bytes.get_int32_be b i) land 0xFFFFFFFF
 
 let[@inline] set_u32 b i v = Bytes.set_int32_be b i (Int32.of_int v)
-
-let hexdump ?(per_line = 16) b off len =
-  let buf = Buffer.create (len * 4) in
-  let rec line i =
-    if i < len then begin
-      Buffer.add_string buf (Printf.sprintf "%04x  " i);
-      let n = Int.min per_line (len - i) in
-      for j = 0 to n - 1 do
-        Buffer.add_string buf (Printf.sprintf "%02x " (get_u8 b (off + i + j)));
-        if j = (per_line / 2) - 1 then Buffer.add_char buf ' '
-      done;
-      Buffer.add_char buf '\n';
-      line (i + per_line)
-    end
-  in
-  line 0;
-  Buffer.contents buf

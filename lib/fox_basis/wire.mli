@@ -23,7 +23,3 @@ val get_u32 : Bytes.t -> int -> int
 
 (** [set_u32 b i v] writes the low 32 bits of [v] big-endian at [i]. *)
 val set_u32 : Bytes.t -> int -> int -> unit
-
-(** [hexdump ?per_line b off len] renders a classic offset + hex dump,
-    for traces and debugging. *)
-val hexdump : ?per_line:int -> Bytes.t -> int -> int -> string

@@ -110,12 +110,6 @@ let decode ~checksum p =
     strip p;
     Ok hdr
 
-let error_to_string = function
-  | Too_short -> "too short"
-  | Bad_version v -> Printf.sprintf "bad version %d" v
-  | Bad_checksum -> "bad header checksum"
-  | Bad_length -> "inconsistent lengths"
-
 let pp fmt h =
   Format.fprintf fmt "%a -> %a proto=%d len=%d id=%d%s off=%d ttl=%d"
     Ipv4_addr.pp h.src Ipv4_addr.pp h.dst h.proto h.total_length h.id

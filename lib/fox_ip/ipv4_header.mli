@@ -53,5 +53,4 @@ val src : Fox_basis.Packet.t -> Ipv4_addr.t
 val dst : Fox_basis.Packet.t -> Ipv4_addr.t
 val strip : Fox_basis.Packet.t -> unit
 
-val error_to_string : error -> string
 val pp : Format.formatter -> t -> unit

@@ -21,9 +21,6 @@ let add t entry = create (entry :: t)
 
 let local ~network ~prefix = create [ { network; prefix; gateway = None } ]
 
-let with_default t gateway =
-  add t { network = Ipv4_addr.any; prefix = 0; gateway = Some gateway }
-
 let next_hop t dst =
   let matches e = Ipv4_addr.in_subnet dst ~network:e.network ~prefix:e.prefix in
   match List.find_opt matches t with

@@ -22,9 +22,6 @@ val add : t -> entry -> t
     common single-LAN configuration. *)
 val local : network:Ipv4_addr.t -> prefix:int -> t
 
-(** [with_default t gateway] adds a 0.0.0.0/0 route through [gateway]. *)
-val with_default : t -> Ipv4_addr.t -> t
-
 (** [next_hop t dst] is the address to hand to the lower layer: the
     matched route's gateway, or [dst] for a connected route; [None] when no
     route matches. *)

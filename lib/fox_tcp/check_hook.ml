@@ -4,7 +4,7 @@
     [to_do] queue, TCP is completely deterministic — so a checker can
     "compare the TCB produced by an operation with the TCB the standard
     requires" after every single step.  This module is the seam that makes
-    that cheap: {!Tcp.Make}'s drain loop consults {!hook} once per drained
+    that cheap: {!Engine}'s drain loop consults {!hook} once per drained
     action and, when a function is installed, hands it a snapshot of the
     step just executed.  With no hook installed the cost is one reference
     read and a branch; nothing is allocated. *)
@@ -23,6 +23,8 @@ type info = {
 
 let hook : (info -> unit) option ref = ref None
 
+(** [install check] runs [check] after every executed action, of every
+    connection, until {!uninstall}. *)
 let install f = hook := Some f
 
 let uninstall () = hook := None

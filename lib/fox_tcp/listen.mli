@@ -18,15 +18,6 @@
     wire, the counters, the bus, the TCB).  Given the same calls it gives
     the same decisions. *)
 
-(** What the listener compares and formats hosts with: [Aux.equal] and
-    [Aux.to_string] in the engine. *)
-module type HOST = sig
-  type t
-
-  val equal : t -> t -> bool
-  val to_string : t -> string
-end
-
 (** What the engine does with one segment for a listening port. *)
 type decision =
   | Syn_ack of { iss : Seq.t; irs : Seq.t }
@@ -55,49 +46,51 @@ val cookie_tick_us : int
     bits). *)
 val mss_classes : int array
 
-module Make (H : HOST) : sig
-  (** One listener's passive-open state. *)
-  type t
+(** One listener's passive-open state, for peers named by ['h]. *)
+type 'h t
 
-  (** [create params ~secret ~iss] is a listener with no handshakes
-      held.  [secret] keys the cookies (the engine's RFC 6528 secret);
-      [iss] mints the ISS of a new cache entry. *)
-  val create :
-    Tcb.params ->
-    secret:int * int ->
-    iss:(host:H.t -> local_port:int -> remote_port:int -> Seq.t) ->
-    t
+(** [create params ~equal ~to_string ~secret ~iss] is a listener with
+    no handshakes held.  It compares and formats hosts with [equal] and
+    [to_string] ([Aux.equal] and [Aux.to_string] in the engine).
+    [secret] keys the cookies (the engine's RFC 6528 secret); [iss]
+    mints the ISS of a new cache entry. *)
+val create :
+  Tcb.params ->
+  equal:('h -> 'h -> bool) ->
+  to_string:('h -> string) ->
+  secret:int * int ->
+  iss:(host:'h -> local_port:int -> remote_port:int -> Seq.t) ->
+  'h t
 
-  (** [segment t host hdr ~now ~room ~mss path] decides on [hdr], from
-      [host], for no connection the engine has but a port [t] listens
-      on.  [room] is whether the engine is under its [max_connections]
-      cap; [mss path] is the MSS of the path the segment came on, asked
-      for only when a SYN that announces none gets a cookie.
+(** [segment t host hdr ~now ~room ~mss path] decides on [hdr], from
+    [host], for no connection the engine has but a port [t] listens
+    on.  [room] is whether the engine is under its [max_connections]
+    cap; [mss path] is the MSS of the path the segment came on, asked
+    for only when a SYN that announces none gets a cookie.
 
-      A SYN (no ACK, no RST) gets [Syn_ack], [Open] or [Refuse]; with
-      the SYN cache on, an ACK (no SYN, no RST) gets [Promote], [Refuse]
-      (the cap) or [Unknown], and an RST gets [Drop], forgetting the
-      handshake only when its sequence number is exactly the IRS plus
-      one (RFC 5961 §3.2).  Anything else is [Unknown]. *)
-  val segment :
-    t ->
-    H.t ->
-    Tcp_header.t ->
-    now:int ->
-    room:bool ->
-    mss:('path -> int) ->
-    'path ->
-    decision
+    A SYN (no ACK, no RST) gets [Syn_ack], [Open] or [Refuse]; with
+    the SYN cache on, an ACK (no SYN, no RST) gets [Promote], [Refuse]
+    (the cap) or [Unknown], and an RST gets [Drop], forgetting the
+    handshake only when its sequence number is exactly the IRS plus
+    one (RFC 5961 §3.2).  Anything else is [Unknown]. *)
+val segment :
+  'h t ->
+  'h ->
+  Tcp_header.t ->
+  now:int ->
+  room:bool ->
+  mss:('path -> int) ->
+  'path ->
+  decision
 
-  (** [held t] is the number of SYN-cache entries, expired ones not yet
-      purged included. *)
-  val held : t -> int
+(** [held t] is the number of SYN-cache entries, expired ones not yet
+    purged included. *)
+val held : _ t -> int
 
-  (** [half_open t] is the number of SYN-RECEIVED TCBs the legacy regime
-      holds for [t]. *)
-  val half_open : t -> int
+(** [half_open t] is the number of SYN-RECEIVED TCBs the legacy regime
+    holds for [t]. *)
+val half_open : _ t -> int
 
-  (** [leave t] frees a legacy half-open slot: its TCB established or
-      died. *)
-  val leave : t -> unit
-end
+(** [leave t] frees a legacy half-open slot: its TCB established or
+    died. *)
+val leave : _ t -> unit

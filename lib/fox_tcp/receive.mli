@@ -37,7 +37,7 @@ val process : Tcb.params -> Tcb.tcp_state -> Tcb.segment -> now:int -> Tcb.tcp_s
 val time_wait :
   Tcb.params ->
   cap:Tcb.challenge_cap ->
-  tally:Tcb.challenge_tally ->
+  tally:Tcb.counters ->
   'host Tcb.time_wait ->
   Tcb.segment ->
   now:int ->

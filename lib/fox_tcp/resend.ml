@@ -12,7 +12,9 @@ let notef tcb fmt =
 (* Retransmissions of one segment before the connection gives up. *)
 let max_retransmits = 12
 
-let clamp lo hi v = if v < lo then lo else if v > hi then hi else v
+(* on [int]: a polymorphic compare here would be a C call on the RTO
+   path that inlining copies into every sender *)
+let clamp (lo : int) hi v = if v < lo then lo else if v > hi then hi else v
 
 let rto (params : params) tcb =
   clamp params.rto_min_us params.rto_max_us (tcb.rto_us lsl tcb.backoff)

@@ -1,7 +1,20 @@
+(** Per-connection statistics snapshots.
+
+    A [Stats.t] is a plain, immutable photograph of one connection's TCB
+    taken between two actions of the [to_do] executor — the same seam
+    {!Check_hook} uses — so every snapshot is internally consistent: no
+    field can change while the record is being built, because nothing
+    happens to a connection except through the queue.
+
+    Snapshots feed [foxnet stat] (through [Tcp.snapshots], which
+    photographs every connection of an engine on demand); they are also
+    handy in tests as a one-line summary of where a connection ended
+    up. *)
+
 type t = {
-  conn_id : string;
-  state : string;
-  snapshot_at : int;
+  conn_id : string;  (** ["host:lport>rport"], as in the engine's trace *)
+  state : string;  (** RFC 793 state name *)
+  snapshot_at : int;  (** virtual time of the snapshot *)
   (* send sequence space *)
   snd_una : int;
   snd_nxt : int;
@@ -13,10 +26,11 @@ type t = {
   ssthresh : int;
   dup_acks : int;
   cc_name : string;  (** active congestion-control algorithm *)
-  cc_state : (string * string) list;  (** the algorithm's private state *)
-  in_recovery : bool;
+  cc_state : (string * string) list;
+      (** the algorithm's private state, from {!Congestion.S.debug} *)
+  in_recovery : bool;  (** inside the algorithm's loss recovery *)
   (* RTT estimation *)
-  srtt_us : int;
+  srtt_us : int;  (** -1 until the first sample *)
   rttvar_us : int;
   rto_us : int;
   backoff : int;
@@ -30,21 +44,22 @@ type t = {
   dup_segments : int;
   ooo_segments : int;
   (* queues *)
-  queued_bytes : int;
+  queued_bytes : int;  (** user data not yet segmentised *)
   rtx_queue_len : int;
-  flight : int;
+  flight : int;  (** sequence space sent and unacknowledged *)
   (* overload policy *)
-  ooo_bytes : int;
-  ooo_trimmed : int;
-  to_do_shed : int;
+  ooo_bytes : int;  (** bytes parked in the out-of-order list *)
+  ooo_trimmed : int;  (** out-of-order segments dropped by the byte cap *)
+  to_do_shed : int;  (** segments shed because the to_do queue was full *)
   (* RFC 5961 challenge accounting *)
-  challenge_acks_sent : int;
-  challenge_acks_limited : int;
-  rst_challenges : int;
-  syn_challenges : int;
-  ack_challenges : int;
+  challenge_acks_sent : int;  (** challenge ACKs actually emitted *)
+  challenge_acks_limited : int;  (** challenges suppressed by the budget *)
+  rst_challenges : int;  (** in-window (not exact) RSTs challenged *)
+  syn_challenges : int;  (** SYNs on a synchronized connection challenged *)
+  ack_challenges : int;  (** ACKs outside the acceptable range challenged *)
 }
 
+(** [of_tcb ~conn_id ~state ~now tcb] photographs [tcb]. *)
 let of_tcb ~conn_id ~state ~now (tcb : Tcb.tcp_tcb) =
   {
     conn_id;
@@ -85,8 +100,11 @@ let of_tcb ~conn_id ~state ~now (tcb : Tcb.tcp_tcb) =
     syn_challenges = tcb.Tcb.syn_challenges;
     ack_challenges = tcb.Tcb.ack_challenges;
   }
-(* A tombstone keeps the sequence numbers and little else: its windows,
-   counters and estimators read zero. *)
+
+(** [of_time_wait ~conn_id ~now ~rcv_wnd ~cc_name tombstone] is the
+    TIME-WAIT row of a connection parked as [tombstone]: its sequence
+    numbers and our receive window, with the send window and every
+    counter and estimator at zero, since a tombstone keeps none. *)
 let of_time_wait ~conn_id ~now ~rcv_wnd ~cc_name (tw : _ Tcb.time_wait) =
   let seq = Seq.to_int in
   {
@@ -129,6 +147,7 @@ let of_time_wait ~conn_id ~now ~rcv_wnd ~cc_name (tw : _ Tcb.time_wait) =
     ack_challenges = 0;
   }
 
+(** One-line rendering (the [foxnet stat] format). *)
 let to_string s =
   let cc =
     match s.cc_state with
@@ -151,5 +170,3 @@ let to_string s =
     s.queued_bytes s.rtx_queue_len s.ooo_trimmed s.to_do_shed
     s.challenge_acks_sent s.challenge_acks_limited s.rst_challenges
     s.syn_challenges s.ack_challenges
-
-let pp fmt s = Format.pp_print_string fmt (to_string s)

@@ -306,6 +306,44 @@ type challenge_cap = { mutable cap_window_start : int; mutable cap_sent : int }
 
 let fresh_challenge_cap () = { cap_window_start = 0; cap_sent = 0 }
 
+(** An engine's counters, the one record its executor and demultiplexer
+    count in.  The [tally_*] challenge counts and [blackhole_shrinks_dead]
+    are those of the connections the engine has deleted or parked in
+    TIME-WAIT, tombstones' own challenges included: the statistics add
+    the live TCBs', so an attack that killed its TCBs still shows. *)
+type counters = {
+  mutable segs_in : int;
+  mutable segs_out : int;
+  mutable bad_segments : int;
+  mutable rsts_sent : int;
+  mutable unknown_dropped : int;
+  mutable accepts : int;
+  mutable wire_send_failures : int;
+  mutable syn_dropped : int;
+  mutable backlog_refused : int;
+  mutable time_wait_recycled : int;
+  mutable to_do_shed : int;
+  mutable tally_sent : int;
+  mutable tally_limited : int;
+  mutable tally_rst : int;
+  mutable tally_syn : int;
+  mutable tally_ack : int;
+  mutable blackhole_shrinks_dead : int;
+  mutable persist_aborts : int;
+  mutable user_timeout_aborts : int;
+  mutable rtx_limit_aborts : int;
+  mutable keepalive_aborts : int;
+}
+
+let fresh_counters () =
+  { segs_in = 0; segs_out = 0; bad_segments = 0; rsts_sent = 0;
+    unknown_dropped = 0; accepts = 0; wire_send_failures = 0;
+    syn_dropped = 0; backlog_refused = 0; time_wait_recycled = 0;
+    to_do_shed = 0; tally_sent = 0; tally_limited = 0; tally_rst = 0;
+    tally_syn = 0; tally_ack = 0; blackhole_shrinks_dead = 0;
+    persist_aborts = 0; user_timeout_aborts = 0; rtx_limit_aborts = 0;
+    keepalive_aborts = 0 }
+
 (** The TCB proper (Figure 6's [tcp_tcb]). *)
 type tcp_tcb = {
   iss : Seq.t;
@@ -413,20 +451,6 @@ type tcp_tcb = {
   mutable obs_id : string;
       (** flight-recorder connection id (["-"] until installed) *)
 }
-
-(** RFC 5961 challenge counts kept outside any TCB: an engine's total
-    for the connections it has deleted or parked in TIME-WAIT. *)
-type challenge_tally = {
-  mutable tally_sent : int;
-  mutable tally_limited : int;
-  mutable tally_rst : int;
-  mutable tally_syn : int;
-  mutable tally_ack : int;
-}
-
-let fresh_challenge_tally () =
-  { tally_sent = 0; tally_limited = 0; tally_rst = 0; tally_syn = 0;
-    tally_ack = 0 }
 
 (** A connection parked in TIME-WAIT, without its TCB: the tombstone the
     engine keeps for the 2·MSL quiet period (Linux's

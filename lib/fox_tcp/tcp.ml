@@ -1,9 +1,10 @@
-(** The TCP protocol: the functor of Figure 4 and the [Main] module.
+(** The TCP protocol: the functor of Figure 4.
 
     [Make (Lower) (Aux) (Cc) (Params)] assembles the pure state-machine
     modules ({!Tcb}, {!State}, {!Receive}, {!Send}, {!Resend}, {!Action},
-    and {!Listen} and {!Tomb} for passive opens and TIME-WAIT) into a
-    protocol satisfying the generic signature:
+    and {!Listen} and {!Tomb} for passive opens and TIME-WAIT) and the
+    paper's [Main], {!Engine}, into a protocol satisfying the generic
+    signature:
 
     {[
       module Standard_tcp =
@@ -15,15 +16,10 @@
           end)
     ]}
 
-    The control structure is the paper's {e quasi-synchronous} one
-    (Figure 7): network deliveries and timer expirations do nothing but
-    place an action on the connection's [to_do] queue and invoke the
-    drain loop; the thread that queued the action executes actions one at
-    a time until the queue is empty (nested invocations — e.g. a user
-    handler calling [send] from inside a data upcall — simply queue and
-    return, and the outer drain picks the new work up).  Given the order
-    in which actions enter the queue, everything that follows is
-    deterministic. *)
+    This module demultiplexes segments to connections, tombstones and
+    listeners, picks initial sequence numbers and implements the user
+    calls; each of them queues work on a connection and leaves it to
+    {!Engine.drain}, the quasi-synchronous executor (Figure 7). *)
 
 open Fox_basis
 module Protocol = Fox_proto.Protocol
@@ -167,10 +163,6 @@ end = struct
 
   type status_handler = Status.t -> unit
 
-  (* Send-buffer bound: [send] blocks (cooperatively) while this many
-     bytes are already queued, letting flow control pace the sender. *)
-  let send_buffer_bytes = 65536
-
   (* TCP header (up to 24 bytes with the MSS option) plus slack so user
      buffers never reallocate on the fast path. *)
   let tcp_headroom = 24
@@ -188,10 +180,7 @@ end = struct
      tombstone table and each listener's SYN cache.  A segment is looked
      up through the engine's own [probe] key, refilled per segment, so
      the lookup allocates nothing. *)
-  module Host = struct include Aux type t = host end
-  module Hosts = Hashtbl.Make (Host)
-  module Tombs = Tomb.Make (Host)
-  module Passive = Listen.Make (Host)
+  module Hosts = Hashtbl.Make (struct include Aux type t = host end)
 
   module Key = struct
     type t = {
@@ -210,53 +199,20 @@ end = struct
 
   module Conns = Hashtbl.Make (Key)
 
-  type connection = {
-    tcp : t;
-    host : Aux.host;
-    local_port : int;
-    remote_port : int;
-    lower : Lower.connection;
-    lower_send : Packet.t -> unit;
-    tcb : Tcb.tcp_tcb;
-    mutable state : Tcb.tcp_state;
-    mutable data : data_handler;
-    mutable status : status_handler;
-    mutable draining : bool;
-    timers : Fox_sched.Timer.t option array;
-        (** one timer per {!Tcb.timer_index}, created on first use and
-            re-armed in place after that *)
-    wake : unit Fox_sched.Cond.t;
-        (** the one wait point of [connect], [send] and [close_sync]:
-            broadcast when the open completes, the close completes, the
-            connection goes down, or send-buffer space frees up; each
-            waiter re-checks its own condition *)
-    mutable open_done : bool;
-    mutable close_reason : Status.t option;
-    mutable dead : bool;
-        (** the engine holds the connection no more: deleted, or parked
-            as [tomb] *)
-    mutable tomb : tombstone option;
-        (** the tombstone that replaced the connection in TIME-WAIT *)
-    mutable half_open_of : Passive.t option;
-        (** the listener whose backlog this (legacy-mode) half-open
-            connection occupies, until established or deleted *)
-  }
+  type connection = (Aux.host, Lower.connection) Engine.conn
 
-  and listener = {
+  type listener = {
     l_tcp : t;
     l_port : int;
     l_handler : handler;
     mutable l_active : bool;
-    l_passive : Passive.t;  (** its half-open handshakes *)
+    l_passive : Aux.host Listen.t;  (** its half-open handshakes *)
   }
 
   and handler = connection -> data_handler * status_handler
 
-  (* A connection parked in TIME-WAIT: the 4-tuple, what its segments
-     still need, the 2·MSL timer and the final status upcall. *)
-  and tombstone = Tombs.tomb
-
   and t = {
+    engine : (Aux.host, Lower.connection) Engine.t;
     lower_instance : Lower.t;
     conns : connection Conns.t;
     mutable probe : Key.t option;
@@ -266,38 +222,14 @@ end = struct
     mutable iss_salt : int;
     isn_k0 : int;  (** RFC 6528 boot secret (per engine) *)
     isn_k1 : int;
-    chall_cap : Tcb.challenge_cap;
-        (** engine-wide challenge-ACK cap, shared into every TCB *)
     mutable next_ephemeral : int;
     mutable init_count : int;
-    mutable segs_in : int;
-    mutable segs_out : int;
-    mutable bad_segments : int;
-    mutable rsts_sent : int;
-    mutable unknown_dropped : int;
-    mutable accepts : int;
-    mutable wire_send_failures : int;
-    mutable syn_dropped : int;
-    mutable backlog_refused : int;
-    mutable time_wait_recycled : int;
-    mutable to_do_shed : int;
-    (* challenge counters of deleted and parked connections, folded in at
-       teardown, and the tombstones' own: [stats] keeps seeing an attack
-       that killed (or outlived) its TCBs *)
-    dead_challenges : Tcb.challenge_tally;
-    (* blackhole counters of deleted connections, same fold *)
-    mutable blackhole_shrinks_dead : int;
-    (* abort counters by kind (the connection is gone by definition) *)
-    mutable persist_aborts : int;
-    mutable user_timeout_aborts : int;
-    mutable rtx_limit_aborts : int;
-    mutable keepalive_aborts : int;
-    tombs : Tombs.t;
   }
 
-  let endpoints conn = (conn.host, conn.local_port, conn.remote_port)
+  let endpoints (conn : connection) =
+    (conn.host, conn.local_port, conn.remote_port)
 
-  let key_of conn =
+  let key_of (conn : connection) =
     { Key.host = conn.host; local_port = conn.local_port;
       remote_port = conn.remote_port }
 
@@ -311,25 +243,23 @@ end = struct
       probe.remote_port <- remote_port;
       Conns.find t.conns probe
 
-  let known t host local_port remote_port =
-    match find t host local_port remote_port with
+  (* Whether a 4-tuple is taken, by a connection or a tombstone. *)
+  let taken t host local_port remote_port =
+    (match find t host local_port remote_port with
     | _ -> true
-    | exception Not_found -> false
-
-  (* the flight recorder's connection id *)
-  let conn_id host local_port remote_port =
-    Printf.sprintf "%s:%d>%d" (Aux.to_string host) local_port remote_port
+    | exception Not_found -> false)
+    || Option.is_some (Tomb.find t.engine.tombs host local_port remote_port)
 
   (* ---------------- connection and engine state ---------------- *)
 
   (* A handle the application kept reads TIME-WAIT while its tombstone is
      parked, and CLOSED once it is gone. *)
-  let state_of conn =
+  let state_of (conn : connection) =
     match conn.tomb with
-    | Some tw when not (Tombs.parked conn.tcp.tombs tw) -> "CLOSED"
+    | Some tw when not (Tomb.parked conn.engine.tombs tw) -> "CLOSED"
     | _ -> Tcb.state_name conn.state
 
-  let snapshot conn =
+  let snapshot (conn : connection) =
     Stats.of_tcb ~conn_id:conn.tcb.Tcb.obs_id ~state:(state_of conn)
       ~now:(Bus.now ()) conn.tcb
 
@@ -337,12 +267,13 @@ end = struct
     let now = Bus.now () in
     let tomb_rows =
       List.map
-        (fun (tw : tombstone) ->
+        (fun (tw : _ Tomb.tomb) ->
           Stats.of_time_wait
-            ~conn_id:(conn_id tw.host tw.local_port tw.remote_port)
+            ~conn_id:
+              (Engine.conn_id t.engine tw.host tw.local_port tw.remote_port)
             ~now ~rcv_wnd:runtime_params.initial_window
             ~cc_name tw)
-        (Tombs.to_list t.tombs)
+        (Tomb.to_list t.engine.tombs)
     in
     Conns.fold (fun _ c acc -> snapshot c :: acc) t.conns tomb_rows
     |> List.sort (fun a b -> String.compare a.Stats.conn_id b.Stats.conn_id)
@@ -372,7 +303,7 @@ end = struct
       Seq.of_int ((m + f) land 0xFFFFFFFF)
     else Seq.of_int (m + (t.iss_salt * 64021))
 
-  (* ---------------- externalisation ---------------- *)
+  (* ---------------- the lower layer ---------------- *)
 
   (* The pseudo-header of a [len]-byte segment on [lconn], when checksums
      are on; [Checksum.none] when they are off. *)
@@ -388,494 +319,28 @@ end = struct
       ~tailroom:(Lower.tailroom lconn)
       len
 
+  let lower_ops =
+    { Engine.prepare = Lower.prepare_send; send = Lower.send; pseudo; allocate }
+
   (* The MSS we offer on [lconn]'s path. *)
   let path_mss lconn = Int.max 64 (Aux.mtu lconn - tcp_fixed_header)
 
-  (* Put one segment on [lconn] through [send].  The lower layer may
-     refuse it ([Send_failed]: an injected fault, a torn-down session):
-     the refusal is counted and is otherwise a loss on the wire — a TCB's
-     segment is on its retransmission queue, and an unsent reply from no
-     TCB is no worse than a lost one. *)
-  let put t lconn ~send hdr data =
-    try
-      Action.externalize ~defer:true ~pseudo_for:(pseudo lconn) ~hdr ~data
-        ~allocate:(allocate lconn) ~send ()
-    with Send_failed _ -> t.wire_send_failures <- t.wire_send_failures + 1
-
-  (* A segment without text, sent on [lconn] from outside any
-     connection: an RST, a stateless SYN-ACK, a tombstone's reply.  One
-     segment is not worth a stage of its own: the unstaged [send] reuses
-     the one the lower connection keeps. *)
-  let send_bare t lconn hdr = put t lconn ~send:(Lower.send lconn) hdr None
-
-  (* An RST answering [hdr], which came from no connection; it counts in
-     [segs_out] as every segment the engine sends does. *)
-  let reset_for t lconn (hdr : Tcp_header.t) ~seq ~ack_opt =
-    t.segs_out <- t.segs_out + 1;
-    t.rsts_sent <- t.rsts_sent + 1;
-    send_bare t lconn
-      { (Tcp_header.basic ~src_port:hdr.dst_port ~dst_port:hdr.src_port) with
-        Tcp_header.seq;
-        rst = true;
-        ack_flag = ack_opt <> None;
-        ack = (match ack_opt with Some a -> a | None -> Seq.zero);
-      }
-
-  let externalize conn (ss : Tcb.send_segment) =
-    let tcb = conn.tcb in
-    let hdr =
-      {
-        Tcp_header.src_port = conn.local_port;
-        dst_port = conn.remote_port;
-        seq = ss.Tcb.out_seq;
-        ack = (if ss.Tcb.out_ack then tcb.Tcb.rcv_nxt else Seq.zero);
-        urg = false;
-        ack_flag = ss.Tcb.out_ack;
-        psh = ss.Tcb.out_psh;
-        rst = ss.Tcb.out_rst;
-        syn = ss.Tcb.out_syn;
-        fin = ss.Tcb.out_fin;
-        window = tcb.Tcb.rcv_wnd;
-        urgent = 0;
-        mss = ss.Tcb.out_mss;
-      }
-    in
-    if ss.Tcb.out_ack then tcb.Tcb.ack_pending <- false;
-    tcb.Tcb.segs_out <- tcb.Tcb.segs_out + 1;
-    conn.tcp.segs_out <- conn.tcp.segs_out + 1;
-    if ss.Tcb.out_rst then conn.tcp.rsts_sent <- conn.tcp.rsts_sent + 1;
-    put conn.tcp conn.lower ~send:conn.lower_send hdr ss.Tcb.out_data
-
-  let send_pure_ack conn =
-    let tcb = conn.tcb in
-    tcb.Tcb.ack_pending <- false;
-    tcb.Tcb.segs_out <- tcb.Tcb.segs_out + 1;
-    conn.tcp.segs_out <- conn.tcp.segs_out + 1;
-    let hdr =
-      { (Tcp_header.basic ~src_port:conn.local_port ~dst_port:conn.remote_port) with
-        Tcp_header.seq = tcb.Tcb.snd_nxt;
-        ack = tcb.Tcb.rcv_nxt;
-        ack_flag = true;
-        window = tcb.Tcb.rcv_wnd;
-      }
-    in
-    put conn.tcp conn.lower ~send:conn.lower_send hdr None
-
-  (* ---------------- flight recorder ---------------- *)
-
-  let flags_of (ss : Tcb.send_segment) =
-    let b = Buffer.create 4 in
-    if ss.Tcb.out_syn then Buffer.add_char b 'S';
-    if ss.Tcb.out_fin then Buffer.add_char b 'F';
-    if ss.Tcb.out_rst then Buffer.add_char b 'R';
-    if ss.Tcb.out_psh then Buffer.add_char b 'P';
-    if ss.Tcb.out_ack then Buffer.add_char b 'A';
-    Buffer.contents b
-
-  (* Report one executed action to the bus with [emit]; [backoff] is the
-     connection's, for a retransmission. *)
-  let report emit ~backoff action =
-    match action with
-    | Tcb.Send_segment ss ->
-      let len =
-        match ss.Tcb.out_data with Some p -> Packet.length p | None -> 0
-      in
-      if ss.Tcb.out_is_rtx then
-        emit (Bus.Retransmit { seq = Seq.to_int ss.Tcb.out_seq; len; backoff })
-      else emit (Bus.Send { bytes = len; flags = flags_of ss })
-    | Tcb.Send_ack -> emit (Bus.Send { bytes = 0; flags = "A" })
-    | Tcb.User_data packet ->
-      emit (Bus.Deliver { bytes = Packet.length packet })
-    | Tcb.Set_timer (kind, us) ->
-      emit (Bus.Timer { timer = Tcb.timer_kind_name kind; what = Bus.Set us })
-    | Tcb.Clear_timer kind ->
-      emit (Bus.Timer { timer = Tcb.timer_kind_name kind; what = Bus.Cleared })
-    | Tcb.Timer_expired kind ->
-      emit (Bus.Timer { timer = Tcb.timer_kind_name kind; what = Bus.Expired })
-    | Tcb.Peer_reset -> emit (Bus.Note "peer reset")
-    | Tcb.User_error msg -> emit (Bus.Note ("error: " ^ msg))
-    | Tcb.Process_data _ | Tcb.Complete_open | Tcb.Complete_close
-    | Tcb.Peer_close | Tcb.Delete_tcb ->
-      ()
-
-  (* Report one executed action of a connection.  Runs from the drain
-     loop right after [execute] — the same seam as {!Check_hook} — so the
-     event order {e is} the deterministic to_do execution order. *)
-  let observe conn before action =
-    let tcb = conn.tcb in
-    let emit kind = Bus.emit ~layer:"tcp" ~conn:tcb.Tcb.obs_id kind in
-    report emit ~backoff:tcb.Tcb.backoff action;
-    let before_name = Tcb.state_name before in
-    let after_name = Tcb.state_name conn.state in
-    if before_name <> after_name then
-      emit (Bus.State { from_ = before_name; to_ = after_name })
-
-  (* ---------------- tombstones ---------------- *)
-
-  (* a tombstone's timer until its own, whose handler needs the
-     tombstone, exists; never armed *)
-  let no_timer = Fox_sched.Timer.create ignore
-
-  let tomb_emit (tw : tombstone) kind =
-    Bus.emit ~layer:"tcp" ~conn:(conn_id tw.host tw.local_port tw.remote_port)
-      kind
-
-  (* The tombstone goes: out of the table, its timer cleared, and the
-     final status upcall delivered — the events a TCB's [Delete_tcb]
-     produced. *)
-  let bury t (tw : tombstone) reason =
-    if Tombs.parked t.tombs tw then begin
-      Tombs.remove t.tombs tw;
-      Fox_sched.Timer.clear tw.timer;
-      if !Bus.live then
-        tomb_emit tw (Bus.Note ("deleted: " ^ Status.to_string reason));
-      tw.upcall reason
-    end
-
-  (* 2·MSL is over: the events the TCB's expiry produced, then the
-     upcall. *)
-  let expire t tw =
-    if !Bus.live then begin
-      tomb_emit tw
-        (Bus.Timer
-           { timer = Tcb.timer_kind_name Tcb.Time_wait; what = Bus.Expired });
-      tomb_emit tw (Bus.State { from_ = "TIME-WAIT"; to_ = "CLOSED" })
-    end;
-    bury t tw Status.Closed
-
-  (* Over the [max_time_wait] bound, the oldest tombstone is recycled:
-     its 2·MSL is cut short, the documented trade for surviving port
-     churn under load. *)
-  let rec recycle t =
-    if
-      runtime_params.max_time_wait > 0
-      && Tombs.count t.tombs > runtime_params.max_time_wait
-    then
-      match Tombs.oldest t.tombs with
-      | Some oldest ->
-        t.time_wait_recycled <- t.time_wait_recycled + 1;
-        if !Bus.live then tomb_emit oldest (Bus.Note "time-wait recycled");
-        bury t oldest Status.Closed;
-        recycle t
-      | None -> ()
-
-  (* A tombstone's reply, built as [send_pure_ack] and [externalize]
-     build a TCB's: an ACK, or an RST without one, at [snd_nxt]. *)
-  let tomb_send t (tw : tombstone) lconn ~rst =
-    t.segs_out <- t.segs_out + 1;
-    if rst then t.rsts_sent <- t.rsts_sent + 1;
-    send_bare t lconn
-      { (Tcp_header.basic ~src_port:tw.local_port ~dst_port:tw.remote_port) with
-        Tcp_header.seq = tw.tw_snd_nxt;
-        ack = (if rst then Seq.zero else tw.tw_rcv_nxt);
-        ack_flag = not rst;
-        rst;
-        window = runtime_params.initial_window;
-      }
-
-  (* A segment for a parked 4-tuple: the actions {!Receive.time_wait}
-     returns, run and reported as the executor runs a TCB's. *)
-  let tomb_receive t (tw : tombstone) lconn seg =
-    let actions =
-      Receive.time_wait runtime_params ~cap:t.chall_cap ~tally:t.dead_challenges
-        tw seg ~now:(Fox_sched.Scheduler.now ())
-    in
-    if
-      !Bus.live
-      && List.exists (function Tcb.Delete_tcb -> true | _ -> false) actions
-    then
-      tomb_emit tw (Bus.State { from_ = "TIME-WAIT"; to_ = "CLOSED" });
-    List.iter
-      (fun action ->
-        (match action with
-        | Tcb.Send_ack -> tomb_send t tw lconn ~rst:false
-        | Tcb.Send_segment _ -> tomb_send t tw lconn ~rst:true
-        | Tcb.Set_timer (_, us) -> Fox_sched.Timer.set tw.timer us
-        | Tcb.Delete_tcb -> bury t tw Status.Reset
-        | _ -> ());
-        if !Bus.live then report (tomb_emit tw) ~backoff:0 action)
-      actions
-
-  (* ---------------- timers (Figure 11 timers per kind) ---------------- *)
-
-  let clear_timer conn kind =
-    match conn.timers.(Tcb.timer_index kind) with
-    | Some timer -> Fox_sched.Timer.clear timer
-    | None -> ()
-
-  let armed_timers conn =
-    List.filter
-      (fun kind ->
-        match conn.timers.(Tcb.timer_index kind) with
-        | Some timer -> Fox_sched.Timer.armed timer
-        | None -> false)
-      Tcb.timer_kinds
-
-  let rec set_timer conn kind ~now us =
-    let i = Tcb.timer_index kind in
-    let timer =
-      match conn.timers.(i) with
-      | Some timer -> timer
-      | None ->
-        let expired = Tcb.Timer_expired kind in
-        let timer =
-          Fox_sched.Timer.create (fun () ->
-              if not conn.dead then begin
-                Tcb.add_to_do conn.tcb expired;
-                drain conn
-              end)
-        in
-        conn.timers.(i) <- Some timer;
-        timer
-    in
-    Fox_sched.Timer.set_at timer ~now us
-
-  (* ---------------- teardown ---------------- *)
-
-  (* The engine lets go of the connection: out of the table, its timers
-     cleared, its challenge counters folded into the engine's, and its
-     buffers released.  The application's handle keeps the rest. *)
-  and retire conn =
-    let t = conn.tcp and tcb = conn.tcb in
-    conn.dead <- true;
-    leave_half_open conn;
-    Array.iter (Option.iter Fox_sched.Timer.clear) conn.timers;
-    Conns.remove t.conns (key_of conn);
-    let d = t.dead_challenges in
-    d.tally_sent <- d.tally_sent + tcb.Tcb.challenge_acks_sent;
-    d.tally_limited <- d.tally_limited + tcb.Tcb.challenge_acks_limited;
-    d.tally_rst <- d.tally_rst + tcb.Tcb.rst_challenges;
-    d.tally_syn <- d.tally_syn + tcb.Tcb.syn_challenges;
-    d.tally_ack <- d.tally_ack + tcb.Tcb.ack_challenges;
-    t.blackhole_shrinks_dead <-
-      t.blackhole_shrinks_dead + tcb.Tcb.blackhole_shrinks;
-    (* drop the TCB's own buffer references so the leak census balances
-       (actions still pending on to_do hold their own references), and
-       empty the queues so nothing can reach a recycled buffer *)
-    Tcb.iter_packets Packet.release tcb;
-    Ring.clear tcb.Tcb.queued;
-    tcb.Tcb.queued_bytes <- 0;
-    Ring.clear tcb.Tcb.rtx_q;
-    tcb.Tcb.out_of_order <- [];
-    tcb.Tcb.ooo_bytes <- 0
-
-  and delete_tcb conn =
-    if not conn.dead then begin
-      retire conn;
-      let reason = Option.value conn.close_reason ~default:Status.Closed in
-      if !Bus.live then
-        Bus.emit ~layer:"tcp" ~conn:conn.tcb.Tcb.obs_id
-          (Bus.Note ("deleted: " ^ Status.to_string reason));
-      finish conn reason
-    end
-
-  (* The connection is down: wake whoever waits on it, then the final
-     status upcall. *)
-  and finish conn reason =
-    Fox_sched.Cond.broadcast conn.wake ();
-    conn.status reason
-
-  (* A (legacy-mode) half-open connection stops occupying its listener's
-     backlog slot: it established, or it died. *)
-  and leave_half_open conn =
-    match conn.half_open_of with
-    | Some l ->
-      conn.half_open_of <- None;
-      Passive.leave l
-    | None -> ()
-
-  (* The connection just reached TIME-WAIT (detected at the post-execute
-     seam of [drain]): a tombstone takes its place in the engine, and the
-     engine retires the connection.  What is left on [to_do] still runs
-     (the ACK of the peer's FIN; the 2·MSL [Set_timer], which arms the
-     tombstone's timer).  The tombstone's upcall is the application's
-     status handler alone: a thread waiting on the connection is woken at
-     this seam (the send buffer is now empty), and only [close_sync] waits
-     on past it, pointing the upcall at [finish]. *)
-  and park conn =
-    let t = conn.tcp in
-    let tw =
-      Tcb.time_wait_of conn.tcb ~host:conn.host ~local_port:conn.local_port
-        ~remote_port:conn.remote_port ~arrival:(Tombs.arrive t.tombs)
-        ~timer:no_timer
-        ~upcall:conn.status
-    in
-    tw.timer <- Fox_sched.Timer.create (fun () -> expire t tw);
-    conn.tomb <- Some tw;
-    retire conn;
-    Tombs.add t.tombs tw;
-    recycle t
-
-  (* ---------------- the quasi-synchronous executor ---------------- *)
-
-  (* The clock is read once per action, by the arms that need it: an
-     action that sends may sleep in a metered host's [Cpu.charge], so the
-     next action reads it again. *)
-  and execute conn action =
-    let tcb = conn.tcb in
-    match action with
-    | Tcb.Process_data seg when conn.dead -> (
-      (* queued behind the segment that ended in TIME-WAIT: the
-         tombstone's, if it is still parked *)
-      match conn.tomb with
-      | Some tw when Tombs.parked conn.tcp.tombs tw ->
-        tomb_receive conn.tcp tw conn.lower seg
-      | _ -> Packet.release seg.Tcb.data)
-    | Tcb.Process_data seg ->
-      let now = Fox_sched.Scheduler.now () in
-      (* any segment from the peer is evidence of life *)
-      tcb.Tcb.last_activity <- now;
-      tcb.Tcb.probes_sent <- 0;
-      let handled =
-        runtime_params.header_prediction
-        &&
-        match conn.state with
-        | Tcb.Estab _ -> Receive.fast_path runtime_params tcb seg ~now
-        | _ -> false
-      in
-      if not handled then
-        conn.state <- Receive.process runtime_params conn.state seg ~now;
-      (* a segment with no text and no FIN is never stored anywhere (only
-         data and FINs can sit on the out-of-order queue), so its receive
-         buffer is released now *)
-      if
-        Packet.length seg.Tcb.data = 0
-        && not seg.Tcb.hdr.Tcp_header.fin
-      then Packet.release seg.Tcb.data
-    | Tcb.User_data packet -> conn.data packet
-    | Tcb.Send_segment ss -> externalize conn ss
-    | Tcb.Send_ack -> send_pure_ack conn
-    | Tcb.Set_timer (kind, us) -> (
-      match conn.tomb with
-      | None -> set_timer conn kind ~now:(Fox_sched.Scheduler.now ()) us
-      | Some tw ->
-        (* the 2·MSL that entering TIME-WAIT asks for is the tombstone's *)
-        if kind = Tcb.Time_wait && Tombs.parked conn.tcp.tombs tw then
-          Fox_sched.Timer.set tw.timer us)
-    | Tcb.Clear_timer kind -> clear_timer conn kind
-    | Tcb.Timer_expired _ when conn.dead -> ()
-    | Tcb.Timer_expired kind ->
-      conn.state <-
-        State.timer_expired runtime_params conn.state kind
-          ~now:(Fox_sched.Scheduler.now ())
-    | Tcb.Complete_open ->
-      leave_half_open conn;
-      if not conn.open_done then begin
-        conn.open_done <- true;
-        if runtime_params.keepalive_us > 0 then begin
-          let now = Fox_sched.Scheduler.now () in
-          tcb.Tcb.last_activity <- now;
-          set_timer conn Tcb.Keepalive ~now runtime_params.keepalive_us
-        end;
-        Fox_sched.Cond.broadcast conn.wake ();
-        conn.status Status.Connected
-      end
-    | Tcb.Complete_close -> Fox_sched.Cond.broadcast conn.wake ()
-    | Tcb.Peer_close -> conn.status Status.Remote_close
-    | Tcb.Peer_reset -> conn.close_reason <- Some Status.Reset
-    | Tcb.User_error msg ->
-      if conn.close_reason = None then conn.close_reason <- Some Status.Timed_out;
-      (* per-kind abort accounting, keyed on the [State.give_up] reason *)
-      let t = conn.tcp in
-      if msg = State.persist_reason then
-        t.persist_aborts <- t.persist_aborts + 1
-      else if msg = State.user_timeout_reason then
-        t.user_timeout_aborts <- t.user_timeout_aborts + 1
-      else if msg = State.rtx_limit_reason then
-        t.rtx_limit_aborts <- t.rtx_limit_aborts + 1
-      else if msg = State.keepalive_reason then
-        t.keepalive_aborts <- t.keepalive_aborts + 1
-    | Tcb.Delete_tcb -> delete_tcb conn
-
-  and drain conn =
-    if not conn.draining then begin
-      conn.draining <- true;
-      match run_to_do conn with
-      | () -> conn.draining <- false
-      | exception e ->
-        conn.draining <- false;
-        raise e
-    end
-
-  and run_to_do conn =
-    if Tcb.has_to_do conn.tcb then begin
-      let action = Tcb.next_to_do conn.tcb in
-      (* Both observers share the capture-execute-report seam; the
-         common case (no hook, bus off) pays two ref reads. *)
-      let hook = !Check_hook.hook in
-      let observing = !Bus.live in
-      (match (hook, observing) with
-      | None, false -> execute conn action
-      | _ ->
-        let before = conn.state in
-        execute conn action;
-        if observing then observe conn before action;
-        (match hook with
-        | None -> ()
-        | Some check ->
-          check
-            {
-              Check_hook.tcb = conn.tcb;
-              before;
-              after = conn.state;
-              action;
-              pending = Tcb.pending_actions conn.tcb;
-              armed = armed_timers conn;
-              now = Fox_sched.Scheduler.now ();
-              dead = conn.dead;
-            }));
-      (* TIME-WAIT entry is detected here, at the same seam, so the
-         tombstone table sees every arrival exactly once *)
-      (match conn.state with
-      | Tcb.Time_wait _ when not conn.dead -> park conn
-      | _ -> ());
-      (* wake senders blocked on the buffer bound *)
-      if
-        conn.tcb.Tcb.queued_bytes < send_buffer_bytes
-        && Fox_sched.Cond.waiters conn.wake > 0
-      then Fox_sched.Cond.broadcast conn.wake ();
-      run_to_do conn
-    end
+  (* An RST answering [hdr], which came from no connection. *)
+  let reset_for t lconn (hdr : Tcp_header.t) ~seq ~ack =
+    Engine.send_bare t.engine lconn ~send:(Lower.send lconn)
+      ~src_port:hdr.dst_port ~dst_port:hdr.src_port ~seq ~ack ~rst:true 0
 
   (* ---------------- connection creation ---------------- *)
 
   let install_connection t ~host ~local_port ~remote_port ~lower ~state
       (handler : handler) =
-    let tcb =
-      match Tcb.tcb_of state with
-      | Some tcb -> tcb
-      | None -> invalid_arg "install_connection: state without tcb"
-    in
     let conn =
-      {
-        tcp = t;
-        host;
-        local_port;
-        remote_port;
-        lower;
-        lower_send = Lower.prepare_send lower;
-        tcb;
-        state;
-        data = ignore;
-        status = ignore;
-        draining = false;
-        timers = Array.make (List.length Tcb.timer_kinds) None;
-        wake = Fox_sched.Cond.create ();
-        open_done = false;
-        close_reason = None;
-        dead = false;
-        tomb = None;
-        half_open_of = None;
-      }
+      Engine.connection t.engine ~host ~local_port ~remote_port lower state
     in
-    tcb.Tcb.obs_id <- conn_id host local_port remote_port;
-    (* every connection of this engine draws on the same engine-wide
-       challenge-ACK cap (its private budget is already in the TCB) *)
-    tcb.Tcb.chall_cap <- t.chall_cap;
     if Option.is_none t.probe then t.probe <- Some (key_of conn);
     Conns.replace t.conns (key_of conn) conn;
     if !Bus.live then
-      Bus.emit ~layer:"tcp" ~conn:tcb.Tcb.obs_id
+      Engine.note conn.tcb.Tcb.obs_id
         (Bus.State { from_ = "CLOSED"; to_ = Tcb.state_name state });
     let data, status = handler conn in
     conn.data <- data;
@@ -892,29 +357,32 @@ end = struct
     (if runtime_params.abort_unknown_connections && not hdr.Tcp_header.rst
      then begin
        if hdr.Tcp_header.ack_flag then
-         reset_for t lconn hdr ~seq:hdr.Tcp_header.ack ~ack_opt:None
+         reset_for t lconn hdr ~seq:hdr.Tcp_header.ack ~ack:None
        else
          reset_for t lconn hdr ~seq:Seq.zero
-           ~ack_opt:
+           ~ack:
              (Some
                 (Seq.add hdr.Tcp_header.seq
                    (Packet.length seg.Tcb.data
                    + (if hdr.Tcp_header.syn then 1 else 0)
                    + if hdr.Tcp_header.fin then 1 else 0)))
      end
-     else t.unknown_dropped <- t.unknown_dropped + 1);
+     else
+       let c = t.engine.counters in
+       c.unknown_dropped <- c.unknown_dropped + 1);
     Packet.release seg.Tcb.data
 
   (* Global admission check: the engine refuses new connections (not new
      segments) once [max_connections] TCBs are live. *)
   let under_conn_cap t =
     runtime_params.max_connections = 0
-    || Conns.length t.conns + Tombs.count t.tombs
+    || Conns.length t.conns + Tomb.count t.engine.tombs
        < runtime_params.max_connections
 
   (* A passive open becomes a connection with the listener's handler. *)
   let accept t lconn ~host (hdr : Tcp_header.t) listener state =
-    t.accepts <- t.accepts + 1;
+    let c = t.engine.counters in
+    c.accepts <- c.accepts + 1;
     install_connection t ~host
       ~local_port:hdr.Tcp_header.dst_port ~remote_port:hdr.Tcp_header.src_port
       ~lower:lconn ~state listener.l_handler
@@ -923,26 +391,19 @@ end = struct
      decision {!Listen} takes, carried out.  Its buffer is released unless
      it goes on to a new TCB. *)
   let passive t lconn ~host (seg : Tcb.segment) listener ~now =
-    let hdr = seg.Tcb.hdr in
+    let hdr = seg.Tcb.hdr and e = t.engine in
+    let c = e.counters in
     match
-      Passive.segment listener.l_passive host hdr ~now
+      Listen.segment listener.l_passive host hdr ~now
         ~room:(under_conn_cap t) ~mss:path_mss lconn
     with
     | Listen.Syn_ack { iss; irs } ->
       (* no TCB behind it, so no retransmission either: the client's SYN
          retransmit re-elicits it *)
-      t.segs_out <- t.segs_out + 1;
-      send_bare t lconn
-        { (Tcp_header.basic ~src_port:hdr.Tcp_header.dst_port
-             ~dst_port:hdr.Tcp_header.src_port)
-          with
-          Tcp_header.seq = iss;
-          syn = true;
-          ack_flag = true;
-          ack = Seq.add irs 1;
-          window = runtime_params.initial_window;
-          mss = Some (path_mss lconn);
-        };
+      Engine.send_bare e lconn ~send:(Lower.send lconn) ~syn:true
+        ~mss:(path_mss lconn) ~src_port:hdr.dst_port ~dst_port:hdr.src_port
+        ~seq:iss ~ack:(Some (Seq.add irs 1)) ~rst:false
+        runtime_params.initial_window;
       Packet.release seg.Tcb.data
     | Listen.Open ->
       let state =
@@ -957,7 +418,7 @@ end = struct
       conn.half_open_of <- Some listener.l_passive;
       (* the SYN's buffer is not kept (any text on a SYN is ignored) *)
       Packet.release seg.Tcb.data;
-      drain conn
+      Engine.drain conn
     | Listen.Promote { iss; irs; peer_mss } ->
       (* the TCB starts in ESTABLISHED, and the promoting ACK goes through
          the receive DAG, so any text or FIN riding on it is processed
@@ -969,60 +430,60 @@ end = struct
       let conn = accept t lconn ~host hdr listener state in
       conn.tcb.Tcb.segs_in <- conn.tcb.Tcb.segs_in + 1;
       Tcb.add_to_do conn.tcb (Tcb.Process_data seg);
-      drain conn
+      Engine.drain conn
     | Listen.Refuse reason ->
       (* an RST gives the client a fast failure; a silent drop makes its
          SYN retransmission the retry that may find room once the flood
          clears *)
-      t.backlog_refused <- t.backlog_refused + 1;
-      if !Bus.live then
-        Bus.emit ~layer:"tcp" (Bus.Note ("syn refused: " ^ reason));
+      c.backlog_refused <- c.backlog_refused + 1;
+      if !Bus.live then Engine.note "-" (Bus.Note ("syn refused: " ^ reason));
       if runtime_params.refuse_with_rst then
         reset_for t lconn hdr ~seq:Seq.zero
-          ~ack_opt:(Some (Seq.add hdr.Tcp_header.seq 1))
-      else t.syn_dropped <- t.syn_dropped + 1;
+          ~ack:(Some (Seq.add hdr.Tcp_header.seq 1))
+      else c.syn_dropped <- c.syn_dropped + 1;
       Packet.release seg.Tcb.data
     | Listen.Unknown -> unknown t lconn seg
     | Listen.Drop ->
-      t.unknown_dropped <- t.unknown_dropped + 1;
+      c.unknown_dropped <- c.unknown_dropped + 1;
       Packet.release seg.Tcb.data
 
   let receive t lconn packet =
-    let now = Fox_sched.Scheduler.now () in
+    let now = Fox_sched.Scheduler.now () and e = t.engine in
+    let c = e.counters in
     let pseudo = pseudo lconn (Packet.length packet) in
     match Action.internalize ~pseudo packet ~now with
     | Error _ ->
-      t.bad_segments <- t.bad_segments + 1;
+      c.bad_segments <- c.bad_segments + 1;
       Packet.release packet
     | Ok seg -> (
-      t.segs_in <- t.segs_in + 1;
+      c.segs_in <- c.segs_in + 1;
       let hdr = seg.Tcb.hdr in
       let host = Aux.source lconn in
       match find t host hdr.Tcp_header.dst_port hdr.Tcp_header.src_port with
       | conn when not conn.dead ->
+        let tcb = conn.tcb in
         if
           runtime_params.max_to_do > 0
-          && conn.tcb.Tcb.to_do_len >= runtime_params.max_to_do
+          && tcb.Tcb.to_do_len >= runtime_params.max_to_do
         then begin
           (* load shedding: the connection's work queue is saturated, so
              this segment is treated as lost on the wire — the peer's
              retransmission is the retry *)
-          conn.tcb.Tcb.to_do_shed <- conn.tcb.Tcb.to_do_shed + 1;
-          t.to_do_shed <- t.to_do_shed + 1;
+          tcb.Tcb.to_do_shed <- tcb.Tcb.to_do_shed + 1;
+          c.to_do_shed <- c.to_do_shed + 1;
           if !Bus.live then
-            Bus.emit ~layer:"tcp" ~conn:conn.tcb.Tcb.obs_id
-              (Bus.Note "segment shed: to_do full");
+            Engine.note tcb.Tcb.obs_id (Bus.Note "segment shed: to_do full");
           Packet.release seg.Tcb.data
         end
         else begin
-          conn.tcb.Tcb.segs_in <- conn.tcb.Tcb.segs_in + 1;
-          Tcb.add_to_do conn.tcb (Tcb.Process_data seg);
-          drain conn
+          tcb.Tcb.segs_in <- tcb.Tcb.segs_in + 1;
+          Tcb.add_to_do tcb (Tcb.Process_data seg);
+          Engine.drain conn
         end
       | _ | (exception Not_found) -> (
         let local_port = hdr.Tcp_header.dst_port in
-        match Tombs.find t.tombs host local_port hdr.Tcp_header.src_port with
-        | Some tw -> tomb_receive t tw lconn seg
+        match Tomb.find e.tombs host local_port hdr.Tcp_header.src_port with
+        | Some tw -> Engine.tomb_receive e tw lconn seg
         | None -> (
           match Hash.Ints.find_opt t.listeners local_port with
           | Some l when l.l_active -> passive t lconn ~host seg l ~now
@@ -1049,10 +510,7 @@ end = struct
       if attempts > 16384 then raise (Connection_failed "tcp: no free port");
       let port = 49152 + (t.next_ephemeral land 0x3FFF) in
       t.next_ephemeral <- t.next_ephemeral + 1;
-      if
-        known t host port remote_port
-        || Option.is_some (Tombs.find t.tombs host port remote_port)
-        || Hash.Ints.mem t.listeners port
+      if taken t host port remote_port || Hash.Ints.mem t.listeners port
       then pick (attempts + 1)
       else port
     in
@@ -1064,10 +522,7 @@ end = struct
       | Some p -> p
       | None -> ephemeral t ~host:peer ~remote_port
     in
-    if
-      known t peer local_port remote_port
-      || Option.is_some (Tombs.find t.tombs peer local_port remote_port)
-    then
+    if taken t peer local_port remote_port then
       raise
         (Connection_failed
            (Printf.sprintf "tcp: %s:%d from port %d already open"
@@ -1084,7 +539,7 @@ end = struct
       install_connection t ~host:peer ~local_port ~remote_port ~lower:lconn
         ~state handler
     in
-    drain conn;
+    Engine.drain conn;
     while not (conn.open_done || conn.dead) do
       Fox_sched.Cond.wait conn.wake
     done;
@@ -1108,7 +563,8 @@ end = struct
         l_handler = handler;
         l_active = true;
         l_passive =
-          Passive.create runtime_params ~secret:(t.isn_k0, t.isn_k1)
+          Listen.create runtime_params ~equal:Aux.equal
+            ~to_string:Aux.to_string ~secret:(t.isn_k0, t.isn_k1)
             ~iss:(fresh_iss t);
       }
     in
@@ -1119,39 +575,39 @@ end = struct
     l.l_active <- false;
     Hash.Ints.remove l.l_tcp.listeners l.l_port
 
-  let send conn packet =
+  let send (conn : connection) packet =
     if conn.dead then raise (Send_failed "tcp connection closed");
     (* flow-control the caller against the send buffer bound *)
     while
       (not conn.dead)
-      && conn.tcb.Tcb.queued_bytes >= send_buffer_bytes
+      && conn.tcb.Tcb.queued_bytes >= Engine.send_buffer_bytes
     do
       Fox_sched.Cond.wait conn.wake
     done;
     if conn.dead then raise (Send_failed "tcp connection closed");
     Send.enqueue runtime_params conn.tcb packet
       ~now:(Fox_sched.Scheduler.now ());
-    drain conn
+    Engine.drain conn
 
   let prepare_send conn = send conn
 
-  let close conn =
+  let close (conn : connection) =
     if not conn.dead then begin
       conn.state <-
         State.close runtime_params conn.state ~now:(Fox_sched.Scheduler.now ());
-      drain conn
+      Engine.drain conn
     end
 
   (* Returns once the connection is deleted, or once its tombstone is no
      longer parked: a connection that enters TIME-WAIT while we wait is
      dead but not yet closed. *)
-  let close_sync conn =
+  let close_sync (conn : connection) =
     close conn;
     let rec await () =
       match conn.tomb with
-      | Some tw when Tombs.parked conn.tcp.tombs tw ->
+      | Some tw when Tomb.parked conn.engine.tombs tw ->
         (* the tombstone's upcall must wake us at 2·MSL *)
-        tw.upcall <- finish conn;
+        tw.upcall <- Engine.finish conn;
         Fox_sched.Cond.wait conn.wake;
         await ()
       | _ ->
@@ -1162,14 +618,14 @@ end = struct
     in
     await ()
 
-  let abort conn =
+  let abort (conn : connection) =
     match conn.tomb with
-    | Some tw -> bury conn.tcp tw Status.Aborted
+    | Some tw -> Engine.bury conn.engine tw Status.Aborted
     | None ->
       if not conn.dead then begin
         conn.close_reason <- Some Status.Aborted;
         conn.state <- State.abort runtime_params conn.state;
-        drain conn
+        Engine.drain conn
       end
 
   let initialize t =
@@ -1184,20 +640,22 @@ end = struct
       Hash.Ints.reset t.listeners;
       let conns = Conns.fold (fun _ c acc -> c :: acc) t.conns [] in
       List.iter abort conns;
-      List.iter (fun tw -> bury t tw Status.Aborted) (Tombs.to_list t.tombs);
+      List.iter
+        (fun tw -> Engine.bury t.engine tw Status.Aborted)
+        (Tomb.to_list t.engine.tombs);
       ignore (Lower.finalize t.lower_instance)
     end;
     t.init_count
 
-  let max_packet_size conn = conn.tcb.Tcb.snd_mss
+  let max_packet_size (conn : connection) = conn.tcb.Tcb.snd_mss
 
-  let headroom conn = tcp_headroom + Lower.headroom conn.lower
+  let headroom (conn : connection) = tcp_headroom + Lower.headroom conn.lower
 
-  let tailroom conn = Lower.tailroom conn.lower
+  let tailroom (conn : connection) = Lower.tailroom conn.lower
 
-  let allocate_send conn len = allocate conn.lower len
+  let allocate_send (conn : connection) len = allocate conn.lower len
 
-  let conn_stats conn =
+  let conn_stats (conn : connection) =
     let tcb = conn.tcb in
     {
       state = state_of conn;
@@ -1217,35 +675,36 @@ end = struct
       cc_name = Congestion.name tcb.Tcb.cc;
     }
 
-  let stats t =
-    let live f = Conns.fold (fun _ c a -> a + f c.tcb) t.conns 0 in
-    let d = t.dead_challenges in
+  let stats t : stats =
+    let c = t.engine.counters in
+    let live f = Conns.fold (fun _ (c : connection) a -> a + f c.tcb) t.conns 0
+    in
     {
-      segs_in = t.segs_in;
-      segs_out = t.segs_out;
-      bad_segments = t.bad_segments;
-      rsts_sent = t.rsts_sent;
-      unknown_dropped = t.unknown_dropped;
-      accepts = t.accepts;
-      active_conns = Conns.length t.conns + Tombs.count t.tombs;
-      wire_send_failures = t.wire_send_failures;
-      syn_dropped = t.syn_dropped;
-      backlog_refused = t.backlog_refused;
-      time_wait_recycled = t.time_wait_recycled;
-      to_do_shed = t.to_do_shed;
+      segs_in = c.segs_in;
+      segs_out = c.segs_out;
+      bad_segments = c.bad_segments;
+      rsts_sent = c.rsts_sent;
+      unknown_dropped = c.unknown_dropped;
+      accepts = c.accepts;
+      active_conns = Conns.length t.conns + Tomb.count t.engine.tombs;
+      wire_send_failures = c.wire_send_failures;
+      syn_dropped = c.syn_dropped;
+      backlog_refused = c.backlog_refused;
+      time_wait_recycled = c.time_wait_recycled;
+      to_do_shed = c.to_do_shed;
       challenge_acks_sent =
-        d.tally_sent + live (fun tcb -> tcb.Tcb.challenge_acks_sent);
+        c.tally_sent + live (fun tcb -> tcb.Tcb.challenge_acks_sent);
       challenge_acks_limited =
-        d.tally_limited + live (fun tcb -> tcb.Tcb.challenge_acks_limited);
-      rst_challenges = d.tally_rst + live (fun tcb -> tcb.Tcb.rst_challenges);
-      syn_challenges = d.tally_syn + live (fun tcb -> tcb.Tcb.syn_challenges);
-      ack_challenges = d.tally_ack + live (fun tcb -> tcb.Tcb.ack_challenges);
+        c.tally_limited + live (fun tcb -> tcb.Tcb.challenge_acks_limited);
+      rst_challenges = c.tally_rst + live (fun tcb -> tcb.Tcb.rst_challenges);
+      syn_challenges = c.tally_syn + live (fun tcb -> tcb.Tcb.syn_challenges);
+      ack_challenges = c.tally_ack + live (fun tcb -> tcb.Tcb.ack_challenges);
       blackhole_shrinks =
-        t.blackhole_shrinks_dead + live (fun tcb -> tcb.Tcb.blackhole_shrinks);
-      persist_aborts = t.persist_aborts;
-      user_timeout_aborts = t.user_timeout_aborts;
-      rtx_limit_aborts = t.rtx_limit_aborts;
-      keepalive_aborts = t.keepalive_aborts;
+        c.blackhole_shrinks_dead + live (fun tcb -> tcb.Tcb.blackhole_shrinks);
+      persist_aborts = c.persist_aborts;
+      user_timeout_aborts = c.user_timeout_aborts;
+      rtx_limit_aborts = c.rtx_limit_aborts;
+      keepalive_aborts = c.keepalive_aborts;
     }
 
   let pp_address fmt { peer; port; local_port } =
@@ -1302,37 +761,23 @@ end = struct
       | Some (k0, k1) -> (k0, k1)
       | None -> entropy_secret ()
     in
+    let conns = Conns.create 64 in
     let t =
       {
+        engine =
+          Engine.create runtime_params lower_ops ~name:Aux.to_string
+            ~equal:Aux.equal ~hash:Aux.hash
+            ~unlink:(fun conn -> Conns.remove conns (key_of conn));
         lower_instance = lower;
-        conns = Conns.create 64;
+        conns;
         probe = None;
         listeners = Hash.Ints.create 8;
         lower_conns = Hosts.create 8;
         iss_salt = 0;
         isn_k0;
         isn_k1;
-        chall_cap = Tcb.fresh_challenge_cap ();
         next_ephemeral = 0;
         init_count = 0;
-        segs_in = 0;
-        segs_out = 0;
-        bad_segments = 0;
-        rsts_sent = 0;
-        unknown_dropped = 0;
-        accepts = 0;
-        wire_send_failures = 0;
-        syn_dropped = 0;
-        backlog_refused = 0;
-        time_wait_recycled = 0;
-        to_do_shed = 0;
-        dead_challenges = Tcb.fresh_challenge_tally ();
-        blackhole_shrinks_dead = 0;
-        persist_aborts = 0;
-        user_timeout_aborts = 0;
-        rtx_limit_aborts = 0;
-        keepalive_aborts = 0;
-        tombs = Tombs.create ();
       }
     in
     ignore

@@ -165,12 +165,6 @@ let decode ~pseudo p =
     end
   end
 
-let error_to_string = function
-  | Too_short -> "too short"
-  | Bad_offset -> "bad data offset"
-  | Bad_checksum -> "bad checksum"
-  | Bad_options -> "malformed options"
-
 let pp fmt hdr =
   let flag c b = if b then c else "" in
   Format.fprintf fmt "%d > %d [%s%s%s%s%s%s] seq=%a ack=%a win=%d%s" hdr.src_port

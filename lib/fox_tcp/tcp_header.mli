@@ -66,7 +66,5 @@ val decode :
   Fox_basis.Packet.t ->
   (t, error) result
 
-val error_to_string : error -> string
-
 (** Render like a tcpdump line, for traces. *)
 val pp : Format.formatter -> t -> unit

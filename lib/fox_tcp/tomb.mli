@@ -13,51 +13,42 @@
     itself: the engine clears the timer and delivers the upcall of a
     tombstone it removes. *)
 
-(** What the table hashes and compares hosts with: [Aux.hash] and
-    [Aux.equal] in the engine. *)
-module type HOST = sig
-  type t
+type 'h tomb = 'h Tcb.time_wait
 
-  val equal : t -> t -> bool
-  val hash : t -> int
-end
+type 'h t
 
-module Make (H : HOST) : sig
-  type tomb = H.t Tcb.time_wait
+(** [create ~equal ~hash ()] is an empty table, with no array, that
+    compares and hashes hosts with [equal] and [hash] ([Aux.equal] and
+    [Aux.hash] in the engine). *)
+val create : equal:('h -> 'h -> bool) -> hash:('h -> int) -> unit -> 'h t
 
-  type t
+(** [count t] is the number of tombstones in the table. *)
+val count : 'h t -> int
 
-  (** [create ()] is an empty table, with no array. *)
-  val create : unit -> t
+(** [slots t] is the length of the array of chain heads: 0 while the
+    table is empty. *)
+val slots : 'h t -> int
 
-  (** [count t] is the number of tombstones in the table. *)
-  val count : t -> int
+(** [arrive t] numbers the next tombstone to be parked (the [arrival]
+    of {!Tcb.time_wait_of}): 1, 2, ... over the table's life. *)
+val arrive : 'h t -> int
 
-  (** [slots t] is the length of the array of chain heads: 0 while the
-      table is empty. *)
-  val slots : t -> int
+(** [find t host local_port remote_port] is the tombstone parked for
+    that 4-tuple. *)
+val find : 'h t -> 'h -> int -> int -> 'h tomb option
 
-  (** [arrive t] numbers the next tombstone to be parked (the [arrival]
-      of {!Tcb.time_wait_of}): 1, 2, ... over the table's life. *)
-  val arrive : t -> int
+(** [parked t tw] is whether [tw] itself is in the table. *)
+val parked : 'h t -> 'h tomb -> bool
 
-  (** [find t host local_port remote_port] is the tombstone parked for
-      that 4-tuple. *)
-  val find : t -> H.t -> int -> int -> tomb option
+(** [add t tw] parks [tw], whose 4-tuple must not be in the table. *)
+val add : 'h t -> 'h tomb -> unit
 
-  (** [parked t tw] is whether [tw] itself is in the table. *)
-  val parked : t -> tomb -> bool
+(** [remove t tw] unparks [tw], which must be in the table. *)
+val remove : 'h t -> 'h tomb -> unit
 
-  (** [add t tw] parks [tw], whose 4-tuple must not be in the table. *)
-  val add : t -> tomb -> unit
+(** [to_list t] is every tombstone in the table, in no set order. *)
+val to_list : 'h t -> 'h tomb list
 
-  (** [remove t tw] unparks [tw], which must be in the table. *)
-  val remove : t -> tomb -> unit
-
-  (** [to_list t] is every tombstone in the table, in no set order. *)
-  val to_list : t -> tomb list
-
-  (** [oldest t] is the tombstone with the lowest arrival number: the
-      one the [max_time_wait] bound recycles first. *)
-  val oldest : t -> tomb option
-end
+(** [oldest t] is the tombstone with the lowest arrival number: the
+    one the [max_time_wait] bound recycles first. *)
+val oldest : 'h t -> 'h tomb option

@@ -53,8 +53,3 @@ let decode ~pseudo p =
       end
     end
   end
-
-let error_to_string = function
-  | Too_short -> "too short"
-  | Bad_length -> "inconsistent length"
-  | Bad_checksum -> "bad checksum"

@@ -24,5 +24,3 @@ val decode :
   pseudo:Fox_basis.Checksum.acc option ->
   Fox_basis.Packet.t ->
   (t, error) result
-
-val error_to_string : error -> string

@@ -894,7 +894,7 @@ let parked_tombstone ?(params = params) () =
     ~timer:(Fox_sched.Timer.create ignore) ~upcall:ignore
 
 let tombstone_receive ?(params = params) ?(cap = Tcb.fresh_challenge_cap ())
-    ?(tally = Tcb.fresh_challenge_tally ()) tw seg ~now =
+    ?(tally = Tcb.fresh_counters ()) tw seg ~now =
   List.map Tcb.action_name
     (Receive.time_wait params ~cap ~tally tw seg ~now)
 
@@ -945,7 +945,7 @@ let test_tombstone_branches () =
    until the per-connection budget (10 a second) runs out. *)
 let test_tombstone_challenge_budget () =
   let tw = parked_tombstone () in
-  let cap = Tcb.fresh_challenge_cap () and tally = Tcb.fresh_challenge_tally () in
+  let cap = Tcb.fresh_challenge_cap () and tally = Tcb.fresh_counters () in
   let seg i =
     match i mod 3 with
     | 0 -> mk_segment ~rst:true ~seq:5100 ()
@@ -1312,15 +1312,11 @@ let receive_never_raises =
 (* ------------------------------------------------------------------ *)
 
 (* Hosts are ints here: the table only hashes and compares them. *)
-module Int_host = struct
-  type t = int
+module Tombs = struct
+  include Tomb
 
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-  let to_string = string_of_int
+  let create () = Tomb.create ~equal:Int.equal ~hash:Hashtbl.hash ()
 end
-
-module Tombs = Tomb.Make (Int_host)
 
 let tomb table ~host ~local_port ~remote_port =
   Tcb.time_wait_of
@@ -1408,7 +1404,7 @@ let test_tomb_oldest_first () =
 (* Listen: passive open, with no engine                               *)
 (* ------------------------------------------------------------------ *)
 
-module Passive = Listen.Make (Int_host)
+module Passive = Listen
 
 let listen_params =
   {
@@ -1426,7 +1422,7 @@ let lport = 80
 (* A listener whose cache entries get ISS 1000, 2000, ... *)
 let listener ?(params = listen_params) ?(secret = (11, 22)) () =
   let minted = ref 0 in
-  Passive.create params ~secret
+  Passive.create params ~equal:Int.equal ~to_string:string_of_int ~secret
     ~iss:(fun ~host:_ ~local_port:_ ~remote_port:_ ->
       incr minted;
       Seq.of_int (1000 * !minted))
@@ -1595,6 +1591,221 @@ let test_listen_legacy_backlog () =
     (is_unknown
        (decide l (ack_from 4 ~seq:(Seq.of_int 101) ~ack:Seq.zero) ~now:1))
 
+(* ------------------------------------------------------------------ *)
+(* Engine: the executor, with no Tcp.Make                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A fake lower layer over sessions of type [unit]: it decodes every
+   segment it is given and keeps the header and text length, newest
+   first.  With [fail] set, the next send raises that instead. *)
+type wire = {
+  mutable sent : (Tcp_header.t * int) list;
+  mutable fail : exn option;
+}
+
+let fake_lower w =
+  let send () p =
+    (match w.fail with
+    | Some exn ->
+      w.fail <- None;
+      raise exn
+    | None -> ());
+    let copy = Packet.copy p in
+    (match Tcp_header.decode ~pseudo:Checksum.none copy with
+    | Ok hdr -> w.sent <- (hdr, Packet.length copy) :: w.sent
+    | Error _ -> Alcotest.fail "the engine sent an undecodable segment");
+    Packet.release copy
+  in
+  {
+    Engine.prepare = send;
+    send;
+    pseudo = (fun () _ -> Checksum.none);
+    allocate = (fun () len -> Packet.create ~headroom:64 len);
+  }
+
+(* An engine over a fresh fake wire, and the count of connections it
+   unlinked from its (absent) demultiplexer. *)
+let engine () =
+  let w = { sent = []; fail = None } and unlinked = ref 0 in
+  let e =
+    Engine.create params (fake_lower w) ~name:string_of_int ~equal:Int.equal
+      ~hash:Hashtbl.hash ~unlink:(fun _ -> incr unlinked)
+  in
+  (e, w, unlinked)
+
+(* A hand-built ESTABLISHED connection, ISS 1000 and IRS 5000, whose
+   status upcalls are kept newest first. *)
+let established e =
+  let state =
+    State.promote_passive params ~iss:(Seq.of_int 1000) ~irs:(Seq.of_int 5000)
+      ~mss:1460 ~peer_mss:(Some 1460) ~wnd:65535
+  in
+  let conn =
+    Engine.connection e ~host:7 ~local_port:80 ~remote_port:4000 () state
+  in
+  let statuses = ref [] in
+  conn.status <- (fun s -> statuses := s :: !statuses);
+  Engine.drain conn;
+  (conn, statuses)
+
+(* A segment from the peer: [payload] at [seq], acknowledging all we
+   sent. *)
+let from_peer (conn : (int, unit) Engine.conn) ?(fin = false) ~seq payload =
+  {
+    Tcb.hdr =
+      {
+        (Tcp_header.basic ~src_port:conn.remote_port ~dst_port:conn.local_port)
+        with
+        Tcp_header.seq = Seq.of_int seq;
+        ack = conn.tcb.Tcb.snd_nxt;
+        ack_flag = true;
+        fin;
+        window = 65535;
+      };
+    data = Packet.of_string payload;
+    arrived_at = Fox_sched.Scheduler.now ();
+  }
+
+let deliver (conn : (int, unit) Engine.conn) seg =
+  Tcb.add_to_do conn.tcb (Tcb.Process_data seg);
+  Engine.drain conn
+
+let in_run f = ignore (Fox_sched.Scheduler.run f)
+
+let last_sent w =
+  match w.sent with
+  | sent :: _ -> sent
+  | [] -> Alcotest.fail "nothing reached the lower layer"
+
+let test_engine_sends () =
+  in_run (fun () ->
+      let e, w, _ = engine () in
+      let conn, _ = established e in
+      let tcb = conn.tcb in
+      Tcb.add_to_do tcb Tcb.Send_ack;
+      Engine.drain conn;
+      let hdr, len = last_sent w in
+      Alcotest.(check (list int))
+        "pure ACK: ports, seq, ack, window, text"
+        [ 80; 4000; 1001; 5001; tcb.Tcb.rcv_wnd; 0 ]
+        [ hdr.src_port; hdr.dst_port; Seq.to_int hdr.seq;
+          Seq.to_int hdr.ack; hdr.window; len ];
+      Alcotest.(check (list bool)) "pure ACK flags" [ true; false; false; false ]
+        [ hdr.ack_flag; hdr.syn; hdr.fin; hdr.rst ];
+      Alcotest.(check (pair int int)) "counted by engine and TCB" (1, 1)
+        (e.counters.segs_out, tcb.Tcb.segs_out);
+      let segment ?(rst = false) data =
+        Tcb.Send_segment
+          { Tcb.out_seq = tcb.Tcb.snd_nxt; out_syn = false; out_fin = false;
+            out_rst = rst; out_psh = not rst; out_ack = not rst;
+            out_data = data; out_mss = None; out_is_rtx = false }
+      in
+      Tcb.add_to_do tcb
+        (segment (Some (Packet.of_string ~headroom:64 "hello")));
+      Engine.drain conn;
+      let hdr, len = last_sent w in
+      Alcotest.(check (list int)) "data segment: seq, ack, text"
+        [ 1001; 5001; 5 ] [ Seq.to_int hdr.seq; Seq.to_int hdr.ack; len ];
+      Alcotest.(check bool) "PSH" true (hdr.psh && hdr.ack_flag);
+      Tcb.add_to_do tcb (segment ~rst:true None);
+      Engine.drain conn;
+      let hdr, _ = last_sent w in
+      Alcotest.(check (pair bool bool)) "RST without ACK" (true, false)
+        (hdr.rst, hdr.ack_flag);
+      Alcotest.(check (list int)) "segs_out, rsts_sent, TCB segs_out"
+        [ 3; 1; 3 ]
+        [ e.counters.segs_out; e.counters.rsts_sent; tcb.Tcb.segs_out ])
+
+let test_engine_time_wait () =
+  in_run (fun () ->
+      let e, w, unlinked = engine () in
+      let conn, statuses = established e in
+      conn.state <- State.close params conn.state ~now:0;
+      Engine.drain conn;
+      let fin, _ = last_sent w in
+      Alcotest.(check bool) "our FIN sent" true fin.fin;
+      deliver conn (from_peer conn ~fin:true ~seq:5001 "");
+      let tw =
+        match conn.tomb with
+        | Some tw -> tw
+        | None -> Alcotest.fail "no tombstone after the peer's FIN"
+      in
+      Alcotest.(check bool) "tombstone parked" true (Tomb.parked e.tombs tw);
+      Alcotest.(check bool) "connection retired" true (conn.dead && !unlinked = 1);
+      Alcotest.(check bool) "2·MSL armed on the tombstone" true
+        (Fox_sched.Timer.armed tw.timer);
+      let ack, _ = last_sent w in
+      Alcotest.(check int) "the peer's FIN acknowledged" 5002
+        (Seq.to_int ack.ack);
+      Alcotest.(check (list string)) "final status waits for 2·MSL"
+        [ "remote-close"; "connected" ]
+        (List.map Fox_proto.Status.to_string !statuses);
+      Fox_sched.Scheduler.sleep (params.time_wait_us + Fox_sched.Wheel.granularity_us);
+      Alcotest.(check int) "tombstone gone" 0 (Tomb.count e.tombs);
+      Alcotest.(check (list string)) "closed once, at expiry"
+        [ "closed"; "remote-close"; "connected" ]
+        (List.map Fox_proto.Status.to_string !statuses))
+
+let test_engine_delete_once () =
+  in_run (fun () ->
+      let e, _, unlinked = engine () in
+      let conn, statuses = established e in
+      Tcb.add_to_do conn.tcb Tcb.Delete_tcb;
+      Tcb.add_to_do conn.tcb Tcb.Delete_tcb;
+      Engine.drain conn;
+      Tcb.add_to_do conn.tcb Tcb.Delete_tcb;
+      Engine.drain conn;
+      Alcotest.(check (list string)) "one final upcall" [ "closed"; "connected" ]
+        (List.map Fox_proto.Status.to_string !statuses);
+      Alcotest.(check bool) "retired once" true (conn.dead && !unlinked = 1))
+
+(* DESIGN §4: an upcall that raises propagates out of [drain] and leaves
+   the connection able to process its next segment; so does a lower
+   layer whose send raises, with the queued segment's window and
+   reference restored. *)
+let test_engine_upcall_raises () =
+  in_run (fun () ->
+      let e, w, _ = engine () in
+      let conn, _ = established e in
+      let tcb = conn.tcb in
+      let got = Buffer.create 8 and first = ref true in
+      conn.data <-
+        (fun p ->
+          let text = Packet.to_string p in
+          Packet.release p;
+          if !first then begin
+            first := false;
+            failwith "handler"
+          end;
+          Buffer.add_string got text);
+      Alcotest.check_raises "the data upcall's exception" (Failure "handler")
+        (fun () -> deliver conn (from_peer conn ~seq:5001 "abc"));
+      Alcotest.(check bool) "draining reset" false conn.draining;
+      deliver conn (from_peer conn ~seq:5004 "def");
+      Alcotest.(check string) "next segment delivered" "def"
+        (Buffer.contents got);
+      Alcotest.(check int) "and acknowledged" 5007
+        (Seq.to_int (fst (last_sent w)).ack);
+      let live = Packet.live_packets () in
+      w.fail <- Some (Failure "wire");
+      Alcotest.check_raises "the lower layer's exception" (Failure "wire")
+        (fun () ->
+          Send.enqueue params tcb (Packet.of_string ~headroom:64 "xyz") ~now:0;
+          Engine.drain conn);
+      Alcotest.(check bool) "draining reset after the send" false conn.draining;
+      let queued =
+        match Ring.to_list tcb.Tcb.rtx_q with
+        | [ { Tcb.rtx_data = Some p; _ } ] -> p
+        | _ -> Alcotest.fail "one data segment on the retransmission queue"
+      in
+      Alcotest.(check string) "its window restored" "xyz"
+        (Packet.to_string queued);
+      Alcotest.(check int) "only the queue's reference is live" (live + 1)
+        (Packet.live_packets ());
+      deliver conn (from_peer conn ~seq:5007 "");
+      Alcotest.(check int) "acknowledged, so released" live
+        (Packet.live_packets ()))
+
 let () =
   Alcotest.run "fox_tcp_unit"
     [
@@ -1762,5 +1973,16 @@ let () =
             test_listen_rst;
           Alcotest.test_case "legacy backlog count" `Quick
             test_listen_legacy_backlog;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "sends reach the lower layer" `Quick
+            test_engine_sends;
+          Alcotest.test_case "time-wait parks a tombstone" `Quick
+            test_engine_time_wait;
+          Alcotest.test_case "delete delivers one upcall" `Quick
+            test_engine_delete_once;
+          Alcotest.test_case "an upcall that raises" `Quick
+            test_engine_upcall_raises;
         ] );
     ]
