@@ -276,7 +276,7 @@ let gc_experiment () =
     let _, sender, receiver =
       Network.pair ~engine:Network.Fox ~cost:Cost_model.fox ()
     in
-    Experiments.Fox_run.transfer ~sender ~receiver ~bytes ()
+    Experiments.Fox_run.transfer Network.fox_tcp ~sender ~receiver ~bytes ()
   in
   let small = run 1_000_000 in
   let large = run 8_000_000 in
@@ -306,17 +306,18 @@ let default = Fox_tcp.Tcb.default_params
    Figure 4 — on a fresh pair of bare hosts, then one Section 5
    transfer. *)
 let transfer_with ?app_us ?cost ?netem params ~bytes =
-  let module F = Experiments.Fox_engine_of (struct
-    let params = params
-  end) in
+  let module T =
+    Fox_tcp.Tcp.Make (Fox_stack.Stack.Metered_ip)
+      (Fox_stack.Stack.Metered_ip_aux) (Fox_tcp.Congestion.Reno)
+      (struct
+        let params = params
+      end)
+  in
+  let module R = Experiments.Run (T) in
   let _, a, b = Network.pair ~engine:Network.Bare ?cost ?netem () in
-  let ta = F.T.create a.Network.metered_ip
-  and tb = F.T.create b.Network.metered_ip in
-  let module E = F.On (struct
-    let instance h = if h == a then ta else tb
-  end) in
-  let module R = Experiments.Run (E) in
-  R.transfer ?app_us ~sender:a ~receiver:b ~bytes ()
+  R.transfer ?app_us
+    (fun h -> T.create h.Network.metered_ip)
+    ~sender:a ~receiver:b ~bytes ()
 
 let ablation_control_structure () =
   section "Ablation A: control structure (quasi-synchronous vs direct calls)";
@@ -338,11 +339,13 @@ let ablation_control_structure () =
   in
   let fox =
     row "structured (to_do queue)" Network.Fox (fun ~sender ~receiver ->
-        Experiments.Fox_run.transfer ~sender ~receiver ~bytes ())
+        Experiments.Fox_run.transfer Network.fox_tcp ~sender ~receiver ~bytes
+          ())
   in
   let base =
     row "monolithic (direct calls)" Network.Baseline (fun ~sender ~receiver ->
-        Experiments.Baseline_run.transfer ~sender ~receiver ~bytes ())
+        Experiments.Baseline_run.transfer Network.baseline_tcp ~sender
+          ~receiver ~bytes ())
   in
   Printf.printf
     "\n  structured/monolithic CPU ratio: %.2f (the engine-side price of the\n\

@@ -28,7 +28,8 @@ let reps = 20
 
 let run_once () =
   let _, sender, receiver = Network.pair ~engine:Network.Fox () in
-  ignore (Experiments.Fox_run.transfer ~sender ~receiver ~bytes ())
+  ignore
+    (Experiments.Fox_run.transfer Network.fox_tcp ~sender ~receiver ~bytes ())
 
 (* CPU seconds for [reps] transfers, after one warmup *)
 let measure () =

@@ -77,7 +77,8 @@ let transfer_sharded bytes loss seed decstation shards =
             ~netem:(netem_of loss (seed + (k * 9176)))
             ()
         in
-        Experiments.Fox_run.transfer ~sender ~receiver ~bytes ())
+        Experiments.Fox_run.transfer Network.fox_tcp ~sender ~receiver ~bytes
+          ())
   in
   let open Experiments in
   Array.iteri
@@ -130,8 +131,10 @@ let transfer bytes loss seed decstation baseline cc shards =
   in
   let result =
     if baseline then
-      Experiments.Baseline_run.transfer ~sender ~receiver ~bytes ()
-    else Experiments.Fox_run.transfer ~sender ~receiver ~bytes ()
+      Experiments.Baseline_run.transfer Network.baseline_tcp ~sender
+        ~receiver ~bytes ()
+    else
+      Experiments.Fox_run.transfer Network.fox_tcp ~sender ~receiver ~bytes ()
   in
   let open Experiments in
   Printf.printf "%d bytes in %.3f s (virtual) = %.3f Mb/s; %d segments, %d rtx\n"
@@ -176,8 +179,10 @@ let rtt decstation baseline =
   in
   let _, client, server = Network.pair ~engine ?cost () in
   let result =
-    if baseline then Experiments.Baseline_run.round_trip ~client ~server ()
-    else Experiments.Fox_run.round_trip ~client ~server ()
+    if baseline then
+      Experiments.Baseline_run.round_trip Network.baseline_tcp ~client ~server
+        ()
+    else Experiments.Fox_run.round_trip Network.fox_tcp ~client ~server ()
   in
   let open Experiments in
   Printf.printf "TCP round-trip over %d samples: mean %.2f ms (min %.2f, max %.2f)\n"
@@ -410,7 +415,10 @@ let stat bytes loss seed interval_ms =
         [ sender; receiver ]
     done
   in
-  let result = Experiments.Fox_run.transfer ~during ~sender ~receiver ~bytes () in
+  let result =
+    Experiments.Fox_run.transfer Network.fox_tcp ~during ~sender ~receiver
+      ~bytes ()
+  in
   print_endline "-- final (connection snapshots, then the bus's engine lines):";
   List.iter
     (fun host ->
@@ -433,7 +441,9 @@ let trace bytes loss seed last pcap =
     Network.pair ~engine:Network.Fox ~netem:(netem_of loss seed) ?pcap_prefix ()
   in
   Bus.enable ();
-  let result = Experiments.Fox_run.transfer ~sender ~receiver ~bytes () in
+  let result =
+    Experiments.Fox_run.transfer Network.fox_tcp ~sender ~receiver ~bytes ()
+  in
   Bus.disable ();
   let tail label lines =
     let n = List.length lines in

@@ -32,8 +32,10 @@ let run bytes loss seed decstation baseline =
     (if decstation then "   (DECstation cost model)" else "");
   let result =
     if baseline then
-      Experiments.Baseline_run.transfer ~sender ~receiver ~bytes ()
-    else Experiments.Fox_run.transfer ~sender ~receiver ~bytes ()
+      Experiments.Baseline_run.transfer Network.baseline_tcp ~sender
+        ~receiver ~bytes ()
+    else
+      Experiments.Fox_run.transfer Network.fox_tcp ~sender ~receiver ~bytes ()
   in
   let open Experiments in
   Printf.printf "transferred %d bytes in %.3f s (virtual): %.3f Mb/s\n"

@@ -86,26 +86,15 @@ module Make
               and type lower_pattern = Lower.address_pattern
               and type lower_connection = Lower.connection)
     (Params : PARAMS) : sig
-  type address = { peer : Aux.host; port : int; local_port : int option }
-
-  type pattern = { local_port : int }
-
-  include
-    Protocol.PROTOCOL
-      with type address := address
-       and type address_pattern := pattern
-       and type incoming_message = Packet.t
-       and type outgoing_message = Packet.t
-
-  val create : Lower.t -> t
-
-  val state_of : connection -> string
-
-  val retransmissions_of : connection -> int
+  include Fox_tcp.Tcp.S with type lower = Lower.t and type host = Aux.host
 
   val stats : t -> stats
 end = struct
   include Fox_proto.Common
+
+  type lower = Lower.t
+
+  type host = Aux.host
 
   let proto_number = 6
 
@@ -241,13 +230,23 @@ end = struct
 
   let state_of conn = state_name conn.st
 
-  let retransmissions_of conn = conn.retransmissions
+  let retransmissions conn = conn.retransmissions
+
+  let segments_sent t = t.segs_out
 
   let now () = Fox_sched.Scheduler.now ()
 
-  let clamp lo hi v = if v < lo then lo else if v > hi then hi else v
+  let clamp (lo : int) hi v = if v < lo then lo else if v > hi then hi else v
 
   (* ---- direct transmission: everything happens right here ---- *)
+
+  (* The shared codec's pseudo-header and a header-ready packet, per
+     lower session. *)
+  let pseudo lconn len = Aux.pseudo lconn ~proto:proto_number ~len
+
+  let allocate lconn len =
+    Packet.create ~headroom:(24 + Lower.headroom lconn)
+      ~tailroom:(Lower.tailroom lconn) len
 
   let transmit conn ~seq ~syn ~fin ~rst ~ack ~data ~mss_opt =
     let hdr =
@@ -282,22 +281,14 @@ end = struct
              flags = Buffer.contents b;
            })
     end;
-    let pseudo_for len =
-      Aux.pseudo conn.lower ~proto:proto_number ~len
-    in
     (* The shared codec's checksum.  A lower-layer refusal is treated
        like a lost packet: the retransmit timer recovers.  [externalize]
        consumes one reference to the text; the unacked queue keeps its
        own, so retransmits still see the bytes. *)
     (match data with Some d -> Packet.retain d | None -> ());
     try
-      Fox_tcp.Action.externalize ~pseudo_for ~hdr ~data
-        ~allocate:(fun len ->
-          Packet.create
-            ~headroom:(24 + Lower.headroom conn.lower)
-            ~tailroom:(Lower.tailroom conn.lower)
-            len)
-        ~send:conn.lower_send ()
+      Fox_tcp.Action.externalize ~pseudo_for:pseudo ~allocate conn.lower ~hdr
+        ~data ~send:conn.lower_send
     with Send_failed _ -> ()
 
   let current_rto conn =
@@ -767,14 +758,9 @@ end = struct
               + if hdr.Tcp_header.fin then 1 else 0);
         }
     in
-    let pseudo_for len = Aux.pseudo lconn ~proto:proto_number ~len in
     try
-      Fox_tcp.Action.externalize ~pseudo_for ~hdr:rst_hdr
-        ~data:None
-        ~allocate:(fun len ->
-          Packet.create ~headroom:(24 + Lower.headroom lconn)
-            ~tailroom:(Lower.tailroom lconn) len)
-        ~send:lower_send ()
+      Fox_tcp.Action.externalize ~pseudo_for:pseudo ~allocate lconn
+        ~hdr:rst_hdr ~data:None ~send:lower_send
     with Send_failed _ -> ()
 
   let receive t lconn packet =
@@ -931,8 +917,7 @@ end = struct
 
   let tailroom conn = Lower.tailroom conn.lower
 
-  let allocate_send conn len =
-    Packet.create ~headroom:(headroom conn) ~tailroom:(tailroom conn) len
+  let allocate_send conn len = allocate conn.lower len
 
   let stats t =
     {

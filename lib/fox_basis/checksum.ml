@@ -98,8 +98,6 @@ let add_bytes ?(alg = `Optimized) acc b off len =
     let rest = sum_range alg b (off + 1) (len - 1) 0 in
     make (fold16 sum + fold16 rest) ~odd:(len land 1 = 0)
 
-let add_string ?alg acc s = add_bytes ?alg acc (Bytes.unsafe_of_string s) 0 (String.length s)
-
 let add_u16 acc v =
   if is_odd acc then invalid_arg "Checksum.add_u16: odd parity";
   acc + ((v land 0xFFFF) lsl 1)

@@ -54,9 +54,6 @@ val bytes_summed : int ref
     interpreted as big-endian 16-bit words continuing the stream in [acc]. *)
 val add_bytes : ?alg:alg -> acc -> Bytes.t -> int -> int -> acc
 
-(** [add_string ~alg acc s] accumulates a whole string. *)
-val add_string : ?alg:alg -> acc -> string -> acc
-
 (** [add_u16 acc v] accumulates one 16-bit word.  The accumulator must be at
     even parity (raises [Invalid_argument] otherwise). *)
 val add_u16 : acc -> int -> acc

@@ -363,4 +363,3 @@ let fill p v =
   invalidate_rx p;
   Bytes.fill p.buf p.off p.len (Char.chr (v land 0xff))
 
-let pp fmt p = Format.fprintf fmt "<packet len=%d headroom=%d>" p.len p.off

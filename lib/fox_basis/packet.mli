@@ -197,5 +197,3 @@ val reallocations : unit -> int
     blits) since program start — the copy half of the data-touching meter
     for the fast-path ablation ({!Copy.bytes_fused} counts [copy_fused]). *)
 val bytes_copied : int ref
-
-val pp : Format.formatter -> t -> unit

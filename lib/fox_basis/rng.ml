@@ -28,8 +28,6 @@ let[@inline] next t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = of_state (next t)
-
 (* Drop two bits so the result always fits a non-negative native int. *)
 let[@inline] bits64 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 

@@ -11,10 +11,6 @@ type t
 (** [create seed] is a fresh generator. *)
 val create : int -> t
 
-(** [split t] derives an independent generator (for per-direction link
-    randomness). *)
-val split : t -> t
-
 (** [bits64 t] is the top 62 bits of the next raw 64-bit output, as a
     non-negative int. *)
 val bits64 : t -> int

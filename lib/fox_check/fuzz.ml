@@ -71,7 +71,6 @@ module Baseline_params : Fox_baseline.Tcp_monolithic.PARAMS = struct
   let listen_backlog = 4
 end
 
-module Engines = World.Engines (Fip) (Faux)
 module Flood = Synflood.Make (Fip) (Faux)
 
 (* ------------------------------------------------------------------ *)
@@ -201,22 +200,6 @@ let hosts_for s ~engine_salt =
   (a, b, atk)
 
 (* ------------------------------------------------------------------ *)
-(* Engines                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The structured engine is built per congestion-control algorithm: the
-   differential oracle (delivery, prefix-on-abort, connect agreement) is
-   algorithm-independent, so the same schedules can fuzz Reno against the
-   baseline and then re-run under NewReno/CUBIC/BBR with only the
-   invariants and the oracle — the baseline always runs its own fixed
-   congestion control.  The fuzz and the per-algorithm schedule matrix
-   share these instances. *)
-let fox_engines = Engines.fox_table (module Tcp_params)
-
-module Fox_engine = (val List.assoc "reno" fox_engines)
-module Baseline_engine = Engines.Baseline (Baseline_params)
-
-(* ------------------------------------------------------------------ *)
 (* One run                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -230,7 +213,15 @@ type run_result = {
       (** the engine's flight-recorder ring (rendered), oldest first *)
 }
 
-let run_engine (module E : Engines.S) s ~engine_salt ~with_invariants =
+(** [run_engine (module E) stats_line s ~engine_salt ~with_invariants]
+    runs [s] through engine [E]; the quiescent event renders each
+    instance with [stats_line]. *)
+let run_engine (type t)
+    (module E : Fox_tcp.Tcp.S
+      with type t = t
+       and type lower = Fip.t
+       and type host = Ipv4_addr.t) (stats_line : t -> string) s ~engine_salt
+    ~with_invariants =
   let payload = payload_of s in
   let a, b, atk = hosts_for s ~engine_salt in
   let delivered = Buffer.create (String.length payload) in
@@ -252,17 +243,24 @@ let run_engine (module E : Engines.S) s ~engine_salt ~with_invariants =
         let client_t = E.create a.fip in
         let stats =
           Scheduler.run (fun () ->
-              E.listen server_t ~port:World.port
-                ~on_data:(fun packet ->
-                  Buffer.add_string delivered (Packet.to_string packet);
-                  Packet.release packet)
-                ~on_status:(fun status ->
-                  event "server status %s" (Status.to_string status));
+              let on_data packet =
+                Buffer.add_string delivered (Packet.to_string packet);
+                Packet.release packet
+              in
+              ignore
+                (E.start_passive server_t { E.local_port = World.port }
+                   (fun _ ->
+                     ( on_data,
+                       fun status ->
+                         event "server status %s" (Status.to_string status) )));
               let conn =
                 let attempt () =
-                  E.connect client_t ~peer:b.addr ~port:World.port
-                    ~on_status:(fun status ->
-                      event "client status %s" (Status.to_string status))
+                  E.connect client_t
+                    { E.peer = b.addr; port = World.port; local_port = None }
+                    (fun _ ->
+                      ( ignore,
+                        fun status ->
+                          event "client status %s" (Status.to_string status) ))
                 in
                 match attempt () with
                 | conn -> Some conn
@@ -294,9 +292,10 @@ let run_engine (module E : Engines.S) s ~engine_salt ~with_invariants =
                 List.iteri
                   (fun i size ->
                     Scheduler.sleep s.delay_us;
-                    let chunk = String.sub payload !offset size in
+                    let p = E.allocate_send conn size in
+                    Packet.blit_from_string payload !offset p 0 size;
                     offset := !offset + size;
-                    match E.send_string conn chunk with
+                    match E.send conn p with
                     | () -> event "sent chunk %d (%dB)" i size
                     | exception Fox_proto.Common.Send_failed msg ->
                       event "send of chunk %d failed (%s)" i msg)
@@ -323,9 +322,46 @@ let run_engine (module E : Engines.S) s ~engine_salt ~with_invariants =
     events =
       List.rev
         (Printf.sprintf "t=%d quiescent; client %s; server %s" end_time
-           (E.stats_line client_t) (E.stats_line server_t)
+           (stats_line client_t) (stats_line server_t)
         :: !events);
   }
+
+(* ------------------------------------------------------------------ *)
+(* Engines                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The structured engine is built per congestion-control algorithm: the
+   differential oracle (delivery, prefix-on-abort, connect agreement) is
+   algorithm-independent, so the same schedules can fuzz Reno against the
+   baseline and then re-run under NewReno/CUBIC/BBR with only the
+   invariants and the oracle — the baseline always runs its own fixed
+   congestion control.  The fuzz and the per-algorithm schedule matrix
+   share these runners, each its own [Tcp.Make] application. *)
+let fox_engines =
+  World.per_cc (fun (module C : Fox_tcp.Congestion.S) ->
+      let module T = Fox_tcp.Tcp.Make (Fip) (Faux) (C) (Tcp_params) in
+      run_engine (module T) (fun t ->
+          let s = T.stats t in
+          Printf.sprintf
+            "segs_in=%d segs_out=%d rsts=%d send_failures=%d conns=%d"
+            s.Fox_tcp.Tcp.segs_in s.Fox_tcp.Tcp.segs_out
+            s.Fox_tcp.Tcp.rsts_sent s.Fox_tcp.Tcp.wire_send_failures
+            s.Fox_tcp.Tcp.active_conns))
+
+(** The structured engine under Reno, the fuzz's default. *)
+let fox_engine = List.assoc "reno" fox_engines
+
+module Baseline =
+  Fox_baseline.Tcp_monolithic.Make (Fip) (Faux) (Baseline_params)
+
+let baseline_engine =
+  run_engine (module Baseline) (fun t ->
+      let s = Baseline.stats t in
+      Printf.sprintf "segs_in=%d segs_out=%d rsts=%d rtx=%d"
+        s.Fox_baseline.Tcp_monolithic.segs_in
+        s.Fox_baseline.Tcp_monolithic.segs_out
+        s.Fox_baseline.Tcp_monolithic.rsts_sent
+        s.Fox_baseline.Tcp_monolithic.retransmissions)
 
 (* ------------------------------------------------------------------ *)
 (* Differential verdict                                               *)
@@ -344,12 +380,9 @@ let is_prefix p whole =
 (** [check_schedule ?engine s] runs [s] through the structured engine
     ([engine], default Reno) and the baseline, returning the differential
     verdict plus the combined event trace. *)
-let check_schedule ?(engine = (module Fox_engine : Engines.S)) s =
-  let (module Fox : Engines.S) = engine in
-  let fox = run_engine (module Fox) s ~engine_salt:1 ~with_invariants:true in
-  let base =
-    run_engine (module Baseline_engine) s ~engine_salt:2 ~with_invariants:false
-  in
+let check_schedule ?(engine = fox_engine) s =
+  let fox = engine s ~engine_salt:1 ~with_invariants:true in
+  let base = baseline_engine s ~engine_salt:2 ~with_invariants:false in
   let payload = payload_of s in
   let problems = ref [] in
   let problem fmt =

@@ -46,8 +46,6 @@ module Baseline_params : Fox_baseline.Tcp_monolithic.PARAMS = struct
   let rto_initial_us = 200_000
 end
 
-module Engines = World.Engines (World.Ip) (World.Ip_aux)
-
 (* ------------------------------------------------------------------ *)
 (* The gremlin                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -233,12 +231,20 @@ let install_gremlin link ~index ~seed ~rate =
 (* Hosts and engines                                                  *)
 (* ------------------------------------------------------------------ *)
 
+module type TCP =
+  Fox_tcp.Tcp.S with type lower = World.Ip.t and type host = Fox_ip.Ipv4_addr.t
+
 (* Each seed runs against both engines, labelled as its outcome reports
    them. *)
-let engines : (string * (module Engines.S)) list =
+let engines : (string * (module TCP)) list =
   [
-    ("fox", (module Engines.Fox (Fox_tcp.Congestion.Reno) (Tcp_params)));
-    ("baseline", (module Engines.Baseline (Baseline_params)));
+    ( "fox",
+      (module Fox_tcp.Tcp.Make (World.Ip) (World.Ip_aux)
+                (Fox_tcp.Congestion.Reno)
+                (Tcp_params)) );
+    ( "baseline",
+      (module Fox_baseline.Tcp_monolithic.Make (World.Ip) (World.Ip_aux)
+                (Baseline_params)) );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -261,7 +267,7 @@ let payload_of ~seed =
     engine [E] and returns the outcome.  Structured-engine runs carry the
     full checking battery: TCB invariants and the differential fast-path
     shadow. *)
-let run_one (engine, (module E : Engines.S)) ~seed =
+let run_one (engine, (module E : TCP)) ~seed =
   let payload = payload_of ~seed in
   let structured = engine = "fox" in
   let link =
@@ -283,14 +289,17 @@ let run_one (engine, (module E : Engines.S)) ~seed =
           Scheduler.run (fun () ->
               let server_t = E.create server_ip in
               let client_t = E.create client_ip in
-              E.listen server_t ~port:World.port
-                ~on_data:(fun packet ->
-                  Buffer.add_string delivered (Packet.to_string packet);
-                  Packet.release packet)
-                ~on_status:ignore;
+              let on_data packet =
+                Buffer.add_string delivered (Packet.to_string packet);
+                Packet.release packet
+              in
+              ignore
+                (E.start_passive server_t { E.local_port = World.port }
+                   (fun _ -> (on_data, ignore)));
               match
-                E.connect client_t ~peer:server_addr ~port:World.port
-                  ~on_status:ignore
+                E.connect client_t
+                  { E.peer = server_addr; port = World.port; local_port = None }
+                  (fun _ -> (ignore, ignore))
               with
               | exception Fox_proto.Common.Connection_failed msg ->
                 problem "connect failed under mutation: %s" msg
@@ -302,7 +311,9 @@ let run_one (engine, (module E : Engines.S)) ~seed =
                 let off = ref 0 in
                 while !off < n do
                   let len = min chunk (n - !off) in
-                  (match E.send_string conn (String.sub payload !off len) with
+                  let p = E.allocate_send conn len in
+                  Packet.blit_from_string payload !off p 0 len;
+                  (match E.send conn p with
                   | () -> ()
                   | exception Fox_proto.Common.Send_failed msg ->
                     problem "send failed under mutation: %s" msg);

@@ -51,15 +51,15 @@ struct
   (** [transmit t ?data hdr] puts one raw segment on the wire, counting
       it unless the lower layer refuses it. *)
   let transmit t ?(data = None) hdr =
-    let pseudo_for len = Aux.pseudo t.lconn ~proto:proto_number ~len in
     match
-      Action.externalize ~pseudo_for ~hdr ~data
-        ~allocate:(fun len ->
+      Action.externalize
+        ~pseudo_for:(fun lconn len -> Aux.pseudo lconn ~proto:proto_number ~len)
+        ~allocate:(fun lconn len ->
           Packet.create
-            ~headroom:(24 + Lower.headroom t.lconn)
-            ~tailroom:(Lower.tailroom t.lconn)
+            ~headroom:(24 + Lower.headroom lconn)
+            ~tailroom:(Lower.tailroom lconn)
             len)
-        ~send:t.lower_send ()
+        t.lconn ~hdr ~data ~send:t.lower_send
     with
     | () -> t.sent <- t.sent + 1
     | exception Fox_proto.Common.Send_failed _ -> ()

@@ -86,110 +86,6 @@ let by_cc ~who table cc =
   | Some x -> x
   | None -> invalid_arg (who ^ ": unknown congestion control " ^ cc)
 
-(** Both TCPs behind one face, over a lower layer of type [lower]. *)
-module type ENGINE = sig
-  type lower
-  type t
-  type connection
-
-  val create : lower -> t
-
-  val listen :
-    t -> port:int -> on_data:(Packet.t -> unit) ->
-    on_status:(Status.t -> unit) -> unit
-
-  val connect :
-    t -> peer:Ipv4_addr.t -> port:int -> on_status:(Status.t -> unit) ->
-    connection
-
-  val send_string : connection -> string -> unit
-  val close : connection -> unit
-  val abort : connection -> unit
-  val stats_line : t -> string
-end
-
-module Engines
-    (Lower : Fox_proto.Protocol.PROTOCOL
-               with type incoming_message = Packet.t
-                and type outgoing_message = Packet.t)
-    (Aux : Fox_proto.Protocol.IP_AUX
-             with type host = Ipv4_addr.t
-              and type lower_address = Lower.address
-              and type lower_pattern = Lower.address_pattern
-              and type lower_connection = Lower.connection) =
-struct
-  module type S = ENGINE with type lower = Lower.t
-
-  (* Both TCPs open and send through the same address records. *)
-  module Adapt (T : sig
-    type address = { peer : Ipv4_addr.t; port : int; local_port : int option }
-    type pattern = { local_port : int }
-
-    include
-      Fox_proto.Protocol.PROTOCOL
-        with type address := address
-         and type address_pattern := pattern
-         and type incoming_message = Packet.t
-         and type outgoing_message = Packet.t
-
-    val create : Lower.t -> t
-  end) =
-  struct
-    type lower = Lower.t
-    type t = T.t
-    type connection = T.connection
-
-    let create = T.create
-
-    let listen t ~port ~on_data ~on_status =
-      ignore
-        (T.start_passive t { T.local_port = port } (fun _conn ->
-             (on_data, on_status)))
-
-    let connect t ~peer ~port ~on_status =
-      T.connect t { T.peer; port; local_port = None } (fun _conn ->
-          (ignore, on_status))
-
-    let send_string conn str =
-      let p = T.allocate_send conn (String.length str) in
-      Packet.blit_from_string str 0 p 0 (String.length str);
-      T.send conn p
-
-    let close = T.close
-    let abort = T.abort
-  end
-
-  (* Each application is a fresh [Tcp.Make], with its own
-     [tcp-engine-N] bus ids. *)
-  module Fox (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) : S = struct
-    module Tcp = Fox_tcp.Tcp.Make (Lower) (Aux) (Cc) (P)
-    include Adapt (Tcp)
-
-    let stats_line t =
-      let s = Tcp.stats t in
-      Printf.sprintf "segs_in=%d segs_out=%d rsts=%d send_failures=%d conns=%d"
-        s.Fox_tcp.Tcp.segs_in s.Fox_tcp.Tcp.segs_out s.Fox_tcp.Tcp.rsts_sent
-        s.Fox_tcp.Tcp.wire_send_failures s.Fox_tcp.Tcp.active_conns
-  end
-
-  module Baseline (P : Fox_baseline.Tcp_monolithic.PARAMS) : S = struct
-    module B = Fox_baseline.Tcp_monolithic.Make (Lower) (Aux) (P)
-    include Adapt (B)
-
-    let stats_line t =
-      let s = B.stats t in
-      Printf.sprintf "segs_in=%d segs_out=%d rsts=%d rtx=%d"
-        s.Fox_baseline.Tcp_monolithic.segs_in
-        s.Fox_baseline.Tcp_monolithic.segs_out
-        s.Fox_baseline.Tcp_monolithic.rsts_sent
-        s.Fox_baseline.Tcp_monolithic.retransmissions
-  end
-
-  (** One structured adapter per algorithm, all over [P]. *)
-  let fox_table (module P : Fox_tcp.Tcp.PARAMS) =
-    per_cc (fun (module C : Fox_tcp.Congestion.S) -> (module Fox (C) (P) : S))
-end
-
 (** What a {!Stack.transfer} cell leaves behind. *)
 type ('t, 'conn) transfer = {
   streams : (string * int) list;

@@ -89,11 +89,7 @@ let up t = t.is_up <- true
 
 let down t = t.is_up <- false
 
-let is_up t = t.is_up
-
 let mtu t = t.mtu
-
-let name t = t.name
 
 let stats t =
   {

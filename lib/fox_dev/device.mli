@@ -57,7 +57,5 @@ val thread_receives : t -> unit
 val up : t -> unit
 
 val down : t -> unit
-val is_up : t -> bool
 val mtu : t -> int
-val name : t -> string
 val stats : t -> stats

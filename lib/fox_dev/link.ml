@@ -352,8 +352,6 @@ let stats t i =
     queue_drops = p.queue_drops;
   }
 
-let config t = t.netem
-
 let take_down t ~policy =
   t.up <- false;
   t.down_policy <- policy

@@ -53,9 +53,6 @@ val port : t -> int -> port
 (** [stats t i] is a snapshot of port [i]'s counters. *)
 val stats : t -> int -> stats
 
-(** [config t] is the wire's emulation parameters. *)
-val config : t -> Netem.t
-
 (** {1 Chaos controls}
 
     Mid-run fault injection, driven by {!Fox_check.Chaos}.  None of

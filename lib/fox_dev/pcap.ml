@@ -1,6 +1,6 @@
 open Fox_basis
 
-type t = { oc : out_channel; mutable count : int; mutable closed : bool }
+type t = { oc : out_channel; mutable closed : bool }
 
 (* classic little-endian pcap with microsecond timestamps *)
 let magic = 0xA1B2C3D4
@@ -26,10 +26,11 @@ let create path =
   w32 oc 0 (* sigfigs *);
   w32 oc 65535 (* snaplen *);
   w32 oc linktype_ethernet;
-  { oc; count = 0; closed = false }
+  { oc; closed = false }
 
-let write t ~time_us packet =
+let tap t packet =
   if not t.closed then begin
+    let time_us = Fox_sched.Scheduler.now () in
     let len = Packet.length packet in
     w32 t.oc (time_us / 1_000_000);
     w32 t.oc (time_us mod 1_000_000);
@@ -37,13 +38,8 @@ let write t ~time_us packet =
     w32 t.oc len;
     let buf = Bytes.create len in
     Packet.blit packet 0 buf 0 len;
-    output_bytes t.oc buf;
-    t.count <- t.count + 1
+    output_bytes t.oc buf
   end
-
-let tap t packet = write t ~time_us:(Fox_sched.Scheduler.now ()) packet
-
-let count t = t.count
 
 let close t =
   if not t.closed then begin

@@ -19,15 +19,10 @@ type t
 (** [create path] opens [path] and writes the pcap global header. *)
 val create : string -> t
 
-(** [write t ~time_us frame] appends one frame stamped [time_us]. *)
-val write : t -> time_us:int -> Fox_basis.Packet.t -> unit
-
-(** [tap t] is a {!Fox_dev.Device} tap callback that stamps frames with
-    the scheduler's current (virtual or real) time. *)
+(** [tap t frame] is a {!Fox_dev.Device} tap callback: it appends
+    [frame] stamped with the scheduler's current (virtual or real)
+    time. *)
 val tap : t -> Fox_basis.Packet.t -> unit
-
-(** Frames written so far. *)
-val count : t -> int
 
 val close : t -> unit
 

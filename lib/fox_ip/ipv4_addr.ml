@@ -21,13 +21,7 @@ let to_string a =
   Printf.sprintf "%d.%d.%d.%d" (a lsr 24 land 0xFF) (a lsr 16 land 0xFF)
     (a lsr 8 land 0xFF) (a land 0xFF)
 
-let any = 0
-
-let broadcast = 0xFFFFFFFF
-
-let is_broadcast a = a = broadcast
-
-let is_multicast a = a lsr 28 = 0xE
+let is_broadcast a = a = 0xFFFFFFFF
 
 let in_subnet a ~network ~prefix =
   if prefix <= 0 then true

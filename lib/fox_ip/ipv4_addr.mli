@@ -13,16 +13,9 @@ val of_int : int -> t
 
 val to_int : t -> int
 
-(** 0.0.0.0, the unspecified address. *)
-val any : t
-
-(** 255.255.255.255, the limited broadcast address. *)
-val broadcast : t
-
+(** [is_broadcast a] is true for 255.255.255.255, the limited broadcast
+    address. *)
 val is_broadcast : t -> bool
-
-(** [is_multicast a] is true for 224.0.0.0/4. *)
-val is_multicast : t -> bool
 
 (** [in_subnet a ~network ~prefix] tests membership of a CIDR block. *)
 val in_subnet : t -> network:t -> prefix:int -> bool

@@ -109,9 +109,3 @@ let decode ~checksum p =
     in
     strip p;
     Ok hdr
-
-let pp fmt h =
-  Format.fprintf fmt "%a -> %a proto=%d len=%d id=%d%s off=%d ttl=%d"
-    Ipv4_addr.pp h.src Ipv4_addr.pp h.dst h.proto h.total_length h.id
-    (if h.more_fragments then "+MF" else "")
-    h.fragment_offset h.ttl

@@ -52,5 +52,3 @@ val proto : Fox_basis.Packet.t -> int
 val src : Fox_basis.Packet.t -> Ipv4_addr.t
 val dst : Fox_basis.Packet.t -> Ipv4_addr.t
 val strip : Fox_basis.Packet.t -> unit
-
-val pp : Format.formatter -> t -> unit

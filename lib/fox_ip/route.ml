@@ -17,8 +17,6 @@ let create entries =
     entries;
   sort entries
 
-let add t entry = create (entry :: t)
-
 let local ~network ~prefix = create [ { network; prefix; gateway = None } ]
 
 let next_hop t dst =
@@ -27,5 +25,3 @@ let next_hop t dst =
   | None -> None
   | Some { gateway = Some gw; _ } -> Some gw
   | Some { gateway = None; _ } -> Some dst
-
-let entries t = t

@@ -15,9 +15,6 @@ type entry = {
 (** [create entries] builds a table; entries may be given in any order. *)
 val create : entry list -> t
 
-(** [add t entry] inserts a route. *)
-val add : t -> entry -> t
-
 (** [local ~network ~prefix] is a table with one connected route — the
     common single-LAN configuration. *)
 val local : network:Ipv4_addr.t -> prefix:int -> t
@@ -26,6 +23,3 @@ val local : network:Ipv4_addr.t -> prefix:int -> t
     matched route's gateway, or [dst] for a connected route; [None] when no
     route matches. *)
 val next_hop : t -> Ipv4_addr.t -> Ipv4_addr.t option
-
-(** [entries t] lists routes, most-specific first. *)
-val entries : t -> entry list

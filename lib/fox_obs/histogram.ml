@@ -16,8 +16,6 @@ let create ?(name = "") () =
   { name; buckets = Array.make 64 0; count = 0; sum = 0;
     min_v = max_int; max_v = min_int }
 
-let name t = t.name
-
 let bucket_of v =
   if v <= 0 then 0
   else

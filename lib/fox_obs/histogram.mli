@@ -11,8 +11,6 @@ type t
 (** [create ?name ()] is an empty histogram. *)
 val create : ?name:string -> unit -> t
 
-val name : t -> string
-
 (** [add t v] records one sample ([v <= 0] shares the zero bucket). *)
 val add : t -> int -> unit
 

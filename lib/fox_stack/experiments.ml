@@ -12,9 +12,12 @@
     [Run(E).round_trip] measures Table 1's second row: a small-message
     ping-pong over an established connection.
 
-    Both are generic over the engine through a small adapter module type,
-    so the structured TCP and the monolithic baseline run the identical
-    experiment code. *)
+    Both are generic over the engine, any {!Fox_tcp.Tcp.S} over the
+    standard stack's metered IP, so the structured TCP and the monolithic
+    baseline run the identical experiment code.  Each takes the function
+    that finds a host's engine instance ([Network.fox_tcp],
+    [Network.baseline_tcp], or one that creates an ablation variant on a
+    bare host); it is called once per host, sender first. *)
 
 open Fox_basis
 module Scheduler = Fox_sched.Scheduler
@@ -45,143 +48,46 @@ type rtt_result = {
   max_rtt_us : int;
 }
 
-(** What the experiments need from a TCP implementation. *)
-module type ENGINE = sig
-  type t
-
-  type connection
-
-  val instance : Network.host -> t
-
-  (** [connect t ~peer ~port ~handler] opens actively; [handler] is the
-      data upcall of the new connection. *)
-  val connect :
-    t -> peer:Fox_ip.Ipv4_addr.t -> port:int -> handler:(Packet.t -> unit) ->
-    connection
-
-  (** [listen t ~port handler] passively accepts; [handler conn] returns
-      the data upcall. *)
-  val listen : t -> port:int -> (connection -> Packet.t -> unit) -> unit
-
-  val allocate : connection -> int -> Packet.t
-
-  val send : connection -> Packet.t -> unit
-
-  val mss : connection -> int
-
-  val segments_sent : t -> int
-
-  val conn_retransmissions : connection -> int
-end
-
-(** [Fox_engine_of (P)] is the structured TCP under the settings [P]:
-    [T] is one more application of {!Fox_tcp.Tcp.Make} over the standard
-    stack's metered IP, and [On (I)] is [T] as an engine whose hosts'
-    instances [I.instance] finds. *)
-module Fox_engine_of (P : Fox_tcp.Tcp.PARAMS) = struct
-  module T =
-    Fox_tcp.Tcp.Make (Stack.Metered_ip) (Stack.Metered_ip_aux)
-      (Fox_tcp.Congestion.Reno)
-      (P)
-
-  module On (I : sig
-    val instance : Network.host -> T.t
-  end) : ENGINE with type t = T.t = struct
-    type t = T.t
-
-    type connection = T.connection
-
-    let instance = I.instance
-
-    let connect t ~peer ~port ~handler =
-      T.connect t { T.peer; port; local_port = None } (fun _ ->
-          (handler, ignore))
-
-    let listen t ~port handler =
-      ignore
-        (T.start_passive t { T.local_port = port } (fun conn ->
-             (handler conn, ignore)))
-
-    let allocate = T.allocate_send
-
-    let send = T.send
-
-    let mss = T.max_packet_size
-
-    let segments_sent t = (T.stats t).Fox_tcp.Tcp.segs_out
-
-    let conn_retransmissions conn =
-      (T.conn_stats conn).Fox_tcp.Tcp.retransmissions
-  end
-end
-
-(* The same application as {!Stack.Tcp} (functors are applicative, so
-   [Default_fox.T.t] is [Stack.Tcp.t]): the engine of a [Network.Fox]
-   host. *)
-module Default_fox = Fox_engine_of (Fox_tcp.Tcp.Default_params)
-
-module Fox_engine : ENGINE with type t = Stack.Tcp.t = Default_fox.On (struct
-  let instance = Network.fox_tcp
-end)
-
-module Baseline_engine : ENGINE with type t = Stack.Baseline_tcp.t = struct
-  module T = Stack.Baseline_tcp
-
-  type t = T.t
-
-  type connection = T.connection
-
-  let instance = Network.baseline_tcp
-
-  let connect t ~peer ~port ~handler =
-    T.connect t { T.peer; port; local_port = None } (fun _ -> (handler, ignore))
-
-  let listen t ~port handler =
-    ignore
-      (T.start_passive t { T.local_port = port } (fun conn ->
-           (handler conn, ignore)))
-
-  let allocate = T.allocate_send
-
-  let send = T.send
-
-  let mss = T.max_packet_size
-
-  let segments_sent t = (T.stats t).Fox_baseline.Tcp_monolithic.segs_out
-
-  let conn_retransmissions = T.retransmissions_of
-end
-
-module Run (E : ENGINE) = struct
+module Run
+    (E : Fox_tcp.Tcp.S
+           with type lower = Stack.Metered_ip.t
+            and type host = Fox_ip.Ipv4_addr.t) =
+struct
   (* Sender side: accept a connection, read the 8-byte request
      (magic ++ count), stream that many bytes back in MSS-sized packets —
      synthesised in place, one copy into the packet, as the paper counts.
      Stream byte [k] is [k land 255]; each packet is one block write
      straight into its buffer from a pattern that repeats every 256
      bytes, so the fill is not metered as a copy. *)
-  let install_sender host ~port ~server_conn =
-    let tcp = E.instance host in
-    E.listen tcp ~port (fun conn ->
-        server_conn := Some conn;
-        fun request ->
-          if Packet.length request >= 8 then begin
-            let wanted = Packet.get_u32 request 4 in
-            Packet.release request;
-            Scheduler.fork (fun () ->
-                let mss = E.mss conn in
-                let pattern =
-                  String.init (256 + mss) (fun k -> Char.chr (k land 255))
-                in
-                let sent = ref 0 in
-                while !sent < wanted do
-                  let n = min mss (wanted - !sent) in
-                  let p = E.allocate conn n in
-                  Bytes.blit_string pattern (!sent land 255) (Packet.buffer p)
-                    (Packet.offset p) n;
-                  E.send conn p;
-                  sent := !sent + n
-                done)
-          end)
+  let install_sender tcp ~port ~server_conn =
+    let on_request conn request =
+      if Packet.length request >= 8 then begin
+        let wanted = Packet.get_u32 request 4 in
+        Packet.release request;
+        Scheduler.fork (fun () ->
+            let mss = E.max_packet_size conn in
+            let pattern =
+              String.init (256 + mss) (fun k -> Char.chr (k land 255))
+            in
+            let sent = ref 0 in
+            while !sent < wanted do
+              let n = min mss (wanted - !sent) in
+              let p = E.allocate_send conn n in
+              Bytes.blit_string pattern (!sent land 255) (Packet.buffer p)
+                (Packet.offset p) n;
+              E.send conn p;
+              sent := !sent + n
+            done)
+      end
+    in
+    ignore
+      (E.start_passive tcp { E.local_port = port } (fun conn ->
+           server_conn := Some conn;
+           (on_request conn, ignore)))
+
+  let connect tcp ~(peer : Network.host) ~port handler =
+    E.connect tcp { E.peer = peer.Network.addr; port; local_port = None }
+      (fun _ -> (handler, ignore))
 
   (* [?during] forks an observer thread inside the run, handing it a
      "transfer finished?" predicate — the [foxnet stat] sampler loops on
@@ -190,11 +96,13 @@ module Run (E : ENGINE) = struct
      slow: each data upcall charges that much receiver CPU before it
      returns, i.e. inside the engine's drain loop, which therefore runs
      on a thread per arrival. *)
-  let transfer ?during ?(app_us = 0) ~(sender : Network.host)
+  let transfer ?during ?(app_us = 0) instance ~(sender : Network.host)
       ~(receiver : Network.host) ~bytes () =
     let port = 5001 in
     let server_conn = ref None in
-    install_sender sender ~port ~server_conn;
+    let sender_tcp = instance sender in
+    let receiver_tcp = instance receiver in
+    install_sender sender_tcp ~port ~server_conn;
     if app_us > 0 then Fox_dev.Device.thread_receives receiver.Network.dev;
     let received = ref 0 in
     let t0 = ref 0 and t1 = ref 0 in
@@ -204,13 +112,12 @@ module Run (E : ENGINE) = struct
     let gc0 = Gc.quick_stat () in
     let sched =
       Scheduler.run (fun () ->
-          let tcp = E.instance receiver in
           (match during with
           | Some observer ->
             Scheduler.fork (fun () -> observer (fun () -> !received >= bytes))
           | None -> ());
           let conn =
-            E.connect tcp ~peer:sender.Network.addr ~port ~handler:(fun packet ->
+            connect receiver_tcp ~peer:sender ~port (fun packet ->
                 if app_us > 0 then
                   Fox_sched.Cpu.charge receiver.Network.cpu "application" app_us;
                 (* data is discarded at the application level; release
@@ -220,7 +127,7 @@ module Run (E : ENGINE) = struct
                 if !received >= bytes then t1 := Scheduler.now ())
           in
           t0 := Scheduler.now ();
-          let request = E.allocate conn 8 in
+          let request = E.allocate_send conn 8 in
           Packet.set_u32 request 0 0xF0C5F0C5;
           Packet.set_u32 request 4 bytes;
           E.send conn request)
@@ -234,11 +141,11 @@ module Run (E : ENGINE) = struct
       bytes;
       elapsed_us;
       throughput_mbps = float_of_int (bytes * 8) /. float_of_int elapsed_us;
-      sender_segments = E.segments_sent (E.instance sender);
-      receiver_segments = E.segments_sent (E.instance receiver);
+      sender_segments = E.segments_sent sender_tcp;
+      receiver_segments = E.segments_sent receiver_tcp;
       retransmissions =
         (match !server_conn with
-        | Some conn -> E.conn_retransmissions conn
+        | Some conn -> E.retransmissions conn
         | None -> 0);
       sender_profile = Counters.dump sender.Network.counters;
       receiver_profile = Counters.dump receiver.Network.counters;
@@ -251,28 +158,32 @@ module Run (E : ENGINE) = struct
 
   (* Table 1, row 2: echo a small message back and forth over one
      established connection and time each round. *)
-  let round_trip ~(client : Network.host) ~(server : Network.host)
+  let round_trip instance ~(client : Network.host) ~(server : Network.host)
       ?(payload = 64) ?(rounds = 20) () =
     let port = 5007 in
-    let echo_tcp = E.instance server in
-    E.listen echo_tcp ~port (fun conn packet ->
-        let reply = E.allocate conn (Packet.length packet) in
-        Packet.blit packet 0 (Packet.buffer reply) (Packet.offset reply)
-          (Packet.length packet);
-        Packet.release packet;
-        E.send conn reply);
+    let echo_tcp = instance server in
+    let client_tcp = instance client in
+    let echo conn packet =
+      let reply = E.allocate_send conn (Packet.length packet) in
+      Packet.blit packet 0 (Packet.buffer reply) (Packet.offset reply)
+        (Packet.length packet);
+      Packet.release packet;
+      E.send conn reply
+    in
+    ignore
+      (E.start_passive echo_tcp { E.local_port = port } (fun conn ->
+           (echo conn, ignore)));
     let rtts = ref [] in
     let reply_mb = Fox_sched.Cond.create () in
     let _ =
       Scheduler.run (fun () ->
-          let tcp = E.instance client in
           let conn =
-            E.connect tcp ~peer:server.Network.addr ~port
-              ~handler:(fun _reply -> Fox_sched.Cond.signal reply_mb ())
+            connect client_tcp ~peer:server ~port (fun _reply ->
+                Fox_sched.Cond.signal reply_mb ())
           in
           for _ = 1 to rounds do
             let sent_at = Scheduler.now () in
-            let p = E.allocate conn payload in
+            let p = E.allocate_send conn payload in
             Packet.fill p 0x5A;
             E.send conn p;
             Fox_sched.Cond.wait reply_mb;
@@ -289,8 +200,8 @@ module Run (E : ENGINE) = struct
     }
 end
 
-module Fox_run = Run (Fox_engine)
-module Baseline_run = Run (Baseline_engine)
+module Fox_run = Run (Stack.Tcp)
+module Baseline_run = Run (Stack.Baseline_tcp)
 
 (** [table1 ?bytes ()] reproduces Table 1: throughput and round-trip for
     both engines under their respective DECstation cost models. *)
@@ -299,25 +210,25 @@ let table1 ?(bytes = 1_000_000) () =
     let _, sender, receiver =
       Network.pair ~engine:Network.Fox ~cost:Cost_model.fox ()
     in
-    Fox_run.transfer ~sender ~receiver ~bytes ()
+    Fox_run.transfer Network.fox_tcp ~sender ~receiver ~bytes ()
   in
   let fox_rtt =
     let _, client, server =
       Network.pair ~engine:Network.Fox ~cost:Cost_model.fox ()
     in
-    Fox_run.round_trip ~client ~server ()
+    Fox_run.round_trip Network.fox_tcp ~client ~server ()
   in
   let base_tp =
     let _, sender, receiver =
       Network.pair ~engine:Network.Baseline ~cost:Cost_model.xkernel ()
     in
-    Baseline_run.transfer ~sender ~receiver ~bytes ()
+    Baseline_run.transfer Network.baseline_tcp ~sender ~receiver ~bytes ()
   in
   let base_rtt =
     let _, client, server =
       Network.pair ~engine:Network.Baseline ~cost:Cost_model.xkernel ()
     in
-    Baseline_run.round_trip ~client ~server ()
+    Baseline_run.round_trip Network.baseline_tcp ~client ~server ()
   in
   (fox_tp, fox_rtt, base_tp, base_rtt)
 
@@ -329,7 +240,7 @@ let table2 ?(bytes = 1_000_000) () =
   let _, sender, receiver =
     Network.pair ~engine:Network.Fox ~cost:Cost_model.fox ()
   in
-  let result = Fox_run.transfer ~sender ~receiver ~bytes () in
+  let result = Fox_run.transfer Network.fox_tcp ~sender ~receiver ~bytes () in
   let percent profile busy =
     List.map
       (fun (name, us, updates) ->

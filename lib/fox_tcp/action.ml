@@ -5,7 +5,7 @@ let internalize ~pseudo packet ~now =
   | Error e -> Error e
   | Ok hdr -> Ok { Tcb.hdr; data = packet; arrived_at = now }
 
-let externalize ?defer ~pseudo_for ~hdr ~data ~allocate ~send () =
+let externalize ?defer ~pseudo_for ~allocate lower ~hdr ~data ~send =
   let hlen = Tcp_header.header_length hdr in
   match data with
   | Some packet ->
@@ -17,7 +17,7 @@ let externalize ?defer ~pseudo_for ~hdr ~data ~allocate ~send () =
        (the retransmission queue, if any, holds its own). *)
     let saved = Packet.save packet in
     (match
-       let pseudo = pseudo_for (hlen + Packet.length packet) in
+       let pseudo = pseudo_for lower (hlen + Packet.length packet) in
        Tcp_header.encode ?defer ~pseudo hdr packet;
        send packet
      with
@@ -29,9 +29,9 @@ let externalize ?defer ~pseudo_for ~hdr ~data ~allocate ~send () =
       Packet.release packet;
       raise e)
   | None -> (
-    let packet = allocate 0 in
+    let packet = allocate lower 0 in
     match
-      let pseudo = pseudo_for hlen in
+      let pseudo = pseudo_for lower hlen in
       Tcp_header.encode ?defer ~pseudo hdr packet;
       send packet
     with

@@ -25,12 +25,14 @@ val internalize :
   now:int ->
   (Tcb.segment, Tcp_header.error) result
 
-(** [externalize ?defer ~pseudo_for ~hdr ~data ~allocate ~send]
-    encodes and transmits one segment.  [pseudo_for len] must give the
-    pseudo-header accumulator for a [len]-byte segment
-    ({!Fox_basis.Checksum.none} when checksums are off); [allocate n] must
-    return a packet with [n] bytes of window and full lower-stack headroom
-    (used when [data] is [None]).  [?defer] is passed to
+(** [externalize ?defer ~pseudo_for ~allocate lower ~hdr ~data ~send]
+    encodes and transmits one segment on the lower session [lower].
+    [pseudo_for lower len] must give the pseudo-header accumulator for a
+    [len]-byte segment ({!Fox_basis.Checksum.none} when checksums are
+    off); [allocate lower n] must return a packet with [n] bytes of window
+    and full lower-stack headroom (used when [data] is [None]).  Both take
+    the session as an argument, so a caller passes them without building
+    a closure per segment.  [?defer] is passed to
     {!Tcp_header.encode} (TX checksum offload).  The send action's
     reference to its data packet is consumed: it is
     {!Fox_basis.Packet.release}d after the send returns (the
@@ -38,10 +40,10 @@ val internalize :
     unacknowledged). *)
 val externalize :
   ?defer:bool ->
-  pseudo_for:(int -> Fox_basis.Checksum.acc) ->
+  pseudo_for:('l -> int -> Fox_basis.Checksum.acc) ->
+  allocate:('l -> int -> Fox_basis.Packet.t) ->
+  'l ->
   hdr:Tcp_header.t ->
   data:Fox_basis.Packet.t option ->
-  allocate:(int -> Fox_basis.Packet.t) ->
   send:(Fox_basis.Packet.t -> unit) ->
-  unit ->
   unit

@@ -152,8 +152,8 @@ let observe conn before action =
    TCB is no worse than a lost one. *)
 let put e lconn ~send hdr data =
   try
-    Action.externalize ~defer:true ~pseudo_for:(e.ops.pseudo lconn) ~hdr ~data
-      ~allocate:(e.ops.allocate lconn) ~send ()
+    Action.externalize ~defer:true ~pseudo_for:e.ops.pseudo
+      ~allocate:e.ops.allocate lconn ~hdr ~data ~send
   with Fox_proto.Common.Send_failed _ ->
     let c = e.counters in
     c.wire_send_failures <- c.wire_send_failures + 1

@@ -50,15 +50,15 @@ let queue_syn (params : params) tcb ~with_ack ~now =
        });
   Resend.track params tcb entry ~now
 
-let active_open (params : params) ~iss ~mss ~now =
-  let tcb = create_tcb_with_mss params ~iss ~mss in
+let active_open (params : params) ~cc ~iss ~mss ~now =
+  let tcb = create_tcb_with_mss params ~cc ~iss ~mss in
   queue_syn params tcb ~with_ack:false ~now;
   arm_user_timer params tcb;
   Syn_sent tcb
 
-let passive_open (params : params) ~iss ~mss ~syn ~now =
+let passive_open (params : params) ~cc ~iss ~mss ~syn ~now =
   let h = syn.hdr in
-  let tcb = create_tcb_with_mss params ~iss ~mss in
+  let tcb = create_tcb_with_mss params ~cc ~iss ~mss in
   tcb.irs <- h.Tcp_header.seq;
   tcb.rcv_nxt <- Seq.add h.Tcp_header.seq 1;
   tcb.snd_wnd <- h.Tcp_header.window;
@@ -78,8 +78,8 @@ let passive_open (params : params) ~iss ~mss ~syn ~now =
    its SYN consumed and acknowledged.  The engine feeds the promoting ACK
    itself through the receive DAG afterwards, so any text or FIN riding
    on it is processed normally. *)
-let promote_passive (params : params) ~iss ~irs ~mss ~peer_mss ~wnd =
-  let tcb = create_tcb_with_mss params ~iss ~mss in
+let promote_passive (params : params) ~cc ~iss ~irs ~mss ~peer_mss ~wnd =
+  let tcb = create_tcb_with_mss params ~cc ~iss ~mss in
   tcb.snd_una <- Seq.add iss 1;
   tcb.snd_nxt <- Seq.add iss 1;
   tcb.irs <- irs;
@@ -91,7 +91,7 @@ let promote_passive (params : params) ~iss ~irs ~mss ~peer_mss ~wnd =
   (match peer_mss with
   | Some m -> tcb.snd_mss <- Int.min tcb.snd_mss m
   | None -> ());
-  tcb.cwnd <- Congestion.initial_cwnd params.cc ~mss:tcb.snd_mss;
+  tcb.cwnd <- Congestion.initial_cwnd cc ~mss:tcb.snd_mss;
   add_to_do tcb Complete_open;
   arm_user_timer params tcb;
   Estab tcb

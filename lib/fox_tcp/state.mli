@@ -7,19 +7,22 @@
     the TCB's [to_do] queue, so each transition can be unit-tested by
     inspecting the queue against what RFC 793 prescribes. *)
 
-(** [active_open params ~iss ~mss ~now] builds the SYN-SENT state of a
-    fresh active open: TCB created, SYN queued for transmission and
-    retransmission, user timer armed when configured. *)
-val active_open : Tcb.params -> iss:Seq.t -> mss:int -> now:int -> Tcb.tcp_state
-
-(** [passive_open params ~iss ~mss ~syn ~now] accepts an incoming SYN on a
-    listener: TCB initialised from the segment, SYN-ACK queued.  The
-    result is SYN-RECEIVED (passive flavour). *)
-val passive_open :
-  Tcb.params -> iss:Seq.t -> mss:int -> syn:Tcb.segment -> now:int ->
+(** [active_open params ~cc ~iss ~mss ~now] builds the SYN-SENT state of
+    a fresh active open under the congestion control [cc]: TCB created,
+    SYN queued for transmission and retransmission, user timer armed when
+    configured. *)
+val active_open :
+  Tcb.params -> cc:(module Congestion.S) -> iss:Seq.t -> mss:int -> now:int ->
   Tcb.tcp_state
 
-(** [promote_passive params ~iss ~irs ~mss ~peer_mss ~wnd] completes a
+(** [passive_open params ~cc ~iss ~mss ~syn ~now] accepts an incoming SYN
+    on a listener: TCB initialised from the segment, SYN-ACK queued.  The
+    result is SYN-RECEIVED (passive flavour). *)
+val passive_open :
+  Tcb.params -> cc:(module Congestion.S) -> iss:Seq.t -> mss:int ->
+  syn:Tcb.segment -> now:int -> Tcb.tcp_state
+
+(** [promote_passive params ~cc ~iss ~irs ~mss ~peer_mss ~wnd] completes a
     passive open whose half-open phase was held outside any TCB — in the
     engine's compact SYN cache, or statelessly in a SYN cookie.  [iss] and
     [irs] are the sequence numbers the handshake used, [mss] the path MSS,
@@ -27,8 +30,8 @@ val passive_open :
     peer's current window.  The TCB is created directly in ESTABLISHED
     with [Complete_open] queued. *)
 val promote_passive :
-  Tcb.params -> iss:Seq.t -> irs:Seq.t -> mss:int -> peer_mss:int option ->
-  wnd:int -> Tcb.tcp_state
+  Tcb.params -> cc:(module Congestion.S) -> iss:Seq.t -> irs:Seq.t ->
+  mss:int -> peer_mss:int option -> wnd:int -> Tcb.tcp_state
 
 (** [close params state ~now] performs the user's graceful close: a FIN is
     scheduled after any queued data, and the state advances per RFC 793

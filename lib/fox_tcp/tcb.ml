@@ -256,10 +256,6 @@ type params = {
           retransmission has made no forward progress for a full
           [user_timeout_us] window.  Off restores the stricter
           historical semantics. *)
-  cc : (module Congestion.S);
-      (** the congestion-control algorithm; every cwnd/ssthresh decision
-          is delegated to it (see {!Congestion} and DESIGN §12).
-          {!Tcp.Make} overrides it with its [Cc] argument *)
 }
 
 let default_params =
@@ -293,7 +289,6 @@ let default_params =
     blackhole_detect = false;
     persist_max_probes = 0;
     user_timeout_stalled = false;
-    cc = (module Congestion.Reno);
   }
 
 (** The engine-level challenge-ACK cap: one record per engine, shared by
@@ -536,11 +531,13 @@ let synchronized = function
   | Last_ack _ | Time_wait _ ->
     true
 
-(** [create_tcb_with_mss params ~iss ~mss] is a fresh TCB with empty
+(** [create_tcb_with_mss params ~cc ~iss ~mss] is a fresh TCB with empty
     queues and the estimator in its initial state, whose MSS fields (the
     segment ceiling and the MSS we announce) are [mss] — connection setup
-    knows the path MTU from the auxiliary structure. *)
-let create_tcb_with_mss (params : params) ~iss ~mss =
+    knows the path MTU from the auxiliary structure.  [cc] is the
+    congestion-control algorithm; every cwnd/ssthresh decision is
+    delegated to it (see {!Congestion} and DESIGN §12). *)
+let create_tcb_with_mss (params : params) ~cc ~iss ~mss =
   {
     iss;
     snd_una = iss;
@@ -580,10 +577,10 @@ let create_tcb_with_mss (params : params) ~iss ~mss =
     persist_probes = 0;
     full_rto_streak = 0;
     blackhole_shrinks = 0;
-    cwnd = Congestion.initial_cwnd params.cc ~mss;
+    cwnd = Congestion.initial_cwnd cc ~mss;
     ssthresh = 65535;
     dup_acks = 0;
-    cc = Congestion.make params.cc;
+    cc = Congestion.make cc;
     pacing_until = 0;
     pacing_timer_on = false;
     last_emit_at = 0;
@@ -610,9 +607,10 @@ let create_tcb_with_mss (params : params) ~iss ~mss =
     obs_id = "-";
   }
 
-(** [create_tcb params ~iss] is {!create_tcb_with_mss} at the RFC 1122
-    default MSS of 536. *)
-let create_tcb params ~iss = create_tcb_with_mss params ~iss ~mss:536
+(** [create_tcb params ~iss] is {!create_tcb_with_mss} under Reno at the
+    RFC 1122 default MSS of 536. *)
+let create_tcb params ~iss =
+  create_tcb_with_mss params ~cc:(module Congestion.Reno) ~iss ~mss:536
 
 (** [time_wait_of tcb ~host ~local_port ~remote_port ~arrival ~timer
     ~upcall] is the tombstone of [tcb], which has just entered

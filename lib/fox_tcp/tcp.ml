@@ -29,8 +29,7 @@ module Bus = Fox_obs.Bus
 (** Static configuration — the functor parameters of Figure 4, as one
     {!Tcb.params} record: every setting is declared and defaulted there,
     once.  Each configuration is its own functor application.  {!Make}'s
-    [Cc] argument chooses the congestion-control algorithm: it overrides
-    the record's [cc] field. *)
+    [Cc] argument chooses the congestion-control algorithm. *)
 module type PARAMS = sig
   val params : Tcb.params
 end
@@ -78,6 +77,42 @@ type stats = {
       (** connections aborted after unanswered keepalive probes *)
 }
 
+(** The signature both TCP engines satisfy: {!Make}'s result and the
+    monolithic oracle's, [Fox_baseline.Tcp_monolithic.Make].  As in
+    Figure 4 it is [PROTOCOL] with its types shared, plus creation over
+    the lower layer and the two counters a harness compares engines by;
+    a harness takes either engine as one module of this type. *)
+module type S = sig
+  (** The lower layer's instance type and its host identity. *)
+  type lower
+
+  type host
+
+  (** [local_port = None] asks for an ephemeral port. *)
+  type address = { peer : host; port : int; local_port : int option }
+
+  type pattern = { local_port : int }
+
+  include
+    Protocol.PROTOCOL
+      with type address := address
+       and type address_pattern := pattern
+       and type incoming_message = Packet.t
+       and type outgoing_message = Packet.t
+
+  val create : lower -> t
+
+  (** [state_of conn] is the RFC 793 state name, for tests and traces. *)
+  val state_of : connection -> string
+
+  (** [segments_sent t] counts every segment the instance has sent. *)
+  val segments_sent : t -> int
+
+  (** [retransmissions conn] counts the connection's retransmitted
+      segments. *)
+  val retransmissions : connection -> int
+end
+
 (** Per-connection statistics, mostly straight out of the TCB. *)
 type conn_stats = {
   state : string;
@@ -107,26 +142,11 @@ module Make
               and type lower_connection = Lower.connection)
     (Cc : Congestion.S)
     (Params : PARAMS) : sig
-  (** [local_port = None] asks for an ephemeral port. *)
-  type address = { peer : Aux.host; port : int; local_port : int option }
-
-  type pattern = { local_port : int }
-
-  include
-    Protocol.PROTOCOL
-      with type address := address
-       and type address_pattern := pattern
-       and type incoming_message = Packet.t
-       and type outgoing_message = Packet.t
-
-  val create : Lower.t -> t
+  include S with type lower = Lower.t and type host = Aux.host
 
   (** [close_sync conn] closes and blocks until the connection is fully
       down (through TIME-WAIT if we close first). *)
   val close_sync : connection -> unit
-
-  (** [state_of conn] is the RFC 793 state name, for tests and traces. *)
-  val state_of : connection -> string
 
   val conn_stats : connection -> conn_stats
 
@@ -145,9 +165,15 @@ module Make
 end = struct
   include Fox_proto.Common
 
+  type lower = Lower.t
+
+  type host = Aux.host
+
   let proto_number = 6
 
-  let runtime_params = { Params.params with cc = (module Cc : Congestion.S) }
+  let params = Params.params
+
+  let cc = (module Cc : Congestion.S)
 
   let cc_name = Cc.name
 
@@ -271,7 +297,7 @@ end = struct
           Stats.of_time_wait
             ~conn_id:
               (Engine.conn_id t.engine tw.host tw.local_port tw.remote_port)
-            ~now ~rcv_wnd:runtime_params.initial_window
+            ~now ~rcv_wnd:params.initial_window
             ~cc_name tw)
         (Tomb.to_list t.engine.tombs)
     in
@@ -294,7 +320,7 @@ end = struct
   let fresh_iss t ~host ~local_port ~remote_port =
     t.iss_salt <- t.iss_salt + 1;
     let m = Fox_sched.Scheduler.now () / 4 in
-    if runtime_params.secure_isn then
+    if params.secure_isn then
       let f =
         Siphash.hash ~k0:t.isn_k0 ~k1:t.isn_k1
           (Printf.sprintf "%s|%d|%d" (Aux.to_string host) local_port
@@ -308,7 +334,7 @@ end = struct
   (* The pseudo-header of a [len]-byte segment on [lconn], when checksums
      are on; [Checksum.none] when they are off. *)
   let pseudo lconn len =
-    if runtime_params.compute_checksums then
+    if params.compute_checksums then
       Aux.pseudo lconn ~proto:proto_number ~len
     else Checksum.none
 
@@ -354,7 +380,7 @@ end = struct
      is released either way. *)
   let unknown t lconn (seg : Tcb.segment) =
     let hdr = seg.Tcb.hdr in
-    (if runtime_params.abort_unknown_connections && not hdr.Tcp_header.rst
+    (if params.abort_unknown_connections && not hdr.Tcp_header.rst
      then begin
        if hdr.Tcp_header.ack_flag then
          reset_for t lconn hdr ~seq:hdr.Tcp_header.ack ~ack:None
@@ -375,9 +401,9 @@ end = struct
   (* Global admission check: the engine refuses new connections (not new
      segments) once [max_connections] TCBs are live. *)
   let under_conn_cap t =
-    runtime_params.max_connections = 0
+    params.max_connections = 0
     || Conns.length t.conns + Tomb.count t.engine.tombs
-       < runtime_params.max_connections
+       < params.max_connections
 
   (* A passive open becomes a connection with the listener's handler. *)
   let accept t lconn ~host (hdr : Tcp_header.t) listener state =
@@ -403,11 +429,11 @@ end = struct
       Engine.send_bare e lconn ~send:(Lower.send lconn) ~syn:true
         ~mss:(path_mss lconn) ~src_port:hdr.dst_port ~dst_port:hdr.src_port
         ~seq:iss ~ack:(Some (Seq.add irs 1)) ~rst:false
-        runtime_params.initial_window;
+        params.initial_window;
       Packet.release seg.Tcb.data
     | Listen.Open ->
       let state =
-        State.passive_open runtime_params
+        State.passive_open params ~cc
           ~iss:
             (fresh_iss t ~host
                ~local_port:hdr.Tcp_header.dst_port
@@ -424,7 +450,7 @@ end = struct
          the receive DAG, so any text or FIN riding on it is processed
          (and its buffer's ownership follows the usual path) *)
       let state =
-        State.promote_passive runtime_params ~iss ~irs ~mss:(path_mss lconn)
+        State.promote_passive params ~cc ~iss ~irs ~mss:(path_mss lconn)
           ~peer_mss ~wnd:hdr.Tcp_header.window
       in
       let conn = accept t lconn ~host hdr listener state in
@@ -437,7 +463,7 @@ end = struct
          clears *)
       c.backlog_refused <- c.backlog_refused + 1;
       if !Bus.live then Engine.note "-" (Bus.Note ("syn refused: " ^ reason));
-      if runtime_params.refuse_with_rst then
+      if params.refuse_with_rst then
         reset_for t lconn hdr ~seq:Seq.zero
           ~ack:(Some (Seq.add hdr.Tcp_header.seq 1))
       else c.syn_dropped <- c.syn_dropped + 1;
@@ -463,8 +489,8 @@ end = struct
       | conn when not conn.dead ->
         let tcb = conn.tcb in
         if
-          runtime_params.max_to_do > 0
-          && tcb.Tcb.to_do_len >= runtime_params.max_to_do
+          params.max_to_do > 0
+          && tcb.Tcb.to_do_len >= params.max_to_do
         then begin
           (* load shedding: the connection's work queue is saturated, so
              this segment is treated as lost on the wire — the peer's
@@ -531,7 +557,7 @@ end = struct
     let mss = path_mss lconn in
     let now = Fox_sched.Scheduler.now () in
     let state =
-      State.active_open runtime_params
+      State.active_open params ~cc
         ~iss:(fresh_iss t ~host:peer ~local_port ~remote_port)
         ~mss ~now
     in
@@ -563,7 +589,7 @@ end = struct
         l_handler = handler;
         l_active = true;
         l_passive =
-          Listen.create runtime_params ~equal:Aux.equal
+          Listen.create params ~equal:Aux.equal
             ~to_string:Aux.to_string ~secret:(t.isn_k0, t.isn_k1)
             ~iss:(fresh_iss t);
       }
@@ -585,7 +611,7 @@ end = struct
       Fox_sched.Cond.wait conn.wake
     done;
     if conn.dead then raise (Send_failed "tcp connection closed");
-    Send.enqueue runtime_params conn.tcb packet
+    Send.enqueue params conn.tcb packet
       ~now:(Fox_sched.Scheduler.now ());
     Engine.drain conn
 
@@ -594,7 +620,7 @@ end = struct
   let close (conn : connection) =
     if not conn.dead then begin
       conn.state <-
-        State.close runtime_params conn.state ~now:(Fox_sched.Scheduler.now ());
+        State.close params conn.state ~now:(Fox_sched.Scheduler.now ());
       Engine.drain conn
     end
 
@@ -624,7 +650,7 @@ end = struct
     | None ->
       if not conn.dead then begin
         conn.close_reason <- Some Status.Aborted;
-        conn.state <- State.abort runtime_params conn.state;
+        conn.state <- State.abort params conn.state;
         Engine.drain conn
       end
 
@@ -654,6 +680,10 @@ end = struct
   let tailroom (conn : connection) = Lower.tailroom conn.lower
 
   let allocate_send (conn : connection) len = allocate conn.lower len
+
+  let segments_sent t = t.engine.counters.segs_out
+
+  let retransmissions (conn : connection) = conn.tcb.Tcb.retransmissions
 
   let conn_stats (conn : connection) =
     let tcb = conn.tcb in
@@ -757,7 +787,7 @@ end = struct
 
   let create lower =
     let isn_k0, isn_k1 =
-      match runtime_params.isn_secret with
+      match params.isn_secret with
       | Some (k0, k1) -> (k0, k1)
       | None -> entropy_secret ()
     in
@@ -765,7 +795,7 @@ end = struct
     let t =
       {
         engine =
-          Engine.create runtime_params lower_ops ~name:Aux.to_string
+          Engine.create params lower_ops ~name:Aux.to_string
             ~equal:Aux.equal ~hash:Aux.hash
             ~unlink:(fun conn -> Conns.remove conns (key_of conn));
         lower_instance = lower;

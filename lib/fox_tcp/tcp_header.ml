@@ -164,11 +164,3 @@ let decode ~pseudo p =
       end
     end
   end
-
-let pp fmt hdr =
-  let flag c b = if b then c else "" in
-  Format.fprintf fmt "%d > %d [%s%s%s%s%s%s] seq=%a ack=%a win=%d%s" hdr.src_port
-    hdr.dst_port (flag "S" hdr.syn) (flag "F" hdr.fin) (flag "R" hdr.rst)
-    (flag "P" hdr.psh) (flag "." hdr.ack_flag) (flag "U" hdr.urg) Seq.pp hdr.seq
-    Seq.pp hdr.ack hdr.window
-    (match hdr.mss with Some m -> Printf.sprintf " mss=%d" m | None -> "")

@@ -65,6 +65,3 @@ val decode :
   pseudo:Fox_basis.Checksum.acc ->
   Fox_basis.Packet.t ->
   (t, error) result
-
-(** Render like a tcpdump line, for traces. *)
-val pp : Format.formatter -> t -> unit

@@ -8,8 +8,7 @@
     [examples/tap_interop.ml] and [test/test_tun.ml]).
 
     Because the kernel lives on the wall clock, a TAP-backed stack must run
-    the scheduler in realtime mode with this module's {!pump} as the idle
-    hook:
+    the scheduler in realtime mode with this module's {!idle_hook}:
 
     {[
       let tap = Tun.open_tap () in
@@ -44,13 +43,11 @@ val port : t -> Fox_dev.Link.port
     moves frames from the pump into the device handler. *)
 val start : t -> unit
 
-(** [pump t ~timeout_us] waits up to [timeout_us] for the TAP to become
-    readable and transfers any pending frames toward {!start}'s thread.
-    Must be called from the scheduler's idle hook, never from a thread. *)
-val pump : t -> timeout_us:int -> unit
-
-(** [idle_hook t] is the canonical idle hook: pumps with the scheduler's
-    suggested timeout, capped at 20 ms so timers stay responsive. *)
+(** [idle_hook t] is the canonical idle hook: it waits up to the
+    scheduler's suggested timeout, capped at 20 ms so timers stay
+    responsive, for the TAP to become readable, and transfers any pending
+    frames toward {!start}'s thread.  Only the scheduler calls it, never
+    a thread. *)
 val idle_hook : t -> int option -> unit
 
 (** Frames moved in each direction. *)

@@ -11,6 +11,8 @@ open Fox_tcp
 module Scenarios = Fox_check.Scenarios
 module Mutate = Fox_check.Mutate
 
+let reno = (module Fox_tcp.Congestion.Reno : Fox_tcp.Congestion.S)
+
 let params = { Tcb.default_params with delayed_ack_us = 0; nagle = false }
 
 (* Same helpers as test_tcp_unit: segments arrive from peer 2000 -> 1000. *)
@@ -33,7 +35,9 @@ let mk_segment ?(syn = false) ?(fin = false) ?(rst = false) ?(ack = None)
 (* A TCB in ESTABLISHED with iss=1000 (snd side) and irs=5000 (rcv side):
    snd_una = snd_nxt = 1001, rcv_nxt = 5001, rcv window 4096. *)
 let estab_tcb ?(params = params) () =
-  let tcb = Tcb.create_tcb_with_mss params ~iss:(Seq.of_int 1000) ~mss:1000 in
+  let tcb =
+    Tcb.create_tcb_with_mss params ~cc:reno ~iss:(Seq.of_int 1000) ~mss:1000
+  in
   tcb.Tcb.snd_una <- Seq.of_int 1001;
   tcb.Tcb.snd_nxt <- Seq.of_int 1001;
   tcb.Tcb.irs <- Seq.of_int 5000;

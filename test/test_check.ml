@@ -109,6 +109,8 @@ end
 
 module Floop = Faulty.Make (Loop)
 
+let reno = (module Fox_tcp.Congestion.Reno : Fox_tcp.Congestion.S)
+
 let cfg ?(seed = 1) ?(allocate_fail = 0.0) ?(send_fail = 0.0)
     ?(send_drop = 0.0) ?(connect_fail = 0) ?(finalize_abort = false) () =
   {
@@ -316,9 +318,7 @@ let lossy_schedule =
 
 let test_composed_lossy_transfer_completes () =
   let r =
-    Fuzz.run_engine
-      (module Fuzz.Fox_engine)
-      lossy_schedule ~engine_salt:1 ~with_invariants:true
+    Fuzz.fox_engine lossy_schedule ~engine_salt:1 ~with_invariants:true
   in
   Alcotest.(check string) "every byte delivered, in order"
     (Fuzz.payload_of lossy_schedule) r.Fuzz.delivered;
@@ -330,27 +330,36 @@ let test_composed_faults_actually_fired () =
   (* same run, holding on to the hosts so the injected-fault counters are
      visible: the transfer above succeeds despite real injected faults *)
   let a, b, _atk = Fuzz.hosts_for lossy_schedule ~engine_salt:1 in
+  let module T =
+    Fox_tcp.Tcp.Make (Fuzz.Fip) (Fuzz.Faux) (Fox_tcp.Congestion.Reno)
+      (Fuzz.Tcp_params)
+  in
   let delivered = Buffer.create 8192 in
-  let server = Fuzz.Fox_engine.create b.Fuzz.fip in
-  let client = Fuzz.Fox_engine.create a.Fuzz.fip in
+  let server = T.create b.Fuzz.fip in
+  let client = T.create a.Fuzz.fip in
   let payload = Fuzz.payload_of lossy_schedule in
   let _ =
     Scheduler.run (fun () ->
-        Fuzz.Fox_engine.listen server ~port:7777
-          ~on_data:(fun p -> Buffer.add_string delivered (Packet.to_string p))
-          ~on_status:ignore;
+        ignore
+          (T.start_passive server { T.local_port = 7777 } (fun _ ->
+               ( (fun p -> Buffer.add_string delivered (Packet.to_string p)),
+                 ignore )));
+        let connect () =
+          T.connect client
+            { T.peer = b.Fuzz.addr; port = 7777; local_port = None }
+            (fun _ -> (ignore, ignore))
+        in
         let conn =
-          try
-            Fuzz.Fox_engine.connect client ~peer:b.Fuzz.addr ~port:7777
-              ~on_status:ignore
+          try connect ()
           with Fox_proto.Common.Connection_failed _ ->
             Scheduler.sleep 10_000;
-            Fuzz.Fox_engine.connect client ~peer:b.Fuzz.addr ~port:7777
-              ~on_status:ignore
+            connect ()
         in
-        Fuzz.Fox_engine.send_string conn payload;
+        let p = T.allocate_send conn (String.length payload) in
+        Packet.blit_from_string payload 0 p 0 (String.length payload);
+        T.send conn p;
         Scheduler.sleep 1000;
-        Fuzz.Fox_engine.close conn)
+        T.close conn)
   in
   Alcotest.(check string) "delivered despite faults" payload
     (Buffer.contents delivered);
@@ -367,7 +376,9 @@ let test_composed_faults_actually_fired () =
 
 let clean_info () =
   let params = Tcb.default_params in
-  let tcb = Tcb.create_tcb_with_mss params ~iss:(Seq.of_int 1000) ~mss:1000 in
+  let tcb =
+    Tcb.create_tcb_with_mss params ~cc:reno ~iss:(Seq.of_int 1000) ~mss:1000
+  in
   tcb.Tcb.snd_una <- Seq.of_int 1001;
   tcb.Tcb.snd_nxt <- Seq.of_int 1001;
   tcb.Tcb.rcv_nxt <- Seq.of_int 5001;
@@ -438,7 +449,7 @@ let test_hook_runs_after_every_action_and_is_deterministic () =
   let run () =
     Tcb_invariants.checks_performed := 0;
     let r =
-      Fuzz.run_engine (module Fuzz.Fox_engine) s ~engine_salt:1
+      Fuzz.fox_engine s ~engine_salt:1
         ~with_invariants:true
     in
     (!Tcb_invariants.checks_performed, r)
@@ -470,9 +481,8 @@ let test_hook_catches_corruption_in_live_run () =
       detected := !detected + List.length (Tcb_invariants.violations info));
   Fun.protect ~finally:Check_hook.uninstall (fun () ->
       let r =
-        Fuzz.run_engine
-          (module Fuzz.Fox_engine)
-          (Fuzz.generate ~seed:7) ~engine_salt:1 ~with_invariants:false
+        Fuzz.fox_engine (Fuzz.generate ~seed:7) ~engine_salt:1
+          ~with_invariants:false
       in
       ignore r);
   Alcotest.(check bool) "seeded violation caught" true (!detected > 0)

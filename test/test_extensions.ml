@@ -14,6 +14,8 @@ module Socket = Fox_proto.Socket
 (* Sockets                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let reno = (module Fox_tcp.Congestion.Reno : Fox_tcp.Congestion.S)
+
 let socket_pair () = Network.pair ~engine:Network.Fox ()
 
 let test_socket_echo () =
@@ -252,7 +254,9 @@ let test_keepalive_probe_unit () =
   let params =
     { Tcb.default_params with keepalive_us = 1000; keepalive_probes = 2 }
   in
-  let tcb = Tcb.create_tcb_with_mss params ~iss:(Seq.of_int 100) ~mss:1000 in
+  let tcb =
+    Tcb.create_tcb_with_mss params ~cc:reno ~iss:(Seq.of_int 100) ~mss:1000
+  in
   tcb.Tcb.snd_una <- Seq.of_int 101;
   tcb.Tcb.snd_nxt <- Seq.of_int 101;
   tcb.Tcb.rcv_nxt <- Seq.of_int 501;
@@ -282,7 +286,9 @@ let test_keepalive_recent_activity_rearms_quietly () =
   let params =
     { Tcb.default_params with keepalive_us = 1000; keepalive_probes = 2 }
   in
-  let tcb = Tcb.create_tcb_with_mss params ~iss:(Seq.of_int 100) ~mss:1000 in
+  let tcb =
+    Tcb.create_tcb_with_mss params ~cc:reno ~iss:(Seq.of_int 100) ~mss:1000
+  in
   tcb.Tcb.last_activity <- 1900;
   let state = State.timer_expired params (Tcb.Estab tcb) Tcb.Keepalive ~now:2000 in
   Alcotest.(check string) "alive" "ESTABLISHED" (Tcb.state_name state);
@@ -318,7 +324,9 @@ let test_keepalive_counts_unanswered_probes () =
   let params =
     { Tcb.default_params with keepalive_us = 1000; keepalive_probes = 3 }
   in
-  let tcb = Tcb.create_tcb_with_mss params ~iss:(Seq.of_int 100) ~mss:1000 in
+  let tcb =
+    Tcb.create_tcb_with_mss params ~cc:reno ~iss:(Seq.of_int 100) ~mss:1000
+  in
   tcb.Tcb.snd_una <- Seq.of_int 101;
   tcb.Tcb.snd_nxt <- Seq.of_int 101;
   tcb.Tcb.rcv_nxt <- Seq.of_int 501;
@@ -344,7 +352,9 @@ let test_keepalive_counts_unanswered_probes () =
     (Tcb.state_name !state);
   (* whereas an answer in between resets the count: a fresh tcb probed
      once, then activity, probes again from one *)
-  let tcb2 = Tcb.create_tcb_with_mss params ~iss:(Seq.of_int 100) ~mss:1000 in
+  let tcb2 =
+    Tcb.create_tcb_with_mss params ~cc:reno ~iss:(Seq.of_int 100) ~mss:1000
+  in
   tcb2.Tcb.rcv_nxt <- Seq.of_int 501;
   tcb2.Tcb.last_activity <- 0;
   ignore (State.timer_expired params (Tcb.Estab tcb2) Tcb.Keepalive ~now:2000);

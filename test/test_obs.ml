@@ -143,7 +143,8 @@ let test_event_order_matches_executor () =
       Fun.protect ~finally:Check_hook.uninstall (fun () ->
           let _, sender, receiver = Network.pair ~engine:Network.Fox () in
           ignore
-            (Experiments.Fox_run.transfer ~sender ~receiver ~bytes:20_000 ()));
+            (Experiments.Fox_run.transfer Network.fox_tcp ~sender ~receiver
+               ~bytes:20_000 ()));
       bus_seq :=
         List.filter_map
           (fun e ->
@@ -181,7 +182,8 @@ let test_observability_smoke () =
       let _, sender, receiver = Network.pair ~engine:Network.Fox () in
       result :=
         Some
-          (Experiments.Fox_run.transfer ~sender ~receiver ~bytes:1_000_000 ());
+          (Experiments.Fox_run.transfer Network.fox_tcp ~sender ~receiver
+             ~bytes:1_000_000 ());
       Alcotest.(check bool) "bus recorded the run" true (Bus.emitted () > 0);
       Alcotest.(check bool) "meter histograms fed" true
         (match List.assoc_opt "ip0.send_bytes" (Bus.histograms ()) with

@@ -325,12 +325,11 @@ let raw_peer ip =
 
 let raw_send p hdr =
   Action.externalize
-    ~pseudo_for:(fun len -> Ip_aux.pseudo p.lconn ~proto:6 ~len)
-    ~hdr ~data:None
-    ~allocate:(fun len ->
-      Packet.create ~headroom:(24 + Ip.headroom p.lconn)
-        ~tailroom:(Ip.tailroom p.lconn) len)
-    ~send:(Ip.prepare_send p.lconn) ()
+    ~pseudo_for:(fun lconn len -> Ip_aux.pseudo lconn ~proto:6 ~len)
+    ~allocate:(fun lconn len ->
+      Packet.create ~headroom:(24 + Ip.headroom lconn)
+        ~tailroom:(Ip.tailroom lconn) len)
+    p.lconn ~hdr ~data:None ~send:(Ip.prepare_send p.lconn)
 
 (* the handshake ACK from [src_port] for the SYN-ACK whose sequence
    number is [cookie], answering a SYN at [irs] *)

@@ -211,7 +211,7 @@ let test_baseline_recovers_from_loss () =
           off := !off + n
         done;
         Scheduler.sleep 200_000_000;
-        rtx := Stack.Baseline_tcp.retransmissions_of conn)
+        rtx := Stack.Baseline_tcp.retransmissions conn)
   in
   Alcotest.(check bool) "intact" true (Buffer.contents buf = payload);
   Alcotest.(check bool) "recovered via retransmission" true (!rtx > 0)
@@ -242,7 +242,8 @@ let test_meter_counts_bytes () =
     Network.pair ~engine:Network.Fox ~cost:Cost_model.fox ()
   in
   let result =
-    Experiments.Fox_run.transfer ~sender ~receiver ~bytes:50_000 ()
+    Experiments.Fox_run.transfer Network.fox_tcp ~sender ~receiver
+      ~bytes:50_000 ()
   in
   Alcotest.(check bool) "elapsed positive" true (result.Experiments.elapsed_us > 0);
   List.iter
@@ -258,7 +259,8 @@ let test_meter_counts_bytes () =
 let test_silent_meter_costs_nothing () =
   let _, sender, receiver = Network.pair ~engine:Network.Fox () in
   let result =
-    Experiments.Fox_run.transfer ~sender ~receiver ~bytes:50_000 ()
+    Experiments.Fox_run.transfer Network.fox_tcp ~sender ~receiver
+      ~bytes:50_000 ()
   in
   Alcotest.(check int) "no virtual charges" 0
     (Counters.grand_total sender.Network.counters);
@@ -272,7 +274,10 @@ let test_silent_meter_costs_nothing () =
 
 let test_transfer_result_consistency () =
   let _, sender, receiver = Network.pair ~engine:Network.Fox () in
-  let r = Experiments.Fox_run.transfer ~sender ~receiver ~bytes:100_000 () in
+  let r =
+    Experiments.Fox_run.transfer Network.fox_tcp ~sender ~receiver
+      ~bytes:100_000 ()
+  in
   Alcotest.(check int) "bytes" 100_000 r.Experiments.bytes;
   Alcotest.(check bool) "throughput consistent" true
     (abs_float

@@ -7,6 +7,8 @@
 open Fox_basis
 open Fox_tcp
 
+let reno = (module Fox_tcp.Congestion.Reno : Fox_tcp.Congestion.S)
+
 let qtest ?(count = 300) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
@@ -165,7 +167,9 @@ let mk_segment ?(syn = false) ?(fin = false) ?(rst = false) ?(ack = None)
 (* A TCB in ESTABLISHED with iss=1000 (snd side) and irs=5000 (rcv side):
    snd_una = snd_nxt = 1001, rcv_nxt = 5001. *)
 let estab_tcb ?(params = params) () =
-  let tcb = Tcb.create_tcb_with_mss params ~iss:(Seq.of_int 1000) ~mss:1000 in
+  let tcb =
+    Tcb.create_tcb_with_mss params ~cc:reno ~iss:(Seq.of_int 1000) ~mss:1000
+  in
   tcb.Tcb.snd_una <- Seq.of_int 1001;
   tcb.Tcb.snd_nxt <- Seq.of_int 1001;
   tcb.Tcb.irs <- Seq.of_int 5000;
@@ -189,7 +193,9 @@ let action_names tcb = List.map Tcb.action_name (drain_actions tcb)
 (* ------------------------------------------------------------------ *)
 
 let test_active_open () =
-  let state = State.active_open params ~iss:(Seq.of_int 100) ~mss:1460 ~now:0 in
+  let state =
+    State.active_open params ~cc:reno ~iss:(Seq.of_int 100) ~mss:1460 ~now:0
+  in
   match state with
   | Tcb.Syn_sent tcb ->
     Alcotest.(check int) "snd_nxt advanced by SYN" 101 (Seq.to_int tcb.Tcb.snd_nxt);
@@ -209,7 +215,8 @@ let test_active_open () =
 let test_passive_open () =
   let syn = mk_segment ~syn:true ~seq:5000 ~window:4096 () in
   let state =
-    State.passive_open params ~iss:(Seq.of_int 200) ~mss:1460 ~syn ~now:0
+    State.passive_open params ~cc:reno
+      ~iss:(Seq.of_int 200) ~mss:1460 ~syn ~now:0
   in
   match state with
   | Tcb.Syn_passive tcb ->
@@ -236,7 +243,9 @@ let test_passive_open_learns_mss () =
         };
     }
   in
-  match State.passive_open params ~iss:Seq.zero ~mss:1460 ~syn ~now:0 with
+  match
+    State.passive_open params ~cc:reno ~iss:Seq.zero ~mss:1460 ~syn ~now:0
+  with
   | Tcb.Syn_passive tcb ->
     Alcotest.(check int) "mss capped by peer" 512 tcb.Tcb.snd_mss
   | _ -> Alcotest.fail "state"
@@ -730,7 +739,9 @@ let test_fin_moves_to_close_wait () =
 
 let test_syn_sent_handshake () =
   (* client side: SYN-SENT receiving SYN-ACK *)
-  let state = State.active_open params ~iss:(Seq.of_int 100) ~mss:1460 ~now:0 in
+  let state =
+    State.active_open params ~cc:reno ~iss:(Seq.of_int 100) ~mss:1460 ~now:0
+  in
   let tcb = Option.get (Tcb.tcb_of state) in
   ignore (drain_actions tcb);
   let synack =
@@ -748,7 +759,9 @@ let test_syn_sent_handshake () =
     (List.mem "clear-timer:retransmit" names)
 
 let test_simultaneous_open () =
-  let state = State.active_open params ~iss:(Seq.of_int 100) ~mss:1460 ~now:0 in
+  let state =
+    State.active_open params ~cc:reno ~iss:(Seq.of_int 100) ~mss:1460 ~now:0
+  in
   let tcb = Option.get (Tcb.tcb_of state) in
   ignore (drain_actions tcb);
   (* a bare SYN crosses ours *)
@@ -1236,11 +1249,12 @@ let test_time_wait_entry_cancels_delayed_ack () =
 let externalize_refused ~data ~allocate =
   match
     Action.externalize
-      ~pseudo_for:(fun _ -> Checksum.none)
-      ~hdr:(Tcp_header.basic ~src_port:1000 ~dst_port:2000)
-      ~data ~allocate
-      ~send:(fun _ -> raise (Fox_proto.Common.Send_failed "refused"))
+      ~pseudo_for:(fun () _ -> Checksum.none)
+      ~allocate:(fun () n -> allocate n)
       ()
+      ~hdr:(Tcp_header.basic ~src_port:1000 ~dst_port:2000)
+      ~data
+      ~send:(fun _ -> raise (Fox_proto.Common.Send_failed "refused"))
   with
   | () -> Alcotest.fail "send should have raised"
   | exception Fox_proto.Common.Send_failed _ -> ()
@@ -1637,7 +1651,8 @@ let engine () =
    status upcalls are kept newest first. *)
 let established e =
   let state =
-    State.promote_passive params ~iss:(Seq.of_int 1000) ~irs:(Seq.of_int 5000)
+    State.promote_passive params ~cc:reno
+      ~iss:(Seq.of_int 1000) ~irs:(Seq.of_int 5000)
       ~mss:1460 ~peer_mss:(Some 1460) ~wnd:65535
   in
   let conn =

@@ -44,35 +44,8 @@ let two_msl_us = 1_000_000
 (* The engines                                                        *)
 (* ------------------------------------------------------------------ *)
 
-module type ENGINE = sig
-  type t
-  type connection
-
-  val create : Ip.t -> t
-
-  val connect :
-    t -> local_port:int -> on_status:(Status.t -> unit) -> connection
-
-  val close : connection -> unit
-  val state_of : connection -> string
-end
-
-module Fox (P : Fox_tcp.Tcp.PARAMS) = struct
-  module T = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (P)
-
-  type t = T.t
-  type connection = T.connection
-
-  let create = T.create
-
-  let connect t ~local_port ~on_status =
-    T.connect t
-      { T.peer = peer_addr; port; local_port = Some local_port }
-      (fun _ -> (Packet.release, on_status))
-
-  let close = T.close
-  let state_of = T.state_of
-end
+module type TCP =
+  Fox_tcp.Tcp.S with type lower = Ip.t and type host = Fox_ip.Ipv4_addr.t
 
 let fox_params =
   {
@@ -81,36 +54,25 @@ let fox_params =
     isn_secret = Some (0x7157, 0x7157);
   }
 
-module Fox_tcp_engine = Fox (struct
-  let params = fox_params
-end)
+module Fox_tcp_engine =
+  Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno)
+    (struct
+      let params = fox_params
+    end)
 
-module Fox_bounded = Fox (struct
-  let params = { fox_params with max_time_wait = 2 }
-end)
+module Fox_bounded =
+  Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno)
+    (struct
+      let params = { fox_params with max_time_wait = 2 }
+    end)
 
-module Baseline : ENGINE = struct
-  module B =
-    Fox_baseline.Tcp_monolithic.Make (Ip) (Ip_aux)
-      (struct
-        include Fox_baseline.Tcp_monolithic.Default_params
+module Baseline =
+  Fox_baseline.Tcp_monolithic.Make (Ip) (Ip_aux)
+    (struct
+      include Fox_baseline.Tcp_monolithic.Default_params
 
-        let time_wait_us = two_msl_us
-      end)
-
-  type t = B.t
-  type connection = B.connection
-
-  let create = B.create
-
-  let connect t ~local_port ~on_status =
-    B.connect t
-      { B.peer = peer_addr; port; local_port = Some local_port }
-      (fun _ -> (Packet.release, on_status))
-
-  let close = B.close
-  let state_of = B.state_of
-end
+      let time_wait_us = two_msl_us
+    end)
 
 (* ------------------------------------------------------------------ *)
 (* The scripted peer                                                  *)
@@ -156,12 +118,11 @@ let transmit p ?(text = "") hdr =
     end
   in
   Action.externalize
-    ~pseudo_for:(fun len -> Ip_aux.pseudo p.lconn ~proto:6 ~len)
-    ~hdr ~data
-    ~allocate:(fun len ->
-      Packet.create ~headroom:(24 + Ip.headroom p.lconn)
-        ~tailroom:(Ip.tailroom p.lconn) len)
-    ~send:p.send ()
+    ~pseudo_for:(fun lconn len -> Ip_aux.pseudo lconn ~proto:6 ~len)
+    ~allocate:(fun lconn len ->
+      Packet.create ~headroom:(24 + Ip.headroom lconn)
+        ~tailroom:(Ip.tailroom lconn) len)
+    p.lconn ~hdr ~data ~send:p.send
 
 (* A segment from the peer to the engine's [local_port]. *)
 let segment ~local_port ?(syn = false) ?(fin = false) ?(rst = false)
@@ -194,14 +155,18 @@ let status_seq = ref 0
 (* Run the engine's active open from [local_port] against the scripted
    peer, close it, and answer with FIN+ACK: the engine enters TIME-WAIT
    about 3 ms after the call.  Must run inside the scheduler. *)
-let park (type e c) (module E : ENGINE with type t = e and type connection = c)
+let park (type e c) (module E : TCP with type t = e and type connection = c)
     (engine : e) peer ~local_port (conn : c option ref) =
   let statuses = ref [] in
+  let on_status s =
+    incr status_seq;
+    statuses := (Scheduler.now (), !status_seq, s) :: !statuses
+  in
   Scheduler.fork (fun () ->
       let c =
-        E.connect engine ~local_port ~on_status:(fun s ->
-            incr status_seq;
-            statuses := (Scheduler.now (), !status_seq, s) :: !statuses)
+        E.connect engine
+          { E.peer = peer_addr; port; local_port = Some local_port }
+          (fun _ -> (Packet.release, on_status))
       in
       conn := Some c;
       E.close c);
@@ -261,7 +226,7 @@ type outcome = {
 
 (* Park a connection from port 5000, 100 ms later inject the segment
    [inject] builds, and report what came back. *)
-let run_case (module E : ENGINE) inject =
+let run_case (module E : TCP) inject =
   let link = Link.hub ~ports:2 Netem.gigabit in
   let engine_ip = World.host ~subnet link 0 ~addr:engine_addr in
   let peer_ip = World.host ~subnet link 1 ~addr:peer_addr in
@@ -433,14 +398,14 @@ let test_recycling_order () =
     ]
     order;
   Alcotest.(check int) "recycled" 2
-    (Fox_bounded.T.stats engine).Fox_tcp.Tcp.time_wait_recycled
+    (Fox_bounded.stats engine).Fox_tcp.Tcp.time_wait_recycled
 
 (* What the application sees of a parked connection: the handle reads
    TIME-WAIT and counts as an active connection with a snapshot row
    until 2·MSL ends; [close_sync] called then returns at the expiry; an
    abort ends the parking at once. *)
 let test_parked_handle () =
-  let module T = Fox_tcp_engine.T in
+  let module T = Fox_tcp_engine in
   let link = Link.hub ~ports:2 Netem.gigabit in
   let engine_ip = World.host ~subnet link 0 ~addr:engine_addr in
   let peer_ip = World.host ~subnet link 1 ~addr:peer_addr in

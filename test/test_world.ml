@@ -22,6 +22,8 @@ module Tcb = Fox_tcp.Tcb
 (* Soak                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let reno = (module Fox_tcp.Congestion.Reno : Fox_tcp.Congestion.S)
+
 let test_soak_default_fingerprint () =
   let r = Soak.run Soak.default_config in
   Alcotest.(check string) "default soak fingerprint (README)"
@@ -338,7 +340,8 @@ let test_restore_and_census_on_leak () =
 
 let test_faults_are_tagged () =
   let tcb =
-    Tcb.create_tcb_with_mss Tcb.default_params ~iss:(Fox_tcp.Seq.of_int 1000)
+    Tcb.create_tcb_with_mss Tcb.default_params ~cc:reno
+      ~iss:(Fox_tcp.Seq.of_int 1000)
       ~mss:1000
   in
   (* snd_una ahead of snd_nxt: a sequence-space violation *)
